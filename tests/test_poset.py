@@ -1,6 +1,8 @@
 """Diagram construction, grading, Eulerian statistics, Moebius values,
 lattice laws, truncations, and path conjugators."""
 
+import hashlib
+
 import pytest
 
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
@@ -286,6 +288,26 @@ class TestPathConjugator:
                             [DescentLabel(1, 3)])
 
 
+# SHA-256 of (to_json, to_dot) of build(n), as the breadth-first build
+# wrote them; any change to the diagram or its rendering breaks these.
+EXPORT_DIGESTS = {
+    1: ("003c67f106c7afcf01034b97b9af5e4a09ec176fdb0206a5605d353ac498d114",
+        "5e03e9250e9fc4da6b0ba81301b79f43bbc7861b7c7eb8a1276f2d677f2f9f47"),
+    2: ("f9f3a28263827e39cbc6181f042be2c343b4a690a54cf1a23e7da06032eb37fa",
+        "ff2dc03c3163f1c336c329b9855ad3a77357bfeef3a835d1d6f6bff95a5866a0"),
+    3: ("640c48283c0e28e1d4ef4450f958df978a59de31c0f35de2b428ed8272145a46",
+        "f1d8b852a36169a6157aeea9f456b45df7e99c0052e1b8f3bbea07649915399c"),
+    4: ("b86f093f9b683db45c6e937a5162710d536e4b0118b53ca51b03cb1a08bd7fa1",
+        "3639c2ca483df6b04d6f163888f488f2b1aca781fad99d3429064ce8268e930e"),
+    5: ("adc32b34b0d6219dcf913de7cfc7e6435bc87606255cef0bb071aaebf6937be0",
+        "141306d2fdd5ed89995729439ffe894cba8c62e71e2cede659c32f6d57093f2a"),
+    6: ("3ce76df54e55bcfcdacd687a7e85f6f434a2d8ae5b7d742f01a4f72c54a2c1bf",
+        "18690f78bd3e42990baa4d7412b52e0dca7b416a63408891f3095bbac72ac503"),
+    7: ("01b5e757fd0ef1b12233e01cca9678ed00a030591dede45e3944b26e886caadf",
+        "939ac3dfcd7d9eff4aeca0cafdeaa94273d333f9dea0d42d762316eb923d3238"),
+}
+
+
 class TestExports:
     def test_dot_content(self):
         dot = to_dot(build(4))
@@ -305,6 +327,13 @@ class TestExports:
     def test_byte_determinism(self):
         assert to_dot(build(5)) == to_dot(build(5, workers=3))
         assert to_json(build(5)) == to_json(build(5, workers=3))
+
+    @pytest.mark.parametrize("n", sorted(EXPORT_DIGESTS))
+    def test_pinned_export_digests(self, n):
+        diagram = build(n)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                        for text in (to_json(diagram), to_dot(diagram)))
+        assert digests == EXPORT_DIGESTS[n]
 
 
 class TestGradingReport:
