@@ -16,7 +16,7 @@ from typing import Callable
 
 from cyclat import affine, oracle, poset, vectors
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
-from cyclat.perm import CircularPermutation, all_cycles
+from cyclat.perm import CircularPermutation, all_cycles, word_text
 from cyclat.poset import build
 from cyclat.vectors import AdmittedVector
 
@@ -61,11 +61,11 @@ def _check_eulerian(n: int) -> tuple[bool, dict | None]:
 
 def _check_mobius(n: int) -> tuple[bool, dict | None]:
     diagram = build(n)
-    for x in range(len(diagram.nodes)):
+    for x in range(len(diagram.words)):
         for y, value in poset.mobius_from(diagram, x).items():
             if value not in (-1, 0, 1):
-                return False, {"x": diagram.nodes[x].as_text(),
-                               "y": diagram.nodes[y].as_text(),
+                return False, {"x": word_text(diagram.words[x]),
+                               "y": word_text(diagram.words[y]),
                                "mu": value}
     return True, None
 
@@ -75,7 +75,7 @@ def _check_lattice(n: int) -> tuple[bool, dict | None]:
     diagram = build(n)
     closure = oracle.order_by_closure(diagram)
     rev = {v: t for t, v in enumerate(diagram.vecs)}
-    size = len(diagram.nodes)
+    size = len(diagram.words)
     if size <= 120:
         pairs = [(x, y) for x in range(size) for y in range(size)]
     else:
@@ -86,11 +86,11 @@ def _check_lattice(n: int) -> tuple[bool, dict | None]:
         u = AdmittedVector(n, diagram.vecs[x])
         v = AdmittedVector(n, diagram.vecs[y])
         if oracle.join_by_search(closure, x, y) != rev[vectors.join(u, v).flat]:
-            return False, {"op": "join", "pair": [diagram.nodes[x].as_text(),
-                                                  diagram.nodes[y].as_text()]}
+            return False, {"op": "join", "pair": [word_text(diagram.words[x]),
+                                                  word_text(diagram.words[y])]}
         if oracle.meet_by_search(closure, x, y) != rev[vectors.meet(u, v).flat]:
-            return False, {"op": "meet", "pair": [diagram.nodes[x].as_text(),
-                                                  diagram.nodes[y].as_text()]}
+            return False, {"op": "meet", "pair": [word_text(diagram.words[x]),
+                                                  word_text(diagram.words[y])]}
     return True, {"pairs": len(pairs)}
 
 
@@ -190,10 +190,11 @@ def _random_chain(diagram, lo: int, hi: int, rng: random.Random):
     chain = []
     current = lo
     while current != hi:
-        options = [(label, up) for l2, up, label in diagram.edges
-                   if l2 == current and diagram.leq(up, hi)]
-        label, current = rng.choice(options)
-        chain.append(label)
+        options = [k for k in diagram.edges_above(current)
+                   if diagram.leq(diagram.hi[k], hi)]
+        k = rng.choice(options)
+        chain.append(diagram.label(k))
+        current = diagram.hi[k]
     return chain
 
 
@@ -201,10 +202,11 @@ def _all_chains(diagram, lo: int, hi: int):
     if lo == hi:
         yield []
         return
-    for l2, up, label in diagram.edges:
-        if l2 == lo and diagram.leq(up, hi):
+    for k in diagram.edges_above(lo):
+        up = diagram.hi[k]
+        if diagram.leq(up, hi):
             for rest in _all_chains(diagram, up, hi):
-                yield [label] + rest
+                yield [diagram.label(k)] + rest
 
 
 def _check_alpha(n: int) -> tuple[bool, dict | None]:

@@ -43,14 +43,24 @@ def detect_form(text: str) -> str:
 
 
 def parse_element(text: str, form: str | None = None) -> tuple[str, AdmittedVector]:
-    """Parse an element in any incarnation; returns (form, vector)."""
+    """Parse an element in any incarnation; returns (form, vector).
+
+    A JSON object form may declare its order as "n"; it must agree with
+    the element.
+    """
     body = text.strip()
     form = form or detect_form(body)
     if form == "cycle":
         return form, vectors.cycle_to_vector(CircularPermutation.from_text(body))
+    if form not in ("vector", "window"):
+        raise CyclatError(f"unknown form {form!r}")
+    payload = json.loads(body) if body.startswith("{") else None
+    if payload is not None:
+        key = "v" if form == "vector" else "window"
+        if key not in payload:
+            raise CyclatError(f'JSON {form} element needs a "{key}" key: {text!r}')
     if form == "vector":
-        if body.startswith("{"):
-            payload = json.loads(body)
+        if payload is not None:
             rows = payload["v"]
         else:
             try:
@@ -59,15 +69,20 @@ def parse_element(text: str, form: str | None = None) -> tuple[str, AdmittedVect
                 raise CyclatError(f"bad vector rows {text!r}: {exc}") from None
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise CyclatError(f"vector form must be a list of rows: {text!r}")
-        return form, AdmittedVector.from_rows(rows)
-    if form == "window":
-        if body.startswith("{"):
-            payload = json.loads(body)
-            window = affine.AffineWindow(tuple(int(x) for x in payload["window"]))
-        else:
-            window = affine.AffineWindow.from_text(body)
-        return form, affine.vector_of_window(window)
-    raise CyclatError(f"unknown form {form!r}")
+        v = AdmittedVector.from_rows(rows)
+    elif payload is not None:
+        entries = payload["window"]
+        if not isinstance(entries, list) or not all(type(x) is int for x in entries):
+            raise CyclatError(f"window must be a list of integers: {text!r}")
+        v = affine.vector_of_window(affine.AffineWindow(tuple(entries)))
+    else:
+        v = affine.vector_of_window(affine.AffineWindow.from_text(body))
+    if payload is not None and "n" in payload:
+        declared = payload["n"]
+        if type(declared) is not int or declared != v.n:
+            raise CyclatError(
+                f'declared "n": {declared!r} disagrees with the element\'s order {v.n}')
+    return form, v
 
 
 def render_element(v: AdmittedVector, form: str) -> str:
@@ -92,7 +107,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    diagram = poset.build(args.n, workers=args.workers)
+    diagram = poset.build(args.n)
     text = poset.to_dot(diagram) if args.format == "dot" else poset.to_json(diagram)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -223,7 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("lattice", help="join or meet of two elements")

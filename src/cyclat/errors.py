@@ -16,8 +16,9 @@ class NotAdmittedError(CyclatError):
 
     def __init__(self, message: str, *, kind: str, where: tuple[int, ...]):
         super().__init__(message)
-        self.kind = kind          # "adjacent_nonzero" | "delta_out_of_range"
-        self.where = where        # (i, i+1) or (i, j, k) naming the violation
+        # "shape" | "not_integer" | "adjacent_nonzero" | "negative" | "delta_out_of_range"
+        self.kind = kind
+        self.where = where        # (n,), (i, j) or (i, j, k) naming the violation
 
 
 class NotAnInversionSetError(CyclatError):

@@ -1,7 +1,8 @@
 """Brute-force reference implementations.
 
 Everything here recomputes a quantity from its bare definition, sharing
-no code with the module it cross-checks: the order is taken as the
+no code with the module it cross-checks: the diagram is found by
+breadth-first search over covers, the order is taken as the
 reflexive-transitive closure of the cover graph, bounds are found by
 search over that closure, descents are counted through the cycle's
 successor map, affine lengths by direct pair enumeration and by
@@ -14,8 +15,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
+from cyclat import kernels
 from cyclat.errors import NotALatticeError
+from cyclat.perm import Word
 from cyclat.poset import HasseDiagram
+
+
+def diagram_by_search(n: int) -> tuple[tuple[Word, ...],
+                                       tuple[tuple[int, int, tuple[int, int]], ...],
+                                       tuple[int, ...]]:
+    """The diagram as (words, edges, ranks), by breadth-first search over
+    covers from (1, 2, ..., n).
+
+    Words are sorted, edges are sorted (lower, upper, (r, s)) index
+    triples, ranks come from `word_rank`.  Only the cover kernel is
+    shared with `poset.build`.  The search also shows that every node is
+    reachable from the bottom; a directly enumerated diagram keeps that
+    guarantee through `grading_report`'s single-bottom test, since a
+    finite poset with one minimal element is connected through covers.
+    """
+    bottom = tuple(range(1, n + 1))
+    seen = {bottom}
+    frontier = [bottom]
+    edge_set = set()
+    while frontier:
+        nxt = set()
+        for word in frontier:
+            for r, s, upper in kernels.word_covers_up(word):
+                edge_set.add((word, upper, (r, s)))
+                if upper not in seen:
+                    nxt.add(upper)
+        seen |= nxt
+        frontier = list(nxt)
+    words = tuple(sorted(seen))
+    index = {w: t for t, w in enumerate(words)}
+    edges = tuple(sorted((index[a], index[b], rs) for a, b, rs in edge_set))
+    return words, edges, tuple(kernels.word_rank(w) for w in words)
 
 
 @dataclass(frozen=True)
@@ -31,9 +66,9 @@ class ClosureOrder:
 
 def order_by_closure(diagram: HasseDiagram) -> ClosureOrder:
     """The order as the reflexive-transitive closure of the edges."""
-    size = len(diagram.nodes)
+    size = len(diagram.words)
     succ = [[] for _ in range(size)]
-    for lo, hi, _ in diagram.edges:
+    for lo, hi in zip(diagram.lo, diagram.hi):
         succ[lo].append(hi)
     above = [0] * size
     for x in sorted(range(size), key=lambda t: -diagram.ranks[t]):

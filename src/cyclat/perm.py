@@ -54,6 +54,11 @@ def word_rank(word: Sequence[int]) -> int:
     return kernels.word_rank(check_word(word))
 
 
+def word_text(word: Sequence[int]) -> str:
+    """The cycle literal "(a1,a2,...,an)" of a word."""
+    return "(" + ",".join(map(str, word)) + ")"
+
+
 @dataclass(frozen=True, order=True)
 class DescentLabel:
     """Transposition (r, s) with r + 1 < s labelling a Hasse edge."""
@@ -121,10 +126,10 @@ class CircularPermutation:
         return self.canon[(k + 1) % self.n]
 
     def as_text(self) -> str:
-        return "(" + ",".join(str(a) for a in self.canon) + ")"
+        return word_text(self.canon)
 
     def __repr__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.canon) + ")"
+        return word_text(self.canon)
 
 
 def large_circular_descents(sigma: CircularPermutation) -> set[DescentLabel]:

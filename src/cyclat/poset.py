@@ -1,22 +1,24 @@
 """The full order on circular permutations of a given order.
 
-`build` materializes the labelled Hasse diagram (bottom-up breadth-first
-search over covers, deduplicated on canonical words); everything else
-queries it: rank grading, Eulerian cover statistics, the Moebius
-function, semidistributivity and modularity scans, rank truncations
-against the partition order, and conjugating permutations of upward
-paths.  Node indexing is lexicographic on canonical words, so exports
-are byte-for-byte reproducible regardless of worker count.
+`build` materializes the labelled Hasse diagram: node t is the t-th
+canonical word (1, p) with p running over the permutations of 2..n in
+lexicographic order, and the covers are held as flat edge columns
+sorted by (lower, upper) index, so exports are byte-for-byte
+reproducible.  Everything else queries the diagram: rank grading,
+Eulerian cover statistics, the Moebius function, semidistributivity and
+modularity scans, rank truncations against the partition order, and
+conjugating permutations of upward paths.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import permutations
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -27,7 +29,7 @@ from cyclat.errors import (
     NotAChainError,
     NotComparableError,
 )
-from cyclat.perm import CircularPermutation, DescentLabel, Word, all_cycles
+from cyclat.perm import CircularPermutation, DescentLabel, Word, all_cycles, word_text
 
 DEFAULT_MAX_N = 9
 _ENV_CAP = "CYCLAT_MAX_N"
@@ -36,8 +38,8 @@ _ENV_CAP = "CYCLAT_MAX_N"
 def enumeration_cap() -> int:
     """Largest order `build` accepts; override with CYCLAT_MAX_N.
 
-    Memory grows like (n-1)! nodes times O(n^2) ints per node; the default
-    cap of 9 keeps the diagram around 40320 nodes.
+    Memory grows like (n-1)! nodes of n letters plus four ints per
+    edge; the default cap of 9 keeps the diagram around 40320 nodes.
     """
     raw = os.environ.get(_ENV_CAP)
     return int(raw) if raw else DEFAULT_MAX_N
@@ -69,32 +71,63 @@ def compare(sigma: CircularPermutation, tau: CircularPermutation) -> Comparison:
 
 @dataclass
 class HasseDiagram:
-    """Labelled cover graph of the order for one n.
+    """Labelled cover graph of the order for one n, held as columns.
 
-    nodes are sorted lexicographically on canonical words; edges are
-    (lower index, upper index, label) triples, sorted; ranks[i] grades
-    node i.  Derived adjacency is computed once and never mutated.
+    words[t] is the canonical word of node t, sorted lexicographically;
+    ranks[t] grades node t.  Edge k runs from node lo[k] up to node hi[k]
+    and is labelled (r[k], s[k]); edges are sorted by (lo, hi).  The
+    object views (nodes, edges, vecs, up, down) are built on first use
+    and never mutated.
     """
 
     n: int
-    nodes: tuple[CircularPermutation, ...]
-    edges: tuple[tuple[int, int, DescentLabel], ...]
+    words: tuple[Word, ...]
     ranks: tuple[int, ...]
-    index: dict[Word, int] = field(init=False, compare=False, repr=False)
-    vecs: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    up: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    down: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    r: tuple[int, ...]
+    s: tuple[int, ...]
+    index: dict[Word, int] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.index = {s.canon: t for t, s in enumerate(self.nodes)}
-        self.vecs = tuple(kernels.word_vector(s.canon) for s in self.nodes)
-        up = [[] for _ in self.nodes]
-        down = [[] for _ in self.nodes]
-        for lo, hi, _ in self.edges:
-            up[lo].append(hi)
-            down[hi].append(lo)
-        self.up = tuple(tuple(sorted(t)) for t in up)
-        self.down = tuple(tuple(sorted(t)) for t in down)
+        if len(self.ranks) != len(self.words):
+            raise CyclatError(f"{len(self.ranks)} ranks for {len(self.words)} nodes")
+        if not len(self.lo) == len(self.hi) == len(self.r) == len(self.s):
+            raise CyclatError("edge columns differ in length")
+
+    @cached_property
+    def nodes(self) -> tuple[CircularPermutation, ...]:
+        return tuple(CircularPermutation(w) for w in self.words)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, DescentLabel], ...]:
+        return tuple((a, b, DescentLabel(r, s))
+                     for a, b, r, s in zip(self.lo, self.hi, self.r, self.s))
+
+    @cached_property
+    def vecs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(kernels.word_vector(w) for w in self.words)
+
+    @cached_property
+    def up(self) -> tuple[tuple[int, ...], ...]:
+        up = [[] for _ in self.words]
+        for a, b in zip(self.lo, self.hi):
+            up[a].append(b)
+        return tuple(map(tuple, up))
+
+    @cached_property
+    def down(self) -> tuple[tuple[int, ...], ...]:
+        down = [[] for _ in self.words]
+        for a, b in zip(self.lo, self.hi):
+            down[b].append(a)
+        return tuple(map(tuple, down))
+
+    def edges_above(self, t: int) -> range:
+        """Positions in the edge columns of the covers above node t."""
+        return range(bisect_left(self.lo, t), bisect_right(self.lo, t))
+
+    def label(self, k: int) -> DescentLabel:
+        return DescentLabel(self.r[k], self.s[k])
 
     def node_id(self, sigma: CircularPermutation) -> int:
         return self.index[sigma.canon]
@@ -111,18 +144,13 @@ class HasseDiagram:
         return self.index[CircularPermutation.largest(self.n).canon]
 
 
-def _expand(words: Sequence[Word], workers: int):
-    if workers <= 1 or len(words) < 64:
-        return [kernels.word_covers_up(w) for w in words]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(kernels.word_covers_up, words, chunksize=64))
+def build(n: int) -> HasseDiagram:
+    """Materialize the diagram of order n by direct enumeration.
 
-
-def build(n: int, workers: int = 1) -> HasseDiagram:
-    """Materialize the diagram by breadth-first search from (1, 2, ..., n).
-
-    The result is identical for every worker count: each layer is expanded
-    into a set and the final node order is sorted.
+    The nodes are the (n-1)! canonical words in lexicographic order;
+    each node's covers come from one `word_covers_up` call and are
+    appended to the edge columns in upper-index order.  Ranks come from
+    `word_rank`, independently of the edges.
     """
     cap = enumeration_cap()
     if n > cap:
@@ -130,27 +158,22 @@ def build(n: int, workers: int = 1) -> HasseDiagram:
             f"order {n} exceeds the cap {cap}; raise {_ENV_CAP} to override")
     if n < 1:
         raise CapExceededError(f"order must be >= 1, got {n}")
-    bottom = tuple(range(1, n + 1))
-    seen: set[Word] = {bottom}
-    frontier: list[Word] = [bottom]
-    edge_set: set[tuple[Word, Word, tuple[int, int]]] = set()
-    while frontier:
-        nxt: set[Word] = set()
-        for word, covers in zip(frontier, _expand(frontier, workers)):
-            for r, s, upper in covers:
-                edge_set.add((word, upper, (r, s)))
-                if upper not in seen:
-                    nxt.add(upper)
-        seen.update(nxt)
-        frontier = sorted(nxt)
-    words = sorted(seen)
+    words = tuple((1,) + p for p in permutations(range(2, n + 1)))
     index = {w: t for t, w in enumerate(words)}
-    nodes = tuple(CircularPermutation(w) for w in words)
-    edges = tuple(sorted((index[a], index[b], DescentLabel(r, s))
-                         for a, b, (r, s) in edge_set))
-    ranks = tuple(kernels.word_rank(w) for w in words)
-    assert len(nodes) == factorial(n - 1)
-    return HasseDiagram(n, nodes, edges, ranks)
+    lo: list[int] = []
+    hi: list[int] = []
+    rs: list[int] = []
+    ss: list[int] = []
+    for t, word in enumerate(words):
+        for b, r, s in sorted([(index[u], r, s)
+                               for r, s, u in kernels.word_covers_up(word)]):
+            lo.append(t)
+            hi.append(b)
+            rs.append(r)
+            ss.append(s)
+    ranks = tuple(map(kernels.word_rank, words))
+    return HasseDiagram(n, words, ranks, tuple(lo), tuple(hi), tuple(rs),
+                        tuple(ss), index)
 
 
 @lru_cache(maxsize=None)
@@ -192,19 +215,21 @@ def verify_descent_distribution(n: int) -> dict:
     row = {k: eulerian(n, k) for k in range(max(n, 1)) if eulerian(n, k)}
     hist = descent_histogram(n)
     diagram = build(n + 1)
+    degrees = [0] * len(diagram.words)
+    for t in diagram.lo:
+        degrees[t] += 1
     updeg: dict[int, int] = {}
-    for t in range(len(diagram.nodes)):
-        d = len(diagram.up[t])
+    for d in degrees:
         updeg[d] = updeg.get(d, 0) + 1
     edge_total = sum(k * a for k, a in row.items())
-    ok = hist == row and updeg == row and len(diagram.edges) == edge_total
+    ok = hist == row and updeg == row and len(diagram.lo) == edge_total
     return {
         "n": n,
         "pass": ok,
         "eulerian_row": row,
         "descent_histogram": hist,
         "cover_histogram": updeg,
-        "edges": len(diagram.edges),
+        "edges": len(diagram.lo),
         "expected_edges": edge_total,
     }
 
@@ -213,7 +238,7 @@ def interval(diagram: HasseDiagram, x: int, y: int) -> list[int]:
     """Node ids z with x <= z <= y, sorted by rank then id."""
     if not diagram.leq(x, y):
         raise NotComparableError(f"{diagram.nodes[x]} is not below {diagram.nodes[y]}")
-    members = [z for z in range(len(diagram.nodes))
+    members = [z for z in range(len(diagram.words))
                if diagram.leq(x, z) and diagram.leq(z, y)]
     members.sort(key=lambda z: (diagram.ranks[z], z))
     return members
@@ -237,13 +262,13 @@ def mobius(diagram: HasseDiagram, x: int, y: int) -> int:
 
 def mobius_from(diagram: HasseDiagram, x: int) -> dict[int, int]:
     """mu(x, y) for every y above x, in one accumulation pass."""
-    above = [z for z in range(len(diagram.nodes)) if diagram.leq(x, z)]
+    above = [z for z in range(len(diagram.words)) if diagram.leq(x, z)]
     above.sort(key=lambda z: (diagram.ranks[z], z))
     return _mobius_over(diagram, above)
 
 
 def _lattice_tables(diagram: HasseDiagram):
-    size = len(diagram.nodes)
+    size = len(diagram.words)
     rev = {v: t for t, v in enumerate(diagram.vecs)}
     n = diagram.n
     joins = [[0] * size for _ in range(size)]
@@ -268,9 +293,9 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
     if found is not None:
         x, y, z, law = found
         witness = {"law": law,
-                   "x": diagram.nodes[x].as_text(),
-                   "y": diagram.nodes[y].as_text(),
-                   "z": diagram.nodes[z].as_text()}
+                   "x": word_text(diagram.words[x]),
+                   "y": word_text(diagram.words[y]),
+                   "z": word_text(diagram.words[z])}
     return {"n": diagram.n, "pass": witness is None, "witness": witness}
 
 
@@ -279,7 +304,7 @@ def check_modular(diagram: HasseDiagram) -> dict:
 
     Returns the first violating quadruple, if any, as a witness.
     """
-    size = len(diagram.nodes)
+    size = len(diagram.words)
     n = diagram.n
     rev = {v: t for t, v in enumerate(diagram.vecs)}
     witness = None
@@ -289,10 +314,10 @@ def check_modular(diagram: HasseDiagram) -> dict:
             j = rev[kernels.join_flat(n, diagram.vecs[x], diagram.vecs[y])]
             if diagram.ranks[x] + diagram.ranks[y] != diagram.ranks[m] + diagram.ranks[j]:
                 witness = {
-                    "x": diagram.nodes[x].as_text(),
-                    "y": diagram.nodes[y].as_text(),
-                    "meet": diagram.nodes[m].as_text(),
-                    "join": diagram.nodes[j].as_text(),
+                    "x": word_text(diagram.words[x]),
+                    "y": word_text(diagram.words[y]),
+                    "meet": word_text(diagram.words[m]),
+                    "join": word_text(diagram.words[j]),
                     "ranks": [diagram.ranks[x], diagram.ranks[y],
                               diagram.ranks[m], diagram.ranks[j]],
                 }
@@ -346,9 +371,9 @@ class SubPoset:
 
 def truncate(diagram: HasseDiagram, k: int) -> SubPoset:
     """The subposet of elements of rank <= k."""
-    ids = [t for t in range(len(diagram.nodes)) if diagram.ranks[t] <= k]
+    ids = [t for t in range(len(diagram.words)) if diagram.ranks[t] <= k]
     return SubPoset(
-        labels=tuple(diagram.nodes[t].as_text() for t in ids),
+        labels=tuple(word_text(diagram.words[t]) for t in ids),
         ranks=tuple(diagram.ranks[t] for t in ids),
         leq=tuple(tuple(diagram.leq(a, b) for b in ids) for a in ids),
     )
@@ -406,8 +431,9 @@ def check_young_limit(n: int, k: int) -> dict:
     if n < 2 * k:
         raise CyclatError(f"need n >= 2k, got n={n}, k={k}")
     diagram = build(n)
-    ids = [t for t in range(len(diagram.nodes)) if diagram.ranks[t] <= k]
-    encoding = {t: shuffle_partition(diagram.nodes[t], diagram.ranks[t])
+    ids = [t for t in range(len(diagram.words)) if diagram.ranks[t] <= k]
+    encoding = {t: shuffle_partition(CircularPermutation(diagram.words[t]),
+                                     diagram.ranks[t])
                 for t in ids}
     target = set(partitions_up_to(k))
     bijective = (len(set(encoding.values())) == len(ids)
@@ -471,10 +497,10 @@ def maximal_chain(diagram: HasseDiagram) -> list[DescentLabel]:
     """One saturated chain from bottom to top (first label at each step)."""
     chain = []
     t = diagram.bottom
-    while diagram.up[t]:
-        lo, hi, label = next(e for e in diagram.edges if e[0] == t)
-        chain.append(label)
-        t = hi
+    while above := diagram.edges_above(t):
+        k = above[0]
+        chain.append(diagram.label(k))
+        t = diagram.hi[k]
     return chain
 
 
@@ -493,14 +519,15 @@ def conjugator_formula(n: int) -> Word:
 def to_dot(diagram: HasseDiagram) -> str:
     """Deterministic Graphviz rendering with same-rank grouping."""
     lines = [f"digraph CP{diagram.n} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for t, sigma in enumerate(diagram.nodes):
-        lines.append(f'  n{t} [label="{sigma.as_text()}"];')
-    for r in sorted(set(diagram.ranks)):
-        ids = "; ".join(f"n{t}" for t in range(len(diagram.nodes))
-                        if diagram.ranks[t] == r)
-        lines.append(f"  {{ rank=same; {ids}; }}")
-    for lo, hi, label in diagram.edges:
-        lines.append(f'  n{lo} -> n{hi} [label="({label.r},{label.s})"];')
+    for t, word in enumerate(diagram.words):
+        lines.append(f'  n{t} [label="{word_text(word)}"];')
+    by_rank: dict[int, list[str]] = {}
+    for t, rank in enumerate(diagram.ranks):
+        by_rank.setdefault(rank, []).append(f"n{t}")
+    for rank in sorted(by_rank):
+        lines.append(f"  {{ rank=same; {'; '.join(by_rank[rank])}; }}")
+    for lo, hi, r, s in zip(diagram.lo, diagram.hi, diagram.r, diagram.s):
+        lines.append(f'  n{lo} -> n{hi} [label="({r},{s})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -509,10 +536,10 @@ def to_json(diagram: HasseDiagram) -> str:
     """Deterministic JSON rendering: nodes, ranks, labelled edges."""
     payload = {
         "n": diagram.n,
-        "nodes": [sigma.as_text() for sigma in diagram.nodes],
+        "nodes": [word_text(word) for word in diagram.words],
         "ranks": list(diagram.ranks),
-        "edges": [[lo, hi, [label.r, label.s]]
-                  for lo, hi, label in diagram.edges],
+        "edges": [[lo, hi, [r, s]] for lo, hi, r, s
+                  in zip(diagram.lo, diagram.hi, diagram.r, diagram.s)],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -522,16 +549,18 @@ def grading_report(n: int) -> dict:
     diagram = build(n)
     image = sorted(set(diagram.ranks))
     increments_ok = all(diagram.ranks[hi] == diagram.ranks[lo] + 1
-                        for lo, hi, _ in diagram.edges)
-    bottoms = [t for t in range(len(diagram.nodes)) if not diagram.down[t]]
-    tops = [t for t in range(len(diagram.nodes)) if not diagram.up[t]]
-    ok = (len(diagram.nodes) == factorial(n - 1)
+                        for lo, hi in zip(diagram.lo, diagram.hi))
+    size = len(diagram.words)
+    has_down, has_up = set(diagram.hi), set(diagram.lo)
+    bottoms = [t for t in range(size) if t not in has_down]
+    tops = [t for t in range(size) if t not in has_up]
+    ok = (size == factorial(n - 1)
           and image == list(range(comb(n, 3) + 1))
           and increments_ok and len(bottoms) == 1 and len(tops) == 1)
     return {
         "n": n,
         "pass": ok,
-        "nodes": len(diagram.nodes),
+        "nodes": size,
         "expected_nodes": factorial(n - 1),
         "max_rank": image[-1],
         "expected_max_rank": comb(n, 3),

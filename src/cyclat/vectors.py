@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from cyclat import kernels
 from cyclat.errors import (
@@ -73,7 +73,8 @@ class AdmittedVector:
             raise NotAdmittedError(
                 f"ragged rows {[len(r) for r in rows]}, expected {expected}",
                 kind="shape", where=(n,))
-        flat = tuple(int(x) for row in rows for x in row)
+        flat = tuple(x if type(x) is int else _not_an_integer(rows)
+                     for row in rows for x in row)
         return cls(n, flat)
 
     def rows(self) -> list[list[int]]:
@@ -115,6 +116,16 @@ def _same_order(u: AdmittedVector, v: AdmittedVector) -> None:
     if u.n != v.n:
         raise NotAdmittedError(f"mixed orders {u.n} and {v.n}",
                                kind="shape", where=(u.n, v.n))
+
+
+def _not_an_integer(rows: Sequence[Sequence[object]]) -> NoReturn:
+    """Name the first entry of `rows` that is not an int (bools included)."""
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=i + 1):
+            if type(x) is not int:
+                raise NotAdmittedError(f"entry v[{i},{j}] = {x!r} is not an integer",
+                                       kind="not_integer", where=(i, j))
+    raise AssertionError("every entry is an integer")
 
 
 def _check_admitted(n: int, flat: Sequence[int]) -> None:

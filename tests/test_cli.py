@@ -1,5 +1,6 @@
 """The command-line surface: forms, subcommands, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -132,10 +133,17 @@ class TestPoset:
         assert out.count("label=") == 6 + 6  # node labels + edge labels
 
     def test_file_output_and_determinism(self, tmp_path, capsys):
-        a, b = tmp_path / "a.dot", tmp_path / "b.dot"
-        assert run(capsys, "poset", "5", "--out", str(a))[0] == 0
-        assert run(capsys, "poset", "5", "--workers", "4", "--out", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+        path = tmp_path / "a.dot"
+        assert run(capsys, "poset", "5", "--out", str(path))[0] == 0
+        # the pinned digest of to_dot(build(5)) in test_poset.py
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "141306d2fdd5ed89995729439ffe894cba8c62e71e2cede659c32f6d57093f2a"
+
+    def test_workers_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["poset", "5", "--workers", "4"])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "4")
@@ -209,6 +217,18 @@ class TestParseElement:
     def test_mixed_orders_rejected(self, capsys):
         code, _, err = run(capsys, "lattice", "join", "(1,2,3)", "(1,2,3,4)")
         assert code == 2
+
+    @pytest.mark.parametrize("element", [
+        '{"window":5}',
+        '{"window":["a",2]}',
+        '{"v":[[0,1.5],[0]]}',
+        '[[0,true],[0]]',
+        '{"n":7,"v":[[0,1],[0]]}',
+    ])
+    def test_malformed_input_exits_two(self, capsys, element):
+        code, out, err = run(capsys, "rank", element)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDegenerateOrders:

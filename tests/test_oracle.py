@@ -8,6 +8,7 @@ from cyclat.affine import AffineWindow, interval_top, length, window_of_vector
 from cyclat.oracle import (
     affine_length_by_enumeration,
     descents_by_scan,
+    diagram_by_search,
     enumerate_admitted,
     generator_ball,
     join_by_search,
@@ -15,9 +16,34 @@ from cyclat.oracle import (
     mobius_by_chain_count,
     order_by_closure,
 )
-from cyclat.perm import CircularPermutation
+from cyclat.perm import CircularPermutation, DescentLabel
 from cyclat.poset import Comparison, build, compare, eulerian
 from cyclat.vectors import AdmittedVector, cycle_to_vector, join, meet
+
+
+class TestDiagramBySearch:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_build_matches_search(self, n):
+        diagram = build(n)
+        words, edges, ranks = diagram_by_search(n)
+        assert diagram.words == words
+        assert tuple(zip(diagram.lo, diagram.hi, zip(diagram.r, diagram.s))) == edges
+        assert diagram.ranks == ranks
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 6])
+    def test_object_views_match_search(self, n):
+        diagram = build(n)
+        words, edges, _ = diagram_by_search(n)
+        size = len(words)
+        assert diagram.nodes == tuple(CircularPermutation(w) for w in words)
+        assert diagram.edges == tuple((a, b, DescentLabel(r, s))
+                                      for a, b, (r, s) in edges)
+        assert diagram.up == tuple(tuple(sorted(b for a, b, _ in edges if a == t))
+                                   for t in range(size))
+        assert diagram.down == tuple(tuple(sorted(a for a, b, _ in edges if b == t))
+                                     for t in range(size))
+        assert diagram.vecs == tuple(cycle_to_vector(CircularPermutation(w)).flat
+                                     for w in words)
 
 
 class TestClosureOrder:

@@ -64,13 +64,15 @@ class TestBuild:
             assert len(diagram.nodes) == 1
             assert diagram.edges == ()
 
-    def test_worker_counts_agree(self):
-        base = build(5)
-        for workers in (2, 4):
-            other = build(5, workers=workers)
-            assert other.nodes == base.nodes
-            assert other.edges == base.edges
-            assert other.ranks == base.ranks
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_edges_above_is_the_up_slice(self, n):
+        diagram = build(n)
+        for t in range(len(diagram.words)):
+            above = diagram.edges_above(t)
+            assert [diagram.hi[k] for k in above] == list(diagram.up[t])
+            assert all(diagram.lo[k] == t for k in above)
+            assert [diagram.label(k) for k in above] == \
+                [label for lo, _, label in diagram.edges if lo == t]
 
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "3")
@@ -323,10 +325,6 @@ class TestExports:
         assert len(payload["nodes"]) == 24
         assert len(payload["edges"]) == 36
         assert payload["nodes"] == sorted(payload["nodes"])
-
-    def test_byte_determinism(self):
-        assert to_dot(build(5)) == to_dot(build(5, workers=3))
-        assert to_json(build(5)) == to_json(build(5, workers=3))
 
     @pytest.mark.parametrize("n", sorted(EXPORT_DIGESTS))
     def test_pinned_export_digests(self, n):

@@ -72,6 +72,13 @@ class TestValidation:
         with pytest.raises(NotAdmittedError):
             AdmittedVector.from_rows([[0, 0], [0, 0], [0]])
 
+    @pytest.mark.parametrize("entry", [1.0, 1.5, True, "1", None])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(NotAdmittedError) as info:
+            AdmittedVector.from_rows([[0, entry], [0]])
+        assert info.value.kind == "not_integer"
+        assert info.value.where == (1, 3)
+
 
 class TestDelta:
     def test_zero_vector_has_zero_deltas(self):
