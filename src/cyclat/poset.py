@@ -215,12 +215,9 @@ def verify_descent_distribution(n: int) -> dict:
     row = {k: eulerian(n, k) for k in range(max(n, 1)) if eulerian(n, k)}
     hist = descent_histogram(n)
     diagram = build(n + 1)
-    degrees = [0] * len(diagram.words)
-    for t in diagram.lo:
-        degrees[t] += 1
     updeg: dict[int, int] = {}
-    for d in degrees:
-        updeg[d] = updeg.get(d, 0) + 1
+    for above in diagram.up:
+        updeg[len(above)] = updeg.get(len(above), 0) + 1
     edge_total = sum(k * a for k, a in row.items())
     ok = hist == row and updeg == row and len(diagram.lo) == edge_total
     return {
@@ -237,7 +234,8 @@ def verify_descent_distribution(n: int) -> dict:
 def interval(diagram: HasseDiagram, x: int, y: int) -> list[int]:
     """Node ids z with x <= z <= y, sorted by rank then id."""
     if not diagram.leq(x, y):
-        raise NotComparableError(f"{diagram.nodes[x]} is not below {diagram.nodes[y]}")
+        raise NotComparableError(f"{word_text(diagram.words[x])} is not below "
+                                 f"{word_text(diagram.words[y])}")
     members = [z for z in range(len(diagram.words))
                if diagram.leq(x, z) and diagram.leq(z, y)]
     members.sort(key=lambda z: (diagram.ranks[z], z))

@@ -230,6 +230,10 @@ class TestParseElement:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_forced_form_needs_its_json_key(self, capsys):
+        code, _, err = run(capsys, "rank", "--as", "vector", '{"window":[1,2]}')
+        assert code == 2 and '"v" key' in err
+
 
 class TestDegenerateOrders:
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -9,6 +9,7 @@ from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComp
 from cyclat.perm import CircularPermutation, DescentLabel, complement, invert
 from cyclat.poset import (
     Comparison,
+    HasseDiagram,
     build,
     check_modular,
     check_semidistributive,
@@ -73,6 +74,13 @@ class TestBuild:
             assert all(diagram.lo[k] == t for k in above)
             assert [diagram.label(k) for k in above] == \
                 [label for lo, _, label in diagram.edges if lo == t]
+
+    def test_ragged_columns_rejected(self):
+        d = build(4)
+        with pytest.raises(CyclatError):
+            HasseDiagram(4, d.words, d.ranks, d.lo, d.hi[1:], d.r, d.s, d.index)
+        with pytest.raises(CyclatError):
+            HasseDiagram(4, d.words, d.ranks[1:], d.lo, d.hi, d.r, d.s, d.index)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "3")
