@@ -65,6 +65,20 @@ class TestBuild:
             assert len(diagram.nodes) == 1
             assert diagram.edges == ()
 
+    def test_worker_counts_agree(self):
+        # build has a single code path and takes no worker count: the
+        # deleted option is refused, and independent builds agree column
+        # for column and view for view.
+        base = build(5)
+        other = build(5)
+        assert other is not base
+        for column in ("words", "ranks", "lo", "hi", "r", "s"):
+            assert getattr(other, column) == getattr(base, column)
+        assert other.nodes == base.nodes
+        assert other.edges == base.edges
+        with pytest.raises(TypeError):
+            build(5, workers=2)
+
     @pytest.mark.parametrize("n", [1, 4, 6])
     def test_edges_above_is_the_up_slice(self, n):
         diagram = build(n)
@@ -340,6 +354,38 @@ class TestExports:
         digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                         for text in (to_json(diagram), to_dot(diagram)))
         assert digests == EXPORT_DIGESTS[n]
+
+    def test_byte_determinism(self):
+        # Fresh interpreters with different string-hash seeds write the
+        # same bytes as this one, so no export depends on set or dict
+        # iteration order.
+        import os
+        import subprocess
+        import sys
+
+        import cyclat
+        diagram = build(5)
+        here = tuple(hashlib.sha256(text.encode()).hexdigest()
+                     for text in (to_json(diagram), to_dot(diagram)))
+        assert here == EXPORT_DIGESTS[5]
+        paths = [os.path.dirname(os.path.dirname(cyclat.__file__))]
+        if os.environ.get("PYTHONPATH"):
+            paths.append(os.environ["PYTHONPATH"])
+        code = ("import hashlib\n"
+                "from cyclat.poset import build, to_dot, to_json\n"
+                "d = build(5)\n"
+                "for text in (to_json(d), to_dot(d)):\n"
+                "    print(hashlib.sha256(text.encode()).hexdigest())\n")
+        for seed in ("0", "1", "4242"):
+            env = {"PATH": "/usr/bin:/bin",
+                   "PYTHONPATH": os.pathsep.join(paths),
+                   "PYTHONHASHSEED": seed}
+            if "CYCLAT_PURE" in os.environ:
+                env["CYCLAT_PURE"] = os.environ["CYCLAT_PURE"]
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert out.returncode == 0, out.stderr
+            assert tuple(out.stdout.split()) == here
 
 
 class TestGradingReport:
