@@ -74,7 +74,6 @@ def _check_lattice(n: int) -> tuple[bool, dict | None]:
     """join/meet recursions against bound search over the cover closure."""
     diagram = build(n)
     closure = oracle.order_by_closure(diagram)
-    rev = {v: t for t, v in enumerate(diagram.vecs)}
     size = len(diagram.words)
     if size <= 120:
         pairs = [(x, y) for x in range(size) for y in range(size)]
@@ -83,13 +82,10 @@ def _check_lattice(n: int) -> tuple[bool, dict | None]:
         pairs = [(rng.randrange(size), rng.randrange(size))
                  for _ in range(10_000)]
     for x, y in pairs:
-        u = AdmittedVector(n, diagram.vecs[x])
-        v = AdmittedVector(n, diagram.vecs[y])
-        if oracle.join_by_search(closure, x, y) != rev[vectors.join(u, v).flat]:
-            return False, {"op": "join", "pair": [word_text(diagram.words[x]),
-                                                  word_text(diagram.words[y])]}
-        if oracle.meet_by_search(closure, x, y) != rev[vectors.meet(u, v).flat]:
-            return False, {"op": "meet", "pair": [word_text(diagram.words[x]),
+        for op, ours, search in (("join", diagram.join, oracle.join_by_search),
+                                 ("meet", diagram.meet, oracle.meet_by_search)):
+            if search(closure, x, y) != ours(x, y):
+                return False, {"op": op, "pair": [word_text(diagram.words[x]),
                                                   word_text(diagram.words[y])]}
     return True, {"pairs": len(pairs)}
 
@@ -219,8 +215,7 @@ def _check_alpha(n: int) -> tuple[bool, dict | None]:
                        "expected": list(poset.conjugator_formula(n))}
     size = len(diagram.nodes)
     if size <= 6:
-        pairs = [(x, y) for x in range(size) for y in range(size)
-                 if x != y and diagram.leq(x, y)]
+        pairs = [(x, y) for x in range(size) for y in diagram.above(x) if x != y]
         for x, y in pairs:
             alphas = {poset.path_conjugator(diagram.nodes[x], c).alpha
                       for c in _all_chains(diagram, x, y)}
@@ -232,7 +227,7 @@ def _check_alpha(n: int) -> tuple[bool, dict | None]:
         rng = random.Random(_SEED)
         for _ in range(1000):
             x = rng.randrange(size)
-            above = [y for y in range(size) if y != x and diagram.leq(x, y)]
+            above = [y for y in diagram.above(x) if y != x]
             if not above:
                 continue
             y = rng.choice(above)

@@ -21,17 +21,24 @@ from cyclat.vectors import AdmittedVector
 FORMS = ("cycle", "vector", "window")
 
 
-def detect_form(text: str) -> str:
-    body = text.strip()
+def _load_json(body: str):
+    """The one JSON parse of an element text."""
+    try:
+        return json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise CyclatError(f"bad JSON element {body!r}: {exc}") from None
+    except RecursionError:
+        raise CyclatError("JSON element nested too deeply") from None
+
+
+def detect_form(body: str, payload: dict | None) -> str:
+    """The form of a stripped element text; `payload` is its parsed JSON
+    object when the text is one."""
     if body.startswith("("):
         return "cycle"
     if body.startswith("[["):
         return "vector"
-    if body.startswith("{"):
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise CyclatError(f"bad JSON element: {exc}") from None
+    if payload is not None:
         if "v" in payload:
             return "vector"
         if "window" in payload:
@@ -39,7 +46,7 @@ def detect_form(text: str) -> str:
         raise CyclatError('JSON element needs a "v" or "window" key')
     if body.startswith("["):
         return "window"
-    raise CyclatError(f"cannot detect the form of {text!r}; use --as")
+    raise CyclatError(f"cannot detect the form of {body!r}; use --as")
 
 
 def parse_element(text: str, form: str | None = None) -> tuple[str, AdmittedVector]:
@@ -49,24 +56,18 @@ def parse_element(text: str, form: str | None = None) -> tuple[str, AdmittedVect
     the element.
     """
     body = text.strip()
-    form = form or detect_form(body)
+    payload = _load_json(body) if body.startswith("{") else None
+    form = form or detect_form(body, payload)
     if form == "cycle":
         return form, vectors.cycle_to_vector(CircularPermutation.from_text(body))
     if form not in ("vector", "window"):
         raise CyclatError(f"unknown form {form!r}")
-    payload = json.loads(body) if body.startswith("{") else None
     if payload is not None:
         key = "v" if form == "vector" else "window"
         if key not in payload:
             raise CyclatError(f'JSON {form} element needs a "{key}" key: {text!r}')
     if form == "vector":
-        if payload is not None:
-            rows = payload["v"]
-        else:
-            try:
-                rows = json.loads(body)
-            except json.JSONDecodeError as exc:
-                raise CyclatError(f"bad vector rows {text!r}: {exc}") from None
+        rows = payload["v"] if payload is not None else _load_json(body)
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise CyclatError(f"vector form must be a list of rows: {text!r}")
         v = AdmittedVector.from_rows(rows)
@@ -289,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CyclatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
 
 

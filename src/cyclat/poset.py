@@ -76,8 +76,9 @@ class HasseDiagram:
     words[t] is the canonical word of node t, sorted lexicographically;
     ranks[t] grades node t.  Edge k runs from node lo[k] up to node hi[k]
     and is labelled (r[k], s[k]); edges are sorted by (lo, hi).  The
-    object views (nodes, edges, vecs, up, down) are built on first use
-    and never mutated.
+    object views (nodes, edges, vecs, vec_index, up, down) are built on
+    first use and never mutated.  The order and the lattice operations
+    (leq, join, meet, above) take and return node ids.
     """
 
     n: int
@@ -132,8 +133,23 @@ class HasseDiagram:
     def node_id(self, sigma: CircularPermutation) -> int:
         return self.index[sigma.canon]
 
+    @cached_property
+    def vec_index(self) -> dict[tuple[int, ...], int]:
+        """Node id of each admitted vector; the inverse of `vecs`."""
+        return {v: t for t, v in enumerate(self.vecs)}
+
     def leq(self, x: int, y: int) -> bool:
         return kernels.leq_flat(self.vecs[x], self.vecs[y])
+
+    def join(self, x: int, y: int) -> int:
+        return self.vec_index[kernels.join_flat(self.n, self.vecs[x], self.vecs[y])]
+
+    def meet(self, x: int, y: int) -> int:
+        return self.vec_index[kernels.meet_flat(self.n, self.vecs[x], self.vecs[y])]
+
+    def above(self, x: int) -> list[int]:
+        """Node ids z with x <= z, in id order."""
+        return [z for z in range(len(self.words)) if self.leq(x, z)]
 
     @property
     def bottom(self) -> int:
@@ -212,9 +228,9 @@ def verify_descent_distribution(n: int) -> dict:
     of elements with k covers above, read off the built diagram, must be
     a(n, k) as well; the edge total must be sum k * a(n, k).
     """
+    diagram = build(n + 1)  # first, so the cap refuses n before any enumeration
     row = {k: eulerian(n, k) for k in range(max(n, 1)) if eulerian(n, k)}
     hist = descent_histogram(n)
-    diagram = build(n + 1)
     updeg: dict[int, int] = {}
     for above in diagram.up:
         updeg[len(above)] = updeg.get(len(above), 0) + 1
@@ -231,15 +247,17 @@ def verify_descent_distribution(n: int) -> dict:
     }
 
 
+def _by_rank(diagram: HasseDiagram, ids: list[int]) -> list[int]:
+    # ids arrive in id order and the sort is stable: rank, then id
+    return sorted(ids, key=diagram.ranks.__getitem__)
+
+
 def interval(diagram: HasseDiagram, x: int, y: int) -> list[int]:
     """Node ids z with x <= z <= y, sorted by rank then id."""
     if not diagram.leq(x, y):
         raise NotComparableError(f"{word_text(diagram.words[x])} is not below "
                                  f"{word_text(diagram.words[y])}")
-    members = [z for z in range(len(diagram.words))
-               if diagram.leq(x, z) and diagram.leq(z, y)]
-    members.sort(key=lambda z: (diagram.ranks[z], z))
-    return members
+    return _by_rank(diagram, [z for z in diagram.above(x) if diagram.leq(z, y)])
 
 
 def _mobius_over(diagram: HasseDiagram, members: list[int]) -> dict[int, int]:
@@ -260,33 +278,23 @@ def mobius(diagram: HasseDiagram, x: int, y: int) -> int:
 
 def mobius_from(diagram: HasseDiagram, x: int) -> dict[int, int]:
     """mu(x, y) for every y above x, in one accumulation pass."""
-    above = [z for z in range(len(diagram.words)) if diagram.leq(x, z)]
-    above.sort(key=lambda z: (diagram.ranks[z], z))
-    return _mobius_over(diagram, above)
+    return _mobius_over(diagram, _by_rank(diagram, diagram.above(x)))
 
 
 def _lattice_tables(diagram: HasseDiagram):
     size = len(diagram.words)
-    rev = {v: t for t, v in enumerate(diagram.vecs)}
-    n = diagram.n
     joins = [[0] * size for _ in range(size)]
     meets = [[0] * size for _ in range(size)]
     for a in range(size):
-        va = diagram.vecs[a]
         for b in range(a, size):
-            vb = diagram.vecs[b]
-            j = rev[kernels.join_flat(n, va, vb)]
-            m = rev[kernels.meet_flat(n, va, vb)]
-            joins[a][b] = joins[b][a] = j
-            meets[a][b] = meets[b][a] = m
-    return joins, meets
+            joins[a][b] = joins[b][a] = diagram.join(a, b)
+            meets[a][b] = meets[b][a] = diagram.meet(a, b)
+    return tuple(map(tuple, joins)), tuple(map(tuple, meets))
 
 
 def check_semidistributive(diagram: HasseDiagram) -> dict:
     """Scan all triples for the two semidistributivity implications."""
-    joins, meets = _lattice_tables(diagram)
-    found = kernels.sd_scan(tuple(tuple(row) for row in joins),
-                            tuple(tuple(row) for row in meets))
+    found = kernels.sd_scan(*_lattice_tables(diagram))
     witness = None
     if found is not None:
         x, y, z, law = found
@@ -303,13 +311,10 @@ def check_modular(diagram: HasseDiagram) -> dict:
     Returns the first violating quadruple, if any, as a witness.
     """
     size = len(diagram.words)
-    n = diagram.n
-    rev = {v: t for t, v in enumerate(diagram.vecs)}
-    witness = None
     for x in range(size):
         for y in range(x + 1, size):
-            m = rev[kernels.meet_flat(n, diagram.vecs[x], diagram.vecs[y])]
-            j = rev[kernels.join_flat(n, diagram.vecs[x], diagram.vecs[y])]
+            m = diagram.meet(x, y)
+            j = diagram.join(x, y)
             if diagram.ranks[x] + diagram.ranks[y] != diagram.ranks[m] + diagram.ranks[j]:
                 witness = {
                     "x": word_text(diagram.words[x]),
@@ -319,8 +324,8 @@ def check_modular(diagram: HasseDiagram) -> dict:
                     "ranks": [diagram.ranks[x], diagram.ranks[y],
                               diagram.ranks[m], diagram.ranks[j]],
                 }
-                return {"n": n, "modular": False, "witness": witness}
-    return {"n": n, "modular": True, "witness": None}
+                return {"n": diagram.n, "modular": False, "witness": witness}
+    return {"n": diagram.n, "modular": True, "witness": None}
 
 
 # --- rank truncations and the partition order ---------------------------

@@ -1,10 +1,14 @@
 """The command-line surface: forms, subcommands, exit codes."""
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cyclat import cli
 from cyclat.cli import main, parse_element
 
 
@@ -171,6 +175,17 @@ class TestCheck:
         code, _, err = run(capsys, "check", "nonsense", "4")
         assert code == 2 and "unknown check" in err
 
+    def test_cap_refused_before_enumeration(self, capsys, monkeypatch):
+        from cyclat import poset
+
+        def enumerate_anyway(n):
+            raise AssertionError(f"enumerated cycles of S_{n + 1}")
+
+        monkeypatch.setattr(poset, "descent_histogram", enumerate_anyway)
+        code, out, err = run(capsys, "check", "eulerian", "10")
+        assert code == 2 and out == ""
+        assert "order 11 exceeds the cap 9" in err
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from cyclat import checks
         monkeypatch.setitem(checks.CHECKS, "grading",
@@ -224,6 +239,8 @@ class TestParseElement:
         '{"v":[[0,1.5],[0]]}',
         '[[0,true],[0]]',
         '{"n":7,"v":[[0,1],[0]]}',
+        "[" * 3000 + "]" * 3000,
+        '{"v":' + "[" * 3000 + "]" * 3000 + "}",
     ])
     def test_malformed_input_exits_two(self, capsys, element):
         code, out, err = run(capsys, "rank", element)
@@ -233,6 +250,65 @@ class TestParseElement:
     def test_forced_form_needs_its_json_key(self, capsys):
         code, _, err = run(capsys, "rank", "--as", "vector", '{"window":[1,2]}')
         assert code == 2 and '"v" key' in err
+
+    def test_json_object_parsed_once(self, monkeypatch):
+        calls = []
+        loads = cli.json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            calls.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "loads", counting_loads)
+        form, v = parse_element('{"n":4,"v":[[0,1,2],[0,1],[0]]}')
+        assert form == "vector" and v.rank == 4
+        assert len(calls) == 1
+
+
+# Texts near each element form: valid cycles, cycle/window/vector literals
+# with arbitrary small entries, JSON objects over the keys the CLI reads,
+# and free text.
+_entries = st.lists(st.integers(-12, 12), max_size=7)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "v", "window"]), inner, max_size=3),
+    max_leaves=12)
+_element_texts = st.one_of(
+    st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda word: "(" + ",".join(map(str, word)) + ")"),
+    _entries.map(lambda xs: "(" + ",".join(map(str, xs)) + ")"),
+    _entries.map(lambda xs: "[" + ",".join(map(str, xs)) + "]"),
+    st.lists(st.lists(st.integers(-1, 4), max_size=6), max_size=6)
+    .map(lambda rows: json.dumps(rows, separators=(",", ":"))),
+    st.fixed_dictionaries({}, optional={"n": _json_values | st.integers(1, 7),
+                                        "v": _json_values, "window": _json_values})
+    .map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(command=st.sampled_from(["rank", "convert", "covers", "lattice"]),
+           forced=st.sampled_from([[], ["--as", "cycle"], ["--as", "vector"],
+                                   ["--as", "window"]]),
+           x=_element_texts, y=_element_texts,
+           target=st.sampled_from(["cycle", "vector", "window"]),
+           op=st.sampled_from(["join", "meet"]))
+    def test_no_exception_escapes(self, command, forced, x, y, target, op):
+        if command == "convert":
+            argv = ["convert", "--to", target, *forced, "--", x]
+        elif command == "lattice":
+            argv = ["lattice", op, *forced, "--", x, y]
+        else:
+            argv = [command, *forced, "--", x]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        assert (code == 0) == (err.getvalue() == "")
 
 
 class TestDegenerateOrders:

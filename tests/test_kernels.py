@@ -1,5 +1,8 @@
 """The two kernel backends must agree exactly."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,3 +127,36 @@ class TestBackendSelection:
     def test_default_backend_is_reported(self):
         from cyclat import kernels
         assert kernels.BACKEND in ("python", "cython")
+
+
+class TestShippedC:
+    """The tracked _ckernels.c must be generated from the tracked .pyx.
+
+    Cython quotes the source around every statement it compiles as
+    /* "cyclat/_ckernels.pyx":N ... */, marking line N with
+    "# <<<<<<<<<<<<<<".  Without Cython the .c cannot be regenerated, so
+    an edit to the .pyx alone would ship stale compiled kernels.
+    """
+
+    MARK = "             # <<<<<<<<<<<<<<"
+    SOURCE = Path(__file__).resolve().parents[1] / "src" / "cyclat"
+
+    def excerpts(self):
+        text = (self.SOURCE / "_ckernels.c").read_text(encoding="utf-8")
+        for match in re.finditer(r'/\* "cyclat/_ckernels\.pyx":(\d+)\n(.*?)\*/',
+                                 text, re.S):
+            marked = [line[3:-len(self.MARK)]
+                      for line in match.group(2).splitlines()
+                      if line.endswith(self.MARK)]
+            yield int(match.group(1)), marked
+
+    def test_marked_lines_match_the_pyx(self):
+        pyx = (self.SOURCE / "_ckernels.pyx").read_text(encoding="utf-8").splitlines()
+        excerpts = list(self.excerpts())
+        assert len(excerpts) > 100
+        for number, marked in excerpts:
+            assert len(marked) == 1, number
+            quoted = (marked[0]
+                      .replace("*[inserted by cython to avoid comment closer]/", "*/")
+                      .replace("/[inserted by cython to avoid comment start]*", "/*"))
+            assert quoted == pyx[number - 1], number

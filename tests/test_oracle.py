@@ -62,6 +62,14 @@ class TestClosureOrder:
                     (Comparison.LT, Comparison.EQ)
                 assert closure.leq(x, y) == expected
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_diagram_above_is_the_up_set(self, n):
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        size = len(diagram.words)
+        for x in range(size):
+            assert diagram.above(x) == [z for z in range(size) if closure.leq(x, z)]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_extremes_bound_everything(self, n):
         diagram = build(n)
@@ -82,6 +90,16 @@ class TestBoundSearch:
                 v = AdmittedVector(5, diagram.vecs[y])
                 assert join_by_search(closure, x, y) == rev[join(u, v).flat]
                 assert meet_by_search(closure, x, y) == rev[meet(u, v).flat]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_diagram_bounds_match_search(self, n):
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        size = len(diagram.words)
+        for x in range(size):
+            for y in range(size):
+                assert diagram.join(x, y) == join_by_search(closure, x, y)
+                assert diagram.meet(x, y) == meet_by_search(closure, x, y)
 
     def test_known_supremum(self):
         diagram = build(5)
