@@ -8,6 +8,8 @@ flat tuples over pairs (i, j), 1 <= i < j <= n, in row-major order
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 BACKEND = "python"
 
 
@@ -136,6 +138,18 @@ def descent_count(word):
     return count
 
 
+@lru_cache(maxsize=None)
+def _fill_plan(n):
+    """((ij, ((ip, pj), ...)), ...): each pair (i, j) with j - i >= 2 by
+    increasing j - i, with its splits (i, p), (p, j) for i < p < j, as
+    flat indices."""
+    return tuple(
+        (pair_index(n, i, i + d),
+         tuple((pair_index(n, i, p), pair_index(n, p, i + d))
+               for p in range(i + 1, i + d)))
+        for d in range(2, n) for i in range(1, n - d + 1))
+
+
 def join_flat(n, u, v):
     """Least upper bound of two flat admitted vectors.
 
@@ -143,18 +157,15 @@ def join_flat(n, u, v):
     filled by increasing j - i.
     """
     out = [0] * (n * (n - 1) // 2)
-    for d in range(2, n):
-        for i in range(1, n - d + 1):
-            j = i + d
-            ij = pair_index(n, i, j)
-            best = u[ij]
-            if v[ij] > best:
-                best = v[ij]
-            for p in range(i + 1, j):
-                cand = out[pair_index(n, i, p)] + out[pair_index(n, p, j)]
-                if cand > best:
-                    best = cand
-            out[ij] = best
+    for ij, splits in _fill_plan(n):
+        best = u[ij]
+        if v[ij] > best:
+            best = v[ij]
+        for ip, pj in splits:
+            cand = out[ip] + out[pj]
+            if cand > best:
+                best = cand
+        out[ij] = best
     return tuple(out)
 
 
@@ -165,18 +176,15 @@ def meet_flat(n, u, v):
     filled by increasing j - i.
     """
     out = [0] * (n * (n - 1) // 2)
-    for d in range(2, n):
-        for i in range(1, n - d + 1):
-            j = i + d
-            ij = pair_index(n, i, j)
-            best = u[ij]
-            if v[ij] < best:
-                best = v[ij]
-            for p in range(i + 1, j):
-                cand = out[pair_index(n, i, p)] + out[pair_index(n, p, j)] + 1
-                if cand < best:
-                    best = cand
-            out[ij] = best
+    for ij, splits in _fill_plan(n):
+        best = u[ij]
+        if v[ij] < best:
+            best = v[ij]
+        for ip, pj in splits:
+            cand = out[ip] + out[pj] + 1
+            if cand < best:
+                best = cand
+        out[ij] = best
     return tuple(out)
 
 

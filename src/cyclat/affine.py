@@ -9,6 +9,7 @@ weak order, via `window_of_vector` and `vector_of_window`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +21,8 @@ from cyclat.errors import (
 )
 from cyclat.perm import CircularPermutation, DescentLabel
 from cyclat.vectors import AdmittedVector
+
+_ENTRY = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,12 @@ class AffineWindow:
         body = text.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise InvalidWindowError(f"expected bracketed window, got {text!r}")
-        try:
-            entries = tuple(int(p) for p in body[1:-1].split(","))
-        except ValueError as exc:
-            raise InvalidWindowError(f"bad window literal {text!r}: {exc}") from None
-        return cls(entries)
+        parts = [part.strip(" ") for part in body[1:-1].split(",")]
+        for part in parts:
+            if not _ENTRY.fullmatch(part):
+                raise InvalidWindowError(
+                    f"bad window literal {text!r}: {part!r} is not an ASCII-digit integer")
+        return cls(tuple(int(part) for part in parts))
 
     def __call__(self, x: int) -> int:
         """f(x), extended n-periodically from the window."""

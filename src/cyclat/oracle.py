@@ -4,7 +4,8 @@ Everything here recomputes a quantity from its bare definition, sharing
 no code with the module it cross-checks: the diagram is found by
 breadth-first search over covers, the order is taken as the
 reflexive-transitive closure of the cover graph, bounds are found by
-search over that closure, descents are counted through the cycle's
+search over that closure, the Moebius function comes from its defining
+recursion, descents are counted through the cycle's
 successor map, affine lengths by direct pair enumeration and by
 breadth-first search over generator applications.  Slow on purpose;
 used by the test suite and the `check` command.
@@ -55,9 +56,11 @@ def diagram_by_search(n: int) -> tuple[tuple[Word, ...],
 
 @dataclass(frozen=True)
 class ClosureOrder:
-    """Reachability of the cover relation, as one bitmask per node."""
+    """Reachability of the cover relation, as bitmasks over node ids."""
 
     above: tuple[int, ...]   # above[x] has bit y set iff x <= y
+    below: tuple[int, ...]   # below[y] has bit x set iff x <= y
+    layers: tuple[int, ...]  # layers[r] has bit z set iff z has rank r
     ranks: tuple[int, ...]
 
     def leq(self, x: int, y: int) -> bool:
@@ -68,40 +71,67 @@ def order_by_closure(diagram: HasseDiagram) -> ClosureOrder:
     """The order as the reflexive-transitive closure of the edges."""
     size = len(diagram.words)
     succ = [[] for _ in range(size)]
+    pred = [[] for _ in range(size)]
     for lo, hi in zip(diagram.lo, diagram.hi):
         succ[lo].append(hi)
+        pred[hi].append(lo)
+    by_rank = sorted(range(size), key=diagram.ranks.__getitem__)
     above = [0] * size
-    for x in sorted(range(size), key=lambda t: -diagram.ranks[t]):
+    for x in reversed(by_rank):
         mask = 1 << x
         for y in succ[x]:
             mask |= above[y]
         above[x] = mask
-    return ClosureOrder(tuple(above), diagram.ranks)
+    below = [0] * size
+    layers = [0] * (max(diagram.ranks, default=-1) + 1)
+    for y in by_rank:
+        mask = 1 << y
+        for x in pred[y]:
+            mask |= below[x]
+        below[y] = mask
+        layers[diagram.ranks[y]] |= 1 << y
+    return ClosureOrder(tuple(above), tuple(below), tuple(layers), diagram.ranks)
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def join_by_search(closure: ClosureOrder, x: int, y: int) -> int:
-    """Minimum of the common upper bounds; unique for this order."""
+    """The common upper bound of least rank and id, if it is below all
+    the others; unique for this order."""
     common = closure.above[x] & closure.above[y]
     if not common:
         raise NotALatticeError(f"nodes {x} and {y} have no upper bound")
-    candidates = [z for z in _bits(common)]
-    best = min(candidates, key=lambda z: (closure.ranks[z], z))
-    if not all(closure.leq(best, z) for z in candidates):
+    best = next(_lowest_bit(common & layer) for layer in closure.layers
+                if common & layer)
+    if common & ~closure.above[best]:
         raise NotALatticeError(f"no least upper bound for {x}, {y}")
     return best
 
 
 def meet_by_search(closure: ClosureOrder, x: int, y: int) -> int:
-    """Maximum of the common lower bounds; unique for this order."""
-    size = len(closure.above)
-    candidates = [z for z in range(size)
-                  if closure.leq(z, x) and closure.leq(z, y)]
-    if not candidates:
+    """The common lower bound of greatest rank and least id, if it is
+    above all the others; unique for this order."""
+    common = closure.below[x] & closure.below[y]
+    if not common:
         raise NotALatticeError(f"nodes {x} and {y} have no lower bound")
-    best = max(candidates, key=lambda z: (closure.ranks[z], -z))
-    if not all(closure.leq(z, best) for z in candidates):
+    best = next(_lowest_bit(common & layer) for layer in reversed(closure.layers)
+                if common & layer)
+    if common & ~closure.below[best]:
         raise NotALatticeError(f"no greatest lower bound for {x}, {y}")
     return best
+
+
+def mobius_by_recursion(closure: ClosureOrder, x: int) -> dict[int, int]:
+    """mu(x, y) for every y >= x by the defining recursion
+    mu(x, y) = -sum of mu(x, z) over x <= z < y; quadratic in the size
+    of the up-set."""
+    members = sorted(_bits(closure.above[x]), key=lambda z: (closure.ranks[z], z))
+    mu: dict[int, int] = {}
+    for t, z in enumerate(members):
+        mu[z] = 1 if t == 0 else -sum(mu[w] for w in members[:t] if closure.leq(w, z))
+    return mu
 
 
 def _bits(mask: int):

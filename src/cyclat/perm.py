@@ -14,11 +14,14 @@ rotation beginning with 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from cyclat import kernels
 from cyclat.errors import InvalidWordError
+
+_LETTER = re.compile(r"[0-9]+")
 
 Word = tuple[int, ...]
 
@@ -96,11 +99,12 @@ class CircularPermutation:
         body = text.strip()
         if not (body.startswith("(") and body.endswith(")")):
             raise InvalidWordError(f"expected parenthesized cycle, got {text!r}")
-        try:
-            letters = [int(part) for part in body[1:-1].split(",")]
-        except ValueError as exc:
-            raise InvalidWordError(f"bad cycle literal {text!r}: {exc}") from None
-        return cls.from_word(letters)
+        parts = [part.strip(" ") for part in body[1:-1].split(",")]
+        for part in parts:
+            if not _LETTER.fullmatch(part):
+                raise InvalidWordError(
+                    f"bad cycle literal {text!r}: {part!r} is not an ASCII-digit letter")
+        return cls.from_word([int(part) for part in parts])
 
     @classmethod
     def smallest(cls, n: int) -> "CircularPermutation":

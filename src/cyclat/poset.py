@@ -45,6 +45,14 @@ def enumeration_cap() -> int:
     return int(raw) if raw else DEFAULT_MAX_N
 
 
+def refuse_over_cap(n: int) -> None:
+    """Raise CapExceededError if order n is above `enumeration_cap()`."""
+    cap = enumeration_cap()
+    if n > cap:
+        raise CapExceededError(
+            f"order {n} exceeds the cap {cap}; raise {_ENV_CAP} to override")
+
+
 class Comparison(Enum):
     LT = "LT"
     GT = "GT"
@@ -168,10 +176,7 @@ def build(n: int) -> HasseDiagram:
     appended to the edge columns in upper-index order.  Ranks come from
     `word_rank`, independently of the edges.
     """
-    cap = enumeration_cap()
-    if n > cap:
-        raise CapExceededError(
-            f"order {n} exceeds the cap {cap}; raise {_ENV_CAP} to override")
+    refuse_over_cap(n)
     if n < 1:
         raise CapExceededError(f"order must be >= 1, got {n}")
     words = tuple((1,) + p for p in permutations(range(2, n + 1)))
@@ -247,38 +252,41 @@ def verify_descent_distribution(n: int) -> dict:
     }
 
 
-def _by_rank(diagram: HasseDiagram, ids: list[int]) -> list[int]:
-    # ids arrive in id order and the sort is stable: rank, then id
-    return sorted(ids, key=diagram.ranks.__getitem__)
+def _require_leq(diagram: HasseDiagram, x: int, y: int) -> None:
+    if not diagram.leq(x, y):
+        raise NotComparableError(f"{word_text(diagram.words[x])} is not below "
+                                 f"{word_text(diagram.words[y])}")
 
 
 def interval(diagram: HasseDiagram, x: int, y: int) -> list[int]:
     """Node ids z with x <= z <= y, sorted by rank then id."""
-    if not diagram.leq(x, y):
-        raise NotComparableError(f"{word_text(diagram.words[x])} is not below "
-                                 f"{word_text(diagram.words[y])}")
-    return _by_rank(diagram, [z for z in diagram.above(x) if diagram.leq(z, y)])
-
-
-def _mobius_over(diagram: HasseDiagram, members: list[int]) -> dict[int, int]:
-    # members: x first, then the elements above it in rank order
-    mu: dict[int, int] = {}
-    for t, z in enumerate(members):
-        if t == 0:
-            mu[z] = 1
-        else:
-            mu[z] = -sum(mu[w] for w in members[:t] if diagram.leq(w, z))
-    return mu
+    _require_leq(diagram, x, y)
+    # above(x) is in id order and the sort is stable: rank, then id
+    return sorted((z for z in diagram.above(x) if diagram.leq(z, y)),
+                  key=diagram.ranks.__getitem__)
 
 
 def mobius(diagram: HasseDiagram, x: int, y: int) -> int:
     """Moebius function of the closed interval [x, y]."""
-    return _mobius_over(diagram, interval(diagram, x, y))[y]
+    _require_leq(diagram, x, y)
+    return mobius_from(diagram, x).get(y, 0)
 
 
 def mobius_from(diagram: HasseDiagram, x: int) -> dict[int, int]:
-    """mu(x, y) for every y above x, in one accumulation pass."""
-    return _mobius_over(diagram, _by_rank(diagram, diagram.above(x)))
+    """The nonzero values mu(x, y) over y >= x; every other y has mu 0.
+
+    Rota's crosscut theorem: mu(x, y) is the sum of (-1)^|S| over the
+    sets S of upper covers of x whose join is y.  Each subset's join is
+    one `join` of the subset without its last cover with that cover.
+    """
+    covers = diagram.up[x]
+    joins = [x] * (1 << len(covers))  # joins[mask]: join of the covers in mask
+    mu = {x: 1}
+    for mask in range(1, len(joins)):
+        last = mask.bit_length() - 1
+        y = joins[mask] = diagram.join(joins[mask ^ (1 << last)], covers[last])
+        mu[y] = mu.get(y, 0) + (-1 if mask.bit_count() % 2 else 1)
+    return {y: value for y, value in mu.items() if value}
 
 
 def _lattice_tables(diagram: HasseDiagram):
@@ -293,8 +301,26 @@ def _lattice_tables(diagram: HasseDiagram):
 
 
 def check_semidistributive(diagram: HasseDiagram) -> dict:
-    """Scan all triples for the two semidistributivity implications."""
-    found = kernels.sd_scan(*_lattice_tables(diagram))
+    """Test the two semidistributive laws through join and meet classes.
+
+    SD-join holds at x iff for every value c of x v y the meet m of the
+    class {y : x v y = c} has x v m = c; SD-meet is the dual (Freese,
+    Jezek and Nation, Free Lattices, 1995).  That costs O(N^2) table
+    reads; at the first x that fails, `sd_scan` finds the witness triple
+    in lexicographic order.
+    """
+    joins, meets = _lattice_tables(diagram)
+    found = None
+    for x, (jx, mx) in enumerate(zip(joins, meets)):
+        low: dict[int, int] = {}   # x v y -> meet of its class
+        high: dict[int, int] = {}  # x ^ y -> join of its class
+        for y, (c, d) in enumerate(zip(jx, mx)):
+            low[c] = meets[low[c]][y] if c in low else y
+            high[d] = joins[high[d]][y] if d in high else y
+        if (any(jx[m] != c for c, m in low.items())
+                or any(mx[j] != d for d, j in high.items())):
+            found = kernels.sd_scan(joins, meets)
+            break
     witness = None
     if found is not None:
         x, y, z, law = found

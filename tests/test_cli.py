@@ -186,6 +186,22 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "order 11 exceeds the cap 9" in err
 
+    @pytest.mark.parametrize("name", ["grading", "eulerian", "lattice", "mobius",
+                                      "semidistributive", "modularity", "young",
+                                      "triangulation", "interval", "alpha"])
+    def test_every_check_refuses_over_cap(self, monkeypatch, name):
+        from cyclat import checks
+        from cyclat.errors import CapExceededError
+        monkeypatch.setenv("CYCLAT_MAX_N", "4")
+        with pytest.raises(CapExceededError):
+            checks.run_check(name, 6)
+
+    def test_interval_refused_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLAT_MAX_N", "4")
+        code, out, err = run(capsys, "check", "interval", "6")
+        assert code == 2 and out == ""
+        assert "order 6 exceeds the cap 4" in err
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from cyclat import checks
         monkeypatch.setitem(checks.CHECKS, "grading",
@@ -241,6 +257,9 @@ class TestParseElement:
         '{"n":7,"v":[[0,1],[0]]}',
         "[" * 3000 + "]" * 3000,
         '{"v":' + "[" * 3000 + "]" * 3000 + "}",
+        "(1,2,\u0663)",
+        "[ +1, 2 ]",
+        "[1_0,2]",
     ])
     def test_malformed_input_exits_two(self, capsys, element):
         code, out, err = run(capsys, "rank", element)
@@ -269,6 +288,9 @@ class TestParseElement:
 # with arbitrary small entries, JSON objects over the keys the CLI reads,
 # and free text.
 _entries = st.lists(st.integers(-12, 12), max_size=7)
+# entry texts over digits, signs, spaces, underscores and a non-ASCII digit
+_entry_texts = st.lists(st.text(alphabet="0123456789-+_ \u0663", max_size=4),
+                        max_size=7).map(",".join)
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-9, 9)
     | st.floats(allow_nan=False, allow_infinity=False, width=16) | st.text(max_size=3),
@@ -280,6 +302,8 @@ _element_texts = st.one_of(
     .map(lambda word: "(" + ",".join(map(str, word)) + ")"),
     _entries.map(lambda xs: "(" + ",".join(map(str, xs)) + ")"),
     _entries.map(lambda xs: "[" + ",".join(map(str, xs)) + "]"),
+    _entry_texts.map(lambda body: "(" + body + ")"),
+    _entry_texts.map(lambda body: "[" + body + "]"),
     st.lists(st.lists(st.integers(-1, 4), max_size=6), max_size=6)
     .map(lambda rows: json.dumps(rows, separators=(",", ":"))),
     st.fixed_dictionaries({}, optional={"n": _json_values | st.integers(1, 7),

@@ -29,6 +29,62 @@ class TestPairIndex:
             assert _pykernels.pair_index(n, i, j) == t
 
 
+def _join_by_pair_index(n, u, v):
+    # the pure join_flat before its fill plan was cached, as a reference
+    pair_index = _pykernels.pair_index
+    out = [0] * (n * (n - 1) // 2)
+    for d in range(2, n):
+        for i in range(1, n - d + 1):
+            j = i + d
+            ij = pair_index(n, i, j)
+            best = u[ij]
+            if v[ij] > best:
+                best = v[ij]
+            for p in range(i + 1, j):
+                cand = out[pair_index(n, i, p)] + out[pair_index(n, p, j)]
+                if cand > best:
+                    best = cand
+            out[ij] = best
+    return tuple(out)
+
+
+def _meet_by_pair_index(n, u, v):
+    pair_index = _pykernels.pair_index
+    out = [0] * (n * (n - 1) // 2)
+    for d in range(2, n):
+        for i in range(1, n - d + 1):
+            j = i + d
+            ij = pair_index(n, i, j)
+            best = u[ij]
+            if v[ij] < best:
+                best = v[ij]
+            for p in range(i + 1, j):
+                cand = out[pair_index(n, i, p)] + out[pair_index(n, p, j)] + 1
+                if cand < best:
+                    best = cand
+            out[ij] = best
+    return tuple(out)
+
+
+def _admitted(n):
+    """Admitted vectors of order n, as the vectors of cycles."""
+    return st.permutations(list(range(1, n + 1))).map(
+        lambda word: _pykernels.word_vector(tuple(word)))
+
+
+vector_pairs = st.integers(min_value=2, max_value=24).flatmap(
+    lambda n: st.tuples(st.just(n), _admitted(n), _admitted(n)))
+
+
+class TestFillPlan:
+    @given(vector_pairs)
+    @settings(max_examples=200)
+    def test_matches_pair_index_loop(self, case):
+        n, u, v = case
+        assert _pykernels.join_flat(n, u, v) == _join_by_pair_index(n, u, v)
+        assert _pykernels.meet_flat(n, u, v) == _meet_by_pair_index(n, u, v)
+
+
 @compiled
 class TestBackendAgreement:
     @given(words)

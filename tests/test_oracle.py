@@ -5,7 +5,9 @@ import random
 import pytest
 
 from cyclat.affine import AffineWindow, interval_top, length, window_of_vector
+from cyclat.errors import NotALatticeError
 from cyclat.oracle import (
+    ClosureOrder,
     affine_length_by_enumeration,
     descents_by_scan,
     diagram_by_search,
@@ -14,10 +16,11 @@ from cyclat.oracle import (
     join_by_search,
     meet_by_search,
     mobius_by_chain_count,
+    mobius_by_recursion,
     order_by_closure,
 )
 from cyclat.perm import CircularPermutation, DescentLabel
-from cyclat.poset import Comparison, build, compare, eulerian
+from cyclat.poset import Comparison, build, compare, eulerian, mobius_from
 from cyclat.vectors import AdmittedVector, cycle_to_vector, join, meet
 
 
@@ -115,6 +118,92 @@ class TestBoundSearch:
         for t in range(len(diagram.nodes)):
             assert join_by_search(closure, t, diagram.bottom) == t
             assert meet_by_search(closure, t, diagram.top) == t
+
+
+def _join_by_enumeration(closure, x, y):
+    # the bound search before the masks, kept verbatim as a reference
+    common = closure.above[x] & closure.above[y]
+    if not common:
+        raise NotALatticeError(f"nodes {x} and {y} have no upper bound")
+    candidates = [z for z in _bits(common)]
+    best = min(candidates, key=lambda z: (closure.ranks[z], z))
+    if not all(closure.leq(best, z) for z in candidates):
+        raise NotALatticeError(f"no least upper bound for {x}, {y}")
+    return best
+
+
+def _meet_by_enumeration(closure, x, y):
+    size = len(closure.above)
+    candidates = [z for z in range(size)
+                  if closure.leq(z, x) and closure.leq(z, y)]
+    if not candidates:
+        raise NotALatticeError(f"nodes {x} and {y} have no lower bound")
+    best = max(candidates, key=lambda z: (closure.ranks[z], -z))
+    if not all(closure.leq(z, best) for z in candidates):
+        raise NotALatticeError(f"no greatest lower bound for {x}, {y}")
+    return best
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# Two minimal nodes 0, 1 below two maximal nodes 2, 3: every pair of
+# opposite nodes has two incomparable minimal upper (maximal lower) bounds.
+_BOWTIE = ClosureOrder(above=(0b1101, 0b1110, 0b0100, 0b1000),
+                       below=(0b0001, 0b0010, 0b0111, 0b1011),
+                       layers=(0b0011, 0b1100),
+                       ranks=(0, 0, 1, 1))
+
+
+class TestMaskSearch:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_enumeration_search(self, n):
+        closure = order_by_closure(build(n))
+        size = len(closure.above)
+        for x in range(size):
+            for y in range(size):
+                assert join_by_search(closure, x, y) == _join_by_enumeration(closure, x, y)
+                assert meet_by_search(closure, x, y) == _meet_by_enumeration(closure, x, y)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_masks_describe_the_order(self, n):
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        size = len(diagram.words)
+        for x in range(size):
+            for y in range(size):
+                assert bool(closure.below[y] >> x & 1) == closure.leq(x, y)
+        for rank, layer in enumerate(closure.layers):
+            assert list(_bits(layer)) == [t for t in range(size)
+                                          if diagram.ranks[t] == rank]
+
+    @pytest.mark.parametrize("search, x, y", [
+        (join_by_search, 0, 1), (_join_by_enumeration, 0, 1),
+        (meet_by_search, 2, 3), (_meet_by_enumeration, 2, 3)])
+    def test_bowtie_has_no_least_bound(self, search, x, y):
+        with pytest.raises(NotALatticeError, match="no (least|greatest)"):
+            search(_BOWTIE, x, y)
+
+    def test_bowtie_missing_bounds(self):
+        with pytest.raises(NotALatticeError, match="no upper bound"):
+            join_by_search(_BOWTIE, 2, 3)
+        with pytest.raises(NotALatticeError, match="no lower bound"):
+            meet_by_search(_BOWTIE, 0, 1)
+
+
+class TestMobiusCrosscut:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_crosscut_matches_recursion(self, n):
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        for x in range(len(diagram.words)):
+            reference = mobius_by_recursion(closure, x)
+            assert mobius_from(diagram, x) == \
+                {y: value for y, value in reference.items() if value}
 
 
 class TestMobiusByChains:

@@ -5,11 +5,13 @@ import hashlib
 
 import pytest
 
+from cyclat import kernels
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
-from cyclat.perm import CircularPermutation, DescentLabel, complement, invert
+from cyclat.perm import CircularPermutation, DescentLabel, complement, invert, word_text
 from cyclat.poset import (
     Comparison,
     HasseDiagram,
+    _lattice_tables,
     build,
     check_modular,
     check_semidistributive,
@@ -197,10 +199,67 @@ class TestMobius:
             mobius(diagram, x, y)
 
 
+class _TableLattice:
+    """A small lattice given by its cover pairs on nodes 0..size-1, with
+    the members of HasseDiagram that the semidistributivity test reads."""
+
+    def __init__(self, covers):
+        size = 1 + max(max(pair) for pair in covers)
+        self.n = size
+        self.words = tuple((t + 1,) for t in range(size))
+        self.above = [{t} for t in range(size)]
+        for _ in range(size):
+            for lo, hi in covers:
+                self.above[lo] |= self.above[hi]
+
+    def join(self, x, y):
+        common = self.above[x] & self.above[y]
+        (least,) = [z for z in common if common <= self.above[z]]
+        return least
+
+    def meet(self, x, y):
+        common = {z for z, up in enumerate(self.above) if x in up and y in up}
+        (greatest,) = [z for z in common if all(z in self.above[w] for w in common)]
+        return greatest
+
+
+# M3: three atoms 1, 2, 3 between 0 and 4
+_M3 = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
+# M3 over a two-element chain, so the first failing element is not node 0
+_M3_OVER_CHAIN = ((0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5))
+
+
 class TestLatticeLaws:
     @pytest.mark.parametrize("n", [4, 5])
     def test_semidistributive(self, n):
         assert check_semidistributive(build(n))["pass"]
+
+    def test_pass_needs_no_triple_scan(self, monkeypatch):
+        def scan(joins, meets):
+            raise AssertionError("sd_scan called on a semidistributive lattice")
+
+        monkeypatch.setattr(kernels, "sd_scan", scan)
+        assert check_semidistributive(build(5))["pass"]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_join_classes_agree_with_sd_scan(self, n):
+        diagram = build(n)
+        found = kernels.sd_scan(*_lattice_tables(diagram))
+        assert check_semidistributive(diagram)["pass"] == (found is None)
+
+    @pytest.mark.parametrize("covers, first", [(_M3, (1, 2, 3, "SD-join")),
+                                               (_M3_OVER_CHAIN, (2, 3, 4, "SD-join"))])
+    def test_failure_witness_is_the_scan_witness(self, covers, first):
+        lattice = _TableLattice(covers)
+        found = kernels.sd_scan(*_lattice_tables(lattice))
+        assert found == first
+        x, y, z, law = found
+        report = check_semidistributive(lattice)
+        assert not report["pass"]
+        assert report["witness"] == {"law": law,
+                                     "x": word_text(lattice.words[x]),
+                                     "y": word_text(lattice.words[y]),
+                                     "z": word_text(lattice.words[z])}
 
     def test_modular_at_four(self):
         report = check_modular(build(4))
