@@ -68,6 +68,15 @@ class TestWindowBasics:
         f = AffineWindow((-2, 1, 4, 7))
         assert AffineWindow.from_text(f.as_text()) == f
 
+    @pytest.mark.parametrize("text", ["[-2,+1,4,7]", "[-2,1,4,0_7]", "[-2,1,4,\u0667]",
+                                      "[-2,1,4,7.0]"])
+    def test_parser_takes_only_ascii_digit_integers(self, text):
+        with pytest.raises(InvalidWindowError):
+            AffineWindow.from_text(text)
+
+    def test_parser_strips_spaces_around_entries(self):
+        assert AffineWindow.from_text("[ -2, 1 ,4,7 ]") == AffineWindow((-2, 1, 4, 7))
+
 
 class TestGeneratorAction:
     def test_s1_on_identity(self):

@@ -82,6 +82,14 @@ class TestCanonicalForm:
         s = cycle(1, 6, 4, 2, 3, 5)
         assert CircularPermutation.from_text(s.as_text()) == s
 
+    @pytest.mark.parametrize("text", ["(1,2,\u0663)", "(1,+2,3)", "(1,0_2,3)", "(1,-2,3)"])
+    def test_parser_takes_only_ascii_digit_letters(self, text):
+        with pytest.raises(InvalidWordError):
+            CircularPermutation.from_text(text)
+
+    def test_parser_strips_spaces_around_letters(self):
+        assert CircularPermutation.from_text("( 1, 3 ,2 )") == cycle(1, 3, 2)
+
     def test_rejects_word_not_starting_with_one(self):
         with pytest.raises(InvalidWordError):
             CircularPermutation((2, 1, 3))

@@ -227,6 +227,9 @@ class _TableLattice:
 _M3 = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
 # M3 over a two-element chain, so the first failing element is not node 0
 _M3_OVER_CHAIN = ((0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5))
+# join-semidistributive but not meet-semidistributive, and its dual
+_SD_JOIN_ONLY = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6))
+_SD_MEET_ONLY = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6))
 
 
 class TestLatticeLaws:
@@ -248,7 +251,10 @@ class TestLatticeLaws:
         assert check_semidistributive(diagram)["pass"] == (found is None)
 
     @pytest.mark.parametrize("covers, first", [(_M3, (1, 2, 3, "SD-join")),
-                                               (_M3_OVER_CHAIN, (2, 3, 4, "SD-join"))])
+                                               (_M3_OVER_CHAIN, (2, 3, 4, "SD-join")),
+                                               (_SD_JOIN_ONLY, (2, 1, 3, "SD-meet")),
+                                               (_SD_MEET_ONLY, (4, 3, 5, "SD-join"))],
+                             ids=["M3", "M3-over-chain", "SD-join-only", "SD-meet-only"])
     def test_failure_witness_is_the_scan_witness(self, covers, first):
         lattice = _TableLattice(covers)
         found = kernels.sd_scan(*_lattice_tables(lattice))
