@@ -155,7 +155,30 @@ class TestPoset:
         assert code == 2 and "cap" in err
 
 
+# SHA-256 of the `check all n --json` reports with "elapsed" dropped,
+# dumped with sorted keys: any change to a verdict or a witness breaks
+# these.
+CHECK_DIGESTS = {
+    1: "88a79e7b3c20ad4e3b4d271cb2505e98ebd1dce68240ecc665a3e31a9a8a9654",
+    2: "100203f80ff59dd39b9af128ba11ac5b33bf4bc48bc45829a459c66b14fd8ce5",
+    3: "44e7119dff98ea466b0b54568d7f58957acf0189b3fce51a072137641dde2e7b",
+    4: "3c3fb64dd59f24f1876d5aa3387506901bde08f6b3546572285f7c38f0e944e2",
+    5: "fffb05745ce387fa0c8749370e4170a2b693bb9b9f635fb539cdbfaf5d55c7fb",
+    6: "d67a6d286bce0ecd60ff64919ab7830c4e12b7c04da0d444784cb927a5fd228a",
+}
+
+
 class TestCheck:
+    @pytest.mark.parametrize("n", sorted(CHECK_DIGESTS))
+    def test_pinned_check_digests(self, capsys, n):
+        code, out, _ = run(capsys, "check", "all", str(n), "--json")
+        reports = json.loads(out)
+        for report in reports:
+            del report["elapsed"]
+        text = json.dumps(reports, sort_keys=True)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == CHECK_DIGESTS[n]
+
     def test_single_check_passes(self, capsys):
         code, out, _ = run(capsys, "check", "eulerian", "5")
         assert code == 0 and "[PASS]" in out
