@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,13 +41,22 @@ def enumeration_cap() -> int:
 
     Memory grows like (n-1)! nodes of n letters plus four ints per
     edge; the default cap of 9 keeps the diagram around 40320 nodes.
+    An empty CYCLAT_MAX_N means the default; anything but ASCII digits
+    is refused.
     """
     raw = os.environ.get(_ENV_CAP)
-    return int(raw) if raw else DEFAULT_MAX_N
+    if not raw:
+        return DEFAULT_MAX_N
+    if not re.fullmatch(r"[0-9]+", raw):
+        raise CyclatError(f"{_ENV_CAP} must be a decimal integer, got {raw!r}")
+    return int(raw)
 
 
 def refuse_over_cap(n: int) -> None:
-    """Raise CapExceededError if order n is above `enumeration_cap()`."""
+    """Raise CapExceededError if order n is below 1 or above
+    `enumeration_cap()`."""
+    if n < 1:
+        raise CapExceededError(f"order must be >= 1, got {n}")
     cap = enumeration_cap()
     if n > cap:
         raise CapExceededError(
@@ -177,8 +187,6 @@ def build(n: int) -> HasseDiagram:
     `word_rank`, independently of the edges.
     """
     refuse_over_cap(n)
-    if n < 1:
-        raise CapExceededError(f"order must be >= 1, got {n}")
     words = tuple((1,) + p for p in permutations(range(2, n + 1)))
     index = {w: t for t, w in enumerate(words)}
     lo: list[int] = []
@@ -383,41 +391,6 @@ def partition_leq(lam: Partition, mu: Partition) -> bool:
     return all(a <= b for a, b in zip(lam, mu))
 
 
-@dataclass
-class SubPoset:
-    """A finite poset given by explicit elements and comparability."""
-
-    labels: tuple[str, ...]
-    ranks: tuple[int, ...]
-    leq: tuple[tuple[bool, ...], ...]
-
-    def rank_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for r in self.ranks:
-            sizes[r] = sizes.get(r, 0) + 1
-        return sizes
-
-
-def truncate(diagram: HasseDiagram, k: int) -> SubPoset:
-    """The subposet of elements of rank <= k."""
-    ids = [t for t in range(len(diagram.words)) if diagram.ranks[t] <= k]
-    return SubPoset(
-        labels=tuple(word_text(diagram.words[t]) for t in ids),
-        ranks=tuple(diagram.ranks[t] for t in ids),
-        leq=tuple(tuple(diagram.leq(a, b) for b in ids) for a in ids),
-    )
-
-
-def young_truncation(k: int) -> SubPoset:
-    """Partitions of weight <= k under containment."""
-    ps = partitions_up_to(k)
-    return SubPoset(
-        labels=tuple(str(list(p)) for p in ps),
-        ranks=tuple(sum(p) for p in ps),
-        leq=tuple(tuple(partition_leq(a, b) for b in ps) for a in ps),
-    )
-
-
 def shuffle_partition(sigma: CircularPermutation, rank: int) -> Partition:
     """The partition encoding a low-rank circular permutation.
 
@@ -504,7 +477,7 @@ def path_conjugator(
     only on the endpoints.
     """
     current = sigma
-    alpha = list(range(sigma.n + 1))  # alpha[x] = image of x; slot 0 unused
+    alpha = tuple(range(1, sigma.n + 1))  # alpha[x - 1] = image of x
     for label in chain:
         steps = {(r, s): word for r, s, word in kernels.word_covers_up(current.canon)}
         key = label.as_pair()
@@ -513,13 +486,13 @@ def path_conjugator(
                 f"({label.r},{label.s}) is not a large circular descent "
                 f"of {current}")
         current = CircularPermutation(steps[key])
-        r, s = key
-        for x in range(1, sigma.n + 1):
-            if alpha[x] == r:
-                alpha[x] = s
-            elif alpha[x] == s:
-                alpha[x] = r
-    return PathConjugator(tuple(alpha[1:]), sigma, current)
+        alpha = compose_transposition(alpha, *key)
+    return PathConjugator(alpha, sigma, current)
+
+
+def compose_transposition(alpha: Word, r: int, s: int) -> Word:
+    """(r s) o alpha: the word of images with the values r and s swapped."""
+    return tuple(s if a == r else r if a == s else a for a in alpha)
 
 
 def maximal_chain(diagram: HasseDiagram) -> list[DescentLabel]:

@@ -1,0 +1,91 @@
+"""The `alpha` check's edge potential against chain enumeration."""
+
+from dataclasses import replace
+
+import pytest
+
+from cyclat import checks
+from cyclat.perm import CircularPermutation, word_text
+from cyclat.poset import build, compose_transposition
+
+
+def all_chains(diagram, lo, hi):
+    """Edge positions of every saturated chain from node lo up to hi."""
+    if lo == hi:
+        yield []
+        return
+    for k in diagram.edges_above(lo):
+        up = diagram.hi[k]
+        if diagram.leq(up, hi):
+            for rest in all_chains(diagram, up, hi):
+                yield [k] + rest
+
+
+def conjugators(diagram, x, y):
+    """The distinct conjugators of the chains from x up to y."""
+    found = set()
+    for chain in all_chains(diagram, x, y):
+        alpha = tuple(range(1, diagram.n + 1))
+        for k in chain:
+            alpha = compose_transposition(alpha, diagram.r[k], diagram.s[k])
+        found.add(alpha)
+    return found
+
+
+def chains_agree(diagram):
+    """Reference verdict: one conjugator for every comparable pair."""
+    return all(len(conjugators(diagram, x, y)) == 1
+               for x in range(len(diagram.words)) for y in diagram.above(x))
+
+
+def mutants(n):
+    """build(n) with one edge relabelled: (1,3), or (2,4) where it is (1,3)."""
+    diagram = build(n)
+    for k in range(len(diagram.lo)):
+        label = (2, 4) if (diagram.r[k], diagram.s[k]) == (1, 3) else (1, 3)
+        r, s = list(diagram.r), list(diagram.s)
+        r[k], s[k] = label
+        yield replace(diagram, r=tuple(r), s=tuple(s))
+
+
+class TestAlphaPotential:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_built_diagram_agrees_with_enumeration(self, n):
+        assert chains_agree(build(n))
+        assert checks.run_check("alpha", n).passed
+
+    def test_every_single_edge_mutant(self, monkeypatch):
+        cases = [m for n in (4, 5) for m in mutants(n)]
+        assert len(cases) == 42
+        failed = 0
+        for mutant in cases:
+            monkeypatch.setattr(checks, "build", lambda n, m=mutant: m)
+            report = checks.run_check("alpha", mutant.n)
+            dependent = (not report.passed and
+                         report.witness["stage"] == "chain independence")
+            assert dependent == (not chains_agree(mutant))
+            if dependent:
+                failed += 1
+                x, y = (mutant.node_id(CircularPermutation.from_text(text))
+                        for text in report.witness["pair"])
+                assert x == mutant.bottom
+                assert len(conjugators(mutant, x, y)) > 1
+        assert failed == 38
+
+    def test_mutant_fails_at_chain_independence(self, monkeypatch):
+        # edge 0 leaves the bottom, its only cover, so that mutant keeps
+        # independence; edge 1 does not
+        mutant = list(mutants(5))[1]
+        monkeypatch.setattr(checks, "build", lambda n: mutant)
+        report = checks.run_check("alpha", 5)
+        assert not report.passed
+        assert report.witness["stage"] == "chain independence"
+        assert report.witness["pair"][0] == word_text(mutant.words[mutant.bottom])
+
+    def test_wrong_formula_fails_at_maximal_chain(self, monkeypatch):
+        monkeypatch.setattr(checks.poset, "conjugator_formula",
+                            lambda n: tuple(range(1, n + 1)))
+        report = checks.run_check("alpha", 5)
+        assert report.witness == {"stage": "maximal chain",
+                                  "alpha": [5, 4, 3, 2, 1],
+                                  "expected": [1, 2, 3, 4, 5]}

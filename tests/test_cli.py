@@ -219,6 +219,24 @@ class TestCheck:
         with pytest.raises(CapExceededError):
             checks.run_check(name, 6)
 
+    @pytest.mark.parametrize("name", sorted(cli.checks.CHECKS))
+    def test_every_check_refuses_negative_order(self, capsys, name):
+        code, out, err = run(capsys, "check", name, "-5")
+        assert code == 2 and out == ""
+        assert "order must be >= 1" in err
+
+    def test_interval_refuses_order_zero(self, capsys):
+        code, out, err = run(capsys, "check", "interval", "0")
+        assert code == 2 and out == ""
+        assert err == "error: order must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("raw", ["abc", "\u0669"])  # U+0669 is Arabic-Indic 9
+    def test_cap_must_be_ascii_digits(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CYCLAT_MAX_N", raw)
+        code, out, err = run(capsys, "check", "grading", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: CYCLAT_MAX_N must be a decimal integer, got {raw!r}\n"
+
     def test_interval_refused_over_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "4")
         code, out, err = run(capsys, "check", "interval", "6")

@@ -30,9 +30,7 @@ from cyclat.poset import (
     shuffle_partition,
     to_dot,
     to_json,
-    truncate,
     verify_descent_distribution,
-    young_truncation,
     check_young_limit,
 )
 
@@ -304,10 +302,6 @@ class TestCompare:
 
 
 class TestTruncations:
-    def test_zero_truncations_are_points(self):
-        assert len(young_truncation(0).labels) == 1
-        assert len(truncate(build(4), 0).labels) == 1
-
     def test_partition_counts(self):
         assert [len([p for p in partitions_up_to(4) if sum(p) == w])
                 for w in range(5)] == [1, 1, 2, 3, 5]
@@ -316,10 +310,6 @@ class TestTruncations:
         assert partition_leq((2, 1), (3, 1))
         assert not partition_leq((2, 1), (2,))
         assert not partition_leq((3,), (2, 2))
-
-    def test_rank_sizes_match_partitions(self):
-        sub = truncate(build(6), 3)
-        assert sub.rank_sizes() == {0: 1, 1: 1, 2: 2, 3: 3}
 
     def test_shuffle_statistic_example(self):
         sigma = CircularPermutation.from_word((4, 1, 5, 2, 6, 3))
