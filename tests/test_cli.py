@@ -165,6 +165,7 @@ CHECK_DIGESTS = {
     4: "3c3fb64dd59f24f1876d5aa3387506901bde08f6b3546572285f7c38f0e944e2",
     5: "fffb05745ce387fa0c8749370e4170a2b693bb9b9f635fb539cdbfaf5d55c7fb",
     6: "d67a6d286bce0ecd60ff64919ab7830c4e12b7c04da0d444784cb927a5fd228a",
+    7: "5dfd95377f64b32511fb9a8413f947e6c4abdd257d251f0ff9648c01223d2850",
 }
 
 
