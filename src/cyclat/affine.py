@@ -5,6 +5,12 @@ f(x + n) = f(x) + n and f(1) + ... + f(n) = n(n+1)/2; it is stored as
 the window [f(1), ..., f(n)].  The admitted vectors of order n are in
 bijection with the interval [identity, interval_top(n)] of the left
 weak order, via `window_of_vector` and `vector_of_window`.
+
+A window lies in that interval iff it is strictly increasing and every
+two consecutive entries differ by less than n, that is, v[i,i+1] = 0.
+Increasing alone is not enough: [-2,2,6] is increasing but outside.
+`vector_of_window` and `project` refuse any other window with
+NotInIntervalError.
 """
 
 from __future__ import annotations
@@ -156,6 +162,8 @@ def weak_leq(f: AffineWindow, g: AffineWindow) -> bool:
 
 def interval_top(n: int) -> AffineWindow:
     """The top window: first entry -n(n-3)/2, common difference n-1."""
+    if n < 1:
+        raise InvalidWindowError(f"order must be >= 1, got {n}")
     c1 = -(n * (n - 3)) // 2
     return AffineWindow(tuple(c1 + i * (n - 1) for i in range(n)))
 
@@ -174,16 +182,25 @@ def window_of_vector(v: AdmittedVector) -> AffineWindow:
     return AffineWindow(tuple(a))
 
 
+def _require_in_interval(f: AffineWindow) -> None:
+    """Raise NotInIntervalError unless f is strictly increasing with every
+    consecutive difference below n: the windows of the interval."""
+    n = f.n
+    for a, b in zip(f.entries, f.entries[1:]):
+        if not 0 < b - a < n:
+            raise NotInIntervalError(
+                f"window {f.as_text()} is outside the interval: consecutive "
+                f"entries {a}, {b} must increase by 1 to {n - 1}")
+
+
 def vector_of_window(f: AffineWindow) -> AdmittedVector:
     """Inverse of `window_of_vector`: v[i,j] = floor((a_j - a_i) / n).
 
-    Only windows inside the interval (equivalently: strictly increasing
-    windows) are accepted.
+    Only windows inside the interval are accepted: strictly increasing,
+    with every consecutive difference below n.
     """
     n = f.n
-    if not f.is_increasing():
-        raise NotInIntervalError(
-            f"window {f.as_text()} is not increasing, hence outside the interval")
+    _require_in_interval(f)
     a = f.entries
     flat = tuple((a[j] - a[i]) // n
                  for i in range(n) for j in range(i + 1, n))
@@ -194,12 +211,11 @@ def project(f: AffineWindow) -> CircularPermutation:
     """The circular permutation of vector_of_window(f), read off directly.
 
     Reduce the window entries to representatives in {1..n}; the inverse
-    of that residue word, taken as a cycle, is the projection.
+    of that residue word, taken as a cycle, is the projection.  Only
+    windows inside the interval are accepted, as for `vector_of_window`.
     """
     n = f.n
-    if not f.is_increasing():
-        raise NotInIntervalError(
-            f"window {f.as_text()} is not increasing, hence outside the interval")
+    _require_in_interval(f)
     residues = tuple((a - 1) % n + 1 for a in f.entries)
     word = [0] * n
     for i, r in enumerate(residues, start=1):

@@ -1,6 +1,8 @@
 """Affine windows, the weak order, the interval bijection, factorizations."""
 
+import itertools
 import random
+from math import factorial
 
 import pytest
 
@@ -37,6 +39,15 @@ def random_window(n, rng):
     offsets = [rng.randint(-3, 3) for _ in range(n - 1)]
     offsets.append(-sum(offsets))
     return AffineWindow(tuple(r + n * k for r, k in zip(residues, offsets)))
+
+
+def assert_weak_leq_is_containment(wins):
+    """weak_leq and length against the definition, on every pair."""
+    invs = [inversions(f) for f in wins]
+    for f, inv_f in zip(wins, invs):
+        assert length(f) == len(inv_f)
+        for g, inv_g in zip(wins, invs):
+            assert weak_leq(f, g) == (inv_f <= inv_g)
 
 
 class TestWindowBasics:
@@ -137,6 +148,23 @@ class TestLengthAndOrder:
             for b in range(len(vs)):
                 assert weak_leq(wins[a], wins[b]) == (vs[a] <= vs[b])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_weak_leq_is_inversion_containment_on_the_interval(self, n):
+        assert_weak_leq_is_containment([window_of_vector(v) for v in all_vectors(n)])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_weak_leq_is_inversion_containment_off_the_interval(self, n):
+        # sorted windows are increasing; keep those with a consecutive
+        # gap of n or more, which lie outside the interval
+        rng = random.Random(1000 + n)
+        wins = []
+        while len(wins) < 25:
+            f = AffineWindow(tuple(sorted(random_window(n, rng).entries)))
+            a = f.entries
+            if any(a[i + 1] - a[i] >= n for i in range(n - 1)):
+                wins.append(f)
+        assert_weak_leq_is_containment(wins)
+
     def test_known_incomparable_pair(self):
         f = window_of_vector(cycle_to_vector(
             CircularPermutation.from_text("(1,4,2,3,5)")))
@@ -197,10 +225,28 @@ class TestIntervalBijection:
             assert vector_of_window(window_of_vector(v)) == v
 
     def test_non_increasing_rejected(self):
-        with pytest.raises(NotInIntervalError):
-            vector_of_window(AffineWindow((2, 1, 3, 4)))
-        with pytest.raises(NotInIntervalError):
-            project(AffineWindow((2, 1, 3, 4)))
+        # (-2, 2, 6) is increasing, but its consecutive entries are 4 apart
+        # and n = 3
+        for entries in ((2, 1, 3, 4), (-2, 2, 6)):
+            with pytest.raises(NotInIntervalError):
+                vector_of_window(AffineWindow(entries))
+            with pytest.raises(NotInIntervalError):
+                project(AffineWindow(entries))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_membership_rule_names_exactly_the_images(self, n):
+        # every window with consecutive differences d_i in 1..n-1: the
+        # sum n(n+1)/2 fixes the first entry
+        ruled = set()
+        for d in itertools.product(range(1, n), repeat=n - 1):
+            first, rest = divmod(n * (n + 1) // 2
+                                 - sum((n - 1 - i) * d_i for i, d_i in enumerate(d)), n)
+            entries = tuple(itertools.accumulate(d, initial=first))
+            if rest == 0 and len({a % n for a in entries}) == n:
+                ruled.add(entries)
+        images = {window_of_vector(v).entries for v in all_vectors(n)}
+        assert ruled == images
+        assert len(images) == factorial(n - 1)
 
     def test_projection_endpoints(self):
         for n in range(2, 7):

@@ -1,12 +1,14 @@
-"""The `alpha` check's edge potential against chain enumeration."""
+"""The `alpha` check's edge potential against chain enumeration, and the
+`interval` check's single pass."""
 
 from dataclasses import replace
 
 import pytest
 
-from cyclat import checks
+from cyclat import affine, checks
 from cyclat.perm import CircularPermutation, word_text
 from cyclat.poset import build, compose_transposition
+from cyclat.vectors import AdmittedVector, cycle_to_vector
 
 
 def all_chains(diagram, lo, hi):
@@ -89,3 +91,30 @@ class TestAlphaPotential:
         assert report.witness == {"stage": "maximal chain",
                                   "alpha": [5, 4, 3, 2, 1],
                                   "expected": [1, 2, 3, 4, 5]}
+
+
+class TestIntervalPass:
+    def test_passes_without_weak_leq(self, monkeypatch):
+        def compare_anyway(f, g):
+            raise AssertionError("interval compared a pair of windows")
+
+        monkeypatch.setattr(affine, "weak_leq", compare_anyway)
+        assert checks.run_check("interval", 6).passed
+
+    def test_wrong_window_fails_at_window_roundtrip(self, monkeypatch):
+        # the top cycle gets the identity window, which lies in the
+        # interval but maps back to the zero vector
+        top = CircularPermutation.largest(6)
+        top_vector = cycle_to_vector(top)
+        window_of_vector = affine.window_of_vector
+
+        def wrong_for_top(v):
+            if v == top_vector:
+                return window_of_vector(AdmittedVector.zero(6))
+            return window_of_vector(v)
+
+        monkeypatch.setattr(affine, "window_of_vector", wrong_for_top)
+        report = checks.run_check("interval", 6)
+        assert not report.passed
+        assert report.witness == {"stage": "window roundtrip",
+                                  "cycle": top.as_text()}

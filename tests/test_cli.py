@@ -91,9 +91,10 @@ class TestConvert:
         assert "(1,2,3)" in err or "defect" in err
 
     def test_non_interval_window_diagnosed(self, capsys):
-        code, _, err = run(capsys, "convert", "[2,1,3,4]", "--to", "cycle")
-        assert code == 2
-        assert "interval" in err
+        for window in ("[2,1,3,4]", "[-2,2,6]"):
+            code, _, err = run(capsys, "convert", window, "--to", "cycle")
+            assert code == 2
+            assert "interval" in err
 
     def test_forced_form_flag(self, capsys):
         code, out, _ = run(capsys, "convert", "[1,2,3,4]", "--as", "window",
@@ -271,6 +272,12 @@ class TestSmallCommands:
     def test_fc(self, capsys):
         code, out, _ = run(capsys, "fc", "5")
         assert code == 0 and out.strip() == "[-5,-1,3,7,11]"
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_fc_refuses_orders_below_one(self, capsys, n):
+        code, out, err = run(capsys, "fc", n)
+        assert code == 2 and out == ""
+        assert err == f"error: order must be >= 1, got {n}\n"
 
     def test_alpha_maximal(self, capsys):
         code, out, _ = run(capsys, "alpha", "(1,2,3,4,5)", "(1,5,4,3,2)")
