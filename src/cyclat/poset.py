@@ -19,8 +19,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial
+from operator import or_
 from typing import Iterable, Sequence
 
 from cyclat import kernels
@@ -63,6 +64,23 @@ def refuse_over_cap(n: int) -> None:
             f"order {n} exceeds the cap {cap}; raise {_ENV_CAP} to override")
 
 
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    return [t for t, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _value_masks(values: Sequence[int]) -> list[int]:
+    """masks[v] has bit t set iff values[t] == v, for values in 0..255.
+
+    bytes() holds each value in one byte, reversed so that node 0 is the
+    last, least significant digit; translate writes "1" where the value
+    is v and "0" elsewhere, and int() reads the digits in base 2.
+    """
+    digits = bytes(values)[::-1]
+    return [int(digits.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2)
+            for v in range(max(values, default=-1) + 1)]
+
+
 class Comparison(Enum):
     LT = "LT"
     GT = "GT"
@@ -97,6 +115,13 @@ class HasseDiagram:
     object views (nodes, edges, vecs, vec_index, up, down) are built on
     first use and never mutated.  The order and the lattice operations
     (leq, join, meet, above) take and return node ids.
+
+    The order is componentwise on `vecs`, an intersection of one chain
+    per coordinate, so it is held as threshold masks: for each
+    coordinate c and value v, the nodes with coordinate c at least v
+    (`at_least`) and at most v (`at_most`), as bitmasks over node ids.
+    The up-set of a node is the AND of C(n, 2) such masks
+    (`above_mask`), and its down-set likewise (`below_mask`).
     """
 
     n: int
@@ -156,6 +181,35 @@ class HasseDiagram:
         """Node id of each admitted vector; the inverse of `vecs`."""
         return {v: t for t, v in enumerate(self.vecs)}
 
+    @cached_property
+    def at_least(self) -> tuple[tuple[int, ...], ...]:
+        """at_least[c][v]: the mask of the nodes whose coordinate c is >= v."""
+        return tuple(tuple(accumulate(reversed(_value_masks(column)), or_))[::-1]
+                     for column in zip(*self.vecs))
+
+    @cached_property
+    def at_most(self) -> tuple[tuple[int, ...], ...]:
+        """at_most[c][v]: the mask of the nodes whose coordinate c is <= v."""
+        return tuple(tuple(accumulate(_value_masks(column), or_))
+                     for column in zip(*self.vecs))
+
+    def above_mask(self, x: int) -> int:
+        """Bit z set iff x <= z: the componentwise order is the AND over
+        the coordinates c of the nodes at least as high as x in c."""
+        mask = (1 << len(self.words)) - 1
+        for masks, v in zip(self.at_least, self.vecs[x]):
+            if v:  # masks[0] holds every node
+                mask &= masks[v]
+        return mask
+
+    def below_mask(self, y: int) -> int:
+        """Bit z set iff z <= y, as `above_mask` with the <= masks."""
+        mask = (1 << len(self.words)) - 1
+        for masks, v in zip(self.at_most, self.vecs[y]):
+            if v < len(masks) - 1:  # masks[-1] holds every node
+                mask &= masks[v]
+        return mask
+
     def leq(self, x: int, y: int) -> bool:
         return kernels.leq_flat(self.vecs[x], self.vecs[y])
 
@@ -167,7 +221,7 @@ class HasseDiagram:
 
     def above(self, x: int) -> list[int]:
         """Node ids z with x <= z, in id order."""
-        return [z for z in range(len(self.words)) if self.leq(x, z)]
+        return bits(self.above_mask(x))
 
     @property
     def bottom(self) -> int:
@@ -269,8 +323,8 @@ def _require_leq(diagram: HasseDiagram, x: int, y: int) -> None:
 def interval(diagram: HasseDiagram, x: int, y: int) -> list[int]:
     """Node ids z with x <= z <= y, sorted by rank then id."""
     _require_leq(diagram, x, y)
-    # above(x) is in id order and the sort is stable: rank, then id
-    return sorted((z for z in diagram.above(x) if diagram.leq(z, y)),
+    # bits() is in id order and the sort is stable: rank, then id
+    return sorted(bits(diagram.above_mask(x) & diagram.below_mask(y)),
                   key=diagram.ranks.__getitem__)
 
 
@@ -308,35 +362,78 @@ def _lattice_tables(diagram: HasseDiagram):
     return tuple(map(tuple, joins)), tuple(map(tuple, meets))
 
 
-def check_semidistributive(diagram: HasseDiagram) -> dict:
-    """Test the two semidistributive laws through join and meet classes.
+# Up to this many nodes a failed semidistributivity test reports the
+# `sd_scan` triple, found in the N x N join and meet tables.
+SCAN_LIMIT = 120
 
-    SD-join holds at x iff for every value c of x v y the meet m of the
-    class {y : x v y = c} has x v m = c; SD-meet is the dual (Freese,
-    Jezek and Nation, Free Lattices, 1995).  That costs O(N^2) table
-    reads; at the first x that fails, `sd_scan` finds the witness triple
-    in lexicographic order.
+
+def kappa_failure(diagram: HasseDiagram, law: str) -> tuple[int, int, int] | None:
+    """The first irreducible whose kappa set has no greatest element.
+
+    For "SD-meet", each j with one lower cover j_ has the set
+    K = {x : x >= j_, x not >= j} = above(j_) minus above(j); it must
+    have a greatest element g, one whose down-set holds all of K.  The
+    candidate is the lowest id of highest rank in K; it is greatest iff
+    K & ~below_mask(g) == 0.  "SD-join" is the dual, over the m with one
+    upper cover.  Returns None, or (j, a, b) with a and b two maximal
+    (for SD-join, minimal) elements of K: a the candidate, b the
+    candidate among the elements of K that are not below a.
     """
-    joins, meets = _lattice_tables(diagram)
-    found = None
-    for x, (jx, mx) in enumerate(zip(joins, meets)):
-        low: dict[int, int] = {}   # x v y -> meet of its class
-        high: dict[int, int] = {}  # x ^ y -> join of its class
-        for y, (c, d) in enumerate(zip(jx, mx)):
-            low[c] = meets[low[c]][y] if c in low else y
-            high[d] = joins[high[d]][y] if d in high else y
-        if (any(jx[m] != c for c, m in low.items())
-                or any(mx[j] != d for d, j in high.items())):
-            found = kernels.sd_scan(joins, meets)
-            break
-    witness = None
-    if found is not None:
+    layers = _value_masks(diagram.ranks)
+    if law == "SD-meet":
+        covers, up, down = diagram.down, diagram.above_mask, diagram.below_mask
+        layers.reverse()
+    else:  # the dual order: up-sets and down-sets trade places
+        covers, up, down = diagram.up, diagram.below_mask, diagram.above_mask
+
+    def candidate(mask: int) -> int:  # lowest id in the first layer met
+        layer = next(mask & layer for layer in layers if mask & layer)
+        return (layer & -layer).bit_length() - 1
+
+    for j, near in enumerate(covers):
+        if len(near) == 1:
+            rest = up(near[0]) & ~up(j)
+            a = candidate(rest)
+            beyond = rest & ~down(a)
+            if beyond:
+                return j, a, candidate(beyond)
+    return None
+
+
+def check_semidistributive(diagram: HasseDiagram) -> dict:
+    """Test the two semidistributive laws by the kappa test.
+
+    A finite lattice is meet-semidistributive iff, for every
+    join-irreducible j with lower cover j_, the set
+    {x : x ^ j = j_} = {x : x >= j_, x not >= j} has a greatest element
+    kappa(j); it is join-semidistributive iff the dual holds for every
+    meet-irreducible (Freese, Jezek and Nation, *Free Lattices*, 1995,
+    Theorem 2.56).  Each irreducible costs a few up-set masks, with no
+    join or meet.  On a failure in a lattice of at most SCAN_LIMIT nodes
+    the witness is the lexicographically first triple of `sd_scan`;
+    otherwise it is the first failing irreducible, "j" for SD-meet and
+    "m" for SD-join, with two maximal (minimal) elements of its set.
+    """
+    failures = [(law, bad) for law in ("SD-join", "SD-meet")
+                if (bad := kappa_failure(diagram, law))]
+    if not failures:
+        return {"n": diagram.n, "pass": True, "witness": None}
+
+    def name(t: int) -> str:
+        return word_text(diagram.words[t])
+
+    found = (kernels.sd_scan(*_lattice_tables(diagram))
+             if len(diagram.words) <= SCAN_LIMIT else None)
+    if found:
         x, y, z, law = found
-        witness = {"law": law,
-                   "x": word_text(diagram.words[x]),
-                   "y": word_text(diagram.words[y]),
-                   "z": word_text(diagram.words[z])}
-    return {"n": diagram.n, "pass": witness is None, "witness": witness}
+        witness = {"law": law, "x": name(x), "y": name(y), "z": name(z)}
+    else:
+        law, (j, a, b) = failures[0]
+        if law == "SD-join":
+            witness = {"law": law, "m": name(j), "minimal": [name(a), name(b)]}
+        else:
+            witness = {"law": law, "j": name(j), "maximal": [name(a), name(b)]}
+    return {"n": diagram.n, "pass": False, "witness": witness}
 
 
 def check_modular(diagram: HasseDiagram) -> dict:
@@ -428,7 +525,9 @@ def check_young_limit(n: int, k: int) -> dict:
     """Rank-<=k truncation against the partition order (needs n >= 2k).
 
     The shuffle statistic must biject the truncation onto partitions of
-    weight <= k and carry the order to containment.
+    weight <= k and carry the order to containment: each element's
+    up-set mask, cut to the truncation, must be the mask of the elements
+    whose partitions contain its own.
     """
     if n < 2 * k:
         raise CyclatError(f"need n >= 2k, got n={n}, k={k}")
@@ -440,9 +539,11 @@ def check_young_limit(n: int, k: int) -> dict:
     target = set(partitions_up_to(k))
     bijective = (len(set(encoding.values())) == len(ids)
                  and set(encoding.values()) == target)
+    truncation = sum(1 << t for t in ids)
     order_ok = all(
-        diagram.leq(a, b) == partition_leq(encoding[a], encoding[b])
-        for a in ids for b in ids)
+        diagram.above_mask(a) & truncation
+        == sum(1 << b for b in ids if partition_leq(encoding[a], encoding[b]))
+        for a in ids)
     sizes = {r: sum(1 for t in ids if diagram.ranks[t] == r)
              for r in range(k + 1)}
     return {

@@ -1,11 +1,14 @@
-"""The `alpha` check's edge potential against chain enumeration, and the
-`interval` check's single pass."""
+"""The `alpha` check's edge potential against chain enumeration, the
+`interval` check's single pass, and the `lattice` check's claims against
+the bound search."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from cyclat import affine, checks
+from cyclat import affine, checks, kernels
+from cyclat.oracle import join_by_search, order_by_closure
 from cyclat.perm import CircularPermutation, word_text
 from cyclat.poset import build, compose_transposition
 from cyclat.vectors import AdmittedVector, cycle_to_vector
@@ -118,3 +121,68 @@ class TestIntervalPass:
         assert not report.passed
         assert report.witness == {"stage": "window roundtrip",
                                   "cycle": top.as_text()}
+
+
+def without_edge(diagram, k):
+    """The diagram with edge k deleted."""
+    keep = [t for t in range(len(diagram.lo)) if t != k]
+    return replace(diagram, **{column: tuple(getattr(diagram, column)[t] for t in keep)
+                               for column in ("lo", "hi", "r", "s")})
+
+
+def wrong_join_at(diagram, x, y, z):
+    """join_flat, but the join of nodes x and y is node z."""
+    join_flat = kernels.join_flat
+    pair = {diagram.vecs[x], diagram.vecs[y]}
+
+    def join(n, u, v):
+        return diagram.vecs[z] if {u, v} == pair else join_flat(n, u, v)
+    return join
+
+
+class TestLatticeCheck:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cover_pairs_agree_with_bound_search(self, n):
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        assert checks._cover_failure(diagram) is None
+        for x in range(len(diagram.words)):
+            for y, z in combinations(diagram.up[x], 2):
+                assert diagram.join(y, z) == join_by_search(closure, y, z)
+        assert checks.run_check("lattice", n).passed
+
+    def test_wrong_cover_join_fails(self, monkeypatch):
+        diagram = build(5)
+        x = next(t for t, up in enumerate(diagram.up) if len(up) > 1)
+        y, z = diagram.up[x][:2]
+        monkeypatch.setattr(kernels, "join_flat",
+                            wrong_join_at(diagram, y, z, diagram.top))
+        report = checks.run_check("lattice", 5)
+        assert not report.passed
+        assert report.witness["op"] == "join"
+        assert sorted(report.witness["pair"]) == \
+            sorted(word_text(diagram.words[t]) for t in (y, z))
+
+    def test_wrong_join_of_one_pair_fails(self, monkeypatch):
+        # the bottom and the top are not two covers of one node, so only
+        # the pair claim sees this join
+        diagram = build(5)
+        bottom, top = diagram.bottom, diagram.top
+        monkeypatch.setattr(kernels, "join_flat",
+                            wrong_join_at(diagram, bottom, top, bottom))
+        assert checks._cover_failure(diagram) is None
+        report = checks.run_check("lattice", 5)
+        assert not report.passed
+        assert report.witness == {"op": "join",
+                                  "pair": [word_text(diagram.words[bottom]),
+                                           word_text(diagram.words[top])]}
+
+    def test_missing_cover_fails_the_closure(self, monkeypatch):
+        diagram = build(5)
+        k = 10
+        mutant = without_edge(diagram, k)
+        monkeypatch.setattr(checks, "build", lambda n: mutant)
+        report = checks.run_check("lattice", 5)
+        assert not report.passed
+        assert report.witness["op"] == "order"
+        assert report.witness["pair"][0] == word_text(diagram.words[diagram.lo[k]])

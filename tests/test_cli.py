@@ -245,6 +245,26 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "order 6 exceeds the cap 4" in err
 
+    def test_lattice_reports_a_join_off_the_nodes(self, capsys, monkeypatch):
+        from cyclat import kernels
+        join_flat = kernels.join_flat
+        monkeypatch.setattr(kernels, "join_flat",
+                            lambda n, u, v: join_flat(n, u, v)[:-1]
+                            + (join_flat(n, u, v)[-1] + 1,))
+        code, out, err = run(capsys, "check", "lattice", "4", "--json")
+        assert code == 1 and err == ""
+        (report,) = json.loads(out)
+        assert not report["pass"]
+        assert report["witness"]["op"] == "join"
+        assert len(report["witness"]["pair"]) == 2
+
+    def test_lattice_reports_a_join_not_least(self, capsys, monkeypatch):
+        from cyclat import kernels
+        monkeypatch.setattr(kernels, "join_flat", lambda n, u, v: u)
+        code, out, err = run(capsys, "check", "lattice", "4")
+        assert code == 1 and err == ""
+        assert "[FAIL] lattice n=4" in out and "'op': 'join'" in out
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from cyclat import checks
         monkeypatch.setitem(checks.CHECKS, "grading",

@@ -73,6 +73,14 @@ class TestClosureOrder:
         for x in range(size):
             assert diagram.above(x) == [z for z in range(size) if closure.leq(x, z)]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_threshold_masks_are_the_closure(self, n):
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        for x in range(len(diagram.words)):
+            assert diagram.above_mask(x) == closure.above[x]
+            assert diagram.below_mask(x) == closure.below[x]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_extremes_bound_everything(self, n):
         diagram = build(n)
@@ -103,6 +111,22 @@ class TestBoundSearch:
             for y in range(size):
                 assert diagram.join(x, y) == join_by_search(closure, x, y)
                 assert diagram.meet(x, y) == meet_by_search(closure, x, y)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_upset_equality_is_the_bound_search(self, n):
+        # the node whose up-set is the common up-set of x and y, if any,
+        # is the least upper bound; dually for down-sets
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        size = len(diagram.words)
+        ups = [diagram.above_mask(t) for t in range(size)]
+        downs = [diagram.below_mask(t) for t in range(size)]
+        by_up = {mask: t for t, mask in enumerate(ups)}
+        by_down = {mask: t for t, mask in enumerate(downs)}
+        for x in range(size):
+            for y in range(size):
+                assert by_up.get(ups[x] & ups[y]) == join_by_search(closure, x, y)
+                assert by_down.get(downs[x] & downs[y]) == meet_by_search(closure, x, y)
 
     def test_known_supremum(self):
         diagram = build(5)

@@ -2,10 +2,12 @@
 lattice laws, truncations, and path conjugators."""
 
 import hashlib
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclat import kernels
+from cyclat import kernels, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
 from cyclat.perm import CircularPermutation, DescentLabel, complement, invert, word_text
 from cyclat.poset import (
@@ -21,6 +23,7 @@ from cyclat.poset import (
     eulerian,
     eulerian_row,
     grading_report,
+    kappa_failure,
     maximal_chain,
     mobius,
     mobius_from,
@@ -209,6 +212,17 @@ class _TableLattice:
         for _ in range(size):
             for lo, hi in covers:
                 self.above[lo] |= self.above[hi]
+        self.up = tuple(tuple(hi for lo, hi in covers if lo == t) for t in range(size))
+        self.down = tuple(tuple(lo for lo, hi in covers if hi == t) for t in range(size))
+        # the kappa test needs a rank that rises along every cover; the
+        # size of the down-set does
+        self.ranks = tuple(sum(t in up for up in self.above) - 1 for t in range(size))
+
+    def above_mask(self, x):
+        return sum(1 << z for z in self.above[x])
+
+    def below_mask(self, y):
+        return sum(1 << z for z, up in enumerate(self.above) if y in up)
 
     def join(self, x, y):
         common = self.above[x] & self.above[y]
@@ -230,6 +244,61 @@ _SD_JOIN_ONLY = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 6),
 _SD_MEET_ONLY = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6))
 
 
+# N5, the pentagon: semidistributive but not modular
+_N5 = ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4))
+
+LAWS = ("SD-join", "SD-meet")
+
+
+def join_class_failures(joins, meets):
+    """The laws that fail, by join and meet classes: SD-join holds at x
+    iff for every value c of x v y the meet m of the class
+    {y : x v y = c} has x v m = c; SD-meet is the dual.  O(N^2) table
+    reads; the semidistributivity test before the kappa test."""
+    failed = set()
+    for x, (jx, mx) in enumerate(zip(joins, meets)):
+        low: dict[int, int] = {}   # x v y -> meet of its class
+        high: dict[int, int] = {}  # x ^ y -> join of its class
+        for y, (c, d) in enumerate(zip(jx, mx)):
+            low[c] = meets[low[c]][y] if c in low else y
+            high[d] = joins[high[d]][y] if d in high else y
+        if any(jx[m] != c for c, m in low.items()):
+            failed.add("SD-join")
+        if any(mx[j] != d for d, j in high.items()):
+            failed.add("SD-meet")
+    return failed
+
+
+def triple_failures(joins, meets):
+    """The laws that fail on some triple: the definitions, cubic."""
+    size = len(joins)
+    failed = set()
+    for x, y, z in product(range(size), repeat=3):
+        if joins[x][y] == joins[x][z] != joins[x][meets[y][z]]:
+            failed.add("SD-join")
+        if meets[x][y] == meets[x][z] != meets[x][joins[y][z]]:
+            failed.add("SD-meet")
+    return failed
+
+
+def kappa_failures(lattice):
+    return {law for law in LAWS if kappa_failure(lattice, law)}
+
+
+def union_closed(ground, sets):
+    """The cover pairs of the unions of `sets`, subsets of range(ground)
+    as bitmasks, with the empty set, ordered by inclusion."""
+    family = {0}
+    for s in sets:
+        family |= {f | s for f in family}
+    members = sorted(family)
+    covers = [(a, b) for a, x in enumerate(members) for b, y in enumerate(members)
+              if x != y and x & y == x
+              and not any(z not in (x, y) and x & z == x and z & y == z
+                          for z in members)]
+    return covers
+
+
 class TestLatticeLaws:
     @pytest.mark.parametrize("n", [4, 5])
     def test_semidistributive(self, n):
@@ -245,8 +314,70 @@ class TestLatticeLaws:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_join_classes_agree_with_sd_scan(self, n):
         diagram = build(n)
-        found = kernels.sd_scan(*_lattice_tables(diagram))
+        tables = _lattice_tables(diagram)
+        found = kernels.sd_scan(*tables)
         assert check_semidistributive(diagram)["pass"] == (found is None)
+        assert kappa_failures(diagram) == join_class_failures(*tables) == set()
+        assert found is None
+
+    @pytest.mark.parametrize("covers, failed", [
+        (_M3, {"SD-join", "SD-meet"}), (_M3_OVER_CHAIN, {"SD-join", "SD-meet"}),
+        (_SD_JOIN_ONLY, {"SD-meet"}), (_SD_MEET_ONLY, {"SD-join"}), (_N5, set())],
+        ids=["M3", "M3-over-chain", "SD-join-only", "SD-meet-only", "N5"])
+    def test_kappa_agrees_law_by_law(self, covers, failed):
+        lattice = _TableLattice(covers)
+        tables = _lattice_tables(lattice)
+        assert kappa_failures(lattice) == triple_failures(*tables) == \
+            join_class_failures(*tables) == failed
+        found = kernels.sd_scan(*tables)
+        assert (found is None) == (not failed)
+        assert found is None or found[3] in failed
+        assert check_semidistributive(lattice)["pass"] == (not failed)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(ground=st.integers(3, 4), dual=st.booleans(), data=st.data())
+    def test_kappa_on_union_closed_families(self, ground, dual, data):
+        sets = data.draw(st.lists(st.integers(1, 2 ** ground - 1),
+                                  min_size=3, max_size=8, unique=True))
+        covers = union_closed(ground, sets)
+        # the dual order, read upside down, trades the two laws
+        lattice = _TableLattice([(b, a) for a, b in covers] if dual else covers)
+        tables = _lattice_tables(lattice)
+        failed = triple_failures(*tables)
+        assert kappa_failures(lattice) == failed
+        found = kernels.sd_scan(*tables)
+        assert (found is None) == (not failed)
+        assert found is None or found[3] in failed
+
+    @pytest.mark.parametrize("covers", [_M3, _M3_OVER_CHAIN, _SD_JOIN_ONLY, _SD_MEET_ONLY],
+                             ids=["M3", "M3-over-chain", "SD-join-only", "SD-meet-only"])
+    def test_large_lattice_witness_names_two_extremes(self, monkeypatch, covers):
+        def scan(joins, meets):
+            raise AssertionError("sd_scan called above the scan limit")
+
+        monkeypatch.setattr(kernels, "sd_scan", scan)
+        monkeypatch.setattr(poset, "SCAN_LIMIT", 0)
+        lattice = _TableLattice(covers)
+        report = check_semidistributive(lattice)
+        assert not report["pass"]
+        witness = report["witness"]
+        law = witness["law"]
+        assert law == sorted(kappa_failures(lattice))[0]
+        ids = {word_text(w): t for t, w in enumerate(lattice.words)}
+        if law == "SD-meet":
+            j, ends = ids[witness["j"]], [ids[t] for t in witness["maximal"]]
+            (lower,) = lattice.down[j]
+            rest = {x for x in lattice.above[lower] if x not in lattice.above[j]}
+            beyond = [{z for z in rest if z in lattice.above[x]} for x in ends]
+        else:
+            j, ends = ids[witness["m"]], [ids[t] for t in witness["minimal"]]
+            (upper,) = lattice.up[j]
+            rest = {x for x, up in enumerate(lattice.above)
+                    if upper in up and j not in up}
+            beyond = [{z for z in rest if x in lattice.above[z]} for x in ends]
+        # two distinct elements of the set, each its own only bound there
+        assert ends[0] != ends[1] and set(ends) <= rest
+        assert beyond == [{ends[0]}, {ends[1]}]
 
     @pytest.mark.parametrize("covers, first", [(_M3, (1, 2, 3, "SD-join")),
                                                (_M3_OVER_CHAIN, (2, 3, 4, "SD-join")),
@@ -318,6 +449,19 @@ class TestTruncations:
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)])
     def test_young_limit(self, n, k):
         assert check_young_limit(n, k)["pass"]
+
+    def test_young_limit_compares_masks_not_pairs(self, monkeypatch):
+        def leq(self, x, y):
+            raise AssertionError("compared a pair of elements")
+
+        monkeypatch.setattr(HasseDiagram, "leq", leq)
+        report = check_young_limit(6, 3)
+        assert report["pass"]
+        assert report["rank_sizes"] == {0: 1, 1: 1, 2: 2, 3: 3}
+
+    def test_young_limit_fails_on_a_wrong_order(self, monkeypatch):
+        monkeypatch.setattr(poset, "partition_leq", lambda lam, mu: True)
+        assert not check_young_limit(6, 3)["pass"]
 
     def test_young_limit_requires_large_order(self):
         with pytest.raises(CyclatError):
