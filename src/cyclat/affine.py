@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from cyclat import vectors
@@ -174,11 +175,11 @@ def window_of_vector(v: AdmittedVector) -> AffineWindow:
     Strictly increasing; ranges over [identity, interval_top] as v ranges
     over admitted vectors.
     """
-    n = v.n
-    a = []
-    for i in range(1, n + 1):
-        a.append(i + sum(v[p, i] for p in range(1, i))
-                 - sum(v[i, p] for p in range(i + 1, n + 1)))
+    a = list(range(1, v.n + 1))
+    # v.flat is row-major over the pairs, as combinations lists them
+    for (i, j), x in zip(combinations(range(v.n), 2), v.flat):
+        a[i] -= x
+        a[j] += x
     return AffineWindow(tuple(a))
 
 

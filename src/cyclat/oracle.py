@@ -29,11 +29,14 @@ def diagram_by_search(n: int) -> tuple[tuple[Word, ...],
     covers from (1, 2, ..., n).
 
     Words are sorted, edges are sorted (lower, upper, (r, s)) index
-    triples, ranks come from `word_rank`.  Only the cover kernel is
-    shared with `poset.build`.  The search also shows that every node is
-    reachable from the bottom; a directly enumerated diagram keeps that
-    guarantee through `grading_report`'s single-bottom test, since a
-    finite poset with one minimal element is connected through covers.
+    triples, ranks come from `word_rank`.  `poset.build` calls neither
+    `word_covers_up` nor `word_rank` (its cover ids and ranks are
+    arithmetic on the lexicographic order), so the search is an
+    independent reference for every column of the diagram.  The search
+    also shows that every node is reachable from the bottom; a directly
+    enumerated diagram keeps that guarantee through `grading_report`'s
+    single-bottom test, since a finite poset with one minimal element
+    is connected through covers.
     """
     bottom = tuple(range(1, n + 1))
     seen = {bottom}

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, product
 from math import comb, factorial
 from operator import or_
 from typing import Iterable, Sequence
@@ -235,28 +235,85 @@ class HasseDiagram:
 def build(n: int) -> HasseDiagram:
     """Materialize the diagram of order n by direct enumeration.
 
-    The nodes are the (n-1)! canonical words in lexicographic order;
-    each node's covers come from one `word_covers_up` call and are
-    appended to the edge columns in upper-index order.  Ranks come from
-    `word_rank`, independently of the edges.
+    With m = n - 1, node t is the word (1, p_0, ..., p_{m-1}) for the
+    t-th permutation p of 2..n in lexicographic order.  Its Lehmer digit
+    c_j counts the k > j with p_k < p_j, and with the weights
+    G[j] = (m-1-j)! and G[m] = 0, t = sum of c_j G[j].  The codes come
+    from `itertools.product`, in the same order as the permutations, so
+    every cover id is arithmetic on the digits of the lower node:
+
+    - an internal factor p_j = s > p_{j+1} + 1 = r + 1 swaps to r s, at
+      id t - d G[j] + (d - 1) G[j+1] with d = c_j - c_{j+1};
+    - the wrap-around factor s 1, s = p_{m-1} > 2, swaps to the
+      canonical word (1, s, p_0, ..., p_{m-2}), at id
+      (s - 2) G[0] + sum over j < m-1 of (c_j - [p_j > s]) G[j+1].  The
+      sum is the lexicographic rank of (p_0, ..., p_{m-2}) among the
+      arrangements of the letters other than 1 and s, which is the
+      number of earlier nodes ending in s; a running count per last
+      letter gives it in O(1).
+
+    Each node's covers go to the edge columns in upper-id order, and
+    the columns hold the same int objects as `index`.  Ranks come from
+    `_prefix_ranks`.  Neither uses a kernel; `oracle.diagram_by_search`
+    rebuilds the diagram from the kernels as an independent reference.
     """
     refuse_over_cap(n)
-    words = tuple((1,) + p for p in permutations(range(2, n + 1)))
-    index = {w: t for t, w in enumerate(words)}
+    m = n - 1
+    weight = [factorial(m - 1 - j) for j in range(m)] + [0]  # G above
+    # drop[j][d]: t minus the id of the internal cover at j, d = c_j - c_{j+1}
+    drop = [[d * weight[j] - (d - 1) * weight[j + 1] for d in range(m - j)]
+            for j in range(m - 1)]
+    # wrap[s]: the id of the next wrap-around cover of a node ending in s
+    wrap = [(s - 2) * weight[0] for s in range(n + 1)]
+    ids = list(range(factorial(m)))
+    words: list[Word] = []
     lo: list[int] = []
     hi: list[int] = []
     rs: list[int] = []
     ss: list[int] = []
-    for t, word in enumerate(words):
-        for b, r, s in sorted([(index[u], r, s)
-                               for r, s, u in kernels.word_covers_up(word)]):
+    factors = range(m - 1)
+    codes = product(*(range(m - j) for j in range(m)))
+    for t, p, c in zip(ids, permutations(range(2, n + 1)), codes):
+        words.append((1,) + p)
+        # a swap at a later factor keeps more of p, so these ids ascend
+        ups = [(t - drop[j][c[j] - c[j + 1]], p[j + 1], p[j])
+               for j in factors if p[j] > p[j + 1] + 1]
+        s = p[-1] if p else 0
+        if s > 2:
+            ups.append((wrap[s], 1, s))
+            wrap[s] += 1
+            ups.sort()
+        for u, r, s in ups:
             lo.append(t)
-            hi.append(b)
+            hi.append(ids[u])
             rs.append(r)
             ss.append(s)
-    ranks = tuple(map(kernels.word_rank, words))
-    return HasseDiagram(n, words, ranks, tuple(lo), tuple(hi), tuple(rs),
-                        tuple(ss), index)
+    return HasseDiagram(n, tuple(words), tuple(_prefix_ranks(n)), tuple(lo),
+                        tuple(hi), tuple(rs), tuple(ss), dict(zip(words, ids)))
+
+
+def _prefix_ranks(n: int) -> list[int]:
+    """`word_rank` of every canonical word of order n, in lexicographic
+    order, from the prefix tree of the words.
+
+    Placing letter a after the set P of letters already placed adds -1
+    for each b in P above a (the inversion b..a) and a(n - a) if a + 1
+    is in P (the adjacent inversion a+1..a).  The ranks below a prefix
+    depend only on its set P, so `below[P]` lists them once per set, in
+    lexicographic order of the completions; a superset of P is a larger
+    bitmask, so it is filled first.
+    """
+    below: dict[int, list[int]] = {}
+    for rest in reversed(range(1 << (n - 1))):
+        placed = rest << 2 | 2  # bit a is letter a; 1 is always placed
+        ranks: list[int] = []
+        for a in range(2, n + 1):
+            if not placed >> a & 1:
+                higher = placed >> (a + 1)
+                step = (a * (n - a) if higher & 1 else 0) - higher.bit_count()
+                ranks += [step + x for x in below[placed | 1 << a]]
+        below[placed] = ranks or [0]  # every letter placed: the word itself
+    return below[2]
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ lattice laws, truncations, and path conjugators."""
 
 import hashlib
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,8 @@ class TestBuild:
             diagram = build(n)
             assert len(diagram.nodes) == 1
             assert diagram.edges == ()
+            assert diagram.lo == diagram.hi == diagram.r == diagram.s == ()
+            assert diagram.ranks == (0,)
 
     def test_worker_counts_agree(self):
         # build has a single code path and takes no worker count: the
@@ -126,6 +129,70 @@ class TestBuild:
     def test_maximal_chain_length(self, n):
         from math import comb
         assert len(maximal_chain(build(n))) == comb(n, 3)
+
+
+def _lehmer(letters):
+    """c_j: the letters after position j that are smaller than letters[j]."""
+    return [sum(b < a for b in letters[j + 1:]) for j, a in enumerate(letters)]
+
+
+def _lex_rank(word):
+    """Position of the canonical word (1, p) among the arrangements of
+    the letters of p in lexicographic order: at each place j, the
+    arrangements that agree before j and put a smaller letter at j."""
+    p = word[1:]
+    return sum(c * factorial(len(p) - 1 - j) for j, c in enumerate(_lehmer(p)))
+
+
+class TestLehmerBuild:
+    """`build` derives cover ids and ranks from the lexicographic order
+    instead of calling `word_covers_up` and `word_rank`."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(3, 12))
+    def test_cover_id_formulas_above_the_cap(self, data, n):
+        p = tuple(data.draw(st.permutations(range(2, n + 1))))
+        m = n - 1
+        weight = [factorial(m - 1 - j) for j in range(m)] + [0]
+        c = _lehmer(p)
+        t = _lex_rank((1,) + p)
+        for r, s, upper in kernels.word_covers_up((1,) + p):
+            if r == 1:
+                assert s == p[-1]
+                wrap = (s - 2) * weight[0] + sum((cj - (q > s)) * g
+                                                 for q, cj, g in zip(p, c, weight[1:]))
+                # the sum ranks the rest of p among the other letters'
+                # arrangements: the count of earlier words ending in s
+                assert wrap == (s - 2) * weight[0] + _lex_rank((1,) + p[:-1])
+                assert _lex_rank(upper) == wrap
+            else:
+                j = p.index(s)
+                assert p[j + 1] == r
+                d = c[j] - c[j + 1]
+                assert _lex_rank(upper) == t - d * weight[j] + (d - 1) * weight[j + 1]
+
+    def test_order_nine_matches_the_kernels(self):
+        diagram = build(9)
+        index = diagram.index
+        assert diagram.ranks == tuple(map(kernels.word_rank, diagram.words))
+        reference = [(t, b, r, s) for t, word in enumerate(diagram.words)
+                     for b, r, s in sorted((index[u], r, s)
+                                           for r, s, u in kernels.word_covers_up(word))]
+        assert list(zip(diagram.lo, diagram.hi, diagram.r, diagram.s)) == reference
+        # the edge columns hold the node-id objects of index, not copies
+        ids = list(index.values())
+        assert all(ids[b] is b for b in diagram.hi)
+        assert all(ids[a] is a for a in diagram.lo)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_build_calls_no_word_kernel(self, monkeypatch, n):
+        def refuse(word):
+            raise AssertionError("build called a word kernel")
+
+        monkeypatch.setattr(kernels, "word_rank", refuse)
+        monkeypatch.setattr(kernels, "word_covers_up", refuse)
+        diagram = build(n)
+        assert len(diagram.words) == len(diagram.ranks) == factorial(n - 1)
 
 
 class TestEulerian:
