@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from cyclat import affine, checks, poset, vectors
 from cyclat.errors import CyclatError
@@ -107,14 +108,30 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+# Export pieces joined per write: one write per line is slower than
+# building the whole text, and a few thousand lines keep each block small.
+EXPORT_BLOCK = 4096
+
+
+def _write_blocks(handle, pieces) -> None:
+    while block := list(islice(pieces, EXPORT_BLOCK)):
+        handle.write("".join(block))
+
+
 def _cmd_poset(args) -> int:
+    # Build before opening the output, so a refused order leaves no file.
     diagram = poset.build(args.n)
-    text = poset.to_dot(diagram) if args.format == "dot" else poset.to_json(diagram)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    pieces = poset.iter_dot(diagram) if args.format == "dot" else poset.iter_json(diagram)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                _write_blocks(handle, pieces)
+        else:
+            _write_blocks(sys.stdout, pieces)
+            sys.stdout.flush()  # a failed write shows here, not at exit
+    except OSError as exc:
+        raise CyclatError(f"cannot write {args.out or 'standard output'}: "
+                          f"{exc.strerror or exc}") from None
     return 0
 
 

@@ -4,25 +4,27 @@
 canonical word (1, p) with p running over the permutations of 2..n in
 lexicographic order, and the covers are held as flat edge columns
 sorted by (lower, upper) index, so exports are byte-for-byte
-reproducible.  Everything else queries the diagram: rank grading,
-Eulerian cover statistics, the Moebius function, semidistributivity and
-modularity scans, rank truncations against the partition order, and
-conjugating permutations of upward paths.
+reproducible.  `iter_dot` and `iter_json` render the DOT and JSON
+exports as a stream of text pieces, which `cyclat poset` writes out in
+blocks; `to_dot` and `to_json` join the same pieces into one string.
+Everything else queries the diagram: rank grading, Eulerian cover
+statistics, the Moebius function, semidistributivity and modularity
+scans, rank truncations against the partition order, and conjugating
+permutations of upward paths.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate, chain, permutations, product
 from math import comb, factorial
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cyclat import kernels
 from cyclat.errors import (
@@ -676,32 +678,79 @@ def conjugator_formula(n: int) -> Word:
 # --- exports -------------------------------------------------------------
 
 
-def to_dot(diagram: HasseDiagram) -> str:
-    """Deterministic Graphviz rendering with same-rank grouping."""
-    lines = [f"digraph CP{diagram.n} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for t, word in enumerate(diagram.words):
-        lines.append(f'  n{t} [label="{word_text(word)}"];')
-    by_rank: dict[int, list[str]] = {}
+def _listed(fmt: str, rows: Iterable) -> Iterator[str]:
+    """`fmt % row` for each row, as list items: fmt starts with the
+    separator ",", which the first item goes without."""
+    rows = iter(rows)
+    first = next(rows, None)  # no row is None
+    if first is None:
+        return iter(())
+    return chain((fmt[1:] % first,), map(fmt.__mod__, rows))
+
+
+def _label_format(n: int) -> str:
+    """The %-template of `word_text` for words of n letters."""
+    return "(" + ",".join(["%d"] * n) + ")"
+
+
+def iter_dot(diagram: HasseDiagram) -> Iterator[str]:
+    """The Graphviz rendering of `to_dot`, as text pieces in order.
+
+    Each piece is one or more whole lines; the pieces are formatted as
+    they are drawn, so a caller that writes them out in blocks never
+    holds the whole text.
+    """
+    by_rank: dict[int, list[int]] = {}
     for t, rank in enumerate(diagram.ranks):
-        by_rank.setdefault(rank, []).append(f"n{t}")
-    for rank in sorted(by_rank):
-        lines.append(f"  {{ rank=same; {'; '.join(by_rank[rank])}; }}")
-    for lo, hi, r, s in zip(diagram.lo, diagram.hi, diagram.r, diagram.s):
-        lines.append(f'  n{lo} -> n{hi} [label="({r},{s})"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        by_rank.setdefault(rank, []).append(t)
+    return chain(
+        ("digraph CP%d {\n  rankdir=BT;\n  node [shape=box];\n" % diagram.n,),
+        map('  n%d [label="%s"];\n'.__mod__,
+            enumerate(map(_label_format(diagram.n).__mod__, diagram.words))),
+        ("  { rank=same; " + "; ".join(map("n%d".__mod__, by_rank[rank])) + "; }\n"
+         for rank in sorted(by_rank)),
+        map('  n%d -> n%d [label="(%d,%d)"];\n'.__mod__,
+            zip(diagram.lo, diagram.hi, diagram.r, diagram.s)),
+        ("}\n",))
+
+
+def iter_json(diagram: HasseDiagram) -> Iterator[str]:
+    """The JSON rendering of `to_json`, as text pieces in order; see
+    `iter_dot` for how they are meant to be written."""
+    return chain(
+        ('{"edges":[',),
+        _listed(",[%d,%d,[%d,%d]]", zip(diagram.lo, diagram.hi, diagram.r, diagram.s)),
+        ('],"n":%d,"nodes":[' % diagram.n,),
+        _listed(',"' + _label_format(diagram.n) + '"', diagram.words),
+        ('],"ranks":[',),
+        _listed(",%d", diagram.ranks),
+        ("]}\n",))
+
+
+def to_dot(diagram: HasseDiagram) -> str:
+    """Deterministic Graphviz rendering with same-rank grouping.
+
+    Lines, each ending in a newline: the header, one `nT [label=...]`
+    line per node in id order, one `{ rank=same; ... }` line per rank in
+    ascending order listing its nodes in id order, one `nLO -> nHI
+    [label="(r,s)"]` line per edge in column order, and "}".  The text
+    is the join of `iter_dot`.
+    """
+    return "".join(iter_dot(diagram))
 
 
 def to_json(diagram: HasseDiagram) -> str:
-    """Deterministic JSON rendering: nodes, ranks, labelled edges."""
-    payload = {
-        "n": diagram.n,
-        "nodes": [word_text(word) for word in diagram.words],
-        "ranks": list(diagram.ranks),
-        "edges": [[lo, hi, [r, s]] for lo, hi, r, s
-                  in zip(diagram.lo, diagram.hi, diagram.r, diagram.s)],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON rendering: nodes, ranks, labelled edges.
+
+    The text is `json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))` plus a newline, for the payload with keys
+    "edges" ([lo, hi, [r, s]] per edge), "n", "nodes" (the `word_text`
+    of each word) and "ranks".  It is the join of `iter_json`, which
+    writes that text directly: every value is an int, a list or a node
+    label, and a label holds only ASCII digits, commas and parentheses,
+    so no string needs escaping.
+    """
+    return "".join(iter_json(diagram))
 
 
 def grading_report(n: int) -> dict:

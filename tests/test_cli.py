@@ -155,6 +155,57 @@ class TestPoset:
         code, _, err = run(capsys, "poset", "6")
         assert code == 2 and "cap" in err
 
+    def test_refusal_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the diagram is built before the output is opened
+        monkeypatch.setenv("CYCLAT_MAX_N", "4")
+        path = tmp_path / "P"
+        assert run(capsys, "poset", "6", "--out", str(path))[0] == 2
+        assert not path.exists()
+        path.write_bytes(b"old bytes")
+        assert run(capsys, "poset", "6", "--out", str(path))[0] == 2
+        assert path.read_bytes() == b"old bytes"
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_stdout_and_file_agree(self, tmp_path, capsys, fmt):
+        path = tmp_path / f"p.{fmt}"
+        code, out, _ = run(capsys, "poset", "6", "--format", fmt)
+        assert code == 0
+        assert run(capsys, "poset", "6", "--format", fmt, "--out", str(path))[0] == 0
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, target):
+        # a path under a missing directory, and a directory
+        path = tmp_path / target
+        code, out, err = run(capsys, "poset", "4", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1  # the diagnostic alone, no traceback
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_export_memory_stays_near_the_diagram(self, tmp_path, fmt):
+        # Streamed output holds no copy of the text: the traced peak of an
+        # export to a file exceeds that of the build alone by under 1 MB.
+        import gc
+        import tracemalloc
+
+        from cyclat.poset import build
+
+        def traced_peak(call):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        argv = ["poset", "8", "--format", fmt, "--out", str(tmp_path / "p")]
+        assert main(argv) == 0  # first-use caches fill outside the measurement
+        export = traced_peak(lambda: main(argv))
+        alone = traced_peak(lambda: build(8))
+        assert export - alone < 1_000_000, (export, alone)
+
 
 # SHA-256 of the `check all n --json` reports with "elapsed" dropped,
 # dumped with sorted keys: any change to a verdict or a witness breaks

@@ -2,6 +2,7 @@
 lattice laws, truncations, and path conjugators."""
 
 import hashlib
+import json
 from itertools import product
 from math import factorial
 
@@ -598,7 +599,44 @@ EXPORT_DIGESTS = {
 }
 
 
+def reference_dot(diagram: HasseDiagram) -> str:
+    """The whole-string DOT rendering `to_dot` must reproduce."""
+    lines = [f"digraph CP{diagram.n} {{", "  rankdir=BT;", "  node [shape=box];"]
+    for t, word in enumerate(diagram.words):
+        lines.append(f'  n{t} [label="{word_text(word)}"];')
+    by_rank: dict[int, list[str]] = {}
+    for t, rank in enumerate(diagram.ranks):
+        by_rank.setdefault(rank, []).append(f"n{t}")
+    for rank in sorted(by_rank):
+        lines.append(f"  {{ rank=same; {'; '.join(by_rank[rank])}; }}")
+    for lo, hi, r, s in zip(diagram.lo, diagram.hi, diagram.r, diagram.s):
+        lines.append(f'  n{lo} -> n{hi} [label="({r},{s})"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(diagram: HasseDiagram) -> str:
+    """The `json.dumps` rendering `to_json` must reproduce."""
+    payload = {
+        "n": diagram.n,
+        "nodes": [word_text(word) for word in diagram.words],
+        "ranks": list(diagram.ranks),
+        "edges": [[lo, hi, [r, s]] for lo, hi, r, s
+                  in zip(diagram.lo, diagram.hi, diagram.r, diagram.s)],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestExports:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_streamed_exports_match_reference(self, n):
+        diagram = build(n)
+        assert to_dot(diagram) == reference_dot(diagram)
+        text = to_json(diagram)
+        assert text == reference_json(diagram)
+        assert json.dumps(json.loads(text), sort_keys=True,
+                          separators=(",", ":")) + "\n" == text
+
     def test_dot_content(self):
         dot = to_dot(build(4))
         assert dot.startswith("digraph CP4 {")
@@ -607,7 +645,6 @@ class TestExports:
         assert "rank=same" in dot
 
     def test_json_content(self):
-        import json
         payload = json.loads(to_json(build(5)))
         assert payload["n"] == 5
         assert len(payload["nodes"]) == 24
