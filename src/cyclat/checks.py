@@ -1,58 +1,113 @@
 """Named structural verifications, runnable from the CLI or tests.
 
 Each check reproduces one finite claim about the order at a given n and
-returns a CheckReport.  Exhaustive scans are used whenever the element
-count allows; otherwise sampling is seeded and reproducible.
+returns a CheckReport.  Every claim is checked exhaustively at every n
+but one: from n = 7 on, `lattice` tests `join` and `meet` against the
+bounds on 10,000 seeded pairs instead of on every ordered pair.
+
+`run_all` builds the order-n diagram once, on first use, and every
+check that reads a diagram reads that one; `run_check` builds its own.
+Each check still proves its claim from the diagram's columns, so no
+check relies on another's verdict.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, product
-from math import factorial
+from math import comb
 from operator import or_
 from typing import Callable
 
-from cyclat import affine, oracle, poset, vectors
+from cyclat import affine, kernels, oracle, poset, vectors
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation, all_cycles, word_text
 from cyclat.poset import build
 from cyclat.vectors import AdmittedVector
 
 _SEED = 283465
+_PHASES = ("build", "masks", "scan")
 
 
 @dataclass
 class CheckReport:
+    """What a check verified and what that took.
+
+    `witness` is set only on a failure, or where the check pins one (the
+    modularity quadruple from n = 5 on).  `stats` counts what was
+    checked, and `phases` splits `elapsed` into the seconds spent
+    building the diagram, computing its vectors' threshold masks and
+    scanning; a check that read a diagram built by an earlier check of
+    the same `run_all` spends no time building it.
+    """
+
     check: str
     n: int
     passed: bool
     witness: dict | None
+    stats: dict
+    phases: dict[str, float]
     elapsed: float
 
     def to_payload(self) -> dict:
-        payload = {"check": self.check, "n": self.n, "pass": self.passed,
-                   "elapsed": round(self.elapsed, 3)}
+        payload = {"check": self.check, "n": self.n, "pass": self.passed}
         if self.witness is not None:
             payload["witness"] = self.witness
+        payload["stats"] = self.stats
+        payload["phases"] = {name: round(seconds, 3)
+                             for name, seconds in self.phases.items()}
+        payload["elapsed"] = round(self.elapsed, 3)
         return payload
 
     def human(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  witness: {self.witness}" if self.witness else ""
-        return f"[{status}] {self.check} n={self.n} ({self.elapsed:.2f}s){extra}"
+        stats = f"  stats: {self.stats}" if self.stats else ""
+        return f"[{status}] {self.check} n={self.n} ({self.elapsed:.2f}s){extra}{stats}"
 
 
-def _check_grading(n: int) -> tuple[bool, dict | None]:
-    report = poset.grading_report(n)
+@dataclass
+class CheckRun:
+    """What one check reads, and the counts and times it reports.
+
+    `shared` holds the order-n diagram once `diagram()` has built it
+    through `build`, and is handed on to the next check of a `run_all`.
+    The run that builds the diagram, or first computes its threshold
+    masks, has those seconds in its `phases`.
+    """
+
+    n: int
+    shared: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
+    phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_PHASES, 0.0))
+
+    def diagram(self, masks: bool = False) -> poset.HasseDiagram:
+        """The order-n diagram; with `masks`, its `vecs` and threshold
+        masks computed as well."""
+        if "diagram" not in self.shared:
+            start = time.perf_counter()
+            self.shared["diagram"] = build(self.n)
+            self.phases["build"] += time.perf_counter() - start
+        diagram = self.shared["diagram"]
+        if masks and "masks" not in self.shared:
+            start = time.perf_counter()
+            # cached on the diagram; computing them computes `vecs` first
+            self.shared["masks"] = diagram.at_least, diagram.at_most
+            self.phases["masks"] += time.perf_counter() - start
+        return diagram
+
+
+def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
+    report = poset.grading_report(run.diagram())
     ok = report.pop("pass")
     return ok, None if ok else report
 
 
-def _check_eulerian(n: int) -> tuple[bool, dict | None]:
+def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
+    n = run.n
     report = poset.verify_descent_distribution(n)
     ok = report.pop("pass")
     closed_form = poset.eulerian(n, 1) == 2 ** n - n - 1 if n >= 1 else True
@@ -61,8 +116,8 @@ def _check_eulerian(n: int) -> tuple[bool, dict | None]:
     return ok, None if ok else report
 
 
-def _check_mobius(n: int) -> tuple[bool, dict | None]:
-    diagram = build(n)
+def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
+    diagram = run.diagram()
     for x in range(len(diagram.words)):
         mu = poset.mobius_from(diagram, x)
         bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
@@ -74,7 +129,7 @@ def _check_mobius(n: int) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _check_lattice(n: int) -> tuple[bool, dict | None]:
+def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     """The order is a lattice, and `join`/`meet` compute its bounds.
 
     Three claims, each read off the threshold masks of the order:
@@ -91,43 +146,43 @@ def _check_lattice(n: int) -> tuple[bool, dict | None]:
       upper covers of every node, exhaustively at every n.
     - `join` and `meet` give the least and greatest bounds on every
       ordered pair up to 120 nodes, and on 10,000 seeded pairs above.
+      The whole square reads every node's up-set and down-set from
+      lists made once; the samples hold a bounded cache of them.
 
     j is the least upper bound of x and y iff
     above_mask(x) & above_mask(y) == above_mask(j): j lies in its own
     up-set, so it is then a common upper bound, and every common upper
     bound lies in the up-set of j, above it.  Meets are the dual, with
     the down-sets.  A result that is not a node, or not the bound,
-    fails with the pair as the witness.
+    fails with the pair as the witness; of a pair, the join is tested
+    first.
     """
-    diagram = build(n)
+    diagram = run.diagram(masks=True)
     failure = _cover_failure(diagram)
     if failure:
         return False, failure
     size = len(diagram.words)
     if size <= 120:
         count, pairs = size * size, product(range(size), repeat=2)
+        up_set = [diagram.above_mask(t) for t in range(size)].__getitem__
+        down_set = [diagram.below_mask(t) for t in range(size)].__getitem__
     else:
         rng = random.Random(_SEED)
         count = 10_000
         pairs = ((rng.randrange(size), rng.randrange(size)) for _ in range(count))
-    up_set = lru_cache(maxsize=1024)(diagram.above_mask)
-    down_set = lru_cache(maxsize=1024)(diagram.below_mask)
+        up_set = lru_cache(maxsize=1024)(diagram.above_mask)
+        down_set = lru_cache(maxsize=1024)(diagram.below_mask)
+    n, vecs, index = diagram.n, diagram.vecs, diagram.vec_index
+    join_flat, meet_flat = kernels.join_flat, kernels.meet_flat
     for x, y in pairs:
-        for op, sets in (("join", up_set), ("meet", down_set)):
-            if not _is_bound(diagram, op, sets, x, y):
-                return False, _pair_witness(diagram, op, x, y)
-    return True, {"pairs": count}
-
-
-def _is_bound(diagram: poset.HasseDiagram, op: str, sets: Callable[[int], int],
-              x: int, y: int) -> bool:
-    """Whether diagram.op(x, y) is a node whose `sets` mask (the up-set
-    for "join", the down-set for "meet") is those of x and y ANDed."""
-    try:
-        z = getattr(diagram, op)(x, y)
-    except KeyError:  # the kernel's result is not a node
-        return False
-    return sets(z) == sets(x) & sets(y)
+        z = index.get(join_flat(n, vecs[x], vecs[y]))  # None: not a node
+        if z is None or up_set(z) != up_set(x) & up_set(y):
+            return False, _pair_witness(diagram, "join", x, y)
+        z = index.get(meet_flat(n, vecs[x], vecs[y]))
+        if z is None or down_set(z) != down_set(x) & down_set(y):
+            return False, _pair_witness(diagram, "meet", x, y)
+    run.stats["pairs"] = count
+    return True, None
 
 
 def _pair_witness(diagram: poset.HasseDiagram, op: str, x: int, y: int) -> dict:
@@ -154,6 +209,8 @@ def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
     def up_set(t: int) -> int:
         return held[t] if t in held else diagram.above_mask(t)
 
+    n, vecs, index = diagram.n, diagram.vecs, diagram.vec_index
+    join_flat = kernels.join_flat
     for rank in sorted(by_rank, reverse=True):
         for x in by_rank[rank]:
             mask = diagram.above_mask(x)
@@ -162,7 +219,8 @@ def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
                 return _pair_witness(diagram, "order", x,
                                      poset.bits(mask ^ closure)[0])
             for y, z in combinations(diagram.up[x], 2):
-                if not _is_bound(diagram, "join", up_set, y, z):
+                j = index.get(join_flat(n, vecs[y], vecs[z]))
+                if j is None or up_set(j) != up_set(y) & up_set(z):
                     return _pair_witness(diagram, "join", y, z)
             held[x] = mask
         for t in by_rank.get(rank + 3, ()):
@@ -170,13 +228,14 @@ def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
     return None
 
 
-def _check_semidistributive(n: int) -> tuple[bool, dict | None]:
-    report = poset.check_semidistributive(build(n))
+def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
+    report = poset.check_semidistributive(run.diagram(masks=True))
     return report["pass"], report["witness"]
 
 
-def _check_modularity(n: int) -> tuple[bool, dict | None]:
-    report = poset.check_modular(build(n))
+def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
+    n = run.n
+    report = poset.check_modular(run.diagram())
     expected_modular = n <= 4
     ok = report["modular"] == expected_modular
     if n == 5 and ok:
@@ -196,54 +255,89 @@ def _check_modularity(n: int) -> tuple[bool, dict | None]:
     return ok, report["witness"]
 
 
-def _check_young(n: int) -> tuple[bool, dict | None]:
-    from math import comb
-    poset.refuse_over_cap(n)  # before comb, which rejects a negative n
-    k = min(n // 2, comb(n, 3))  # truncation depth cannot exceed the top rank
-    report = poset.check_young_limit(n, k)
-    ok = report.pop("pass")
-    return ok, report if not ok else {"k": k, "rank_sizes": report["rank_sizes"]}
+def _check_young(run: CheckRun) -> tuple[bool, dict | None]:
+    diagram = run.diagram(masks=True)  # the cap first: comb rejects a negative n
+    k = min(run.n // 2, comb(run.n, 3))  # truncation depth cannot exceed the top rank
+    report = poset.check_young_limit(diagram, k)
+    if not report.pop("pass"):
+        return False, report
+    run.stats.update(k=k, rank_sizes=report["rank_sizes"])
+    return True, None
 
 
-def _sample_vectors(n: int, count: int, rng: random.Random) -> list[AdmittedVector]:
-    out = []
-    for _ in range(count):
-        rest = list(range(2, n + 1))
-        rng.shuffle(rest)
-        out.append(vectors.cycle_to_vector(CircularPermutation((1, *rest))))
-    return out
+def _signed_edge_counts(t: vectors.Triangulation) -> dict[tuple[int, int], int]:
+    """The nonzero counts over the triangles (i, j, k), i < j < k, of t
+    of +1 on the edge (i, k) and -1 on each of (i, j) and (j, k)."""
+    counts: dict[tuple[int, int], int] = {}
+    for i, j, k in t.triangles:
+        for edge, sign in (((i, k), 1), ((i, j), -1), ((j, k), -1)):
+            counts[edge] = counts.get(edge, 0) + sign
+    return {edge: c for edge, c in counts.items() if c}
 
 
-def _check_triangulation(n: int) -> tuple[bool, dict | None]:
+def _flip_quads(t: vectors.Triangulation) -> list[list[int]]:
+    """The quadrilaterals of t's flips, sorted: for each interior
+    diagonal, the four vertices of the two triangles that share it."""
+    sides: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for tri in t.triangles:
+        for edge in combinations(tri, 2):
+            sides.setdefault(edge, []).append(tri)
+    return sorted(sorted(set(a + b)) for a, b in
+                  (pair for pair in sides.values() if len(pair) == 2))
+
+
+def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
+    """`triangulation_sum(v, t) == v[1, n]` for every vector v and every
+    triangulation t of the n-gon, so every flip keeps the sum.
+
+    The sum telescopes.  `delta(v, i, j, k)` is v[i,k] - v[i,j] - v[j,k],
+    so the sum over the triangles of t is the sum over the edges e of
+    c(e) v[e], c the signed edge counts of t (`_signed_edge_counts`).
+    An interior diagonal (a, b) borders two triangles: the one whose
+    third vertex lies between a and b has it as its long edge, +1, and
+    the other as a short edge, -1, so it cancels.  The side (1, n) is
+    the long edge of its one triangle and every other side (i, i+1) a
+    short edge.  So c is +1 on (1, n), -1 on each (i, i+1) and 0
+    elsewhere, and the sum is v[1, n] minus the adjacent entries, which
+    are 0 in an admitted vector.
+
+    The check tests each step instead of trusting the argument:
+    - the counts of each of the Catalan(n-2) triangulations;
+    - the counts of each flip of each, one per interior diagonal, which
+      `mutate` must perform, so a flip keeps the sum of every vector;
+    - each of the (n-1)! vectors of the diagram, admitted and summed
+      over one triangulation.  The triangulations are taken in turn, so
+      `delta` runs on every triangle of every triangulation, not only on
+      those of one fan.
+    """
+    n = run.n
     poset.refuse_over_cap(n)
     if n < 3:
-        return True, {"triangulations": 0, "vectors": 0}
-    rng = random.Random(_SEED)
-    if factorial(n - 1) <= 24:
-        vecs = [AdmittedVector(n, flat) for flat in oracle.enumerate_admitted(n)]
-    else:
-        vecs = _sample_vectors(n, 500, rng)
+        run.stats.update(triangulations=0, vectors=0)
+        return True, None
+    expected = {(1, n): 1} | {(i, i + 1): -1 for i in range(1, n)}
     tris = vectors.all_triangulations(n)
-    for v in vecs:
-        target = v[1, n]
-        for t in tris:
-            if vectors.triangulation_sum(v, t) != target:
-                return False, {"vector": v.rows(), "triangles": sorted(t.triangles)}
-    # flips preserve the sum
-    quads = list(combinations(range(1, n + 1), 4))
     for t in tris:
-        for q in quads:
+        if _signed_edge_counts(t) != expected:
+            return False, {"triangles": sorted(t.triangles)}
+        for q in _flip_quads(t):
             try:
                 flipped = vectors.mutate(t, q)
             except QuadNotFlippableError:
-                continue
-            for v in vecs[:20]:
-                if vectors.triangulation_sum(v, flipped) != v[1, n]:
-                    return False, {"flip": list(q)}
-    return True, {"triangulations": len(tris), "vectors": len(vecs)}
+                return False, {"flip": q}
+            if _signed_edge_counts(flipped) != expected:
+                return False, {"flip": q}
+    vecs = run.diagram().vecs
+    for k, flat in enumerate(vecs):
+        v = AdmittedVector(n, flat)
+        t = tris[k % len(tris)]
+        if vectors.triangulation_sum(v, t) != v[1, n]:
+            return False, {"vector": v.rows(), "triangles": sorted(t.triangles)}
+    run.stats.update(triangulations=len(tris), vectors=len(vecs))
+    return True, None
 
 
-def _check_interval(n: int) -> tuple[bool, dict | None]:
+def _check_interval(run: CheckRun) -> tuple[bool, dict | None]:
     """Each cycle's vector and window round-trip, project back to the
     cycle and agree on rank; so the window map is an order embedding.
 
@@ -261,6 +355,7 @@ def _check_interval(n: int) -> tuple[bool, dict | None]:
     `length(w) == v.rank` is the same sum.  No pair of elements is
     compared: one pass, each element converted, checked and dropped.
     """
+    n = run.n
     poset.refuse_over_cap(n)
     for s in all_cycles(n):
         v = vectors.cycle_to_vector(s)
@@ -276,7 +371,7 @@ def _check_interval(n: int) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _check_alpha(n: int) -> tuple[bool, dict | None]:
+def _check_alpha(run: CheckRun) -> tuple[bool, dict | None]:
     """The conjugator of an upward chain depends only on its endpoints.
 
     A chain whose covers are labelled (r1 s1), ..., (rm sm) has the
@@ -291,7 +386,8 @@ def _check_alpha(n: int) -> tuple[bool, dict | None]:
     it: exact at every n, in O(edges).  Once every edge agrees, A(top) is
     the conjugator of every maximal chain.
     """
-    diagram = build(n)
+    diagram = run.diagram()
+    n = diagram.n
     bottom = diagram.bottom
     potential = {bottom: tuple(range(1, n + 1))}
     for x in sorted(range(len(diagram.words)), key=diagram.ranks.__getitem__):
@@ -311,7 +407,7 @@ def _check_alpha(n: int) -> tuple[bool, dict | None]:
     return True, None
 
 
-CHECKS: dict[str, Callable[[int], tuple[bool, dict | None]]] = {
+CHECKS: dict[str, Callable[[CheckRun], tuple[bool, dict | None]]] = {
     "grading": _check_grading,
     "eulerian": _check_eulerian,
     "lattice": _check_lattice,
@@ -325,14 +421,23 @@ CHECKS: dict[str, Callable[[int], tuple[bool, dict | None]]] = {
 }
 
 
+def _run(name: str, run: CheckRun) -> CheckReport:
+    start = time.perf_counter()
+    passed, witness = CHECKS[name](run)
+    elapsed = time.perf_counter() - start
+    run.phases["scan"] = elapsed - run.phases["build"] - run.phases["masks"]
+    return CheckReport(name, run.n, passed, witness, run.stats, run.phases, elapsed)
+
+
 def run_check(name: str, n: int) -> CheckReport:
+    """Run one check on its own diagram."""
     if name not in CHECKS:
         raise UnknownCheckError(
             f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
-    start = time.perf_counter()
-    passed, witness = CHECKS[name](n)
-    return CheckReport(name, n, passed, witness, time.perf_counter() - start)
+    return _run(name, CheckRun(n))
 
 
 def run_all(n: int) -> list[CheckReport]:
-    return [run_check(name, n) for name in CHECKS]
+    """Every check in `CHECKS` order, on one order-n diagram."""
+    shared: dict = {}
+    return [_run(name, CheckRun(n, shared)) for name in CHECKS]

@@ -4,13 +4,15 @@ Subcommands: convert, poset, lattice, check, rank, covers, fc, alpha.
 Elements are accepted in any of the three incarnations and detected by
 the leading characters: "(" a cycle, "[[" triangular vector rows, "["
 a window, "{" the JSON object forms {"n":..,"v":..} / {"n":..,"window":..}.
-Exit codes: 0 success, 1 a check failed, 2 usage or parse error.
+Exit codes: 0 success, 1 a check failed, 2 usage or parse error, a
+refused order, or an output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -101,10 +103,10 @@ def _cmd_convert(args) -> int:
     form, v = parse_element(args.element, args.input_form)
     rendered = render_element(v, args.to)
     if args.json:
-        print(json.dumps({"n": v.n, "from": form, "to": args.to,
-                          "value": rendered}))
+        _print(json.dumps({"n": v.n, "from": form, "to": args.to,
+                           "value": rendered}))
     else:
-        print(rendered)
+        _print(rendered)
     return 0
 
 
@@ -118,20 +120,48 @@ def _write_blocks(handle, pieces) -> None:
         handle.write("".join(block))
 
 
-def _cmd_poset(args) -> int:
-    # Build before opening the output, so a refused order leaves no file.
-    diagram = poset.build(args.n)
-    pieces = poset.iter_dot(diagram) if args.format == "dot" else poset.iter_json(diagram)
+def _write(pieces, out: str | None = None) -> None:
+    """The one writer of every subcommand's output: the text pieces, in
+    blocks, to the file `out` or to standard output.  A failure to open,
+    write or flush it (a full disk, a closed pipe) is a CyclatError, so
+    it exits 2 with a diagnostic."""
     try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
                 _write_blocks(handle, pieces)
         else:
             _write_blocks(sys.stdout, pieces)
             sys.stdout.flush()  # a failed write shows here, not at exit
     except OSError as exc:
-        raise CyclatError(f"cannot write {args.out or 'standard output'}: "
+        if not out:
+            _silence_stdout()
+        raise CyclatError(f"cannot write {out or 'standard output'}: "
                           f"{exc.strerror or exc}") from None
+
+
+def _silence_stdout() -> None:
+    """Point the descriptor of standard output at the null device, so
+    that the interpreter's flush at exit drops the text still buffered
+    instead of failing on it a second time (and exiting 120)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor, so nothing is flushed to one
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _print(*lines: str) -> None:
+    """Write each line, and a newline after it, to standard output."""
+    _write(line + "\n" for line in lines)
+
+
+def _cmd_poset(args) -> int:
+    # Build before opening the output, so a refused order leaves no file.
+    diagram = poset.build(args.n)
+    pieces = poset.iter_dot(diagram) if args.format == "dot" else poset.iter_json(diagram)
+    _write(pieces, args.out)
     return 0
 
 
@@ -140,9 +170,9 @@ def _cmd_lattice(args) -> int:
     _, v = parse_element(args.y, args.input_form)
     result = vectors.join(u, v) if args.op == "join" else vectors.meet(u, v)
     if args.json:
-        print(json.dumps({"op": args.op, "result": render_element(result, form)}))
+        _print(json.dumps({"op": args.op, "result": render_element(result, form)}))
     else:
-        print(render_element(result, form))
+        _print(render_element(result, form))
     return 0
 
 
@@ -150,19 +180,18 @@ def _cmd_check(args) -> int:
     reports = (checks.run_all(args.n) if args.name == "all"
                else [checks.run_check(args.name, args.n)])
     if args.json:
-        print(json.dumps([r.to_payload() for r in reports], indent=2))
+        _print(json.dumps([r.to_payload() for r in reports], indent=2))
     else:
-        for r in reports:
-            print(r.human())
+        _print(*(r.human() for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_rank(args) -> int:
     _, v = parse_element(args.element, args.input_form)
     if args.json:
-        print(json.dumps({"rank": v.rank}))
+        _print(json.dumps({"rank": v.rank}))
     else:
-        print(v.rank)
+        _print(str(v.rank))
     return 0
 
 
@@ -179,21 +208,22 @@ def _cmd_covers(args) -> int:
         payload["down"] = [[label.as_pair(), tau.as_text()]
                            for label, tau in covers_down(sigma)]
     if args.json:
-        print(json.dumps(payload))
+        _print(json.dumps(payload))
     else:
+        lines = []
         for direction, items in payload.items():
-            print(f"{direction}:")
-            for (r, s), text in items:
-                print(f"  ({r},{s}) {text}")
+            lines.append(f"{direction}:")
+            lines += [f"  ({r},{s}) {text}" for (r, s), text in items]
+        _print(*lines)
     return 0
 
 
 def _cmd_fc(args) -> int:
     window = affine.interval_top(args.n)
     if args.json:
-        print(json.dumps({"n": args.n, "window": list(window.entries)}))
+        _print(json.dumps({"n": args.n, "window": list(window.entries)}))
     else:
-        print(window.as_text())
+        _print(window.as_text())
     return 0
 
 
@@ -208,10 +238,10 @@ def _cmd_alpha(args) -> int:
     result = poset.path_conjugator(sigma, chain)
     word = ",".join(str(a) for a in result.alpha)
     if args.json:
-        print(json.dumps({"alpha": list(result.alpha),
-                          "labels": [label.as_pair() for label in chain]}))
+        _print(json.dumps({"alpha": list(result.alpha),
+                           "labels": [label.as_pair() for label in chain]}))
     else:
-        print(word)
+        _print(word)
     return 0
 
 

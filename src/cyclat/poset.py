@@ -580,7 +580,7 @@ def shuffle_partition(sigma: CircularPermutation, rank: int) -> Partition:
     return found[0]
 
 
-def check_young_limit(n: int, k: int) -> dict:
+def check_young_limit(diagram: HasseDiagram, k: int) -> dict:
     """Rank-<=k truncation against the partition order (needs n >= 2k).
 
     The shuffle statistic must biject the truncation onto partitions of
@@ -588,9 +588,9 @@ def check_young_limit(n: int, k: int) -> dict:
     up-set mask, cut to the truncation, must be the mask of the elements
     whose partitions contain its own.
     """
+    n = diagram.n
     if n < 2 * k:
         raise CyclatError(f"need n >= 2k, got n={n}, k={k}")
-    diagram = build(n)
     ids = [t for t in range(len(diagram.words)) if diagram.ranks[t] <= k]
     encoding = {t: shuffle_partition(CircularPermutation(diagram.words[t]),
                                      diagram.ranks[t])
@@ -753,9 +753,9 @@ def to_json(diagram: HasseDiagram) -> str:
     return "".join(iter_json(diagram))
 
 
-def grading_report(n: int) -> dict:
-    """Node count, rank image, and per-edge rank increments of build(n)."""
-    diagram = build(n)
+def grading_report(diagram: HasseDiagram) -> dict:
+    """Node count, rank image, and per-edge rank increments of a diagram."""
+    n = diagram.n
     image = sorted(set(diagram.ranks))
     increments_ok = all(diagram.ranks[hi] == diagram.ranks[lo] + 1
                         for lo, hi in zip(diagram.lo, diagram.hi))

@@ -1,13 +1,16 @@
 """The `alpha` check's edge potential against chain enumeration, the
-`interval` check's single pass, and the `lattice` check's claims against
-the bound search."""
+`interval` check's single pass, the `lattice` check's claims against
+the bound search, the `triangulation` check against the direct loops,
+and the diagram `run_all` shares among the checks."""
 
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from cyclat import affine, checks, kernels
+from cyclat import affine, checks, kernels, vectors
+from cyclat.errors import QuadNotFlippableError
 from cyclat.oracle import join_by_search, order_by_closure
 from cyclat.perm import CircularPermutation, word_text
 from cyclat.poset import build, compose_transposition
@@ -186,3 +189,98 @@ class TestLatticeCheck:
         assert not report.passed
         assert report.witness["op"] == "order"
         assert report.witness["pair"][0] == word_text(diagram.words[diagram.lo[k]])
+
+
+def flips(t):
+    """Every flip of t, found by trying `mutate` on every 4-set."""
+    for quad in combinations(range(1, t.n + 1), 4):
+        try:
+            yield vectors.mutate(t, quad)
+        except QuadNotFlippableError:
+            pass
+
+
+class TestTriangulationCheck:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_agrees_with_direct_loops(self, n):
+        vs = [AdmittedVector(n, flat) for flat in build(n).vecs]
+        tris = vectors.all_triangulations(n)
+        for t in tris:
+            for v in vs:
+                assert vectors.triangulation_sum(v, t) == v[1, n]
+        flipped = [f for t in tris for f in flips(t)]
+        assert len(flipped) == len(tris) * (n - 3)  # one per interior diagonal
+        for f in flipped:
+            for v in vs:
+                assert vectors.triangulation_sum(v, f) == v[1, n]
+        report = checks.run_check("triangulation", n)
+        assert report.passed and report.witness is None
+        assert report.stats == {"triangulations": len(tris), "vectors": len(vs)}
+
+    @pytest.mark.parametrize("triple", [(1, 2, 3), (2, 3, 4), (2, 4, 5)])
+    def test_corrupted_delta_fails(self, monkeypatch, triple):
+        # (1, 2, 3) lies in the fan from vertex 1, the other two do not
+        delta = vectors.delta
+
+        def off_by_one(v, i, j, k):
+            return delta(v, i, j, k) + ((i, j, k) == triple)
+
+        monkeypatch.setattr(vectors, "delta", off_by_one)
+        report = checks.run_check("triangulation", 5)
+        assert not report.passed
+        assert set(report.witness) == {"vector", "triangles"}
+        assert triple in report.witness["triangles"]
+
+    def test_flip_that_loses_a_triangle_fails(self, monkeypatch):
+        mutate = vectors.mutate
+
+        def lossy(t, quad):
+            flipped = mutate(t, quad)
+            return SimpleNamespace(n=t.n, triangles=flipped.triangles
+                                   - {max(flipped.triangles)})
+
+        monkeypatch.setattr(vectors, "mutate", lossy)
+        report = checks.run_check("triangulation", 6)
+        assert not report.passed
+        assert report.witness == {"flip": min(checks._flip_quads(
+            vectors.all_triangulations(6)[0]))}
+
+    def test_refused_flip_fails(self, monkeypatch):
+        def refuse(t, quad):
+            raise QuadNotFlippableError("refused")
+
+        monkeypatch.setattr(vectors, "mutate", refuse)
+        report = checks.run_check("triangulation", 5)
+        assert not report.passed and list(report.witness) == ["flip"]
+        assert len(report.witness["flip"]) == 4
+
+
+class TestSharedDiagram:
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_run_all_builds_the_order_once(self, monkeypatch, n):
+        built = []
+
+        def counting_build(order):
+            built.append(order)
+            return build(order)
+
+        monkeypatch.setattr(checks, "build", counting_build)
+        # eulerian builds order n + 1 itself, outside checks.build
+        reports = checks.run_all(n)
+        assert built == [n]
+        assert all(r.passed for r in reports)
+        assert [r.check for r in reports if r.phases["build"]] == ["grading"]
+        assert [r.check for r in reports if r.phases["masks"]] == ["lattice"]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_run_all_matches_run_check(self, n):
+        for shared in checks.run_all(n):
+            alone = checks.run_check(shared.check, n)
+            assert (shared.passed, shared.witness, shared.stats) == \
+                (alone.passed, alone.witness, alone.stats)
+
+    def test_phases_split_elapsed(self):
+        for report in checks.run_all(6):
+            assert list(report.phases) == ["build", "masks", "scan"]
+            assert min(report.phases.values()) >= 0
+            assert sum(report.phases.values()) == pytest.approx(report.elapsed)

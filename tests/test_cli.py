@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -207,17 +208,17 @@ class TestPoset:
         assert export - alone < 1_000_000, (export, alone)
 
 
-# SHA-256 of the `check all n --json` reports with "elapsed" dropped,
-# dumped with sorted keys: any change to a verdict or a witness breaks
-# these.
+# SHA-256 of the `check all n --json` reports with "elapsed" and
+# "phases" dropped, dumped with sorted keys: any change to a verdict, a
+# witness or a count breaks these.
 CHECK_DIGESTS = {
-    1: "88a79e7b3c20ad4e3b4d271cb2505e98ebd1dce68240ecc665a3e31a9a8a9654",
-    2: "100203f80ff59dd39b9af128ba11ac5b33bf4bc48bc45829a459c66b14fd8ce5",
-    3: "44e7119dff98ea466b0b54568d7f58957acf0189b3fce51a072137641dde2e7b",
-    4: "3c3fb64dd59f24f1876d5aa3387506901bde08f6b3546572285f7c38f0e944e2",
-    5: "fffb05745ce387fa0c8749370e4170a2b693bb9b9f635fb539cdbfaf5d55c7fb",
-    6: "d67a6d286bce0ecd60ff64919ab7830c4e12b7c04da0d444784cb927a5fd228a",
-    7: "5dfd95377f64b32511fb9a8413f947e6c4abdd257d251f0ff9648c01223d2850",
+    1: "9a917958c8e3ff4e5d1a76d1971c20e253a32017490de6bbfc6b6c5be5e62de6",
+    2: "c69f4b7d8d0b6f859f0c3ae37b4c7a0e5666cbbb904bd6389fc9224e07ad4ed8",
+    3: "6bd93f782ae27dba4969b152556d89cd4de0d79c123efd13b137d98991d77d36",
+    4: "4f35cc98d6b85b1d52b46da3575f4aee5139c29009d8b6840e775b3978c3c6d4",
+    5: "33e796757354ed8e48bc14badd3a148c47573f2e6c3c83e4e732aeec18ff5238",
+    6: "b5d1fe623a3ac077954f6933bc0e4b6e5c521d97aa68d3a547328110fe811190",
+    7: "9027c1651c98911321a24c2657fb2f921e213b95a3a9b7268813856998a95613",
 }
 
 
@@ -227,7 +228,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "all", str(n), "--json")
         reports = json.loads(out)
         for report in reports:
-            del report["elapsed"]
+            del report["elapsed"], report["phases"]
         text = json.dumps(reports, sort_keys=True)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == CHECK_DIGESTS[n]
@@ -316,12 +317,87 @@ class TestCheck:
         assert code == 1 and err == ""
         assert "[FAIL] lattice n=4" in out and "'op': 'join'" in out
 
+    def test_report_schema(self, capsys, monkeypatch):
+        # {check, n, pass, witness?, stats, phases, elapsed}, in this
+        # order; the witness only where a check pins one or fails
+        from cyclat import checks
+        monkeypatch.setitem(checks.CHECKS, "alpha",
+                            lambda run: (False, {"forced": True}))
+        code, out, _ = run(capsys, "check", "all", "5", "--json")
+        assert code == 1
+        reports = json.loads(out)
+        witnessed = {r["check"]: r["witness"] for r in reports if "witness" in r}
+        assert set(witnessed) == {"modularity", "alpha"}
+        assert witnessed["alpha"] == {"forced": True}
+        for report in reports:
+            keys = ["check", "n", "pass", "witness", "stats", "phases", "elapsed"]
+            if "witness" not in report:
+                keys.remove("witness")
+            assert list(report) == keys
+            assert type(report["check"]) is str and report["n"] == 5
+            assert type(report["pass"]) is bool
+            assert type(report.get("witness", {})) is dict
+            assert type(report["stats"]) is dict
+            assert list(report["phases"]) == ["build", "masks", "scan"]
+            assert all(type(s) is float and s >= 0
+                       for s in [*report["phases"].values(), report["elapsed"]])
+        stats = {r["check"]: r["stats"] for r in reports}
+        assert stats["lattice"] == {"pairs": 576}
+        assert stats["young"] == {"k": 2, "rank_sizes": {"0": 1, "1": 1, "2": 2}}
+        assert stats["triangulation"] == {"triangulations": 5, "vectors": 24}
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from cyclat import checks
         monkeypatch.setitem(checks.CHECKS, "grading",
                             lambda n: (False, {"forced": True}))
         code, out, _ = run(capsys, "check", "grading", "4")
         assert code == 1 and "[FAIL]" in out
+
+
+def run_child(argv, stdout):
+    """`cyclat argv` in a fresh interpreter that imports this `cyclat`,
+    writing to the file descriptor `stdout`; returns (code, stderr)."""
+    import subprocess
+    import sys
+
+    import cyclat
+    paths = [os.path.dirname(os.path.dirname(cyclat.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    out = subprocess.run([sys.executable, "-m", "cyclat.cli", *argv], stdout=stdout,
+                         stderr=subprocess.PIPE, text=True, timeout=120,
+                         env={"PATH": "/usr/bin:/bin",
+                              "PYTHONPATH": os.pathsep.join(paths)})
+    return out.returncode, out.stderr
+
+
+class TestUnwritableStdout:
+    """Every subcommand writes through one writer: an output that cannot
+    be written exits 2 with one diagnostic line, never a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["check", "grading", "5", "--json"],
+                                      ["rank", "(1,3,2,4)"],
+                                      ["poset", "5"]])
+    def test_full_device_exits_two(self, argv):
+        with open("/dev/full", "w") as full:
+            code, err = run_child(argv, full)
+        assert code == 2
+        assert err == "error: cannot write standard output: No space left on device\n"
+
+    @pytest.mark.parametrize("argv", [["check", "all", "6", "--json"],
+                                      ["covers", "(1,3,2,4)"],
+                                      ["poset", "5"]])
+    def test_closed_pipe_exits_two(self, argv):
+        # the reader is gone before the first write, as after `| head -c 10`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = run_child(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert code == 2
+        assert err == "error: cannot write standard output: Broken pipe\n"
 
 
 class TestSmallCommands:

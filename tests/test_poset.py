@@ -516,24 +516,24 @@ class TestTruncations:
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)])
     def test_young_limit(self, n, k):
-        assert check_young_limit(n, k)["pass"]
+        assert check_young_limit(build(n), k)["pass"]
 
     def test_young_limit_compares_masks_not_pairs(self, monkeypatch):
         def leq(self, x, y):
             raise AssertionError("compared a pair of elements")
 
         monkeypatch.setattr(HasseDiagram, "leq", leq)
-        report = check_young_limit(6, 3)
+        report = check_young_limit(build(6), 3)
         assert report["pass"]
         assert report["rank_sizes"] == {0: 1, 1: 1, 2: 2, 3: 3}
 
     def test_young_limit_fails_on_a_wrong_order(self, monkeypatch):
         monkeypatch.setattr(poset, "partition_leq", lambda lam, mu: True)
-        assert not check_young_limit(6, 3)["pass"]
+        assert not check_young_limit(build(6), 3)["pass"]
 
     def test_young_limit_requires_large_order(self):
         with pytest.raises(CyclatError):
-            check_young_limit(6, 4)
+            check_young_limit(build(6), 4)
 
 
 class TestPathConjugator:
@@ -694,4 +694,4 @@ class TestExports:
 class TestGradingReport:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_pass(self, n):
-        assert grading_report(n)["pass"]
+        assert grading_report(build(n))["pass"]
