@@ -194,18 +194,20 @@ def _require_in_interval(f: AffineWindow) -> None:
                 f"entries {a}, {b} must increase by 1 to {n - 1}")
 
 
+def window_counts(f: AffineWindow) -> tuple[int, ...]:
+    """floor((a_j - a_i) / n) over i < j, row-major; no interval check."""
+    a, n = f.entries, f.n
+    return tuple((a[j] - a[i]) // n for i in range(n) for j in range(i + 1, n))
+
+
 def vector_of_window(f: AffineWindow) -> AdmittedVector:
     """Inverse of `window_of_vector`: v[i,j] = floor((a_j - a_i) / n).
 
     Only windows inside the interval are accepted: strictly increasing,
     with every consecutive difference below n.
     """
-    n = f.n
     _require_in_interval(f)
-    a = f.entries
-    flat = tuple((a[j] - a[i]) // n
-                 for i in range(n) for j in range(i + 1, n))
-    return AdmittedVector(n, flat)
+    return AdmittedVector(f.n, window_counts(f))
 
 
 def project(f: AffineWindow) -> CircularPermutation:

@@ -7,10 +7,10 @@ sorted by (lower, upper) index, so exports are byte-for-byte
 reproducible.  `iter_dot` and `iter_json` render the DOT and JSON
 exports as a stream of text pieces, which `cyclat poset` writes out in
 blocks; `to_dot` and `to_json` join the same pieces into one string.
-Everything else queries the diagram: rank grading, Eulerian cover
-statistics, the Moebius function, semidistributivity and modularity
-scans, rank truncations against the partition order, and conjugating
-permutations of upward paths.
+Eulerian cover statistics stream the same cover rows with no diagram;
+everything else queries the diagram: rank grading, the Moebius
+function, semidistributivity and modularity scans, rank truncations
+against the partition order, and conjugators of upward paths.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from cyclat.errors import (
     NotAChainError,
     NotComparableError,
 )
-from cyclat.perm import CircularPermutation, DescentLabel, Word, all_cycles, word_text
+from cyclat.perm import CircularPermutation, DescentLabel, Word, word_text
 
 DEFAULT_MAX_N = 9
 _ENV_CAP = "CYCLAT_MAX_N"
@@ -42,8 +42,8 @@ _ENV_CAP = "CYCLAT_MAX_N"
 def enumeration_cap() -> int:
     """Largest order `build` accepts; override with CYCLAT_MAX_N.
 
-    Memory grows like (n-1)! nodes of n letters plus four ints per
-    edge; the default cap of 9 keeps the diagram around 40320 nodes.
+    It bounds diagram construction: (n-1)! nodes, 40320 at the default
+    of 9.  `eulerian n` builds no diagram and is refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
     """
@@ -235,11 +235,34 @@ class HasseDiagram:
 
 
 def build(n: int) -> HasseDiagram:
-    """Materialize the diagram of order n by direct enumeration.
+    """Materialize the diagram of order n from the rows of `_cover_rows`,
+    with the ranks of `_prefix_ranks`; the edge columns share their int
+    objects with `index`.  Neither calls a kernel, so
+    `oracle.diagram_by_search`, which does, is an independent reference.
+    """
+    refuse_over_cap(n)
+    ids = list(range(factorial(n - 1)))
+    words: list[Word] = []
+    lo: list[int] = []
+    hi: list[int] = []
+    rs: list[int] = []
+    ss: list[int] = []
+    for t, (p, ups) in zip(ids, _cover_rows(n)):
+        words.append((1,) + p)
+        for u, r, s in ups:
+            lo.append(t)
+            hi.append(ids[u])
+            rs.append(r)
+            ss.append(s)
+    return HasseDiagram(n, tuple(words), tuple(_prefix_ranks(n)), tuple(lo),
+                        tuple(hi), tuple(rs), tuple(ss), dict(zip(words, ids)))
 
-    With m = n - 1, node t is the word (1, p_0, ..., p_{m-1}) for the
-    t-th permutation p of 2..n in lexicographic order.  Its Lehmer digit
-    c_j counts the k > j with p_k < p_j, and with the weights
+
+def _cover_rows(n: int) -> Iterator[tuple[Word, list[tuple[int, int, int]]]]:
+    """(p, ups) for node t = 0, 1, ... of order n: its word (1, p_0, ...,
+    p_{m-1}), m = n - 1, for the t-th permutation p of 2..n in
+    lexicographic order, and its covers (upper id, r, s) by upper id.
+    The Lehmer digit c_j of p counts the k > j with p_k < p_j, and with
     G[j] = (m-1-j)! and G[m] = 0, t = sum of c_j G[j].  The codes come
     from `itertools.product`, in the same order as the permutations, so
     every cover id is arithmetic on the digits of the lower node:
@@ -253,13 +276,7 @@ def build(n: int) -> HasseDiagram:
       arrangements of the letters other than 1 and s, which is the
       number of earlier nodes ending in s; a running count per last
       letter gives it in O(1).
-
-    Each node's covers go to the edge columns in upper-id order, and
-    the columns hold the same int objects as `index`.  Ranks come from
-    `_prefix_ranks`.  Neither uses a kernel; `oracle.diagram_by_search`
-    rebuilds the diagram from the kernels as an independent reference.
     """
-    refuse_over_cap(n)
     m = n - 1
     weight = [factorial(m - 1 - j) for j in range(m)] + [0]  # G above
     # drop[j][d]: t minus the id of the internal cover at j, d = c_j - c_{j+1}
@@ -267,16 +284,9 @@ def build(n: int) -> HasseDiagram:
             for j in range(m - 1)]
     # wrap[s]: the id of the next wrap-around cover of a node ending in s
     wrap = [(s - 2) * weight[0] for s in range(n + 1)]
-    ids = list(range(factorial(m)))
-    words: list[Word] = []
-    lo: list[int] = []
-    hi: list[int] = []
-    rs: list[int] = []
-    ss: list[int] = []
     factors = range(m - 1)
     codes = product(*(range(m - j) for j in range(m)))
-    for t, p, c in zip(ids, permutations(range(2, n + 1)), codes):
-        words.append((1,) + p)
+    for t, (p, c) in enumerate(zip(permutations(range(2, n + 1)), codes)):
         # a swap at a later factor keeps more of p, so these ids ascend
         ups = [(t - drop[j][c[j] - c[j + 1]], p[j + 1], p[j])
                for j in factors if p[j] > p[j + 1] + 1]
@@ -285,13 +295,7 @@ def build(n: int) -> HasseDiagram:
             ups.append((wrap[s], 1, s))
             wrap[s] += 1
             ups.sort()
-        for u, r, s in ups:
-            lo.append(t)
-            hi.append(ids[u])
-            rs.append(r)
-            ss.append(s)
-    return HasseDiagram(n, tuple(words), tuple(_prefix_ranks(n)), tuple(lo),
-                        tuple(hi), tuple(rs), tuple(ss), dict(zip(words, ids)))
+        yield p, ups
 
 
 def _prefix_ranks(n: int) -> list[int]:
@@ -338,37 +342,31 @@ def eulerian_row(n: int) -> tuple[int, ...]:
     return tuple(eulerian(n, k) for k in range(max(n, 1)))
 
 
-def descent_histogram(n: int) -> dict[int, int]:
-    """Histogram of large-circular-descent counts over cycles in S_{n+1}."""
-    hist: dict[int, int] = {}
-    for sigma in all_cycles(n + 1):
-        d = kernels.descent_count(sigma.canon)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
 def verify_descent_distribution(n: int) -> dict:
     """Check the cover statistics of the order on cycles in S_{n+1}.
 
-    The descent histogram must equal the Eulerian row a(n, .); the number
-    of elements with k covers above, read off the built diagram, must be
-    a(n, k) as well; the edge total must be sum k * a(n, k).
+    One pass of `_cover_rows(n + 1)`, with no diagram, counts each cycle's
+    covers above and `kernels.descent_count`: both histograms must equal
+    the Eulerian row a(n, .), and the edge total sum k * a(n, k).
     """
-    diagram = build(n + 1)  # first, so the cap refuses n before any enumeration
+    refuse_over_cap(n or 1)  # the cap holds n itself; n = 0 streams order 1
     row = {k: eulerian(n, k) for k in range(max(n, 1)) if eulerian(n, k)}
-    hist = descent_histogram(n)
+    hist: dict[int, int] = {}
     updeg: dict[int, int] = {}
-    for above in diagram.up:
-        updeg[len(above)] = updeg.get(len(above), 0) + 1
+    edges = 0
+    for p, ups in _cover_rows(n + 1):
+        d = kernels.descent_count((1,) + p)
+        hist[d] = hist.get(d, 0) + 1
+        updeg[len(ups)] = updeg.get(len(ups), 0) + 1
+        edges += len(ups)
     edge_total = sum(k * a for k, a in row.items())
-    ok = hist == row and updeg == row and len(diagram.lo) == edge_total
     return {
         "n": n,
-        "pass": ok,
+        "pass": hist == row and updeg == row and edges == edge_total,
         "eulerian_row": row,
         "descent_histogram": hist,
         "cover_histogram": updeg,
-        "edges": len(diagram.lo),
+        "edges": edges,
         "expected_edges": edge_total,
     }
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cyclat import affine, checks, kernels, vectors
+from cyclat import affine, checks, kernels, perm, poset, vectors
 from cyclat.errors import QuadNotFlippableError
 from cyclat.oracle import join_by_search, order_by_closure
 from cyclat.perm import CircularPermutation, word_text
@@ -107,6 +107,18 @@ class TestIntervalPass:
         monkeypatch.setattr(affine, "weak_leq", compare_anyway)
         assert checks.run_check("interval", 6).passed
 
+    def test_admits_each_element_once(self, monkeypatch):
+        admitted = []
+        post_init = AdmittedVector.__post_init__
+
+        def counting_post_init(v):
+            admitted.append(v.flat)
+            post_init(v)
+
+        monkeypatch.setattr(AdmittedVector, "__post_init__", counting_post_init)
+        assert checks.run_check("interval", 6).passed
+        assert len(admitted) == 120
+
     def test_wrong_window_fails_at_window_roundtrip(self, monkeypatch):
         # the top cycle gets the identity window, which lies in the
         # interval but maps back to the zero vector
@@ -124,6 +136,21 @@ class TestIntervalPass:
         assert not report.passed
         assert report.witness == {"stage": "window roundtrip",
                                   "cycle": top.as_text()}
+
+
+class TestEulerianStream:
+    @pytest.mark.parametrize("n", range(8))
+    def test_builds_and_enumerates_no_cycle(self, monkeypatch, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eulerian built a diagram or a cycle")
+
+        monkeypatch.setattr(poset, "build", forbidden)
+        monkeypatch.setattr(checks, "build", forbidden)
+        monkeypatch.setattr(perm, "all_cycles", forbidden)
+        monkeypatch.setattr(checks, "all_cycles", forbidden)
+        monkeypatch.setattr(CircularPermutation, "__post_init__", forbidden)
+        report = checks.run_check("eulerian", n)
+        assert report.passed and report.witness is None
 
 
 def without_edge(diagram, k):
@@ -265,7 +292,7 @@ class TestSharedDiagram:
             return build(order)
 
         monkeypatch.setattr(checks, "build", counting_build)
-        # eulerian builds order n + 1 itself, outside checks.build
+        # eulerian streams order n + 1 and builds no diagram
         reports = checks.run_all(n)
         assert built == [n]
         assert all(r.passed for r in reports)

@@ -253,15 +253,34 @@ class TestCheck:
         assert code == 2 and "unknown check" in err
 
     def test_cap_refused_before_enumeration(self, capsys, monkeypatch):
-        from cyclat import poset
+        from cyclat import oracle, poset
 
         def enumerate_anyway(n):
-            raise AssertionError(f"enumerated cycles of S_{n + 1}")
+            raise AssertionError(f"enumerated order {n}")
 
-        monkeypatch.setattr(poset, "descent_histogram", enumerate_anyway)
+        monkeypatch.setattr(poset, "_cover_rows", enumerate_anyway)
+        monkeypatch.setattr(oracle, "descents_by_scan", enumerate_anyway)
         code, out, err = run(capsys, "check", "eulerian", "10")
         assert code == 2 and out == ""
-        assert "order 11 exceeds the cap 9" in err
+        assert "order 10 exceeds the cap 9" in err
+
+    def test_eulerian_streams_one_order_above_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLAT_MAX_N", "4")
+        code, out, _ = run(capsys, "check", "eulerian", "4")
+        assert code == 0 and "[PASS] eulerian n=4" in out
+        code, out, err = run(capsys, "check", "eulerian", "5")
+        assert code == 2 and out == ""
+        assert "order 5 exceeds the cap 4" in err
+
+    def test_check_all_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLAT_MAX_N", "4")
+        code, out, _ = run(capsys, "check", "all", "4")
+        assert code == 0
+        assert out.count("[PASS]") == 10
+
+    def test_eulerian_order_zero_passes(self, capsys):
+        code, out, _ = run(capsys, "check", "eulerian", "0")
+        assert code == 0 and "[PASS] eulerian n=0" in out
 
     @pytest.mark.parametrize("name", ["grading", "eulerian", "lattice", "mobius",
                                       "semidistributive", "modularity", "young",

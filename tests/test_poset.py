@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclat import kernels, poset
+from cyclat import kernels, oracle, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
 from cyclat.perm import CircularPermutation, DescentLabel, complement, invert, word_text
 from cyclat.poset import (
@@ -21,7 +21,6 @@ from cyclat.poset import (
     check_semidistributive,
     compare,
     conjugator_formula,
-    descent_histogram,
     eulerian,
     eulerian_row,
     grading_report,
@@ -220,7 +219,7 @@ class TestEulerian:
 
 class TestDescentDistribution:
     def test_histogram_small(self):
-        assert descent_histogram(3) == {0: 1, 1: 4, 2: 1}
+        assert verify_descent_distribution(3)["descent_histogram"] == {0: 1, 1: 4, 2: 1}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_distribution_report_passes(self, n):
@@ -228,8 +227,19 @@ class TestDescentDistribution:
         assert report["pass"], report
 
     def test_row_five(self):
-        hist = descent_histogram(5)
+        hist = verify_descent_distribution(5)["descent_histogram"]
         assert [hist[k] for k in range(5)] == [1, 26, 66, 26, 1]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_streamed_counts_match_the_diagram(self, n):
+        report = verify_descent_distribution(n)
+        diagram = build(n + 1)
+        updeg = {}
+        for above in diagram.up:
+            updeg[len(above)] = updeg.get(len(above), 0) + 1
+        assert report["cover_histogram"] == updeg
+        assert report["edges"] == len(diagram.lo)
+        assert report["descent_histogram"] == oracle.descents_by_scan(n)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_irreducible_counts(self, n):
