@@ -2,8 +2,9 @@
 
 Subcommands: convert, poset, lattice, check, rank, covers, fc, alpha.
 Elements are accepted in any of the three incarnations and detected by
-the leading characters: "(" a cycle, "[[" triangular vector rows, "["
-a window, "{" the JSON object forms {"n":..,"v":..} / {"n":..,"window":..}.
+the leading characters: "(" a cycle, "[[" triangular vector rows (and
+"[]", the vector of order 1), "[" a window, "{" the JSON object forms
+{"n":..,"v":..} / {"n":..,"window":..}.
 Exit codes: 0 success, 1 a check failed, 2 usage or parse error, a
 refused order, or an output that cannot be written.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from itertools import islice
 
@@ -39,8 +41,8 @@ def detect_form(body: str, payload: dict | None) -> str:
     object when the text is one."""
     if body.startswith("("):
         return "cycle"
-    if body.startswith("[["):
-        return "vector"
+    if body.startswith("[[") or re.fullmatch(r"\[[ \t\n\r]*\]", body):
+        return "vector"  # an empty window is never valid: [] is order 1's vector
     if payload is not None:
         if "v" in payload:
             return "vector"
@@ -158,10 +160,9 @@ def _print(*lines: str) -> None:
 
 
 def _cmd_poset(args) -> int:
-    # Build before opening the output, so a refused order leaves no file.
-    diagram = poset.build(args.n)
-    pieces = poset.iter_dot(diagram) if args.format == "dot" else poset.iter_json(diagram)
-    _write(pieces, args.out)
+    # Streamed with no diagram; export_pieces refuses the order before
+    # the output is opened, so a refused order leaves no file.
+    _write(poset.export_pieces(args.n, args.format), args.out)
     return 0
 
 

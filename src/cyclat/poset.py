@@ -4,11 +4,13 @@
 canonical word (1, p) with p running over the permutations of 2..n in
 lexicographic order, and the covers are held as flat edge columns
 sorted by (lower, upper) index, so exports are byte-for-byte
-reproducible.  `iter_dot` and `iter_json` render the DOT and JSON
-exports as a stream of text pieces, which `cyclat poset` writes out in
-blocks; `to_dot` and `to_json` join the same pieces into one string.
-Eulerian cover statistics stream the same cover rows with no diagram;
-everything else queries the diagram: rank grading, the Moebius
+reproducible.  One serializer per format renders the DOT and JSON
+exports as text pieces from the words, ranks and edge rows: `to_dot`
+and `to_json` read them from a built diagram's columns, and
+`export_pieces`, which `cyclat poset` writes out in blocks, reads them
+from the enumeration and the cover rows, with no diagram.  Eulerian
+cover statistics stream the same cover rows; everything else queries
+the diagram: rank grading, the Moebius
 function, semidistributivity and modularity scans, rank truncations
 against the partition order, and conjugators of upward paths.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -691,38 +694,59 @@ def _label_format(n: int) -> str:
     return "(" + ",".join(["%d"] * n) + ")"
 
 
-def iter_dot(diagram: HasseDiagram) -> Iterator[str]:
-    """The Graphviz rendering of `to_dot`, as text pieces in order.
-
-    Each piece is one or more whole lines; the pieces are formatted as
-    they are drawn, so a caller that writes them out in blocks never
-    holds the whole text.
-    """
-    by_rank: dict[int, list[int]] = {}
-    for t, rank in enumerate(diagram.ranks):
-        by_rank.setdefault(rank, []).append(t)
+def _dot_pieces(n: int, words: Iterable[Word], ranks: Iterable[int],
+                edges: Iterable[tuple[int, int, int, int]]) -> Iterator[str]:
+    """The text of `to_dot` for a diagram given as its order, its words
+    and ranks in id order and its edge rows (lo, hi, r, s), as pieces of
+    one or more whole lines.  Only the rank groups are held; the rest is
+    formatted as it is drawn from the inputs."""
+    by_rank: dict[int, array] = {}  # machine ints: 8 bytes a node, not 36
+    for t, rank in enumerate(ranks):
+        by_rank.setdefault(rank, array("q")).append(t)
     return chain(
-        ("digraph CP%d {\n  rankdir=BT;\n  node [shape=box];\n" % diagram.n,),
+        ("digraph CP%d {\n  rankdir=BT;\n  node [shape=box];\n" % n,),
         map('  n%d [label="%s"];\n'.__mod__,
-            enumerate(map(_label_format(diagram.n).__mod__, diagram.words))),
+            enumerate(map(_label_format(n).__mod__, words))),
         ("  { rank=same; " + "; ".join(map("n%d".__mod__, by_rank[rank])) + "; }\n"
          for rank in sorted(by_rank)),
-        map('  n%d -> n%d [label="(%d,%d)"];\n'.__mod__,
-            zip(diagram.lo, diagram.hi, diagram.r, diagram.s)),
+        map('  n%d -> n%d [label="(%d,%d)"];\n'.__mod__, edges),
         ("}\n",))
 
 
-def iter_json(diagram: HasseDiagram) -> Iterator[str]:
-    """The JSON rendering of `to_json`, as text pieces in order; see
-    `iter_dot` for how they are meant to be written."""
+def _json_pieces(n: int, words: Iterable[Word], ranks: Iterable[int],
+                 edges: Iterable[tuple[int, int, int, int]]) -> Iterator[str]:
+    """The text of `to_json`, from the inputs of `_dot_pieces`, as pieces
+    formatted as they are drawn."""
     return chain(
         ('{"edges":[',),
-        _listed(",[%d,%d,[%d,%d]]", zip(diagram.lo, diagram.hi, diagram.r, diagram.s)),
-        ('],"n":%d,"nodes":[' % diagram.n,),
-        _listed(',"' + _label_format(diagram.n) + '"', diagram.words),
+        _listed(",[%d,%d,[%d,%d]]", edges),
+        ('],"n":%d,"nodes":[' % n,),
+        _listed(',"' + _label_format(n) + '"', words),
         ('],"ranks":[',),
-        _listed(",%d", diagram.ranks),
+        _listed(",%d", ranks),
         ("]}\n",))
+
+
+def _columns(diagram: HasseDiagram):
+    """The serializer inputs of a built diagram."""
+    return (diagram.n, diagram.words, diagram.ranks,
+            zip(diagram.lo, diagram.hi, diagram.r, diagram.s))
+
+
+def export_pieces(n: int, fmt: str) -> Iterator[str]:
+    """The text of `to_dot(build(n))` (fmt "dot") or `to_json(build(n))`
+    (fmt "json") as pieces, straight from the enumeration with no
+    diagram: the words from `permutations`, the ranks from
+    `_prefix_ranks` and the edge rows from `_cover_rows`, each drawn as
+    its section is written, so only the ranks are held.  The order is
+    refused here, before the first piece is asked for.
+    """
+    refuse_over_cap(n)
+    words = map((1,).__add__, permutations(range(2, n + 1)))
+    edges = ((t, u, r, s) for t, (_, ups) in enumerate(_cover_rows(n))
+             for u, r, s in ups)
+    serializer = _dot_pieces if fmt == "dot" else _json_pieces
+    return serializer(n, words, _prefix_ranks(n), edges)
 
 
 def to_dot(diagram: HasseDiagram) -> str:
@@ -731,10 +755,9 @@ def to_dot(diagram: HasseDiagram) -> str:
     Lines, each ending in a newline: the header, one `nT [label=...]`
     line per node in id order, one `{ rank=same; ... }` line per rank in
     ascending order listing its nodes in id order, one `nLO -> nHI
-    [label="(r,s)"]` line per edge in column order, and "}".  The text
-    is the join of `iter_dot`.
+    [label="(r,s)"]` line per edge in column order, and "}".
     """
-    return "".join(iter_dot(diagram))
+    return "".join(_dot_pieces(*_columns(diagram)))
 
 
 def to_json(diagram: HasseDiagram) -> str:
@@ -743,12 +766,12 @@ def to_json(diagram: HasseDiagram) -> str:
     The text is `json.dumps(payload, sort_keys=True,
     separators=(",", ":"))` plus a newline, for the payload with keys
     "edges" ([lo, hi, [r, s]] per edge), "n", "nodes" (the `word_text`
-    of each word) and "ranks".  It is the join of `iter_json`, which
-    writes that text directly: every value is an int, a list or a node
-    label, and a label holds only ASCII digits, commas and parentheses,
-    so no string needs escaping.
+    of each word) and "ranks".  `_json_pieces` writes that text
+    directly: every value is an int, a list or a node label, and a label
+    holds only ASCII digits, commas and parentheses, so no string needs
+    escaping.
     """
-    return "".join(iter_json(diagram))
+    return "".join(_json_pieces(*_columns(diagram)))
 
 
 def grading_report(diagram: HasseDiagram) -> dict:
