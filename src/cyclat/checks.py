@@ -39,9 +39,9 @@ class CheckReport:
     `witness` is set only on a failure, or where the check pins one (the
     modularity quadruple from n = 5 on).  `stats` counts what was
     checked, and `phases` splits `elapsed` into the seconds spent
-    building the diagram, computing its vectors' threshold masks and
-    scanning; a check that read a diagram built by an earlier check of
-    the same `run_all` spends no time building it.
+    building the diagram, computing its vector columns and their
+    threshold masks, and scanning; a check that read a diagram built by
+    an earlier check of the same `run_all` spends no time building it.
     """
 
     check: str
@@ -85,8 +85,8 @@ class CheckRun:
     phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_PHASES, 0.0))
 
     def diagram(self, masks: bool = False) -> poset.HasseDiagram:
-        """The order-n diagram; with `masks`, its `vecs` and threshold
-        masks computed as well."""
+        """The order-n diagram; with `masks`, its vector columns and
+        threshold masks computed as well."""
         if "diagram" not in self.shared:
             start = time.perf_counter()
             self.shared["diagram"] = build(self.n)
@@ -94,7 +94,7 @@ class CheckRun:
         diagram = self.shared["diagram"]
         if masks and "masks" not in self.shared:
             start = time.perf_counter()
-            # cached on the diagram; computing them computes `vecs` first
+            # cached on the diagram, read off its columns; no `vecs`
             self.shared["masks"] = diagram.at_least, diagram.at_most
             self.phases["masks"] += time.perf_counter() - start
         return diagram

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -117,16 +117,23 @@ class HasseDiagram:
     words[t] is the canonical word of node t, sorted lexicographically;
     ranks[t] grades node t.  Edge k runs from node lo[k] up to node hi[k]
     and is labelled (r[k], s[k]); edges are sorted by (lo, hi).  The
-    object views (nodes, edges, vecs, vec_index, up, down) are built on
-    first use and never mutated.  The order and the lattice operations
-    (leq, join, meet, above) take and return node ids.
+    views (nodes, edges, columns, vecs, vec_index, up, down, at_least,
+    at_most) are built on first use and never mutated.  The order and
+    the lattice operations (leq, join, meet, above) take and return node
+    ids.
 
-    The order is componentwise on `vecs`, an intersection of one chain
-    per coordinate, so it is held as threshold masks: for each
-    coordinate c and value v, the nodes with coordinate c at least v
-    (`at_least`) and at most v (`at_most`), as bitmasks over node ids.
-    The up-set of a node is the AND of C(n, 2) such masks
-    (`above_mask`), and its down-set likewise (`below_mask`).
+    The words are always the (n-1)! canonical words in lexicographic
+    order, so the vectors depend on n alone: `columns` holds coordinate
+    c of every node as one byte per node, from `_vector_columns(n)`, and
+    `vecs` is its transpose, the vector of each node as a tuple, built
+    only for the kernels and `vec_index` (leq, join, meet).
+
+    The order is componentwise on the vectors, an intersection of one
+    chain per coordinate, so it is held as threshold masks read off the
+    columns: for each coordinate c and value v, the nodes with
+    coordinate c at least v (`at_least`) and at most v (`at_most`), as
+    bitmasks over node ids.  The up-set of a node is the AND of C(n, 2)
+    such masks (`above_mask`), and its down-set likewise (`below_mask`).
     """
 
     n: int
@@ -139,6 +146,9 @@ class HasseDiagram:
     index: dict[Word, int] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.n < 1 or len(self.words) != factorial(self.n - 1):
+            raise CyclatError(f"{len(self.words)} words for order {self.n}; "
+                              "a diagram holds all (n-1)! canonical words")
         if len(self.ranks) != len(self.words):
             raise CyclatError(f"{len(self.ranks)} ranks for {len(self.words)} nodes")
         if not len(self.lo) == len(self.hi) == len(self.r) == len(self.s):
@@ -154,8 +164,17 @@ class HasseDiagram:
                      for a, b, r, s in zip(self.lo, self.hi, self.r, self.s))
 
     @cached_property
+    def columns(self) -> tuple[bytes, ...]:
+        """columns[c][t]: coordinate c, in row-major pair order, of the
+        vector of node t."""
+        return _vector_columns(self.n)
+
+    @cached_property
     def vecs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(kernels.word_vector(w) for w in self.words)
+        """vecs[t]: the flat vector of node t, `word_vector(words[t])`."""
+        if not self.columns:  # n = 1: one node, with the empty vector
+            return ((),) * len(self.words)
+        return tuple(zip(*self.columns))
 
     @cached_property
     def up(self) -> tuple[tuple[int, ...], ...]:
@@ -190,28 +209,30 @@ class HasseDiagram:
     def at_least(self) -> tuple[tuple[int, ...], ...]:
         """at_least[c][v]: the mask of the nodes whose coordinate c is >= v."""
         return tuple(tuple(accumulate(reversed(_value_masks(column)), or_))[::-1]
-                     for column in zip(*self.vecs))
+                     for column in self.columns)
 
     @cached_property
     def at_most(self) -> tuple[tuple[int, ...], ...]:
-        """at_most[c][v]: the mask of the nodes whose coordinate c is <= v."""
-        return tuple(tuple(accumulate(_value_masks(column), or_))
-                     for column in zip(*self.vecs))
+        """at_most[c][v]: the mask of the nodes whose coordinate c is <= v,
+        the complement of at_least[c][v + 1]."""
+        every = (1 << len(self.words)) - 1
+        return tuple(tuple(every ^ mask for mask in masks[1:]) + (every,)
+                     for masks in self.at_least)
 
     def above_mask(self, x: int) -> int:
         """Bit z set iff x <= z: the componentwise order is the AND over
         the coordinates c of the nodes at least as high as x in c."""
         mask = (1 << len(self.words)) - 1
-        for masks, v in zip(self.at_least, self.vecs[x]):
-            if v:  # masks[0] holds every node
+        for masks, column in zip(self.at_least, self.columns):
+            if v := column[x]:  # masks[0] holds every node
                 mask &= masks[v]
         return mask
 
     def below_mask(self, y: int) -> int:
         """Bit z set iff z <= y, as `above_mask` with the <= masks."""
         mask = (1 << len(self.words)) - 1
-        for masks, v in zip(self.at_most, self.vecs[y]):
-            if v < len(masks) - 1:  # masks[-1] holds every node
+        for masks, column in zip(self.at_most, self.columns):
+            if (v := column[y]) < len(masks) - 1:  # masks[-1] holds every node
                 mask &= masks[v]
         return mask
 
@@ -309,20 +330,62 @@ def _prefix_ranks(n: int) -> list[int]:
     for each b in P above a (the inversion b..a) and a(n - a) if a + 1
     is in P (the adjacent inversion a+1..a).  The ranks below a prefix
     depend only on its set P, so `below[P]` lists them once per set, in
-    lexicographic order of the completions; a superset of P is a larger
-    bitmask, so it is filled first.
+    lexicographic order of the completions.  below[P] is read by the
+    sets with one letter of P other than 1 removed.  The sets are filled
+    by decreasing size, so every list a set reads is filled before it,
+    and each list is dropped at its last reading: about two sizes of
+    sets are held at once.
     """
     below: dict[int, list[int]] = {}
-    for rest in reversed(range(1 << (n - 1))):
+    unread: dict[int, int] = {}  # readers of below[P] still to fill
+    for rest in sorted(range(1 << (n - 1)), key=int.bit_count, reverse=True):
         placed = rest << 2 | 2  # bit a is letter a; 1 is always placed
         ranks: list[int] = []
         for a in range(2, n + 1):
             if not placed >> a & 1:
                 higher = placed >> (a + 1)
                 step = (a * (n - a) if higher & 1 else 0) - higher.bit_count()
-                ranks += [step + x for x in below[placed | 1 << a]]
+                child = placed | 1 << a
+                unread[child] -= 1
+                ranks += [step + x for x in
+                          (below[child] if unread[child] else below.pop(child))]
         below[placed] = ranks or [0]  # every letter placed: the word itself
+        unread[placed] = rest.bit_count()
     return below[2]
+
+
+def _vector_columns(n: int) -> tuple[bytes, ...]:
+    """The coordinate columns of the vectors of the canonical words of
+    order n, in lexicographic order: for each pair (i, j), 1 <= i < j <= n,
+    in row-major order, one byte per node, v[i,j] of node t at [t].
+
+    v[i,j] = S[j] - S[i] - B(i, j), with B(i, j) = [j before i] and S[j]
+    the sum of B(k, k+1) over k < j.  Letter 1 comes first, so B(1, j)
+    is 0.  Over the permutations of m letters in lexicographic order,
+    B of the letters of ranks a < b is a block per first letter: all 0
+    under a, all 1 under b, and under any other letter the same column
+    on the m - 1 letters left, so each size's columns are joined from
+    the previous size's.  The sums run on whole columns read as integers,
+    one byte a digit: 0 <= v[i,j] <= n - 2, so no digit carries or
+    borrows.
+    """
+    blocks: dict[tuple[int, int], bytes] = {}  # B by the ranks a < b, m letters
+    for m in range(2, n):
+        zeros, ones = bytes(factorial(m - 1)), b"\1" * factorial(m - 1)
+        blocks = {(a, b): b"".join(zeros if x == a else ones if x == b
+                                   else blocks[a - (x < a), b - (x < b)]
+                                   for x in range(m))
+                  for a, b in combinations(range(m), 2)}
+
+    def bit(i: int, j: int) -> int:
+        return 0 if i == 1 else int.from_bytes(blocks[i - 2, j - 2], "big")
+
+    sums = [0, 0]  # sums[j] = S[j], from j = 1
+    for k in range(1, n):
+        sums.append(sums[k] + bit(k, k + 1))
+    size = factorial(n - 1)
+    return tuple((sums[j] - sums[i] - bit(i, j)).to_bytes(size, "big")
+                 for i in range(1, n) for j in range(i + 1, n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -3,13 +3,15 @@ lattice laws, truncations, and path conjugators."""
 
 import hashlib
 import json
-from itertools import product
+import tracemalloc
+from itertools import accumulate, product
 from math import factorial
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclat import kernels, oracle, poset
+from cyclat import checks, kernels, oracle, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
 from cyclat.perm import CircularPermutation, DescentLabel, complement, invert, word_text
 from cyclat.poset import (
@@ -102,6 +104,17 @@ class TestBuild:
         with pytest.raises(CyclatError):
             HasseDiagram(4, d.words, d.ranks[1:], d.lo, d.hi, d.r, d.s, d.index)
 
+    def test_word_count_must_be_the_order_factorial(self):
+        # the vector columns depend on n alone: they hold only for all
+        # (n-1)! canonical words
+        d = build(4)
+        with pytest.raises(CyclatError):
+            HasseDiagram(4, d.words[1:], d.ranks[1:], d.lo, d.hi, d.r, d.s, d.index)
+        with pytest.raises(CyclatError):
+            HasseDiagram(5, d.words, d.ranks, d.lo, d.hi, d.r, d.s, d.index)
+        with pytest.raises(CyclatError):
+            HasseDiagram(0, ((),), (0,), (), (), (), (), {})
+
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "3")
         with pytest.raises(CapExceededError):
@@ -193,6 +206,60 @@ class TestLehmerBuild:
         monkeypatch.setattr(kernels, "word_covers_up", refuse)
         diagram = build(n)
         assert len(diagram.words) == len(diagram.ranks) == factorial(n - 1)
+
+
+class TestVectorColumns:
+    """`HasseDiagram.columns` comes from the lexicographic enumeration,
+    not from one `word_vector` call per node."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_vecs_are_the_word_vectors(self, n):
+        diagram = build(n)
+        assert len(diagram.columns) == n * (n - 1) // 2
+        assert all(len(column) == factorial(n - 1) for column in diagram.columns)
+        assert diagram.vecs == tuple(kernels.word_vector(w) for w in diagram.words)
+        assert all(type(v) is tuple and all(type(x) is int for x in v)
+                   for v in diagram.vecs)
+
+    def test_degenerate_orders(self):
+        assert build(1).columns == () and build(1).vecs == ((),)
+        assert build(2).columns == (b"\0",) and build(2).vecs == ((0,),)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_masks_match_the_masks_of_the_word_vectors(self, n):
+        diagram = build(n)
+        vecs = tuple(kernels.word_vector(w) for w in diagram.words)
+        at_least = tuple(tuple(accumulate(reversed(poset._value_masks(column)), or_))[::-1]
+                         for column in zip(*vecs))
+        at_most = tuple(tuple(accumulate(poset._value_masks(column), or_))
+                        for column in zip(*vecs))
+        assert diagram.at_least == at_least
+        assert diagram.at_most == at_most
+
+    @pytest.mark.parametrize("name", ["semidistributive", "young", "lattice"])
+    def test_checks_call_no_word_vector(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("computed a vector per node")
+
+        monkeypatch.setattr(kernels, "word_vector", refuse)
+        assert build(6).at_least
+        if name != "lattice":  # the lattice check's joins read vecs
+            monkeypatch.setattr(HasseDiagram, "vecs", property(refuse))
+        assert checks.run_check(name, 6).passed
+
+
+class TestPrefixRanks:
+    def test_peak_memory_is_near_the_result(self):
+        # dropping each set's list at its last reading peaks at about
+        # 1.2x the result at n = 9; holding every list to the end, 2.7x
+        tracemalloc.start()
+        try:
+            ranks = poset._prefix_ranks(9)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ranks) == factorial(8)
+        assert peak <= 1.6 * result
 
 
 class TestEulerian:
