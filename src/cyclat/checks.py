@@ -86,7 +86,7 @@ class CheckRun:
 
     def diagram(self, masks: bool = False) -> poset.HasseDiagram:
         """The order-n diagram; with `masks`, its vector columns and
-        threshold masks computed as well."""
+        `at_least` threshold masks computed as well."""
         if "diagram" not in self.shared:
             start = time.perf_counter()
             self.shared["diagram"] = build(self.n)
@@ -95,7 +95,7 @@ class CheckRun:
         if masks and "masks" not in self.shared:
             start = time.perf_counter()
             # cached on the diagram, read off its columns; no `vecs`
-            self.shared["masks"] = diagram.at_least, diagram.at_most
+            self.shared["masks"] = diagram.at_least
             self.phases["masks"] += time.perf_counter() - start
         return diagram
 
@@ -116,7 +116,7 @@ def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
 
 def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     diagram = run.diagram()
-    for x in range(len(diagram.words)):
+    for x in range(len(diagram.ranks)):
         mu = poset.mobius_from(diagram, x)
         bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
         if bad:
@@ -159,7 +159,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     failure = _cover_failure(diagram)
     if failure:
         return False, failure
-    size = len(diagram.words)
+    size = len(diagram.ranks)
     if size <= 120:
         count, pairs = size * size, product(range(size), repeat=2)
         up_set = [diagram.above_mask(t) for t in range(size)].__getitem__
@@ -389,7 +389,7 @@ def _check_alpha(run: CheckRun) -> tuple[bool, dict | None]:
     n = diagram.n
     bottom = diagram.bottom
     potential = {bottom: tuple(range(1, n + 1))}
-    for x in sorted(range(len(diagram.words)), key=diagram.ranks.__getitem__):
+    for x in sorted(range(len(diagram.ranks)), key=diagram.ranks.__getitem__):
         for k in diagram.edges_above(x):
             y = diagram.hi[k]
             alpha = poset.compose_transposition(potential[x], diagram.r[k],

@@ -72,7 +72,7 @@ class ClosureOrder:
 
 def order_by_closure(diagram: HasseDiagram) -> ClosureOrder:
     """The order as the reflexive-transitive closure of the edges."""
-    size = len(diagram.words)
+    size = len(diagram.ranks)
     succ = [[] for _ in range(size)]
     pred = [[] for _ in range(size)]
     for lo, hi in zip(diagram.lo, diagram.hi):

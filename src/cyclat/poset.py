@@ -21,7 +21,7 @@ import os
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, permutations, product
@@ -114,49 +114,57 @@ def compare(sigma: CircularPermutation, tau: CircularPermutation) -> Comparison:
 class HasseDiagram:
     """Labelled cover graph of the order for one n, held as columns.
 
-    words[t] is the canonical word of node t, sorted lexicographically;
-    ranks[t] grades node t.  Edge k runs from node lo[k] up to node hi[k]
-    and is labelled (r[k], s[k]); edges are sorted by (lo, hi).  The
-    views (nodes, edges, columns, vecs, vec_index, up, down, at_least,
-    at_most) are built on first use and never mutated.  The order and
-    the lattice operations (leq, join, meet, above) take and return node
-    ids.
+    The fields are what `build` computes: ranks[t] grades node t, and
+    edge k runs from node lo[k] up to node hi[k], labelled (r[k], s[k]);
+    edges are sorted by (lo, hi).  Node t is the t-th canonical word of
+    order n in lexicographic order (`_words`), so the words, their ids
+    and the extremes follow from n: `bottom` (1, 2, ..., n) is node 0
+    and `top` (1, n, ..., 2) the last node.  The views (words, index,
+    nodes, edges, columns, vecs, vec_index, up, down, at_least) are
+    built on first use and never mutated.  The order and the lattice
+    operations (leq, join, meet, above) take and return node ids.
 
-    The words are always the (n-1)! canonical words in lexicographic
-    order, so the vectors depend on n alone: `columns` holds coordinate
-    c of every node as one byte per node, from `_vector_columns(n)`, and
+    The vectors depend on n alone too: `columns` holds coordinate c of
+    every node as one byte per node, from `_vector_columns(n)`, and
     `vecs` is its transpose, the vector of each node as a tuple, built
-    only for the kernels and `vec_index` (leq, join, meet).
+    only for the kernels and `vec_index` (join, meet).
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
     columns: for each coordinate c and value v, the nodes with
-    coordinate c at least v (`at_least`) and at most v (`at_most`), as
-    bitmasks over node ids.  The up-set of a node is the AND of C(n, 2)
-    such masks (`above_mask`), and its down-set likewise (`below_mask`).
+    coordinate c at least v (`at_least`), as bitmasks over node ids.
+    The up-set of a node is the AND of C(n, 2) such masks
+    (`above_mask`), and its down-set the complement of the OR of as
+    many (`below_mask`).
     """
 
     n: int
-    words: tuple[Word, ...]
     ranks: tuple[int, ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     r: tuple[int, ...]
     s: tuple[int, ...]
-    index: dict[Word, int] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or len(self.words) != factorial(self.n - 1):
-            raise CyclatError(f"{len(self.words)} words for order {self.n}; "
+        if self.n < 1 or len(self.ranks) != factorial(self.n - 1):
+            raise CyclatError(f"{len(self.ranks)} ranks for order {self.n}; "
                               "a diagram holds all (n-1)! canonical words")
-        if len(self.ranks) != len(self.words):
-            raise CyclatError(f"{len(self.ranks)} ranks for {len(self.words)} nodes")
         if not len(self.lo) == len(self.hi) == len(self.r) == len(self.s):
             raise CyclatError("edge columns differ in length")
 
     @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """words[t]: the canonical word of node t."""
+        return tuple(_words(self.n))
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        """Node id of each canonical word; the inverse of `words`."""
+        return {w: t for t, w in enumerate(self.words)}
+
+    @cached_property
     def nodes(self) -> tuple[CircularPermutation, ...]:
-        return tuple(CircularPermutation(w) for w in self.words)
+        return tuple(map(CircularPermutation, _words(self.n)))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, DescentLabel], ...]:
@@ -173,19 +181,19 @@ class HasseDiagram:
     def vecs(self) -> tuple[tuple[int, ...], ...]:
         """vecs[t]: the flat vector of node t, `word_vector(words[t])`."""
         if not self.columns:  # n = 1: one node, with the empty vector
-            return ((),) * len(self.words)
+            return ((),)
         return tuple(zip(*self.columns))
 
     @cached_property
     def up(self) -> tuple[tuple[int, ...], ...]:
-        up = [[] for _ in self.words]
+        up = [[] for _ in self.ranks]
         for a, b in zip(self.lo, self.hi):
             up[a].append(b)
         return tuple(map(tuple, up))
 
     @cached_property
     def down(self) -> tuple[tuple[int, ...], ...]:
-        down = [[] for _ in self.words]
+        down = [[] for _ in self.ranks]
         for a, b in zip(self.lo, self.hi):
             down[b].append(a)
         return tuple(map(tuple, down))
@@ -211,33 +219,26 @@ class HasseDiagram:
         return tuple(tuple(accumulate(reversed(_value_masks(column)), or_))[::-1]
                      for column in self.columns)
 
-    @cached_property
-    def at_most(self) -> tuple[tuple[int, ...], ...]:
-        """at_most[c][v]: the mask of the nodes whose coordinate c is <= v,
-        the complement of at_least[c][v + 1]."""
-        every = (1 << len(self.words)) - 1
-        return tuple(tuple(every ^ mask for mask in masks[1:]) + (every,)
-                     for masks in self.at_least)
-
     def above_mask(self, x: int) -> int:
         """Bit z set iff x <= z: the componentwise order is the AND over
         the coordinates c of the nodes at least as high as x in c."""
-        mask = (1 << len(self.words)) - 1
+        mask = (1 << len(self.ranks)) - 1
         for masks, column in zip(self.at_least, self.columns):
             if v := column[x]:  # masks[0] holds every node
                 mask &= masks[v]
         return mask
 
     def below_mask(self, y: int) -> int:
-        """Bit z set iff z <= y, as `above_mask` with the <= masks."""
-        mask = (1 << len(self.words)) - 1
-        for masks, column in zip(self.at_most, self.columns):
-            if (v := column[y]) < len(masks) - 1:  # masks[-1] holds every node
-                mask &= masks[v]
-        return mask
+        """Bit z set iff z <= y: no coordinate c of z exceeds y's, so z
+        is in none of the masks of the nodes above y in c."""
+        higher = 0
+        for masks, column in zip(self.at_least, self.columns):
+            if (v := column[y] + 1) < len(masks):  # no node is above the top value
+                higher |= masks[v]
+        return ((1 << len(self.ranks)) - 1) ^ higher
 
     def leq(self, x: int, y: int) -> bool:
-        return kernels.leq_flat(self.vecs[x], self.vecs[y])
+        return all(column[x] <= column[y] for column in self.columns)
 
     def join(self, x: int, y: int) -> int:
         return self.vec_index[kernels.join_flat(self.n, self.vecs[x], self.vecs[y])]
@@ -251,35 +252,39 @@ class HasseDiagram:
 
     @property
     def bottom(self) -> int:
-        return self.index[CircularPermutation.smallest(self.n).canon]
+        return 0
 
     @property
     def top(self) -> int:
-        return self.index[CircularPermutation.largest(self.n).canon]
+        return len(self.ranks) - 1
+
+
+def _words(n: int) -> Iterator[Word]:
+    """The canonical words of order n in lexicographic order, node t the
+    t-th: (1, p) for p over the permutations of 2..n."""
+    return map((1,).__add__, permutations(range(2, n + 1)))
 
 
 def build(n: int) -> HasseDiagram:
     """Materialize the diagram of order n from the rows of `_cover_rows`,
-    with the ranks of `_prefix_ranks`; the edge columns share their int
-    objects with `index`.  Neither calls a kernel, so
-    `oracle.diagram_by_search`, which does, is an independent reference.
+    with the ranks of `_prefix_ranks`; `lo` and `hi` share one int object
+    per node id.  Neither calls a kernel, so `oracle.diagram_by_search`,
+    which does, is an independent reference.
     """
     refuse_over_cap(n)
     ids = list(range(factorial(n - 1)))
-    words: list[Word] = []
     lo: list[int] = []
     hi: list[int] = []
     rs: list[int] = []
     ss: list[int] = []
-    for t, (p, ups) in zip(ids, _cover_rows(n)):
-        words.append((1,) + p)
+    for t, (_, ups) in zip(ids, _cover_rows(n)):
         for u, r, s in ups:
             lo.append(t)
             hi.append(ids[u])
             rs.append(r)
             ss.append(s)
-    return HasseDiagram(n, tuple(words), tuple(_prefix_ranks(n)), tuple(lo),
-                        tuple(hi), tuple(rs), tuple(ss), dict(zip(words, ids)))
+    return HasseDiagram(n, tuple(_prefix_ranks(n)), tuple(lo), tuple(hi),
+                        tuple(rs), tuple(ss))
 
 
 def _cover_rows(n: int) -> Iterator[tuple[Word, list[tuple[int, int, int]]]]:
@@ -475,7 +480,7 @@ def mobius_from(diagram: HasseDiagram, x: int) -> dict[int, int]:
 
 
 def _lattice_tables(diagram: HasseDiagram):
-    size = len(diagram.words)
+    size = len(diagram.ranks)
     joins = [[0] * size for _ in range(size)]
     meets = [[0] * size for _ in range(size)]
     for a in range(size):
@@ -546,7 +551,7 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
         return word_text(diagram.words[t])
 
     found = (kernels.sd_scan(*_lattice_tables(diagram))
-             if len(diagram.words) <= SCAN_LIMIT else None)
+             if len(diagram.ranks) <= SCAN_LIMIT else None)
     if found:
         x, y, z, law = found
         witness = {"law": law, "x": name(x), "y": name(y), "z": name(z)}
@@ -564,7 +569,7 @@ def check_modular(diagram: HasseDiagram) -> dict:
 
     Returns the first violating quadruple, if any, as a witness.
     """
-    size = len(diagram.words)
+    size = len(diagram.ranks)
     for x in range(size):
         for y in range(x + 1, size):
             m = diagram.meet(x, y)
@@ -655,10 +660,10 @@ def check_young_limit(diagram: HasseDiagram, k: int) -> dict:
     n = diagram.n
     if n < 2 * k:
         raise CyclatError(f"need n >= 2k, got n={n}, k={k}")
-    ids = [t for t in range(len(diagram.words)) if diagram.ranks[t] <= k]
-    encoding = {t: shuffle_partition(CircularPermutation(diagram.words[t]),
-                                     diagram.ranks[t])
-                for t in ids}
+    encoding = {t: shuffle_partition(CircularPermutation(word), rank)
+                for t, (word, rank) in enumerate(zip(_words(n), diagram.ranks))
+                if rank <= k}
+    ids = list(encoding)
     target = set(partitions_up_to(k))
     bijective = (len(set(encoding.values())) == len(ids)
                  and set(encoding.values()) == target)
@@ -805,11 +810,10 @@ def export_pieces(n: int, fmt: str) -> Iterator[str]:
     refused here, before the first piece is asked for.
     """
     refuse_over_cap(n)
-    words = map((1,).__add__, permutations(range(2, n + 1)))
     edges = ((t, u, r, s) for t, (_, ups) in enumerate(_cover_rows(n))
              for u, r, s in ups)
     serializer = _dot_pieces if fmt == "dot" else _json_pieces
-    return serializer(n, words, _prefix_ranks(n), edges)
+    return serializer(n, _words(n), _prefix_ranks(n), edges)
 
 
 def to_dot(diagram: HasseDiagram) -> str:
@@ -843,7 +847,7 @@ def grading_report(diagram: HasseDiagram) -> dict:
     image = sorted(set(diagram.ranks))
     increments_ok = all(diagram.ranks[hi] == diagram.ranks[lo] + 1
                         for lo, hi in zip(diagram.lo, diagram.hi))
-    size = len(diagram.words)
+    size = len(diagram.ranks)
     has_down, has_up = set(diagram.hi), set(diagram.lo)
     bottoms = [t for t in range(size) if t not in has_down]
     tops = [t for t in range(size) if t not in has_up]

@@ -252,14 +252,14 @@ class TestPoset:
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_export_memory_stays_below_the_diagram(self, tmp_path, fmt):
         # The export streams from the enumeration and holds neither the
-        # text nor a diagram: its traced peak at n = 8 stays under half
-        # that of build(8) alone.  It measures 0.36 (JSON) and 0.43 (DOT),
-        # mostly one block of pieces in `cli._write_blocks`; building the
-        # diagram first measured 1.03 and 1.14.
+        # text nor a diagram: its traced peak at n = 8 stays under a
+        # quarter of that of rendering build(8) as one string.  It
+        # measures 0.21 (JSON) and 0.22 (DOT), mostly one block of pieces
+        # in `cli._write_blocks`.
         import gc
         import tracemalloc
 
-        from cyclat.poset import build
+        from cyclat.poset import build, to_dot, to_json
 
         def traced_peak(call):
             gc.collect()
@@ -273,8 +273,9 @@ class TestPoset:
         argv = ["poset", "8", "--format", fmt, "--out", str(tmp_path / "p")]
         assert main(argv) == 0  # first-use caches fill outside the measurement
         export = traced_peak(lambda: main(argv))
-        alone = traced_peak(lambda: build(8))
-        assert export < alone / 2, (export, alone)
+        render = to_json if fmt == "json" else to_dot
+        whole = traced_peak(lambda: render(build(8)))
+        assert export < whole / 4, (export, whole)
 
 
 # SHA-256 of the `check all n --json` reports with "elapsed" and
@@ -288,6 +289,8 @@ CHECK_DIGESTS = {
     5: "33e796757354ed8e48bc14badd3a148c47573f2e6c3c83e4e732aeec18ff5238",
     6: "b5d1fe623a3ac077954f6933bc0e4b6e5c521d97aa68d3a547328110fe811190",
     7: "9027c1651c98911321a24c2657fb2f921e213b95a3a9b7268813856998a95613",
+    # from n = 7 on, `lattice` tests the bounds on seeded pairs
+    8: "20b69088cee0b3f442e94ffaaf4a5b6a3d545399dd9e326a63665eb3af331394",
 }
 
 

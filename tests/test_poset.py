@@ -4,9 +4,11 @@ lattice laws, truncations, and path conjugators."""
 import hashlib
 import json
 import tracemalloc
-from itertools import accumulate, product
+from dataclasses import fields
+from functools import reduce
+from itertools import accumulate, chain, permutations, product
 from math import factorial
-from operator import or_
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,20 +102,38 @@ class TestBuild:
     def test_ragged_columns_rejected(self):
         d = build(4)
         with pytest.raises(CyclatError):
-            HasseDiagram(4, d.words, d.ranks, d.lo, d.hi[1:], d.r, d.s, d.index)
+            HasseDiagram(4, d.ranks, d.lo, d.hi[1:], d.r, d.s)
         with pytest.raises(CyclatError):
-            HasseDiagram(4, d.words, d.ranks[1:], d.lo, d.hi, d.r, d.s, d.index)
+            HasseDiagram(4, d.ranks, d.lo, d.hi, d.r, d.s[1:])
 
-    def test_word_count_must_be_the_order_factorial(self):
-        # the vector columns depend on n alone: they hold only for all
-        # (n-1)! canonical words
+    def test_rank_count_must_be_the_order_factorial(self):
+        # the words and the vector columns depend on n alone: they hold
+        # only for all (n-1)! canonical words, one rank each
         d = build(4)
         with pytest.raises(CyclatError):
-            HasseDiagram(4, d.words[1:], d.ranks[1:], d.lo, d.hi, d.r, d.s, d.index)
+            HasseDiagram(4, d.ranks[1:], d.lo, d.hi, d.r, d.s)
         with pytest.raises(CyclatError):
-            HasseDiagram(5, d.words, d.ranks, d.lo, d.hi, d.r, d.s, d.index)
+            HasseDiagram(5, d.ranks, d.lo, d.hi, d.r, d.s)
         with pytest.raises(CyclatError):
-            HasseDiagram(0, ((),), (0,), (), (), (), (), {})
+            HasseDiagram(0, (0,), (), (), (), ())
+
+    def test_fields_are_what_build_computes(self):
+        names = [f.name for f in fields(HasseDiagram)]
+        assert names == ["n", "ranks", "lo", "hi", "r", "s"]
+        diagram = build(6)
+        assert not {"words", "index", "vecs"} & vars(diagram).keys()
+        assert diagram.node_id(CircularPermutation.largest(6)) == diagram.top
+        assert {"words", "index"} <= vars(diagram).keys()
+        assert "vecs" not in vars(diagram)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_words_and_extremes_follow_from_n(self, n):
+        diagram = build(n)
+        words = tuple((1,) + p for p in permutations(range(2, n + 1)))
+        assert diagram.words == words
+        assert diagram.index == {w: t for t, w in enumerate(words)}
+        assert diagram.bottom == diagram.index[CircularPermutation.smallest(n).canon]
+        assert diagram.top == diagram.index[CircularPermutation.largest(n).canon]
 
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "3")
@@ -192,10 +212,10 @@ class TestLehmerBuild:
                      for b, r, s in sorted((index[u], r, s)
                                            for r, s, u in kernels.word_covers_up(word))]
         assert list(zip(diagram.lo, diagram.hi, diagram.r, diagram.s)) == reference
-        # the edge columns hold the node-id objects of index, not copies
-        ids = list(index.values())
-        assert all(ids[b] is b for b in diagram.hi)
-        assert all(ids[a] is a for a in diagram.lo)
+        # lo and hi hold one int object per node id, not copies
+        ids: dict[int, int] = {}
+        assert all(ids.setdefault(t, t) is t for t in chain(diagram.lo, diagram.hi))
+        assert len(ids) == len(diagram.ranks)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_build_calls_no_word_kernel(self, monkeypatch, n):
@@ -234,7 +254,24 @@ class TestVectorColumns:
         at_most = tuple(tuple(accumulate(poset._value_masks(column), or_))
                         for column in zip(*vecs))
         assert diagram.at_least == at_least
-        assert diagram.at_most == at_most
+        every = (1 << len(vecs)) - 1
+        for y, v in enumerate(vecs):
+            assert diagram.below_mask(y) == reduce(
+                and_, (masks[c] for masks, c in zip(at_most, v)), every)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_leq_reads_the_columns(self, monkeypatch, n):
+        vecs = build(n).vecs
+        expected = [kernels.leq_flat(u, v) for u in vecs for v in vecs]
+
+        def refuse(*args):
+            raise AssertionError("leq read vecs or called a kernel")
+
+        monkeypatch.setattr(HasseDiagram, "vecs", property(refuse))
+        monkeypatch.setattr(kernels, "leq_flat", refuse)
+        diagram = build(n)
+        size = len(diagram.ranks)
+        assert [diagram.leq(x, y) for x in range(size) for y in range(size)] == expected
 
     @pytest.mark.parametrize("name", ["semidistributive", "young", "lattice"])
     def test_checks_call_no_word_vector(self, monkeypatch, name):
