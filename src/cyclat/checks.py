@@ -24,7 +24,7 @@ from typing import Callable
 
 from cyclat import affine, kernels, oracle, poset, vectors
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
-from cyclat.perm import CircularPermutation, all_cycles, word_text
+from cyclat.perm import CircularPermutation, all_cycles
 from cyclat.poset import build
 from cyclat.vectors import AdmittedVector
 
@@ -121,9 +121,7 @@ def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
         bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
         if bad:
             y = min(bad, key=lambda t: (diagram.ranks[t], t))
-            return False, {"x": word_text(diagram.words[x]),
-                           "y": word_text(diagram.words[y]),
-                           "mu": mu[y]}
+            return False, {"x": diagram.name(x), "y": diagram.name(y), "mu": mu[y]}
     return True, None
 
 
@@ -184,8 +182,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
 
 
 def _pair_witness(diagram: poset.HasseDiagram, op: str, x: int, y: int) -> dict:
-    return {"op": op, "pair": [word_text(diagram.words[x]),
-                               word_text(diagram.words[y])]}
+    return {"op": op, "pair": [diagram.name(x), diagram.name(y)]}
 
 
 def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
@@ -303,8 +300,8 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
     - the counts of each of the Catalan(n-2) triangulations;
     - the counts of each flip of each, one per interior diagonal, which
       `mutate` must perform, so a flip keeps the sum of every vector;
-    - each of the (n-1)! vectors of the diagram, admitted and summed
-      over one triangulation.  The triangulations are taken in turn, so
+    - each of the (n-1)! vectors of the diagram, read off its columns,
+      admitted and summed over one triangulation.  The triangulations are taken in turn, so
       `delta` runs on every triangle of every triangulation, not only on
       those of one fan.
     """
@@ -325,13 +322,13 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
                 return False, {"flip": q}
             if _signed_edge_counts(flipped) != expected:
                 return False, {"flip": q}
-    vecs = run.diagram().vecs
-    for k, flat in enumerate(vecs):
+    diagram = run.diagram()
+    for k, flat in enumerate(zip(*diagram.columns)):
         v = AdmittedVector(n, flat)
         t = tris[k % len(tris)]
         if vectors.triangulation_sum(v, t) != v[1, n]:
             return False, {"vector": v.rows(), "triangles": sorted(t.triangles)}
-    run.stats.update(triangulations=len(tris), vectors=len(vecs))
+    run.stats.update(triangulations=len(tris), vectors=len(diagram.ranks))
     return True, None
 
 
@@ -396,8 +393,7 @@ def _check_alpha(run: CheckRun) -> tuple[bool, dict | None]:
                                                 diagram.s[k])
             if potential.setdefault(y, alpha) != alpha:
                 return False, {"stage": "chain independence",
-                               "pair": [word_text(diagram.words[bottom]),
-                                        word_text(diagram.words[y])]}
+                               "pair": [diagram.name(bottom), diagram.name(y)]}
     alpha = potential[diagram.top]
     if alpha != poset.conjugator_formula(n):
         return False, {"stage": "maximal chain",

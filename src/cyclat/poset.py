@@ -119,10 +119,12 @@ class HasseDiagram:
     edges are sorted by (lo, hi).  Node t is the t-th canonical word of
     order n in lexicographic order (`_words`), so the words, their ids
     and the extremes follow from n: `bottom` (1, 2, ..., n) is node 0
-    and `top` (1, n, ..., 2) the last node.  The views (words, index,
-    nodes, edges, columns, vecs, vec_index, up, down, at_least) are
-    built on first use and never mutated.  The order and the lattice
-    operations (leq, join, meet, above) take and return node ids.
+    and `top` (1, n, ..., 2) the last node.  `name(t)` unranks node t's
+    word from t alone, so a witness names its nodes with no view.  The
+    views (words, index, nodes, edges, columns, vecs, vec_index, up,
+    down, at_least) are built on first use and never mutated.  The
+    order and the lattice operations (leq, join, meet, above) take and
+    return node ids.
 
     The vectors depend on n alone too: `columns` holds coordinate c of
     every node as one byte per node, from `_vector_columns(n)`, and
@@ -156,6 +158,17 @@ class HasseDiagram:
     def words(self) -> tuple[Word, ...]:
         """words[t]: the canonical word of node t."""
         return tuple(_words(self.n))
+
+    def name(self, t: int) -> str:
+        """The cycle literal of node t, `word_text(words[t])`: the digits
+        of t in the factorial number system pick each letter of p, in
+        turn, from the letters of 2..n not yet placed."""
+        letters = list(range(2, self.n + 1))
+        word = [1]
+        for k in reversed(range(len(letters))):
+            d, t = divmod(t, factorial(k))
+            word.append(letters.pop(d))
+        return word_text(word)
 
     @cached_property
     def index(self) -> dict[Word, int]:
@@ -444,8 +457,7 @@ def verify_descent_distribution(n: int) -> dict:
 
 def _require_leq(diagram: HasseDiagram, x: int, y: int) -> None:
     if not diagram.leq(x, y):
-        raise NotComparableError(f"{word_text(diagram.words[x])} is not below "
-                                 f"{word_text(diagram.words[y])}")
+        raise NotComparableError(f"{diagram.name(x)} is not below {diagram.name(y)}")
 
 
 def interval(diagram: HasseDiagram, x: int, y: int) -> list[int]:
@@ -477,22 +489,6 @@ def mobius_from(diagram: HasseDiagram, x: int) -> dict[int, int]:
         y = joins[mask] = diagram.join(joins[mask ^ (1 << last)], covers[last])
         mu[y] = mu.get(y, 0) + (-1 if mask.bit_count() % 2 else 1)
     return {y: value for y, value in mu.items() if value}
-
-
-def _lattice_tables(diagram: HasseDiagram):
-    size = len(diagram.ranks)
-    joins = [[0] * size for _ in range(size)]
-    meets = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            joins[a][b] = joins[b][a] = diagram.join(a, b)
-            meets[a][b] = meets[b][a] = diagram.meet(a, b)
-    return tuple(map(tuple, joins)), tuple(map(tuple, meets))
-
-
-# Up to this many nodes a failed semidistributivity test reports the
-# `sd_scan` triple, found in the N x N join and meet tables.
-SCAN_LIMIT = 120
 
 
 def kappa_failure(diagram: HasseDiagram, law: str) -> tuple[int, int, int] | None:
@@ -537,31 +533,17 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
     kappa(j); it is join-semidistributive iff the dual holds for every
     meet-irreducible (Freese, Jezek and Nation, *Free Lattices*, 1995,
     Theorem 2.56).  Each irreducible costs a few up-set masks, with no
-    join or meet.  On a failure in a lattice of at most SCAN_LIMIT nodes
-    the witness is the lexicographically first triple of `sd_scan`;
-    otherwise it is the first failing irreducible, "j" for SD-meet and
-    "m" for SD-join, with two maximal (minimal) elements of its set.
+    join or meet.  SD-join is tested first; the witness of a failure is
+    the first failing irreducible of the first law to fail, "m" for
+    SD-join and "j" for SD-meet, with two minimal (maximal) elements of
+    its set.
     """
-    failures = [(law, bad) for law in ("SD-join", "SD-meet")
-                if (bad := kappa_failure(diagram, law))]
-    if not failures:
-        return {"n": diagram.n, "pass": True, "witness": None}
-
-    def name(t: int) -> str:
-        return word_text(diagram.words[t])
-
-    found = (kernels.sd_scan(*_lattice_tables(diagram))
-             if len(diagram.ranks) <= SCAN_LIMIT else None)
-    if found:
-        x, y, z, law = found
-        witness = {"law": law, "x": name(x), "y": name(y), "z": name(z)}
-    else:
-        law, (j, a, b) = failures[0]
-        if law == "SD-join":
-            witness = {"law": law, "m": name(j), "minimal": [name(a), name(b)]}
-        else:
-            witness = {"law": law, "j": name(j), "maximal": [name(a), name(b)]}
-    return {"n": diagram.n, "pass": False, "witness": witness}
+    for law, key, ends in (("SD-join", "m", "minimal"), ("SD-meet", "j", "maximal")):
+        if found := kappa_failure(diagram, law):
+            j, a, b = map(diagram.name, found)
+            witness = {"law": law, key: j, ends: [a, b]}
+            return {"n": diagram.n, "pass": False, "witness": witness}
+    return {"n": diagram.n, "pass": True, "witness": None}
 
 
 def check_modular(diagram: HasseDiagram) -> dict:
@@ -576,10 +558,10 @@ def check_modular(diagram: HasseDiagram) -> dict:
             j = diagram.join(x, y)
             if diagram.ranks[x] + diagram.ranks[y] != diagram.ranks[m] + diagram.ranks[j]:
                 witness = {
-                    "x": word_text(diagram.words[x]),
-                    "y": word_text(diagram.words[y]),
-                    "meet": word_text(diagram.words[m]),
-                    "join": word_text(diagram.words[j]),
+                    "x": diagram.name(x),
+                    "y": diagram.name(y),
+                    "meet": diagram.name(m),
+                    "join": diagram.name(j),
                     "ranks": [diagram.ranks[x], diagram.ranks[y],
                               diagram.ranks[m], diagram.ranks[j]],
                 }

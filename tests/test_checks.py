@@ -282,6 +282,97 @@ class TestTriangulationCheck:
         assert len(report.witness["flip"]) == 4
 
 
+class TestWitnessBranches:
+    """One mutant at n = 5 per failure branch that no other test reaches;
+    every node a witness names is the `word_text` of that node's word."""
+
+    @staticmethod
+    def text(t):
+        return word_text(build(5).words[t])
+
+    def test_mobius_value_out_of_range_fails(self, monkeypatch):
+        x, top = 3, build(5).top
+        mobius_from = poset.mobius_from
+
+        def wrong_at_x(diagram, t):
+            mu = mobius_from(diagram, t)
+            if t == x:
+                mu[top] = 2
+            return mu
+
+        monkeypatch.setattr(poset, "mobius_from", wrong_at_x)
+        report = checks.run_check("mobius", 5)
+        assert not report.passed
+        assert report.witness == {"x": self.text(x), "y": self.text(top), "mu": 2}
+
+    def test_wrong_meet_of_one_pair_fails(self, monkeypatch):
+        # every join is right, so the pair (bottom, top) fails at its meet
+        diagram = build(5)
+        bottom, top = diagram.bottom, diagram.top
+        meet_flat = kernels.meet_flat
+        pair = {diagram.vecs[bottom], diagram.vecs[top]}
+
+        def meet(n, u, v):
+            return diagram.vecs[top] if {u, v} == pair else meet_flat(n, u, v)
+
+        monkeypatch.setattr(kernels, "meet_flat", meet)
+        report = checks.run_check("lattice", 5)
+        assert not report.passed
+        assert report.witness == {"op": "meet",
+                                  "pair": [self.text(bottom), self.text(top)]}
+
+    def test_wrong_partition_order_fails_young(self, monkeypatch):
+        monkeypatch.setattr(poset, "partition_leq", lambda lam, mu: True)
+        report = checks.run_check("young", 5)
+        assert not report.passed and report.stats == {}
+        assert report.witness == {"n": 5, "k": 2, "rank_sizes": {0: 1, 1: 1, 2: 2},
+                                  "partition_counts": {0: 1, 1: 1, 2: 2}}
+
+    def test_triangulation_missing_a_triangle_fails(self, monkeypatch):
+        all_triangulations = vectors.all_triangulations
+        first = all_triangulations(5)[0]
+        lossy = SimpleNamespace(n=5, triangles=first.triangles - {max(first.triangles)})
+        monkeypatch.setattr(vectors, "all_triangulations",
+                            lambda n: [lossy] + all_triangulations(n)[1:])
+        report = checks.run_check("triangulation", 5)
+        assert not report.passed
+        assert report.witness == {"triangles": sorted(lossy.triangles)}
+
+    @pytest.mark.parametrize("module, name, stage", [
+        (vectors, "vector_to_cycle", "vector roundtrip"),
+        (affine, "project", "projection"),
+        (affine, "length", "grading")])
+    def test_interval_stage_fails_on_the_top(self, monkeypatch, module, name, stage):
+        # every earlier stage passes on the top cycle, and every stage
+        # passes on the cycles before it
+        top = CircularPermutation.largest(5)
+        top_vector = cycle_to_vector(top)
+        top_inputs = (top_vector, affine.window_of_vector(top_vector))
+        right = getattr(module, name)
+
+        def wrong_for_top(arg):
+            if arg not in top_inputs:
+                return right(arg)
+            return right(arg) + 1 if name == "length" else CircularPermutation.smallest(5)
+
+        monkeypatch.setattr(module, name, wrong_for_top)
+        report = checks.run_check("interval", 5)
+        assert not report.passed
+        assert report.witness == {"stage": stage, "cycle": self.text(build(5).top)}
+
+
+def built_diagrams(monkeypatch):
+    """The diagrams that `checks.build` returns from now on, in order."""
+    built = []
+
+    def keeping_build(n):
+        built.append(build(n))
+        return built[-1]
+
+    monkeypatch.setattr(checks, "build", keeping_build)
+    return built
+
+
 class TestSharedDiagram:
     @pytest.mark.parametrize("n", [5, 7])
     def test_run_all_builds_the_order_once(self, monkeypatch, n):
@@ -305,6 +396,19 @@ class TestSharedDiagram:
             alone = checks.run_check(shared.check, n)
             assert (shared.passed, shared.witness, shared.stats) == \
                 (alone.passed, alone.witness, alone.stats)
+
+    def test_run_all_builds_no_object_view(self, monkeypatch):
+        built = built_diagrams(monkeypatch)
+        assert all(r.passed for r in checks.run_all(6))
+        (diagram,) = built
+        assert not {"words", "index", "nodes", "edges"} & vars(diagram).keys()
+
+    @pytest.mark.parametrize("name, view", [("modularity", "words"),
+                                            ("triangulation", "vecs")])
+    def test_check_leaves_a_view_unbuilt(self, monkeypatch, name, view):
+        built = built_diagrams(monkeypatch)
+        assert checks.run_check(name, 6).passed
+        assert view not in vars(built[0])
 
     def test_phases_split_elapsed(self):
         for report in checks.run_all(6):

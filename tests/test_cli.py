@@ -500,6 +500,11 @@ class TestSmallCommands:
         code, out, _ = run(capsys, "rank", "[-5,-1,3,7,11]")
         assert code == 0 and out.strip() == "10"
 
+    def test_rank_refuses_a_negative_entry(self, capsys):
+        code, out, err = run(capsys, "rank", "[[0,-1],[0]]")
+        assert code == 2 and out == ""
+        assert err == "error: negative entry\n"
+
     def test_covers(self, capsys):
         code, out, _ = run(capsys, "covers", "(1,2,3,4,5)", "--json")
         assert code == 0

@@ -136,10 +136,11 @@ class TestBackendAgreement:
             _ckernels.sd_scan(joins, meets)
 
     def test_sd_scan_on_real_tables(self):
-        from cyclat.poset import _lattice_tables, build
-        joins, meets = _lattice_tables(build(5))
-        joins = tuple(tuple(r) for r in joins)
-        meets = tuple(tuple(r) for r in meets)
+        from cyclat.poset import build
+        diagram = build(5)
+        size = len(diagram.ranks)
+        joins = tuple(tuple(diagram.join(a, b) for b in range(size)) for a in range(size))
+        meets = tuple(tuple(diagram.meet(a, b) for b in range(size)) for a in range(size))
         assert _pykernels.sd_scan(joins, meets) is None
         assert _ckernels.sd_scan(joins, meets) is None
 

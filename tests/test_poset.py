@@ -19,7 +19,6 @@ from cyclat.perm import CircularPermutation, DescentLabel, complement, invert, w
 from cyclat.poset import (
     Comparison,
     HasseDiagram,
-    _lattice_tables,
     build,
     check_modular,
     check_semidistributive,
@@ -125,6 +124,13 @@ class TestBuild:
         assert diagram.node_id(CircularPermutation.largest(6)) == diagram.top
         assert {"words", "index"} <= vars(diagram).keys()
         assert "vecs" not in vars(diagram)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_name_unranks_the_word(self, n):
+        diagram = build(n)
+        names = [diagram.name(t) for t in range(len(diagram.ranks))]
+        assert "words" not in vars(diagram)
+        assert names == [word_text(w) for w in diagram.words]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_words_and_extremes_follow_from_n(self, n):
@@ -306,6 +312,9 @@ class TestEulerian:
     def test_empty_row_vanishes(self):
         assert all(eulerian(0, k) == 0 for k in range(1, 5))
 
+    def test_negative_arguments_vanish(self):
+        assert eulerian(-1, 0) == eulerian(3, -1) == eulerian(-2, -2) == 0
+
     def test_small_values(self):
         assert eulerian(3, 1) == 4
         assert eulerian_row(4) == (1, 11, 11, 1)
@@ -406,6 +415,9 @@ class _TableLattice:
     def below_mask(self, y):
         return sum(1 << z for z, up in enumerate(self.above) if y in up)
 
+    def name(self, t):
+        return word_text(self.words[t])
+
     def join(self, x, y):
         common = self.above[x] & self.above[y]
         (least,) = [z for z in common if common <= self.above[z]]
@@ -430,6 +442,26 @@ _SD_MEET_ONLY = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6),
 _N5 = ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4))
 
 LAWS = ("SD-join", "SD-meet")
+
+
+def _lattice_tables(lattice):
+    """The N x N join and meet tables of a lattice, as tuple rows, from
+    its `join` and `meet`: the input of `sd_scan`."""
+    size = len(lattice.ranks)
+    joins = [[0] * size for _ in range(size)]
+    meets = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            joins[a][b] = joins[b][a] = lattice.join(a, b)
+            meets[a][b] = meets[b][a] = lattice.meet(a, b)
+    return tuple(map(tuple, joins)), tuple(map(tuple, meets))
+
+
+def refuse_sd_scan(monkeypatch):
+    def scan(joins, meets):
+        raise AssertionError("sd_scan called by the kappa test")
+
+    monkeypatch.setattr(kernels, "sd_scan", scan)
 
 
 def join_class_failures(joins, meets):
@@ -534,11 +566,7 @@ class TestLatticeLaws:
     @pytest.mark.parametrize("covers", [_M3, _M3_OVER_CHAIN, _SD_JOIN_ONLY, _SD_MEET_ONLY],
                              ids=["M3", "M3-over-chain", "SD-join-only", "SD-meet-only"])
     def test_large_lattice_witness_names_two_extremes(self, monkeypatch, covers):
-        def scan(joins, meets):
-            raise AssertionError("sd_scan called above the scan limit")
-
-        monkeypatch.setattr(kernels, "sd_scan", scan)
-        monkeypatch.setattr(poset, "SCAN_LIMIT", 0)
+        refuse_sd_scan(monkeypatch)
         lattice = _TableLattice(covers)
         report = check_semidistributive(lattice)
         assert not report["pass"]
@@ -561,22 +589,26 @@ class TestLatticeLaws:
         assert ends[0] != ends[1] and set(ends) <= rest
         assert beyond == [{ends[0]}, {ends[1]}]
 
-    @pytest.mark.parametrize("covers, first", [(_M3, (1, 2, 3, "SD-join")),
-                                               (_M3_OVER_CHAIN, (2, 3, 4, "SD-join")),
-                                               (_SD_JOIN_ONLY, (2, 1, 3, "SD-meet")),
-                                               (_SD_MEET_ONLY, (4, 3, 5, "SD-join"))],
-                             ids=["M3", "M3-over-chain", "SD-join-only", "SD-meet-only"])
-    def test_failure_witness_is_the_scan_witness(self, covers, first):
+    @pytest.mark.parametrize("covers, first, witness", [
+        (_M3, (1, 2, 3, "SD-join"),
+         {"law": "SD-join", "m": "(2)", "minimal": ["(3)", "(4)"]}),
+        (_M3_OVER_CHAIN, (2, 3, 4, "SD-join"),
+         {"law": "SD-join", "m": "(3)", "minimal": ["(4)", "(5)"]}),
+        (_SD_JOIN_ONLY, (2, 1, 3, "SD-meet"),
+         {"law": "SD-meet", "j": "(3)", "maximal": ["(2)", "(4)"]}),
+        (_SD_MEET_ONLY, (4, 3, 5, "SD-join"),
+         {"law": "SD-join", "m": "(5)", "minimal": ["(4)", "(6)"]})],
+        ids=["M3", "M3-over-chain", "SD-join-only", "SD-meet-only"])
+    def test_failure_witness_is_the_scan_witness(self, monkeypatch, covers, first,
+                                                 witness):
+        # the triple scan finds a failing law, and the kappa scan, which
+        # calls no `sd_scan`, reports its pinned witness
         lattice = _TableLattice(covers)
-        found = kernels.sd_scan(*_lattice_tables(lattice))
-        assert found == first
-        x, y, z, law = found
+        assert kernels.sd_scan(*_lattice_tables(lattice)) == first
+        refuse_sd_scan(monkeypatch)
         report = check_semidistributive(lattice)
         assert not report["pass"]
-        assert report["witness"] == {"law": law,
-                                     "x": word_text(lattice.words[x]),
-                                     "y": word_text(lattice.words[y]),
-                                     "z": word_text(lattice.words[z])}
+        assert report["witness"] == witness
 
     def test_modular_at_four(self):
         report = check_modular(build(4))

@@ -64,6 +64,12 @@ class TestValidation:
         assert info.value.kind == "adjacent_nonzero"
         assert info.value.where == (1, 2)
 
+    def test_negative_entry_diagnostic(self):
+        with pytest.raises(NotAdmittedError) as info:
+            validate([[0, -1], [0]])
+        assert info.value.kind == "negative"
+        assert str(info.value) == "negative entry"
+
     def test_rows_roundtrip(self):
         v = AdmittedVector.maximum(5)
         assert AdmittedVector.from_rows(v.rows()) == v
@@ -222,6 +228,16 @@ class TestLattice:
         assert vector_to_cycle(join(u, v)).as_text() == "(1,3,5,4,2)"
         assert vector_to_cycle(meet(u, v)).as_text() == "(1,4,2,5,3)"
         assert [u.rank, v.rank, meet(u, v).rank, join(u, v).rank] == [4, 4, 3, 6]
+
+    def test_strict_and_reversed_comparisons(self):
+        zero, top = AdmittedVector.zero(5), AdmittedVector.maximum(5)
+        u = cycle_to_vector(CircularPermutation.from_text("(1,4,2,3,5)"))
+        v = cycle_to_vector(CircularPermutation.from_text("(1,3,4,2,5)"))
+        assert top >= zero and zero >= zero and not zero >= top
+        assert zero < top and not zero < zero and not top < zero
+        assert top > zero and not top > top and not zero > top
+        # u and v are incomparable
+        assert not (u >= v or v >= u or u < v or v < u or u > v or v > u)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_join_meet_are_bounds(self, n):
