@@ -2,8 +2,17 @@
 
 Each check reproduces one finite claim about the order at a given n and
 returns a CheckReport.  Every claim is checked exhaustively at every n
-but one: from n = 7 on, `lattice` tests `join` and `meet` against the
+but one: from n = 7 on, `lattice` tests the joins and meets against the
 bounds on 10,000 seeded pairs instead of on every ordered pair.
+
+`lattice` and `modularity` take their joins and meets many pairs at a
+time from `HasseDiagram.joins` and `meets`: the recursion of the
+kernels `join_flat` and `meet_flat`, run on the vector columns with
+one byte a pair and guard bits for the lane-wise max and min (L.
+Lamport, *Multiple byte processing with full-word instructions*, CACM
+18(8), 1975).  So `lattice` proves that this lane recursion gives the
+bounds; the tests tie `join_flat` and `meet_flat`, which the per-pair
+`join`/`meet` call, to it pair for pair.
 
 `run_all` builds the order-n diagram once, on first use, and every
 check that reads a diagram reads that one; `run_check` builds its own.
@@ -17,12 +26,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from operator import or_
 from typing import Callable
 
-from cyclat import affine, kernels, oracle, poset, vectors
+from cyclat import affine, oracle, poset, vectors
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation, all_cycles
 from cyclat.poset import build
@@ -126,7 +135,7 @@ def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
 
 
 def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
-    """The order is a lattice, and `join`/`meet` compute its bounds.
+    """The order is a lattice, and the lane recursion computes its bounds.
 
     Three claims, each read off the threshold masks of the order:
 
@@ -138,12 +147,23 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       every two upper covers of an element have a join is a lattice
       (Bjorner, Edelman and Ziegler, *Hyperplane arrangements with a
       lattice of regions*, Discrete Comput. Geom. 5, 1990, Lemma 2.1),
-      and `grading` proves the bounds.  So `join` runs on every two
-      upper covers of every node, exhaustively at every n.
-    - `join` and `meet` give the least and greatest bounds on every
+      and `grading` proves the bounds.  So the join of every two upper
+      covers of every node is tested, exhaustively at every n.
+    - The joins and meets are the least and greatest bounds on every
       ordered pair up to 120 nodes, and on 10,000 seeded pairs above.
       The whole square reads every node's up-set and down-set from
       lists made once; the samples hold a bounded cache of them.
+
+    The joins and meets come from `HasseDiagram.joins` and `meets`, the
+    pairs of each claim in one batch (the cover pairs one rank at a
+    time): the recursion of `join_flat` and `meet_flat`, run on the
+    vector columns with one byte a pair (`poset._column_bounds`, after
+    L. Lamport, *Multiple byte processing with full-word instructions*,
+    CACM 18(8), 1975).  So the check proves that this lane recursion
+    gives the bounds; no per-pair kernel runs.  The tests tie
+    `join_flat` and `meet_flat`, which the per-pair `join`/`meet` and
+    `vectors.join`/`meet` call, to the lane recursion on every pair the
+    check reads up to n = 8.
 
     j is the least upper bound of x and y iff
     above_mask(x) & above_mask(y) == above_mask(j): j lies in its own
@@ -159,25 +179,22 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
         return False, failure
     size = len(diagram.ranks)
     if size <= 120:
-        count, pairs = size * size, product(range(size), repeat=2)
+        xs = [x for x in range(size) for _ in range(size)]
+        ys = list(range(size)) * size
         up_set = [diagram.above_mask(t) for t in range(size)].__getitem__
         down_set = [diagram.below_mask(t) for t in range(size)].__getitem__
     else:
         rng = random.Random(_SEED)
-        count = 10_000
-        pairs = ((rng.randrange(size), rng.randrange(size)) for _ in range(count))
+        draws = [rng.randrange(size) for _ in range(20_000)]
+        xs, ys = draws[::2], draws[1::2]  # pair k is (draw 2k, draw 2k + 1)
         up_set = lru_cache(maxsize=1024)(diagram.above_mask)
         down_set = lru_cache(maxsize=1024)(diagram.below_mask)
-    n, vecs, index = diagram.n, diagram.vecs, diagram.vec_index
-    join_flat, meet_flat = kernels.join_flat, kernels.meet_flat
-    for x, y in pairs:
-        z = index.get(join_flat(n, vecs[x], vecs[y]))  # None: not a node
-        if z is None or up_set(z) != up_set(x) & up_set(y):
+    for x, y, j, m in zip(xs, ys, diagram.joins(xs, ys), diagram.meets(xs, ys)):
+        if j is None or up_set(j) != up_set(x) & up_set(y):  # None: not a node
             return False, _pair_witness(diagram, "join", x, y)
-        z = index.get(meet_flat(n, vecs[x], vecs[y]))
-        if z is None or down_set(z) != down_set(x) & down_set(y):
+        if m is None or down_set(m) != down_set(x) & down_set(y):
             return False, _pair_witness(diagram, "meet", x, y)
-    run.stats["pairs"] = count
+    run.stats["pairs"] = len(xs)
     return True, None
 
 
@@ -190,11 +207,15 @@ def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
 
     A node x whose up-set is not the closure of its covers' fails as
     {"op": "order", "pair": [x, z]}, z the lowest node on which the two
-    differ; two upper covers whose `join` is not their least upper bound
+    differ; two upper covers whose join is not their least upper bound
     fail as that pair's join.  The walk goes down from the top rank and
     holds the up-sets of the three ranks above: in this order the join
     of two covers of x lies two or three ranks above x, so it is read
-    from them, and any other up-set is computed.
+    from them, and any other up-set is computed.  The joins of the
+    cover pairs of one rank are one `HasseDiagram.joins` batch, taken
+    before the rank's nodes are walked in turn, so only one rank's
+    lanes are held and the first failure is the one a pair-by-pair
+    walk meets.
     """
     by_rank: dict[int, list[int]] = {}
     for t, rank in enumerate(diagram.ranks):
@@ -204,17 +225,19 @@ def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
     def up_set(t: int) -> int:
         return held[t] if t in held else diagram.above_mask(t)
 
-    n, vecs, index = diagram.n, diagram.vecs, diagram.vec_index
-    join_flat = kernels.join_flat
     for rank in sorted(by_rank, reverse=True):
-        for x in by_rank[rank]:
+        nodes = by_rank[rank]
+        ys = [y for x in nodes for y, _ in combinations(diagram.up[x], 2)]
+        zs = [z for x in nodes for _, z in combinations(diagram.up[x], 2)]
+        joins = iter(diagram.joins(ys, zs))
+        for x in nodes:
             mask = diagram.above_mask(x)
             closure = reduce(or_, map(up_set, diagram.up[x]), 1 << x)
             if mask != closure:
                 return _pair_witness(diagram, "order", x,
                                      poset.bits(mask ^ closure)[0])
-            for y, z in combinations(diagram.up[x], 2):
-                j = index.get(join_flat(n, vecs[y], vecs[z]))
+            # zip takes one join per pair of x's covers, and no more
+            for (y, z), j in zip(combinations(diagram.up[x], 2), joins):
                 if j is None or up_set(j) != up_set(y) & up_set(z):
                     return _pair_witness(diagram, "join", y, z)
             held[x] = mask
@@ -230,7 +253,7 @@ def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
 
 def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
     n = run.n
-    report = poset.check_modular(run.diagram())
+    report = poset.check_modular(run.diagram(masks=True))
     expected_modular = n <= 4
     ok = report["modular"] == expected_modular
     if n == 5 and ok:

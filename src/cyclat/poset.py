@@ -26,10 +26,11 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from cyclat import kernels
+from cyclat._pykernels import _fill_plan
 from cyclat.errors import (
     CapExceededError,
     CyclatError,
@@ -123,13 +124,17 @@ class HasseDiagram:
     word from t alone, so a witness names its nodes with no view.  The
     views (words, index, nodes, edges, columns, vecs, vec_index, up,
     down, at_least) are built on first use and never mutated.  The
-    order and the lattice operations (leq, join, meet, above) take and
-    return node ids.
+    order and the lattice operations (leq, join, meet, joins, meets,
+    above) take and return node ids.
 
     The vectors depend on n alone too: `columns` holds coordinate c of
-    every node as one byte per node, from `_vector_columns(n)`, and
-    `vecs` is its transpose, the vector of each node as a tuple, built
-    only for the kernels and `vec_index` (join, meet).
+    every node as one byte per node, from `_vector_columns(n)`.
+    `joins` and `meets` bound many pairs at once on those columns, one
+    byte a pair (`_column_bounds`).  `vecs` is the transpose of the
+    columns, the vector of each node as a tuple; it is read only by
+    `vec_index`, which turns every result vector back into a node id,
+    and by the per-pair `join`/`meet`, and so `mobius_from`, which pass
+    it to the kernels.
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
@@ -258,6 +263,22 @@ class HasseDiagram:
 
     def meet(self, x: int, y: int) -> int:
         return self.vec_index[kernels.meet_flat(self.n, self.vecs[x], self.vecs[y])]
+
+    def joins(self, xs: Sequence[int], ys: Sequence[int]) -> list[int | None]:
+        """`join(x, y)` for each x, y of xs, ys in turn, from one
+        `_column_bounds` batch; None where the result is not a node."""
+        return self._bounds(xs, ys, meet=False)
+
+    def meets(self, xs: Sequence[int], ys: Sequence[int]) -> list[int | None]:
+        """`meet(x, y)` for each x, y of xs, ys in turn, as `joins`."""
+        return self._bounds(xs, ys, meet=True)
+
+    def _bounds(self, xs: Sequence[int], ys: Sequence[int], meet: bool) -> list[int | None]:
+        if not self.columns or not xs:  # n = 1: the one node, with the empty vector
+            return [0] * len(xs)
+        bounds = _column_bounds(self.n, _lanes(self.n, self.columns, xs),
+                                _lanes(self.n, self.columns, ys), meet)
+        return list(map(self.vec_index.get, zip(*bounds)))
 
     def above(self, x: int) -> list[int]:
         """Node ids z with x <= z, in id order."""
@@ -406,6 +427,63 @@ def _vector_columns(n: int) -> tuple[bytes, ...]:
                  for i in range(1, n) for j in range(i + 1, n + 1))
 
 
+def _lanes(n: int, columns: Sequence[bytes], ids: Sequence[int]) -> list[bytes]:
+    """The vector columns of order n read at ids, in turn, one byte a
+    lane.  An adjacent coordinate (i, i+1) is 0 at every node, so its
+    lanes are not read."""
+    if len(ids) == 1:  # itemgetter of one id returns the item, not a tuple
+        return [column[ids[0]:ids[0] + 1] for column in columns]
+    get, zeros = itemgetter(*ids), bytes(len(ids))
+    return [zeros if j == i + 1 else bytes(get(column))
+            for (i, j), column in zip(combinations(range(1, n + 1), 2), columns)]
+
+
+_LANE_MAX_N = 65  # the largest order whose lane sums stay below the guard bit
+
+
+def _column_bounds(n: int, us: Sequence[bytes], vs: Sequence[bytes],
+                   meet: bool = False) -> tuple[bytes, ...]:
+    """The coordinate columns of `join_flat(n, u, v)`, or with `meet` of
+    `meet_flat(n, u, v)`, for many pairs at once: lane k holds the pair
+    whose u and v have coordinate c at us[c][k] and vs[c][k], and the
+    result's coordinate c is at [c][k].
+
+    The kernels' recursion runs on whole columns read as integers, one
+    byte a lane, as in `_vector_columns`: X[i,j] is the max (min) of
+    u[i,j], v[i,j] and X[i,p] + X[p,j] (+ 1 for the meet), i < p < j,
+    filled by increasing j - i, and X[i,i+1] is 0.  With H the 0x80 of
+    every lane, ((a | H) - b) & H flags the lanes where a >= b, provided
+    no lane of a or b reaches 0x80: each lane then subtracts at most
+    0x7f from at least 0x80, so nothing borrows across lanes (L.
+    Lamport, *Multiple byte processing with full-word instructions*,
+    CACM 18(8), 1975).  For admitted u and v every entry is at most
+    n - 2, so the join's sums are too and the meet's sums plus 1 are at
+    most 2(n - 2) + 1: both stay below 0x80 while n <= 65, and a larger
+    order is refused.
+    """
+    if n > _LANE_MAX_N:
+        raise CyclatError(f"order {n} exceeds {_LANE_MAX_N}: its lane sums "
+                          "could reach the guard bit")
+    width = len(us[0]) if us else 0
+    guard = int.from_bytes(b"\x80" * width, "big")
+    one = (guard >> 7) if meet else 0  # the meet's + 1 in every lane
+    u = [int.from_bytes(column, "big") for column in us]
+    v = [int.from_bytes(column, "big") for column in vs]
+
+    def pick(a: int, b: int) -> int:  # the lane-wise max, or min for the meet
+        ge = ((a | guard) - b) & guard
+        ge |= ge - (ge >> 7)  # 0xff in the lanes where a >= b
+        return (a ^ b) & ge ^ (a if meet else b)
+
+    out = [0] * len(us)
+    for ij, splits in _fill_plan(n):
+        best = pick(u[ij], v[ij])
+        for ip, pj in splits:
+            best = pick(best, out[ip] + out[pj] + one)
+        out[ij] = best
+    return tuple(x.to_bytes(width, "big") for x in out)
+
+
 @lru_cache(maxsize=None)
 def eulerian(n: int, k: int) -> int:
     """Eulerian number a(n, k): permutations of S_n with k descents.
@@ -546,26 +624,38 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
     return {"n": diagram.n, "pass": True, "witness": None}
 
 
+_ROW_CHUNK = 4096  # pairs per batch of the modularity scan
+
+
 def check_modular(diagram: HasseDiagram) -> dict:
     """Rank-additivity scan: rank x + rank y = rank meet + rank join.
 
-    Returns the first violating quadruple, if any, as a witness.
+    Returns the first violating quadruple, if any, as a witness, over
+    the pairs x < y of node ids in order.  A pair with x <= y in the
+    order has meet x and join y, so it cannot fail and is skipped: each
+    row x reads above_mask(x) once, which skips the bottom's whole row,
+    and joins and meets the rest of the row in `joins`/`meets` batches
+    of up to `_ROW_CHUNK` pairs, so a failure early in a long row ends
+    the scan after one batch.
     """
     size = len(diagram.ranks)
+    ranks = diagram.ranks
     for x in range(size):
-        for y in range(x + 1, size):
-            m = diagram.meet(x, y)
-            j = diagram.join(x, y)
-            if diagram.ranks[x] + diagram.ranks[y] != diagram.ranks[m] + diagram.ranks[j]:
-                witness = {
-                    "x": diagram.name(x),
-                    "y": diagram.name(y),
-                    "meet": diagram.name(m),
-                    "join": diagram.name(j),
-                    "ranks": [diagram.ranks[x], diagram.ranks[y],
-                              diagram.ranks[m], diagram.ranks[j]],
-                }
-                return {"n": diagram.n, "modular": False, "witness": witness}
+        later = ((1 << size) - 1) ^ ((1 << (x + 1)) - 1)  # the ids after x
+        row = bits(later & ~diagram.above_mask(x))
+        for start in range(0, len(row), _ROW_CHUNK):
+            ys = row[start:start + _ROW_CHUNK]
+            xs = [x] * len(ys)
+            for y, m, j in zip(ys, diagram.meets(xs, ys), diagram.joins(xs, ys)):
+                if ranks[x] + ranks[y] != ranks[m] + ranks[j]:
+                    witness = {
+                        "x": diagram.name(x),
+                        "y": diagram.name(y),
+                        "meet": diagram.name(m),
+                        "join": diagram.name(j),
+                        "ranks": [ranks[x], ranks[y], ranks[m], ranks[j]],
+                    }
+                    return {"n": diagram.n, "modular": False, "witness": witness}
     return {"n": diagram.n, "modular": True, "witness": None}
 
 

@@ -160,14 +160,39 @@ def without_edge(diagram, k):
                                for column in ("lo", "hi", "r", "s")})
 
 
-def wrong_join_at(diagram, x, y, z):
-    """join_flat, but the join of nodes x and y is node z."""
-    join_flat = kernels.join_flat
+def wrong_lanes_at(diagram, x, y, z, meet=False):
+    """poset._column_bounds, but the join of nodes x and y (with `meet`,
+    their meet) is node z in every lane that holds the pair."""
+    column_bounds = poset._column_bounds
     pair = {diagram.vecs[x], diagram.vecs[y]}
 
-    def join(n, u, v):
-        return diagram.vecs[z] if {u, v} == pair else join_flat(n, u, v)
-    return join
+    def bounds(n, us, vs, is_meet=False):
+        out = column_bounds(n, us, vs, is_meet)
+        if is_meet != meet:
+            return out
+        lanes = [diagram.vecs[z] if {u, v} == pair else lane
+                 for u, v, lane in zip(zip(*us), zip(*vs), zip(*out))]
+        return tuple(map(bytes, zip(*lanes)))
+    return bounds
+
+
+def corrupt_square_lanes(diagram, corrupted):
+    """poset._column_bounds, but in the batch of the whole square each
+    lane k of `corrupted` (a set of (op, k)) holds a wrong node: the
+    bottom for a join, the top for a meet."""
+    column_bounds = poset._column_bounds
+    size = len(diagram.ranks)
+    wrong = {"join": diagram.vecs[diagram.bottom], "meet": diagram.vecs[diagram.top]}
+
+    def bounds(n, us, vs, meet=False):
+        out = column_bounds(n, us, vs, meet)
+        if len(us[0]) != size * size:
+            return out
+        op = "meet" if meet else "join"
+        lanes = [wrong[op] if (op, k) in corrupted else lane
+                 for k, lane in enumerate(zip(*out))]
+        return tuple(map(bytes, zip(*lanes)))
+    return bounds
 
 
 class TestLatticeCheck:
@@ -185,8 +210,8 @@ class TestLatticeCheck:
         diagram = build(5)
         x = next(t for t, up in enumerate(diagram.up) if len(up) > 1)
         y, z = diagram.up[x][:2]
-        monkeypatch.setattr(kernels, "join_flat",
-                            wrong_join_at(diagram, y, z, diagram.top))
+        monkeypatch.setattr(poset, "_column_bounds",
+                            wrong_lanes_at(diagram, y, z, diagram.top))
         report = checks.run_check("lattice", 5)
         assert not report.passed
         assert report.witness["op"] == "join"
@@ -198,14 +223,39 @@ class TestLatticeCheck:
         # the pair claim sees this join
         diagram = build(5)
         bottom, top = diagram.bottom, diagram.top
-        monkeypatch.setattr(kernels, "join_flat",
-                            wrong_join_at(diagram, bottom, top, bottom))
+        monkeypatch.setattr(poset, "_column_bounds",
+                            wrong_lanes_at(diagram, bottom, top, bottom))
         assert checks._cover_failure(diagram) is None
         report = checks.run_check("lattice", 5)
         assert not report.passed
         assert report.witness == {"op": "join",
                                   "pair": [word_text(diagram.words[bottom]),
                                            word_text(diagram.words[top])]}
+
+    @pytest.mark.parametrize("corrupted, op, k", [
+        ({("join", 301), ("meet", 300), ("join", 470)}, "meet", 300),
+        ({("meet", 300), ("join", 300), ("meet", 301)}, "join", 300)])
+    def test_first_failing_lane_of_the_square(self, monkeypatch, corrupted, op, k):
+        # the square at n = 5 is one batch of 576 lanes, the pair (x, y)
+        # in lane 24 x + y: the first corrupted pair fails, at its join
+        # before its meet
+        diagram = build(5)
+        monkeypatch.setattr(poset, "_column_bounds",
+                            corrupt_square_lanes(diagram, corrupted))
+        assert checks._cover_failure(diagram) is None
+        report = checks.run_check("lattice", 5)
+        assert not report.passed
+        assert report.witness == {"op": op, "pair": [word_text(diagram.words[t])
+                                                     for t in divmod(k, 24)]}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lattice_calls_no_pair_kernel(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("lattice called a per-pair kernel")
+
+        monkeypatch.setattr(kernels, "join_flat", refuse)
+        monkeypatch.setattr(kernels, "meet_flat", refuse)
+        assert checks.run_check("lattice", n).passed
 
     def test_missing_cover_fails_the_closure(self, monkeypatch):
         diagram = build(5)
@@ -309,13 +359,8 @@ class TestWitnessBranches:
         # every join is right, so the pair (bottom, top) fails at its meet
         diagram = build(5)
         bottom, top = diagram.bottom, diagram.top
-        meet_flat = kernels.meet_flat
-        pair = {diagram.vecs[bottom], diagram.vecs[top]}
-
-        def meet(n, u, v):
-            return diagram.vecs[top] if {u, v} == pair else meet_flat(n, u, v)
-
-        monkeypatch.setattr(kernels, "meet_flat", meet)
+        monkeypatch.setattr(poset, "_column_bounds",
+                            wrong_lanes_at(diagram, bottom, top, top, meet=True))
         report = checks.run_check("lattice", 5)
         assert not report.passed
         assert report.witness == {"op": "meet",

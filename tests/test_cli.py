@@ -389,11 +389,14 @@ class TestCheck:
         assert "order 6 exceeds the cap 4" in err
 
     def test_lattice_reports_a_join_off_the_nodes(self, capsys, monkeypatch):
-        from cyclat import kernels
-        join_flat = kernels.join_flat
-        monkeypatch.setattr(kernels, "join_flat",
-                            lambda n, u, v: join_flat(n, u, v)[:-1]
-                            + (join_flat(n, u, v)[-1] + 1,))
+        from cyclat import poset
+        column_bounds = poset._column_bounds
+
+        def last_plus_one(n, us, vs, meet=False):
+            out = column_bounds(n, us, vs, meet)
+            return out if meet else out[:-1] + (bytes(b + 1 for b in out[-1]),)
+
+        monkeypatch.setattr(poset, "_column_bounds", last_plus_one)
         code, out, err = run(capsys, "check", "lattice", "4", "--json")
         assert code == 1 and err == ""
         (report,) = json.loads(out)
@@ -402,8 +405,11 @@ class TestCheck:
         assert len(report["witness"]["pair"]) == 2
 
     def test_lattice_reports_a_join_not_least(self, capsys, monkeypatch):
-        from cyclat import kernels
-        monkeypatch.setattr(kernels, "join_flat", lambda n, u, v: u)
+        from cyclat import poset
+        column_bounds = poset._column_bounds
+        monkeypatch.setattr(poset, "_column_bounds",
+                            lambda n, us, vs, meet=False:
+                            column_bounds(n, us, vs, meet) if meet else tuple(us))
         code, out, err = run(capsys, "check", "lattice", "4")
         assert code == 1 and err == ""
         assert "[FAIL] lattice n=4" in out and "'op': 'join'" in out

@@ -3,11 +3,12 @@ lattice laws, truncations, and path conjugators."""
 
 import hashlib
 import json
+import random
 import tracemalloc
 from dataclasses import fields
 from functools import reduce
-from itertools import accumulate, chain, permutations, product
-from math import factorial
+from itertools import accumulate, chain, combinations, permutations, product
+from math import comb, factorial
 from operator import and_, or_
 
 import pytest
@@ -289,6 +290,81 @@ class TestVectorColumns:
         if name != "lattice":  # the lattice check's joins read vecs
             monkeypatch.setattr(HasseDiagram, "vecs", property(refuse))
         assert checks.run_check(name, 6).passed
+
+
+def _top_vector(n):
+    """The vector of the top: v[i,j] = j - i - 1, the largest entries."""
+    return tuple(j - i - 1 for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def _kernel_bounds(diagram, xs, ys):
+    """`join_flat` and `meet_flat` of each pair, as node ids or None."""
+    n, vecs, index = diagram.n, diagram.vecs, diagram.vec_index
+    return ([index.get(kernels.join_flat(n, vecs[x], vecs[y])) for x, y in zip(xs, ys)],
+            [index.get(kernels.meet_flat(n, vecs[x], vecs[y])) for x, y in zip(xs, ys)])
+
+
+class TestColumnBounds:
+    """`joins` and `meets` run the recursion of `join_flat` and
+    `meet_flat` on the byte columns, one lane a pair."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_ordered_pair(self, n):
+        diagram = build(n)
+        xs, ys = zip(*product(range(len(diagram.ranks)), repeat=2))
+        joins, meets = diagram.joins(xs, ys), diagram.meets(xs, ys)
+        assert (joins, meets) == _kernel_bounds(diagram, xs, ys)
+        assert None not in joins + meets
+        if n <= 2:  # one node; at n = 2 its one coordinate is adjacent, so 0
+            assert joins == meets == [0]
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_cover_pairs_and_seeded_pairs(self, n):
+        diagram = build(n)
+        size = len(diagram.ranks)
+        rng = random.Random(checks._SEED)
+        pairs = [pair for up in diagram.up for pair in combinations(up, 2)]
+        pairs += [(rng.randrange(size), rng.randrange(size)) for _ in range(10_000)]
+        xs, ys = zip(*pairs)
+        joins, meets = diagram.joins(xs, ys), diagram.meets(xs, ys)
+        assert (joins, meets) == _kernel_bounds(diagram, xs, ys)
+        assert None not in joins + meets
+
+    def test_batches_of_one_and_none(self):
+        diagram = build(5)
+        assert diagram.joins([3], [7]) == [diagram.join(3, 7)]
+        assert diagram.meets([3], [7]) == [diagram.meet(3, 7)]
+        assert diagram.joins([], []) == diagram.meets([], []) == []
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(3, 24))
+    def test_lanes_are_isolated(self, data, n):
+        # the top's entries are the largest, so its lanes have the least
+        # headroom; each pair takes two neighbouring lanes, (a, b) then
+        # (b, a), so lanes where a >= b and a < b alternate
+        words = data.draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
+        vecs = [_top_vector(n)] + [kernels.word_vector(tuple(w)) for w in words]
+        lanes = [lane for a, b in combinations(vecs, 2) for lane in ((a, b), (b, a))]
+        us = [bytes(column) for column in zip(*(a for a, _ in lanes))]
+        vs = [bytes(column) for column in zip(*(b for _, b in lanes))]
+        assert list(zip(*poset._column_bounds(n, us, vs))) == \
+            [kernels.join_flat(n, a, b) for a, b in lanes]
+        assert list(zip(*poset._column_bounds(n, us, vs, meet=True))) == \
+            [kernels.meet_flat(n, a, b) for a, b in lanes]
+
+    def test_refuses_an_order_past_the_guard_bit(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("built a diagram")
+
+        monkeypatch.setattr(poset, "build", refuse)
+        top, zero = _top_vector(65), (0,) * comb(65, 2)
+        us, vs = [bytes([a, b]) for a, b in zip(top, zero)], [bytes([a, a]) for a in top]
+        assert list(zip(*poset._column_bounds(65, us, vs))) == \
+            [kernels.join_flat(65, top, top), kernels.join_flat(65, zero, top)]
+        assert list(zip(*poset._column_bounds(65, us, vs, meet=True))) == \
+            [kernels.meet_flat(65, top, top), kernels.meet_flat(65, zero, top)]
+        with pytest.raises(CyclatError, match="order 66 exceeds 65"):
+            poset._column_bounds(66, us, vs)
 
 
 class TestPrefixRanks:
