@@ -5,14 +5,15 @@ returns a CheckReport.  Every claim is checked exhaustively at every n
 but one: from n = 7 on, `lattice` tests the joins and meets against the
 bounds on 10,000 seeded pairs instead of on every ordered pair.
 
-`lattice` and `modularity` take their joins and meets many pairs at a
-time from `HasseDiagram.joins` and `meets`: the recursion of the
-kernels `join_flat` and `meet_flat`, run on the vector columns with
-one byte a pair and guard bits for the lane-wise max and min (L.
-Lamport, *Multiple byte processing with full-word instructions*, CACM
-18(8), 1975).  So `lattice` proves that this lane recursion gives the
-bounds; the tests tie `join_flat` and `meet_flat`, which the per-pair
-`join`/`meet` call, to it pair for pair.
+`lattice` and `modularity` take their joins and meets, and `mobius`
+its joins, many pairs at a time from `HasseDiagram.joins` and `meets`:
+the recursion of the kernels `join_flat` and `meet_flat`, run on the
+vector columns with one byte a pair and guard bits for the lane-wise
+max and min (L. Lamport, *Multiple byte processing with full-word
+instructions*, CACM 18(8), 1975).  So `lattice` proves that this lane
+recursion gives the bounds, and no scan of the diagram calls a per-pair
+kernel; the tests tie `join_flat` and `meet_flat` to the lane
+recursion pair for pair.
 
 `run_all` builds the order-n diagram once, on first use, and every
 check that reads a diagram reads that one; `run_check` builds its own.
@@ -103,7 +104,7 @@ class CheckRun:
         diagram = self.shared["diagram"]
         if masks and "masks" not in self.shared:
             start = time.perf_counter()
-            # cached on the diagram, read off its columns; no `vecs`
+            # cached on the diagram, read off its columns
             self.shared["masks"] = diagram.at_least
             self.phases["masks"] += time.perf_counter() - start
         return diagram
@@ -125,8 +126,8 @@ def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
 
 def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     diagram = run.diagram()
-    for x in range(len(diagram.ranks)):
-        mu = poset.mobius_from(diagram, x)
+    ids = range(len(diagram.ranks))
+    for x, mu in zip(ids, poset.mobius_from(diagram, ids)):
         bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
         if bad:
             y = min(bad, key=lambda t: (diagram.ranks[t], t))
@@ -161,9 +162,8 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     L. Lamport, *Multiple byte processing with full-word instructions*,
     CACM 18(8), 1975).  So the check proves that this lane recursion
     gives the bounds; no per-pair kernel runs.  The tests tie
-    `join_flat` and `meet_flat`, which the per-pair `join`/`meet` and
-    `vectors.join`/`meet` call, to the lane recursion on every pair the
-    check reads up to n = 8.
+    `join_flat` and `meet_flat`, which `vectors.join`/`meet` call, to
+    the lane recursion on every pair the check reads up to n = 8.
 
     j is the least upper bound of x and y iff
     above_mask(x) & above_mask(y) == above_mask(j): j lies in its own

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, islice, permutations, product
 from math import comb, factorial
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
@@ -122,19 +122,15 @@ class HasseDiagram:
     and the extremes follow from n: `bottom` (1, 2, ..., n) is node 0
     and `top` (1, n, ..., 2) the last node.  `name(t)` unranks node t's
     word from t alone, so a witness names its nodes with no view.  The
-    views (words, index, nodes, edges, columns, vecs, vec_index, up,
-    down, at_least) are built on first use and never mutated.  The
-    order and the lattice operations (leq, join, meet, joins, meets,
-    above) take and return node ids.
+    views (words, nodes, edges, columns, vec_index, up, down, at_least)
+    are built on first use and never mutated.  The order and the
+    lattice operations (leq, joins, meets) take and return node ids.
 
     The vectors depend on n alone too: `columns` holds coordinate c of
     every node as one byte per node, from `_vector_columns(n)`.
     `joins` and `meets` bound many pairs at once on those columns, one
-    byte a pair (`_column_bounds`).  `vecs` is the transpose of the
-    columns, the vector of each node as a tuple; it is read only by
-    `vec_index`, which turns every result vector back into a node id,
-    and by the per-pair `join`/`meet`, and so `mobius_from`, which pass
-    it to the kernels.
+    byte a pair (`_column_bounds`), and `vec_index` turns each result
+    vector back into a node id.
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
@@ -176,11 +172,6 @@ class HasseDiagram:
         return word_text(word)
 
     @cached_property
-    def index(self) -> dict[Word, int]:
-        """Node id of each canonical word; the inverse of `words`."""
-        return {w: t for t, w in enumerate(self.words)}
-
-    @cached_property
     def nodes(self) -> tuple[CircularPermutation, ...]:
         return tuple(map(CircularPermutation, _words(self.n)))
 
@@ -194,13 +185,6 @@ class HasseDiagram:
         """columns[c][t]: coordinate c, in row-major pair order, of the
         vector of node t."""
         return _vector_columns(self.n)
-
-    @cached_property
-    def vecs(self) -> tuple[tuple[int, ...], ...]:
-        """vecs[t]: the flat vector of node t, `word_vector(words[t])`."""
-        if not self.columns:  # n = 1: one node, with the empty vector
-            return ((),)
-        return tuple(zip(*self.columns))
 
     @cached_property
     def up(self) -> tuple[tuple[int, ...], ...]:
@@ -220,16 +204,11 @@ class HasseDiagram:
         """Positions in the edge columns of the covers above node t."""
         return range(bisect_left(self.lo, t), bisect_right(self.lo, t))
 
-    def label(self, k: int) -> DescentLabel:
-        return DescentLabel(self.r[k], self.s[k])
-
-    def node_id(self, sigma: CircularPermutation) -> int:
-        return self.index[sigma.canon]
-
     @cached_property
     def vec_index(self) -> dict[tuple[int, ...], int]:
-        """Node id of each admitted vector; the inverse of `vecs`."""
-        return {v: t for t, v in enumerate(self.vecs)}
+        """Node id of each admitted vector, read across the columns; empty
+        at n = 1, whose one node `joins` and `meets` return without it."""
+        return {v: t for t, v in enumerate(zip(*self.columns))}
 
     @cached_property
     def at_least(self) -> tuple[tuple[int, ...], ...]:
@@ -258,19 +237,14 @@ class HasseDiagram:
     def leq(self, x: int, y: int) -> bool:
         return all(column[x] <= column[y] for column in self.columns)
 
-    def join(self, x: int, y: int) -> int:
-        return self.vec_index[kernels.join_flat(self.n, self.vecs[x], self.vecs[y])]
-
-    def meet(self, x: int, y: int) -> int:
-        return self.vec_index[kernels.meet_flat(self.n, self.vecs[x], self.vecs[y])]
-
     def joins(self, xs: Sequence[int], ys: Sequence[int]) -> list[int | None]:
-        """`join(x, y)` for each x, y of xs, ys in turn, from one
-        `_column_bounds` batch; None where the result is not a node."""
+        """The node id of `join_flat` of the vectors of x and y, for each
+        x, y of xs, ys in turn, from one `_column_bounds` batch; None
+        where the result is not a node."""
         return self._bounds(xs, ys, meet=False)
 
     def meets(self, xs: Sequence[int], ys: Sequence[int]) -> list[int | None]:
-        """`meet(x, y)` for each x, y of xs, ys in turn, as `joins`."""
+        """The node id of `meet_flat` of each pair, as `joins`."""
         return self._bounds(xs, ys, meet=True)
 
     def _bounds(self, xs: Sequence[int], ys: Sequence[int], meet: bool) -> list[int | None]:
@@ -279,10 +253,6 @@ class HasseDiagram:
         bounds = _column_bounds(self.n, _lanes(self.n, self.columns, xs),
                                 _lanes(self.n, self.columns, ys), meet)
         return list(map(self.vec_index.get, zip(*bounds)))
-
-    def above(self, x: int) -> list[int]:
-        """Node ids z with x <= z, in id order."""
-        return bits(self.above_mask(x))
 
     @property
     def bottom(self) -> int:
@@ -549,24 +519,36 @@ def interval(diagram: HasseDiagram, x: int, y: int) -> list[int]:
 def mobius(diagram: HasseDiagram, x: int, y: int) -> int:
     """Moebius function of the closed interval [x, y]."""
     _require_leq(diagram, x, y)
-    return mobius_from(diagram, x).get(y, 0)
+    return next(mobius_from(diagram, [x])).get(y, 0)
 
 
-def mobius_from(diagram: HasseDiagram, x: int) -> dict[int, int]:
-    """The nonzero values mu(x, y) over y >= x; every other y has mu 0.
+def mobius_from(diagram: HasseDiagram, xs: Iterable[int]) -> Iterator[dict[int, int]]:
+    """For each node id x of xs in turn, the nonzero values mu(x, y)
+    over y >= x; every other y has mu 0.
 
     Rota's crosscut theorem: mu(x, y) is the sum of (-1)^|S| over the
-    sets S of upper covers of x whose join is y.  Each subset's join is
-    one `join` of the subset without its last cover with that cover.
+    sets S of upper covers of x whose join is y.  x's table lists the
+    joins of the subsets of its covers by subset mask, and doubles once
+    per cover: the joins of the subsets of the first k + 1 covers are
+    those of the first k, then each of those joined with cover k.  The
+    ids are taken in blocks of `_ROW_CHUNK`, and one `joins` batch
+    doubles every table of a block that has a cover k.
     """
-    covers = diagram.up[x]
-    joins = [x] * (1 << len(covers))  # joins[mask]: join of the covers in mask
-    mu = {x: 1}
-    for mask in range(1, len(joins)):
-        last = mask.bit_length() - 1
-        y = joins[mask] = diagram.join(joins[mask ^ (1 << last)], covers[last])
-        mu[y] = mu.get(y, 0) + (-1 if mask.bit_count() % 2 else 1)
-    return {y: value for y, value in mu.items() if value}
+    xs = iter(xs)
+    while block := list(islice(xs, _ROW_CHUNK)):
+        tables = [[x] for x in block]  # tables[i][mask]: join of the covers in mask
+        covers = [diagram.up[x] for x in block]
+        for k in range(max(map(len, covers))):
+            grow = [(table, up[k]) for table, up in zip(tables, covers) if len(up) > k]
+            joined = iter(diagram.joins([y for table, _ in grow for y in table],
+                                        [c for table, c in grow for _ in table]))
+            for table, _ in grow:
+                table += islice(joined, len(table))
+        for table in tables:
+            mu: dict[int, int] = {}
+            for mask, y in enumerate(table):
+                mu[y] = mu.get(y, 0) + (-1 if mask.bit_count() % 2 else 1)
+            yield {y: value for y, value in mu.items() if value}
 
 
 def kappa_failure(diagram: HasseDiagram, law: str) -> tuple[int, int, int] | None:
@@ -624,7 +606,7 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
     return {"n": diagram.n, "pass": True, "witness": None}
 
 
-_ROW_CHUNK = 4096  # pairs per batch of the modularity scan
+_ROW_CHUNK = 4096  # pairs per batch of the modularity scan, ids per Moebius block
 
 
 def check_modular(diagram: HasseDiagram) -> dict:
@@ -802,7 +784,7 @@ def maximal_chain(diagram: HasseDiagram) -> list[DescentLabel]:
     t = diagram.bottom
     while above := diagram.edges_above(t):
         k = above[0]
-        chain.append(diagram.label(k))
+        chain.append(DescentLabel(diagram.r[k], diagram.s[k]))
         t = diagram.hi[k]
     return chain
 

@@ -12,7 +12,7 @@ from math import comb, factorial
 
 import pytest
 
-from cyclat import affine, oracle, poset, vectors
+from cyclat import affine, kernels, oracle, poset, vectors
 from cyclat.perm import CircularPermutation, all_cycles
 from cyclat.poset import build
 from cyclat.vectors import AdmittedVector
@@ -74,11 +74,12 @@ def test_03_lattice_against_oracle():
     with Budget("3 lattice vs closure search n=5 exhaustive, n=7 sampled", 60.0):
         diagram = build(5)
         closure = oracle.order_by_closure(diagram)
-        rev = {v: t for t, v in enumerate(diagram.vecs)}
+        vecs = [kernels.word_vector(w) for w in diagram.words]
+        rev = {v: t for t, v in enumerate(vecs)}
         for x in range(24):
-            u = AdmittedVector(5, diagram.vecs[x])
+            u = AdmittedVector(5, vecs[x])
             for y in range(24):
-                v = AdmittedVector(5, diagram.vecs[y])
+                v = AdmittedVector(5, vecs[y])
                 assert oracle.join_by_search(closure, x, y) == \
                     rev[vectors.join(u, v).flat]
                 assert oracle.meet_by_search(closure, x, y) == \
@@ -86,13 +87,14 @@ def test_03_lattice_against_oracle():
 
         diagram = build(7)
         closure = oracle.order_by_closure(diagram)
-        rev = {v: t for t, v in enumerate(diagram.vecs)}
+        vecs = [kernels.word_vector(w) for w in diagram.words]
+        rev = {v: t for t, v in enumerate(vecs)}
         rng = random.Random(424242)
         size = len(diagram.nodes)
         for _ in range(10_000):
             x, y = rng.randrange(size), rng.randrange(size)
-            u = AdmittedVector(7, diagram.vecs[x])
-            v = AdmittedVector(7, diagram.vecs[y])
+            u = AdmittedVector(7, vecs[x])
+            v = AdmittedVector(7, vecs[y])
             assert oracle.join_by_search(closure, x, y) == \
                 rev[vectors.join(u, v).flat]
             assert oracle.meet_by_search(closure, x, y) == \
@@ -113,8 +115,8 @@ def test_05_mobius_values():
     with Budget("5 Moebius values in {-1,0,1} n<=6", 60.0):
         for n in range(2, 7):
             diagram = build(n)
-            for x in range(len(diagram.nodes)):
-                for value in poset.mobius_from(diagram, x).values():
+            for mu in poset.mobius_from(diagram, range(len(diagram.nodes))):
+                for value in mu.values():
                     assert value in (-1, 0, 1)
 
 

@@ -13,7 +13,7 @@ from cyclat import affine, checks, kernels, perm, poset, vectors
 from cyclat.errors import QuadNotFlippableError
 from cyclat.oracle import join_by_search, order_by_closure
 from cyclat.perm import CircularPermutation, word_text
-from cyclat.poset import build, compose_transposition
+from cyclat.poset import bits, build, compose_transposition
 from cyclat.vectors import AdmittedVector, cycle_to_vector
 
 
@@ -43,7 +43,8 @@ def conjugators(diagram, x, y):
 def chains_agree(diagram):
     """Reference verdict: one conjugator for every comparable pair."""
     return all(len(conjugators(diagram, x, y)) == 1
-               for x in range(len(diagram.words)) for y in diagram.above(x))
+               for x in range(len(diagram.words))
+               for y in bits(diagram.above_mask(x)))
 
 
 def mutants(n):
@@ -74,7 +75,7 @@ class TestAlphaPotential:
             assert dependent == (not chains_agree(mutant))
             if dependent:
                 failed += 1
-                x, y = (mutant.node_id(CircularPermutation.from_text(text))
+                x, y = (mutant.words.index(CircularPermutation.from_text(text).canon)
                         for text in report.witness["pair"])
                 assert x == mutant.bottom
                 assert len(conjugators(mutant, x, y)) > 1
@@ -160,17 +161,22 @@ def without_edge(diagram, k):
                                for column in ("lo", "hi", "r", "s")})
 
 
+def vector(diagram, t):
+    """The vector of node t, from its word rather than the columns."""
+    return kernels.word_vector(diagram.words[t])
+
+
 def wrong_lanes_at(diagram, x, y, z, meet=False):
     """poset._column_bounds, but the join of nodes x and y (with `meet`,
     their meet) is node z in every lane that holds the pair."""
     column_bounds = poset._column_bounds
-    pair = {diagram.vecs[x], diagram.vecs[y]}
+    pair = {vector(diagram, x), vector(diagram, y)}
 
     def bounds(n, us, vs, is_meet=False):
         out = column_bounds(n, us, vs, is_meet)
         if is_meet != meet:
             return out
-        lanes = [diagram.vecs[z] if {u, v} == pair else lane
+        lanes = [vector(diagram, z) if {u, v} == pair else lane
                  for u, v, lane in zip(zip(*us), zip(*vs), zip(*out))]
         return tuple(map(bytes, zip(*lanes)))
     return bounds
@@ -182,7 +188,7 @@ def corrupt_square_lanes(diagram, corrupted):
     bottom for a join, the top for a meet."""
     column_bounds = poset._column_bounds
     size = len(diagram.ranks)
-    wrong = {"join": diagram.vecs[diagram.bottom], "meet": diagram.vecs[diagram.top]}
+    wrong = {"join": vector(diagram, diagram.bottom), "meet": vector(diagram, diagram.top)}
 
     def bounds(n, us, vs, meet=False):
         out = column_bounds(n, us, vs, meet)
@@ -201,9 +207,9 @@ class TestLatticeCheck:
         diagram = build(n)
         closure = order_by_closure(diagram)
         assert checks._cover_failure(diagram) is None
-        for x in range(len(diagram.words)):
-            for y, z in combinations(diagram.up[x], 2):
-                assert diagram.join(y, z) == join_by_search(closure, y, z)
+        pairs = [pair for up in diagram.up for pair in combinations(up, 2)]
+        ys, zs = [y for y, _ in pairs], [z for _, z in pairs]
+        assert diagram.joins(ys, zs) == [join_by_search(closure, y, z) for y, z in pairs]
         assert checks.run_check("lattice", n).passed
 
     def test_wrong_cover_join_fails(self, monkeypatch):
@@ -268,6 +274,17 @@ class TestLatticeCheck:
         assert report.witness["pair"][0] == word_text(diagram.words[diagram.lo[k]])
 
 
+class TestMobiusCheck:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mobius_calls_no_pair_kernel(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("mobius called a per-pair kernel")
+
+        monkeypatch.setattr(kernels, "join_flat", refuse)
+        monkeypatch.setattr(kernels, "meet_flat", refuse)
+        assert checks.run_check("mobius", n).passed
+
+
 def flips(t):
     """Every flip of t, found by trying `mutate` on every 4-set."""
     for quad in combinations(range(1, t.n + 1), 4):
@@ -280,7 +297,7 @@ def flips(t):
 class TestTriangulationCheck:
     @pytest.mark.parametrize("n", range(3, 8))
     def test_agrees_with_direct_loops(self, n):
-        vs = [AdmittedVector(n, flat) for flat in build(n).vecs]
+        vs = [AdmittedVector(n, kernels.word_vector(w)) for w in build(n).words]
         tris = vectors.all_triangulations(n)
         for t in tris:
             for v in vs:
@@ -344,11 +361,12 @@ class TestWitnessBranches:
         x, top = 3, build(5).top
         mobius_from = poset.mobius_from
 
-        def wrong_at_x(diagram, t):
-            mu = mobius_from(diagram, t)
-            if t == x:
-                mu[top] = 2
-            return mu
+        def wrong_at_x(diagram, ts):
+            ts = list(ts)
+            for t, mu in zip(ts, mobius_from(diagram, ts)):
+                if t == x:
+                    mu[top] = 2
+                yield mu
 
         monkeypatch.setattr(poset, "mobius_from", wrong_at_x)
         report = checks.run_check("mobius", 5)
@@ -446,10 +464,10 @@ class TestSharedDiagram:
         built = built_diagrams(monkeypatch)
         assert all(r.passed for r in checks.run_all(6))
         (diagram,) = built
-        assert not {"words", "index", "nodes", "edges"} & vars(diagram).keys()
+        assert not {"words", "nodes", "edges"} & vars(diagram).keys()
 
     @pytest.mark.parametrize("name, view", [("modularity", "words"),
-                                            ("triangulation", "vecs")])
+                                            ("triangulation", "vec_index")])
     def test_check_leaves_a_view_unbuilt(self, monkeypatch, name, view):
         built = built_diagrams(monkeypatch)
         assert checks.run_check(name, 6).passed

@@ -136,11 +136,14 @@ class TestBackendAgreement:
             _ckernels.sd_scan(joins, meets)
 
     def test_sd_scan_on_real_tables(self):
+        from itertools import product
+
         from cyclat.poset import build
         diagram = build(5)
         size = len(diagram.ranks)
-        joins = tuple(tuple(diagram.join(a, b) for b in range(size)) for a in range(size))
-        meets = tuple(tuple(diagram.meet(a, b) for b in range(size)) for a in range(size))
+        xs, ys = zip(*product(range(size), repeat=2))  # the square, row by row
+        joins = tuple(zip(*[iter(diagram.joins(xs, ys))] * size))
+        meets = tuple(zip(*[iter(diagram.meets(xs, ys))] * size))
         assert _pykernels.sd_scan(joins, meets) is None
         assert _ckernels.sd_scan(joins, meets) is None
 

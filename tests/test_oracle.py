@@ -1,9 +1,11 @@
 """Brute-force references against the production implementations."""
 
 import random
+from itertools import product
 
 import pytest
 
+from cyclat import kernels, poset
 from cyclat.affine import AffineWindow, interval_top, length, window_of_vector
 from cyclat.errors import NotALatticeError
 from cyclat.oracle import (
@@ -20,7 +22,7 @@ from cyclat.oracle import (
     order_by_closure,
 )
 from cyclat.perm import CircularPermutation, DescentLabel
-from cyclat.poset import Comparison, build, compare, eulerian, mobius_from
+from cyclat.poset import Comparison, bits, build, compare, eulerian, mobius_from
 from cyclat.vectors import AdmittedVector, cycle_to_vector, join, meet
 
 
@@ -45,8 +47,8 @@ class TestDiagramBySearch:
                                    for t in range(size))
         assert diagram.down == tuple(tuple(sorted(a for a, b, _ in edges if b == t))
                                      for t in range(size))
-        assert diagram.vecs == tuple(cycle_to_vector(CircularPermutation(w)).flat
-                                     for w in words)
+        vecs = [cycle_to_vector(CircularPermutation(w)).flat for w in words]
+        assert diagram.columns == tuple(map(bytes, zip(*vecs)))
 
 
 class TestClosureOrder:
@@ -71,7 +73,8 @@ class TestClosureOrder:
         closure = order_by_closure(diagram)
         size = len(diagram.words)
         for x in range(size):
-            assert diagram.above(x) == [z for z in range(size) if closure.leq(x, z)]
+            assert bits(diagram.above_mask(x)) == \
+                [z for z in range(size) if closure.leq(x, z)]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_threshold_masks_are_the_closure(self, n):
@@ -94,11 +97,12 @@ class TestBoundSearch:
     def test_matches_recursive_bounds_exhaustively(self):
         diagram = build(5)
         closure = order_by_closure(diagram)
-        rev = {v: t for t, v in enumerate(diagram.vecs)}
+        vecs = [kernels.word_vector(w) for w in diagram.words]
+        rev = {v: t for t, v in enumerate(vecs)}
         for x in range(24):
-            u = AdmittedVector(5, diagram.vecs[x])
+            u = AdmittedVector(5, vecs[x])
             for y in range(24):
-                v = AdmittedVector(5, diagram.vecs[y])
+                v = AdmittedVector(5, vecs[y])
                 assert join_by_search(closure, x, y) == rev[join(u, v).flat]
                 assert meet_by_search(closure, x, y) == rev[meet(u, v).flat]
 
@@ -106,11 +110,11 @@ class TestBoundSearch:
     def test_diagram_bounds_match_search(self, n):
         diagram = build(n)
         closure = order_by_closure(diagram)
-        size = len(diagram.words)
-        for x in range(size):
-            for y in range(size):
-                assert diagram.join(x, y) == join_by_search(closure, x, y)
-                assert diagram.meet(x, y) == meet_by_search(closure, x, y)
+        xs, ys = zip(*product(range(len(diagram.words)), repeat=2))
+        assert diagram.joins(xs, ys) == \
+            [join_by_search(closure, x, y) for x, y in zip(xs, ys)]
+        assert diagram.meets(xs, ys) == \
+            [meet_by_search(closure, x, y) for x, y in zip(xs, ys)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_upset_equality_is_the_bound_search(self, n):
@@ -131,8 +135,8 @@ class TestBoundSearch:
     def test_known_supremum(self):
         diagram = build(5)
         closure = order_by_closure(diagram)
-        x = diagram.node_id(CircularPermutation.from_text("(1,4,2,3,5)"))
-        y = diagram.node_id(CircularPermutation.from_text("(1,3,4,2,5)"))
+        x = diagram.words.index(CircularPermutation.from_text("(1,4,2,3,5)").canon)
+        y = diagram.words.index(CircularPermutation.from_text("(1,3,4,2,5)").canon)
         top = join_by_search(closure, x, y)
         assert diagram.nodes[top].as_text() == "(1,3,5,4,2)"
 
@@ -219,15 +223,37 @@ class TestMaskSearch:
             meet_by_search(_BOWTIE, 0, 1)
 
 
+def nonzero_mobius(closure, x):
+    """The nonzero values mu(x, .) of the defining recursion."""
+    return {y: value for y, value in mobius_by_recursion(closure, x).items() if value}
+
+
 class TestMobiusCrosscut:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_crosscut_matches_recursion(self, n):
         diagram = build(n)
         closure = order_by_closure(diagram)
-        for x in range(len(diagram.words)):
-            reference = mobius_by_recursion(closure, x)
-            assert mobius_from(diagram, x) == \
-                {y: value for y, value in reference.items() if value}
+        ids = range(len(diagram.words))
+        for x, mu in zip(ids, mobius_from(diagram, ids)):
+            assert mu == nonzero_mobius(closure, x)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_blocks_match_recursion(self, monkeypatch, n, chunk):
+        # one id a block, and blocks of 7 ids, which divide neither 24
+        # nor 120, so the last block is short
+        monkeypatch.setattr(poset, "_ROW_CHUNK", chunk)
+        diagram = build(n)
+        closure = order_by_closure(diagram)
+        size = len(diagram.words)
+        assert list(mobius_from(diagram, range(size))) == \
+            [nonzero_mobius(closure, x) for x in range(size)]
+
+    def test_rows_come_in_the_order_given(self):
+        diagram = build(5)
+        closure = order_by_closure(diagram)
+        assert list(mobius_from(diagram, [5, 0, 3])) == \
+            [nonzero_mobius(closure, x) for x in (5, 0, 3)]
 
 
 class TestMobiusByChains:

@@ -96,7 +96,7 @@ class TestBuild:
             above = diagram.edges_above(t)
             assert [diagram.hi[k] for k in above] == list(diagram.up[t])
             assert all(diagram.lo[k] == t for k in above)
-            assert [diagram.label(k) for k in above] == \
+            assert [DescentLabel(diagram.r[k], diagram.s[k]) for k in above] == \
                 [label for lo, _, label in diagram.edges if lo == t]
 
     def test_ragged_columns_rejected(self):
@@ -121,10 +121,10 @@ class TestBuild:
         names = [f.name for f in fields(HasseDiagram)]
         assert names == ["n", "ranks", "lo", "hi", "r", "s"]
         diagram = build(6)
-        assert not {"words", "index", "vecs"} & vars(diagram).keys()
-        assert diagram.node_id(CircularPermutation.largest(6)) == diagram.top
-        assert {"words", "index"} <= vars(diagram).keys()
-        assert "vecs" not in vars(diagram)
+        assert not {"words", "vec_index"} & vars(diagram).keys()
+        assert diagram.words.index(CircularPermutation.largest(6).canon) == diagram.top
+        assert "words" in vars(diagram)
+        assert "vec_index" not in vars(diagram)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_name_unranks_the_word(self, n):
@@ -138,9 +138,8 @@ class TestBuild:
         diagram = build(n)
         words = tuple((1,) + p for p in permutations(range(2, n + 1)))
         assert diagram.words == words
-        assert diagram.index == {w: t for t, w in enumerate(words)}
-        assert diagram.bottom == diagram.index[CircularPermutation.smallest(n).canon]
-        assert diagram.top == diagram.index[CircularPermutation.largest(n).canon]
+        assert diagram.bottom == words.index(CircularPermutation.smallest(n).canon)
+        assert diagram.top == words.index(CircularPermutation.largest(n).canon)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "3")
@@ -213,7 +212,7 @@ class TestLehmerBuild:
 
     def test_order_nine_matches_the_kernels(self):
         diagram = build(9)
-        index = diagram.index
+        index = {w: t for t, w in enumerate(diagram.words)}
         assert diagram.ranks == tuple(map(kernels.word_rank, diagram.words))
         reference = [(t, b, r, s) for t, word in enumerate(diagram.words)
                      for b, r, s in sorted((index[u], r, s)
@@ -244,13 +243,16 @@ class TestVectorColumns:
         diagram = build(n)
         assert len(diagram.columns) == n * (n - 1) // 2
         assert all(len(column) == factorial(n - 1) for column in diagram.columns)
-        assert diagram.vecs == tuple(kernels.word_vector(w) for w in diagram.words)
+        vecs = tuple(kernels.word_vector(w) for w in diagram.words)
+        assert diagram.columns == tuple(map(bytes, zip(*vecs)))
+        if n > 1:  # at n = 1 there is no column to read the one vector from
+            assert diagram.vec_index == {v: t for t, v in enumerate(vecs)}
         assert all(type(v) is tuple and all(type(x) is int for x in v)
-                   for v in diagram.vecs)
+                   for v in diagram.vec_index)
 
     def test_degenerate_orders(self):
-        assert build(1).columns == () and build(1).vecs == ((),)
-        assert build(2).columns == (b"\0",) and build(2).vecs == ((0,),)
+        assert build(1).columns == () and build(1).vec_index == {}
+        assert build(2).columns == (b"\0",) and build(2).vec_index == {(0,): 0}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_masks_match_the_masks_of_the_word_vectors(self, n):
@@ -268,13 +270,13 @@ class TestVectorColumns:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_leq_reads_the_columns(self, monkeypatch, n):
-        vecs = build(n).vecs
+        vecs = [kernels.word_vector(w) for w in build(n).words]
         expected = [kernels.leq_flat(u, v) for u in vecs for v in vecs]
 
         def refuse(*args):
-            raise AssertionError("leq read vecs or called a kernel")
+            raise AssertionError("leq read vec_index or called a kernel")
 
-        monkeypatch.setattr(HasseDiagram, "vecs", property(refuse))
+        monkeypatch.setattr(HasseDiagram, "vec_index", property(refuse))
         monkeypatch.setattr(kernels, "leq_flat", refuse)
         diagram = build(n)
         size = len(diagram.ranks)
@@ -287,8 +289,8 @@ class TestVectorColumns:
 
         monkeypatch.setattr(kernels, "word_vector", refuse)
         assert build(6).at_least
-        if name != "lattice":  # the lattice check's joins read vecs
-            monkeypatch.setattr(HasseDiagram, "vecs", property(refuse))
+        if name != "lattice":  # the lattice check's joins read vec_index
+            monkeypatch.setattr(HasseDiagram, "vec_index", property(refuse))
         assert checks.run_check(name, 6).passed
 
 
@@ -298,8 +300,11 @@ def _top_vector(n):
 
 
 def _kernel_bounds(diagram, xs, ys):
-    """`join_flat` and `meet_flat` of each pair, as node ids or None."""
-    n, vecs, index = diagram.n, diagram.vecs, diagram.vec_index
+    """`join_flat` and `meet_flat` of each pair, as node ids or None, from
+    the word vectors rather than the columns."""
+    n = diagram.n
+    vecs = [kernels.word_vector(w) for w in diagram.words]
+    index = {v: t for t, v in enumerate(vecs)}
     return ([index.get(kernels.join_flat(n, vecs[x], vecs[y])) for x, y in zip(xs, ys)],
             [index.get(kernels.meet_flat(n, vecs[x], vecs[y])) for x, y in zip(xs, ys)])
 
@@ -332,8 +337,8 @@ class TestColumnBounds:
 
     def test_batches_of_one_and_none(self):
         diagram = build(5)
-        assert diagram.joins([3], [7]) == [diagram.join(3, 7)]
-        assert diagram.meets([3], [7]) == [diagram.meet(3, 7)]
+        assert (diagram.joins([3], [7]), diagram.meets([3], [7])) == \
+            _kernel_bounds(diagram, [3], [7])
         assert diagram.joins([], []) == diagram.meets([], []) == []
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -454,15 +459,16 @@ class TestMobius:
 
     def test_all_values_bounded(self):
         diagram = build(5)
-        for x in range(len(diagram.nodes)):
-            for y, value in mobius_from(diagram, x).items():
+        ids = range(len(diagram.nodes))
+        for x, mu in zip(ids, mobius_from(diagram, ids)):
+            for y, value in mu.items():
                 assert value in (-1, 0, 1)
                 assert mobius(diagram, x, y) == value
 
     def test_incomparable_rejected(self):
         diagram = build(5)
-        x = diagram.index[CircularPermutation.from_text("(1,4,2,3,5)").canon]
-        y = diagram.index[CircularPermutation.from_text("(1,3,4,2,5)").canon]
+        x = diagram.words.index(CircularPermutation.from_text("(1,4,2,3,5)").canon)
+        y = diagram.words.index(CircularPermutation.from_text("(1,3,4,2,5)").canon)
         with pytest.raises(NotComparableError):
             mobius(diagram, x, y)
 
@@ -494,15 +500,21 @@ class _TableLattice:
     def name(self, t):
         return word_text(self.words[t])
 
-    def join(self, x, y):
-        common = self.above[x] & self.above[y]
-        (least,) = [z for z in common if common <= self.above[z]]
-        return least
+    def joins(self, xs, ys):
+        bounds = []
+        for x, y in zip(xs, ys):
+            common = self.above[x] & self.above[y]
+            (least,) = [z for z in common if common <= self.above[z]]
+            bounds.append(least)
+        return bounds
 
-    def meet(self, x, y):
-        common = {z for z, up in enumerate(self.above) if x in up and y in up}
-        (greatest,) = [z for z in common if all(z in self.above[w] for w in common)]
-        return greatest
+    def meets(self, xs, ys):
+        bounds = []
+        for x, y in zip(xs, ys):
+            common = {z for z, up in enumerate(self.above) if x in up and y in up}
+            (greatest,) = [z for z in common if all(z in self.above[w] for w in common)]
+            bounds.append(greatest)
+        return bounds
 
 
 # M3: three atoms 1, 2, 3 between 0 and 4
@@ -522,15 +534,13 @@ LAWS = ("SD-join", "SD-meet")
 
 def _lattice_tables(lattice):
     """The N x N join and meet tables of a lattice, as tuple rows, from
-    its `join` and `meet`: the input of `sd_scan`."""
+    its `joins` and `meets` of the whole square: the input of `sd_scan`."""
     size = len(lattice.ranks)
-    joins = [[0] * size for _ in range(size)]
-    meets = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            joins[a][b] = joins[b][a] = lattice.join(a, b)
-            meets[a][b] = meets[b][a] = lattice.meet(a, b)
-    return tuple(map(tuple, joins)), tuple(map(tuple, meets))
+    xs, ys = zip(*product(range(size), repeat=2))
+
+    def rows(square):
+        return tuple(tuple(square[a * size:(a + 1) * size]) for a in range(size))
+    return rows(lattice.joins(xs, ys)), rows(lattice.meets(xs, ys))
 
 
 def refuse_sd_scan(monkeypatch):
