@@ -6,14 +6,14 @@ but one: from n = 7 on, `lattice` tests the joins and meets against the
 bounds on 10,000 seeded pairs instead of on every ordered pair.
 
 `lattice` and `modularity` take their joins and meets, and `mobius`
-its joins, many pairs at a time from `HasseDiagram.joins` and `meets`:
-the recursion of the kernels `join_flat` and `meet_flat`, run on the
-vector columns with one byte a pair and guard bits for the lane-wise
-max and min (L. Lamport, *Multiple byte processing with full-word
-instructions*, CACM 18(8), 1975).  So `lattice` proves that this lane
-recursion gives the bounds, and no scan of the diagram calls a per-pair
-kernel; the tests tie `join_flat` and `meet_flat` to the lane
-recursion pair for pair.
+its joins, many pairs at a time from `HasseDiagram.bounds` and `joins`:
+the recursion of the kernels `join_flat` and `meet_flat`, run on vector
+columns gathered from the node rows, one byte a pair, with guard bits
+for the lane-wise max and min (L. Lamport, *Multiple byte processing
+with full-word instructions*, CACM 18(8), 1975).  So `lattice` proves
+that this lane recursion gives the bounds, and no scan of the diagram
+calls a per-pair kernel; the tests tie `join_flat` and `meet_flat` to
+the lane recursion pair for pair.
 
 `run_all` builds the order-n diagram once, on first use, and every
 check that reads a diagram reads that one; `run_check` builds its own.
@@ -155,15 +155,16 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       The whole square reads every node's up-set and down-set from
       lists made once; the samples hold a bounded cache of them.
 
-    The joins and meets come from `HasseDiagram.joins` and `meets`, the
-    pairs of each claim in one batch (the cover pairs one rank at a
-    time): the recursion of `join_flat` and `meet_flat`, run on the
-    vector columns with one byte a pair (`poset._column_bounds`, after
-    L. Lamport, *Multiple byte processing with full-word instructions*,
-    CACM 18(8), 1975).  So the check proves that this lane recursion
-    gives the bounds; no per-pair kernel runs.  The tests tie
-    `join_flat` and `meet_flat`, which `vectors.join`/`meet` call, to
-    the lane recursion on every pair the check reads up to n = 8.
+    The joins and meets come from `HasseDiagram.bounds`, which gathers
+    each side once for both, the pairs of each claim in one batch (the
+    cover pairs' `joins` one rank at a time): the recursion of
+    `join_flat` and `meet_flat`, run on the lanes gathered from the node
+    rows, one byte a pair (`poset._column_bounds`, after L. Lamport,
+    *Multiple byte processing with full-word instructions*, CACM 18(8),
+    1975).  So the check proves that this lane recursion gives the
+    bounds; no per-pair kernel runs.  The tests tie `join_flat` and
+    `meet_flat`, which `vectors.join`/`meet` call, to the lane recursion
+    on every pair the check reads up to n = 8.
 
     j is the least upper bound of x and y iff
     above_mask(x) & above_mask(y) == above_mask(j): j lies in its own
@@ -189,7 +190,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
         xs, ys = draws[::2], draws[1::2]  # pair k is (draw 2k, draw 2k + 1)
         up_set = lru_cache(maxsize=1024)(diagram.above_mask)
         down_set = lru_cache(maxsize=1024)(diagram.below_mask)
-    for x, y, j, m in zip(xs, ys, diagram.joins(xs, ys), diagram.meets(xs, ys)):
+    for x, y, j, m in zip(xs, ys, *diagram.bounds(xs, ys)):
         if j is None or up_set(j) != up_set(x) & up_set(y):  # None: not a node
             return False, _pair_witness(diagram, "join", x, y)
         if m is None or down_set(m) != down_set(x) & down_set(y):

@@ -17,8 +17,10 @@ against the partition order, and conjugators of upward paths.
 
 from __future__ import annotations
 
+import io
 import os
 import re
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -122,15 +124,15 @@ class HasseDiagram:
     and the extremes follow from n: `bottom` (1, 2, ..., n) is node 0
     and `top` (1, n, ..., 2) the last node.  `name(t)` unranks node t's
     word from t alone, so a witness names its nodes with no view.  The
-    views (words, nodes, edges, columns, vec_index, up, down, at_least)
-    are built on first use and never mutated.  The order and the
-    lattice operations (leq, joins, meets) take and return node ids.
+    views (words, nodes, edges, columns, rows, vec_index, up, down,
+    at_least) are built on first use and never mutated.  The order and
+    the lattice operations (leq, joins, bounds) take and return node ids.
 
     The vectors depend on n alone too: `columns` holds coordinate c of
-    every node as one byte per node, from `_vector_columns(n)`.
-    `joins` and `meets` bound many pairs at once on those columns, one
-    byte a pair (`_column_bounds`), and `vec_index` turns each result
-    vector back into a node id.
+    every node as one byte per node, from `_vector_columns(n)`, and
+    `rows[t]` node t's vector as one byte string.  `joins` and `bounds`
+    run `_column_bounds` on lanes gathered from the rows, one byte a
+    pair, and read each result row back through `vec_index`.
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
@@ -187,6 +189,11 @@ class HasseDiagram:
         return _vector_columns(self.n)
 
     @cached_property
+    def rows(self) -> tuple[bytes, ...]:
+        """rows[t][c] = columns[c][t]: node t's vector as one byte string."""
+        return tuple(_split_rows(self.columns)) if self.columns else (b"",)
+
+    @cached_property
     def up(self) -> tuple[tuple[int, ...], ...]:
         up = [[] for _ in self.ranks]
         for a, b in zip(self.lo, self.hi):
@@ -205,10 +212,9 @@ class HasseDiagram:
         return range(bisect_left(self.lo, t), bisect_right(self.lo, t))
 
     @cached_property
-    def vec_index(self) -> dict[tuple[int, ...], int]:
-        """Node id of each admitted vector, read across the columns; empty
-        at n = 1, whose one node `joins` and `meets` return without it."""
-        return {v: t for t, v in enumerate(zip(*self.columns))}
+    def vec_index(self) -> dict[bytes, int]:
+        """Node id of each admitted vector, keyed by its row."""
+        return {row: t for t, row in enumerate(self.rows)}
 
     @cached_property
     def at_least(self) -> tuple[tuple[int, ...], ...]:
@@ -239,20 +245,20 @@ class HasseDiagram:
 
     def joins(self, xs: Sequence[int], ys: Sequence[int]) -> list[int | None]:
         """The node id of `join_flat` of the vectors of x and y, for each
-        x, y of xs, ys in turn, from one `_column_bounds` batch; None
-        where the result is not a node."""
-        return self._bounds(xs, ys, meet=False)
+        x, y of xs, ys in turn; None where the result is not a node."""
+        return self._bounds(xs, ys, False)[0]
 
-    def meets(self, xs: Sequence[int], ys: Sequence[int]) -> list[int | None]:
-        """The node id of `meet_flat` of each pair, as `joins`."""
-        return self._bounds(xs, ys, meet=True)
+    def bounds(self, xs: Sequence[int], ys: Sequence[int]) -> tuple[list[int | None], ...]:
+        """`joins` of the pairs and, likewise, the node ids of their
+        `meet_flat`, from lanes gathered once a side."""
+        return self._bounds(xs, ys, False, True)
 
-    def _bounds(self, xs: Sequence[int], ys: Sequence[int], meet: bool) -> list[int | None]:
-        if not self.columns or not xs:  # n = 1: the one node, with the empty vector
-            return [0] * len(xs)
-        bounds = _column_bounds(self.n, _lanes(self.n, self.columns, xs),
-                                _lanes(self.n, self.columns, ys), meet)
-        return list(map(self.vec_index.get, zip(*bounds)))
+    def _bounds(self, xs: Sequence[int], ys: Sequence[int], *meets: bool):
+        if not self.columns or not xs:  # n = 1 (one node, empty vector) or no pair
+            return tuple([0] * len(xs) for _ in meets)
+        us, vs = _gather(self.rows, xs), _gather(self.rows, ys)
+        return tuple(list(map(self.vec_index.get, _split_rows(
+            _column_bounds(self.n, us, vs, meet)))) for meet in meets)
 
     @property
     def bottom(self) -> int:
@@ -397,15 +403,21 @@ def _vector_columns(n: int) -> tuple[bytes, ...]:
                  for i in range(1, n) for j in range(i + 1, n + 1))
 
 
-def _lanes(n: int, columns: Sequence[bytes], ids: Sequence[int]) -> list[bytes]:
-    """The vector columns of order n read at ids, in turn, one byte a
-    lane.  An adjacent coordinate (i, i+1) is 0 at every node, so its
-    lanes are not read."""
-    if len(ids) == 1:  # itemgetter of one id returns the item, not a tuple
-        return [column[ids[0]:ids[0] + 1] for column in columns]
-    get, zeros = itemgetter(*ids), bytes(len(ids))
-    return [zeros if j == i + 1 else bytes(get(column))
-            for (i, j), column in zip(combinations(range(1, n + 1), 2), columns)]
+def _split_rows(columns: Sequence[bytes]) -> Iterator[bytes]:
+    """Each lane of the C columns as a row: written at stride C, cut every C."""
+    width, lanes = len(columns), bytearray(len(columns) * len(columns[0]))
+    for c, column in enumerate(columns):
+        lanes[c::width] = column
+    return map(itemgetter(0), struct.iter_unpack(f"{width}s", lanes))
+
+
+def _gather(rows: Sequence[bytes], ids: Sequence[int]) -> list[bytes]:
+    """The C columns of the rows at ids in turn: written into one buffer,
+    then cut at stride C.  (`bytes.join` would hold 80 bytes a part.)"""
+    buffer = io.BytesIO()
+    buffer.writelines(map(rows.__getitem__, ids))
+    lanes, width = buffer.getvalue(), len(rows[0])
+    return [lanes[c::width] for c in range(width)]
 
 
 _LANE_MAX_N = 65  # the largest order whose lane sums stay below the guard bit
@@ -616,9 +628,9 @@ def check_modular(diagram: HasseDiagram) -> dict:
     the pairs x < y of node ids in order.  A pair with x <= y in the
     order has meet x and join y, so it cannot fail and is skipped: each
     row x reads above_mask(x) once, which skips the bottom's whole row,
-    and joins and meets the rest of the row in `joins`/`meets` batches
-    of up to `_ROW_CHUNK` pairs, so a failure early in a long row ends
-    the scan after one batch.
+    and joins and meets the rest of the row in `bounds` batches of up
+    to `_ROW_CHUNK` pairs, so a failure early in a long row ends the
+    scan after one batch.
     """
     size = len(diagram.ranks)
     ranks = diagram.ranks
@@ -627,8 +639,7 @@ def check_modular(diagram: HasseDiagram) -> dict:
         row = bits(later & ~diagram.above_mask(x))
         for start in range(0, len(row), _ROW_CHUNK):
             ys = row[start:start + _ROW_CHUNK]
-            xs = [x] * len(ys)
-            for y, m, j in zip(ys, diagram.meets(xs, ys), diagram.joins(xs, ys)):
+            for y, j, m in zip(ys, *diagram.bounds([x] * len(ys), ys)):
                 if ranks[x] + ranks[y] != ranks[m] + ranks[j]:
                     witness = {
                         "x": diagram.name(x),

@@ -466,8 +466,10 @@ class TestSharedDiagram:
         (diagram,) = built
         assert not {"words", "nodes", "edges"} & vars(diagram).keys()
 
-    @pytest.mark.parametrize("name, view", [("modularity", "words"),
-                                            ("triangulation", "vec_index")])
+    @pytest.mark.parametrize("name, view", [
+        ("modularity", "words"), ("triangulation", "vec_index"),
+        ("triangulation", "rows"), ("semidistributive", "rows"),
+        ("semidistributive", "vec_index"), ("young", "rows"), ("young", "vec_index")])
     def test_check_leaves_a_view_unbuilt(self, monkeypatch, name, view):
         built = built_diagrams(monkeypatch)
         assert checks.run_check(name, 6).passed

@@ -142,8 +142,8 @@ class TestBackendAgreement:
         diagram = build(5)
         size = len(diagram.ranks)
         xs, ys = zip(*product(range(size), repeat=2))  # the square, row by row
-        joins = tuple(zip(*[iter(diagram.joins(xs, ys))] * size))
-        meets = tuple(zip(*[iter(diagram.meets(xs, ys))] * size))
+        joins, meets = (tuple(zip(*[iter(square)] * size))
+                        for square in diagram.bounds(xs, ys))
         assert _pykernels.sd_scan(joins, meets) is None
         assert _ckernels.sd_scan(joins, meets) is None
 

@@ -111,10 +111,9 @@ class TestBoundSearch:
         diagram = build(n)
         closure = order_by_closure(diagram)
         xs, ys = zip(*product(range(len(diagram.words)), repeat=2))
-        assert diagram.joins(xs, ys) == \
-            [join_by_search(closure, x, y) for x, y in zip(xs, ys)]
-        assert diagram.meets(xs, ys) == \
-            [meet_by_search(closure, x, y) for x, y in zip(xs, ys)]
+        assert diagram.bounds(xs, ys) == \
+            ([join_by_search(closure, x, y) for x, y in zip(xs, ys)],
+             [meet_by_search(closure, x, y) for x, y in zip(xs, ys)])
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_upset_equality_is_the_bound_search(self, n):

@@ -14,7 +14,7 @@ from operator import and_, or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclat import checks, kernels, oracle, poset
+from cyclat import _pykernels, checks, kernels, oracle, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
 from cyclat.perm import CircularPermutation, DescentLabel, complement, invert, word_text
 from cyclat.poset import (
@@ -121,10 +121,10 @@ class TestBuild:
         names = [f.name for f in fields(HasseDiagram)]
         assert names == ["n", "ranks", "lo", "hi", "r", "s"]
         diagram = build(6)
-        assert not {"words", "vec_index"} & vars(diagram).keys()
+        assert not {"words", "rows", "vec_index"} & vars(diagram).keys()
         assert diagram.words.index(CircularPermutation.largest(6).canon) == diagram.top
         assert "words" in vars(diagram)
-        assert "vec_index" not in vars(diagram)
+        assert not {"rows", "vec_index"} & vars(diagram).keys()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_name_unranks_the_word(self, n):
@@ -235,8 +235,8 @@ class TestLehmerBuild:
 
 
 class TestVectorColumns:
-    """`HasseDiagram.columns` comes from the lexicographic enumeration,
-    not from one `word_vector` call per node."""
+    """`HasseDiagram.columns` and `rows` come from the lexicographic
+    enumeration, not from one `word_vector` call per node."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_vecs_are_the_word_vectors(self, n):
@@ -245,14 +245,16 @@ class TestVectorColumns:
         assert all(len(column) == factorial(n - 1) for column in diagram.columns)
         vecs = tuple(kernels.word_vector(w) for w in diagram.words)
         assert diagram.columns == tuple(map(bytes, zip(*vecs)))
-        if n > 1:  # at n = 1 there is no column to read the one vector from
-            assert diagram.vec_index == {v: t for t, v in enumerate(vecs)}
-        assert all(type(v) is tuple and all(type(x) is int for x in v)
-                   for v in diagram.vec_index)
+        # at n = 1 the one row is empty, as the one vector is
+        assert diagram.rows == tuple(map(bytes, vecs))
+        assert diagram.vec_index == {bytes(v): t for t, v in enumerate(vecs)}
+        assert all(type(row) is bytes for row in diagram.vec_index)
 
     def test_degenerate_orders(self):
-        assert build(1).columns == () and build(1).vec_index == {}
-        assert build(2).columns == (b"\0",) and build(2).vec_index == {(0,): 0}
+        assert build(1).columns == () and build(1).rows == (b"",)
+        assert build(1).vec_index == {b"": 0}
+        assert build(2).columns == build(2).rows == (b"\0",)
+        assert build(2).vec_index == {b"\0": 0}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_masks_match_the_masks_of_the_word_vectors(self, n):
@@ -274,8 +276,9 @@ class TestVectorColumns:
         expected = [kernels.leq_flat(u, v) for u in vecs for v in vecs]
 
         def refuse(*args):
-            raise AssertionError("leq read vec_index or called a kernel")
+            raise AssertionError("leq read rows or vec_index or called a kernel")
 
+        monkeypatch.setattr(HasseDiagram, "rows", property(refuse))
         monkeypatch.setattr(HasseDiagram, "vec_index", property(refuse))
         monkeypatch.setattr(kernels, "leq_flat", refuse)
         diagram = build(n)
@@ -289,7 +292,8 @@ class TestVectorColumns:
 
         monkeypatch.setattr(kernels, "word_vector", refuse)
         assert build(6).at_least
-        if name != "lattice":  # the lattice check's joins read vec_index
+        if name != "lattice":  # the lattice check's bounds read both
+            monkeypatch.setattr(HasseDiagram, "rows", property(refuse))
             monkeypatch.setattr(HasseDiagram, "vec_index", property(refuse))
         assert checks.run_check(name, 6).passed
 
@@ -310,15 +314,16 @@ def _kernel_bounds(diagram, xs, ys):
 
 
 class TestColumnBounds:
-    """`joins` and `meets` run the recursion of `join_flat` and
-    `meet_flat` on the byte columns, one lane a pair."""
+    """`joins` and `bounds` run the recursion of `join_flat` and
+    `meet_flat` on byte columns gathered from the rows, one lane a pair."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_ordered_pair(self, n):
         diagram = build(n)
         xs, ys = zip(*product(range(len(diagram.ranks)), repeat=2))
-        joins, meets = diagram.joins(xs, ys), diagram.meets(xs, ys)
+        joins, meets = diagram.bounds(xs, ys)
         assert (joins, meets) == _kernel_bounds(diagram, xs, ys)
+        assert diagram.joins(xs, ys) == joins
         assert None not in joins + meets
         if n <= 2:  # one node; at n = 2 its one coordinate is adjacent, so 0
             assert joins == meets == [0]
@@ -331,15 +336,51 @@ class TestColumnBounds:
         pairs = [pair for up in diagram.up for pair in combinations(up, 2)]
         pairs += [(rng.randrange(size), rng.randrange(size)) for _ in range(10_000)]
         xs, ys = zip(*pairs)
-        joins, meets = diagram.joins(xs, ys), diagram.meets(xs, ys)
+        joins, meets = diagram.bounds(xs, ys)
         assert (joins, meets) == _kernel_bounds(diagram, xs, ys)
+        assert diagram.joins(xs, ys) == joins
         assert None not in joins + meets
 
     def test_batches_of_one_and_none(self):
         diagram = build(5)
-        assert (diagram.joins([3], [7]), diagram.meets([3], [7])) == \
-            _kernel_bounds(diagram, [3], [7])
-        assert diagram.joins([], []) == diagram.meets([], []) == []
+        assert diagram.bounds([3], [7]) == _kernel_bounds(diagram, [3], [7])
+        assert diagram.joins([3], [7]) == _kernel_bounds(diagram, [3], [7])[0]
+        assert diagram.bounds([], []) == ([], []) and diagram.joins([], []) == []
+
+    def test_bounds_gathers_each_side_once(self, monkeypatch):
+        gathered = []
+        gather = poset._gather
+
+        def counting_gather(rows, ids):
+            gathered.append(list(ids))
+            return gather(rows, ids)
+
+        monkeypatch.setattr(poset, "_gather", counting_gather)
+        diagram = build(5)
+        xs, ys = [0, 3, 23, 7], [5, 3, 0, 11]
+        assert diagram.bounds(xs, ys) == _kernel_bounds(diagram, xs, ys)
+        assert gathered == [xs, ys]
+
+    @pytest.mark.parametrize("meet", [False, True])
+    def test_adjacent_coordinate_reads_back_as_no_node(self, monkeypatch, meet):
+        # every node's adjacent coordinates (i, i+1) are 0, so a result
+        # row with one of them 1 is no node's; the other lanes still are
+        column_bounds = poset._column_bounds
+        adjacent = kernels.pair_index(5, 2, 3)
+
+        def set_adjacent(n, us, vs, is_meet=False):
+            out = list(column_bounds(n, us, vs, is_meet))
+            if is_meet == meet:
+                out[adjacent] = b"\1" + out[adjacent][1:]  # lane 0 only
+            return tuple(out)
+
+        monkeypatch.setattr(poset, "_column_bounds", set_adjacent)
+        diagram = build(5)
+        xs, ys = [0, 3, 23], [5, 7, 11]
+        expected = _kernel_bounds(diagram, xs, ys)
+        expected[meet][0] = None
+        assert None not in expected[not meet] + expected[meet][1:]
+        assert diagram.bounds(xs, ys) == expected
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(data=st.data(), n=st.integers(3, 24))
@@ -364,10 +405,11 @@ class TestColumnBounds:
         monkeypatch.setattr(poset, "build", refuse)
         top, zero = _top_vector(65), (0,) * comb(65, 2)
         us, vs = [bytes([a, b]) for a, b in zip(top, zero)], [bytes([a, a]) for a in top]
+        # the compiled kernels refuse n > 64, so the reference is pure
         assert list(zip(*poset._column_bounds(65, us, vs))) == \
-            [kernels.join_flat(65, top, top), kernels.join_flat(65, zero, top)]
+            [_pykernels.join_flat(65, top, top), _pykernels.join_flat(65, zero, top)]
         assert list(zip(*poset._column_bounds(65, us, vs, meet=True))) == \
-            [kernels.meet_flat(65, top, top), kernels.meet_flat(65, zero, top)]
+            [_pykernels.meet_flat(65, top, top), _pykernels.meet_flat(65, zero, top)]
         with pytest.raises(CyclatError, match="order 66 exceeds 65"):
             poset._column_bounds(66, us, vs)
 
@@ -500,21 +542,16 @@ class _TableLattice:
     def name(self, t):
         return word_text(self.words[t])
 
-    def joins(self, xs, ys):
-        bounds = []
+    def bounds(self, xs, ys):
+        joins, meets = [], []
         for x, y in zip(xs, ys):
             common = self.above[x] & self.above[y]
             (least,) = [z for z in common if common <= self.above[z]]
-            bounds.append(least)
-        return bounds
-
-    def meets(self, xs, ys):
-        bounds = []
-        for x, y in zip(xs, ys):
+            joins.append(least)
             common = {z for z, up in enumerate(self.above) if x in up and y in up}
             (greatest,) = [z for z in common if all(z in self.above[w] for w in common)]
-            bounds.append(greatest)
-        return bounds
+            meets.append(greatest)
+        return joins, meets
 
 
 # M3: three atoms 1, 2, 3 between 0 and 4
@@ -534,13 +571,13 @@ LAWS = ("SD-join", "SD-meet")
 
 def _lattice_tables(lattice):
     """The N x N join and meet tables of a lattice, as tuple rows, from
-    its `joins` and `meets` of the whole square: the input of `sd_scan`."""
+    its `bounds` of the whole square: the input of `sd_scan`."""
     size = len(lattice.ranks)
     xs, ys = zip(*product(range(size), repeat=2))
 
     def rows(square):
         return tuple(tuple(square[a * size:(a + 1) * size]) for a in range(size))
-    return rows(lattice.joins(xs, ys)), rows(lattice.meets(xs, ys))
+    return tuple(map(rows, lattice.bounds(xs, ys)))
 
 
 def refuse_sd_scan(monkeypatch):
