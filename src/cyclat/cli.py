@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from itertools import islice
 
 from cyclat import affine, checks, poset, vectors
 from cyclat.errors import CyclatError
@@ -112,19 +111,17 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-# Export pieces joined per write: one write per line is slower than
-# building the whole text, and a few thousand lines keep each block small.
-EXPORT_BLOCK = 4096
-
-
 def _write_blocks(handle, pieces) -> None:
-    while block := list(islice(pieces, EXPORT_BLOCK)):
-        handle.write("".join(block))
+    """Write each piece as it arrives: an export's pieces are blocks of
+    `poset.EXPORT_BLOCK` rows already, so joining them again would only
+    hold more text at once."""
+    for piece in pieces:
+        handle.write(piece)
 
 
 def _write(pieces, out: str | None = None) -> None:
-    """The one writer of every subcommand's output: the text pieces, in
-    blocks, to the file `out` or to standard output.  A failure to open,
+    """The one writer of every subcommand's output: the text pieces, one
+    write each, to the file `out` or to standard output.  A failure to open,
     write or flush it (a full disk, a closed pipe) is a CyclatError, so
     it exits 2 with a diagnostic."""
     try:

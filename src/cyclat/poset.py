@@ -4,15 +4,18 @@
 canonical word (1, p) with p running over the permutations of 2..n in
 lexicographic order, and the covers are held as flat edge columns
 sorted by (lower, upper) index, so exports are byte-for-byte
-reproducible.  One serializer per format renders the DOT and JSON
-exports as text pieces from the words, ranks and edge rows: `to_dot`
-and `to_json` read them from a built diagram's columns, and
-`export_pieces`, which `cyclat poset` writes out in blocks, reads them
-from the enumeration and the cover rows, with no diagram.  Eulerian
-cover statistics stream the same cover rows; everything else queries
-the diagram: rank grading, the Moebius
-function, semidistributivity and modularity scans, rank truncations
-against the partition order, and conjugators of upward paths.
+reproducible.  The covers come from one rule, `_cover_rows`, which
+yields each node's edge rows (lo, hi, r, s) in order.  One serializer
+renders the DOT and JSON exports as pieces, each section formatted in
+blocks of `EXPORT_BLOCK` rows by one % call, from n (which gives the
+node labels), the ranks and the edge rows: `to_dot` and `to_json`
+read them from a built diagram's columns, and `export_pieces`, whose
+blocks `cyclat poset` writes out one by one, from `_prefix_ranks` and
+`_cover_rows`, with no diagram.  Eulerian cover statistics stream the
+same cover rows; everything else queries the diagram: rank grading,
+the Moebius function, semidistributivity and modularity scans, rank
+truncations against the partition order, and conjugators of upward
+paths.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import os
 import re
 import struct
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, islice, permutations, product
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -287,8 +290,8 @@ def build(n: int) -> HasseDiagram:
     hi: list[int] = []
     rs: list[int] = []
     ss: list[int] = []
-    for t, (_, ups) in zip(ids, _cover_rows(n)):
-        for u, r, s in ups:
+    for t, rows in zip(ids, _cover_rows(n)):
+        for _, u, r, s in rows:
             lo.append(t)
             hi.append(ids[u])
             rs.append(r)
@@ -297,14 +300,15 @@ def build(n: int) -> HasseDiagram:
                         tuple(rs), tuple(ss))
 
 
-def _cover_rows(n: int) -> Iterator[tuple[Word, list[tuple[int, int, int]]]]:
-    """(p, ups) for node t = 0, 1, ... of order n: its word (1, p_0, ...,
+def _cover_rows(n: int) -> Iterator[list[tuple[int, int, int, int]]]:
+    """The covers above node t = 0, 1, ... of order n as edge rows
+    (t, upper id, r, s), by upper id.  Node t is the word (1, p_0, ...,
     p_{m-1}), m = n - 1, for the t-th permutation p of 2..n in
-    lexicographic order, and its covers (upper id, r, s) by upper id.
-    The Lehmer digit c_j of p counts the k > j with p_k < p_j, and with
-    G[j] = (m-1-j)! and G[m] = 0, t = sum of c_j G[j].  The codes come
-    from `itertools.product`, in the same order as the permutations, so
-    every cover id is arithmetic on the digits of the lower node:
+    lexicographic order.  The Lehmer digit c_j of p counts the k > j
+    with p_k < p_j, and with G[j] = (m-1-j)! and G[m] = 0, t = sum of
+    c_j G[j].  The codes come from `itertools.product`, in the same
+    order as the permutations, so every cover id is arithmetic on the
+    digits of the lower node:
 
     - an internal factor p_j = s > p_{j+1} + 1 = r + 1 swaps to r s, at
       id t - d G[j] + (d - 1) G[j+1] with d = c_j - c_{j+1};
@@ -315,6 +319,9 @@ def _cover_rows(n: int) -> Iterator[tuple[Word, list[tuple[int, int, int]]]]:
       arrangements of the letters other than 1 and s, which is the
       number of earlier nodes ending in s; a running count per last
       letter gives it in O(1).
+
+    `build`, the exports and `verify_descent_distribution` all read
+    these rows.
     """
     m = n - 1
     weight = [factorial(m - 1 - j) for j in range(m)] + [0]  # G above
@@ -327,14 +334,13 @@ def _cover_rows(n: int) -> Iterator[tuple[Word, list[tuple[int, int, int]]]]:
     codes = product(*(range(m - j) for j in range(m)))
     for t, (p, c) in enumerate(zip(permutations(range(2, n + 1)), codes)):
         # a swap at a later factor keeps more of p, so these ids ascend
-        ups = [(t - drop[j][c[j] - c[j + 1]], p[j + 1], p[j])
+        ups = [(t, t - drop[j][c[j] - c[j + 1]], p[j + 1], p[j])
                for j in factors if p[j] > p[j + 1] + 1]
         s = p[-1] if p else 0
-        if s > 2:
-            ups.append((wrap[s], 1, s))
+        if s > 2:  # the rows share t, so insort places it by upper id
+            insort(ups, (t, wrap[s], 1, s))
             wrap[s] += 1
-            ups.sort()
-        yield p, ups
+        yield ups
 
 
 def _prefix_ranks(n: int) -> list[int]:
@@ -404,20 +410,35 @@ def _vector_columns(n: int) -> tuple[bytes, ...]:
 
 
 def _split_rows(columns: Sequence[bytes]) -> Iterator[bytes]:
-    """Each lane of the C columns as a row: written at stride C, cut every C."""
-    width, lanes = len(columns), bytearray(len(columns) * len(columns[0]))
+    """Each lane of the C columns as a row: written at stride C, cut every
+    C.  The buffer starts zeroed, so a zero column (every adjacent
+    coordinate's) is not written."""
+    width, size = len(columns), len(columns[0])
+    lanes, zero = bytearray(width * size), bytes(size)
     for c, column in enumerate(columns):
-        lanes[c::width] = column
+        if column != zero:
+            lanes[c::width] = column
     return map(itemgetter(0), struct.iter_unpack(f"{width}s", lanes))
 
 
+@lru_cache(maxsize=None)
+def _adjacent(width: int) -> frozenset[int]:
+    """The positions of the adjacent coordinates (i, i+1) in a vector of
+    width C(n, 2): the first of each row i, which holds n - i pairs."""
+    n = (1 + isqrt(1 + 8 * width)) // 2
+    return frozenset(accumulate(range(n - 1, 1, -1), initial=0))
+
+
 def _gather(rows: Sequence[bytes], ids: Sequence[int]) -> list[bytes]:
-    """The C columns of the rows at ids in turn: written into one buffer,
-    then cut at stride C.  (`bytes.join` would hold 80 bytes a part.)"""
+    """The C columns of the node rows at ids in turn: written into one
+    buffer, then cut at stride C.  (`bytes.join` would hold 80 bytes a
+    part.)  A node's adjacent coordinates are 0, so their columns are
+    not cut: they share one zero column."""
     buffer = io.BytesIO()
     buffer.writelines(map(rows.__getitem__, ids))
     lanes, width = buffer.getvalue(), len(rows[0])
-    return [lanes[c::width] for c in range(width)]
+    adjacent, zero = _adjacent(width), bytes(len(ids))
+    return [zero if c in adjacent else lanes[c::width] for c in range(width)]
 
 
 _LANE_MAX_N = 65  # the largest order whose lane sums stay below the guard bit
@@ -449,8 +470,11 @@ def _column_bounds(n: int, us: Sequence[bytes], vs: Sequence[bytes],
     width = len(us[0]) if us else 0
     guard = int.from_bytes(b"\x80" * width, "big")
     one = (guard >> 7) if meet else 0  # the meet's + 1 in every lane
-    u = [int.from_bytes(column, "big") for column in us]
-    v = [int.from_bytes(column, "big") for column in vs]
+    plan = _fill_plan(n)
+    u, v = [0] * len(us), [0] * len(vs)  # the recursion reads no X[i,i+1]
+    for ij, _ in plan:
+        u[ij] = int.from_bytes(us[ij], "big")
+        v[ij] = int.from_bytes(vs[ij], "big")
 
     def pick(a: int, b: int) -> int:  # the lane-wise max, or min for the meet
         ge = ((a | guard) - b) & guard
@@ -458,12 +482,13 @@ def _column_bounds(n: int, us: Sequence[bytes], vs: Sequence[bytes],
         return (a ^ b) & ge ^ (a if meet else b)
 
     out = [0] * len(us)
-    for ij, splits in _fill_plan(n):
+    for ij, splits in plan:
         best = pick(u[ij], v[ij])
         for ip, pj in splits:
             best = pick(best, out[ip] + out[pj] + one)
         out[ij] = best
-    return tuple(x.to_bytes(width, "big") for x in out)
+    zero = bytes(width)  # shared by the adjacent columns, and any other 0
+    return tuple(x.to_bytes(width, "big") if x else zero for x in out)
 
 
 @lru_cache(maxsize=None)
@@ -498,8 +523,8 @@ def verify_descent_distribution(n: int) -> dict:
     hist: dict[int, int] = {}
     updeg: dict[int, int] = {}
     edges = 0
-    for p, ups in _cover_rows(n + 1):
-        d = kernels.descent_count((1,) + p)
+    for word, ups in zip(_words(n + 1), _cover_rows(n + 1)):
+        d = kernels.descent_count(word)
         hist[d] = hist.get(d, 0) + 1
         updeg[len(ups)] = updeg.get(len(ups), 0) + 1
         edges += len(ups)
@@ -812,73 +837,79 @@ def conjugator_formula(n: int) -> Word:
 # --- exports -------------------------------------------------------------
 
 
-def _listed(fmt: str, rows: Iterable) -> Iterator[str]:
-    """`fmt % row` for each row, as list items: fmt starts with the
-    separator ",", which the first item goes without."""
-    rows = iter(rows)
-    first = next(rows, None)  # no row is None
-    if first is None:
-        return iter(())
-    return chain((fmt[1:] % first,), map(fmt.__mod__, rows))
+EXPORT_BLOCK = 1024  # rows formatted by one % call, a piece of the export
 
 
-def _label_format(n: int) -> str:
-    """The %-template of `word_text` for words of n letters."""
-    return "(" + ",".join(["%d"] * n) + ")"
+def _formatted(item: str, width: int, values: Iterable) -> Iterator[str]:
+    """`item % row` for each row of `width` values drawn in turn from
+    `values`, `EXPORT_BLOCK` rows to a piece: one % call formats a block
+    on `item` repeated once per row."""
+    values = iter(values)
+    while block := tuple(islice(values, width * EXPORT_BLOCK)):
+        yield item * (len(block) // width) % block
 
 
-def _dot_pieces(n: int, words: Iterable[Word], ranks: Iterable[int],
-                edges: Iterable[tuple[int, int, int, int]]) -> Iterator[str]:
-    """The text of `to_dot` for a diagram given as its order, its words
-    and ranks in id order and its edge rows (lo, hi, r, s), as pieces of
-    one or more whole lines.  Only the rank groups are held; the rest is
-    formatted as it is drawn from the inputs."""
+def _listed(pieces: Iterator[str]) -> Iterator[str]:
+    """The pieces of a list whose items each start with the separator
+    ",", which the first item goes without."""
+    first = next(pieces, None)
+    if first is not None:
+        yield first[1:]
+        yield from pieces
+
+
+def _label_tails(n: int) -> Iterator[str]:
+    """The cycle literal of each node of order n in id order, less its
+    "(1" and ")": the letters of p, each after a comma ("" at n = 1)."""
+    return map("".join, permutations(["," + str(a) for a in range(2, n + 1)]))
+
+
+def _export(n: int, ranks: Sequence[int],
+            edges: Iterable[tuple[int, int, int, int]], fmt: str) -> Iterator[str]:
+    """The text of `to_dot` (fmt "dot") or `to_json` (fmt "json") of the
+    diagram of order n with these ranks in id order and these edge rows
+    (lo, hi, r, s), as pieces: the fixed parts, one piece per rank line
+    of DOT, and blocks of `_formatted` rows.  The node labels follow
+    from n.  Only the DOT rank groups are held; the rest is formatted
+    as it is drawn from the inputs."""
+    flat = chain.from_iterable(edges)
+    if fmt != "dot":
+        return chain(
+            ('{"edges":[',),
+            _listed(_formatted(",[%d,%d,[%d,%d]]", 4, flat)),
+            ('],"n":%d,"nodes":[' % n,),
+            _listed(_formatted(',"(1%s)"', 1, _label_tails(n))),
+            ('],"ranks":[',),
+            _listed(_formatted(",%d", 1, ranks)),
+            ("]}\n",))
     by_rank: dict[int, array] = {}  # machine ints: 8 bytes a node, not 36
     for t, rank in enumerate(ranks):
         by_rank.setdefault(rank, array("q")).append(t)
     return chain(
         ("digraph CP%d {\n  rankdir=BT;\n  node [shape=box];\n" % n,),
-        map('  n%d [label="%s"];\n'.__mod__,
-            enumerate(map(_label_format(n).__mod__, words))),
-        ("  { rank=same; " + "; ".join(map("n%d".__mod__, by_rank[rank])) + "; }\n"
-         for rank in sorted(by_rank)),
-        map('  n%d -> n%d [label="(%d,%d)"];\n'.__mod__, edges),
+        _formatted('  n%d [label="(1%s)"];\n', 2,
+                   chain.from_iterable(enumerate(_label_tails(n)))),
+        ("  { rank=same; " + "n%d; " * len(ids) % tuple(ids) + "}\n"
+         for ids in map(by_rank.pop, sorted(by_rank))),
+        _formatted('  n%d -> n%d [label="(%d,%d)"];\n', 4, flat),
         ("}\n",))
-
-
-def _json_pieces(n: int, words: Iterable[Word], ranks: Iterable[int],
-                 edges: Iterable[tuple[int, int, int, int]]) -> Iterator[str]:
-    """The text of `to_json`, from the inputs of `_dot_pieces`, as pieces
-    formatted as they are drawn."""
-    return chain(
-        ('{"edges":[',),
-        _listed(",[%d,%d,[%d,%d]]", edges),
-        ('],"n":%d,"nodes":[' % n,),
-        _listed(',"' + _label_format(n) + '"', words),
-        ('],"ranks":[',),
-        _listed(",%d", ranks),
-        ("]}\n",))
-
-
-def _columns(diagram: HasseDiagram):
-    """The serializer inputs of a built diagram."""
-    return (diagram.n, diagram.words, diagram.ranks,
-            zip(diagram.lo, diagram.hi, diagram.r, diagram.s))
 
 
 def export_pieces(n: int, fmt: str) -> Iterator[str]:
     """The text of `to_dot(build(n))` (fmt "dot") or `to_json(build(n))`
     (fmt "json") as pieces, straight from the enumeration with no
-    diagram: the words from `permutations`, the ranks from
-    `_prefix_ranks` and the edge rows from `_cover_rows`, each drawn as
-    its section is written, so only the ranks are held.  The order is
-    refused here, before the first piece is asked for.
+    diagram: the ranks from `_prefix_ranks` and the edge rows of
+    `_cover_rows`, flattened as they are drawn, so only the ranks are
+    held.  The order is refused here, before the first piece is asked
+    for.
     """
     refuse_over_cap(n)
-    edges = ((t, u, r, s) for t, (_, ups) in enumerate(_cover_rows(n))
-             for u, r, s in ups)
-    serializer = _dot_pieces if fmt == "dot" else _json_pieces
-    return serializer(n, _words(n), _prefix_ranks(n), edges)
+    return _export(n, _prefix_ranks(n), chain.from_iterable(_cover_rows(n)), fmt)
+
+
+def _diagram_text(diagram: HasseDiagram, fmt: str) -> str:
+    return "".join(_export(diagram.n, diagram.ranks, zip(
+        diagram.lo, diagram.hi, diagram.r, diagram.s), fmt))
 
 
 def to_dot(diagram: HasseDiagram) -> str:
@@ -889,7 +920,7 @@ def to_dot(diagram: HasseDiagram) -> str:
     ascending order listing its nodes in id order, one `nLO -> nHI
     [label="(r,s)"]` line per edge in column order, and "}".
     """
-    return "".join(_dot_pieces(*_columns(diagram)))
+    return _diagram_text(diagram, "dot")
 
 
 def to_json(diagram: HasseDiagram) -> str:
@@ -898,12 +929,12 @@ def to_json(diagram: HasseDiagram) -> str:
     The text is `json.dumps(payload, sort_keys=True,
     separators=(",", ":"))` plus a newline, for the payload with keys
     "edges" ([lo, hi, [r, s]] per edge), "n", "nodes" (the `word_text`
-    of each word) and "ranks".  `_json_pieces` writes that text
-    directly: every value is an int, a list or a node label, and a label
-    holds only ASCII digits, commas and parentheses, so no string needs
+    of each word) and "ranks".  `_export` writes that text directly:
+    every value is an int, a list or a node label, and a label holds
+    only ASCII digits, commas and parentheses, so no string needs
     escaping.
     """
-    return "".join(_json_pieces(*_columns(diagram)))
+    return _diagram_text(diagram, "json")
 
 
 def grading_report(diagram: HasseDiagram) -> dict:

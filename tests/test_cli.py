@@ -166,6 +166,30 @@ class TestPoset:
         assert out.count(" -> ") == 6
         assert out.count("label=") == 6 + 6  # node labels + edge labels
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_one_write_per_block(self, monkeypatch, fmt):
+        # the export's pieces are blocks already; the writer passes each
+        # on as it arrives, with no second buffering
+        from cyclat import poset
+
+        class Handle:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(poset, "EXPORT_BLOCK", 16)
+        pieces = list(poset.export_pieces(5, fmt))
+        assert len(pieces) > 6
+        handle = Handle()
+        monkeypatch.setattr(cli.sys, "stdout", handle)
+        cli._write(iter(pieces))
+        assert handle.writes == pieces
+
     def test_file_output_and_determinism(self, tmp_path, capsys):
         path = tmp_path / "a.dot"
         assert run(capsys, "poset", "5", "--out", str(path))[0] == 0

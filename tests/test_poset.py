@@ -234,6 +234,23 @@ class TestLehmerBuild:
         assert len(diagram.words) == len(diagram.ranks) == factorial(n - 1)
 
 
+class TestCoverRows:
+    """`_cover_rows` is the one cover rule: `build`, the exports and
+    `verify_descent_distribution` read its rows."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_the_kernel_covers_by_upper_id(self, n):
+        words = list(permutations(range(2, n + 1)))
+        index = {(1,) + p: t for t, p in enumerate(words)}
+        rows = list(poset._cover_rows(n))
+        assert len(rows) == len(words)
+        for t, (p, ups) in enumerate(zip(words, rows)):
+            uppers = [u for _, u, _, _ in ups]
+            assert uppers == sorted(set(uppers))
+            assert ups == sorted((t, index[upper], r, s)
+                                 for r, s, upper in kernels.word_covers_up((1,) + p))
+
+
 class TestVectorColumns:
     """`HasseDiagram.columns` and `rows` come from the lexicographic
     enumeration, not from one `word_vector` call per node."""
@@ -412,6 +429,24 @@ class TestColumnBounds:
             [_pykernels.meet_flat(65, top, top), _pykernels.meet_flat(65, zero, top)]
         with pytest.raises(CyclatError, match="order 66 exceeds 65"):
             poset._column_bounds(66, us, vs)
+
+
+class TestAdjacentLanes:
+    """Every node's adjacent coordinates (i, i+1) are 0 and the recursion
+    reads none of them, so a batch holds one zero column for them all."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_adjacent_columns_share_one_zero_column(self, n):
+        diagram = build(n)
+        ids = list(range(len(diagram.ranks))) * 3
+        us = poset._gather(diagram.rows, ids)
+        adjacent = [kernels.pair_index(n, i, i + 1) for i in range(1, n)]
+        assert poset._adjacent(comb(n, 2)) == frozenset(adjacent)
+        assert us == [bytes(column[t] for t in ids) for column in diagram.columns]
+        assert len({id(us[c]) for c in adjacent}) == 1
+        for meet in (False, True):
+            out = poset._column_bounds(n, us, us, meet)
+            assert len({id(out[c]) for c in adjacent}) == 1
 
 
 class TestPrefixRanks:
@@ -958,6 +993,29 @@ class TestExports:
                                  capture_output=True, text=True, timeout=60)
             assert out.returncode == 0, out.stderr
             assert tuple(out.stdout.split()) == here
+
+
+class TestExportBlocks:
+    """`to_json`, `to_dot` and `export_pieces` share one serializer that
+    formats each section in blocks of `poset.EXPORT_BLOCK` rows."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7, poset.EXPORT_BLOCK])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_block_size_writes_the_reference(self, monkeypatch, n, block):
+        # block 1 puts every item first in its piece, and a size that
+        # divides a section ends a block at its end; n = 1 has no edges
+        monkeypatch.setattr(poset, "EXPORT_BLOCK", block)
+        diagram = build(n)
+        references = {"json": reference_json(diagram), "dot": reference_dot(diagram)}
+        assert to_json(diagram) == references["json"]
+        assert to_dot(diagram) == references["dot"]
+        for fmt, reference in references.items():
+            pieces = list(poset.export_pieces(n, fmt))
+            assert "".join(pieces) == reference
+        # JSON: four fixed pieces, then each section's rows in blocks
+        rows = (len(diagram.lo), len(diagram.ranks), len(diagram.ranks))
+        assert len(list(poset.export_pieces(n, "json"))) == \
+            4 + sum(-(-k // block) for k in rows)
 
 
 class TestGradingReport:
