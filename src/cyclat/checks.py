@@ -7,13 +7,15 @@ bounds on 10,000 seeded pairs instead of on every ordered pair.
 
 `lattice` and `modularity` take their joins and meets, and `mobius`
 its joins, many pairs at a time from `HasseDiagram.bounds` and `joins`:
-the recursion of the kernels `join_flat` and `meet_flat`, run on vector
-columns gathered from the node rows, one byte a pair, with guard bits
-for the lane-wise max and min (L. Lamport, *Multiple byte processing
-with full-word instructions*, CACM 18(8), 1975).  So `lattice` proves
-that this lane recursion gives the bounds, and no scan of the diagram
-calls a per-pair kernel; the tests tie `join_flat` and `meet_flat` to
-the lane recursion pair for pair.
+the recursion of the kernel `join_flat`, run on vector columns gathered
+from the node rows, one byte a pair, with guard bits for the lane-wise
+max (L. Lamport, *Multiple byte processing with full-word
+instructions*, CACM 18(8), 1975), and the meets as the joins of the
+dual lanes M - v, M[i,j] = j - i - 1 (cycle inversion).  So `lattice`
+proves that this lane recursion gives the bounds, and no scan of the
+diagram calls a per-pair kernel; the tests tie `join_flat` and
+`meet_flat` to the lane recursion pair for pair, and `meet_flat` to
+the dual join.
 
 `run_all` builds the order-n diagram once, on first use, and every
 check that reads a diagram reads that one; `run_check` builds its own.
@@ -119,7 +121,8 @@ def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
 def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
     n = run.n
     report = poset.verify_descent_distribution(n)
-    ok = (report.pop("pass") and oracle.descents_by_scan(n) == report["eulerian_row"]
+    report["descent_histogram"] = oracle.descents_by_scan(n)
+    ok = (report.pop("pass") and report["descent_histogram"] == report["eulerian_row"]
           and (n < 1 or poset.eulerian(n, 1) == 2 ** n - n - 1))
     return ok, None if ok else report
 
@@ -158,11 +161,12 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     The joins and meets come from `HasseDiagram.bounds`, which gathers
     each side once for both, the pairs of each claim in one batch (the
     cover pairs' `joins` one rank at a time): the recursion of
-    `join_flat` and `meet_flat`, run on the lanes gathered from the node
-    rows, one byte a pair (`poset._column_bounds`, after L. Lamport,
-    *Multiple byte processing with full-word instructions*, CACM 18(8),
-    1975).  So the check proves that this lane recursion gives the
-    bounds; no per-pair kernel runs.  The tests tie `join_flat` and
+    `join_flat`, run on the lanes gathered from the node rows, one byte
+    a pair (`poset._column_joins`, after L. Lamport, *Multiple byte
+    processing with full-word instructions*, CACM 18(8), 1975), and for
+    the meets on the dual lanes M - u and M - v (`poset._column_meets`).
+    So the check proves that this lane recursion gives the bounds; no
+    per-pair kernel runs.  The tests tie `join_flat` and
     `meet_flat`, which `vectors.join`/`meet` call, to the lane recursion
     on every pair the check reads up to n = 8.
 

@@ -104,10 +104,10 @@ def test_03_lattice_against_oracle():
 def test_04_eulerian():
     with Budget("4 Eulerian descent histograms n<=7", 30.0):
         for n in range(1, 8):
-            hist = poset.verify_descent_distribution(n)["descent_histogram"]
             row = {k: poset.eulerian(n, k) for k in range(n)
                    if poset.eulerian(n, k)}
-            assert hist == row
+            assert poset.verify_descent_distribution(n)["cover_histogram"] == row
+            assert oracle.descents_by_scan(n) == row
             assert poset.eulerian(n, 1) == 2 ** n - n - 1
 
 

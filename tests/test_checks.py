@@ -153,6 +153,14 @@ class TestEulerianStream:
         report = checks.run_check("eulerian", n)
         assert report.passed and report.witness is None
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_calls_no_kernel(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("eulerian called a kernel")
+
+        monkeypatch.setattr(kernels, "descent_count", refuse)
+        assert checks.run_check("eulerian", n).passed
+
 
 def without_edge(diagram, k):
     """The diagram with edge k deleted."""
@@ -166,38 +174,46 @@ def vector(diagram, t):
     return kernels.word_vector(diagram.words[t])
 
 
+def lane_vectors(size, columns):
+    """The vector in each of the `size` lanes of these int columns."""
+    return [tuple(row) for row in poset._split_rows(size, columns)]
+
+
+def lane_columns(vectors):
+    """The int columns of these vectors, one byte lane each."""
+    return [int.from_bytes(bytes(column), "big") for column in zip(*vectors)]
+
+
 def wrong_lanes_at(diagram, x, y, z, meet=False):
-    """poset._column_bounds, but the join of nodes x and y (with `meet`,
-    their meet) is node z in every lane that holds the pair."""
-    column_bounds = poset._column_bounds
+    """poset._column_joins (with `meet`, poset._column_meets), but the
+    result for nodes x and y is node z in every lane that holds the
+    pair."""
+    column_op = poset._column_meets if meet else poset._column_joins
     pair = {vector(diagram, x), vector(diagram, y)}
 
-    def bounds(n, us, vs, is_meet=False):
-        out = column_bounds(n, us, vs, is_meet)
-        if is_meet != meet:
-            return out
-        lanes = [vector(diagram, z) if {u, v} == pair else lane
-                 for u, v, lane in zip(zip(*us), zip(*vs), zip(*out))]
-        return tuple(map(bytes, zip(*lanes)))
+    def bounds(n, size, us, vs):
+        out = column_op(n, size, us, vs)
+        return lane_columns(
+            vector(diagram, z) if {u, v} == pair else lane
+            for u, v, lane in zip(*(lane_vectors(size, c) for c in (us, vs, out))))
     return bounds
 
 
-def corrupt_square_lanes(diagram, corrupted):
-    """poset._column_bounds, but in the batch of the whole square each
-    lane k of `corrupted` (a set of (op, k)) holds a wrong node: the
-    bottom for a join, the top for a meet."""
-    column_bounds = poset._column_bounds
-    size = len(diagram.ranks)
-    wrong = {"join": vector(diagram, diagram.bottom), "meet": vector(diagram, diagram.top)}
+def corrupt_square_lanes(diagram, op, corrupted):
+    """poset._column_joins (for op "meet", poset._column_meets), but in
+    the batch of the whole square each lane k with (op, k) in
+    `corrupted` holds a wrong node: the bottom for a join, the top for a
+    meet."""
+    column_op = poset._column_meets if op == "meet" else poset._column_joins
+    square = len(diagram.ranks) ** 2
+    wrong = vector(diagram, diagram.top if op == "meet" else diagram.bottom)
 
-    def bounds(n, us, vs, meet=False):
-        out = column_bounds(n, us, vs, meet)
-        if len(us[0]) != size * size:
+    def bounds(n, size, us, vs):
+        out = column_op(n, size, us, vs)
+        if size != square:
             return out
-        op = "meet" if meet else "join"
-        lanes = [wrong[op] if (op, k) in corrupted else lane
-                 for k, lane in enumerate(zip(*out))]
-        return tuple(map(bytes, zip(*lanes)))
+        return lane_columns(wrong if (op, k) in corrupted else lane
+                            for k, lane in enumerate(lane_vectors(size, out)))
     return bounds
 
 
@@ -216,7 +232,7 @@ class TestLatticeCheck:
         diagram = build(5)
         x = next(t for t, up in enumerate(diagram.up) if len(up) > 1)
         y, z = diagram.up[x][:2]
-        monkeypatch.setattr(poset, "_column_bounds",
+        monkeypatch.setattr(poset, "_column_joins",
                             wrong_lanes_at(diagram, y, z, diagram.top))
         report = checks.run_check("lattice", 5)
         assert not report.passed
@@ -229,7 +245,7 @@ class TestLatticeCheck:
         # the pair claim sees this join
         diagram = build(5)
         bottom, top = diagram.bottom, diagram.top
-        monkeypatch.setattr(poset, "_column_bounds",
+        monkeypatch.setattr(poset, "_column_joins",
                             wrong_lanes_at(diagram, bottom, top, bottom))
         assert checks._cover_failure(diagram) is None
         report = checks.run_check("lattice", 5)
@@ -244,10 +260,11 @@ class TestLatticeCheck:
     def test_first_failing_lane_of_the_square(self, monkeypatch, corrupted, op, k):
         # the square at n = 5 is one batch of 576 lanes, the pair (x, y)
         # in lane 24 x + y: the first corrupted pair fails, at its join
-        # before its meet
+        # before its meet.  The meets run the patched join on the dual
+        # lanes, which only makes more meets wrong, and no earlier one.
         diagram = build(5)
-        monkeypatch.setattr(poset, "_column_bounds",
-                            corrupt_square_lanes(diagram, corrupted))
+        for name, bound in (("_column_meets", "meet"), ("_column_joins", "join")):
+            monkeypatch.setattr(poset, name, corrupt_square_lanes(diagram, bound, corrupted))
         assert checks._cover_failure(diagram) is None
         report = checks.run_check("lattice", 5)
         assert not report.passed
@@ -377,7 +394,7 @@ class TestWitnessBranches:
         # every join is right, so the pair (bottom, top) fails at its meet
         diagram = build(5)
         bottom, top = diagram.bottom, diagram.top
-        monkeypatch.setattr(poset, "_column_bounds",
+        monkeypatch.setattr(poset, "_column_meets",
                             wrong_lanes_at(diagram, bottom, top, top, meet=True))
         report = checks.run_check("lattice", 5)
         assert not report.passed

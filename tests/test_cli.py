@@ -278,8 +278,8 @@ class TestPoset:
         # The export streams from the enumeration and holds neither the
         # text nor a diagram: its traced peak at n = 8 stays under a
         # quarter of that of rendering build(8) as one string.  It
-        # measures 0.21 (JSON) and 0.22 (DOT), mostly one block of pieces
-        # in `cli._write_blocks`.
+        # measures 0.216 (JSON) and 0.180 (DOT); `cli._write_blocks`
+        # writes each block as it comes and holds none.
         import gc
         import tracemalloc
 
@@ -414,13 +414,13 @@ class TestCheck:
 
     def test_lattice_reports_a_join_off_the_nodes(self, capsys, monkeypatch):
         from cyclat import poset
-        column_bounds = poset._column_bounds
+        column_joins = poset._column_joins
 
-        def last_plus_one(n, us, vs, meet=False):
-            out = column_bounds(n, us, vs, meet)
-            return out if meet else out[:-1] + (bytes(b + 1 for b in out[-1]),)
+        def last_plus_one(n, size, us, vs):
+            out = column_joins(n, size, us, vs)
+            return out[:-1] + [out[-1] + int.from_bytes(b"\1" * size, "big")]
 
-        monkeypatch.setattr(poset, "_column_bounds", last_plus_one)
+        monkeypatch.setattr(poset, "_column_joins", last_plus_one)
         code, out, err = run(capsys, "check", "lattice", "4", "--json")
         assert code == 1 and err == ""
         (report,) = json.loads(out)
@@ -430,10 +430,7 @@ class TestCheck:
 
     def test_lattice_reports_a_join_not_least(self, capsys, monkeypatch):
         from cyclat import poset
-        column_bounds = poset._column_bounds
-        monkeypatch.setattr(poset, "_column_bounds",
-                            lambda n, us, vs, meet=False:
-                            column_bounds(n, us, vs, meet) if meet else tuple(us))
+        monkeypatch.setattr(poset, "_column_joins", lambda n, size, us, vs: list(us))
         code, out, err = run(capsys, "check", "lattice", "4")
         assert code == 1 and err == ""
         assert "[FAIL] lattice n=4" in out and "'op': 'join'" in out

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclat import _pykernels
+from cyclat import _pykernels, kernels
 from cyclat.oracle import enumerate_admitted
 
 try:
@@ -83,6 +83,24 @@ class TestFillPlan:
         n, u, v = case
         assert _pykernels.join_flat(n, u, v) == _join_by_pair_index(n, u, v)
         assert _pykernels.meet_flat(n, u, v) == _meet_by_pair_index(n, u, v)
+
+
+class TestDuality:
+    """v -> M - v, M[i,j] = j - i - 1, reverses the order (cycle
+    inversion), so every meet is the dual of the join of the duals."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_meet_is_the_dual_join(self, n):
+        top = tuple(j - i - 1 for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+        def dual(v):
+            return tuple(m - x for m, x in zip(top, v))
+
+        flats = enumerate_admitted(n)
+        for u in flats:
+            for v in flats:
+                assert kernels.meet_flat(n, u, v) == \
+                    dual(kernels.join_flat(n, dual(u), dual(v)))
 
 
 @compiled

@@ -41,6 +41,7 @@ from cyclat.poset import (
     verify_descent_distribution,
     check_young_limit,
 )
+from cyclat.vectors import AdmittedVector, invert_vector
 
 
 class TestBuild:
@@ -330,9 +331,21 @@ def _kernel_bounds(diagram, xs, ys):
             [index.get(kernels.meet_flat(n, vecs[x], vecs[y])) for x, y in zip(xs, ys)])
 
 
+def _columns(lanes):
+    """The int columns of these vectors, one byte lane each, as the lane
+    recursion holds them."""
+    return [int.from_bytes(bytes(column), "big") for column in zip(*lanes)]
+
+
+def _lanes(size, columns):
+    """The vector in each of the `size` lanes of these int columns."""
+    return list(zip(*(column.to_bytes(size, "big") for column in columns)))
+
+
 class TestColumnBounds:
-    """`joins` and `bounds` run the recursion of `join_flat` and
-    `meet_flat` on byte columns gathered from the rows, one lane a pair."""
+    """`joins` and `bounds` run the recursion of `join_flat` on int
+    columns gathered from the rows, one byte lane a pair, and the meets
+    as the joins of the dual lanes."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_ordered_pair(self, n):
@@ -368,9 +381,9 @@ class TestColumnBounds:
         gathered = []
         gather = poset._gather
 
-        def counting_gather(rows, ids):
+        def counting_gather(n, rows, ids):
             gathered.append(list(ids))
-            return gather(rows, ids)
+            return gather(n, rows, ids)
 
         monkeypatch.setattr(poset, "_gather", counting_gather)
         diagram = build(5)
@@ -381,23 +394,27 @@ class TestColumnBounds:
     @pytest.mark.parametrize("meet", [False, True])
     def test_adjacent_coordinate_reads_back_as_no_node(self, monkeypatch, meet):
         # every node's adjacent coordinates (i, i+1) are 0, so a result
-        # row with one of them 1 is no node's; the other lanes still are
-        column_bounds = poset._column_bounds
+        # row with one of them 1 is no node's; the other lanes still are.
+        # The meets run the join too, so a wrong join is read by `joins`.
+        name = "_column_meets" if meet else "_column_joins"
+        column_op = getattr(poset, name)
         adjacent = kernels.pair_index(5, 2, 3)
 
-        def set_adjacent(n, us, vs, is_meet=False):
-            out = list(column_bounds(n, us, vs, is_meet))
-            if is_meet == meet:
-                out[adjacent] = b"\1" + out[adjacent][1:]  # lane 0 only
-            return tuple(out)
+        def set_adjacent(n, size, us, vs):
+            out = column_op(n, size, us, vs)
+            out[adjacent] |= 1 << 8 * (size - 1)  # lane 0 only
+            return out
 
-        monkeypatch.setattr(poset, "_column_bounds", set_adjacent)
+        monkeypatch.setattr(poset, name, set_adjacent)
         diagram = build(5)
         xs, ys = [0, 3, 23], [5, 7, 11]
         expected = _kernel_bounds(diagram, xs, ys)
         expected[meet][0] = None
         assert None not in expected[not meet] + expected[meet][1:]
-        assert diagram.bounds(xs, ys) == expected
+        if meet:
+            assert diagram.bounds(xs, ys) == expected
+        else:
+            assert diagram.joins(xs, ys) == expected[0]
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(data=st.data(), n=st.integers(3, 24))
@@ -408,11 +425,11 @@ class TestColumnBounds:
         words = data.draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
         vecs = [_top_vector(n)] + [kernels.word_vector(tuple(w)) for w in words]
         lanes = [lane for a, b in combinations(vecs, 2) for lane in ((a, b), (b, a))]
-        us = [bytes(column) for column in zip(*(a for a, _ in lanes))]
-        vs = [bytes(column) for column in zip(*(b for _, b in lanes))]
-        assert list(zip(*poset._column_bounds(n, us, vs))) == \
+        size = len(lanes)
+        us, vs = _columns(a for a, _ in lanes), _columns(b for _, b in lanes)
+        assert _lanes(size, poset._column_joins(n, size, us, vs)) == \
             [kernels.join_flat(n, a, b) for a, b in lanes]
-        assert list(zip(*poset._column_bounds(n, us, vs, meet=True))) == \
+        assert _lanes(size, poset._column_meets(n, size, us, vs)) == \
             [kernels.meet_flat(n, a, b) for a, b in lanes]
 
     def test_refuses_an_order_past_the_guard_bit(self, monkeypatch):
@@ -421,32 +438,51 @@ class TestColumnBounds:
 
         monkeypatch.setattr(poset, "build", refuse)
         top, zero = _top_vector(65), (0,) * comb(65, 2)
-        us, vs = [bytes([a, b]) for a, b in zip(top, zero)], [bytes([a, a]) for a in top]
+        us, vs = _columns([top, zero]), _columns([top, top])
         # the compiled kernels refuse n > 64, so the reference is pure
-        assert list(zip(*poset._column_bounds(65, us, vs))) == \
+        assert _lanes(2, poset._column_joins(65, 2, us, vs)) == \
             [_pykernels.join_flat(65, top, top), _pykernels.join_flat(65, zero, top)]
-        assert list(zip(*poset._column_bounds(65, us, vs, meet=True))) == \
+        assert _lanes(2, poset._column_meets(65, 2, us, vs)) == \
             [_pykernels.meet_flat(65, top, top), _pykernels.meet_flat(65, zero, top)]
-        with pytest.raises(CyclatError, match="order 66 exceeds 65"):
-            poset._column_bounds(66, us, vs)
+        for column_op in (poset._column_joins, poset._column_meets):
+            with pytest.raises(CyclatError, match="order 66 exceeds 65"):
+                column_op(66, 2, us, vs)
 
 
 class TestAdjacentLanes:
     """Every node's adjacent coordinates (i, i+1) are 0 and the recursion
-    reads none of them, so a batch holds one zero column for them all."""
+    reads none of them, so they stay the int 0 from gather to split."""
 
     @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_adjacent_columns_share_one_zero_column(self, n):
+    def test_gather_converts_only_the_read_columns(self, n):
         diagram = build(n)
         ids = list(range(len(diagram.ranks))) * 3
-        us = poset._gather(diagram.rows, ids)
+        size = len(ids)
+        us = poset._gather(n, diagram.rows, ids)
         adjacent = [kernels.pair_index(n, i, i + 1) for i in range(1, n)]
-        assert poset._adjacent(comb(n, 2)) == frozenset(adjacent)
-        assert us == [bytes(column[t] for t in ids) for column in diagram.columns]
-        assert len({id(us[c]) for c in adjacent}) == 1
-        for meet in (False, True):
-            out = poset._column_bounds(n, us, us, meet)
-            assert len({id(out[c]) for c in adjacent}) == 1
+        read = [ij for ij, _ in _pykernels._fill_plan(n)]
+        assert sorted(adjacent + read) == list(range(comb(n, 2)))
+        assert [us[c] for c in adjacent] == [0] * (n - 1)
+        assert [us[c].to_bytes(size, "big") for c in read] == \
+            [bytes(diagram.columns[c][t] for t in ids) for c in read]
+        for column_op in (poset._column_joins, poset._column_meets):
+            out = column_op(n, size, us, us)
+            assert [out[c] for c in adjacent] == [0] * (n - 1)
+            assert _lanes(size, out) == _lanes(size, us)
+
+
+class TestDualDiagram:
+    """Cycle inversion, `vectors.invert_vector`, is the order-reversing
+    involution that `_column_meets` reads the meets through."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_inversion_reverses_every_edge(self, n):
+        diagram = build(n)
+        dual = [diagram.vec_index.get(bytes(invert_vector(AdmittedVector(n, tuple(row))).flat))
+                for row in diagram.rows]
+        assert sorted(dual) == list(range(len(diagram.ranks)))
+        edges = set(zip(diagram.lo, diagram.hi))
+        assert {(dual[hi], dual[lo]) for lo, hi in edges} == edges
 
 
 class TestPrefixRanks:
@@ -490,7 +526,8 @@ class TestEulerian:
 
 class TestDescentDistribution:
     def test_histogram_small(self):
-        assert verify_descent_distribution(3)["descent_histogram"] == {0: 1, 1: 4, 2: 1}
+        assert verify_descent_distribution(3)["cover_histogram"] == {0: 1, 1: 4, 2: 1}
+        assert oracle.descents_by_scan(3) == {0: 1, 1: 4, 2: 1}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_distribution_report_passes(self, n):
@@ -498,8 +535,9 @@ class TestDescentDistribution:
         assert report["pass"], report
 
     def test_row_five(self):
-        hist = verify_descent_distribution(5)["descent_histogram"]
-        assert [hist[k] for k in range(5)] == [1, 26, 66, 26, 1]
+        for hist in (verify_descent_distribution(5)["cover_histogram"],
+                     oracle.descents_by_scan(5)):
+            assert [hist[k] for k in range(5)] == [1, 26, 66, 26, 1]
 
     @pytest.mark.parametrize("n", range(8))
     def test_streamed_counts_match_the_diagram(self, n):
@@ -510,7 +548,7 @@ class TestDescentDistribution:
             updeg[len(above)] = updeg.get(len(above), 0) + 1
         assert report["cover_histogram"] == updeg
         assert report["edges"] == len(diagram.lo)
-        assert report["descent_histogram"] == oracle.descents_by_scan(n)
+        assert report["cover_histogram"] == oracle.descents_by_scan(n)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_irreducible_counts(self, n):
