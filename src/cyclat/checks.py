@@ -17,6 +17,10 @@ diagram calls a per-pair kernel; the tests tie `join_flat` and
 `meet_flat` to the lane recursion pair for pair, and `meet_flat` to
 the dual join.
 
+`triangulation` and `interval` build no diagram and no per-element
+object: they test every node at once on its vector columns read as
+ints, one lane per node.
+
 `run_all` builds the order-n diagram once, on first use, and every
 check that reads a diagram reads that one; `run_check` builds its own.
 Each check still proves its claim from the diagram's columns, so no
@@ -30,13 +34,13 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from operator import or_
-from typing import Callable
+from typing import Callable, Iterator
 
-from cyclat import affine, oracle, poset, vectors
+from cyclat import oracle, poset, vectors
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
-from cyclat.perm import CircularPermutation, all_cycles
+from cyclat.perm import CircularPermutation
 from cyclat.poset import build
 from cyclat.vectors import AdmittedVector
 
@@ -309,6 +313,29 @@ def _flip_quads(t: vectors.Triangulation) -> list[list[int]]:
                   (pair for pair in sides.values() if len(pair) == 2))
 
 
+def _lowest_lane(flags: int, width: int = 1) -> int | None:
+    """The lowest lane, of `width` bytes, with a set bit in flags; None
+    if none is set.  A negative int reads as its two's complement."""
+    return ((flags & -flags).bit_length() - 1) // (8 * width) if flags else None
+
+
+def _first(*lanes: int | None) -> int | None:
+    """The lowest of the lanes that are set; None if none is."""
+    return min((k for k in lanes if k is not None), default=None)
+
+
+def _triple_defects(n: int, v: dict[tuple[int, int], int]
+                    ) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """Each triple i < j < k with D = v[i,k] - v[i,j] - v[j,k], on the
+    columns v held as ints, one byte a lane, lane t node t.
+
+    Lane t of D is node t's defect whenever every lane below it holds 0
+    or 1, since those lanes borrow nothing (L. Lamport, *Multiple byte
+    processing with full-word instructions*, CACM 18(8), 1975)."""
+    for i, j, k in combinations(range(1, n + 1), 3):
+        yield (i, j, k), v[i, k] - v[i, j] - v[j, k]
+
+
 def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
     """`triangulation_sum(v, t) == v[1, n]` for every vector v and every
     triangulation t of the n-gon, so every flip keeps the sum.
@@ -328,10 +355,17 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
     - the counts of each of the Catalan(n-2) triangulations;
     - the counts of each flip of each, one per interior diagonal, which
       `mutate` must perform, so a flip keeps the sum of every vector;
-    - each of the (n-1)! vectors of the diagram, read off its columns,
-      admitted and summed over one triangulation.  The triangulations are taken in turn, so
-      `delta` runs on every triangle of every triangulation, not only on
-      those of one fan.
+    - each of the (n-1)! vectors of order n, admitted and summed over
+      one triangulation, node t over triangulation t mod Catalan(n-2),
+      so every triangle of every triangulation is summed.
+
+    The vectors are the columns of `poset._vector_columns(n)` read as
+    ints, one byte a lane (node).  A node is admitted iff its adjacent
+    entries are 0 and D & 0xfe is 0 in its lane of every triple defect
+    D (`_triple_defects`); its sum adds the D of the triples its
+    triangulation holds.  The lowest failing node is reported as a loop
+    over the nodes meets it: `AdmittedVector`'s NotAdmittedError if it
+    is not admitted, else the vector and the triangles.
     """
     n = run.n
     poset.refuse_over_cap(n)
@@ -350,14 +384,62 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
                 return False, {"flip": q}
             if _signed_edge_counts(flipped) != expected:
                 return False, {"flip": q}
-    diagram = run.diagram()
-    for k, flat in enumerate(zip(*diagram.columns)):
-        v = AdmittedVector(n, flat)
-        t = tris[k % len(tris)]
-        if vectors.triangulation_sum(v, t) != v[1, n]:
-            return False, {"vector": v.rows(), "triangles": sorted(t.triangles)}
-    run.stats.update(triangulations=len(tris), vectors=len(diagram.ranks))
+    columns = poset._vector_columns(n)
+    size = len(columns[0])
+    v = {pair: int.from_bytes(column, "little")
+         for pair, column in zip(combinations(range(1, n + 1), 2), columns)}
+    not_bits = int.from_bytes(b"\xfe" * size, "little")
+    rejected = reduce(or_, (v[i, i + 1] for i in range(1, n)))
+    repeats = -(-size // len(tris))
+    sums = 0
+    for triple, d in _triple_defects(n, v):
+        rejected |= d & not_bits
+        held = bytes(0xff * (triple in t.triangles) for t in tris)
+        sums += d & int.from_bytes((held * repeats)[:size], "little")
+    k = _first(_lowest_lane(rejected), _lowest_lane(sums ^ v[1, n]))
+    if k is not None:  # AdmittedVector raises if node k is not admitted
+        vector = AdmittedVector(n, tuple(column[k] for column in columns))
+        return False, {"vector": vector.rows(),
+                       "triangles": sorted(tris[k % len(tris)].triangles)}
+    run.stats.update(triangulations=len(tris), vectors=size)
     return True, None
+
+
+_STAGES = ("window roundtrip", "vector roundtrip", "projection", "grading")
+
+
+def _wide(column: bytes) -> int:
+    """A byte column read as one int, two bytes a lane, lane t byte t."""
+    lanes = bytearray(2 * len(column))
+    lanes[::2] = column
+    return int.from_bytes(lanes, "little")
+
+
+def _window_columns(n: int, v: dict[tuple[int, int], int], ones: int) -> list[int]:
+    """a_i = i + sum over p < i of v[p,i] - sum over p > i of v[i,p], for
+    i = 1..n at [i - 1], on the columns v held two bytes a lane; the
+    lanes are signed, each int the sum of lane t's value times 2^(16t)."""
+    window = [i * ones for i in range(1, n + 1)]
+    for (i, j), column in v.items():
+        window[i - 1] -= column
+        window[j - 1] += column
+    return window
+
+
+def _letter_positions(n: int, inversions: dict[tuple[int, int], bytes],
+                      ones: int) -> list[int]:
+    """The position of letter i in each node's canonical word, for
+    i = 1..n at [i - 1], two bytes a lane, from the inversion bits of
+    `poset._inversion_columns(n)`.  Before letter i stand 1, the letters
+    2 <= b < i that i does not precede and the letters b > i that
+    precede it:
+    (i - 1) - sum over 2 <= b < i of B(b, i) + sum over b > i of B(i, b)."""
+    positions = [i * ones for i in range(n)]
+    for (b, i), column in inversions.items():
+        bit = _wide(column)
+        positions[b - 1] += bit
+        positions[i - 1] -= bit
+    return positions
 
 
 def _check_interval(run: CheckRun) -> tuple[bool, dict | None]:
@@ -372,26 +454,50 @@ def _check_interval(run: CheckRun) -> tuple[bool, dict | None]:
     g, and the length of f is the sum of the counts (Bjorner and Brenti,
     *Combinatorics of Coxeter Groups*, section 8.3).  Those counts are
     `window_counts(f)`; equal to an admitted v, they put f in the
-    interval (v[i,i+1] = 0), so each element is admitted just once.
-    Once the window stage passes, `vector_of_window(window_of_vector(v))
-    == v` for every v, so v <= u iff the window of v lies below the
-    window of u in the left weak order, and the grading stage's
-    `length(w) == v.rank` is the same sum.  No pair of elements is
-    compared: one pass, each element converted, checked and dropped.
+    interval (v[i,i+1] = 0).  Once the window stage passes,
+    `vector_of_window(window_of_vector(v)) == v` for every v, so v <= u
+    iff the window of v lies below the window of u in the left weak
+    order, and `length(w)`, the sum of the counts, is the rank of v.  No
+    pair of elements is compared.
+
+    The window is linear in v, so each stage runs on whole columns read
+    as ints, two bytes a lane (node): the vectors of
+    `poset._vector_columns(n)` and the inversion bits B of
+    `poset._inversion_columns(n)`.  Node t passes
+    - the window stage iff 0 <= a_j - a_i - n v[i,j] <= n - 1, i < j;
+    - the vector round trip iff v[1,j] - v[1,i] - v[i,j], the defect
+      `vector_to_cycle` reads, is B(i, j), 2 <= i < j;
+    - the projection iff a_i - a_1 - n v[1,i], the residue `project`
+      reads, is the position of letter i in its word;
+    - the grading iff its entries sum to `_prefix_ranks(n)[t]`.
+    Below the lowest failing lane no lane borrows or carries, so that
+    lane shows its own failure; it is reported with the first stage it
+    fails.  `triangulation` admits the same vectors.
     """
     n = run.n
     poset.refuse_over_cap(n)
-    for s in all_cycles(n):
-        v = vectors.cycle_to_vector(s)
-        w = affine.window_of_vector(v)
-        if affine.window_counts(w) != v.flat:
-            return False, {"stage": "window roundtrip", "cycle": s.as_text()}
-        if vectors.vector_to_cycle(v) != s:
-            return False, {"stage": "vector roundtrip", "cycle": s.as_text()}
-        if affine.project(w) != s:
-            return False, {"stage": "projection", "cycle": s.as_text()}
-        if not (s.rank == v.rank == affine.length(w)):
-            return False, {"stage": "grading", "cycle": s.as_text()}
+    size = factorial(n - 1)
+    ones = int.from_bytes(b"\1\0" * size, "little")
+    v = {pair: _wide(column) for pair, column in
+         zip(combinations(range(1, n + 1), 2), poset._vector_columns(n))}
+    a = _window_columns(n, v, ones)
+    inversions = poset._inversion_columns(n)
+    positions = _letter_positions(n, inversions, ones)
+    sign = int.from_bytes(b"\0\x80" * size, "little")
+    shift = (0x8000 - n) * ones  # (e | e + shift) & sign flags e < 0 or e >= n
+    window = vertex = projection = 0
+    for (i, j), column in v.items():
+        e = a[j - 1] - a[i - 1] - n * column
+        window |= (e | e + shift) & sign
+        if i > 1:
+            vertex |= v[1, j] - v[1, i] - column - _wide(inversions[i, j])
+    for i in range(2, n + 1):
+        projection |= a[i - 1] - a[0] - n * v[1, i] - positions[i - 1]
+    grading = sum(v.values()) - _wide(bytes(poset._prefix_ranks(n)))
+    lanes = [_lowest_lane(flags, 2) for flags in (window, vertex, projection, grading)]
+    k = _first(*lanes)
+    if k is not None:
+        return False, {"stage": _STAGES[lanes.index(k)], "cycle": poset.node_name(n, k)}
     return True, None
 
 

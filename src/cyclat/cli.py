@@ -35,6 +35,14 @@ def _load_json(body: str):
         raise CyclatError("JSON element nested too deeply") from None
 
 
+def _order(text: str) -> int:
+    """The order argument: ASCII digits with an optional leading "-"
+    (so that a negative order is refused as below 1, not as a typo)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"order must be a decimal integer, got {text!r}")
+    return int(text)
+
+
 def detect_form(body: str, payload: dict | None) -> str:
     """The form of a stripped element text; `payload` is its parsed JSON
     object when the text is one."""
@@ -281,7 +289,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("poset", help="export the full diagram for an order")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_poset)
@@ -296,7 +304,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run structural verification checks")
     p.add_argument("name", help="check name or 'all'; see cyclat.checks.CHECKS")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -314,7 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_covers)
 
     p = sub.add_parser("fc", help="top window of the affine interval")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fc)
 

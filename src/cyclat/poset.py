@@ -169,15 +169,8 @@ class HasseDiagram:
         return tuple(_words(self.n))
 
     def name(self, t: int) -> str:
-        """The cycle literal of node t, `word_text(words[t])`: the digits
-        of t in the factorial number system pick each letter of p, in
-        turn, from the letters of 2..n not yet placed."""
-        letters = list(range(2, self.n + 1))
-        word = [1]
-        for k in reversed(range(len(letters))):
-            d, t = divmod(t, factorial(k))
-            word.append(letters.pop(d))
-        return word_text(word)
+        """The cycle literal of node t, `word_text(words[t])`."""
+        return node_name(self.n, t)
 
     @cached_property
     def nodes(self) -> tuple[CircularPermutation, ...]:
@@ -281,6 +274,18 @@ def _words(n: int) -> Iterator[Word]:
     return map((1,).__add__, permutations(range(2, n + 1)))
 
 
+def node_name(n: int, t: int) -> str:
+    """The cycle literal of node t of order n: the digits of t in the
+    factorial number system pick each letter of p, in turn, from the
+    letters of 2..n not yet placed."""
+    letters = list(range(2, n + 1))
+    word = [1]
+    for k in reversed(range(len(letters))):
+        d, t = divmod(t, factorial(k))
+        word.append(letters.pop(d))
+    return word_text(word)
+
+
 def build(n: int) -> HasseDiagram:
     """Materialize the diagram of order n from the rows of `_cover_rows`,
     with the ranks of `_prefix_ranks`; `lo` and `hi` share one int object
@@ -378,20 +383,17 @@ def _prefix_ranks(n: int) -> list[int]:
     return below[2]
 
 
-def _vector_columns(n: int) -> tuple[bytes, ...]:
-    """The coordinate columns of the vectors of the canonical words of
-    order n, in lexicographic order: for each pair (i, j), 1 <= i < j <= n,
-    in row-major order, one byte per node, v[i,j] of node t at [t].
+def _inversion_columns(n: int) -> dict[tuple[int, int], bytes]:
+    """The inversion bits of the canonical words of order n, in
+    lexicographic order: for each pair of letters 2 <= i < j <= n, one
+    byte per node, B(i, j) = [j before i] of node t at [t].  (Letter 1
+    comes first, so B(1, j) is 0 and is not held.)
 
-    v[i,j] = S[j] - S[i] - B(i, j), with B(i, j) = [j before i] and S[j]
-    the sum of B(k, k+1) over k < j.  Letter 1 comes first, so B(1, j)
-    is 0.  Over the permutations of m letters in lexicographic order,
-    B of the letters of ranks a < b is a block per first letter: all 0
-    under a, all 1 under b, and under any other letter the same column
-    on the m - 1 letters left, so each size's columns are joined from
-    the previous size's.  The sums run on whole columns read as integers,
-    one byte a digit: 0 <= v[i,j] <= n - 2, so no digit carries or
-    borrows.
+    Over the permutations of m letters in lexicographic order, B of the
+    letters of ranks a < b is a block per first letter: all 0 under a,
+    all 1 under b, and under any other letter the same column on the
+    m - 1 letters left, so each size's columns are joined from the
+    previous size's.
     """
     blocks: dict[tuple[int, int], bytes] = {}  # B by the ranks a < b, m letters
     for m in range(2, n):
@@ -400,9 +402,23 @@ def _vector_columns(n: int) -> tuple[bytes, ...]:
                                    else blocks[a - (x < a), b - (x < b)]
                                    for x in range(m))
                   for a, b in combinations(range(m), 2)}
+    return {(a + 2, b + 2): column for (a, b), column in blocks.items()}
+
+
+def _vector_columns(n: int) -> tuple[bytes, ...]:
+    """The coordinate columns of the vectors of the canonical words of
+    order n, in lexicographic order: for each pair (i, j), 1 <= i < j <= n,
+    in row-major order, one byte per node, v[i,j] of node t at [t].
+
+    v[i,j] = S[j] - S[i] - B(i, j), with B the `_inversion_columns` and
+    S[j] the sum of B(k, k+1) over k < j.  The sums run on whole columns
+    read as integers, one byte a digit: 0 <= v[i,j] <= n - 2, so no
+    digit carries or borrows.
+    """
+    blocks = _inversion_columns(n)
 
     def bit(i: int, j: int) -> int:
-        return 0 if i == 1 else int.from_bytes(blocks[i - 2, j - 2], "big")
+        return 0 if i == 1 else int.from_bytes(blocks[i, j], "big")
 
     sums = [0, 0]  # sums[j] = S[j], from j = 1
     for k in range(1, n):

@@ -489,6 +489,30 @@ def run_child(argv, stdout):
     return out.returncode, out.stderr
 
 
+class TestOrderArgument:
+    """`poset`, `check` and `fc` read the order as ASCII digits with an
+    optional leading "-", and nothing else."""
+
+    COMMANDS = [["poset"], ["check", "grading"], ["fc"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "+3", " 4", "4 ", "4\n", ""])
+    def test_refuses_anything_but_ascii_digits(self, capsys, command, text):
+        # U+0663 is Arabic-Indic 3, which int() would read as 3
+        with pytest.raises(SystemExit) as info:
+            main([*command, text])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument n: order must be a decimal integer, got {text!r}" in captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_negative_order_is_below_one(self, capsys, command):
+        code, out, err = run(capsys, *command, "-1")
+        assert code == 2 and out == ""
+        assert err == "error: order must be >= 1, got -1\n"
+
+
 class TestUnwritableStdout:
     """Every subcommand writes through one writer: an output that cannot
     be written exits 2 with one diagnostic line, never a traceback."""

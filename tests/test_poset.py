@@ -16,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from cyclat import _pykernels, checks, kernels, oracle, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
-from cyclat.perm import CircularPermutation, DescentLabel, complement, invert, word_text
+from cyclat.perm import (
+    CircularPermutation,
+    DescentLabel,
+    complement,
+    inversion_bit,
+    invert,
+    word_text,
+)
 from cyclat.poset import (
     Comparison,
     HasseDiagram,
@@ -267,6 +274,15 @@ class TestVectorColumns:
         assert diagram.rows == tuple(map(bytes, vecs))
         assert diagram.vec_index == {bytes(v): t for t, v in enumerate(vecs)}
         assert all(type(row) is bytes for row in diagram.vec_index)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inversion_columns_are_the_words_bits(self, n):
+        words = list(poset._words(n))
+        assert poset._inversion_columns(n) == {
+            (i, j): bytes(inversion_bit(w, i, j) for w in words)
+            for i, j in combinations(range(2, n + 1), 2)}
+        assert [poset.node_name(n, t) for t in range(len(words))] == \
+            list(map(word_text, words))
 
     def test_degenerate_orders(self):
         assert build(1).columns == () and build(1).rows == (b"",)
