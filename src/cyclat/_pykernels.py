@@ -1,8 +1,8 @@
 """Pure-Python kernels for the hot inner loops.
 
-Mirrors `cyclat._ckernels` exactly; see `cyclat.kernels` for backend
-selection.  Words are tuples of 1-based letters; triangular vectors are
-flat tuples over pairs (i, j), 1 <= i < j <= n, in row-major order
+The program imports them through `cyclat.kernels`.  Words are tuples
+of 1-based letters; triangular vectors are flat tuples over pairs
+(i, j), 1 <= i < j <= n, in row-major order
 (1,2), (1,3), ..., (1,n), (2,3), ..., (n-1,n).
 """
 

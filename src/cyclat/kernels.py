@@ -1,37 +1,27 @@
-"""Kernel backend selection.
+"""The hot kernels, as one import point.
 
-The compiled extension `cyclat._ckernels` is preferred when it is
-importable; otherwise the pure-Python mirror `cyclat._pykernels` is
-used.  Set CYCLAT_PURE=1 to force the pure backend (useful for
-benchmarking and debugging).  Both backends expose the same functions
-with identical semantics and result types.
+Re-exports the pure-Python kernels of `cyclat._pykernels`; `BACKEND`
+names them ("python") for the benchmark's records.  The bodies live
+apart so that a traced benchmark run wraps only these bindings: the
+kernels' calls to each other stay inside the kernels layer.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("CYCLAT_PURE"):
-    from cyclat import _pykernels as _impl
-else:
-    try:
-        from cyclat import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from cyclat import _pykernels as _impl  # type: ignore[no-redef]
-
-BACKEND: str = _impl.BACKEND
-
-pair_index = _impl.pair_index
-canonical_rotation = _impl.canonical_rotation
-word_rank = _impl.word_rank
-word_vector = _impl.word_vector
-word_descent_labels = _impl.word_descent_labels
-word_ascent_labels = _impl.word_ascent_labels
-word_covers_up = _impl.word_covers_up
-word_covers_down = _impl.word_covers_down
-descent_count = _impl.descent_count
-join_flat = _impl.join_flat
-meet_flat = _impl.meet_flat
-leq_flat = _impl.leq_flat
-is_admitted_flat = _impl.is_admitted_flat
-sd_scan = _impl.sd_scan
+from cyclat._pykernels import (
+    BACKEND,
+    canonical_rotation,
+    descent_count,
+    is_admitted_flat,
+    join_flat,
+    leq_flat,
+    meet_flat,
+    pair_index,
+    sd_scan,
+    word_ascent_labels,
+    word_covers_down,
+    word_covers_up,
+    word_descent_labels,
+    word_rank,
+    word_vector,
+)

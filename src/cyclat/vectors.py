@@ -79,11 +79,7 @@ class AdmittedVector:
 
     def rows(self) -> list[list[int]]:
         """Inverse of `from_rows`."""
-        out, t = [], 0
-        for i in range(1, self.n):
-            out.append(list(self.flat[t:t + self.n - i]))
-            t += self.n - i
-        return out
+        return [list(row) for row in _rows(self.n, self.flat)]
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = pair
@@ -128,23 +124,35 @@ def _not_an_integer(rows: Sequence[Sequence[object]]) -> NoReturn:
     raise AssertionError("every entry is an integer")
 
 
-def _check_admitted(n: int, flat: Sequence[int]) -> None:
+def _rows(n: int, flat: Sequence[int]) -> list[Sequence[int]]:
+    """The rows of a flat vector: row i, 1 <= i < n, is v[i, i+1..n],
+    the slice of `flat` from the offset of (i, i+1) onwards, n - i long."""
+    out, t = [], 0
     for i in range(1, n):
-        t = kernels.pair_index(n, i, i + 1)
-        if flat[t] != 0:
+        out.append(flat[t:t + n - i])
+        t += n - i
+    return out
+
+
+def _check_admitted(n: int, flat: Sequence[int]) -> None:
+    rows = _rows(n, flat)
+    for i, row in enumerate(rows, start=1):
+        if row[0] != 0:
             raise NotAdmittedError(
-                f"adjacent entry v[{i},{i + 1}] = {flat[t]} must be 0",
+                f"adjacent entry v[{i},{i + 1}] = {row[0]} must be 0",
                 kind="adjacent_nonzero", where=(i, i + 1))
     if any(x < 0 for x in flat):
         raise NotAdmittedError("negative entry", kind="negative", where=(n,))
-    for i, j, k in combinations(range(1, n + 1), 3):
-        d = (flat[kernels.pair_index(n, i, k)]
-             - flat[kernels.pair_index(n, i, j)]
-             - flat[kernels.pair_index(n, j, k)])
-        if d not in (0, 1):
-            raise NotAdmittedError(
-                f"triple ({i},{j},{k}) has defect {d}, must be 0 or 1",
-                kind="delta_out_of_range", where=(i, j, k))
+    # v[i,k] and v[j,k] for k = j+1..n: row i from (i, j+1) on, zipped
+    # against the whole of row j
+    for i, ri in enumerate(rows, start=1):
+        for j, vij, rj in zip(range(i + 1, n), ri, rows[i:]):
+            for k, vik, vjk in zip(range(j + 1, n + 1), ri[j - i:], rj):
+                d = vik - vij - vjk
+                if d not in (0, 1):
+                    raise NotAdmittedError(
+                        f"triple ({i},{j},{k}) has defect {d}, must be 0 or 1",
+                        kind="delta_out_of_range", where=(i, j, k))
 
 
 def validate(rows: Sequence[Sequence[int]]) -> AdmittedVector:
@@ -197,10 +205,15 @@ def word_from_inversion_set(n: int, inversions: Iterable[tuple[int, int]]) -> Wo
 
 def vector_to_cycle(v: AdmittedVector) -> CircularPermutation:
     """Inverse of `cycle_to_vector`: the inversion bits of the representative
-    word starting with 1 are the defects delta(v, 1, i, j)."""
-    inv = {(i, j)
-           for i, j in combinations(range(2, v.n + 1), 2)
-           if delta(v, 1, i, j) == 1}
+    word starting with 1 are the defects delta(v, 1, i, j), 2 <= i < j,
+    read off row 1 and row i as v[1,j] - v[1,i] - v[i,j]."""
+    rows = _rows(v.n, v.flat)
+    inv = set()
+    for i, ri in enumerate(rows[1:], start=2):
+        v1i = rows[0][i - 2]
+        for j, v1j, vij in zip(range(i + 1, v.n + 1), rows[0][i - 1:], ri):
+            if v1j - v1i - vij == 1:
+                inv.add((i, j))
     return CircularPermutation(word_from_inversion_set(v.n, inv))
 
 

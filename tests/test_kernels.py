@@ -1,24 +1,10 @@
-"""The two kernel backends must agree exactly."""
-
-import re
-from pathlib import Path
+"""The kernels against their per-pair references, and the one backend."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclat import _pykernels, kernels
 from cyclat.oracle import enumerate_admitted
-
-try:
-    from cyclat import _ckernels
-except ImportError:  # pragma: no cover - build-environment dependent
-    _ckernels = None
-
-compiled = pytest.mark.skipif(_ckernels is None,
-                              reason="compiled kernels unavailable")
-
-words = st.integers(min_value=1, max_value=8).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
 
 
 class TestPairIndex:
@@ -103,76 +89,13 @@ class TestDuality:
                     dual(kernels.join_flat(n, dual(u), dual(v)))
 
 
-@compiled
-class TestBackendAgreement:
-    @given(words)
-    @settings(max_examples=300)
-    def test_word_functions(self, word):
-        for name in ("canonical_rotation", "word_rank", "word_vector",
-                     "word_descent_labels", "word_ascent_labels",
-                     "word_covers_up", "word_covers_down", "descent_count"):
-            py = getattr(_pykernels, name)(word)
-            cy = getattr(_ckernels, name)(word)
-            assert py == cy, name
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_lattice_functions(self, n):
-        flats = enumerate_admitted(n)
-        for u in flats:
-            for v in flats:
-                assert _pykernels.join_flat(n, u, v) == \
-                    _ckernels.join_flat(n, u, v)
-                assert _pykernels.meet_flat(n, u, v) == \
-                    _ckernels.meet_flat(n, u, v)
-                assert _pykernels.leq_flat(u, v) == _ckernels.leq_flat(u, v)
-
-    @given(st.integers(min_value=2, max_value=6),
-           st.data())
-    @settings(max_examples=150)
-    def test_admitted_predicate(self, n, data):
-        size = n * (n - 1) // 2
-        flat = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=3),
-                                        min_size=size, max_size=size)))
-        assert _pykernels.is_admitted_flat(n, flat) == \
-            _ckernels.is_admitted_flat(n, flat)
-
-    def test_compiled_rejects_oversized_orders(self):
-        n = 80
-        flat = (0,) * (n * (n - 1) // 2)
-        with pytest.raises(ValueError):
-            _ckernels.join_flat(n, flat, flat)
-
-    @given(st.integers(min_value=1, max_value=7), st.data())
-    @settings(max_examples=100)
-    def test_sd_scan_on_arbitrary_tables(self, size, data):
-        cell = st.integers(min_value=0, max_value=size - 1)
-        table = st.lists(st.lists(cell, min_size=size, max_size=size)
-                         .map(tuple), min_size=size, max_size=size).map(tuple)
-        joins = data.draw(table)
-        meets = data.draw(table)
-        assert _pykernels.sd_scan(joins, meets) == \
-            _ckernels.sd_scan(joins, meets)
-
-    def test_sd_scan_on_real_tables(self):
-        from itertools import product
-
-        from cyclat.poset import build
-        diagram = build(5)
-        size = len(diagram.ranks)
-        xs, ys = zip(*product(range(size), repeat=2))  # the square, row by row
-        joins, meets = (tuple(zip(*[iter(square)] * size))
-                        for square in diagram.bounds(xs, ys))
-        assert _pykernels.sd_scan(joins, meets) is None
-        assert _ckernels.sd_scan(joins, meets) is None
-
-
 class TestBackendSelection:
     @staticmethod
-    def _run_child(code, **env):
+    def _run_child(code):
         """Run `code` in a fresh interpreter that imports this `cyclat`.
 
-        The child sees only PATH, a PYTHONPATH that leads to the package
-        under test, and `env`; the caller's CYCLAT_* variables stay out.
+        The child sees only PATH and a PYTHONPATH that leads to the
+        package under test; the caller's CYCLAT_* variables stay out.
         """
         import os
         import subprocess
@@ -185,56 +108,18 @@ class TestBackendSelection:
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={"PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": os.pathsep.join(paths), **env},
+                 "PYTHONPATH": os.pathsep.join(paths)},
             capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         return out
 
-    def test_forced_pure_backend(self):
-        import cyclat
-        # Unset, the child picks the compiled backend whenever it can
-        # import it, so CYCLAT_PURE below overrides a real choice.
-        default = (_pykernels if _ckernels is None else _ckernels).BACKEND
+    def test_import_loads_only_the_pure_kernels(self):
         out = self._run_child(
-            "import cyclat; print(cyclat.BACKEND); print(cyclat.__file__)")
-        assert out.stdout.splitlines() == [default, cyclat.__file__]
-        out = self._run_child("import cyclat; print(cyclat.BACKEND)",
-                              CYCLAT_PURE="1")
-        assert out.stdout.strip() == "python"
+            "import sys, cyclat\n"
+            "print(cyclat.BACKEND)\n"
+            "print('cyclat._ckernels' in sys.modules)")
+        assert out.stdout.splitlines() == ["python", "False"]
 
     def test_default_backend_is_reported(self):
         from cyclat import kernels
-        assert kernels.BACKEND in ("python", "cython")
-
-
-class TestShippedC:
-    """The tracked _ckernels.c must be generated from the tracked .pyx.
-
-    Cython quotes the source around every statement it compiles as
-    /* "cyclat/_ckernels.pyx":N ... */, marking line N with
-    "# <<<<<<<<<<<<<<".  Without Cython the .c cannot be regenerated, so
-    an edit to the .pyx alone would ship stale compiled kernels.
-    """
-
-    MARK = "             # <<<<<<<<<<<<<<"
-    SOURCE = Path(__file__).resolve().parents[1] / "src" / "cyclat"
-
-    def excerpts(self):
-        text = (self.SOURCE / "_ckernels.c").read_text(encoding="utf-8")
-        for match in re.finditer(r'/\* "cyclat/_ckernels\.pyx":(\d+)\n(.*?)\*/',
-                                 text, re.S):
-            marked = [line[3:-len(self.MARK)]
-                      for line in match.group(2).splitlines()
-                      if line.endswith(self.MARK)]
-            yield int(match.group(1)), marked
-
-    def test_marked_lines_match_the_pyx(self):
-        pyx = (self.SOURCE / "_ckernels.pyx").read_text(encoding="utf-8").splitlines()
-        excerpts = list(self.excerpts())
-        assert len(excerpts) > 100
-        for number, marked in excerpts:
-            assert len(marked) == 1, number
-            quoted = (marked[0]
-                      .replace("*[inserted by cython to avoid comment closer]/", "*/")
-                      .replace("/[inserted by cython to avoid comment start]*", "/*"))
-            assert quoted == pyx[number - 1], number
+        assert kernels.BACKEND == "python"

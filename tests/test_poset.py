@@ -1041,8 +1041,6 @@ class TestExports:
             env = {"PATH": "/usr/bin:/bin",
                    "PYTHONPATH": os.pathsep.join(paths),
                    "PYTHONHASHSEED": seed}
-            if "CYCLAT_PURE" in os.environ:
-                env["CYCLAT_PURE"] = os.environ["CYCLAT_PURE"]
             out = subprocess.run([sys.executable, "-c", code], env=env,
                                  capture_output=True, text=True, timeout=60)
             assert out.returncode == 0, out.stderr

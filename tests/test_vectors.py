@@ -86,6 +86,98 @@ class TestValidation:
         assert info.value.where == (1, 3)
 
 
+def _check_admitted_by_pair(n, flat):
+    # the per-pair validation before rows, as a reference
+    from cyclat.kernels import pair_index
+    for i in range(1, n):
+        t = pair_index(n, i, i + 1)
+        if flat[t] != 0:
+            raise NotAdmittedError(
+                f"adjacent entry v[{i},{i + 1}] = {flat[t]} must be 0",
+                kind="adjacent_nonzero", where=(i, i + 1))
+    if any(x < 0 for x in flat):
+        raise NotAdmittedError("negative entry", kind="negative", where=(n,))
+    for i, j, k in combinations(range(1, n + 1), 3):
+        d = (flat[pair_index(n, i, k)]
+             - flat[pair_index(n, i, j)]
+             - flat[pair_index(n, j, k)])
+        if d not in (0, 1):
+            raise NotAdmittedError(
+                f"triple ({i},{j},{k}) has defect {d}, must be 0 or 1",
+                kind="delta_out_of_range", where=(i, j, k))
+
+
+def _vector_to_cycle_by_delta(v):
+    # the per-pair inverse before rows, as a reference
+    inv = {(i, j)
+           for i, j in combinations(range(2, v.n + 1), 2)
+           if delta(v, 1, i, j) == 1}
+    return CircularPermutation(word_from_inversion_set(v.n, inv))
+
+
+def _node_vectors(n):
+    """Every admitted vector of order n: by the oracle up to 6, as the
+    diagram's node columns at 7 and 8."""
+    if n <= 6:
+        return enumerate_admitted(n)
+    from cyclat.poset import _vector_columns
+    return list(zip(*_vector_columns(n)))
+
+
+def _corruptions(n, flat):
+    """Single-entry corruptions of `flat`: a nonzero adjacent entry, a
+    negative entry, and defects 2 and -1 at the first and last triples."""
+    from cyclat.kernels import pair_index
+
+    def put(i, j, x):
+        out = list(flat)
+        out[pair_index(n, i, j)] = x
+        return tuple(out)
+
+    if n < 2:
+        return
+    yield put(1, 2, 1)
+    yield put(n - 1, n, 2)
+    yield put(1, n, -1)
+    for i, j, k in ((1, 2, 3), (n - 2, n - 1, n)) if n >= 3 else ():
+        ij, jk = flat[pair_index(n, i, j)], flat[pair_index(n, j, k)]
+        yield put(i, k, ij + jk + 2)
+        yield put(i, k, ij + jk - 1)
+
+
+def _outcome(check, n, flat):
+    try:
+        check(n, flat)
+    except NotAdmittedError as e:
+        return type(e), e.kind, e.where, str(e)
+    return None
+
+
+class TestRowsAgainstPairs:
+    """`_check_admitted` and `vector_to_cycle` read rows; the per-pair
+    forms they replaced must agree with them on every input."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_check_admitted(self, n):
+        from cyclat.vectors import _check_admitted
+        kinds = set()
+        for flat in _node_vectors(n):
+            assert _outcome(_check_admitted, n, flat) is None
+            assert _outcome(_check_admitted_by_pair, n, flat) is None
+            for bad in _corruptions(n, flat):
+                got = _outcome(_check_admitted, n, bad)
+                assert got == _outcome(_check_admitted_by_pair, n, bad)
+                kinds.add(got[1])
+        if n >= 3:
+            assert kinds == {"adjacent_nonzero", "negative", "delta_out_of_range"}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_vector_to_cycle(self, n):
+        for flat in _node_vectors(n):
+            v = AdmittedVector(n, flat)
+            assert vector_to_cycle(v) == _vector_to_cycle_by_delta(v)
+
+
 class TestDelta:
     def test_zero_vector_has_zero_deltas(self):
         v = AdmittedVector.zero(5)
