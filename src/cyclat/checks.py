@@ -6,16 +6,17 @@ but one: from n = 7 on, `lattice` tests the joins and meets against the
 bounds on 10,000 seeded pairs instead of on every ordered pair.
 
 `lattice` and `modularity` take their joins and meets, and `mobius`
-its joins, many pairs at a time from `HasseDiagram.bounds` and `joins`:
-the recursion of the kernel `join_flat`, run on vector columns gathered
-from the node rows, one byte a pair, with guard bits for the lane-wise
-max (L. Lamport, *Multiple byte processing with full-word
-instructions*, CACM 18(8), 1975), and the meets as the joins of the
-dual lanes M - v, M[i,j] = j - i - 1 (cycle inversion).  So `lattice`
-proves that this lane recursion gives the bounds, and no scan of the
-diagram calls a per-pair kernel; the tests tie `join_flat` and
-`meet_flat` to the lane recursion pair for pair, and `meet_flat` to
-the dual join.
+its joins, many pairs at a time: the recursion of the kernel
+`join_flat`, run on vector columns, one byte a pair, with guard bits
+for the lane-wise max (L. Lamport, *Multiple byte processing with
+full-word instructions*, CACM 18(8), 1975), and the meets as the joins
+of the dual lanes M - v, M[i,j] = j - i - 1 (cycle inversion).  So
+`lattice` proves that this lane recursion gives the bounds, and no
+scan of the diagram calls a per-pair kernel; the tests tie `join_flat`
+and `meet_flat` to the lane recursion pair for pair, and `meet_flat`
+to the dual join.  `lattice` proves its cover claims from the
+certificates of `cyclat.certificates`, and tests its bounds a block of
+pairs at a time.
 
 `triangulation` and `interval` build no diagram and no per-element
 object: they test every node at once on its vector columns read as
@@ -35,10 +36,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial
-from operator import or_
-from typing import Callable, Iterator
+from operator import and_, or_
+from typing import Callable, Iterable, Sequence
 
 from cyclat import oracle, poset, vectors
+from cyclat.certificates import covers_certified
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -142,15 +144,20 @@ def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     return True, None
 
 
+_SQUARE_ROWS = 24  # rows x of the square per block of the bound test
+_SAMPLE_PAIRS = 10_000  # pairs tested above 120 nodes
+_SAMPLE_BLOCK_BYTES = 1 << 18  # mask bytes of one side of a sample block
+
+
 def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     """The order is a lattice, and the lane recursion computes its bounds.
 
-    Three claims, each read off the threshold masks of the order:
+    Three claims, each about the threshold masks of the order, where
+    Up(x) = above_mask(x) is the AND over the coordinates k of
+    at_least[k][x_k]:
 
-    - The order is the closure of the covers: for every node x,
-      above_mask(x) is bit x OR the up-sets of its upper covers.  The
-      nodes are taken rank by rank from the top, so only the masks of
-      a few ranks are held at once.
+    - The order is the closure of the covers: for every node x, Up(x)
+      is bit x OR the up-sets of its upper covers.
     - The order is a lattice.  A bounded poset of finite length in which
       every two upper covers of an element have a join is a lattice
       (Bjorner, Edelman and Ziegler, *Hyperplane arrangements with a
@@ -159,52 +166,159 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       covers of every node is tested, exhaustively at every n.
     - The joins and meets are the least and greatest bounds on every
       ordered pair up to 120 nodes, and on 10,000 seeded pairs above.
-      The whole square reads every node's up-set and down-set from
-      lists made once; the samples hold a bounded cache of them.
 
-    The joins and meets come from `HasseDiagram.bounds`, which gathers
-    each side once for both, the pairs of each claim in one batch (the
-    cover pairs' `joins` one rank at a time): the recursion of
-    `join_flat`, run on the lanes gathered from the node rows, one byte
-    a pair (`poset._column_joins`, after L. Lamport, *Multiple byte
-    processing with full-word instructions*, CACM 18(8), 1975), and for
-    the meets on the dual lanes M - u and M - v (`poset._column_meets`).
-    So the check proves that this lane recursion gives the bounds; no
-    per-pair kernel runs.  The tests tie `join_flat` and
-    `meet_flat`, which `vectors.join`/`meet` call, to the lane recursion
-    on every pair the check reads up to n = 8.
+    The first two claims are proved from certificates
+    (`certificates.covers_certified`), holding no up-set but those of
+    one path:
+    - Every node is admitted: on the columns read as ints, one byte a
+      lane, every entry is below 0x80, the adjacent entries are 0 and
+      every triple defect is 0 or 1 (`poset._lanes_admitted`).
+    - Every edge is a unit step: its upper row is its lower row plus 1
+      in one coordinate k, read from the rows, not the labels
+      (`certificates.unit_steps`).  Then a cover c = x + e_k has
+      Up(c) = Up(x) & at_least[k][x_k + 1], so the closure at x is the
+      identity Up(x) & ~OR{at_least[k][x_k + 1] : k in K(x)} == bit x,
+      K(x) the coordinates of x's covers.  Up(x) is
+      Up(p) & at_least[k][x_k], x = p + e_k, along the spanning tree of
+      first lower covers, walked depth first
+      (`certificates.closure_holds`).
+    - The `poset._column_joins` result X of every cover pair y, z is a
+      node and is tight: X[i,j] == max(y[i,j], z[i,j], X[i,p] + X[p,j],
+      i < p < j) on every lane (`HasseDiagram.tight_joins`).  By
+      induction on j - i, a tight X lies below every admitted w >= y, z,
+      since w[i,j] >= w[i,p] + w[p,j], and X[i,i+1] = 0; it lies above
+      y and z, so it is their least upper bound among the nodes.
+      Tightness reads X's own entries, not the recursion that produced
+      X, so a wrong X that is a node above y and z still fails it.
+    If a certificate declines, `_cover_failure` walks the claims node
+    by node from the top rank and decides: it names the witness, or
+    finds none.
 
-    j is the least upper bound of x and y iff
-    above_mask(x) & above_mask(y) == above_mask(j): j lies in its own
-    up-set, so it is then a common upper bound, and every common upper
-    bound lies in the up-set of j, above it.  Meets are the dual, with
-    the down-sets.  A result that is not a node, or not the bound,
-    fails with the pair as the witness; of a pair, the join is tested
-    first.
+    j is the least upper bound of x and y iff Up(x) & Up(y) == Up(j):
+    j lies in its own up-set, so it is then a common upper bound, and
+    every common upper bound lies in the up-set of j, above it.  Meets
+    are the dual, with the down-sets.  The pairs are tested a block at
+    a time, with no loop over the pairs of a block that holds: in the
+    square, `_SQUARE_ROWS` rows a block, the bounds' masks are joined
+    into one string and compared as one big int with the AND of the
+    joined masks of the pairs' x and of their y (`_square_failure`); in
+    the sample, `_SAMPLE_BLOCK_BYTES` of masks a side, as one list of
+    ints with the list of those ANDs (`_sample_failure`), since its
+    masks, C(n, 2) threshold masks each, are computed pair by pair and
+    converting them to strings cost more than the lists.  A row that is
+    no node's has no mask and fails its block.  `_pair_failure` then
+    walks a failed block pair by pair: a result that is not a node, or
+    not the bound, fails with the pair as the witness; of a pair, the
+    join is tested first.
+
+    The joins and meets come from the recursion of `join_flat`, run on
+    lanes, one byte a pair (`poset._column_joins`, after L. Lamport,
+    *Multiple byte processing with full-word instructions*, CACM 18(8),
+    1975), and for the meets on the dual lanes M - u and M - v
+    (`poset._column_meets`); the square's lanes are cut from the
+    columns (`HasseDiagram.square_bound_rows`), the sample's gathered
+    from the node rows (`HasseDiagram.bound_rows`).  So the check
+    proves that this lane recursion gives the bounds; no per-pair
+    kernel runs.  The tests tie `join_flat` and `meet_flat`, which
+    `vectors.join`/`meet` call, to the lane recursion on every pair the
+    check reads up to n = 8.
     """
     diagram = run.diagram(masks=True)
-    failure = _cover_failure(diagram)
-    if failure:
-        return False, failure
+    if not covers_certified(diagram):
+        failure = _cover_failure(diagram)
+        if failure:
+            return False, failure
     size = len(diagram.ranks)
     if size <= 120:
-        xs = [x for x in range(size) for _ in range(size)]
-        ys = list(range(size)) * size
-        up_set = [diagram.above_mask(t) for t in range(size)].__getitem__
-        down_set = [diagram.below_mask(t) for t in range(size)].__getitem__
+        failure, pairs = _square_failure(diagram), size * size
     else:
-        rng = random.Random(_SEED)
-        draws = [rng.randrange(size) for _ in range(20_000)]
-        xs, ys = draws[::2], draws[1::2]  # pair k is (draw 2k, draw 2k + 1)
-        up_set = lru_cache(maxsize=1024)(diagram.above_mask)
-        down_set = lru_cache(maxsize=1024)(diagram.below_mask)
-    for x, y, j, m in zip(xs, ys, *diagram.bounds(xs, ys)):
-        if j is None or up_set(j) != up_set(x) & up_set(y):  # None: not a node
-            return False, _pair_witness(diagram, "join", x, y)
-        if m is None or down_set(m) != down_set(x) & down_set(y):
-            return False, _pair_witness(diagram, "meet", x, y)
-    run.stats["pairs"] = len(xs)
+        failure, pairs = _sample_failure(diagram), _SAMPLE_PAIRS
+    if failure:
+        return False, failure
+    run.stats["pairs"] = pairs
     return True, None
+
+
+def _square_failure(diagram: poset.HasseDiagram) -> dict | None:
+    """The witness of the first pair of the square, x-major, whose join
+    or meet is not the bound; None if every pair holds.  Each block of
+    `_SQUARE_ROWS` rows x is one big-int comparison a bound: the masks
+    found for the bound rows (None for a row that is no node's), joined
+    into one string, against the AND of the joined masks of the pairs'
+    x and of their y."""
+    size = len(diagram.ranks)
+    width = (size + 7) // 8  # bytes of one up-set or down-set
+    masks = [list(map(mask, range(size))) for mask in (diagram.above_mask, diagram.below_mask)]
+    tables = [[mask.to_bytes(width, "big") for mask in table] for table in masks]
+    by_row = [dict(zip(diagram.rows, table)).get for table in tables]
+    for first in range(0, size, _SQUARE_ROWS):
+        xs = range(first, min(first + _SQUARE_ROWS, size))
+        found = [list(map(get, rows)) for get, rows in zip(by_row, diagram.square_bound_rows(xs))]
+        if any(_found_masks(bounds) != _joined(table[x] * size for x in xs) & _joined(table * len(xs))
+               for bounds, table in zip(found, tables)):
+            # a node's up-set, and its down-set, names it
+            names = [dict(zip(table, range(size))).get for table in tables]
+            failure = _pair_failure(
+                diagram, [table.__getitem__ for table in masks],
+                [x for x in xs for _ in range(size)], list(range(size)) * len(xs),
+                [list(map(name, bounds)) for name, bounds in zip(names, found)])
+            if failure:
+                return failure
+    return None
+
+
+def _sample_failure(diagram: poset.HasseDiagram) -> dict | None:
+    """The witness of the first of `_SAMPLE_PAIRS` seeded pairs whose
+    join or meet is not the bound; None if every pair holds.  Each block
+    of pairs, `_SAMPLE_BLOCK_BYTES` of masks a side, is one comparison a
+    bound of two lists of ints, the masks of the bounds against the ANDs
+    of the pairs' masks, with no loop over the pairs."""
+    size = len(diagram.ranks)
+    rng = random.Random(_SEED)
+    draws = [rng.randrange(size) for _ in range(2 * _SAMPLE_PAIRS)]
+    xs, ys = draws[::2], draws[1::2]  # pair k is (draw 2k, draw 2k + 1)
+    masks = [lru_cache(maxsize=1024)(mask) for mask in (diagram.above_mask, diagram.below_mask)]
+    step = max(1, _SAMPLE_BLOCK_BYTES // ((size + 7) // 8))
+    for first in range(0, len(xs), step):
+        bxs, bys = xs[first:first + step], ys[first:first + step]
+        found = [list(map(diagram.vec_index.get, rows)) for rows in diagram.bound_rows(bxs, bys)]
+        if any(None in bounds
+               or list(map(mask, bounds)) != list(map(and_, map(mask, bxs), map(mask, bys)))
+               for bounds, mask in zip(found, masks)):
+            failure = _pair_failure(diagram, masks, bxs, bys, found)
+            if failure:
+                return failure
+    return None
+
+
+def _joined(masks: Iterable[bytes]) -> int:
+    """Masks of one width joined into one string, read as an int."""
+    return int.from_bytes(b"".join(masks), "big")
+
+
+def _found_masks(masks: list[bytes | None]) -> int | None:
+    """`_joined` of the masks found for a block's bound rows; None if a
+    row is no node's and has None."""
+    try:
+        return _joined(masks)
+    except TypeError:  # join takes no None
+        return None
+
+
+def _pair_failure(diagram: poset.HasseDiagram, masks: list[Callable[[int], int]],
+                  xs: Sequence[int], ys: Sequence[int],
+                  bounds: list[list[int | None]]) -> dict | None:
+    """The witness of the first pair of a failed block whose join, or
+    else its meet, is no node (None) or not the bound, tested pair by
+    pair on the up-sets and down-sets `masks`; None if every pair
+    holds."""
+    up, down = masks
+    for x, y, j, m in zip(xs, ys, *bounds):
+        if j is None or up(j) != up(x) & up(y):
+            return _pair_witness(diagram, "join", x, y)
+        if m is None or down(m) != down(x) & down(y):
+            return _pair_witness(diagram, "meet", x, y)
+    return None
 
 
 def _pair_witness(diagram: poset.HasseDiagram, op: str, x: int, y: int) -> dict:
@@ -212,35 +326,30 @@ def _pair_witness(diagram: poset.HasseDiagram, op: str, x: int, y: int) -> dict:
 
 
 def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
-    """The witness of the first cover claim of `_check_lattice` to fail.
+    """The witness of the first cover claim of `_check_lattice` to fail,
+    by the walk that names it when a certificate declines.
 
     A node x whose up-set is not the closure of its covers' fails as
     {"op": "order", "pair": [x, z]}, z the lowest node on which the two
     differ; two upper covers whose join is not their least upper bound
-    fail as that pair's join.  The walk goes down from the top rank and
-    holds the up-sets of the three ranks above: in this order the join
-    of two covers of x lies two or three ranks above x, so it is read
-    from them, and any other up-set is computed.  The joins of the
-    cover pairs of one rank are one `HasseDiagram.joins` batch, taken
-    before the rank's nodes are walked in turn, so only one rank's
-    lanes are held and the first failure is the one a pair-by-pair
-    walk meets.
+    fail as that pair's join.  The walk goes down from the top rank, the
+    nodes of a rank in id order, and tests each node's closure, then
+    the joins of its cover pairs; every up-set is computed where it is
+    read.  The joins of the cover pairs of one rank are one
+    `HasseDiagram.joins` batch, taken before the rank's nodes are walked
+    in turn, so the first failure is the one a pair-by-pair walk meets.
     """
     by_rank: dict[int, list[int]] = {}
     for t, rank in enumerate(diagram.ranks):
         by_rank.setdefault(rank, []).append(t)
-    held: dict[int, int] = {}  # the up-sets of the nodes up to 3 ranks above
-
-    def up_set(t: int) -> int:
-        return held[t] if t in held else diagram.above_mask(t)
-
+    up_set = diagram.above_mask
     for rank in sorted(by_rank, reverse=True):
         nodes = by_rank[rank]
         ys = [y for x in nodes for y, _ in combinations(diagram.up[x], 2)]
         zs = [z for x in nodes for _, z in combinations(diagram.up[x], 2)]
         joins = iter(diagram.joins(ys, zs))
         for x in nodes:
-            mask = diagram.above_mask(x)
+            mask = up_set(x)
             closure = reduce(or_, map(up_set, diagram.up[x]), 1 << x)
             if mask != closure:
                 return _pair_witness(diagram, "order", x,
@@ -249,9 +358,6 @@ def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
             for (y, z), j in zip(combinations(diagram.up[x], 2), joins):
                 if j is None or up_set(j) != up_set(y) & up_set(z):
                     return _pair_witness(diagram, "join", y, z)
-            held[x] = mask
-        for t in by_rank.get(rank + 3, ()):
-            del held[t]
     return None
 
 
@@ -324,18 +430,6 @@ def _first(*lanes: int | None) -> int | None:
     return min((k for k in lanes if k is not None), default=None)
 
 
-def _triple_defects(n: int, v: dict[tuple[int, int], int]
-                    ) -> Iterator[tuple[tuple[int, int, int], int]]:
-    """Each triple i < j < k with D = v[i,k] - v[i,j] - v[j,k], on the
-    columns v held as ints, one byte a lane, lane t node t.
-
-    Lane t of D is node t's defect whenever every lane below it holds 0
-    or 1, since those lanes borrow nothing (L. Lamport, *Multiple byte
-    processing with full-word instructions*, CACM 18(8), 1975)."""
-    for i, j, k in combinations(range(1, n + 1), 3):
-        yield (i, j, k), v[i, k] - v[i, j] - v[j, k]
-
-
 def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
     """`triangulation_sum(v, t) == v[1, n]` for every vector v and every
     triangulation t of the n-gon, so every flip keeps the sum.
@@ -362,7 +456,7 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
     The vectors are the columns of `poset._vector_columns(n)` read as
     ints, one byte a lane (node).  A node is admitted iff its adjacent
     entries are 0 and D & 0xfe is 0 in its lane of every triple defect
-    D (`_triple_defects`); its sum adds the D of the triples its
+    D (`poset._triple_defects`); its sum adds the D of the triples its
     triangulation holds.  The lowest failing node is reported as a loop
     over the nodes meets it: `AdmittedVector`'s NotAdmittedError if it
     is not admitted, else the vector and the triangles.
@@ -386,13 +480,12 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
                 return False, {"flip": q}
     columns = poset._vector_columns(n)
     size = len(columns[0])
-    v = {pair: int.from_bytes(column, "little")
-         for pair, column in zip(combinations(range(1, n + 1), 2), columns)}
+    v = poset._lane_ints(n, columns)
     not_bits = int.from_bytes(b"\xfe" * size, "little")
     rejected = reduce(or_, (v[i, i + 1] for i in range(1, n)))
     repeats = -(-size // len(tris))
     sums = 0
-    for triple, d in _triple_defects(n, v):
+    for triple, d in poset._triple_defects(n, v):
         rejected |= d & not_bits
         held = bytes(0xff * (triple in t.triangles) for t in tris)
         sums += d & int.from_bytes((held * repeats)[:size], "little")

@@ -29,11 +29,11 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, combinations, islice, permutations, product
 from math import comb, factorial
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from cyclat import kernels
 from cyclat._pykernels import _fill_plan
@@ -45,15 +45,20 @@ from cyclat.errors import (
 )
 from cyclat.perm import CircularPermutation, DescentLabel, Word, word_text
 
-DEFAULT_MAX_N = 9
+DEFAULT_MAX_N = 10
 _ENV_CAP = "CYCLAT_MAX_N"
 
 
 def enumeration_cap() -> int:
     """Largest order `build` accepts; override with CYCLAT_MAX_N.
 
-    It bounds diagram construction: (n-1)! nodes, 40320 at the default
-    of 9.  `eulerian n` builds no diagram and is refused for n > cap.
+    It bounds diagram construction: (n-1)! nodes, 362880 at the default
+    of 10.  The default is the largest order whose `check all` runs in
+    under 5 minutes and 600 MB: `check all 10` takes about 34 s at a
+    318 MB peak in a fresh process on a shared 2-vCPU host
+    (`BENCH_lattice_certificates.json`), and `build(11)` alone peaks at
+    about 1.2 GB.  `eulerian n` builds no diagram and is refused for
+    n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
     """
@@ -253,11 +258,37 @@ class HasseDiagram:
         return self._bounds(xs, ys, _column_joins, _column_meets)
 
     def _bounds(self, xs: Sequence[int], ys: Sequence[int], *ops):
-        if not self.columns or not xs:  # n = 1 (one node, empty vector) or no pair
-            return tuple([0] * len(xs) for _ in ops)
+        if not xs:
+            return tuple([] for _ in ops)
         us, vs = _gather(self.n, self.rows, xs), _gather(self.n, self.rows, ys)
-        return tuple(list(map(self.vec_index.get, _split_rows(
-            len(xs), op(self.n, len(xs), us, vs)))) for op in ops)
+        return tuple(list(map(self.vec_index.get, rows))
+                     for rows in _lane_rows(self.n, len(xs), us, vs, ops))
+
+    def bound_rows(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[Iterator[bytes]]:
+        """The rows of the `join_flat`, then of the `meet_flat`, of the
+        vectors of x and y for each x, y of xs, ys in turn, from lanes
+        gathered once a side; each batch runs as it is read."""
+        us, vs = _gather(self.n, self.rows, xs), _gather(self.n, self.rows, ys)
+        return _lane_rows(self.n, len(xs), us, vs, (_column_joins, _column_meets))
+
+    def square_bound_rows(self, xs: Sequence[int]) -> Iterator[Iterator[bytes]]:
+        """`bound_rows` of the pairs (x, y), for each x of xs in turn and
+        each node y in id order, on lanes cut from the columns
+        (`_square_lanes`)."""
+        return _lane_rows(self.n, len(xs) * len(self.ranks),
+                          *_square_lanes(self.n, self.columns, xs),
+                          (_column_joins, _column_meets))
+
+    def tight_joins(self, ys: Sequence[int], zs: Sequence[int]) -> bool:
+        """Whether the `_column_joins` result of every pair y, z of ys, zs
+        is a node and is tight (`_column_tight`)."""
+        if not ys:
+            return True
+        size = len(ys)
+        us, vs = _gather(self.n, self.rows, ys), _gather(self.n, self.rows, zs)
+        joins = _column_joins(self.n, size, us, vs)
+        return (all(map(self.vec_index.__contains__, _split_rows(size, joins)))
+                and _column_tight(self.n, size, us, vs, joins))
 
     @property
     def bottom(self) -> int:
@@ -428,6 +459,41 @@ def _vector_columns(n: int) -> tuple[bytes, ...]:
                  for i in range(1, n) for j in range(i + 1, n + 1))
 
 
+def _lane_ints(n: int, columns: Sequence[bytes]) -> dict[tuple[int, int], int]:
+    """The columns keyed by their pairs (i, j), each read as one int, one
+    byte a lane, little-endian: lane t is node t, and borrows run from
+    the lower lanes up."""
+    return {pair: int.from_bytes(column, "little")
+            for pair, column in zip(combinations(range(1, n + 1), 2), columns)}
+
+
+def _triple_defects(n: int, v: dict[tuple[int, int], int]
+                    ) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """Each triple i < j < k with D = v[i,k] - v[i,j] - v[j,k], on the
+    columns v of `_lane_ints`.
+
+    Lane t of D is node t's defect whenever every lane below it holds 0
+    or 1, since those lanes borrow nothing (L. Lamport, *Multiple byte
+    processing with full-word instructions*, CACM 18(8), 1975)."""
+    for i, j, k in combinations(range(1, n + 1), 3):
+        yield (i, j, k), v[i, k] - v[i, j] - v[j, k]
+
+
+def _lanes_admitted(n: int, columns: Sequence[bytes]) -> bool:
+    """Whether every lane of the columns is an admitted vector, tested
+    on all of them at once on `_lane_ints`: no entry reaches 0x80, so
+    the lowest failing lane of a triple defect borrows nothing and shows
+    its own failure; the adjacent entries are 0, and every triple defect
+    is 0 or 1."""
+    v = _lane_ints(n, columns)
+    size = len(columns[0]) if columns else 0
+    high = int.from_bytes(b"\x80" * size, "little")
+    if reduce(or_, v.values(), 0) & high or any(v[i, i + 1] for i in range(1, n)):
+        return False
+    not_bits = int.from_bytes(b"\xfe" * size, "little")
+    return not any(d & not_bits for _, d in _triple_defects(n, v))
+
+
 def _split_rows(size: int, columns: Sequence[bytes | int]) -> Iterator[bytes]:
     """Each of the `size` lanes of the C columns as a row: written at
     stride C, cut every C.  A column is its bytes or, as the lane
@@ -458,6 +524,27 @@ def _gather(n: int, rows: Sequence[bytes], ids: Sequence[int]) -> list[int]:
     return columns
 
 
+def _square_lanes(n: int, columns: Sequence[bytes], xs: Sequence[int]) -> tuple[list[int], ...]:
+    """`_gather` of the pairs (x, y) for each x of xs in turn and each
+    node y in id order, cut from the columns instead of the rows: a
+    column's x side is x's byte repeated once per node, for each x, and
+    its y side the whole column repeated once per x."""
+    us, vs = [0] * len(columns), [0] * len(columns)
+    for ij, _ in _fill_plan(n):
+        column = columns[ij]
+        us[ij] = int.from_bytes(b"".join(column[x:x + 1] * len(column) for x in xs), "big")
+        vs[ij] = int.from_bytes(column * len(xs), "big")
+    return us, vs
+
+
+def _lane_rows(n: int, size: int, us: Sequence[int], vs: Sequence[int],
+               ops: Iterable[Callable]) -> Iterator[Iterator[bytes]]:
+    """The rows of each column op's result on these lanes in turn, each
+    op run as its rows are read; at n = 1 every row is empty."""
+    for op in ops:
+        yield _split_rows(size, op(n, size, us, vs)) if us else iter([b""] * size)
+
+
 _LANE_MAX_N = 65  # the largest order whose lane sums stay below the guard bit
 
 
@@ -482,13 +569,7 @@ def _column_joins(n: int, size: int, us: Sequence[int],
     if n > _LANE_MAX_N:
         raise CyclatError(f"order {n} exceeds {_LANE_MAX_N}: its lane sums "
                           "could reach the guard bit")
-    guard = int.from_bytes(b"\x80" * size, "big")
-
-    def pick(a: int, b: int) -> int:  # the lane-wise max
-        ge = ((a | guard) - b) & guard
-        ge |= ge - (ge >> 7)  # 0xff in the lanes where a >= b
-        return (a ^ b) & ge ^ b
-
+    pick = _lane_max(size)
     out = [0] * len(us)
     for ij, splits in _fill_plan(n):
         best = pick(us[ij], vs[ij])
@@ -496,6 +577,34 @@ def _column_joins(n: int, size: int, us: Sequence[int],
             best = pick(best, out[ip] + out[pj])
         out[ij] = best
     return out
+
+
+def _lane_max(size: int) -> Callable[[int, int], int]:
+    """The lane-wise max of two columns of `size` lanes whose lanes are
+    all below 0x80, as `_column_joins` describes."""
+    guard = int.from_bytes(b"\x80" * size, "big")
+
+    def pick(a: int, b: int) -> int:
+        ge = ((a | guard) - b) & guard
+        ge |= ge - (ge >> 7)  # 0xff in the lanes where a >= b
+        return (a ^ b) & ge ^ b
+    return pick
+
+
+def _column_tight(n: int, size: int, us: Sequence[int], vs: Sequence[int],
+                  xs: Sequence[int]) -> bool:
+    """Whether the columns xs are tight for the pairs of us, vs on every
+    lane: X[i,j] is the max of u[i,j], v[i,j] and X[i,p] + X[p,j],
+    i < p < j, for every j - i >= 2, on lanes as `_column_joins`.  Each
+    side is read from X itself, so the recursion is not rerun."""
+    pick = _lane_max(size)
+    for ij, splits in _fill_plan(n):
+        best = pick(us[ij], vs[ij])
+        for ip, pj in splits:
+            best = pick(best, xs[ip] + xs[pj])
+        if best != xs[ij]:
+            return False
+    return True
 
 
 def _column_meets(n: int, size: int, us: Sequence[int],

@@ -3,6 +3,8 @@
 the bound search, the `triangulation` check against the direct loops,
 and the diagram `run_all` shares among the checks."""
 
+import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, islice
 from types import SimpleNamespace
@@ -10,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclat import affine, checks, kernels, perm, poset, vectors
+from cyclat import affine, certificates, checks, kernels, perm, poset, vectors
 from cyclat.errors import NotAdmittedError, QuadNotFlippableError
 from cyclat.oracle import join_by_search, order_by_closure
 from cyclat.perm import CircularPermutation, word_text
@@ -342,35 +344,82 @@ def lane_columns(vectors):
 
 def wrong_lanes_at(diagram, x, y, z, meet=False):
     """poset._column_joins (with `meet`, poset._column_meets), but the
-    result for nodes x and y is node z in every lane that holds the
-    pair."""
+    result for nodes x and y is node z, or the vector z, in every lane
+    that holds the pair."""
     column_op = poset._column_meets if meet else poset._column_joins
     pair = {vector(diagram, x), vector(diagram, y)}
+    wrong = z if isinstance(z, tuple) else vector(diagram, z)
 
     def bounds(n, size, us, vs):
         out = column_op(n, size, us, vs)
         return lane_columns(
-            vector(diagram, z) if {u, v} == pair else lane
+            wrong if {u, v} == pair else lane
             for u, v, lane in zip(*(lane_vectors(size, c) for c in (us, vs, out))))
     return bounds
 
 
 def corrupt_square_lanes(diagram, op, corrupted):
     """poset._column_joins (for op "meet", poset._column_meets), but in
-    the batch of the whole square each lane k with (op, k) in
-    `corrupted` holds a wrong node: the bottom for a join, the top for a
-    meet."""
+    the batches of the square, `checks._SQUARE_ROWS` rows x each, each
+    lane k of the square with (op, k) in `corrupted` holds a wrong node:
+    the bottom for a join, the top for a meet.  The lanes of a batch
+    follow those of the batches before it; the joins see each batch
+    twice, as its joins and as the joins of its meets' dual lanes."""
     column_op = poset._column_meets if op == "meet" else poset._column_joins
-    square = len(diagram.ranks) ** 2
+    nodes = len(diagram.ranks)
+    block = min(nodes, checks._SQUARE_ROWS) * nodes
     wrong = vector(diagram, diagram.top if op == "meet" else diagram.bottom)
+    batches = []
 
     def bounds(n, size, us, vs):
         out = column_op(n, size, us, vs)
-        if size != square:
+        if size != block:
             return out
-        return lane_columns(wrong if (op, k) in corrupted else lane
+        first = block * (len(batches) // (2 if op == "join" else 1))
+        batches.append(size)
+        return lane_columns(wrong if (op, first + k) in corrupted else lane
                             for k, lane in enumerate(lane_vectors(size, out)))
     return bounds
+
+
+def lattice_by_pairs(diagram):
+    """The `lattice` check as it ran before its certificates and blocks,
+    the reference of both: the cover walk `_cover_failure`, then each
+    pair of the square, or above 120 nodes of the seeded sample, in
+    turn, its join before its meet, tested on its own up-sets and
+    down-sets."""
+    failure = checks._cover_failure(diagram)
+    if failure:
+        return False, failure
+    size = len(diagram.ranks)
+    if size <= 120:
+        xs = [x for x in range(size) for _ in range(size)]
+        ys = list(range(size)) * size
+    else:
+        rng = random.Random(checks._SEED)
+        draws = [rng.randrange(size) for _ in range(20_000)]
+        xs, ys = draws[::2], draws[1::2]
+    up, down = diagram.above_mask, diagram.below_mask
+    for x, y, j, m in zip(xs, ys, *diagram.bounds(xs, ys)):
+        if j is None or up(j) != up(x) & up(y):
+            return False, {"op": "join", "pair": [diagram.name(x), diagram.name(y)]}
+        if m is None or down(m) != down(x) & down(y):
+            return False, {"op": "meet", "pair": [diagram.name(x), diagram.name(y)]}
+    return True, None
+
+
+def with_edge(diagram, lo, hi):
+    """The diagram with one more edge, lo to hi, in its place in the
+    (lo, hi) order, labelled (0, 0): `lattice` reads no label."""
+    edges = sorted([*zip(diagram.lo, diagram.hi, diagram.r, diagram.s), (lo, hi, 0, 0)])
+    return replace(diagram, **dict(zip(("lo", "hi", "r", "s"), zip(*edges))))
+
+
+def lattice_outcome(monkeypatch, diagram):
+    """`run_check("lattice", n)` on this diagram, as (verdict, witness)."""
+    monkeypatch.setattr(checks, "build", lambda n: diagram)
+    report = checks.run_check("lattice", diagram.n)
+    return report.passed, report.witness
 
 
 class TestLatticeCheck:
@@ -410,22 +459,28 @@ class TestLatticeCheck:
                                   "pair": [word_text(diagram.words[bottom]),
                                            word_text(diagram.words[top])]}
 
-    @pytest.mark.parametrize("corrupted, op, k", [
-        ({("join", 301), ("meet", 300), ("join", 470)}, "meet", 300),
-        ({("meet", 300), ("join", 300), ("meet", 301)}, "join", 300)])
-    def test_first_failing_lane_of_the_square(self, monkeypatch, corrupted, op, k):
-        # the square at n = 5 is one batch of 576 lanes, the pair (x, y)
-        # in lane 24 x + y: the first corrupted pair fails, at its join
-        # before its meet.  The meets run the patched join on the dual
-        # lanes, which only makes more meets wrong, and no earlier one.
-        diagram = build(5)
+    @pytest.mark.parametrize("corrupted, op, k, n", [
+        pytest.param({("join", 301), ("meet", 300), ("join", 470)}, "meet", 300, 5,
+                     id="corrupted0-meet-300"),
+        pytest.param({("meet", 300), ("join", 300), ("meet", 301)}, "join", 300, 5,
+                     id="corrupted1-join-300"),
+        pytest.param({("meet", 9000), ("join", 5000)}, "join", 5000, 6, id="n6-join-5000"),
+        pytest.param({("join", 9001), ("meet", 3001)}, "meet", 3001, 6, id="n6-meet-3001")])
+    def test_first_failing_lane_of_the_square(self, monkeypatch, corrupted, op, k, n):
+        # the square at n = 5 is one batch of 576 lanes, at n = 6 five
+        # batches of 2880, the pair (x, y) in lane (nodes) x + y: the first
+        # corrupted pair fails, at its join before its meet, also when a
+        # later batch holds another.  The meets run the patched join on
+        # the dual lanes, which only makes more meets wrong, and no
+        # earlier one.
+        diagram = build(n)
         for name, bound in (("_column_meets", "meet"), ("_column_joins", "join")):
             monkeypatch.setattr(poset, name, corrupt_square_lanes(diagram, bound, corrupted))
         assert checks._cover_failure(diagram) is None
-        report = checks.run_check("lattice", 5)
+        report = checks.run_check("lattice", n)
         assert not report.passed
-        assert report.witness == {"op": op, "pair": [word_text(diagram.words[t])
-                                                     for t in divmod(k, 24)]}
+        assert report.witness == {"op": op, "pair": [
+            word_text(diagram.words[t]) for t in divmod(k, len(diagram.ranks))]}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lattice_calls_no_pair_kernel(self, monkeypatch, n):
@@ -445,6 +500,152 @@ class TestLatticeCheck:
         assert not report.passed
         assert report.witness["op"] == "order"
         assert report.witness["pair"][0] == word_text(diagram.words[diagram.lo[k]])
+
+
+class TestLatticeCertificates:
+    """The certificates of the cover claims against the walk they
+    replace, the mutants each part declines, and the fast path."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_certificates_agree_with_the_walk(self, n):
+        diagram = build(n)
+        assert certificates.covers_certified(diagram)
+        assert checks._cover_failure(diagram) is None
+
+    def test_edge_to_a_comparable_non_cover(self, monkeypatch):
+        # an edge from the bottom to a node two ranks up is no unit step,
+        # but the order is still the closure of the edges
+        diagram = build(5)
+        w = diagram.ranks.index(2)
+        mutant = with_edge(diagram, diagram.bottom, w)
+        assert certificates.unit_steps(mutant) is None
+        assert not certificates.covers_certified(mutant)
+        expected = lattice_by_pairs(with_edge(diagram, diagram.bottom, w))
+        assert lattice_outcome(monkeypatch, mutant) == expected == (True, None)
+
+    def test_non_tight_join_lane(self, monkeypatch):
+        # a cover pair's join is an upper cover of the true join: a node
+        # above both covers, but not tight and not the least
+        diagram = build(5)
+        x = next(t for t, up in enumerate(diagram.up) if len(up) > 1)
+        y, z = diagram.up[x][:2]
+        (j,) = diagram.joins([y], [z])
+        monkeypatch.setattr(poset, "_column_joins",
+                            wrong_lanes_at(diagram, y, z, diagram.up[j][0]))
+        size = len(diagram.ranks)
+        steps = certificates.unit_steps(diagram)
+        starts = [diagram.edges_above(t).start for t in range(size)] + [len(diagram.lo)]
+        assert poset._lanes_admitted(5, diagram.columns)
+        assert steps is not None and certificates.closure_holds(diagram, steps, starts)
+        assert not certificates.cover_joins_tight(diagram, starts)
+        expected = lattice_by_pairs(diagram)
+        assert expected == (False, {"op": "join", "pair": [diagram.name(y), diagram.name(z)]})
+        assert lattice_outcome(monkeypatch, diagram) == expected
+
+    def test_negative_triple_defect(self, monkeypatch):
+        # the top's v[1,5] lowered from 3 to 1: its defect at (1, 3, 5)
+        # is 1 - 1 - 1 = -1, so it is no admitted vector
+        def mutant():
+            diagram = build(5)
+            columns = list(diagram.columns)
+            c = kernels.pair_index(5, 1, 5)
+            columns[c] = columns[c][:-1] + b"\1"
+            diagram.columns = tuple(columns)  # the cached view, set before any use
+            return diagram
+
+        diagram = mutant()
+        assert [diagram.columns[kernels.pair_index(5, *ij)][diagram.top]
+                for ij in ((1, 3), (3, 5), (1, 5))] == [1, 1, 1]
+        assert not poset._lanes_admitted(5, diagram.columns)
+        assert not certificates.covers_certified(diagram)
+        expected = lattice_by_pairs(mutant())
+        assert not expected[0]
+        assert lattice_outcome(monkeypatch, diagram) == expected
+
+    def test_tightness_is_the_join(self):
+        # on every ordered pair at n = 5 the lane join is tight, and on
+        # every seventh pair no other node above both ends is
+        diagram = build(5)
+        size = len(diagram.ranks)
+        xs = [x for x in range(size) for _ in range(size)]
+        ys = list(range(size)) * size
+        us, vs = (poset._gather(5, diagram.rows, ids) for ids in (xs, ys))
+        joins = poset._column_joins(5, len(xs), us, vs)
+        assert poset._column_tight(5, len(xs), us, vs, joins)
+        (js,) = diagram._bounds(xs, ys, poset._column_joins)
+        for x, y, j in zip(xs[::7], ys[::7], js[::7]):
+            above = bits(diagram.above_mask(x) & diagram.above_mask(y))
+            tight = [w for w in above if poset._column_tight(
+                5, 1, poset._gather(5, diagram.rows, [x]), poset._gather(5, diagram.rows, [y]),
+                poset._gather(5, diagram.rows, [w]))]
+            assert tight == [j]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_passing_run_takes_the_fast_path(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("a passing run left the fast path")
+
+        monkeypatch.setattr(checks, "_cover_failure", refuse)
+        monkeypatch.setattr(checks, "_pair_failure", refuse)
+        assert checks.run_check("lattice", n).passed
+
+    def test_cover_pass_holds_no_up_sets(self):
+        # beyond the diagram and the views it reads, the n = 8 cover pass
+        # allocates less than 512 KB at its peak; a walk that holds the
+        # up-sets of three ranks, rank by rank from the top, takes 0.89 MB
+        diagram = build(8)
+        diagram.at_least, diagram.rows, diagram.vec_index
+        tracemalloc.start()
+        try:
+            assert certificates.covers_certified(diagram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
+class TestLatticeBlocks:
+    """The pairs of the square and of the sample, tested a block at a
+    time."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_last_sampled_pair_is_tested(self, monkeypatch, n):
+        # the join of the last of the 10,000 sampled pairs is wrong: the
+        # blocks reach it and fail where the pair-by-pair walk does
+        diagram = build(n)
+        rng = random.Random(checks._SEED)
+        draws = [rng.randrange(len(diagram.ranks)) for _ in range(20_000)]
+        x, y = draws[-2:]
+        (j,) = diagram.joins([x], [y])
+        wrong = diagram.top if j != diagram.top else diagram.bottom
+        monkeypatch.setattr(poset, "_column_joins", wrong_lanes_at(diagram, x, y, wrong))
+        expected = lattice_by_pairs(diagram)
+        assert not expected[0]
+        report = checks.run_check("lattice", n)
+        assert (report.passed, report.witness) == expected
+
+    @pytest.mark.parametrize("n, meet", [(5, False), (5, True), (7, False), (7, True)])
+    def test_bound_that_is_no_node_fails(self, monkeypatch, n, meet):
+        # one pair's join (meet) is the zero vector but v[1,3] = 1, whose
+        # defect at (1, 3, 4) is -1, so no node has it (and it stays below
+        # M, which the dual meets subtract it from): in the square the
+        # bottom and the top, in the sample its last pair; neither is a
+        # cover pair
+        diagram = build(n)
+        if n == 5:
+            x, y = diagram.bottom, diagram.top
+        else:
+            rng = random.Random(checks._SEED)
+            x, y = [rng.randrange(len(diagram.ranks)) for _ in range(20_000)][-2:]
+        zero = vector(diagram, diagram.bottom)
+        assert not any(zero)
+        no_node = zero[:1] + (1,) + zero[2:]
+        name = "_column_meets" if meet else "_column_joins"
+        monkeypatch.setattr(poset, name, wrong_lanes_at(diagram, x, y, no_node, meet=meet))
+        expected = lattice_by_pairs(diagram)
+        assert expected[1]["op"] == ("meet" if meet else "join")
+        report = checks.run_check("lattice", n)
+        assert (report.passed, report.witness) == expected
 
 
 class TestMobiusCheck:
@@ -492,13 +693,13 @@ class TestTriangulationCheck:
         # admitted and only its sum is wrong
         tris = vectors.all_triangulations(5)
         columns = poset._vector_columns(5)
-        defects = dict(checks._triple_defects(5, {
+        defects = dict(poset._triple_defects(5, {
             pair: int.from_bytes(column, "little")
             for pair, column in zip(combinations(range(1, 6), 2), columns)}))
         k = next(k for k in range(24) if triple in tris[k % 5].triangles
                  and not defects[triple] >> 8 * k & 0xff)
         flat = tuple(column[k] for column in columns)
-        triple_defects = checks._triple_defects
+        triple_defects = poset._triple_defects
 
         def off_by_one(n, v):
             for t, d in triple_defects(n, v):
@@ -509,7 +710,7 @@ class TestTriangulationCheck:
         def off_by_one_at_k(v, i, j, k):
             return delta(v, i, j, k) + (v.flat == flat and (i, j, k) == triple)
 
-        monkeypatch.setattr(checks, "_triple_defects", off_by_one)
+        monkeypatch.setattr(poset, "_triple_defects", off_by_one)
         monkeypatch.setattr(vectors, "delta", off_by_one_at_k)
         report = checks.run_check("triangulation", 5)
         assert not report.passed

@@ -356,9 +356,9 @@ class TestCheck:
 
         monkeypatch.setattr(poset, "_cover_rows", enumerate_anyway)
         monkeypatch.setattr(oracle, "descents_by_scan", enumerate_anyway)
-        code, out, err = run(capsys, "check", "eulerian", "10")
+        code, out, err = run(capsys, "check", "eulerian", "11")
         assert code == 2 and out == ""
-        assert "order 10 exceeds the cap 9" in err
+        assert "order 11 exceeds the cap 10" in err
 
     def test_eulerian_streams_one_order_above_the_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLAT_MAX_N", "4")

@@ -465,6 +465,30 @@ class TestColumnBounds:
                 column_op(66, 2, us, vs)
 
 
+class TestSquareLanes:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_square_lanes_are_the_gathered_lanes(self, n):
+        diagram = build(n)
+        size = len(diagram.ranks)
+        rows = range(size // 3, size // 3 + min(size, 24) // 2 + 1)
+        xs = [x for x in rows for _ in range(size)]
+        ys = list(range(size)) * len(rows)
+        assert poset._square_lanes(n, diagram.columns, rows) == \
+            (poset._gather(n, diagram.rows, xs), poset._gather(n, diagram.rows, ys))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_square_bounds_are_the_gathered_bounds(self, n):
+        diagram = build(n)
+        size = len(diagram.ranks)
+        rows = range(size // 2, size)
+        xs = [x for x in rows for _ in range(size)]
+        ys = list(range(size)) * len(rows)
+        square = [list(r) for r in diagram.square_bound_rows(rows)]
+        assert square == [list(r) for r in diagram.bound_rows(xs, ys)]
+        assert [list(map(diagram.vec_index.get, r)) for r in square] == \
+            list(diagram.bounds(xs, ys))
+
+
 class TestAdjacentLanes:
     """Every node's adjacent coordinates (i, i+1) are 0 and the recursion
     reads none of them, so they stay the int 0 from gather to split."""
