@@ -9,6 +9,9 @@ holding no up-set but those of one path of the diagram:
 every node along a spanning tree, and `cover_joins_tight` the cover
 pairs' joins a batch at a time (`HasseDiagram.tight_joins`).  The lane
 arithmetic stays in `cyclat.poset`; this module holds the argument.
+The check's third claim, on the bounds of its tested pairs, rests on
+the same tightness, with the meets on the dual lanes
+(`HasseDiagram.tight_bounds`).
 A certificate that declines proves nothing: the check then walks the
 claims node by node (`checks._cover_failure`), which decides and names
 the witness.

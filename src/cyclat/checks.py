@@ -14,9 +14,11 @@ of the dual lanes M - v, M[i,j] = j - i - 1 (cycle inversion).  So
 `lattice` proves that this lane recursion gives the bounds, and no
 scan of the diagram calls a per-pair kernel; the tests tie `join_flat`
 and `meet_flat` to the lane recursion pair for pair, and `meet_flat`
-to the dual join.  `lattice` proves its cover claims from the
-certificates of `cyclat.certificates`, and tests its bounds a block of
-pairs at a time.
+to the dual join.  `lattice` proves all its claims by certificates,
+with one argument for the cover pairs and the tested pairs alike: each
+lane join is a node and tight, and so is each lane meet on the dual
+lanes; a walk on up-sets and down-sets runs only where a certificate
+declines, to name the witness.
 
 `triangulation` and `interval` build no diagram and no per-element
 object: they test every node at once on its vector columns read as
@@ -36,8 +38,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial
-from operator import and_, or_
-from typing import Callable, Iterable, Sequence
+from operator import or_
+from typing import Callable, Sequence
 
 from cyclat import oracle, poset, vectors
 from cyclat.certificates import covers_certified
@@ -144,9 +146,7 @@ def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     return True, None
 
 
-_SQUARE_ROWS = 24  # rows x of the square per block of the bound test
 _SAMPLE_PAIRS = 10_000  # pairs tested above 120 nodes
-_SAMPLE_BLOCK_BYTES = 1 << 18  # mask bytes of one side of a sample block
 
 
 def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
@@ -165,11 +165,11 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       and `grading` proves the bounds.  So the join of every two upper
       covers of every node is tested, exhaustively at every n.
     - The joins and meets are the least and greatest bounds on every
-      ordered pair up to 120 nodes, and on 10,000 seeded pairs above.
+      ordered pair up to 120 nodes, x-major, and on 10,000 seeded pairs
+      above.
 
-    The first two claims are proved from certificates
-    (`certificates.covers_certified`), holding no up-set but those of
-    one path:
+    All three are proved from certificates, holding no up-set but those
+    of one path (`certificates.covers_certified` for the first two):
     - Every node is admitted: on the columns read as ints, one byte a
       lane, every entry is below 0x80, the adjacent entries are 0 and
       every triple defect is 0 or 1 (`poset._lanes_admitted`).
@@ -182,138 +182,75 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       Up(p) & at_least[k][x_k], x = p + e_k, along the spanning tree of
       first lower covers, walked depth first
       (`certificates.closure_holds`).
-    - The `poset._column_joins` result X of every cover pair y, z is a
-      node and is tight: X[i,j] == max(y[i,j], z[i,j], X[i,p] + X[p,j],
-      i < p < j) on every lane (`HasseDiagram.tight_joins`).  By
-      induction on j - i, a tight X lies below every admitted w >= y, z,
-      since w[i,j] >= w[i,p] + w[p,j], and X[i,i+1] = 0; it lies above
-      y and z, so it is their least upper bound among the nodes.
-      Tightness reads X's own entries, not the recursion that produced
-      X, so a wrong X that is a node above y and z still fails it.
-    If a certificate declines, `_cover_failure` walks the claims node
-    by node from the top rank and decides: it names the witness, or
-    finds none.
-
-    j is the least upper bound of x and y iff Up(x) & Up(y) == Up(j):
-    j lies in its own up-set, so it is then a common upper bound, and
-    every common upper bound lies in the up-set of j, above it.  Meets
-    are the dual, with the down-sets.  The pairs are tested a block at
-    a time, with no loop over the pairs of a block that holds: in the
-    square, `_SQUARE_ROWS` rows a block, the bounds' masks are joined
-    into one string and compared as one big int with the AND of the
-    joined masks of the pairs' x and of their y (`_square_failure`); in
-    the sample, `_SAMPLE_BLOCK_BYTES` of masks a side, as one list of
-    ints with the list of those ANDs (`_sample_failure`), since its
-    masks, C(n, 2) threshold masks each, are computed pair by pair and
-    converting them to strings cost more than the lists.  A row that is
-    no node's has no mask and fails its block.  `_pair_failure` then
-    walks a failed block pair by pair: a result that is not a node, or
-    not the bound, fails with the pair as the witness; of a pair, the
-    join is tested first.
+    - The `poset._column_joins` result X of every cover pair, and of
+      every pair of the third claim, y, z is a node and is tight:
+      X[i,j] == max(y[i,j], z[i,j], X[i,p] + X[p,j], i < p < j) on every
+      lane (`HasseDiagram.tight_joins`, `tight_bounds`).  By induction
+      on j - i, a tight X lies below every admitted w >= y, z, since
+      w[i,j] >= w[i,p] + w[p,j], and X[i,i+1] = 0; it lies above y and
+      z, so it is their least upper bound among the nodes.  Tightness
+      reads X's own entries, not the recursion that produced X, so a
+      wrong X that is a node above y and z still fails it.
+    - Dually, the `poset._column_meets` result m of every pair of the
+      third claim is a node, and M - m is tight for M - y and M - z,
+      M[i,j] = j - i - 1: v -> M - v maps admitted vectors to admitted
+      vectors and reverses the order, so m is the greatest lower bound
+      among the nodes.  The square's lanes are cut from the columns
+      (`HasseDiagram.square_tight_bounds`), the sample's gathered from
+      the node rows.
+    The bound certificate rests on the nodes' admission, so it is read
+    only where the cover certificates hold.  If a certificate declines,
+    a walk decides and names the witness: `_cover_failure` node by node
+    from the top rank, then `_pair_failure` pair by pair on the up-sets
+    and down-sets.
 
     The joins and meets come from the recursion of `join_flat`, run on
     lanes, one byte a pair (`poset._column_joins`, after L. Lamport,
     *Multiple byte processing with full-word instructions*, CACM 18(8),
-    1975), and for the meets on the dual lanes M - u and M - v
-    (`poset._column_meets`); the square's lanes are cut from the
-    columns (`HasseDiagram.square_bound_rows`), the sample's gathered
-    from the node rows (`HasseDiagram.bound_rows`).  So the check
-    proves that this lane recursion gives the bounds; no per-pair
+    1975), and for the meets on the dual lanes M - u and M - v.  So the
+    check proves that this lane recursion gives the bounds; no per-pair
     kernel runs.  The tests tie `join_flat` and `meet_flat`, which
     `vectors.join`/`meet` call, to the lane recursion on every pair the
     check reads up to n = 8.
     """
     diagram = run.diagram(masks=True)
-    if not covers_certified(diagram):
+    certified = covers_certified(diagram)
+    if not certified:
         failure = _cover_failure(diagram)
         if failure:
             return False, failure
     size = len(diagram.ranks)
-    if size <= 120:
-        failure, pairs = _square_failure(diagram), size * size
-    else:
-        failure, pairs = _sample_failure(diagram), _SAMPLE_PAIRS
-    if failure:
-        return False, failure
-    run.stats["pairs"] = pairs
+    square = size <= 120
+    if not (certified and (diagram.square_tight_bounds() if square
+                           else diagram.tight_bounds(*_tested_pairs(size)))):
+        failure = _pair_failure(diagram, *_tested_pairs(size))
+        if failure:
+            return False, failure
+    run.stats["pairs"] = size * size if square else _SAMPLE_PAIRS
     return True, None
 
 
-def _square_failure(diagram: poset.HasseDiagram) -> dict | None:
-    """The witness of the first pair of the square, x-major, whose join
-    or meet is not the bound; None if every pair holds.  Each block of
-    `_SQUARE_ROWS` rows x is one big-int comparison a bound: the masks
-    found for the bound rows (None for a row that is no node's), joined
-    into one string, against the AND of the joined masks of the pairs'
-    x and of their y."""
-    size = len(diagram.ranks)
-    width = (size + 7) // 8  # bytes of one up-set or down-set
-    masks = [list(map(mask, range(size))) for mask in (diagram.above_mask, diagram.below_mask)]
-    tables = [[mask.to_bytes(width, "big") for mask in table] for table in masks]
-    by_row = [dict(zip(diagram.rows, table)).get for table in tables]
-    for first in range(0, size, _SQUARE_ROWS):
-        xs = range(first, min(first + _SQUARE_ROWS, size))
-        found = [list(map(get, rows)) for get, rows in zip(by_row, diagram.square_bound_rows(xs))]
-        if any(_found_masks(bounds) != _joined(table[x] * size for x in xs) & _joined(table * len(xs))
-               for bounds, table in zip(found, tables)):
-            # a node's up-set, and its down-set, names it
-            names = [dict(zip(table, range(size))).get for table in tables]
-            failure = _pair_failure(
-                diagram, [table.__getitem__ for table in masks],
-                [x for x in xs for _ in range(size)], list(range(size)) * len(xs),
-                [list(map(name, bounds)) for name, bounds in zip(names, found)])
-            if failure:
-                return failure
-    return None
-
-
-def _sample_failure(diagram: poset.HasseDiagram) -> dict | None:
-    """The witness of the first of `_SAMPLE_PAIRS` seeded pairs whose
-    join or meet is not the bound; None if every pair holds.  Each block
-    of pairs, `_SAMPLE_BLOCK_BYTES` of masks a side, is one comparison a
-    bound of two lists of ints, the masks of the bounds against the ANDs
-    of the pairs' masks, with no loop over the pairs."""
-    size = len(diagram.ranks)
+def _tested_pairs(size: int) -> tuple[list[int], list[int]]:
+    """The pairs of the bound claim, as their xs and their ys: every
+    ordered pair, x-major, up to 120 nodes; above, `_SAMPLE_PAIRS`
+    seeded pairs, pair k the draws 2k and 2k + 1."""
+    if size <= 120:
+        return [x for x in range(size) for _ in range(size)], list(range(size)) * size
     rng = random.Random(_SEED)
     draws = [rng.randrange(size) for _ in range(2 * _SAMPLE_PAIRS)]
-    xs, ys = draws[::2], draws[1::2]  # pair k is (draw 2k, draw 2k + 1)
-    masks = [lru_cache(maxsize=1024)(mask) for mask in (diagram.above_mask, diagram.below_mask)]
-    step = max(1, _SAMPLE_BLOCK_BYTES // ((size + 7) // 8))
-    for first in range(0, len(xs), step):
-        bxs, bys = xs[first:first + step], ys[first:first + step]
-        found = [list(map(diagram.vec_index.get, rows)) for rows in diagram.bound_rows(bxs, bys)]
-        if any(None in bounds
-               or list(map(mask, bounds)) != list(map(and_, map(mask, bxs), map(mask, bys)))
-               for bounds, mask in zip(found, masks)):
-            failure = _pair_failure(diagram, masks, bxs, bys, found)
-            if failure:
-                return failure
-    return None
+    return draws[::2], draws[1::2]
 
 
-def _joined(masks: Iterable[bytes]) -> int:
-    """Masks of one width joined into one string, read as an int."""
-    return int.from_bytes(b"".join(masks), "big")
-
-
-def _found_masks(masks: list[bytes | None]) -> int | None:
-    """`_joined` of the masks found for a block's bound rows; None if a
-    row is no node's and has None."""
-    try:
-        return _joined(masks)
-    except TypeError:  # join takes no None
-        return None
-
-
-def _pair_failure(diagram: poset.HasseDiagram, masks: list[Callable[[int], int]],
-                  xs: Sequence[int], ys: Sequence[int],
-                  bounds: list[list[int | None]]) -> dict | None:
-    """The witness of the first pair of a failed block whose join, or
-    else its meet, is no node (None) or not the bound, tested pair by
-    pair on the up-sets and down-sets `masks`; None if every pair
-    holds."""
-    up, down = masks
-    for x, y, j, m in zip(xs, ys, *bounds):
+def _pair_failure(diagram: poset.HasseDiagram, xs: Sequence[int],
+                  ys: Sequence[int]) -> dict | None:
+    """The witness of the first pair x, y of xs, ys whose join, or else
+    its meet, is no node or not the bound; None if every pair holds.
+    j is the least upper bound of x and y iff Up(x) & Up(y) == Up(j): j
+    lies in its own up-set, so it is then a common upper bound, and
+    every common upper bound lies in the up-set of j, above it; meets
+    are the dual, with the down-sets."""
+    up, down = (lru_cache(maxsize=1024)(mask) for mask in (diagram.above_mask, diagram.below_mask))
+    for x, y, j, m in zip(xs, ys, *diagram.bounds(xs, ys)):
         if j is None or up(j) != up(x) & up(y):
             return _pair_witness(diagram, "join", x, y)
         if m is None or down(m) != down(x) & down(y):

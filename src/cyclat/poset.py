@@ -54,9 +54,9 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes about 34 s at a
+    under 5 minutes and 600 MB: `check all 10` takes about 30 s at a
     318 MB peak in a fresh process on a shared 2-vCPU host
-    (`BENCH_lattice_certificates.json`), and `build(11)` alone peaks at
+    (`BENCH_lattice_tight.json`), and `build(11)` alone peaks at
     about 1.2 GB.  `eulerian n` builds no diagram and is refused for
     n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
@@ -143,7 +143,9 @@ class HasseDiagram:
     recursion of `join_flat` (`_column_joins`) on lanes gathered from
     the rows, one byte a pair, and `bounds` also takes the meets, as
     the joins of the dual lanes (`_column_meets`); each result row is
-    read back through `vec_index`.
+    read back through `vec_index`.  `tight_joins` and `tight_bounds` run
+    the same recursions as certificates: each result row is a node's,
+    and each result is tight for its pair (`_column_tight`).
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
@@ -195,7 +197,7 @@ class HasseDiagram:
     @cached_property
     def rows(self) -> tuple[bytes, ...]:
         """rows[t][c] = columns[c][t]: node t's vector as one byte string."""
-        return tuple(_split_rows(len(self.ranks), self.columns) if self.columns else [b""])
+        return tuple(_split_rows(len(self.ranks), self.columns))
 
     @cached_property
     def up(self) -> tuple[tuple[int, ...], ...]:
@@ -258,37 +260,48 @@ class HasseDiagram:
         return self._bounds(xs, ys, _column_joins, _column_meets)
 
     def _bounds(self, xs: Sequence[int], ys: Sequence[int], *ops):
-        if not xs:
-            return tuple([] for _ in ops)
-        us, vs = _gather(self.n, self.rows, xs), _gather(self.n, self.rows, ys)
-        return tuple(list(map(self.vec_index.get, rows))
-                     for rows in _lane_rows(self.n, len(xs), us, vs, ops))
-
-    def bound_rows(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[Iterator[bytes]]:
-        """The rows of the `join_flat`, then of the `meet_flat`, of the
-        vectors of x and y for each x, y of xs, ys in turn, from lanes
-        gathered once a side; each batch runs as it is read."""
-        us, vs = _gather(self.n, self.rows, xs), _gather(self.n, self.rows, ys)
-        return _lane_rows(self.n, len(xs), us, vs, (_column_joins, _column_meets))
-
-    def square_bound_rows(self, xs: Sequence[int]) -> Iterator[Iterator[bytes]]:
-        """`bound_rows` of the pairs (x, y), for each x of xs in turn and
-        each node y in id order, on lanes cut from the columns
-        (`_square_lanes`)."""
-        return _lane_rows(self.n, len(xs) * len(self.ranks),
-                          *_square_lanes(self.n, self.columns, xs),
-                          (_column_joins, _column_meets))
+        size, us, vs = len(xs), self._lanes(xs), self._lanes(ys)
+        return tuple(list(map(self.vec_index.get, _split_rows(size, op(self.n, size, us, vs))))
+                     for op in ops)
 
     def tight_joins(self, ys: Sequence[int], zs: Sequence[int]) -> bool:
         """Whether the `_column_joins` result of every pair y, z of ys, zs
         is a node and is tight (`_column_tight`)."""
-        if not ys:
-            return True
-        size = len(ys)
-        us, vs = _gather(self.n, self.rows, ys), _gather(self.n, self.rows, zs)
+        return self._tight(len(ys), self._lanes(ys), self._lanes(zs))
+
+    def tight_bounds(self, xs: Sequence[int], ys: Sequence[int]) -> bool:
+        """Whether the `_column_joins` and the `_column_meets` result of
+        every pair x, y of xs, ys are nodes and tight (`_tight_bounds`)."""
+        return self._tight_bounds(len(xs), self._lanes(xs), self._lanes(ys))
+
+    def square_tight_bounds(self) -> bool:
+        """`tight_bounds` of every ordered pair (x, y), x-major, on lanes
+        cut from the columns (`_square_lanes`)."""
+        nodes = range(len(self.ranks))
+        return self._tight_bounds(len(nodes) ** 2, *_square_lanes(self.n, self.columns, nodes))
+
+    def _lanes(self, ids: Sequence[int]) -> list[int]:
+        return _gather(self.n, self.rows, ids)
+
+    def _tight(self, size: int, us: Sequence[int], vs: Sequence[int]) -> bool:
+        """The lane test: whether the `_column_joins` result on these
+        lanes is a node's row in every lane and is tight for them."""
         joins = _column_joins(self.n, size, us, vs)
-        return (all(map(self.vec_index.__contains__, _split_rows(size, joins)))
-                and _column_tight(self.n, size, us, vs, joins))
+        return self._nodes(size, joins) and _column_tight(self.n, size, us, vs, joins)
+
+    def _tight_bounds(self, size: int, us: Sequence[int], vs: Sequence[int]) -> bool:
+        """`_tight`, and the same of the `_column_meets` result as the
+        join of the dual lanes: a node's row in every lane, and M - meet
+        tight for M - us and M - vs (`_dual_lanes`)."""
+        if not self._tight(size, us, vs):
+            return False
+        meets = _column_meets(self.n, size, us, vs)
+        return self._nodes(size, meets) and _column_tight(
+            self.n, size, *(_dual_lanes(self.n, size, c) for c in (us, vs, meets)))
+
+    def _nodes(self, size: int, columns: Sequence[int]) -> bool:
+        """Whether every lane of the columns is a node's row."""
+        return set(_split_rows(size, columns)) <= self.vec_index.keys()
 
     @property
     def bottom(self) -> int:
@@ -498,8 +511,11 @@ def _split_rows(size: int, columns: Sequence[bytes | int]) -> Iterator[bytes]:
     """Each of the `size` lanes of the C columns as a row: written at
     stride C, cut every C.  A column is its bytes or, as the lane
     recursion holds it, those bytes read as one int; the buffer starts
-    zeroed, so a zero int column is not written."""
+    zeroed, so a zero int column is not written.  At n = 1 there is no
+    column, and every row is the empty vector."""
     width = len(columns)
+    if not width:
+        return iter([b""] * size)
     lanes = bytearray(width * size)
     for c, column in enumerate(columns):
         if column:
@@ -535,14 +551,6 @@ def _square_lanes(n: int, columns: Sequence[bytes], xs: Sequence[int]) -> tuple[
         us[ij] = int.from_bytes(b"".join(column[x:x + 1] * len(column) for x in xs), "big")
         vs[ij] = int.from_bytes(column * len(xs), "big")
     return us, vs
-
-
-def _lane_rows(n: int, size: int, us: Sequence[int], vs: Sequence[int],
-               ops: Iterable[Callable]) -> Iterator[Iterator[bytes]]:
-    """The rows of each column op's result on these lanes in turn, each
-    op run as its rows are read; at n = 1 every row is empty."""
-    for op in ops:
-        yield _split_rows(size, op(n, size, us, vs)) if us else iter([b""] * size)
 
 
 _LANE_MAX_N = 65  # the largest order whose lane sums stay below the guard bit
@@ -607,19 +615,24 @@ def _column_tight(n: int, size: int, us: Sequence[int], vs: Sequence[int],
     return True
 
 
+def _dual_lanes(n: int, size: int, columns: Sequence[int]) -> list[int]:
+    """M - v in every lane of the columns, on lanes as `_column_joins`,
+    with M[i,j] = j - i - 1, the top's vector: v -> M - v is
+    `vectors.invert_vector`, which reverses the order.  No entry of an
+    admitted vector, or of the join of two, exceeds M's, so no lane
+    borrows."""
+    ones = int.from_bytes(b"\1" * size, "big")
+    return [(j - i - 1) * ones - column
+            for (i, j), column in zip(combinations(range(1, n + 1), 2), columns)]
+
+
 def _column_meets(n: int, size: int, us: Sequence[int],
                   vs: Sequence[int]) -> list[int]:
     """The columns of `meet_flat(n, u, v)`, on lanes as `_column_joins`:
-    M - join(M - u, M - v), with M[i,j] = j - i - 1 in every lane.
-    v -> M - v is `vectors.invert_vector`, which reverses the order, and
-    M[i,j] - M[i,p] - M[p,j] = 1 is the meet recursion's + 1.  Every
-    admitted entry, the join's too, is at most M's, so no lane borrows.
-    """
-    ones = int.from_bytes(b"\1" * size, "big")
-    top = [j - i - 1 for i in range(1, n) for j in range(i + 1, n + 1)]  # M[i,j]
-    joins = _column_joins(n, size, [m * ones - u for m, u in zip(top, us)],
-                          [m * ones - v for m, v in zip(top, vs)])
-    return [m * ones - x for m, x in zip(top, joins)]
+    M - join(M - u, M - v) (`_dual_lanes`), where
+    M[i,j] - M[i,p] - M[p,j] = 1 is the meet recursion's + 1."""
+    return _dual_lanes(n, size, _column_joins(n, size, _dual_lanes(n, size, us),
+                                              _dual_lanes(n, size, vs)))
 
 
 @lru_cache(maxsize=None)

@@ -359,25 +359,21 @@ def wrong_lanes_at(diagram, x, y, z, meet=False):
 
 
 def corrupt_square_lanes(diagram, op, corrupted):
-    """poset._column_joins (for op "meet", poset._column_meets), but in
-    the batches of the square, `checks._SQUARE_ROWS` rows x each, each
-    lane k of the square with (op, k) in `corrupted` holds a wrong node:
-    the bottom for a join, the top for a meet.  The lanes of a batch
-    follow those of the batches before it; the joins see each batch
-    twice, as its joins and as the joins of its meets' dual lanes."""
+    """poset._column_joins (for op "meet", poset._column_meets), but on
+    the lanes of the whole square, one batch of nodes * nodes lanes,
+    each lane k with (op, k) in `corrupted` holds a wrong node: the
+    bottom for a join, the top for a meet.  The joins also see the
+    meets' dual lanes, so a corrupted join lane also makes that lane's
+    meet the top."""
     column_op = poset._column_meets if op == "meet" else poset._column_joins
     nodes = len(diagram.ranks)
-    block = min(nodes, checks._SQUARE_ROWS) * nodes
     wrong = vector(diagram, diagram.top if op == "meet" else diagram.bottom)
-    batches = []
 
     def bounds(n, size, us, vs):
         out = column_op(n, size, us, vs)
-        if size != block:
+        if size != nodes * nodes:
             return out
-        first = block * (len(batches) // (2 if op == "join" else 1))
-        batches.append(size)
-        return lane_columns(wrong if (op, first + k) in corrupted else lane
+        return lane_columns(wrong if (op, k) in corrupted else lane
                             for k, lane in enumerate(lane_vectors(size, out)))
     return bounds
 
@@ -467,10 +463,10 @@ class TestLatticeCheck:
         pytest.param({("meet", 9000), ("join", 5000)}, "join", 5000, 6, id="n6-join-5000"),
         pytest.param({("join", 9001), ("meet", 3001)}, "meet", 3001, 6, id="n6-meet-3001")])
     def test_first_failing_lane_of_the_square(self, monkeypatch, corrupted, op, k, n):
-        # the square at n = 5 is one batch of 576 lanes, at n = 6 five
-        # batches of 2880, the pair (x, y) in lane (nodes) x + y: the first
+        # the square is one batch, 576 lanes at n = 5 and 14,400 at
+        # n = 6, the pair (x, y) in lane (nodes) x + y: the first
         # corrupted pair fails, at its join before its meet, also when a
-        # later batch holds another.  The meets run the patched join on
+        # later lane holds another.  The meets run the patched join on
         # the dual lanes, which only makes more meets wrong, and no
         # earlier one.
         diagram = build(n)
@@ -542,6 +538,32 @@ class TestLatticeCertificates:
         assert expected == (False, {"op": "join", "pair": [diagram.name(y), diagram.name(z)]})
         assert lattice_outcome(monkeypatch, diagram) == expected
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_non_tight_meet_lane(self, monkeypatch, n):
+        # the dual: one pair's meet is a lower cover of the true meet, a
+        # node below both ends, but not the greatest, and M minus it is
+        # not tight on the dual lanes.  At n = 5 two lower covers of a
+        # node, a pair of the square; at n = 7 the last sampled pair
+        diagram = build(n)
+        size = len(diagram.ranks)
+        if n == 5:
+            x, y, m = next((a, b, m) for w in range(size) for a, b in combinations(diagram.down[w], 2)
+                           for m in diagram.bounds([a], [b])[1] if diagram.down[m])
+        else:
+            rng = random.Random(checks._SEED)
+            draws = [rng.randrange(size) for _ in range(20_000)]
+            xs, ys = draws[::2], draws[1::2]
+            x, y = xs[-1], ys[-1]
+            (m,) = diagram.bounds([x], [y])[1]
+        monkeypatch.setattr(poset, "_column_meets",
+                            wrong_lanes_at(diagram, x, y, diagram.down[m][0], meet=True))
+        assert certificates.covers_certified(diagram)
+        assert not (diagram.square_tight_bounds() if n == 5 else diagram.tight_bounds(xs, ys))
+        expected = lattice_by_pairs(diagram)
+        assert expected[1]["op"] == "meet" and set(expected[1]["pair"]) == {
+            diagram.name(x), diagram.name(y)}
+        assert lattice_outcome(monkeypatch, diagram) == expected
+
     def test_negative_triple_defect(self, monkeypatch):
         # the top's v[1,5] lowered from 3 to 1: its defect at (1, 3, 5)
         # is 1 - 1 - 1 = -1, so it is no admitted vector
@@ -561,6 +583,20 @@ class TestLatticeCertificates:
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_declined_covers_walk_the_pairs(self, monkeypatch, n):
+        # the bound certificate rests on the nodes' admission, which the
+        # cover certificates prove: where they decline and the cover walk
+        # finds no failure, every tested pair is walked on its masks
+        walked = []
+        pair_failure = checks._pair_failure
+        monkeypatch.setattr(checks, "covers_certified", lambda diagram: False)
+        monkeypatch.setattr(checks, "_pair_failure",
+                            lambda diagram, xs, ys: walked.append(len(xs)) or
+                            pair_failure(diagram, xs, ys))
+        report = checks.run_check("lattice", n)
+        assert report.passed and walked == [report.stats["pairs"]]
 
     def test_tightness_is_the_join(self):
         # on every ordered pair at n = 5 the lane join is tight, and on
@@ -582,12 +618,19 @@ class TestLatticeCertificates:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_passing_run_takes_the_fast_path(self, monkeypatch, n):
+        # neither walk runs, and no down-set is computed: the meets are
+        # proved on the dual lanes
         def refuse(*args):
             raise AssertionError("a passing run left the fast path")
 
+        below = []
+        below_mask = poset.HasseDiagram.below_mask
         monkeypatch.setattr(checks, "_cover_failure", refuse)
         monkeypatch.setattr(checks, "_pair_failure", refuse)
+        monkeypatch.setattr(poset.HasseDiagram, "below_mask",
+                            lambda self, y: below.append(y) or below_mask(self, y))
         assert checks.run_check("lattice", n).passed
+        assert below == []
 
     def test_cover_pass_holds_no_up_sets(self):
         # beyond the diagram and the views it reads, the n = 8 cover pass

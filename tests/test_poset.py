@@ -477,16 +477,19 @@ class TestSquareLanes:
             (poset._gather(n, diagram.rows, xs), poset._gather(n, diagram.rows, ys))
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_square_bounds_are_the_gathered_bounds(self, n):
+    def test_square_bounds_are_the_gathered_bounds(self, monkeypatch, n):
+        # the square certificate, on lanes cut from the columns, decides
+        # as `tight_bounds` on the gathered pairs, where `bounds` gives
+        # the kernels' bounds; a meet replaced by the join, a node above
+        # both ends, declines both from n = 3 on (the bottom and the top)
         diagram = build(n)
         size = len(diagram.ranks)
-        rows = range(size // 2, size)
-        xs = [x for x in rows for _ in range(size)]
-        ys = list(range(size)) * len(rows)
-        square = [list(r) for r in diagram.square_bound_rows(rows)]
-        assert square == [list(r) for r in diagram.bound_rows(xs, ys)]
-        assert [list(map(diagram.vec_index.get, r)) for r in square] == \
-            list(diagram.bounds(xs, ys))
+        xs = [x for x in range(size) for _ in range(size)]
+        ys = list(range(size)) * size
+        assert list(diagram.bounds(xs, ys)) == list(_kernel_bounds(diagram, xs, ys))
+        assert diagram.square_tight_bounds() and diagram.tight_bounds(xs, ys)
+        monkeypatch.setattr(poset, "_column_meets", poset._column_joins)
+        assert diagram.square_tight_bounds() == diagram.tight_bounds(xs, ys) == (n < 3)
 
 
 class TestAdjacentLanes:
