@@ -4,14 +4,24 @@
 covers and that every two upper covers of a node have a join.
 `covers_certified` proves both from the diagram's columns and rows,
 holding no up-set but those of one path of the diagram:
-`poset._lanes_admitted` tests every node at once on its columns,
-`unit_steps` every edge on its two rows read as ints, `closure_holds`
-every node along a spanning tree, and `cover_joins_tight` the cover
-pairs' joins a batch at a time (`HasseDiagram.tight_joins`).  The lane
-arithmetic stays in `cyclat.poset`; this module holds the argument.
+`nodes_are_words` proves node t's row the vector of the t-th canonical
+word, `unit_steps` every edge on its two rows read as ints,
+`closure_holds` every node along a spanning tree, and
+`cover_joins_tight` the cover pairs' joins a batch at a time
+(`HasseDiagram.tight_joins`).  The lane arithmetic stays in
+`cyclat.poset`; this module holds the argument.
 The check's third claim, on the bounds of its tested pairs, rests on
 the same tightness, with the meets on the dual lanes
 (`HasseDiagram.tight_bounds`).
+
+"Is a node" is a lane test, not a lookup.  `poset._word_bits` passes
+a batch of lanes exactly when each is the vector of some canonical
+word, and returns the inversion bits B(i, j) it reads from them.  It
+passes on the diagram's columns, and the B it reads there equal
+`poset._inversion_columns(n)` column for column, so node t's row is the
+t-th word's vector: no two rows are equal, and every word's vector is
+a row.  A result lane that passes `_word_bits` is therefore some node's
+row, and the certificates never build `vec_index`.
 A certificate that declines proves nothing: the check then walks the
 claims node by node (`checks._cover_failure`), which decides and names
 the witness.
@@ -23,6 +33,7 @@ from array import array
 from bisect import bisect_left
 from functools import partial
 from itertools import combinations, islice
+from math import comb
 from operator import gt, sub
 from typing import Sequence
 
@@ -37,19 +48,31 @@ COVER_CHUNK = 256
 
 def covers_certified(diagram: poset.HasseDiagram) -> bool:
     """Whether the certificates prove the two cover claims of
-    `checks._check_lattice`: every node admitted, the edges sorted by
-    their lower ends, every edge a unit step, the closure identity at
-    every node, and every cover pair's join a tight node.  False proves
-    nothing."""
+    `checks._check_lattice`: every node the word of its id
+    (`nodes_are_words`), the edges sorted by their lower ends, every
+    edge a unit step, the closure identity at every node, and every
+    cover pair's join a tight node.  False proves nothing."""
     size, lo = len(diagram.ranks), diagram.lo
-    if (not poset._lanes_admitted(diagram.n, diagram.columns)
-            or any(map(gt, lo, islice(lo, 1, None)))):
+    if not nodes_are_words(diagram) or any(map(gt, lo, islice(lo, 1, None))):
         return False
     steps = unit_steps(diagram)
     if steps is None:
         return False
     starts = array("q", (bisect_left(diagram.lo, t) for t in range(size + 1)))
     return closure_holds(diagram, steps, starts) and cover_joins_tight(diagram, starts)
+
+
+def nodes_are_words(diagram: poset.HasseDiagram) -> bool:
+    """Whether every node t's row is the vector of the t-th canonical
+    word: the columns, one byte a node, pass `poset._word_bits`, and the
+    inversion bits it reads are `poset._inversion_columns(n)`.  Word
+    vectors are admitted, their triple defects being those bits and
+    their sums."""
+    n, size = diagram.n, len(diagram.ranks)
+    if list(map(len, diagram.columns)) != [size] * comb(n, 2):
+        return False
+    found = poset._word_bits(n, size, [int.from_bytes(c, "big") for c in diagram.columns])
+    return found == [int.from_bytes(c, "big") for c in poset._inversion_columns(n).values()]
 
 
 def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:

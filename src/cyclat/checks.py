@@ -170,9 +170,19 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
 
     All three are proved from certificates, holding no up-set but those
     of one path (`certificates.covers_certified` for the first two):
-    - Every node is admitted: on the columns read as ints, one byte a
-      lane, every entry is below 0x80, the adjacent entries are 0 and
-      every triple defect is 0 or 1 (`poset._lanes_admitted`).
+    - Node t's row is the vector of the t-th canonical word
+      (`certificates.nodes_are_words`).  On lanes, one byte a vector,
+      `poset._word_bits` passes exactly the vectors v of canonical
+      words: every entry below 0x80, the adjacent entries 0, every
+      B(i, j) = v[1,j] - v[1,i] - v[i,j], 2 <= i < j <= n, 0 or 1, and
+      every B(i,j) + B(j,k) - B(i,k) 0 or 1, so that B is a transitive
+      tournament, the inversion set of one word, and v that word's
+      vector.  The columns pass it, and the B read from them are the
+      words' `poset._inversion_columns(n)`, so the rows are the words'
+      vectors in id order: no row repeats and every word's vector is a
+      row.  Then "is a node" below is that lane test, with no lookup.
+      Word vectors are admitted: their triple defects are the B(i, j)
+      and those sums.
     - Every edge is a unit step: its upper row is its lower row plus 1
       in one coordinate k, read from the rows, not the labels
       (`certificates.unit_steps`).  Then a cover c = x + e_k has
@@ -198,8 +208,9 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       among the nodes.  The square's lanes are cut from the columns
       (`HasseDiagram.square_tight_bounds`), the sample's gathered from
       the node rows.
-    The bound certificate rests on the nodes' admission, so it is read
-    only where the cover certificates hold.  If a certificate declines,
+    The bound certificate rests on the first of these, that the rows
+    are the words' vectors, so it is read only where the cover
+    certificates hold.  If a certificate declines,
     a walk decides and names the witness: `_cover_failure` node by node
     from the top rank, then `_pair_failure` pair by pair on the up-sets
     and down-sets.

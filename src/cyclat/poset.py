@@ -144,8 +144,11 @@ class HasseDiagram:
     the rows, one byte a pair, and `bounds` also takes the meets, as
     the joins of the dual lanes (`_column_meets`); each result row is
     read back through `vec_index`.  `tight_joins` and `tight_bounds` run
-    the same recursions as certificates: each result row is a node's,
-    and each result is tight for its pair (`_column_tight`).
+    the same recursions as certificates, on the result lanes with no
+    row and no `vec_index`: each result lane is a word's vector
+    (`_word_bits`), so a node's row once `certificates.nodes_are_words`
+    has tied the rows to the words, and each result is tight for its
+    pair (`_column_tight`).
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
@@ -300,8 +303,10 @@ class HasseDiagram:
             self.n, size, *(_dual_lanes(self.n, size, c) for c in (us, vs, meets)))
 
     def _nodes(self, size: int, columns: Sequence[int]) -> bool:
-        """Whether every lane of the columns is a node's row."""
-        return set(_split_rows(size, columns)) <= self.vec_index.keys()
+        """Whether every lane of the columns is a node's row: the vector
+        of a canonical word (`_word_bits`), which is a node's row where
+        `certificates.nodes_are_words` holds."""
+        return _word_bits(self.n, size, columns) is not None
 
     @property
     def bottom(self) -> int:
@@ -492,19 +497,42 @@ def _triple_defects(n: int, v: dict[tuple[int, int], int]
         yield (i, j, k), v[i, k] - v[i, j] - v[j, k]
 
 
-def _lanes_admitted(n: int, columns: Sequence[bytes]) -> bool:
-    """Whether every lane of the columns is an admitted vector, tested
-    on all of them at once on `_lane_ints`: no entry reaches 0x80, so
-    the lowest failing lane of a triple defect borrows nothing and shows
-    its own failure; the adjacent entries are 0, and every triple defect
-    is 0 or 1."""
-    v = _lane_ints(n, columns)
-    size = len(columns[0]) if columns else 0
-    high = int.from_bytes(b"\x80" * size, "little")
-    if reduce(or_, v.values(), 0) & high or any(v[i, i + 1] for i in range(1, n)):
-        return False
-    not_bits = int.from_bytes(b"\xfe" * size, "little")
-    return not any(d & not_bits for _, d in _triple_defects(n, v))
+def _word_bits(n: int, size: int, columns: Sequence[int]) -> list[int] | None:
+    """The inversion bits B(i, j) = v[1,j] - v[1,i] - v[i,j],
+    2 <= i < j <= n in lexicographic order, of the lanes of the columns
+    v, each column one int, a byte a lane, in the pair order of
+    `_vector_columns`; None unless every lane is the vector of a
+    canonical word of order n.
+
+    A lane is one exactly when its entries are below 0x80, its adjacent
+    entries v[i,i+1] are 0, every B(i, j) is 0 or 1, and every
+    B(i,j) + B(j,k) - B(i,k), i < j < k, is 0 or 1.  For B is then a
+    tournament on 2..n with no 3-cycle (the sum is -1 or 2 on those),
+    so it is transitive, and B(i, j) = [j before i] for exactly one
+    canonical word w.  The adjacent entries being 0, v[1,j] is the sum
+    of B(k, k+1) over k < j (B(1, 2) = 0), and so v[i,j], which is
+    v[1,j] - v[1,i] - B(i, j), is w's by `_vector_columns`' formula.
+    Conversely a word's vector has entries at most n - 2 and passes.
+    These sums are v's triple defects (B(i, j) those at (1, i, j)), so
+    a lane passes iff it is admitted.  Each difference runs on whole
+    columns: below the lowest failing lane every lane holds 0 or 1 and
+    borrows nothing, so that lane shows a bit of 0xfe (L. Lamport,
+    *Multiple byte processing with full-word instructions*, CACM 18(8),
+    1975), and one AND a difference tests every lane.
+    """
+    v = dict(zip(combinations(range(1, n + 1), 2), columns))
+    ones = int.from_bytes(b"\1" * size, "big")
+    every = reduce(or_, columns, 0)
+    if every < 0 or every >> 8 * size or every & 0x80 * ones or any(
+            v[i, i + 1] for i in range(1, n)):
+        return None
+    letters = range(2, n + 1)
+    b = {(i, j): v[1, j] - v[1, i] - v[i, j] for i, j in combinations(letters, 2)}
+    not_bits = 0xfe * ones
+    if any(d & not_bits for d in chain(b.values(), (
+            b[i, j] + b[j, k] - b[i, k] for i, j, k in combinations(letters, 3)))):
+        return None
+    return list(b.values())
 
 
 def _split_rows(size: int, columns: Sequence[bytes | int]) -> Iterator[bytes]:

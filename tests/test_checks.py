@@ -531,7 +531,7 @@ class TestLatticeCertificates:
         size = len(diagram.ranks)
         steps = certificates.unit_steps(diagram)
         starts = [diagram.edges_above(t).start for t in range(size)] + [len(diagram.lo)]
-        assert poset._lanes_admitted(5, diagram.columns)
+        assert certificates.nodes_are_words(diagram)
         assert steps is not None and certificates.closure_holds(diagram, steps, starts)
         assert not certificates.cover_joins_tight(diagram, starts)
         expected = lattice_by_pairs(diagram)
@@ -578,7 +578,32 @@ class TestLatticeCertificates:
         diagram = mutant()
         assert [diagram.columns[kernels.pair_index(5, *ij)][diagram.top]
                 for ij in ((1, 3), (3, 5), (1, 5))] == [1, 1, 1]
-        assert not poset._lanes_admitted(5, diagram.columns)
+        assert not certificates.nodes_are_words(diagram)
+        assert not certificates.covers_certified(diagram)
+        expected = lattice_by_pairs(mutant())
+        assert not expected[0]
+        assert lattice_outcome(monkeypatch, diagram) == expected
+
+    @pytest.mark.parametrize("tie", ["repeat", "swap"])
+    def test_rows_that_are_not_the_words_in_id_order(self, monkeypatch, tie):
+        # every row is still some word's vector, so the columns pass the
+        # lane test, but the rows are not the words' in id order: one
+        # node of rank 2 holds the other's row, or the two swap rows.
+        # Only the inversion bits read from the columns tell, and the
+        # check's verdict and witness are the walk's
+        x, y = [t for t, rank in enumerate(build(5).ranks) if rank == 2][:2]
+
+        def mutant():
+            rows = list(build(5).rows)
+            rows[x], rows[y] = (rows[y], rows[y]) if tie == "repeat" else (rows[y], rows[x])
+            diagram = build(5)
+            diagram.columns = tuple(map(bytes, zip(*rows)))  # set before any use
+            return diagram
+
+        diagram = mutant()
+        columns = [int.from_bytes(column, "big") for column in diagram.columns]
+        assert poset._word_bits(5, len(diagram.ranks), columns) is not None
+        assert not certificates.nodes_are_words(diagram)
         assert not certificates.covers_certified(diagram)
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
@@ -618,8 +643,9 @@ class TestLatticeCertificates:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_passing_run_takes_the_fast_path(self, monkeypatch, n):
-        # neither walk runs, and no down-set is computed: the meets are
-        # proved on the dual lanes
+        # neither walk runs, no down-set is computed (the meets are
+        # proved on the dual lanes), and no row is looked up: "is a
+        # node" is tested on the lanes
         def refuse(*args):
             raise AssertionError("a passing run left the fast path")
 
@@ -627,6 +653,7 @@ class TestLatticeCertificates:
         below_mask = poset.HasseDiagram.below_mask
         monkeypatch.setattr(checks, "_cover_failure", refuse)
         monkeypatch.setattr(checks, "_pair_failure", refuse)
+        monkeypatch.setattr(poset.HasseDiagram, "vec_index", property(refuse))
         monkeypatch.setattr(poset.HasseDiagram, "below_mask",
                             lambda self, y: below.append(y) or below_mask(self, y))
         assert checks.run_check("lattice", n).passed
@@ -635,9 +662,10 @@ class TestLatticeCertificates:
     def test_cover_pass_holds_no_up_sets(self):
         # beyond the diagram and the views it reads, the n = 8 cover pass
         # allocates less than 512 KB at its peak; a walk that holds the
-        # up-sets of three ranks, rank by rank from the top, takes 0.89 MB
+        # up-sets of three ranks, rank by rank from the top, takes 0.89 MB.
+        # The pass reads no vec_index, so none is built
         diagram = build(8)
-        diagram.at_least, diagram.rows, diagram.vec_index
+        diagram.at_least, diagram.rows
         tracemalloc.start()
         try:
             assert certificates.covers_certified(diagram)
@@ -645,6 +673,7 @@ class TestLatticeCertificates:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+        assert "vec_index" not in vars(diagram)
 
 
 class TestLatticeBlocks:
@@ -1051,7 +1080,8 @@ class TestSharedDiagram:
     @pytest.mark.parametrize("name, view", [
         ("modularity", "words"), ("triangulation", "vec_index"),
         ("triangulation", "rows"), ("semidistributive", "rows"),
-        ("semidistributive", "vec_index"), ("young", "rows"), ("young", "vec_index")])
+        ("semidistributive", "vec_index"), ("young", "rows"), ("young", "vec_index"),
+        ("lattice", "vec_index")])
     def test_check_leaves_a_view_unbuilt(self, monkeypatch, name, view):
         built = built_diagrams(monkeypatch)
         assert checks.run_check(name, 6).passed

@@ -12,7 +12,7 @@ from math import comb, factorial
 from operator import and_, or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclat import _pykernels, checks, kernels, oracle, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
@@ -326,9 +326,9 @@ class TestVectorColumns:
 
         monkeypatch.setattr(kernels, "word_vector", refuse)
         assert build(6).at_least
-        if name != "lattice":  # the lattice check's bounds read both
+        monkeypatch.setattr(HasseDiagram, "vec_index", property(refuse))
+        if name != "lattice":  # the lattice check gathers its lanes from the rows
             monkeypatch.setattr(HasseDiagram, "rows", property(refuse))
-            monkeypatch.setattr(HasseDiagram, "vec_index", property(refuse))
         assert checks.run_check(name, 6).passed
 
 
@@ -512,6 +512,64 @@ class TestAdjacentLanes:
             out = column_op(n, size, us, us)
             assert [out[c] for c in adjacent] == [0] * (n - 1)
             assert _lanes(size, out) == _lanes(size, us)
+
+
+def _box(n):
+    """Every vector of order n with 0 <= v[i,j] <= j - i - 1, so with the
+    adjacent entries 0: the nodes' vectors and many that are none."""
+    return list(product(*(range(j - i) for i, j in combinations(range(1, n + 1), 2))))
+
+
+class TestNodeLanes:
+    """The certificates' "is a node", `HasseDiagram._nodes`, is a lane
+    test on int columns (`poset._word_bits`), with no row and no
+    `vec_index`."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_vec_index_on_the_box(self, n):
+        # 34,560 lanes at n = 6; a one-lane column is the entry itself
+        diagram = build(n)
+        box = _box(n)
+        verdicts = [diagram._nodes(1, list(v)) for v in box]
+        assert verdicts == [bytes(v) in diagram.vec_index for v in box]
+        assert diagram._nodes(len(box), _columns(box)) == all(verdicts) == (n < 4)
+        nodes = [v for v, ok in zip(box, verdicts) if ok]
+        assert len(nodes) == len(diagram.ranks)
+        assert diagram._nodes(len(nodes), _columns(nodes))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(4, 9),
+           kind=st.sampled_from(["negative", "cycle", "adjacent", "0x7f", "0x80"]))
+    def test_one_failing_lane_fails_the_batch(self, data, n, kind):
+        # the failing lane sits between word vectors, in both lane
+        # orders: the lanes below it lend it no borrow, and the lanes
+        # above may take its borrow
+        def word():
+            return (1, *data.draw(st.permutations(range(2, n + 1))))
+
+        pairs = list(combinations(range(1, n + 1), 2))
+        v = dict(zip(pairs, kernels.word_vector(word())))
+        b = {(i, j): v[1, j] - v[1, i] - v[i, j] for i, j in pairs if i > 1}
+        if kind == "negative":  # B(i, j) = -1
+            i, j = data.draw(st.sampled_from([(i, j) for i, j in b if j > i + 1]))
+            v[i, j] = v[1, j] - v[1, i] + 1
+        elif kind == "cycle":  # B(i,j) = B(j,k) != B(i,k), each 0 or 1
+            i, j, k = data.draw(st.sampled_from(list(combinations(range(2, n + 1), 3))))
+            assume(b[i, j] == b[j, k] and v[1, k] - v[1, i] >= 1 - b[i, j])
+            v[i, k] = v[1, k] - v[1, i] - (1 - b[i, j])
+        elif kind == "adjacent":
+            i = data.draw(st.integers(1, n - 1))
+            v[i, i + 1] = 1
+        else:
+            v[data.draw(st.sampled_from(pairs))] = int(kind, 16)
+        bad = tuple(v.values())
+        below, above = ([kernels.word_vector(word()) for _ in range(data.draw(st.integers(1, 3)))]
+                        for _ in range(2))
+        lanes = [*below, bad, *above]
+        alone = [poset._word_bits(n, 1, list(lane)) is not None for lane in lanes]
+        assert alone == [lane is not bad for lane in lanes]
+        for order in (lanes, lanes[::-1]):
+            assert (poset._word_bits(n, len(order), _columns(order)) is not None) == all(alone)
 
 
 class TestDualDiagram:
