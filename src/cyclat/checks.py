@@ -18,7 +18,10 @@ to the dual join.  `lattice` proves all its claims by certificates,
 with one argument for the cover pairs and the tested pairs alike: each
 lane join is a node and tight, and so is each lane meet on the dual
 lanes; a walk on up-sets and down-sets runs only where a certificate
-declines, to name the witness.
+declines, to name the witness.  The lane join and the lane meet are
+symmetric in the pair, since the lane-wise max is, so `lattice` proves
+each unordered pair of the square once, on the lane (x, y) with x <= y
+by id: that lane's certificate proves the bounds of (x, y) and (y, x).
 
 `triangulation` and `interval` build no diagram and no per-element
 object: they test every node at once on its vector columns read as
@@ -205,15 +208,23 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       third claim is a node, and M - m is tight for M - y and M - z,
       M[i,j] = j - i - 1: v -> M - v maps admitted vectors to admitted
       vectors and reverses the order, so m is the greatest lower bound
-      among the nodes.  The square's lanes are cut from the columns
-      (`HasseDiagram.square_tight_bounds`), the sample's gathered from
-      the node rows.
+      among the nodes.  The sample's lanes are gathered from the node
+      rows.  The square's are cut from the columns, one lane for each
+      unordered pair, (x, y) with x <= y by id: N(N + 1)/2 lanes
+      (`HasseDiagram.square_tight_bounds`).  `poset._lane_max`'s `pick`
+      is the lane-wise max, which is symmetric, so `_column_joins(us,
+      vs)` equals `_column_joins(vs, us)` lane for lane,
+      `_column_meets` likewise, and `_column_tight` reads the same
+      sides.  A certified lane (x, y) therefore proves the bounds of
+      both (x, y) and (y, x), and `stats.pairs` counts the N * N
+      ordered pairs.
     The bound certificate rests on the first of these, that the rows
     are the words' vectors, so it is read only where the cover
     certificates hold.  If a certificate declines,
     a walk decides and names the witness: `_cover_failure` node by node
     from the top rank, then `_pair_failure` pair by pair on the up-sets
-    and down-sets.
+    and down-sets, over every ordered pair x-major, so the witness is
+    the one a walk over the whole square meets.
 
     The joins and meets come from the recursion of `join_flat`, run on
     lanes, one byte a pair (`poset._column_joins`, after L. Lamport,
@@ -395,8 +406,9 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
 
     The check tests each step instead of trusting the argument:
     - the counts of each of the Catalan(n-2) triangulations;
-    - the counts of each flip of each, one per interior diagonal, which
-      `mutate` must perform, so a flip keeps the sum of every vector;
+    - each flip of each, one per interior diagonal, which `mutate` must
+      perform, is one of them, so its counts are tested too and a flip
+      keeps the sum of every vector;
     - each of the (n-1)! vectors of order n, admitted and summed over
       one triangulation, node t over triangulation t mod Catalan(n-2),
       so every triangle of every triangulation is summed.
@@ -416,6 +428,7 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
         return True, None
     expected = {(1, n): 1} | {(i, i + 1): -1 for i in range(1, n)}
     tris = vectors.all_triangulations(n)
+    valid = {t.triangles for t in tris}
     for t in tris:
         if _signed_edge_counts(t) != expected:
             return False, {"triangles": sorted(t.triangles)}
@@ -424,7 +437,7 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
                 flipped = vectors.mutate(t, q)
             except QuadNotFlippableError:
                 return False, {"flip": q}
-            if _signed_edge_counts(flipped) != expected:
+            if flipped.triangles not in valid:
                 return False, {"flip": q}
     columns = poset._vector_columns(n)
     size = len(columns[0])

@@ -278,10 +278,18 @@ class HasseDiagram:
         return self._tight_bounds(len(xs), self._lanes(xs), self._lanes(ys))
 
     def square_tight_bounds(self) -> bool:
-        """`tight_bounds` of every ordered pair (x, y), x-major, on lanes
-        cut from the columns (`_square_lanes`)."""
+        """`tight_bounds` of every ordered pair (x, y) of the square,
+        proved on its triangle x <= y (`_triangle_lanes`).
+
+        `_lane_max`'s `pick` is the lane-wise max, which is symmetric.
+        So `_column_joins(us, vs)` equals `_column_joins(vs, us)` lane
+        for lane, `_column_meets` likewise (it joins the dual lanes),
+        and `_column_tight` reads the two sides only through `pick`.  A
+        certified lane (x, y) therefore proves the bounds of both (x, y)
+        and (y, x): N(N + 1)/2 lanes prove the N * N ordered pairs."""
         nodes = range(len(self.ranks))
-        return self._tight_bounds(len(nodes) ** 2, *_square_lanes(self.n, self.columns, nodes))
+        return self._tight_bounds(len(nodes) * (len(nodes) + 1) // 2,
+                                  *_triangle_lanes(self.n, self.columns, nodes))
 
     def _lanes(self, ids: Sequence[int]) -> list[int]:
         return _gather(self.n, self.rows, ids)
@@ -568,16 +576,16 @@ def _gather(n: int, rows: Sequence[bytes], ids: Sequence[int]) -> list[int]:
     return columns
 
 
-def _square_lanes(n: int, columns: Sequence[bytes], xs: Sequence[int]) -> tuple[list[int], ...]:
+def _triangle_lanes(n: int, columns: Sequence[bytes], xs: Sequence[int]) -> tuple[list[int], ...]:
     """`_gather` of the pairs (x, y) for each x of xs in turn and each
-    node y in id order, cut from the columns instead of the rows: a
-    column's x side is x's byte repeated once per node, for each x, and
-    its y side the whole column repeated once per x."""
+    node y >= x in id order, cut from the columns instead of the rows:
+    a column's x side is x's byte repeated once per such y, and its y
+    side the column from x on."""
     us, vs = [0] * len(columns), [0] * len(columns)
     for ij, _ in _fill_plan(n):
         column = columns[ij]
-        us[ij] = int.from_bytes(b"".join(column[x:x + 1] * len(column) for x in xs), "big")
-        vs[ij] = int.from_bytes(column * len(xs), "big")
+        us[ij] = int.from_bytes(b"".join(column[x:x + 1] * (len(column) - x) for x in xs), "big")
+        vs[ij] = int.from_bytes(b"".join(column[x:] for x in xs), "big")
     return us, vs
 
 

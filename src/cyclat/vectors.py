@@ -394,7 +394,14 @@ def triangulation_sum(v: AdmittedVector, t: Triangulation) -> int:
 
 
 def mutate(t: Triangulation, quad: Sequence[int]) -> Triangulation:
-    """Flip the diagonal of the quadrilateral `quad` inside t."""
+    """Flip the diagonal of the quadrilateral `quad` inside t.
+
+    A flip of a triangulation is a triangulation: the two triangles on
+    one diagonal of the convex quadrilateral a < b < c < d give way to
+    the two on the other, with the same four sides.  So the result is
+    built without rerunning `Triangulation.__post_init__`'s tests, the
+    pairwise crossing tests above all.
+    """
     a, b, c, d = sorted(quad)
     if len({a, b, c, d}) != 4:
         raise QuadNotFlippableError(f"not a 4-set: {quad!r}")
@@ -408,4 +415,7 @@ def mutate(t: Triangulation, quad: Sequence[int]) -> Triangulation:
     else:
         raise QuadNotFlippableError(
             f"quad {quad!r} is not triangulated by a diagonal in t")
-    return Triangulation(t.n, frozenset(new))
+    flipped = object.__new__(Triangulation)
+    object.__setattr__(flipped, "n", t.n)
+    object.__setattr__(flipped, "triangles", frozenset(new))
+    return flipped

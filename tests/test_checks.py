@@ -359,22 +359,32 @@ def wrong_lanes_at(diagram, x, y, z, meet=False):
 
 
 def corrupt_square_lanes(diagram, op, corrupted):
-    """poset._column_joins (for op "meet", poset._column_meets), but on
-    the lanes of the whole square, one batch of nodes * nodes lanes,
-    each lane k with (op, k) in `corrupted` holds a wrong node: the
-    bottom for a join, the top for a meet.  The joins also see the
-    meets' dual lanes, so a corrupted join lane also makes that lane's
-    meet the top."""
+    """poset._column_joins (for op "meet", poset._column_meets), but
+    wrong on the pairs of `corrupted`: for each (op, k) in it, the pair
+    of lane k of the square, divmod(k, nodes), holds a wrong node, the
+    bottom for a join and the top for a meet.  In the square's
+    certificate, one batch of the triangle's nodes * (nodes + 1) / 2
+    lanes, that is the lane of the unordered pair; in the walk's batch
+    of the whole square, lane k, so the walk meets the same first
+    failure as before the triangle.  The joins also see the meets' dual
+    lanes, so a corrupted join lane also makes that lane's meet the
+    top."""
     column_op = poset._column_meets if op == "meet" else poset._column_joins
     nodes = len(diagram.ranks)
     wrong = vector(diagram, diagram.top if op == "meet" else diagram.bottom)
+    pairs = {(bound, tuple(sorted(divmod(k, nodes)))) for bound, k in corrupted}
+    triangle = [(x, y) for x in range(nodes) for y in range(x, nodes)]
 
     def bounds(n, size, us, vs):
         out = column_op(n, size, us, vs)
-        if size != nodes * nodes:
+        if size == len(triangle):
+            wrong_at = [(op, pair) in pairs for pair in triangle]
+        elif size == nodes * nodes:
+            wrong_at = [(op, k) in corrupted for k in range(size)]
+        else:
             return out
-        return lane_columns(wrong if (op, k) in corrupted else lane
-                            for k, lane in enumerate(lane_vectors(size, out)))
+        return lane_columns(wrong if bad else lane
+                            for bad, lane in zip(wrong_at, lane_vectors(size, out)))
     return bounds
 
 
@@ -463,20 +473,24 @@ class TestLatticeCheck:
         pytest.param({("meet", 9000), ("join", 5000)}, "join", 5000, 6, id="n6-join-5000"),
         pytest.param({("join", 9001), ("meet", 3001)}, "meet", 3001, 6, id="n6-meet-3001")])
     def test_first_failing_lane_of_the_square(self, monkeypatch, corrupted, op, k, n):
-        # the square is one batch, 576 lanes at n = 5 and 14,400 at
-        # n = 6, the pair (x, y) in lane (nodes) x + y: the first
-        # corrupted pair fails, at its join before its meet, also when a
-        # later lane holds another.  The meets run the patched join on
-        # the dual lanes, which only makes more meets wrong, and no
-        # earlier one.
+        # the certificate proves each unordered pair once, in one batch of
+        # the triangle (300 lanes at n = 5, 7,260 at n = 6), and declines
+        # on a corrupted pair; the walk then takes the whole square as one
+        # batch (576 and 14,400 lanes), the pair (x, y) in lane
+        # (nodes) x + y: the first corrupted pair fails, at its join
+        # before its meet, also when a later lane holds another.  The
+        # meets run the patched join on the dual lanes, which only makes
+        # more meets wrong, and no earlier one.
         diagram = build(n)
         for name, bound in (("_column_meets", "meet"), ("_column_joins", "join")):
             monkeypatch.setattr(poset, name, corrupt_square_lanes(diagram, bound, corrupted))
         assert checks._cover_failure(diagram) is None
+        assert not diagram.square_tight_bounds()
         report = checks.run_check("lattice", n)
         assert not report.passed
         assert report.witness == {"op": op, "pair": [
             word_text(diagram.words[t]) for t in divmod(k, len(diagram.ranks))]}
+        assert lattice_by_pairs(diagram) == (False, report.witness)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lattice_calls_no_pair_kernel(self, monkeypatch, n):

@@ -466,15 +466,39 @@ class TestColumnBounds:
 
 
 class TestSquareLanes:
+    """The square certificate proves each unordered pair once, on the
+    lanes of its triangle x <= y cut from the columns."""
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_square_lanes_are_the_gathered_lanes(self, n):
         diagram = build(n)
         size = len(diagram.ranks)
         rows = range(size // 3, size // 3 + min(size, 24) // 2 + 1)
-        xs = [x for x in rows for _ in range(size)]
-        ys = list(range(size)) * len(rows)
-        assert poset._square_lanes(n, diagram.columns, rows) == \
+        xs = [x for x in rows for _ in range(x, size)]
+        ys = [y for x in rows for y in range(x, size)]
+        assert poset._triangle_lanes(n, diagram.columns, rows) == \
             (poset._gather(n, diagram.rows, xs), poset._gather(n, diagram.rows, ys))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lane_bounds_are_symmetric_in_the_pair(self, n):
+        # what lets the triangle stand for the square: on every ordered
+        # pair, swapping the sides gives the same join and meet columns,
+        # and the same tightness, on the bounds and on a wrong result
+        diagram = build(n)
+        size = len(diagram.ranks)
+        xs = [x for x in range(size) for _ in range(size)]
+        ys = list(range(size)) * size
+        us, vs = (poset._gather(n, diagram.rows, ids) for ids in (xs, ys))
+        lanes = len(xs)
+        joins = poset._column_joins(n, lanes, us, vs)
+        meets = poset._column_meets(n, lanes, us, vs)
+        assert poset._column_joins(n, lanes, vs, us) == joins
+        assert poset._column_meets(n, lanes, vs, us) == meets
+        duals = [poset._dual_lanes(n, lanes, c) for c in (us, vs, meets)]
+        for side, other, result, tight in ((us, vs, joins, True), (*duals, True),
+                                           (us, vs, meets, n < 3)):
+            assert poset._column_tight(n, lanes, side, other, result) == tight
+            assert poset._column_tight(n, lanes, other, side, result) == tight
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_square_bounds_are_the_gathered_bounds(self, monkeypatch, n):

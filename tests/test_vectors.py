@@ -511,6 +511,24 @@ class TestTriangulations:
         assert flipped.triangles == frozenset({(1, 2, 4), (2, 3, 4)})
         assert mutate(flipped, (1, 2, 3, 4)) == t
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_flips_need_no_revalidation(self, n):
+        # `mutate` skips `Triangulation.__post_init__`: every flip of
+        # every triangulation passes it anyway and is a triangulation
+        tris = all_triangulations(n)
+        valid = {t.triangles for t in tris}
+        count = 0
+        for t in tris:
+            for quad in combinations(range(1, n + 1), 4):
+                try:
+                    flipped = mutate(t, quad)
+                except QuadNotFlippableError:
+                    continue
+                assert flipped == Triangulation(n, flipped.triangles)
+                assert flipped.triangles in valid
+                count += 1
+        assert count == len(tris) * (n - 3)  # one flip per interior diagonal
+
     def test_unflippable_quad_rejected(self):
         t = fan_triangulation(6)
         with pytest.raises(QuadNotFlippableError):
