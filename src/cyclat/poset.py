@@ -11,11 +11,13 @@ blocks of `EXPORT_BLOCK` rows by one % call, from n (which gives the
 node labels), the ranks and the edge rows: `to_dot` and `to_json`
 read them from a built diagram's columns, and `export_pieces`, whose
 blocks `cyclat poset` writes out one by one, from `_prefix_ranks` and
-`_cover_rows`, with no diagram.  Eulerian cover statistics count the
-same cover rows, with no kernel; everything else queries the diagram:
-rank grading, the Moebius function, semidistributivity and modularity
-scans, rank truncations against the partition order, and conjugators
-of upward paths.
+`_cover_rows`, with no diagram.  Eulerian cover statistics are counted
+by transfer matrix over (set of letters placed, last letter), with no
+diagram, no kernel and no pass over the cycles (`cover_histogram`);
+the stream of `_cover_rows` is their cross-check in the tests.
+Everything else queries the diagram: rank grading, the Moebius
+function, semidistributivity and modularity scans, rank truncations
+against the partition order, and conjugators of upward paths.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import re
 import struct
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
@@ -54,9 +55,9 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes about 30 s at a
+    under 5 minutes and 600 MB: `check all 10` takes about 19 s at a
     318 MB peak in a fresh process on a shared 2-vCPU host
-    (`BENCH_lattice_tight.json`), and `build(11)` alone peaks at
+    (`BENCH_eulerian_transfer.json`), and `build(11)` alone peaks at
     about 1.2 GB.  `eulerian n` builds no diagram and is refused for
     n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
@@ -385,8 +386,9 @@ def _cover_rows(n: int) -> Iterator[list[tuple[int, int, int, int]]]:
       number of earlier nodes ending in s; a running count per last
       letter gives it in O(1).
 
-    `build`, the exports and `verify_descent_distribution` all read
-    these rows.
+    `build` and the exports read these rows; the tests count them
+    against `cover_histogram`, which counts the same covers with no
+    pass over the words.
     """
     m = n - 1
     weight = [factorial(m - 1 - j) for j in range(m)] + [0]  # G above
@@ -691,20 +693,65 @@ def eulerian_row(n: int) -> tuple[int, ...]:
     return tuple(eulerian(n, k) for k in range(max(n, 1)))
 
 
+def cover_histogram(n: int) -> dict[int, int]:
+    """How many cycles of order n+1 have k large circular descents, by k.
+
+    The cycles are the words (1, p), p a permutation of 2..n+1, and a
+    large circular descent is a factor l b with l > b + 1, the
+    wrap-around factor s 1 included: the covers above the cycle in
+    `_cover_rows(n + 1)`.  The count is a transfer matrix over the
+    states (set P of letters placed, last letter l), with no pass over
+    the n! words.  The value of a state is the polynomial sum of x^k
+    over the prefixes that reach it, k their descents so far; the
+    empty prefix sits at l = 1.  Placing b after l multiplies by x when
+    l > b + 1, so the state (P + b, b) sums the states (P, l) split at
+    l = b + 1, and closing the word with its 1 is placing b = 1 after
+    the whole set.  Each set keeps its values as sums over l <= j, so
+    every transition is two lookups.
+
+    A polynomial is one int, coefficient k in the k-th field of
+    `factorial(n).bit_length()` bits.  No coefficient of any value, or
+    of any partial sum over l, counts more than the n! words, which is
+    below 2^width, so no field ever carries into the next and adding
+    and subtracting the ints adds and subtracts the polynomials.
+    """
+    width = factorial(n).bit_length()
+    top = n + 2  # sums[j] adds the values of last letters <= j, so b + 1 <= top
+
+    def placed_after(sums: list[int], b: int) -> int:
+        low = sums[b + 1]  # the prefixes whose last letter is at most b + 1
+        return low + ((sums[top] - low) << width)
+
+    layer = {0: [0] + [1] * top}  # the sets of one size; {} holds 1 at l = 1
+    for size in range(1, n + 1):
+        sums = {}
+        for letters in combinations(range(2, n + 2), size):
+            placed = sum(1 << b for b in letters)
+            row = [0] * (top + 1)
+            for b in letters:
+                row[b] = placed_after(layer[placed ^ 1 << b], b)
+            sums[placed] = list(accumulate(row))
+        layer = sums
+    (whole,) = layer.values()
+    poly = placed_after(whole, 1)
+    field = (1 << width) - 1
+    return {k: count for k in range(n + 1) if (count := poly >> k * width & field)}
+
+
 def verify_descent_distribution(n: int) -> dict:
     """Check the cover statistics of the order on cycles in S_{n+1}.
 
-    One pass of `_cover_rows(n + 1)`, with no diagram and no kernel,
-    counts each cycle's covers above: the histogram must equal the
-    Eulerian row a(n, .), so the edge total is sum k * a(n, k).  A
-    cover row is a large circular descent, the predicate of
-    `kernels.descent_count` (p_j > p_{j+1} + 1, and the wrap-around
-    factor s 1 with s > 2), so this is the descent histogram too;
-    `oracle.descents_by_scan` counts that independently.
+    `cover_histogram(n)` counts each cycle's covers above, with no
+    diagram, no kernel and no pass over the cycles: the histogram must
+    equal the Eulerian row a(n, .), so the edge total is
+    sum k * a(n, k).  A cover is a large circular descent, the
+    predicate of `kernels.descent_count`, so this is the descent
+    histogram too.  The tests tie the count to the stream of
+    `_cover_rows(n + 1)` and to `oracle.descents_by_scan`.
     """
-    refuse_over_cap(n or 1)  # the cap holds n itself; n = 0 streams order 1
+    refuse_over_cap(n or 1)  # the cap holds n itself; n = 0 counts order 1
     row = {k: eulerian(n, k) for k in range(max(n, 1)) if eulerian(n, k)}
-    updeg = dict(Counter(map(len, _cover_rows(n + 1))))
+    updeg = cover_histogram(n)
     return {
         "n": n,
         "pass": updeg == row,

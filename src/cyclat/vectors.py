@@ -363,8 +363,28 @@ def fan_triangulation(n: int) -> Triangulation:
     return Triangulation.of(n, [(1, k, k + 1) for k in range(2, n)])
 
 
+def _unchecked(n: int, triangles: frozenset[Triangle]) -> Triangulation:
+    """The triangulation of these triangles, built without running
+    `Triangulation.__post_init__`'s tests; for callers whose
+    construction already proves it valid."""
+    t = object.__new__(Triangulation)
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "triangles", triangles)
+    return t
+
+
 def all_triangulations(n: int) -> list[Triangulation]:
-    """Every triangulation of the n-gon (Catalan(n-2) of them)."""
+    """Every triangulation of the n-gon (Catalan(n-2) of them).
+
+    The polygon's side (first, last) lies in exactly one triangle
+    (first, t, last), and the rest splits into the two polygons on
+    either side of it.  The recursion glues each triangulation of the
+    left side to each of the right side and adds that triangle, so each
+    result is a triangulation by construction: its triangles lie in
+    disjoint sub-polygons and cross nothing.  The results are built
+    without rerunning `Triangulation.__post_init__`'s tests, the
+    pairwise crossing tests above all.
+    """
     if n < 3:
         raise InvalidTriangulationError(f"polygon needs n >= 3, got {n}")
 
@@ -380,7 +400,7 @@ def all_triangulations(n: int) -> list[Triangulation]:
                     out.append(left | right | {tri})
         return out
 
-    return [Triangulation(n, ts) for ts in rec(tuple(range(1, n + 1)))]
+    return [_unchecked(n, ts) for ts in rec(tuple(range(1, n + 1)))]
 
 
 def triangulation_sum(v: AdmittedVector, t: Triangulation) -> int:
@@ -415,7 +435,4 @@ def mutate(t: Triangulation, quad: Sequence[int]) -> Triangulation:
     else:
         raise QuadNotFlippableError(
             f"quad {quad!r} is not triangulated by a diagonal in t")
-    flipped = object.__new__(Triangulation)
-    object.__setattr__(flipped, "n", t.n)
-    object.__setattr__(flipped, "triangles", frozenset(new))
-    return flipped
+    return _unchecked(t.n, frozenset(new))

@@ -12,11 +12,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclat import affine, certificates, checks, kernels, perm, poset, vectors
+from cyclat import affine, certificates, checks, kernels, oracle, perm, poset, vectors
 from cyclat.errors import NotAdmittedError, QuadNotFlippableError
 from cyclat.oracle import join_by_search, order_by_closure
 from cyclat.perm import CircularPermutation, word_text
-from cyclat.poset import bits, build, compose_transposition
+from cyclat.poset import bits, build, compose_transposition, eulerian_row
 from cyclat.vectors import AdmittedVector, cycle_to_vector
 
 
@@ -318,6 +318,26 @@ class TestEulerianStream:
 
         monkeypatch.setattr(kernels, "descent_count", refuse)
         assert checks.run_check("eulerian", n).passed
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_counts_with_no_pass_over_the_cycles(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("eulerian enumerated the cycles")
+
+        # the stream and the scan are the tests' cross-checks of the count
+        monkeypatch.setattr(poset, "_cover_rows", refuse)
+        monkeypatch.setattr(oracle, "descents_by_scan", refuse)
+        report = checks.run_check("eulerian", n)
+        assert report.passed and report.witness is None
+
+    def test_failure_reports_the_counts(self, monkeypatch):
+        wrong = {0: 1, 1: 25, 2: 67, 3: 26, 4: 1}
+        monkeypatch.setattr(poset, "cover_histogram", lambda n: wrong)
+        report = checks.run_check("eulerian", 5)
+        assert not report.passed
+        assert report.witness == {"n": 5, "eulerian_row": dict(enumerate(eulerian_row(5))),
+                                  "cover_histogram": wrong, "edges": 241,
+                                  "expected_edges": 240}
 
 
 def without_edge(diagram, k):

@@ -355,6 +355,7 @@ class TestCheck:
             raise AssertionError(f"enumerated order {n}")
 
         monkeypatch.setattr(poset, "_cover_rows", enumerate_anyway)
+        monkeypatch.setattr(poset, "cover_histogram", enumerate_anyway)
         monkeypatch.setattr(oracle, "descents_by_scan", enumerate_anyway)
         code, out, err = run(capsys, "check", "eulerian", "11")
         assert code == 2 and out == ""

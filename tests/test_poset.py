@@ -32,6 +32,7 @@ from cyclat.poset import (
     check_semidistributive,
     compare,
     conjugator_formula,
+    cover_histogram,
     eulerian,
     eulerian_row,
     grading_report,
@@ -243,8 +244,9 @@ class TestLehmerBuild:
 
 
 class TestCoverRows:
-    """`_cover_rows` is the one cover rule: `build`, the exports and
-    `verify_descent_distribution` read its rows."""
+    """`_cover_rows` is the one cover rule: `build` and the exports read
+    its rows, and its stream is the tests' reference for the count of
+    `cover_histogram`."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_are_the_kernel_covers_by_upper_id(self, n):
@@ -647,6 +649,37 @@ class TestEulerian:
         from math import factorial
         for n in range(1, 9):
             assert sum(eulerian(n, k) for k in range(n)) == factorial(n)
+
+
+class TestCoverHistogram:
+    """`cover_histogram` counts by transfer matrix what the stream of
+    `_cover_rows` and the scan of `oracle.descents_by_scan` count one
+    cycle at a time; `TestDescentDistribution` ties it to the diagram's
+    up-degrees."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_the_stream_of_cover_rows(self, n):
+        streamed = {}
+        for ups in poset._cover_rows(n + 1):
+            streamed[len(ups)] = streamed.get(len(ups), 0) + 1
+        assert cover_histogram(n) == streamed
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_the_descent_scan(self, n):
+        assert cover_histogram(n) == oracle.descents_by_scan(n)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_is_the_eulerian_row(self, n):
+        assert cover_histogram(n) == {k: a for k, a in enumerate(eulerian_row(n)) if a}
+
+    def test_counts_past_the_cap_with_no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated the cycles")
+
+        monkeypatch.setattr(poset, "_cover_rows", refuse)
+        monkeypatch.setattr(poset, "permutations", refuse)
+        monkeypatch.setenv("CYCLAT_MAX_N", "4")
+        assert cover_histogram(14) == dict(enumerate(eulerian_row(14)))
 
 
 class TestDescentDistribution:

@@ -3,6 +3,7 @@ triangulations."""
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -480,6 +481,15 @@ class TestTriangulations:
     def test_counts_are_catalan(self):
         assert [len(all_triangulations(n)) for n in (3, 4, 5, 6, 7)] == \
             [1, 2, 5, 14, 42]
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_enumeration_needs_no_revalidation(self, n):
+        # `all_triangulations` skips `Triangulation.__post_init__`: every
+        # result passes it anyway, and they are distinct
+        tris = all_triangulations(n)
+        assert len(tris) == comb(2 * (n - 2), n - 2) // (n - 1)  # Catalan(n - 2)
+        assert all(t == Triangulation.of(n, t.triangles) for t in tris)
+        assert len({t.triangles for t in tris}) == len(tris)
 
     def test_fan_is_valid(self):
         for n in range(3, 9):
