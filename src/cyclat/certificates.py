@@ -3,13 +3,13 @@
 `checks._check_lattice` claims that the order is the closure of its
 covers and that every two upper covers of a node have a join.
 `covers_certified` proves both from the diagram's columns and rows,
-holding no up-set but those of one path of the diagram:
-`nodes_are_words` proves node t's row the vector of the t-th canonical
-word, `unit_steps` every edge on its two rows read as ints,
-`closure_holds` every node along a spanning tree, and
-`cover_joins_tight` the cover pairs' joins a batch at a time
-(`HasseDiagram.tight_joins`).  The lane arithmetic stays in
-`cyclat.poset`; this module holds the argument.
+holding no up-set and no threshold mask: `nodes_are_words` proves node
+t's row the vector of the t-th canonical word, `unit_steps` every edge
+a unit step on its two rows read as ints, `steps_are_covers` the edges
+exactly the admitted unit steps x + e_k, which the exchange lemma below
+makes the closure, and `cover_joins_tight` the cover pairs' joins a
+batch at a time (`HasseDiagram.tight_joins`).  The lane readers stay
+in `cyclat.poset`; this module holds the argument.
 The check's third claim, on the bounds of its tested pairs, rests on
 the same tightness, with the meets on the dual lanes
 (`HasseDiagram.tight_bounds`).
@@ -22,6 +22,54 @@ passes on the diagram's columns, and the B it reads there equal
 t-th word's vector: no two rows are equal, and every word's vector is
 a row.  A result lane that passes `_word_bits` is therefore some node's
 row, and the certificates never build `vec_index`.
+
+The exchange lemma: for admitted vectors x < z (componentwise) some
+x + e_k is admitted and lies below z.  Write D(i, p, j) =
+x[i,j] - x[i,p] - x[p,j], i < p < j, for the triple defects of x, each
+0 or 1, and a for `affine.window_of_vector(x)`:
+a_i = i + sum_{p<i} x[p,i] - sum_{p>i} x[i,p].  The references are to
+A. Bjorner and F. Brenti, *Combinatorics of Coxeter Groups*, Springer,
+2005.
+1. For i < j, a_j - a_i - n x[i,j] = (j - i) - sum_{i<p<j} D(i,p,j)
+   + sum_{p<i} D(p,i,j) + sum_{p>j} D(i,j,p).  Expand a_j - a_i and
+   write each x[i,p] + x[p,j] (i < p < j) as x[i,j] - D(i,p,j), each
+   x[p,j] - x[p,i] (p < i) as x[i,j] + D(p,i,j) and each
+   x[i,p] - x[j,p] (p > j) as x[i,j] + D(i,j,p): x[i,j] is counted
+   2 + (j - i - 1) + (i - 1) + (n - j) = n times.  The j - i - 1 inner
+   defects take off at most j - i - 1, and the n - 1 - (j - i) outer
+   ones add at most as many, so the residue lies in [1, n - 1].
+2. So a is the window of an affine permutation (§8.3): its entries sum
+   to n(n + 1)/2, each x[p,i] entering once with each sign, and by 1
+   they are distinct mod n.  It is increasing, its consecutive gaps
+   a_{i+1} - a_i are below n (x[i,i+1] = 0), and its counts
+   floor((a_j - a_i)/n) are x[i,j].
+3. The position inversions of an increasing window, the pairs (p, q)
+   with 1 <= p <= n, p < q and a(p) > a(q), are the (j, i + m n),
+   i < j, 1 <= m <= floor((a_j - a_i)/n), a(i + m n) being a_i + m n.
+   So between increasing windows inversion containment is count
+   containment, and the length is the sum of the counts.  The windows
+   that are increasing with consecutive gaps below n are exactly those
+   whose inversion sets avoid every (p, q), 1 <= p < q <= n, and every
+   (i + 1, i + n), 1 <= i < n.  The left weak order is containment of
+   position-inversion sets (§3.1, §8.3), so these windows form a lower
+   set of it.
+4. The counts c of a window of that lower set are admitted:
+   c[i,i+1] = 0, and c[i,j] - c[i,p] - c[p,j] is
+   floor(A + B) - floor(A) - floor(B), 0 or 1, for
+   A = (a_p - a_i)/n and B = (a_j - a_p)/n.
+5. Let u and w be the windows of x < z.  By 2 and 3, u < w in the left
+   weak order: w = s_1 ... s_m u with the lengths adding, m >= 1, and
+   s = s_m has u < s u <= w (the chain property, §3.1).  s u lies in
+   the lower set, and its inversion set is u's with one pair more and
+   within w's.  So by 3 its counts are x + e_k for one k, below z, and
+   by 4 they are admitted.
+6. An admitted vector's entries are at most n - 2, so x + e_k is a
+   canonical word's vector by `poset._word_bits`' argument, hence a
+   node's row (`nodes_are_words`), and by `steps_are_covers` an upper
+   cover of x through an edge.  So every node z > x lies above a cover
+   of x.  By induction on the sum of z - x, Up(x) is bit x OR the
+   up-sets of x's covers, and every edge is a unit step up: the order
+   is the closure of the edges.
 A certificate that declines proves nothing: the check then walks the
 claims node by node (`checks._cover_failure`), which decides and names
 the witness.
@@ -34,7 +82,7 @@ from bisect import bisect_left
 from functools import partial
 from itertools import combinations, islice
 from math import comb
-from operator import gt, sub
+from operator import lt, sub
 from typing import Sequence
 
 from cyclat import poset
@@ -49,17 +97,16 @@ COVER_CHUNK = 256
 def covers_certified(diagram: poset.HasseDiagram) -> bool:
     """Whether the certificates prove the two cover claims of
     `checks._check_lattice`: every node the word of its id
-    (`nodes_are_words`), the edges sorted by their lower ends, every
-    edge a unit step, the closure identity at every node, and every
-    cover pair's join a tight node.  False proves nothing."""
-    size, lo = len(diagram.ranks), diagram.lo
-    if not nodes_are_words(diagram) or any(map(gt, lo, islice(lo, 1, None))):
+    (`nodes_are_words`), every edge a unit step (`unit_steps`), the
+    edges exactly the admitted unit steps (`steps_are_covers`), and
+    every cover pair's join a tight node.  False proves nothing."""
+    if not nodes_are_words(diagram):
         return False
     steps = unit_steps(diagram)
-    if steps is None:
+    if steps is None or not steps_are_covers(diagram, steps):
         return False
-    starts = array("q", (bisect_left(diagram.lo, t) for t in range(size + 1)))
-    return closure_holds(diagram, steps, starts) and cover_joins_tight(diagram, starts)
+    starts = array("q", (bisect_left(diagram.lo, t) for t in range(len(diagram.ranks) + 1)))
+    return cover_joins_tight(diagram, starts)
 
 
 def nodes_are_words(diagram: poset.HasseDiagram) -> bool:
@@ -78,46 +125,55 @@ def nodes_are_words(diagram: poset.HasseDiagram) -> bool:
 def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
     """The coordinate k of each edge whose upper row is its lower row
     plus 1 at k, in edge order; None if some edge is no such step.  The
-    rows are read as ints, a byte a coordinate, so the step is their
-    difference, 256 ** (C - 1 - k); no admitted entry is 255, so it
-    carries nothing."""
+    rows are read as ints, a byte a coordinate, once a node, so the step
+    is their difference, 256 ** (C - 1 - k); no admitted entry is 255,
+    so it carries nothing."""
     width = len(diagram.rows[0])
     unit = {256 ** (width - 1 - k): k for k in range(width)}
-    rows = diagram.rows.__getitem__
-    as_int = partial(int.from_bytes, byteorder="big")
-    highs, lows = map(as_int, map(rows, diagram.hi)), map(as_int, map(rows, diagram.lo))
+    row_int = list(map(partial(int.from_bytes, byteorder="big"), diagram.rows)).__getitem__
+    highs, lows = map(row_int, diagram.hi), map(row_int, diagram.lo)
     try:
         return bytes(map(unit.__getitem__, map(sub, highs, lows)))
     except KeyError:
         return None
 
 
-def closure_holds(diagram: poset.HasseDiagram, steps: bytes, starts: Sequence[int]) -> bool:
-    """Whether the closure identity holds at every node x, the edges of
-    x being `starts[x]:starts[x + 1]` and their coordinates `steps`:
-    Up(x) & ~OR{at_least[k][x_k + 1] : k in K(x)} == bit x.  Up(x) is
-    Up(p) & at_least[k][x_k] for the first lower cover p = x - e_k, the
-    lower end of the first edge up to x, and above_mask at a node with
-    none; the tree of first lower covers is walked depth first, so only
-    the up-sets of one path are held."""
-    at_least, columns, hi = diagram.at_least, diagram.columns, diagram.hi
-    first = bytearray(len(hi))  # first[e]: edge e is the first edge up to hi[e]
-    reached = bytearray(len(diagram.ranks))
-    for e, t in enumerate(hi):
-        if not reached[t]:
-            reached[t] = first[e] = 1
-    stack = [(t, None, diagram.above_mask(t)) for t, seen in enumerate(reached) if not seen]
-    while stack:
-        x, k, up = stack.pop()
-        if k is not None:
-            up &= at_least[k][columns[k][x]]
-        higher = 0
-        for c in steps[starts[x]:starts[x + 1]]:
-            higher |= at_least[c][columns[c][x] + 1]
-        if up ^ (up & higher) != 1 << x:  # up & ~higher, with no negative int
-            return False
-        stack += [(hi[e], steps[e], up) for e in range(starts[x], starts[x + 1]) if first[e]]
-    return True
+def admitted_steps(diagram: poset.HasseDiagram) -> list[int]:
+    """For each coordinate k, in the pair order of the columns, the lanes
+    of the nodes x whose x + e_k is admitted, as one int, bit 8t set
+    iff node t is one.  Read where `nodes_are_words` holds, so every
+    lane of every `poset._triple_defects` D on `poset._lane_ints` is 0
+    or 1 and borrows nothing.  Raising x[i,j] raises D by 1 where (i, j)
+    is the long side of the triple and lowers it by 1 where it is a
+    short side; so x + e_k is admitted iff the first D are 0 and the
+    others 1.  An adjacent k is the long side of no triple, and x + e_k
+    is never admitted there: it has no lanes."""
+    n, size = diagram.n, len(diagram.ranks)
+    ones = int.from_bytes(b"\1" * size, "little")
+    lanes = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
+    for (i, p, j), d in poset._triple_defects(n, poset._lane_ints(n, diagram.columns)):
+        lanes[i, j] &= ones - d
+        lanes[i, p] &= d
+        lanes[p, j] &= d
+    return list(lanes.values())
+
+
+def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
+    """Whether the edges, the coordinate k of each edge's step being
+    `steps`, are exactly the admitted unit steps x + e_k of the nodes:
+    the edges strictly increase in (lo, hi), so none repeats, and for
+    each k the `admitted_steps` lanes are as many as the edges whose
+    step is k.  An edge of step k from x has x + e_k as its upper row,
+    so x is one of those lanes; two such edges from one x would end at
+    one row, which is one node (`nodes_are_words`), and so repeat.  The
+    edges of step k then take each lane once, and equal counts leave
+    no admitted step without its edge.  The module docstring's
+    exchange lemma makes that the closure."""
+    edges = zip(diagram.lo, diagram.hi)
+    if not all(map(lt, edges, islice(zip(diagram.lo, diagram.hi), 1, None))):
+        return False
+    return [lanes.bit_count() for lanes in admitted_steps(diagram)] == \
+        list(map(steps.count, range(len(diagram.columns))))
 
 
 def cover_joins_tight(diagram: poset.HasseDiagram, starts: Sequence[int]) -> bool:

@@ -15,13 +15,18 @@ of the dual lanes M - v, M[i,j] = j - i - 1 (cycle inversion).  So
 scan of the diagram calls a per-pair kernel; the tests tie `join_flat`
 and `meet_flat` to the lane recursion pair for pair, and `meet_flat`
 to the dual join.  `lattice` proves all its claims by certificates,
-with one argument for the cover pairs and the tested pairs alike: each
-lane join is a node and tight, and so is each lane meet on the dual
-lanes; a walk on up-sets and down-sets runs only where a certificate
-declines, to name the witness.  The lane join and the lane meet are
-symmetric in the pair, since the lane-wise max is, so `lattice` proves
-each unordered pair of the square once, on the lane (x, y) with x <= y
-by id: that lane's certificate proves the bounds of (x, y) and (y, x).
+with no threshold mask.  The closure claim is local: the edges are
+exactly the admitted unit steps x + e_k, read on the lanes of the
+triple defects, and an exchange lemma on the affine windows (proved in
+`cyclat.certificates`) puts an admitted x + e_k below every z > x.  The
+bounds have one argument for the cover pairs and the tested pairs
+alike: each lane join is a node and tight, and so is each lane meet on
+the dual lanes.  A walk on up-sets and down-sets runs only where a
+certificate declines, to name the witness.  The lane join and the lane
+meet are symmetric in the pair, since the lane-wise max is, so
+`lattice` proves each unordered pair of the square once, on the lane
+(x, y) with x <= y by id: that lane's certificate proves the bounds of
+(x, y) and (y, x).
 
 `triangulation` and `interval` build no diagram and no per-element
 object: they test every node at once on its vector columns read as
@@ -153,9 +158,9 @@ _SAMPLE_PAIRS = 10_000  # pairs tested above 120 nodes
 def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     """The order is a lattice, and the lane recursion computes its bounds.
 
-    Three claims, each about the threshold masks of the order, where
-    Up(x) = above_mask(x) is the AND over the coordinates k of
-    at_least[k][x_k]:
+    Three claims, on the up-sets Up(x), the nodes z >= x (which the
+    walks compute as above_mask(x), the AND over the coordinates k of
+    the threshold masks at_least[k][x_k]):
 
     - The order is the closure of the covers: for every node x, Up(x)
       is bit x OR the up-sets of its upper covers.
@@ -169,8 +174,8 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       ordered pair up to 120 nodes, x-major, and on 10,000 seeded pairs
       above.
 
-    All three are proved from certificates, holding no up-set but those
-    of one path (`certificates.covers_certified` for the first two):
+    All three are proved from certificates, holding no up-set and no
+    threshold mask (`certificates.covers_certified` for the first two):
     - Node t's row is the vector of the t-th canonical word
       (`certificates.nodes_are_words`).  On lanes, one byte a vector,
       `poset._word_bits` passes exactly the vectors v of canonical
@@ -186,13 +191,15 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       and those sums.
     - Every edge is a unit step: its upper row is its lower row plus 1
       in one coordinate k, read from the rows, not the labels
-      (`certificates.unit_steps`).  Then a cover c = x + e_k has
-      Up(c) = Up(x) & at_least[k][x_k + 1], so the closure at x is the
-      identity Up(x) & ~OR{at_least[k][x_k + 1] : k in K(x)} == bit x,
-      K(x) the coordinates of x's covers.  Up(x) is
-      Up(p) & at_least[k][x_k], x = p + e_k, along the spanning tree of
-      first lower covers, walked depth first
-      (`certificates.closure_holds`).
+      (`certificates.unit_steps`).  The edges are exactly the admitted
+      unit steps: no edge repeats, and for each k the nodes x with
+      x + e_k admitted, read on the lanes of the triple defects, are as
+      many as the edges of step k (`certificates.steps_are_covers`).
+      The exchange lemma, proved in `cyclat.certificates` from the
+      affine windows of the nodes in the left weak order, gives every
+      two nodes x < z an admitted x + e_k <= z, which is then a node
+      and a cover of x: every z > x lies above a cover of x, and the
+      order is the closure of the covers.
     - The `poset._column_joins` result X of every cover pair, and of
       every pair of the third claim, y, z is a node and is tight:
       X[i,j] == max(y[i,j], z[i,j], X[i,p] + X[p,j], i < p < j) on every
@@ -233,7 +240,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     `vectors.join`/`meet` call, to the lane recursion on every pair the
     check reads up to n = 8.
     """
-    diagram = run.diagram(masks=True)
+    diagram = run.diagram()
     certified = covers_certified(diagram)
     if not certified:
         failure = _cover_failure(diagram)

@@ -64,11 +64,17 @@ def detect_form(body: str, payload: dict | None) -> str:
 def parse_element(text: str, form: str | None = None) -> tuple[str, AdmittedVector]:
     """Parse an element in any incarnation; returns (form, vector).
 
-    A JSON object form may declare its order as "n"; it must agree with
-    the element.
+    A JSON object form holds exactly one of "v" and "window", and may
+    declare its order as "n", which must agree with the element; any
+    other key is refused.
     """
     body = text.strip()
     payload = _load_json(body) if body.startswith("{") else None
+    if payload is not None:
+        if unknown := sorted(payload.keys() - {"n", "v", "window"}):
+            raise CyclatError(f"JSON element has unknown keys {unknown}: {text!r}")
+        if "v" in payload and "window" in payload:
+            raise CyclatError(f'JSON element holds both "v" and "window": {text!r}')
     form = form or detect_form(body, payload)
     if form == "cycle":
         return form, vectors.cycle_to_vector(CircularPermutation.from_text(body))

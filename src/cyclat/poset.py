@@ -55,11 +55,11 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes about 19 s at a
-    318 MB peak in a fresh process on a shared 2-vCPU host
-    (`BENCH_eulerian_transfer.json`), and `build(11)` alone peaks at
-    about 1.2 GB.  `eulerian n` builds no diagram and is refused for
-    n > cap.
+    under 5 minutes and 600 MB: `check all 10` takes 18.7-20.0 s at a
+    320 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
+    3.2-3.6 s of it (`BENCH_lane_closure.json`), and `build(11)` alone
+    peaks at about 1.2 GB.  `eulerian n` builds no diagram and is
+    refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
     """

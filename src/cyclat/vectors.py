@@ -15,7 +15,7 @@ the two directions.  The componentwise order is a lattice; `join` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, NoReturn, Sequence
 
@@ -381,26 +381,24 @@ def all_triangulations(n: int) -> list[Triangulation]:
     either side of it.  The recursion glues each triangulation of the
     left side to each of the right side and adds that triangle, so each
     result is a triangulation by construction: its triangles lie in
-    disjoint sub-polygons and cross nothing.  The results are built
-    without rerunning `Triangulation.__post_init__`'s tests, the
+    disjoint sub-polygons and cross nothing.  Each sub-polygon's
+    triangulations are computed once, on its first and last vertex,
+    and the results keep the order of the unshared recursion.  They are
+    built without rerunning `Triangulation.__post_init__`'s tests, the
     pairwise crossing tests above all.
     """
     if n < 3:
         raise InvalidTriangulationError(f"polygon needs n >= 3, got {n}")
 
-    def rec(poly: tuple[int, ...]) -> list[frozenset[Triangle]]:
-        if len(poly) < 3:
+    @cache
+    def rec(first: int, last: int) -> list[frozenset[Triangle]]:
+        """The triangulations of the polygon first, first + 1, ..., last."""
+        if last - first < 2:
             return [frozenset()]
-        first, last = poly[0], poly[-1]
-        out = []
-        for t in range(1, len(poly) - 1):
-            tri = tuple(sorted((first, poly[t], last)))
-            for left in rec(poly[: t + 1]):
-                for right in rec(poly[t:]):
-                    out.append(left | right | {tri})
-        return out
+        return [left | right | {(first, t, last)} for t in range(first + 1, last)
+                for left in rec(first, t) for right in rec(t, last)]
 
-    return [_unchecked(n, ts) for ts in rec(tuple(range(1, n + 1)))]
+    return [_unchecked(n, ts) for ts in rec(1, n)]
 
 
 def triangulation_sum(v: AdmittedVector, t: Triangulation) -> int:

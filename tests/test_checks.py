@@ -553,6 +553,38 @@ class TestLatticeCertificates:
         expected = lattice_by_pairs(with_edge(diagram, diagram.bottom, w))
         assert lattice_outcome(monkeypatch, mutant) == expected == (True, None)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_admitted_steps_are_the_admitted_vectors(self, n):
+        # lane t of coordinate k is set iff node t's vector plus e_k is
+        # admitted, on every node and coordinate
+        diagram = build(n)
+        lanes = certificates.admitted_steps(diagram)
+        assert len(lanes) == len(diagram.columns)
+        for k, mask in enumerate(lanes):
+            for t, row in enumerate(diagram.rows):
+                raised = tuple(x + (c == k) for c, x in enumerate(row))
+                assert (mask >> 8 * t) & 0xff == kernels.is_admitted_flat(n, raised)
+
+    def test_repeated_edge_in_place_of_a_missing_one(self, monkeypatch):
+        # one edge doubled and another of the same step dropped: every
+        # edge is still a unit step and each step's edges are as many as
+        # its admitted lanes, but the edges repeat, so the certificate
+        # declines and the walk names the node that lost its cover
+        diagram = build(5)
+        steps = certificates.unit_steps(diagram)
+        dropped = max(e for e in range(len(steps)) if steps[e] == steps[0] and e)
+        mutant = with_edge(without_edge(diagram, dropped), diagram.lo[0], diagram.hi[0])
+        mutant_steps = certificates.unit_steps(mutant)
+        assert sorted(mutant_steps) == sorted(steps)
+        assert [lanes.bit_count() for lanes in certificates.admitted_steps(mutant)] == \
+            [mutant_steps.count(k) for k in range(len(diagram.columns))]
+        assert not certificates.steps_are_covers(mutant, mutant_steps)
+        assert not certificates.covers_certified(mutant)
+        expected = lattice_by_pairs(mutant)
+        assert expected[1]["op"] == "order"
+        assert expected[1]["pair"][0] == diagram.name(diagram.lo[dropped])
+        assert lattice_outcome(monkeypatch, mutant) == expected
+
     def test_non_tight_join_lane(self, monkeypatch):
         # a cover pair's join is an upper cover of the true join: a node
         # above both covers, but not tight and not the least
@@ -566,7 +598,7 @@ class TestLatticeCertificates:
         steps = certificates.unit_steps(diagram)
         starts = [diagram.edges_above(t).start for t in range(size)] + [len(diagram.lo)]
         assert certificates.nodes_are_words(diagram)
-        assert steps is not None and certificates.closure_holds(diagram, steps, starts)
+        assert steps is not None and certificates.steps_are_covers(diagram, steps)
         assert not certificates.cover_joins_tight(diagram, starts)
         expected = lattice_by_pairs(diagram)
         assert expected == (False, {"op": "join", "pair": [diagram.name(y), diagram.name(z)]})
@@ -678,8 +710,9 @@ class TestLatticeCertificates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_passing_run_takes_the_fast_path(self, monkeypatch, n):
         # neither walk runs, no down-set is computed (the meets are
-        # proved on the dual lanes), and no row is looked up: "is a
-        # node" is tested on the lanes
+        # proved on the dual lanes), no row is looked up ("is a node" is
+        # tested on the lanes), and no threshold mask is built (the
+        # closure is proved by the admitted steps)
         def refuse(*args):
             raise AssertionError("a passing run left the fast path")
 
@@ -688,6 +721,7 @@ class TestLatticeCertificates:
         monkeypatch.setattr(checks, "_cover_failure", refuse)
         monkeypatch.setattr(checks, "_pair_failure", refuse)
         monkeypatch.setattr(poset.HasseDiagram, "vec_index", property(refuse))
+        monkeypatch.setattr(poset.HasseDiagram, "at_least", property(refuse))
         monkeypatch.setattr(poset.HasseDiagram, "below_mask",
                             lambda self, y: below.append(y) or below_mask(self, y))
         assert checks.run_check("lattice", n).passed
@@ -697,9 +731,10 @@ class TestLatticeCertificates:
         # beyond the diagram and the views it reads, the n = 8 cover pass
         # allocates less than 512 KB at its peak; a walk that holds the
         # up-sets of three ranks, rank by rank from the top, takes 0.89 MB.
-        # The pass reads no vec_index, so none is built
+        # The pass reads no vec_index and no threshold mask, so neither
+        # is built
         diagram = build(8)
-        diagram.at_least, diagram.rows
+        diagram.rows
         tracemalloc.start()
         try:
             assert certificates.covers_certified(diagram)
@@ -708,6 +743,7 @@ class TestLatticeCertificates:
             tracemalloc.stop()
         assert peak < 512 * 1024
         assert "vec_index" not in vars(diagram)
+        assert "at_least" not in vars(diagram)
 
 
 class TestLatticeBlocks:
@@ -1091,12 +1127,13 @@ class TestSharedDiagram:
             return build(order)
 
         monkeypatch.setattr(checks, "build", counting_build)
-        # eulerian streams order n + 1 and builds no diagram
+        # eulerian counts order n + 1 and builds no diagram; lattice reads
+        # no threshold mask, so semidistributive computes them
         reports = checks.run_all(n)
         assert built == [n]
         assert all(r.passed for r in reports)
         assert [r.check for r in reports if r.phases["build"]] == ["grading"]
-        assert [r.check for r in reports if r.phases["masks"]] == ["lattice"]
+        assert [r.check for r in reports if r.phases["masks"]] == ["semidistributive"]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_run_all_matches_run_check(self, n):

@@ -610,6 +610,24 @@ class TestParseElement:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("forced", [[], ["--as", "vector"], ["--as", "window"]])
+    def test_json_element_with_both_keys_refused(self, capsys, forced):
+        # read as either key, the text would name two different elements
+        element = '{"v":[[0,0],[0]],"window":[1,2]}'
+        code, out, err = run(capsys, "rank", *forced, element)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and '"v" and "window"' in err
+
+    @pytest.mark.parametrize("element", [
+        '{"n":3,"v":[[0,0],[0]],"w":1}',
+        '{"window":[1,2,3],"rank":0}',
+        '{"v":[[0,0],[0]],"V":[]}',
+    ])
+    def test_json_element_with_unknown_keys_refused(self, capsys, element):
+        code, out, err = run(capsys, "rank", element)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "unknown keys" in err
+
     def test_forced_form_needs_its_json_key(self, capsys):
         code, _, err = run(capsys, "rank", "--as", "vector", '{"window":[1,2]}')
         assert code == 2 and '"v" key' in err

@@ -491,6 +491,19 @@ class TestTriangulations:
         assert all(t == Triangulation.of(n, t.triangles) for t in tris)
         assert len({t.triangles for t in tris}) == len(tris)
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_shared_sub_polygons_keep_the_order(self, n):
+        # `triangulation` reads triangulation t mod Catalan(n-2) for node t, so
+        # the shared recursion lists what the unshared one does, in order
+        def unshared(poly):
+            if len(poly) < 3:
+                return [frozenset()]
+            first, last = poly[0], poly[-1]
+            return [left | right | {(first, poly[t], last)} for t in range(1, len(poly) - 1)
+                    for left in unshared(poly[:t + 1]) for right in unshared(poly[t:])]
+
+        assert [t.triangles for t in all_triangulations(n)] == unshared(tuple(range(1, n + 1)))
+
     def test_fan_is_valid(self):
         for n in range(3, 9):
             assert len(fan_triangulation(n).triangles) == n - 2
