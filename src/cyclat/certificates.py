@@ -1,4 +1,4 @@
-"""Certificates of the cover claims of the `lattice` check.
+"""Certificates of the cover claims of the `lattice` and `mobius` checks.
 
 `checks._check_lattice` claims that the order is the closure of its
 covers and that every two upper covers of a node have a join.
@@ -73,6 +73,33 @@ A. Bjorner and F. Brenti, *Combinatorics of Coxeter Groups*, Springer,
 A certificate that declines proves nothing: the check then walks the
 claims node by node (`checks._cover_failure`), which decides and names
 the witness.
+
+Cover independence (`covers_independent`, for `checks._check_mobius`).
+Let node x have the upper covers a_1, ..., a_k, and let O_i be the join
+of those other than a_i.  By Rota's crosscut theorem (G.-C. Rota, *On
+the foundations of combinatorial theory I*, Z. Wahrscheinlichkeitstheorie
+2, 1964), mu(x, y) is the sum of (-1)^|S| over the sets S of covers of
+x whose join is y, the empty set's join being x.
+1. If no a_i lies below O_i, the 2^k joins are distinct.  Two sets
+   S != T differ in some a_i, say a_i in S only.  T's covers are among
+   the others and x lies below each, so T's join lies below O_i, and
+   a_i, which lies below S's join, does not: the joins differ.  Then
+   each y is the join of at most one S, and mu(x, y) is 0, 1 or -1.
+   Conversely, if a_i <= O_i, the covers other than a_i and all k covers
+   have one join, so the test fails exactly where two joins agree.
+2. With k <= 2 there is nothing to test: distinct covers of x are
+   incomparable, so x, a_1, a_2 and a_1 v a_2 are distinct.
+3. The test reads lanes, and a lane O needs only be a node above every
+   cover other than a_i: the join O_i then lies below it, and a_i not
+   below O puts a_i not below O_i.  So every join the certificate takes
+   is tested, a batch at a time, to be a node (`poset._word_bits`) and
+   to lie above both of its sides, lane by lane; the lane recursion
+   need not give the least bound.  The order is componentwise on the
+   rows, and the edges are its covers, as `covers_certified` proves.
+4. In a meet-semidistributive lattice the test passes at every node:
+   a_i ^ a_j = x for j != i, so a_i ^ O_i = x by the law, one cover at
+   a time, and a_i is not below O_i.  `semidistributive` checks the
+   law; the certificate does not rely on it.
 """
 
 from __future__ import annotations
@@ -80,7 +107,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import partial
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import comb
 from operator import lt, sub
 from typing import Sequence
@@ -105,8 +132,7 @@ def covers_certified(diagram: poset.HasseDiagram) -> bool:
     steps = unit_steps(diagram)
     if steps is None or not steps_are_covers(diagram, steps):
         return False
-    starts = array("q", (bisect_left(diagram.lo, t) for t in range(len(diagram.ranks) + 1)))
-    return cover_joins_tight(diagram, starts)
+    return cover_joins_tight(diagram, edge_starts(diagram))
 
 
 def nodes_are_words(diagram: poset.HasseDiagram) -> bool:
@@ -176,6 +202,17 @@ def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
         list(map(steps.count, range(len(diagram.columns))))
 
 
+def edge_starts(diagram: poset.HasseDiagram) -> array:
+    """starts[t], the position of node t's first edge, for every node t,
+    then the edge count: node t's upper covers are
+    hi[starts[t]:starts[t + 1]].  The edges are sorted by lo, so these
+    are the running sums of the up-degrees, counted in one pass."""
+    counts = [0] * (len(diagram.ranks) + 1)
+    for t in diagram.lo:
+        counts[t + 1] += 1
+    return array("q", accumulate(counts))
+
+
 def cover_joins_tight(diagram: poset.HasseDiagram, starts: Sequence[int]) -> bool:
     """Whether the `poset._column_joins` result of every two upper
     covers of every node is a node and tight
@@ -189,3 +226,118 @@ def cover_joins_tight(diagram: poset.HasseDiagram, starts: Sequence[int]) -> boo
         if not diagram.tight_joins(ys, zs):
             return False
     return True
+
+
+def covers_independent(diagram: poset.HasseDiagram, starts: Sequence[int]) -> tuple[list[int], int]:
+    """The nodes at which the cover-independence certificate declines,
+    in id order, and the lane joins it took.  It proves, at every other
+    node x, that no upper cover of x lies below the join of x's other
+    covers, so that mu(x, y) is 0, 1 or -1 for every y (module
+    docstring); x's covers are hi[starts[x]:starts[x + 1]].
+
+    A node of k <= 2 covers needs no join.  The nodes of k >= 3 are
+    taken `COVER_CHUNK` ids at a time and sorted by k, so that the
+    nodes of at least j covers are the lowest lanes of every batch: the
+    last node in lane 0.  A_j holds cover j of those nodes, and on the
+    lanes of the nodes that need it, the prefix joins
+    P_i = A_1 v ... v A_i and the suffix joins S_i = A_i v ... v A_k
+    take k - 2 joins each, and so do the interior
+    O_i = P_(i-1) v S_(i+1), with O_1 = S_2 and O_k = P_(k-1): O_i is
+    the join of the covers other than cover i.  A lane where A_i <= O_i
+    declines its node.  So does every node of a block where some join
+    lane is no node (`poset._word_bits`) or not above both of its sides,
+    and no lane of that block is read further."""
+    n, hi, rows, size = diagram.n, diagram.hi, diagram.rows, len(diagram.ranks)
+    degrees = list(map(sub, islice(starts, 1, None), starts))
+    declined: list[int] = []
+    joins = 0
+    for first in range(0, size, COVER_CHUNK):
+        nodes = sorted([x for x in range(first, min(first + COVER_CHUNK, size)) if degrees[x] >= 3],
+                       key=degrees.__getitem__)
+        if not nodes:
+            continue
+        flags, taken = _dependent_lanes(n, rows, [hi[starts[x]:starts[x + 1]] for x in nodes])
+        joins += taken
+        if flags:
+            declined += (nodes[len(nodes) - 1 - lane] for lane in range(len(nodes))
+                         if flags >> 8 * lane & 0xff)
+    return sorted(declined), joins
+
+
+def _dependent_lanes(n: int, rows: Sequence[bytes], covers: list[tuple[int, ...]]
+                     ) -> tuple[int, int]:
+    """`covers_independent` on one block of nodes, given as their covers
+    sorted by count, the last in lane 0: a nonzero byte in each lane
+    that declines, and the lane joins taken.  Round i joins P_i and
+    S_(k+1-i) in one batch, and one last batch every interior O_i; each
+    batch holds its parts one above the other (`_stack`)."""
+    most, counts = len(covers[-1]), [len(up) for up in covers]
+    # at_least[j]: the lanes of the nodes with at least j covers
+    at_least = [len(covers) - bisect_left(counts, j) for j in range(most + 2)]
+    a = [None] + [poset._gather(n, rows, [up[j - 1] for up in covers[len(covers) - at_least[j]:]])
+                  for j in range(1, most + 1)]
+    taken, sound = 0, True  # sound: every join lane a node above both its sides
+
+    def join(*pairs: tuple[list[int], list[int], int]) -> list[list[int]]:
+        nonlocal taken, sound
+        lanes = [count for _, _, count in pairs]
+        us, vs = (_stack([(pair[side], count) for pair, count in zip(pairs, lanes)])
+                  for side in (0, 1))
+        size = sum(lanes)
+        out = poset._column_joins(n, size, us, vs)
+        taken += size
+        guard = int.from_bytes(b"\x80" * size, "big")
+        sound = sound and poset._word_bits(n, size, out) is not None and \
+            _lanes_above(out, us, size) == _lanes_above(out, vs, size) == guard
+        return _unstack(out, lanes)
+
+    prefix, suffix = {1: a[1]}, {most: a[most]}  # P_i, S_i on the lanes of >= i + 1, >= i covers
+    for i in range(2, most):
+        j = most + 1 - i
+        prefix[i], joined = join((prefix[i - 1], a[i], at_least[i + 1]),
+                                 (a[j], suffix[j + 1], at_least[j + 1]))
+        suffix[j] = _splice(a[j], joined, at_least[j + 1])
+    interior = join(*((prefix[i - 1], suffix[i + 1], at_least[i + 1]) for i in range(2, most)))
+    if not sound:
+        return (1 << 8 * len(covers)) - 1, taken
+    others = [None, suffix[2], *(_splice(prefix[i - 1], joined, at_least[i + 1])
+                                 for i, joined in zip(range(2, most), interior)), prefix[most - 1]]
+    flags = 0  # the lanes are aligned at lane 0, so the ORs line up
+    for i in range(1, most + 1):
+        flags |= _lanes_above(others[i], a[i], at_least[i])
+    return flags, taken
+
+
+def _lanes_above(highs: Sequence[int], lows: Sequence[int], lanes: int) -> int:
+    """0x80 in each of the lanes where highs lies above lows in every
+    column, on lanes below 0x80 as `poset._column_joins`."""
+    guard = int.from_bytes(b"\x80" * lanes, "big")
+    above = guard
+    for high, low in zip(highs, lows):
+        above &= (high | guard) - low
+    return above
+
+
+def _stack(parts: list[tuple[list[int], int]]) -> list[int]:
+    """One batch of the parts, each given as its columns and the count
+    of their lowest lanes it takes: the first part in the highest lanes."""
+    out = [0] * len(parts[0][0])
+    for columns, lanes in parts:
+        low = (1 << 8 * lanes) - 1
+        out = [o << 8 * lanes | c & low for o, c in zip(out, columns)]
+    return out
+
+
+def _unstack(columns: list[int], lanes: list[int]) -> list[list[int]]:
+    """The parts of a `_stack` batch, of these counts of lanes."""
+    parts = []
+    for count in reversed(lanes):
+        low = (1 << 8 * count) - 1
+        parts.append([c & low for c in columns])
+        columns = [c >> 8 * count for c in columns]
+    return parts[::-1]
+
+
+def _splice(high: list[int], low: list[int], lanes: int) -> list[int]:
+    """high's columns with their lowest lanes those of low."""
+    return [h >> 8 * lanes << 8 * lanes | c for h, c in zip(high, low)]

@@ -5,8 +5,8 @@ returns a CheckReport.  Every claim is checked exhaustively at every n
 but one: from n = 7 on, `lattice` tests the joins and meets against the
 bounds on 10,000 seeded pairs instead of on every ordered pair.
 
-`lattice` and `modularity` take their joins and meets, and `mobius`
-its joins, many pairs at a time: the recursion of the kernel
+`lattice`, `modularity` and `mobius` take their joins, and the first
+two their meets, many pairs at a time: the recursion of the kernel
 `join_flat`, run on vector columns, one byte a pair, with guard bits
 for the lane-wise max (L. Lamport, *Multiple byte processing with
 full-word instructions*, CACM 18(8), 1975), and the meets as the joins
@@ -26,7 +26,10 @@ certificate declines, to name the witness.  The lane join and the lane
 meet are symmetric in the pair, since the lane-wise max is, so
 `lattice` proves each unordered pair of the square once, on the lane
 (x, y) with x <= y by id: that lane's certificate proves the bounds of
-(x, y) and (y, x).
+(x, y) and (y, x).  `mobius` proves mu(x, .) in {0, 1, -1} at every
+node x whose upper covers are independent, none below the join of the
+others (`certificates.covers_independent`), from prefix and suffix
+joins on the lanes; Rota's crosscut runs only where that declines.
 
 `triangulation` and `interval` build no diagram and no per-element
 object: they test every node at once on its vector columns read as
@@ -50,7 +53,7 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import poset, vectors
-from cyclat.certificates import covers_certified
+from cyclat.certificates import covers_certified, covers_independent, edge_starts
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -142,9 +145,28 @@ def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
 
 
 def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
+    """mu(x, y) is 0, 1 or -1 for every two nodes x <= y.
+
+    `certificates.covers_independent` proves it at every node x none of
+    whose upper covers lies below the join of the others: by Rota's
+    crosscut theorem the joins of the sets of x's covers are then
+    distinct, so each y >= x has at most one term.  That takes 3(k - 2)
+    lane joins at a node of k >= 3 covers, and none below.  Where the
+    certificate declines, in id order, the crosscut itself decides
+    (`poset.mobius_from`): x's table of joins, one per set of covers.
+    The first x whose table holds a join that is no node fails with
+    y None; the first with a value out of range, with the lowest such y
+    by rank, then id, and its mu.  A certificate that declines nowhere,
+    as on every order up to 10, builds no table and no `vec_index`.
+    `stats` counts the lane joins (`joins`) and the nodes walked
+    (`crosscut`)."""
     diagram = run.diagram()
-    ids = range(len(diagram.ranks))
-    for x, mu in zip(ids, poset.mobius_from(diagram, ids)):
+    declined, joins = covers_independent(diagram, edge_starts(diagram))
+    run.stats.update(joins=joins, crosscut=len(declined))
+    crosscut = poset.mobius_from(diagram, declined) if declined else ()
+    for x, mu in zip(declined, crosscut):
+        if None in mu:
+            return False, {"x": diagram.name(x), "y": None}
         bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
         if bad:
             y = min(bad, key=lambda t: (diagram.ranks[t], t))

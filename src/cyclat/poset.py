@@ -55,10 +55,10 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes 18.7-20.0 s at a
-    320 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
-    3.2-3.6 s of it (`BENCH_lane_closure.json`), and `build(11)` alone
-    peaks at about 1.2 GB.  `eulerian n` builds no diagram and is
+    under 5 minutes and 600 MB: `check all 10` takes 14.3-17.8 s at a
+    322 MB peak in a fresh process on a shared 2-vCPU host, `mobius`
+    2.8-4.5 s of it (`BENCH_mobius_independence.json`), and `build(11)`
+    alone peaks at about 1.2 GB.  `eulerian n` builds no diagram and is
     refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
@@ -783,7 +783,8 @@ def mobius(diagram: HasseDiagram, x: int, y: int) -> int:
 
 def mobius_from(diagram: HasseDiagram, xs: Iterable[int]) -> Iterator[dict[int, int]]:
     """For each node id x of xs in turn, the nonzero values mu(x, y)
-    over y >= x; every other y has mu 0.
+    over y >= x; every other y has mu 0.  If some join is no node, the
+    dict also has the key None, and x's table grows no further.
 
     Rota's crosscut theorem: mu(x, y) is the sum of (-1)^|S| over the
     sets S of upper covers of x whose join is y.  x's table lists the
@@ -798,7 +799,8 @@ def mobius_from(diagram: HasseDiagram, xs: Iterable[int]) -> Iterator[dict[int, 
         tables = [[x] for x in block]  # tables[i][mask]: join of the covers in mask
         covers = [diagram.up[x] for x in block]
         for k in range(max(map(len, covers))):
-            grow = [(table, up[k]) for table, up in zip(tables, covers) if len(up) > k]
+            grow = [(table, up[k]) for table, up in zip(tables, covers)
+                    if len(up) > k and None not in table]
             joined = iter(diagram.joins([y for table, _ in grow for y in table],
                                         [c for table, c in grow for _ in table]))
             for table, _ in grow:
@@ -807,7 +809,7 @@ def mobius_from(diagram: HasseDiagram, xs: Iterable[int]) -> Iterator[dict[int, 
             mu: dict[int, int] = {}
             for mask, y in enumerate(table):
                 mu[y] = mu.get(y, 0) + (-1 if mask.bit_count() % 2 else 1)
-            yield {y: value for y, value in mu.items() if value}
+            yield {y: value for y, value in mu.items() if value or y is None}
 
 
 def kappa_failure(diagram: HasseDiagram, law: str) -> tuple[int, int, int] | None:

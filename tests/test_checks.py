@@ -1,10 +1,13 @@
 """The `alpha` check's edge potential against chain enumeration, the
 `interval` check's single pass, the `lattice` check's claims against
-the bound search, the `triangulation` check against the direct loops,
-and the diagram `run_all` shares among the checks."""
+the bound search, the `mobius` check's certificate against the subset
+joins of the bound search and its walk against the scan of every node,
+the `triangulation` check against the direct loops, and the diagram
+`run_all` shares among the checks."""
 
 import random
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import replace
 from itertools import combinations, islice
 from types import SimpleNamespace
@@ -790,6 +793,58 @@ class TestLatticeBlocks:
         assert (report.passed, report.witness) == expected
 
 
+def mobius_by_scan(diagram):
+    """The `mobius` check as it ran before its certificate, the reference
+    of the walk: the crosscut table of every node, in id order, a join
+    that is no node failing as the walk's does."""
+    ids = range(len(diagram.ranks))
+    for x, mu in zip(ids, poset.mobius_from(diagram, ids)):
+        if None in mu:
+            return False, {"x": diagram.name(x), "y": None}
+        bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
+        if bad:
+            y = min(bad, key=lambda t: (diagram.ranks[t], t))
+            return False, {"x": diagram.name(x), "y": diagram.name(y), "mu": mu[y]}
+    return True, None
+
+
+def repeated_subset_joins(diagram):
+    """The nodes x two of whose sets of upper covers have one join, the
+    joins found by `oracle.join_by_search` (the empty set's is x)."""
+    closure = order_by_closure(diagram)
+    found = []
+    for x, up in enumerate(diagram.up):
+        joins = []
+        for size in range(len(up) + 1):
+            for subset in combinations(up, size):
+                join = x
+                for cover in subset:
+                    join = join_by_search(closure, join, cover)
+                joins.append(join)
+        if len(set(joins)) < len(joins):
+            found.append(x)
+    return found
+
+
+def cover_join_mutant(monkeypatch, n, x, pair, subset):
+    """`_column_joins` with the join of covers `pair` of node x (by
+    position among its covers) the true join of its covers `subset`, x
+    for the empty set."""
+    diagram = build(n)
+    up = diagram.up[x]
+    wrong = x
+    for k in subset:
+        (wrong,) = diagram.joins([wrong], [up[k]])
+    monkeypatch.setattr(poset, "_column_joins",
+                        wrong_lanes_at(diagram, up[pair[0]], up[pair[1]], wrong))
+    return diagram
+
+
+def declined(diagram):
+    """The nodes at which the certificate of `mobius` declines."""
+    return certificates.covers_independent(diagram, certificates.edge_starts(diagram))[0]
+
+
 class TestMobiusCheck:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_mobius_calls_no_pair_kernel(self, monkeypatch, n):
@@ -799,6 +854,104 @@ class TestMobiusCheck:
         monkeypatch.setattr(kernels, "join_flat", refuse)
         monkeypatch.setattr(kernels, "meet_flat", refuse)
         assert checks.run_check("mobius", n).passed
+
+
+class TestCoverIndependence:
+    """The certificate of `mobius` against the subset joins of the bound
+    search, the mutants it declines, and the fast path."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_declines_where_subset_joins_repeat(self, n):
+        # on every node: none declines, and none has two sets of covers
+        # with one join; the joins taken are 3(k - 2) at k >= 3 covers
+        diagram = build(n)
+        found, joins = certificates.covers_independent(
+            diagram, certificates.edge_starts(diagram))
+        assert found == repeated_subset_joins(diagram) == []
+        assert joins == sum(3 * (len(up) - 2) for up in diagram.up if len(up) >= 3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_edge_starts_are_the_first_edges(self, n):
+        diagram = build(n)
+        expected = [bisect_left(diagram.lo, t) for t in range(len(diagram.ranks) + 1)]
+        assert list(certificates.edge_starts(diagram)) == expected
+        mutant = with_edge(diagram, diagram.bottom, diagram.top)
+        assert list(certificates.edge_starts(mutant)) == [
+            bisect_left(mutant.lo, t) for t in range(len(mutant.ranks) + 1)]
+
+    def test_dependent_cover_the_crosscut_passes(self, monkeypatch):
+        # at n = 5 the one node of three covers: the join of its first two
+        # is that of all three, a node above both, so cover 3 lies below
+        # it.  The certificate declines there alone, and the crosscut
+        # finds the values in range: the table holds that join twice,
+        # with opposite signs
+        x = next(t for t, up in enumerate(build(5).up) if len(up) == 3)
+        diagram = cover_join_mutant(monkeypatch, 5, x, (0, 1), (0, 1, 2))
+        assert declined(diagram) == [x]
+        report = checks.run_check("mobius", 5)
+        assert (report.passed, report.witness) == mobius_by_scan(diagram) == (True, None)
+        assert report.stats == {"joins": 3, "crosscut": 1}
+
+    def test_dependent_cover_the_crosscut_fails(self, monkeypatch):
+        # at n = 6, node (1,6,4,2,5,3) of four covers: the join of its last
+        # two is that of all four, so covers 1 and 2 lie below the others'.
+        # The certificate declines there alone, and the crosscut counts
+        # that join once for each of the two sets, +2
+        x = [build(6).name(t) for t in range(120)].index("(1,6,4,2,5,3)")
+        diagram = cover_join_mutant(monkeypatch, 6, x, (2, 3), (0, 1, 2, 3))
+        assert declined(diagram) == [x]
+        expected = mobius_by_scan(diagram)
+        assert expected[1]["x"] == diagram.name(x) and expected[1]["mu"] == 2
+        report = checks.run_check("mobius", 6)
+        assert (report.passed, report.witness) == expected
+        assert report.stats["crosscut"] == 1
+
+    def test_join_below_its_sides_declines_the_block(self, monkeypatch):
+        # the join of covers 1 and 2 of the n = 5 node is the node itself,
+        # below both: no cover lies below the others' lane join, but the
+        # lane test of the sides declines the block, here that node alone,
+        # and the crosscut counts the node twice, +2
+        x = next(t for t, up in enumerate(build(5).up) if len(up) == 3)
+        diagram = cover_join_mutant(monkeypatch, 5, x, (0, 1), ())
+        assert declined(diagram) == [x]
+        expected = mobius_by_scan(diagram)
+        assert expected[1] == {"x": diagram.name(x), "y": diagram.name(x), "mu": 2}
+        report = checks.run_check("mobius", 5)
+        assert (report.passed, report.witness) == expected
+
+    def test_join_that_is_no_node_fails(self, monkeypatch):
+        # 0x7f in the last column of the first pair of every batch, its
+        # highest lane: that join is no node.  The certificate declines the
+        # node whose lane it is, and the crosscut there meets the join
+        # and fails, naming it; before, the crosscut counted the lookup's
+        # None as one more join, and the check passed
+        column_joins = poset._column_joins
+
+        def corrupt(n, size, us, vs):
+            out = column_joins(n, size, us, vs)
+            first = 8 * (size - 1)
+            return [*out[:-1], out[-1] & ~(0xff << first) | 0x7f << first] if size else out
+
+        monkeypatch.setattr(poset, "_column_joins", corrupt)
+        diagram = build(5)
+        (x,) = declined(diagram)
+        report = checks.run_check("mobius", 5)
+        assert not report.passed
+        assert report.witness == {"x": diagram.name(x), "y": None}
+        assert report.stats["crosscut"] == 1
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_passing_run_takes_the_fast_path(self, monkeypatch, n):
+        # no crosscut table, no row looked up, and the covers read from
+        # the edge columns: vec_index, mobius_from and up are refused
+        def refuse(*args):
+            raise AssertionError("a passing run left the fast path")
+
+        monkeypatch.setattr(poset, "mobius_from", refuse)
+        monkeypatch.setattr(poset.HasseDiagram, "vec_index", property(refuse))
+        monkeypatch.setattr(poset.HasseDiagram, "up", property(refuse))
+        report = checks.run_check("mobius", n)
+        assert report.passed and report.stats["crosscut"] == 0
 
 
 def flips(t):
@@ -1036,6 +1189,13 @@ class TestWitnessBranches:
     def test_mobius_value_out_of_range_fails(self, monkeypatch):
         x, top = 3, build(5).top
         mobius_from = poset.mobius_from
+        covers_independent = checks.covers_independent
+
+        def declining_at_x(diagram, starts):  # so that the crosscut runs at x
+            found, joins = covers_independent(diagram, starts)
+            return sorted({x, *found}), joins
+
+        monkeypatch.setattr(checks, "covers_independent", declining_at_x)
 
         def wrong_at_x(diagram, ts):
             ts = list(ts)

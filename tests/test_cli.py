@@ -306,15 +306,15 @@ class TestPoset:
 # "phases" dropped, dumped with sorted keys: any change to a verdict, a
 # witness or a count breaks these.
 CHECK_DIGESTS = {
-    1: "9a917958c8e3ff4e5d1a76d1971c20e253a32017490de6bbfc6b6c5be5e62de6",
-    2: "c69f4b7d8d0b6f859f0c3ae37b4c7a0e5666cbbb904bd6389fc9224e07ad4ed8",
-    3: "6bd93f782ae27dba4969b152556d89cd4de0d79c123efd13b137d98991d77d36",
-    4: "4f35cc98d6b85b1d52b46da3575f4aee5139c29009d8b6840e775b3978c3c6d4",
-    5: "33e796757354ed8e48bc14badd3a148c47573f2e6c3c83e4e732aeec18ff5238",
-    6: "b5d1fe623a3ac077954f6933bc0e4b6e5c521d97aa68d3a547328110fe811190",
-    7: "9027c1651c98911321a24c2657fb2f921e213b95a3a9b7268813856998a95613",
+    1: "2307dd3391e7db16da88c34f42d38cf3fc6e586bb8d2d2774aa2c8da9e7b839b",
+    2: "7d2aaeafccf895c34edae9a798442d42fc561f87a969912ff36a3eedee13c693",
+    3: "c3c911b05bbab89541a8c7711dc0e9261d566f5d53f2a68b61b09c76f9e43375",
+    4: "c8ee8ec7603cb199cbc5f361b01492297f4e1c4bc7ab9d31e45830be61f47c51",
+    5: "e903360cef6f56316a23d018112d8fe00242f3dc524d5d43bf95d778b462f507",
+    6: "66be0776ef999fc203dca8c48a34af153074539eaf4ce62f5b8583f5a9f2f3f4",
+    7: "d8d6d036f43911e3fe63c4edc0f94f369eb9e24034fba33c8020bd1fd3a6c2f1",
     # from n = 7 on, `lattice` tests the bounds on seeded pairs
-    8: "20b69088cee0b3f442e94ffaaf4a5b6a3d545399dd9e326a63665eb3af331394",
+    8: "bb863f033ba479be5d8aea6a5e2de089e8d69caeb89000e58fa250b6e4fb7bf2",
 }
 
 
@@ -462,6 +462,7 @@ class TestCheck:
                        for s in [*report["phases"].values(), report["elapsed"]])
         stats = {r["check"]: r["stats"] for r in reports}
         assert stats["lattice"] == {"pairs": 576}
+        assert stats["mobius"] == {"joins": 3, "crosscut": 0}
         assert stats["young"] == {"k": 2, "rank_sizes": {"0": 1, "1": 1, "2": 2}}
         assert stats["triangulation"] == {"triangulations": 5, "vectors": 24}
 
