@@ -1,4 +1,4 @@
-"""Certificates of the cover claims of the `lattice` and `mobius` checks.
+"""Certificates of the `lattice`, `mobius` and `semidistributive` claims.
 
 `checks._check_lattice` claims that the order is the closure of its
 covers and that every two upper covers of a node have a join.
@@ -100,17 +100,63 @@ x whose join is y, the empty set's join being x.
    a_i ^ a_j = x for j != i, so a_i ^ O_i = x by the law, one cover at
    a time, and a_i is not below O_i.  `semidistributive` checks the
    law; the certificate does not rely on it.
+
+Semidistributivity as a matching of irreducibles (`kappa_matching`, for
+`checks._check_semidistributive`).  Let J be the nodes with exactly one
+lower cover and M those with exactly one upper cover.  A finite lattice
+is meet-semidistributive iff for every j in J, with lower cover j_, the
+set K(j) = {x : x >= j_, x not >= j} has a greatest element, and
+join-semidistributive iff the dual holds for every m in M (R. Freese,
+J. Jezek and J. B. Nation, *Free Lattices*, AMS, 1995, Theorem 2.56).
+1. By the exchange lemma the upper covers of a node x are the admitted
+   x + e_l.  Applied to M - v (M[i,j] = j - i - 1; v -> M - v maps
+   admitted vectors to admitted vectors and reverses the order), it
+   makes the lower covers the admitted x - e_l, and every node but the
+   bottom has one (bottom < x).  So j in J has one step k down,
+   j_ = j - e_k, and m in M one step k up, to m + e_k.
+2. The order is componentwise and j = j_ + e_k, so
+   K(j) = {x >= j_ : x_k = (j_)_k}.
+3. x in K(j) is maximal there iff none of its upper covers x + e_l is
+   in K(j).  Each lies above j_, and it keeps x_k iff l != k.  So x is
+   maximal iff k is its one step up, or it has none; the top has none
+   and lies above j.  The maximal elements of K(j) are thus the m in M
+   of step k with m_k = (j_)_k and m >= j_: write R(j, m).
+4. K(j) is finite and holds j_, so it has a greatest element iff it
+   has exactly one maximal element: j has exactly one R-partner.
+5. Dually, for m in M of step k the set {x : x <= m + e_k, x not <= m}
+   is {x <= m + e_k : x_k = m_k + 1}, whose minimal elements are the j
+   in J of step k with j_k = m_k + 1 and j <= m + e_k.  With
+   j_ = j - e_k that is m_k = (j_)_k and m >= j_: the same R(j, m).
+6. So the lattice is semidistributive iff every j in J and every m in
+   M has exactly one R-partner: R is a perfect matching of J and M,
+   the kappa bijection, and |J| = |M|.
+The argument rests on two proofs, not on another check's verdict: the
+nodes are exactly the admitted vectors (`nodes_are_words`, whose words'
+vectors are admitted), and the exchange lemma.  That the order is a
+lattice, which the theorem presumes, is the claim of `lattice`; the mask
+walk `poset.kappa_failure` presumes it too.
+On lanes, as `admitted_steps` finds the steps up: x - e_k is admitted
+iff the defects with long side k are 1 and those with k a short side 0
+(`_step_lanes`).  Over k, one accumulator holds the lanes with a step,
+a second those with two, and a third the OR of k + 1 over the steps,
+so their bytes name J and M and each one's step (`_single_steps`).  The lanes are cut in blocks of `LANE_BLOCK` nodes,
+and the irreducibles found by scanning each block's bytes.  The m are
+grouped by (k, m_k), and each j is tested against its group, m >= j_
+by guard bits on the two rows read as ints.  A certificate that
+declines proves nothing: the check then runs the mask walk, which
+decides and names the witness.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from functools import partial
 from itertools import accumulate, combinations, islice
-from math import comb
-from operator import lt, sub
-from typing import Sequence
+from math import comb, factorial
+from operator import itemgetter, lt, sub
+from typing import Iterator, Sequence
 
 from cyclat import poset
 
@@ -120,32 +166,49 @@ from cyclat import poset
 # 0.20 MB at 256 and 0.53 MB at 1024.
 COVER_CHUNK = 256
 
+# Lanes that `nodes_are_words` and `irreducibles` read in one block.
+LANE_BLOCK = 1 << 15
 
-def covers_certified(diagram: poset.HasseDiagram) -> bool:
+
+def covers_certified(diagram: poset.HasseDiagram, starts: Sequence[int]) -> bool:
     """Whether the certificates prove the two cover claims of
     `checks._check_lattice`: every node the word of its id
     (`nodes_are_words`), every edge a unit step (`unit_steps`), the
     edges exactly the admitted unit steps (`steps_are_covers`), and
-    every cover pair's join a tight node.  False proves nothing."""
-    if not nodes_are_words(diagram):
+    every cover pair's join a tight node; node x's covers are
+    hi[starts[x]:starts[x + 1]] (`edge_starts`).  False proves
+    nothing."""
+    if not nodes_are_words(diagram.n, diagram.columns):
         return False
     steps = unit_steps(diagram)
     if steps is None or not steps_are_covers(diagram, steps):
         return False
-    return cover_joins_tight(diagram, edge_starts(diagram))
+    return cover_joins_tight(diagram, starts)
 
 
-def nodes_are_words(diagram: poset.HasseDiagram) -> bool:
-    """Whether every node t's row is the vector of the t-th canonical
-    word: the columns, one byte a node, pass `poset._word_bits`, and the
-    inversion bits it reads are `poset._inversion_columns(n)`.  Word
+def nodes_are_words(n: int, columns: Sequence[bytes]) -> bool:
+    """Whether lane t of the order-n vector columns, one byte a node, is
+    the vector of the t-th canonical word for every t: the columns pass
+    `poset._word_bits`, and the inversion bits it reads are
+    `poset._inversion_columns(n)`, `LANE_BLOCK` lanes at a time.  Word
     vectors are admitted, their triple defects being those bits and
     their sums."""
-    n, size = diagram.n, len(diagram.ranks)
-    if list(map(len, diagram.columns)) != [size] * comb(n, 2):
+    size = factorial(n - 1)
+    if list(map(len, columns)) != [size] * comb(n, 2):
         return False
-    found = poset._word_bits(n, size, [int.from_bytes(c, "big") for c in diagram.columns])
-    return found == [int.from_bytes(c, "big") for c in poset._inversion_columns(n).values()]
+    inversions = list(poset._inversion_columns(n).values())
+    for first in range(0, size, LANE_BLOCK):
+        width = min(LANE_BLOCK, size - first)
+        found = poset._word_bits(n, width, _block(columns, first, width))
+        if found != _block(inversions, first, width):
+            return False
+    return True
+
+
+def _block(columns: Sequence[bytes], first: int, width: int) -> list[int]:
+    """Lanes first to first + width - 1 of each column, read as one int
+    as `poset._lane_ints` reads a column: lane first + t at byte t."""
+    return [int.from_bytes(column[first:first + width], "little") for column in columns]
 
 
 def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
@@ -175,12 +238,22 @@ def admitted_steps(diagram: poset.HasseDiagram) -> list[int]:
     others 1.  An adjacent k is the long side of no triple, and x + e_k
     is never admitted there: it has no lanes."""
     n, size = diagram.n, len(diagram.ranks)
-    ones = int.from_bytes(b"\1" * size, "little")
+    return _step_lanes(n, int.from_bytes(b"\1" * size, "little"),
+                       poset._lane_ints(n, diagram.columns), up=True)
+
+
+def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int], up: bool) -> list[int]:
+    """`admitted_steps` on the lanes v of `poset._lane_ints`, ones the 1
+    of each lane; with up False, the lanes of the x whose x - e_k is
+    admitted: lowering x[i,j] lowers D where (i, j) is the long side
+    and raises it where it is a short side, so the first D must be 1 and
+    the others 0, and an adjacent k, 0 in every node, has no lanes."""
     lanes = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
-    for (i, p, j), d in poset._triple_defects(n, poset._lane_ints(n, diagram.columns)):
-        lanes[i, j] &= ones - d
-        lanes[i, p] &= d
-        lanes[p, j] &= d
+    for (i, p, j), d in poset._triple_defects(n, v):
+        long, short = (ones - d, d) if up else (d, ones - d)
+        lanes[i, j] &= long
+        lanes[i, p] &= short
+        lanes[p, j] &= short
     return list(lanes.values())
 
 
@@ -341,3 +414,75 @@ def _unstack(columns: list[int], lanes: list[int]) -> list[list[int]]:
 def _splice(high: list[int], low: list[int], lanes: int) -> list[int]:
     """high's columns with their lowest lanes those of low."""
     return [h >> 8 * lanes << 8 * lanes | c for h, c in zip(high, low)]
+
+
+def kappa_matching(n: int, columns: Sequence[bytes]) -> tuple[int, int] | None:
+    """|J|, and the nodes of J and M with other than one R-partner, on
+    the order-n vector columns (module docstring); None unless the
+    columns are the words' vectors (`nodes_are_words`).  The order is
+    semidistributive iff the second count is 0: R is then a perfect
+    matching of J and M."""
+    if not nodes_are_words(n, columns):
+        return None
+    joins, meets = irreducibles(n, columns)
+    partners = kappa_partners(columns, joins, meets)
+    matched = Counter(m for found in partners.values() for m in found)
+    declined = sum(len(found) != 1 for found in partners.values())
+    return len(joins), declined + sum(matched[m] != 1 for m in meets)
+
+
+def irreducibles(n: int, columns: Sequence[bytes]) -> tuple[dict[int, int], dict[int, int]]:
+    """J and M: the nodes with exactly one admitted step down, and those
+    with exactly one up, each as {node: the coordinate k of that step},
+    in id order.  Read where `nodes_are_words` holds, `LANE_BLOCK` nodes
+    at a time (`_step_lanes`, `_single_steps`)."""
+    size = factorial(n - 1)
+    joins: dict[int, int] = {}
+    meets: dict[int, int] = {}
+    for first in range(0, size, LANE_BLOCK):
+        width = min(LANE_BLOCK, size - first)
+        ones = int.from_bytes(b"\1" * width, "little")
+        v = poset._lane_ints(n, [column[first:first + width] for column in columns])
+        for found, up in ((joins, False), (meets, True)):
+            found.update((first + t, k) for t, k in _single_steps(_step_lanes(n, ones, v, up), width))
+    return joins, meets
+
+
+def _single_steps(lanes: Sequence[int], width: int) -> Iterator[tuple[int, int]]:
+    """Each lane set in exactly one of `lanes`, width lanes of a byte
+    each holding 0 or 1, with the index k of that one.  `once` holds the
+    lanes set so far, `twice` those set twice, and `steps` the OR of
+    k + 1 over the lanes[k] set, k + 1 itself where only lanes[k] is;
+    the bytes of once ^ twice are scanned for the lanes, with no int
+    shifted."""
+    once = twice = steps = 0
+    for k, lane in enumerate(lanes, 1):
+        steps |= lane * k
+        twice |= once & lane
+        once |= lane
+    single, step = (flags.to_bytes(width, "little") for flags in (once ^ twice, steps))
+    t = single.find(1)
+    while t >= 0:
+        yield t, step[t] - 1
+        t = single.find(1, t + 1)
+
+
+def kappa_partners(columns: Sequence[bytes], joins: dict[int, int],
+                   meets: dict[int, int]) -> dict[int, list[int]]:
+    """The R-partners of each j of J, in id order: the m of M of j's
+    step k whose coordinate k is one below j's, and m >= j - e_k.  The m
+    are grouped by (k, m_k); each row is read as an int, a byte a
+    coordinate, so m >= j - e_k is one guard-bit test on entries below
+    0x80, as `_lanes_above`."""
+    width = len(columns)
+    guard = int.from_bytes(b"\x80" * width, "big")
+    rows = {t: int.from_bytes(bytes(map(itemgetter(t), columns)), "big") for t in [*joins, *meets]}
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m, k in meets.items():
+        groups.setdefault((k, columns[k][m]), []).append((m, rows[m]))
+    partners = {}
+    for j, k in joins.items():
+        low = rows[j] - 256 ** (width - 1 - k)
+        partners[j] = [m for m, high in groups.get((k, columns[k][j] - 1), ())
+                       if (high | guard) - low & guard == guard]
+    return partners

@@ -30,14 +30,19 @@ meet are symmetric in the pair, since the lane-wise max is, so
 node x whose upper covers are independent, none below the join of the
 others (`certificates.covers_independent`), from prefix and suffix
 joins on the lanes; Rota's crosscut runs only where that declines.
+`semidistributive` proves both laws by matching the join-irreducibles
+with the meet-irreducibles on the vector columns
+(`certificates.kappa_matching`); the kappa walk on threshold masks runs
+only where that declines, to decide and name the witness.
 
-`triangulation` and `interval` build no diagram and no per-element
-object: they test every node at once on its vector columns read as
-ints, one lane per node.
+`semidistributive`, `triangulation` and `interval` build no diagram and
+no per-element object where they pass: they test every node at once on
+its vector columns read as ints, one lane per node.
 
 `run_all` builds the order-n diagram once, on first use, and every
-check that reads a diagram reads that one; `run_check` builds its own.
-Each check still proves its claim from the diagram's columns, so no
+check that reads a diagram reads that one, and its vector columns and
+edge offsets (`CheckRun.columns`, `CheckRun.starts`); `run_check` builds
+its own.  Each check still proves its claim from the columns, so no
 check relies on another's verdict.
 """
 
@@ -53,7 +58,7 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import poset, vectors
-from cyclat.certificates import covers_certified, covers_independent, edge_starts
+from cyclat.certificates import covers_certified, covers_independent, edge_starts, kappa_matching
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -105,9 +110,10 @@ class CheckRun:
     """What one check reads, and the counts and times it reports.
 
     `shared` holds the order-n diagram once `diagram()` has built it
-    through `build`, and is handed on to the next check of a `run_all`.
-    The run that builds the diagram, or first computes its threshold
-    masks, has those seconds in its `phases`.
+    through `build`, and its edge offsets once `starts()` has counted
+    them, and is handed on to the next check of a `run_all`.  The run
+    that builds the diagram, or first computes its threshold masks, has
+    those seconds in its `phases`.
     """
 
     n: int
@@ -129,6 +135,19 @@ class CheckRun:
             self.shared["masks"] = diagram.at_least
             self.phases["masks"] += time.perf_counter() - start
         return diagram
+
+    def columns(self) -> tuple[bytes, ...]:
+        """The order-n vector columns: the shared diagram's once one is
+        built, else `poset._vector_columns(n)`, building nothing."""
+        if "diagram" in self.shared:
+            return self.shared["diagram"].columns
+        return poset._vector_columns(self.n)
+
+    def starts(self) -> Sequence[int]:
+        """`certificates.edge_starts` of the diagram, counted once."""
+        if "starts" not in self.shared:
+            self.shared["starts"] = edge_starts(self.diagram())
+        return self.shared["starts"]
 
 
 def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
@@ -161,7 +180,7 @@ def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     `stats` counts the lane joins (`joins`) and the nodes walked
     (`crosscut`)."""
     diagram = run.diagram()
-    declined, joins = covers_independent(diagram, edge_starts(diagram))
+    declined, joins = covers_independent(diagram, run.starts())
     run.stats.update(joins=joins, crosscut=len(declined))
     crosscut = poset.mobius_from(diagram, declined) if declined else ()
     for x, mu in zip(declined, crosscut):
@@ -263,7 +282,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     check reads up to n = 8.
     """
     diagram = run.diagram()
-    certified = covers_certified(diagram)
+    certified = covers_certified(diagram, run.starts())
     if not certified:
         failure = _cover_failure(diagram)
         if failure:
@@ -348,6 +367,25 @@ def _cover_failure(diagram: poset.HasseDiagram) -> dict | None:
 
 
 def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
+    """The order is semidistributive: both laws, by the kappa test.
+
+    `certificates.kappa_matching` proves it on the vector columns, with
+    no diagram and no threshold mask: the join-irreducibles J and the
+    meet-irreducibles M are the nodes of one admitted step down and of
+    one up, and the order is semidistributive iff R, the relation of
+    each j to the maximal elements of its kappa set, is a perfect
+    matching of J and M (argument in `cyclat.certificates`).  `stats`
+    counts J (`irreducibles`, |J| = |M| on a pass) and the nodes of J
+    and M with other than one R-partner (`declined`).  Where the
+    certificate declines, `poset.check_semidistributive` walks the
+    irreducibles on the threshold masks, which decides and names the
+    witness."""
+    poset.refuse_over_cap(run.n)
+    matched = kappa_matching(run.n, run.columns())
+    if matched is not None:
+        run.stats.update(irreducibles=matched[0], declined=matched[1])
+        if not matched[1]:
+            return True, None
     report = poset.check_semidistributive(run.diagram(masks=True))
     return report["pass"], report["witness"]
 
@@ -440,13 +478,14 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
       one triangulation, node t over triangulation t mod Catalan(n-2),
       so every triangle of every triangulation is summed.
 
-    The vectors are the columns of `poset._vector_columns(n)` read as
-    ints, one byte a lane (node).  A node is admitted iff its adjacent
-    entries are 0 and D & 0xfe is 0 in its lane of every triple defect
-    D (`poset._triple_defects`); its sum adds the D of the triples its
-    triangulation holds.  The lowest failing node is reported as a loop
-    over the nodes meets it: `AdmittedVector`'s NotAdmittedError if it
-    is not admitted, else the vector and the triangles.
+    The vectors are the columns of `poset._vector_columns(n)`
+    (`CheckRun.columns`) read as ints, one byte a lane (node).  A node
+    is admitted iff its adjacent entries are 0 and D & 0xfe is 0 in its
+    lane of every triple defect D (`poset._triple_defects`); its sum
+    adds the D of the triples its triangulation holds.  The lowest
+    failing node is reported as a loop over the nodes meets it:
+    `AdmittedVector`'s NotAdmittedError if it is not admitted, else the
+    vector and the triangles.
     """
     n = run.n
     poset.refuse_over_cap(n)
@@ -466,7 +505,7 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
                 return False, {"flip": q}
             if flipped.triangles not in valid:
                 return False, {"flip": q}
-    columns = poset._vector_columns(n)
+    columns = run.columns()
     size = len(columns[0])
     v = poset._lane_ints(n, columns)
     not_bits = int.from_bytes(b"\xfe" * size, "little")
@@ -543,8 +582,8 @@ def _check_interval(run: CheckRun) -> tuple[bool, dict | None]:
 
     The window is linear in v, so each stage runs on whole columns read
     as ints, two bytes a lane (node): the vectors of
-    `poset._vector_columns(n)` and the inversion bits B of
-    `poset._inversion_columns(n)`.  Node t passes
+    `poset._vector_columns(n)` (`CheckRun.columns`) and the inversion
+    bits B of `poset._inversion_columns(n)`.  Node t passes
     - the window stage iff 0 <= a_j - a_i - n v[i,j] <= n - 1, i < j;
     - the vector round trip iff v[1,j] - v[1,i] - v[i,j], the defect
       `vector_to_cycle` reads, is B(i, j), 2 <= i < j;
@@ -560,7 +599,7 @@ def _check_interval(run: CheckRun) -> tuple[bool, dict | None]:
     size = factorial(n - 1)
     ones = int.from_bytes(b"\1\0" * size, "little")
     v = {pair: _wide(column) for pair, column in
-         zip(combinations(range(1, n + 1), 2), poset._vector_columns(n))}
+         zip(combinations(range(1, n + 1), 2), run.columns())}
     a = _window_columns(n, v, ones)
     inversions = poset._inversion_columns(n)
     positions = _letter_positions(n, inversions, ones)

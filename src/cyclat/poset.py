@@ -55,10 +55,10 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes 14.3-17.8 s at a
-    322 MB peak in a fresh process on a shared 2-vCPU host, `mobius`
-    2.8-4.5 s of it (`BENCH_mobius_independence.json`), and `build(11)`
-    alone peaks at about 1.2 GB.  `eulerian n` builds no diagram and is
+    under 5 minutes and 600 MB: `check all 10` takes 11.5-17.9 s at a
+    263 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
+    3.4-4.9 s of it (`BENCH_kappa_matching.json`), and `build(11)` alone
+    peaks at about 1.2 GB.  `eulerian n` builds no diagram and is
     refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
@@ -813,7 +813,9 @@ def mobius_from(diagram: HasseDiagram, xs: Iterable[int]) -> Iterator[dict[int, 
 
 
 def kappa_failure(diagram: HasseDiagram, law: str) -> tuple[int, int, int] | None:
-    """The first irreducible whose kappa set has no greatest element.
+    """The first irreducible whose kappa set has no greatest element,
+    by the walk on threshold masks that decides the law where
+    `certificates.kappa_matching` declines.
 
     For "SD-meet", each j with one lower cover j_ has the set
     K = {x : x >= j_, x not >= j} = above(j_) minus above(j); it must
@@ -846,7 +848,11 @@ def kappa_failure(diagram: HasseDiagram, law: str) -> tuple[int, int, int] | Non
 
 
 def check_semidistributive(diagram: HasseDiagram) -> dict:
-    """Test the two semidistributive laws by the kappa test.
+    """Test the two semidistributive laws by the kappa test, walking
+    the irreducibles on threshold masks: the decline path of
+    `checks._check_semidistributive`, run where
+    `certificates.kappa_matching` proves nothing, so that the verdict
+    is decided and the witness named.
 
     A finite lattice is meet-semidistributive iff, for every
     join-irreducible j with lower cover j_, the set

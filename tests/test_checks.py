@@ -444,6 +444,11 @@ def with_edge(diagram, lo, hi):
     return replace(diagram, **dict(zip(("lo", "hi", "r", "s"), zip(*edges))))
 
 
+def certified(diagram):
+    """`certificates.covers_certified` on the diagram's own edge offsets."""
+    return certificates.covers_certified(diagram, certificates.edge_starts(diagram))
+
+
 def lattice_outcome(monkeypatch, diagram):
     """`run_check("lattice", n)` on this diagram, as (verdict, witness)."""
     monkeypatch.setattr(checks, "build", lambda n: diagram)
@@ -542,7 +547,7 @@ class TestLatticeCertificates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_certificates_agree_with_the_walk(self, n):
         diagram = build(n)
-        assert certificates.covers_certified(diagram)
+        assert certified(diagram)
         assert checks._cover_failure(diagram) is None
 
     def test_edge_to_a_comparable_non_cover(self, monkeypatch):
@@ -552,7 +557,7 @@ class TestLatticeCertificates:
         w = diagram.ranks.index(2)
         mutant = with_edge(diagram, diagram.bottom, w)
         assert certificates.unit_steps(mutant) is None
-        assert not certificates.covers_certified(mutant)
+        assert not certified(mutant)
         expected = lattice_by_pairs(with_edge(diagram, diagram.bottom, w))
         assert lattice_outcome(monkeypatch, mutant) == expected == (True, None)
 
@@ -582,7 +587,7 @@ class TestLatticeCertificates:
         assert [lanes.bit_count() for lanes in certificates.admitted_steps(mutant)] == \
             [mutant_steps.count(k) for k in range(len(diagram.columns))]
         assert not certificates.steps_are_covers(mutant, mutant_steps)
-        assert not certificates.covers_certified(mutant)
+        assert not certified(mutant)
         expected = lattice_by_pairs(mutant)
         assert expected[1]["op"] == "order"
         assert expected[1]["pair"][0] == diagram.name(diagram.lo[dropped])
@@ -600,7 +605,7 @@ class TestLatticeCertificates:
         size = len(diagram.ranks)
         steps = certificates.unit_steps(diagram)
         starts = [diagram.edges_above(t).start for t in range(size)] + [len(diagram.lo)]
-        assert certificates.nodes_are_words(diagram)
+        assert certificates.nodes_are_words(diagram.n, diagram.columns)
         assert steps is not None and certificates.steps_are_covers(diagram, steps)
         assert not certificates.cover_joins_tight(diagram, starts)
         expected = lattice_by_pairs(diagram)
@@ -626,7 +631,7 @@ class TestLatticeCertificates:
             (m,) = diagram.bounds([x], [y])[1]
         monkeypatch.setattr(poset, "_column_meets",
                             wrong_lanes_at(diagram, x, y, diagram.down[m][0], meet=True))
-        assert certificates.covers_certified(diagram)
+        assert certified(diagram)
         assert not (diagram.square_tight_bounds() if n == 5 else diagram.tight_bounds(xs, ys))
         expected = lattice_by_pairs(diagram)
         assert expected[1]["op"] == "meet" and set(expected[1]["pair"]) == {
@@ -647,8 +652,8 @@ class TestLatticeCertificates:
         diagram = mutant()
         assert [diagram.columns[kernels.pair_index(5, *ij)][diagram.top]
                 for ij in ((1, 3), (3, 5), (1, 5))] == [1, 1, 1]
-        assert not certificates.nodes_are_words(diagram)
-        assert not certificates.covers_certified(diagram)
+        assert not certificates.nodes_are_words(diagram.n, diagram.columns)
+        assert not certified(diagram)
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -672,8 +677,8 @@ class TestLatticeCertificates:
         diagram = mutant()
         columns = [int.from_bytes(column, "big") for column in diagram.columns]
         assert poset._word_bits(5, len(diagram.ranks), columns) is not None
-        assert not certificates.nodes_are_words(diagram)
-        assert not certificates.covers_certified(diagram)
+        assert not certificates.nodes_are_words(diagram.n, diagram.columns)
+        assert not certified(diagram)
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -685,7 +690,7 @@ class TestLatticeCertificates:
         # finds no failure, every tested pair is walked on its masks
         walked = []
         pair_failure = checks._pair_failure
-        monkeypatch.setattr(checks, "covers_certified", lambda diagram: False)
+        monkeypatch.setattr(checks, "covers_certified", lambda diagram, starts: False)
         monkeypatch.setattr(checks, "_pair_failure",
                             lambda diagram, xs, ys: walked.append(len(xs)) or
                             pair_failure(diagram, xs, ys))
@@ -740,7 +745,7 @@ class TestLatticeCertificates:
         diagram.rows
         tracemalloc.start()
         try:
-            assert certificates.covers_certified(diagram)
+            assert certified(diagram)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -952,6 +957,129 @@ class TestCoverIndependence:
         monkeypatch.setattr(poset.HasseDiagram, "up", property(refuse))
         report = checks.run_check("mobius", n)
         assert report.passed and report.stats["crosscut"] == 0
+
+
+def kappa_by_masks(diagram, dual=False):
+    """For each node j of one lower cover j_, the greatest element of its
+    kappa set {x : x >= j_, x not >= j}, by the up-sets and down-sets:
+    the element of the set of highest rank, asserted to lie above the
+    whole set.  With `dual`, the least element of the dual set of each
+    node of one upper cover."""
+    covers, up, down, sign = (diagram.up, diagram.below_mask, diagram.above_mask, -1) if dual \
+        else (diagram.down, diagram.above_mask, diagram.below_mask, 1)
+    kappa = {}
+    for j, near in enumerate(covers):
+        if len(near) == 1:
+            rest = up(near[0]) & ~up(j)
+            g = max(bits(rest), key=lambda x: sign * diagram.ranks[x])
+            assert rest & ~down(g) == 0
+            kappa[j] = g
+    return kappa
+
+
+def step_of(diagram, lower, upper):
+    """The coordinate k in which the rows of the two nodes differ."""
+    (k,) = [c for c, (a, b) in enumerate(zip(diagram.rows[lower], diagram.rows[upper])) if a != b]
+    return k
+
+
+class TestKappaMatching:
+    """The certificate of `semidistributive` against the mask walk's
+    kappa, its blocks, the fast path and a forced decline."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_irreducibles_are_the_one_cover_nodes(self, n):
+        # J and M are the nodes of one lower and of one upper cover, each
+        # with the coordinate of that cover's step
+        diagram = build(n)
+        joins, meets = certificates.irreducibles(n, diagram.columns)
+        assert joins == {t: step_of(diagram, near[0], t)
+                         for t, near in enumerate(diagram.down) if len(near) == 1}
+        assert meets == {t: step_of(diagram, t, near[0])
+                         for t, near in enumerate(diagram.up) if len(near) == 1}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partners_are_the_kappas(self, n):
+        # each j's one R-partner is kappa(j) by the masks, and each m's one
+        # R-partner the dual kappa(m)
+        diagram = build(n)
+        joins, meets = certificates.irreducibles(n, diagram.columns)
+        partners = certificates.kappa_partners(diagram.columns, joins, meets)
+        kappa, dual = kappa_by_masks(diagram), kappa_by_masks(diagram, dual=True)
+        assert partners == {j: [g] for j, g in kappa.items()}
+        assert {m: j for j, (m,) in partners.items()} == dual
+        assert certificates.kappa_matching(n, diagram.columns) == (len(joins), 0)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_irreducibles_count(self, n):
+        report = checks.run_check("semidistributive", n)
+        assert report.passed
+        assert report.stats == {"irreducibles": 2 ** (n - 1) - n, "declined": 0}
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocks_find_the_same_lanes(self, monkeypatch, block):
+        # the n = 7 lanes cut in blocks, one lane, a few lanes and an
+        # uneven hundred: the irreducibles are those of one block
+        columns = poset._vector_columns(7)
+        whole = certificates.irreducibles(7, columns)
+        monkeypatch.setattr(certificates, "LANE_BLOCK", block)
+        assert certificates.irreducibles(7, columns) == whole
+
+    def test_many_steps_leave_the_next_lane_alone(self):
+        # lane 0 has a step in each of 40 coordinates, lane 1 only in the
+        # last: nothing of lane 0's carries into lane 1's step
+        lanes = [1] * 39 + [1 | 1 << 8]
+        assert list(certificates._single_steps(lanes, 2)) == [(1, 39)]
+
+    def test_columns_not_the_words_decline(self):
+        # two nodes of rank 2 swap rows: every lane is still a word's
+        # vector, but not the word of its id, so nothing is proved
+        diagram = build(5)
+        x, y = [t for t, rank in enumerate(diagram.ranks) if rank == 2][:2]
+        rows = list(diagram.rows)
+        rows[x], rows[y] = rows[y], rows[x]
+        assert certificates.kappa_matching(5, tuple(map(bytes, zip(*rows)))) is None
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_unmatched_m_declines(self, monkeypatch, n):
+        # the first j dropped from J: every j left has its one partner,
+        # but that j's partner now has none, so the certificate declines
+        # on that m alone, and the walk passes the real order
+        found = certificates.irreducibles
+        monkeypatch.setattr(certificates, "irreducibles", lambda n, columns: (
+            dict(list(found(n, columns)[0].items())[1:]), found(n, columns)[1]))
+        report = checks.run_check("semidistributive", n)
+        assert report.passed
+        assert report.stats == {"irreducibles": 2 ** (n - 1) - n - 1, "declined": 1}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_passing_run_builds_nothing(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("a passing run built the order or its masks")
+
+        monkeypatch.setattr(checks, "build", refuse)
+        monkeypatch.setattr(poset.HasseDiagram, "at_least", property(refuse))
+        report = checks.run_check("semidistributive", n)
+        assert report.passed and report.stats["declined"] == 0
+        assert report.phases["build"] == report.phases["masks"] == 0
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_forced_decline_walks_the_masks(self, monkeypatch, n):
+        # the up-steps in coordinate (1, 3) dropped: some m leave M and
+        # others enter it, so some lanes lose their partner and the
+        # certificate declines.  The walk on the masks then decides, and
+        # the real order passes
+        step_lanes = certificates._step_lanes
+        walked = []
+        check = poset.check_semidistributive
+        monkeypatch.setattr(certificates, "_step_lanes", lambda n, ones, v, up: [
+            lanes * (k != 1 or not up) for k, lanes in enumerate(step_lanes(n, ones, v, up))])
+        monkeypatch.setattr(poset, "check_semidistributive",
+                            lambda diagram: walked.append(diagram.n) or check(diagram))
+        report = checks.run_check("semidistributive", n)
+        assert report.passed and report.witness is None
+        assert report.stats["declined"] > 0 and walked == [n]
+        assert report.phases["masks"] > 0
 
 
 def flips(t):
@@ -1287,13 +1415,26 @@ class TestSharedDiagram:
             return build(order)
 
         monkeypatch.setattr(checks, "build", counting_build)
-        # eulerian counts order n + 1 and builds no diagram; lattice reads
-        # no threshold mask, so semidistributive computes them
+        # eulerian counts order n + 1 and builds no diagram; lattice and
+        # semidistributive read no threshold mask, so modularity computes them
         reports = checks.run_all(n)
         assert built == [n]
         assert all(r.passed for r in reports)
         assert [r.check for r in reports if r.phases["build"]] == ["grading"]
-        assert [r.check for r in reports if r.phases["masks"]] == ["semidistributive"]
+        assert [r.check for r in reports if r.phases["masks"]] == ["modularity"]
+
+    def test_run_all_shares_the_columns_and_edge_offsets(self, monkeypatch):
+        # the vector columns are computed once, for the shared diagram,
+        # and read by every check that reads them; the edge offsets are
+        # counted once, for lattice and mobius
+        computed, counted = [], []
+        vector_columns, edge_starts = poset._vector_columns, certificates.edge_starts
+        monkeypatch.setattr(poset, "_vector_columns",
+                            lambda n: computed.append(n) or vector_columns(n))
+        monkeypatch.setattr(checks, "edge_starts",
+                            lambda diagram: counted.append(diagram.n) or edge_starts(diagram))
+        assert all(r.passed for r in checks.run_all(6))
+        assert computed == counted == [6]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_run_all_matches_run_check(self, n):

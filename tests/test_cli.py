@@ -306,15 +306,15 @@ class TestPoset:
 # "phases" dropped, dumped with sorted keys: any change to a verdict, a
 # witness or a count breaks these.
 CHECK_DIGESTS = {
-    1: "2307dd3391e7db16da88c34f42d38cf3fc6e586bb8d2d2774aa2c8da9e7b839b",
-    2: "7d2aaeafccf895c34edae9a798442d42fc561f87a969912ff36a3eedee13c693",
-    3: "c3c911b05bbab89541a8c7711dc0e9261d566f5d53f2a68b61b09c76f9e43375",
-    4: "c8ee8ec7603cb199cbc5f361b01492297f4e1c4bc7ab9d31e45830be61f47c51",
-    5: "e903360cef6f56316a23d018112d8fe00242f3dc524d5d43bf95d778b462f507",
-    6: "66be0776ef999fc203dca8c48a34af153074539eaf4ce62f5b8583f5a9f2f3f4",
-    7: "d8d6d036f43911e3fe63c4edc0f94f369eb9e24034fba33c8020bd1fd3a6c2f1",
+    1: "35ab079a2cd0783f4be8a20b4a0d4d9d8827f77bc310338455a83ac1ef8bc91b",
+    2: "73e66f1b3a1942388f4344ca1c1669ef0efdb03796de41d62e57e66f7926cf70",
+    3: "30cd9129b885dc57a8992500619a1fe68d821fdc5b44d48890cf4c7156d6b9af",
+    4: "1f6697ee944d935f24d64e8ca7a543a248a287349f8d049ba3c1135b19a258cc",
+    5: "44451c5ff65b08c9f633453d208006aa27bef80b26eca093b9750d120f8dae56",
+    6: "b71782327e45fd78bd65cbf07ca41164d3cd7339c7571e89103d8951e91bc7a7",
+    7: "1ddf829afceaab3b501d880012f75ed331128258140a02c82dd4f9cc29ae1fae",
     # from n = 7 on, `lattice` tests the bounds on seeded pairs
-    8: "bb863f033ba479be5d8aea6a5e2de089e8d69caeb89000e58fa250b6e4fb7bf2",
+    8: "e14f62348ed1847a1382bec6cb2951885a875af79a664324a823feb2bb561735",
 }
 
 
@@ -463,6 +463,7 @@ class TestCheck:
         stats = {r["check"]: r["stats"] for r in reports}
         assert stats["lattice"] == {"pairs": 576}
         assert stats["mobius"] == {"joins": 3, "crosscut": 0}
+        assert stats["semidistributive"] == {"irreducibles": 11, "declined": 0}
         assert stats["young"] == {"k": 2, "rank_sizes": {"0": 1, "1": 1, "2": 2}}
         assert stats["triangulation"] == {"triangulations": 5, "vectors": 24}
 
