@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from cyclat import vectors
 from cyclat.errors import (
     InvalidWindowError,
     NotAChainError,

@@ -136,11 +136,13 @@ vectors are admitted), and the exchange lemma.  That the order is a
 lattice, which the theorem presumes, is the claim of `lattice`; the mask
 walk `poset.kappa_failure` presumes it too.
 On lanes, as `admitted_steps` finds the steps up: x - e_k is admitted
-iff the defects with long side k are 1 and those with k a short side 0
-(`_step_lanes`).  Over k, one accumulator holds the lanes with a step,
-a second those with two, and a third the OR of k + 1 over the steps,
-so their bytes name J and M and each one's step (`_single_steps`).  The lanes are cut in blocks of `LANE_BLOCK` nodes,
-and the irreducibles found by scanning each block's bytes.  The m are
+iff the defects with long side k are 1 and those with k a short side 0,
+and `_step_lanes` reads both directions off one pass over the defects.
+Over k, one accumulator holds the lanes with a step, a second those
+with two, and a third the OR of k + 1 over the steps, so their bytes
+name J and M and each one's step (`_single_steps`).  The lanes are cut
+in blocks of `LANE_BLOCK` nodes, and the irreducibles found by scanning
+each block's bytes.  The m are
 grouped by (k, m_k), and each j is tested against its group, m >= j_
 by guard bits on the two rows read as ints.  A certificate that
 declines proves nothing: the check then runs the mask walk, which
@@ -149,11 +151,10 @@ decides and names the witness.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 from math import comb, factorial
 from operator import itemgetter, lt, sub
 from typing import Iterator, Sequence
@@ -170,20 +171,18 @@ COVER_CHUNK = 256
 LANE_BLOCK = 1 << 15
 
 
-def covers_certified(diagram: poset.HasseDiagram, starts: Sequence[int]) -> bool:
+def covers_certified(diagram: poset.HasseDiagram) -> bool:
     """Whether the certificates prove the two cover claims of
     `checks._check_lattice`: every node the word of its id
     (`nodes_are_words`), every edge a unit step (`unit_steps`), the
     edges exactly the admitted unit steps (`steps_are_covers`), and
-    every cover pair's join a tight node; node x's covers are
-    hi[starts[x]:starts[x + 1]] (`edge_starts`).  False proves
-    nothing."""
+    every cover pair's join a tight node.  False proves nothing."""
     if not nodes_are_words(diagram.n, diagram.columns):
         return False
     steps = unit_steps(diagram)
     if steps is None or not steps_are_covers(diagram, steps):
         return False
-    return cover_joins_tight(diagram, starts)
+    return cover_joins_tight(diagram)
 
 
 def nodes_are_words(n: int, columns: Sequence[bytes]) -> bool:
@@ -239,22 +238,25 @@ def admitted_steps(diagram: poset.HasseDiagram) -> list[int]:
     is never admitted there: it has no lanes."""
     n, size = diagram.n, len(diagram.ranks)
     return _step_lanes(n, int.from_bytes(b"\1" * size, "little"),
-                       poset._lane_ints(n, diagram.columns), up=True)
+                       poset._lane_ints(n, diagram.columns))[0]
 
 
-def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int], up: bool) -> list[int]:
+def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int]) -> tuple[list[int], list[int]]:
     """`admitted_steps` on the lanes v of `poset._lane_ints`, ones the 1
-    of each lane; with up False, the lanes of the x whose x - e_k is
-    admitted: lowering x[i,j] lowers D where (i, j) is the long side
-    and raises it where it is a short side, so the first D must be 1 and
-    the others 0, and an adjacent k, 0 in every node, has no lanes."""
-    lanes = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
+    of each lane, and from the same defects the lanes of the x whose
+    x - e_k is admitted: lowering x[i,j] lowers D where (i, j) is the
+    long side and raises it where it is a short side, so the first D
+    must be 1 and the others 0, and an adjacent k, 0 in every node, has
+    no lanes."""
+    up = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
+    down = dict(up)
     for (i, p, j), d in poset._triple_defects(n, v):
-        long, short = (ones - d, d) if up else (d, ones - d)
-        lanes[i, j] &= long
-        lanes[i, p] &= short
-        lanes[p, j] &= short
-    return list(lanes.values())
+        e = ones - d
+        for lanes, long, short in ((up, e, d), (down, d, e)):
+            lanes[i, j] &= long
+            lanes[i, p] &= short
+            lanes[p, j] &= short
+    return list(up.values()), list(down.values())
 
 
 def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
@@ -275,23 +277,12 @@ def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
         list(map(steps.count, range(len(diagram.columns))))
 
 
-def edge_starts(diagram: poset.HasseDiagram) -> array:
-    """starts[t], the position of node t's first edge, for every node t,
-    then the edge count: node t's upper covers are
-    hi[starts[t]:starts[t + 1]].  The edges are sorted by lo, so these
-    are the running sums of the up-degrees, counted in one pass."""
-    counts = [0] * (len(diagram.ranks) + 1)
-    for t in diagram.lo:
-        counts[t + 1] += 1
-    return array("q", accumulate(counts))
-
-
-def cover_joins_tight(diagram: poset.HasseDiagram, starts: Sequence[int]) -> bool:
+def cover_joins_tight(diagram: poset.HasseDiagram) -> bool:
     """Whether the `poset._column_joins` result of every two upper
     covers of every node is a node and tight
     (`HasseDiagram.tight_joins`), in batches of the cover pairs of
     `COVER_CHUNK` nodes."""
-    hi, size = diagram.hi, len(diagram.ranks)
+    hi, starts, size = diagram.hi, diagram.starts, len(diagram.ranks)
     for first in range(0, size, COVER_CHUNK):
         covers = [hi[starts[x]:starts[x + 1]] for x in range(first, min(first + COVER_CHUNK, size))]
         ys = [y for up in covers for y, _ in combinations(up, 2)]
@@ -301,12 +292,12 @@ def cover_joins_tight(diagram: poset.HasseDiagram, starts: Sequence[int]) -> boo
     return True
 
 
-def covers_independent(diagram: poset.HasseDiagram, starts: Sequence[int]) -> tuple[list[int], int]:
+def covers_independent(diagram: poset.HasseDiagram) -> tuple[list[int], int]:
     """The nodes at which the cover-independence certificate declines,
     in id order, and the lane joins it took.  It proves, at every other
     node x, that no upper cover of x lies below the join of x's other
     covers, so that mu(x, y) is 0, 1 or -1 for every y (module
-    docstring); x's covers are hi[starts[x]:starts[x + 1]].
+    docstring); x's covers are a slice of hi (`HasseDiagram.starts`).
 
     A node of k <= 2 covers needs no join.  The nodes of k >= 3 are
     taken `COVER_CHUNK` ids at a time and sorted by k, so that the
@@ -320,7 +311,8 @@ def covers_independent(diagram: poset.HasseDiagram, starts: Sequence[int]) -> tu
     declines its node.  So does every node of a block where some join
     lane is no node (`poset._word_bits`) or not above both of its sides,
     and no lane of that block is read further."""
-    n, hi, rows, size = diagram.n, diagram.hi, diagram.rows, len(diagram.ranks)
+    n, hi, starts, rows = diagram.n, diagram.hi, diagram.starts, diagram.rows
+    size = len(diagram.ranks)
     degrees = list(map(sub, islice(starts, 1, None), starts))
     declined: list[int] = []
     joins = 0
@@ -443,8 +435,9 @@ def irreducibles(n: int, columns: Sequence[bytes]) -> tuple[dict[int, int], dict
         width = min(LANE_BLOCK, size - first)
         ones = int.from_bytes(b"\1" * width, "little")
         v = poset._lane_ints(n, [column[first:first + width] for column in columns])
-        for found, up in ((joins, False), (meets, True)):
-            found.update((first + t, k) for t, k in _single_steps(_step_lanes(n, ones, v, up), width))
+        up, down = _step_lanes(n, ones, v)
+        for found, lanes in ((joins, down), (meets, up)):
+            found.update((first + t, k) for t, k in _single_steps(lanes, width))
     return joins, meets
 
 

@@ -40,10 +40,11 @@ no per-element object where they pass: they test every node at once on
 its vector columns read as ints, one lane per node.
 
 `run_all` builds the order-n diagram once, on first use, and every
-check that reads a diagram reads that one, and its vector columns and
-edge offsets (`CheckRun.columns`, `CheckRun.starts`); `run_check` builds
-its own.  Each check still proves its claim from the columns, so no
-check relies on another's verdict.
+check that reads a diagram reads that one and the views cached on it,
+its vector columns (`CheckRun.columns`) and edge offsets
+(`HasseDiagram.starts`) among them; `run_check` builds its own.  Each
+check still proves its claim from the columns, so no check relies on
+another's verdict.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import poset, vectors
-from cyclat.certificates import covers_certified, covers_independent, edge_starts, kappa_matching
+from cyclat.certificates import covers_certified, covers_independent, kappa_matching
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -110,10 +111,9 @@ class CheckRun:
     """What one check reads, and the counts and times it reports.
 
     `shared` holds the order-n diagram once `diagram()` has built it
-    through `build`, and its edge offsets once `starts()` has counted
-    them, and is handed on to the next check of a `run_all`.  The run
-    that builds the diagram, or first computes its threshold masks, has
-    those seconds in its `phases`.
+    through `build`, and is handed on to the next check of a `run_all`.
+    The run that builds the diagram, or first computes its threshold
+    masks, has those seconds in its `phases`.
     """
 
     n: int
@@ -142,12 +142,6 @@ class CheckRun:
         if "diagram" in self.shared:
             return self.shared["diagram"].columns
         return poset._vector_columns(self.n)
-
-    def starts(self) -> Sequence[int]:
-        """`certificates.edge_starts` of the diagram, counted once."""
-        if "starts" not in self.shared:
-            self.shared["starts"] = edge_starts(self.diagram())
-        return self.shared["starts"]
 
 
 def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
@@ -180,7 +174,7 @@ def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     `stats` counts the lane joins (`joins`) and the nodes walked
     (`crosscut`)."""
     diagram = run.diagram()
-    declined, joins = covers_independent(diagram, run.starts())
+    declined, joins = covers_independent(diagram)
     run.stats.update(joins=joins, crosscut=len(declined))
     crosscut = poset.mobius_from(diagram, declined) if declined else ()
     for x, mu in zip(declined, crosscut):
@@ -282,7 +276,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     check reads up to n = 8.
     """
     diagram = run.diagram()
-    certified = covers_certified(diagram, run.starts())
+    certified = covers_certified(diagram)
     if not certified:
         failure = _cover_failure(diagram)
         if failure:

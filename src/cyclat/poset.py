@@ -27,7 +27,7 @@ import os
 import re
 import struct
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
@@ -134,9 +134,10 @@ class HasseDiagram:
     and the extremes follow from n: `bottom` (1, 2, ..., n) is node 0
     and `top` (1, n, ..., 2) the last node.  `name(t)` unranks node t's
     word from t alone, so a witness names its nodes with no view.  The
-    views (words, nodes, edges, columns, rows, vec_index, up, down,
-    at_least) are built on first use and never mutated.  The order and
-    the lattice operations (leq, joins, bounds) take and return node ids.
+    views (words, nodes, edges, columns, rows, vec_index, starts, up,
+    down, at_least) are built on first use and never mutated.  The order
+    and the lattice operations (leq, joins, bounds) take and return node
+    ids.
 
     The vectors depend on n alone too: `columns` holds coordinate c of
     every node as one byte per node, from `_vector_columns(n)`, and
@@ -204,11 +205,21 @@ class HasseDiagram:
         return tuple(_split_rows(len(self.ranks), self.columns))
 
     @cached_property
+    def starts(self) -> array:
+        """starts[t], the position of node t's first edge, for every node
+        t, then the edge count: the running sums of the up-degrees.  The
+        edges are sorted by lo, so node t's are those from starts[t]
+        up to starts[t + 1]."""
+        counts = [0] * (len(self.ranks) + 1)
+        for t in self.lo:
+            counts[t + 1] += 1
+        return array("q", accumulate(counts))
+
+    @cached_property
     def up(self) -> tuple[tuple[int, ...], ...]:
-        up = [[] for _ in self.ranks]
-        for a, b in zip(self.lo, self.hi):
-            up[a].append(b)
-        return tuple(map(tuple, up))
+        """up[t]: node t's upper covers, hi[starts[t]:starts[t + 1]]."""
+        starts = self.starts
+        return tuple(map(self.hi.__getitem__, map(slice, starts, islice(starts, 1, None))))
 
     @cached_property
     def down(self) -> tuple[tuple[int, ...], ...]:
@@ -219,7 +230,7 @@ class HasseDiagram:
 
     def edges_above(self, t: int) -> range:
         """Positions in the edge columns of the covers above node t."""
-        return range(bisect_left(self.lo, t), bisect_right(self.lo, t))
+        return range(self.starts[t], self.starts[t + 1])
 
     @cached_property
     def vec_index(self) -> dict[bytes, int]:

@@ -9,6 +9,7 @@ import random
 import tracemalloc
 from bisect import bisect_left
 from dataclasses import replace
+from functools import cached_property
 from itertools import combinations, islice
 from types import SimpleNamespace
 
@@ -444,11 +445,6 @@ def with_edge(diagram, lo, hi):
     return replace(diagram, **dict(zip(("lo", "hi", "r", "s"), zip(*edges))))
 
 
-def certified(diagram):
-    """`certificates.covers_certified` on the diagram's own edge offsets."""
-    return certificates.covers_certified(diagram, certificates.edge_starts(diagram))
-
-
 def lattice_outcome(monkeypatch, diagram):
     """`run_check("lattice", n)` on this diagram, as (verdict, witness)."""
     monkeypatch.setattr(checks, "build", lambda n: diagram)
@@ -547,7 +543,7 @@ class TestLatticeCertificates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_certificates_agree_with_the_walk(self, n):
         diagram = build(n)
-        assert certified(diagram)
+        assert certificates.covers_certified(diagram)
         assert checks._cover_failure(diagram) is None
 
     def test_edge_to_a_comparable_non_cover(self, monkeypatch):
@@ -557,7 +553,7 @@ class TestLatticeCertificates:
         w = diagram.ranks.index(2)
         mutant = with_edge(diagram, diagram.bottom, w)
         assert certificates.unit_steps(mutant) is None
-        assert not certified(mutant)
+        assert not certificates.covers_certified(mutant)
         expected = lattice_by_pairs(with_edge(diagram, diagram.bottom, w))
         assert lattice_outcome(monkeypatch, mutant) == expected == (True, None)
 
@@ -587,7 +583,7 @@ class TestLatticeCertificates:
         assert [lanes.bit_count() for lanes in certificates.admitted_steps(mutant)] == \
             [mutant_steps.count(k) for k in range(len(diagram.columns))]
         assert not certificates.steps_are_covers(mutant, mutant_steps)
-        assert not certified(mutant)
+        assert not certificates.covers_certified(mutant)
         expected = lattice_by_pairs(mutant)
         assert expected[1]["op"] == "order"
         assert expected[1]["pair"][0] == diagram.name(diagram.lo[dropped])
@@ -602,12 +598,10 @@ class TestLatticeCertificates:
         (j,) = diagram.joins([y], [z])
         monkeypatch.setattr(poset, "_column_joins",
                             wrong_lanes_at(diagram, y, z, diagram.up[j][0]))
-        size = len(diagram.ranks)
         steps = certificates.unit_steps(diagram)
-        starts = [diagram.edges_above(t).start for t in range(size)] + [len(diagram.lo)]
         assert certificates.nodes_are_words(diagram.n, diagram.columns)
         assert steps is not None and certificates.steps_are_covers(diagram, steps)
-        assert not certificates.cover_joins_tight(diagram, starts)
+        assert not certificates.cover_joins_tight(diagram)
         expected = lattice_by_pairs(diagram)
         assert expected == (False, {"op": "join", "pair": [diagram.name(y), diagram.name(z)]})
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -631,7 +625,7 @@ class TestLatticeCertificates:
             (m,) = diagram.bounds([x], [y])[1]
         monkeypatch.setattr(poset, "_column_meets",
                             wrong_lanes_at(diagram, x, y, diagram.down[m][0], meet=True))
-        assert certified(diagram)
+        assert certificates.covers_certified(diagram)
         assert not (diagram.square_tight_bounds() if n == 5 else diagram.tight_bounds(xs, ys))
         expected = lattice_by_pairs(diagram)
         assert expected[1]["op"] == "meet" and set(expected[1]["pair"]) == {
@@ -653,7 +647,7 @@ class TestLatticeCertificates:
         assert [diagram.columns[kernels.pair_index(5, *ij)][diagram.top]
                 for ij in ((1, 3), (3, 5), (1, 5))] == [1, 1, 1]
         assert not certificates.nodes_are_words(diagram.n, diagram.columns)
-        assert not certified(diagram)
+        assert not certificates.covers_certified(diagram)
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -678,7 +672,7 @@ class TestLatticeCertificates:
         columns = [int.from_bytes(column, "big") for column in diagram.columns]
         assert poset._word_bits(5, len(diagram.ranks), columns) is not None
         assert not certificates.nodes_are_words(diagram.n, diagram.columns)
-        assert not certified(diagram)
+        assert not certificates.covers_certified(diagram)
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -690,7 +684,7 @@ class TestLatticeCertificates:
         # finds no failure, every tested pair is walked on its masks
         walked = []
         pair_failure = checks._pair_failure
-        monkeypatch.setattr(checks, "covers_certified", lambda diagram, starts: False)
+        monkeypatch.setattr(checks, "covers_certified", lambda diagram: False)
         monkeypatch.setattr(checks, "_pair_failure",
                             lambda diagram, xs, ys: walked.append(len(xs)) or
                             pair_failure(diagram, xs, ys))
@@ -745,7 +739,7 @@ class TestLatticeCertificates:
         diagram.rows
         tracemalloc.start()
         try:
-            assert certified(diagram)
+            assert certificates.covers_certified(diagram)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -847,7 +841,7 @@ def cover_join_mutant(monkeypatch, n, x, pair, subset):
 
 def declined(diagram):
     """The nodes at which the certificate of `mobius` declines."""
-    return certificates.covers_independent(diagram, certificates.edge_starts(diagram))[0]
+    return certificates.covers_independent(diagram)[0]
 
 
 class TestMobiusCheck:
@@ -870,8 +864,7 @@ class TestCoverIndependence:
         # on every node: none declines, and none has two sets of covers
         # with one join; the joins taken are 3(k - 2) at k >= 3 covers
         diagram = build(n)
-        found, joins = certificates.covers_independent(
-            diagram, certificates.edge_starts(diagram))
+        found, joins = certificates.covers_independent(diagram)
         assert found == repeated_subset_joins(diagram) == []
         assert joins == sum(3 * (len(up) - 2) for up in diagram.up if len(up) >= 3)
 
@@ -879,10 +872,23 @@ class TestCoverIndependence:
     def test_edge_starts_are_the_first_edges(self, n):
         diagram = build(n)
         expected = [bisect_left(diagram.lo, t) for t in range(len(diagram.ranks) + 1)]
-        assert list(certificates.edge_starts(diagram)) == expected
+        assert list(diagram.starts) == expected
         mutant = with_edge(diagram, diagram.bottom, diagram.top)
-        assert list(certificates.edge_starts(mutant)) == [
+        assert list(mutant.starts) == [
             bisect_left(mutant.lo, t) for t in range(len(mutant.ranks) + 1)]
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_up_and_edges_above_scan_the_edges(self, n):
+        # on build(n) and on a mutant whose first edge repeats, node t's
+        # covers and edge positions are those a scan of lo finds
+        diagram = build(n)
+        mutant = with_edge(diagram, diagram.lo[0], diagram.hi[0])
+        for d in (diagram, mutant):
+            for t in range(len(d.ranks)):
+                above = [k for k, lo in enumerate(d.lo) if lo == t]
+                assert list(d.edges_above(t)) == above
+                assert d.up[t] == tuple(d.hi[k] for k in above)
+        assert mutant.up[0] == (diagram.hi[0], *diagram.up[0])
 
     def test_dependent_cover_the_crosscut_passes(self, monkeypatch):
         # at n = 5 the one node of three covers: the join of its first two
@@ -1072,8 +1078,12 @@ class TestKappaMatching:
         step_lanes = certificates._step_lanes
         walked = []
         check = poset.check_semidistributive
-        monkeypatch.setattr(certificates, "_step_lanes", lambda n, ones, v, up: [
-            lanes * (k != 1 or not up) for k, lanes in enumerate(step_lanes(n, ones, v, up))])
+
+        def without_up_13(n, ones, v):
+            up, down = step_lanes(n, ones, v)
+            return [lanes * (k != 1) for k, lanes in enumerate(up)], down
+
+        monkeypatch.setattr(certificates, "_step_lanes", without_up_13)
         monkeypatch.setattr(poset, "check_semidistributive",
                             lambda diagram: walked.append(diagram.n) or check(diagram))
         report = checks.run_check("semidistributive", n)
@@ -1319,8 +1329,8 @@ class TestWitnessBranches:
         mobius_from = poset.mobius_from
         covers_independent = checks.covers_independent
 
-        def declining_at_x(diagram, starts):  # so that the crosscut runs at x
-            found, joins = covers_independent(diagram, starts)
+        def declining_at_x(diagram):  # so that the crosscut runs at x
+            found, joins = covers_independent(diagram)
             return sorted({x, *found}), joins
 
         monkeypatch.setattr(checks, "covers_independent", declining_at_x)
@@ -1426,13 +1436,14 @@ class TestSharedDiagram:
     def test_run_all_shares_the_columns_and_edge_offsets(self, monkeypatch):
         # the vector columns are computed once, for the shared diagram,
         # and read by every check that reads them; the edge offsets are
-        # counted once, for lattice and mobius
+        # counted once, cached on that diagram for lattice and mobius
         computed, counted = [], []
-        vector_columns, edge_starts = poset._vector_columns, certificates.edge_starts
+        vector_columns, starts = poset._vector_columns, poset.HasseDiagram.starts.func
         monkeypatch.setattr(poset, "_vector_columns",
                             lambda n: computed.append(n) or vector_columns(n))
-        monkeypatch.setattr(checks, "edge_starts",
-                            lambda diagram: counted.append(diagram.n) or edge_starts(diagram))
+        counting = cached_property(lambda diagram: counted.append(diagram.n) or starts(diagram))
+        counting.__set_name__(poset.HasseDiagram, "starts")
+        monkeypatch.setattr(poset.HasseDiagram, "starts", counting)
         assert all(r.passed for r in checks.run_all(6))
         assert computed == counted == [6]
 

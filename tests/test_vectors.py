@@ -221,7 +221,6 @@ class TestBijection:
     def test_known_six_cycle_against_chain_descent(self):
         # walk down to the bottom; the vector must be the sum of the edge
         # labels' unit vectors, independently of the walk
-        from cyclat.perm import covers_down
         sigma = CircularPermutation.from_text("(1,6,4,2,3,5)")
         totals = {}
         current = sigma
