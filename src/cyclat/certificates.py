@@ -1,4 +1,5 @@
-"""Certificates of the `lattice`, `mobius` and `semidistributive` claims.
+"""Certificates of the `lattice`, `grading`, `mobius` and
+`semidistributive` claims.
 
 `checks._check_lattice` claims that the order is the closure of its
 covers and that every two upper covers of a node have a join.
@@ -72,7 +73,9 @@ A. Bjorner and F. Brenti, *Combinatorics of Coxeter Groups*, Springer,
    is the closure of the edges.
 A certificate that declines proves nothing: the check then walks the
 claims node by node (`checks._cover_failure`), which decides and names
-the witness.
+the witness.  `checks._check_grading` reads the lemma too: every cover
+is a unit step, and on the dual lanes M - v every node above a minimal
+one has an admitted step down, so `step_ends` counts the extremes.
 
 Cover independence (`covers_independent`, for `checks._check_mobius`).
 Let node x have the upper covers a_1, ..., a_k, and let O_i be the join
@@ -135,9 +138,9 @@ nodes are exactly the admitted vectors (`nodes_are_words`, whose words'
 vectors are admitted), and the exchange lemma.  That the order is a
 lattice, which the theorem presumes, is the claim of `lattice`; the mask
 walk `poset.kappa_failure` presumes it too.
-On lanes, as `admitted_steps` finds the steps up: x - e_k is admitted
-iff the defects with long side k are 1 and those with k a short side 0,
-and `_step_lanes` reads both directions off one pass over the defects.
+On lanes, `_step_lanes` reads the steps up and down off one pass over
+the triple defects: x - e_k is admitted iff the defects with long side
+k are 1 and those with k a short side 0.
 Over k, one accumulator holds the lanes with a step, a second those
 with two, and a third the OR of k + 1 over the steps, so their bytes
 name J and M and each one's step (`_single_steps`).  The lanes are cut
@@ -153,10 +156,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, islice
 from math import comb, factorial
-from operator import itemgetter, lt, sub
+from operator import itemgetter, lt, or_, sub
 from typing import Iterator, Sequence
 
 from cyclat import poset
@@ -196,12 +199,14 @@ def nodes_are_words(n: int, columns: Sequence[bytes]) -> bool:
     if list(map(len, columns)) != [size] * comb(n, 2):
         return False
     inversions = list(poset._inversion_columns(n).values())
-    for first in range(0, size, LANE_BLOCK):
-        width = min(LANE_BLOCK, size - first)
-        found = poset._word_bits(n, width, _block(columns, first, width))
-        if found != _block(inversions, first, width):
-            return False
-    return True
+    return all(poset._word_bits(n, width, _block(columns, first, width))
+               == _block(inversions, first, width) for first, width in _spans(size))
+
+
+def _spans(size: int) -> Iterator[tuple[int, int]]:
+    """The first lane and the width of each block of `LANE_BLOCK` of the
+    size lanes."""
+    return ((first, min(LANE_BLOCK, size - first)) for first in range(0, size, LANE_BLOCK))
 
 
 def _block(columns: Sequence[bytes], first: int, width: int) -> list[int]:
@@ -226,28 +231,16 @@ def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
         return None
 
 
-def admitted_steps(diagram: poset.HasseDiagram) -> list[int]:
-    """For each coordinate k, in the pair order of the columns, the lanes
-    of the nodes x whose x + e_k is admitted, as one int, bit 8t set
-    iff node t is one.  Read where `nodes_are_words` holds, so every
-    lane of every `poset._triple_defects` D on `poset._lane_ints` is 0
-    or 1 and borrows nothing.  Raising x[i,j] raises D by 1 where (i, j)
-    is the long side of the triple and lowers it by 1 where it is a
-    short side; so x + e_k is admitted iff the first D are 0 and the
-    others 1.  An adjacent k is the long side of no triple, and x + e_k
-    is never admitted there: it has no lanes."""
-    n, size = diagram.n, len(diagram.ranks)
-    return _step_lanes(n, int.from_bytes(b"\1" * size, "little"),
-                       poset._lane_ints(n, diagram.columns))[0]
-
-
 def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int]) -> tuple[list[int], list[int]]:
-    """`admitted_steps` on the lanes v of `poset._lane_ints`, ones the 1
-    of each lane, and from the same defects the lanes of the x whose
-    x - e_k is admitted: lowering x[i,j] lowers D where (i, j) is the
-    long side and raises it where it is a short side, so the first D
-    must be 1 and the others 0, and an adjacent k, 0 in every node, has
-    no lanes."""
+    """For each coordinate k, in the pair order of the columns, the lanes
+    of the x with x + e_k admitted, and of those with x - e_k admitted,
+    on the lanes v of `poset._lane_ints`, ones the 1 of each lane.  Read
+    where `nodes_are_words` holds, so every lane of every
+    `poset._triple_defects` D is 0 or 1 and borrows nothing.  Raising
+    x[i,j] raises D by 1 where (i, j) is the long side of the triple and
+    lowers it where it is a short side: x + e_k is admitted iff the
+    first D are 0 and the others 1, x - e_k iff the reverse.  An
+    adjacent k, a long side of no triple and 0 in every node, has none."""
     up = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
     down = dict(up)
     for (i, p, j), d in poset._triple_defects(n, v):
@@ -259,22 +252,32 @@ def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int]) -> tuple[list[
     return list(up.values()), list(down.values())
 
 
+def _block_steps(n: int, columns: Sequence[bytes]) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """The order-n columns in blocks (`_spans`): for each, its first
+    node, its width, and `_step_lanes`' steps up and down on it."""
+    for first, width in _spans(factorial(n - 1)):
+        v = poset._lane_ints(n, [column[first:first + width] for column in columns])
+        yield first, width, *_step_lanes(n, int.from_bytes(b"\1" * width, "little"), v)
+
+
 def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
     """Whether the edges, the coordinate k of each edge's step being
     `steps`, are exactly the admitted unit steps x + e_k of the nodes:
     the edges strictly increase in (lo, hi), so none repeats, and for
-    each k the `admitted_steps` lanes are as many as the edges whose
-    step is k.  An edge of step k from x has x + e_k as its upper row,
-    so x is one of those lanes; two such edges from one x would end at
-    one row, which is one node (`nodes_are_words`), and so repeat.  The
-    edges of step k then take each lane once, and equal counts leave
-    no admitted step without its edge.  The module docstring's
-    exchange lemma makes that the closure."""
+    each k the lanes of the steps up (`_block_steps`) are as many as the
+    edges whose step is k.  An edge of step k from x has x + e_k as its
+    upper row, so x is one of those lanes; two such edges from one x
+    would end at one row, which is one node (`nodes_are_words`), and so
+    repeat.  The edges of step k then take each lane once, and equal
+    counts leave no admitted step without its edge.  The module
+    docstring's exchange lemma makes that the closure."""
     edges = zip(diagram.lo, diagram.hi)
     if not all(map(lt, edges, islice(zip(diagram.lo, diagram.hi), 1, None))):
         return False
-    return [lanes.bit_count() for lanes in admitted_steps(diagram)] == \
-        list(map(steps.count, range(len(diagram.columns))))
+    counts = [0] * len(diagram.columns)
+    for _, _, up, _ in _block_steps(diagram.n, diagram.columns):
+        counts = [count + lanes.bit_count() for count, lanes in zip(counts, up)]
+    return counts == list(map(steps.count, range(len(diagram.columns))))
 
 
 def cover_joins_tight(diagram: poset.HasseDiagram) -> bool:
@@ -426,19 +429,25 @@ def kappa_matching(n: int, columns: Sequence[bytes]) -> tuple[int, int] | None:
 def irreducibles(n: int, columns: Sequence[bytes]) -> tuple[dict[int, int], dict[int, int]]:
     """J and M: the nodes with exactly one admitted step down, and those
     with exactly one up, each as {node: the coordinate k of that step},
-    in id order.  Read where `nodes_are_words` holds, `LANE_BLOCK` nodes
-    at a time (`_step_lanes`, `_single_steps`)."""
-    size = factorial(n - 1)
+    in id order.  Read where `nodes_are_words` holds (`_block_steps`,
+    `_single_steps`)."""
     joins: dict[int, int] = {}
     meets: dict[int, int] = {}
-    for first in range(0, size, LANE_BLOCK):
-        width = min(LANE_BLOCK, size - first)
-        ones = int.from_bytes(b"\1" * width, "little")
-        v = poset._lane_ints(n, [column[first:first + width] for column in columns])
-        up, down = _step_lanes(n, ones, v)
+    for first, width, up, down in _block_steps(n, columns):
         for found, lanes in ((joins, down), (meets, up)):
             found.update((first + t, k) for t, k in _single_steps(lanes, width))
     return joins, meets
+
+
+def step_ends(n: int, columns: Sequence[bytes]) -> tuple[int, int]:
+    """The counts of the nodes with no admitted step down and of those
+    with none up.  Read where `nodes_are_words` holds, so the OR of the
+    step lanes (`_block_steps`) holds 1 in each lane that has a step."""
+    bottoms = tops = 0
+    for _, width, up, down in _block_steps(n, columns):
+        bottoms += width - reduce(or_, down, 0).bit_count()
+        tops += width - reduce(or_, up, 0).bit_count()
+    return bottoms, tops
 
 
 def _single_steps(lanes: Sequence[int], width: int) -> Iterator[tuple[int, int]]:

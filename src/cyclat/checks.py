@@ -5,46 +5,27 @@ returns a CheckReport.  Every claim is checked exhaustively at every n
 but one: from n = 7 on, `lattice` tests the joins and meets against the
 bounds on 10,000 seeded pairs instead of on every ordered pair.
 
-`lattice`, `modularity` and `mobius` take their joins, and the first
-two their meets, many pairs at a time: the recursion of the kernel
-`join_flat`, run on vector columns, one byte a pair, with guard bits
-for the lane-wise max (L. Lamport, *Multiple byte processing with
-full-word instructions*, CACM 18(8), 1975), and the meets as the joins
-of the dual lanes M - v, M[i,j] = j - i - 1 (cycle inversion).  So
-`lattice` proves that this lane recursion gives the bounds, and no
-scan of the diagram calls a per-pair kernel; the tests tie `join_flat`
-and `meet_flat` to the lane recursion pair for pair, and `meet_flat`
-to the dual join.  `lattice` proves all its claims by certificates,
-with no threshold mask.  The closure claim is local: the edges are
-exactly the admitted unit steps x + e_k, read on the lanes of the
-triple defects, and an exchange lemma on the affine windows (proved in
-`cyclat.certificates`) puts an admitted x + e_k below every z > x.  The
-bounds have one argument for the cover pairs and the tested pairs
-alike: each lane join is a node and tight, and so is each lane meet on
-the dual lanes.  A walk on up-sets and down-sets runs only where a
-certificate declines, to name the witness.  The lane join and the lane
-meet are symmetric in the pair, since the lane-wise max is, so
-`lattice` proves each unordered pair of the square once, on the lane
-(x, y) with x <= y by id: that lane's certificate proves the bounds of
-(x, y) and (y, x).  `mobius` proves mu(x, .) in {0, 1, -1} at every
-node x whose upper covers are independent, none below the join of the
-others (`certificates.covers_independent`), from prefix and suffix
-joins on the lanes; Rota's crosscut runs only where that declines.
-`semidistributive` proves both laws by matching the join-irreducibles
-with the meet-irreducibles on the vector columns
-(`certificates.kappa_matching`); the kappa walk on threshold masks runs
-only where that declines, to decide and name the witness.
+The checks prove their claims by certificates on the vector columns,
+one byte a lane (node); the arguments are in `cyclat.certificates` and
+in each check's docstring, `_check_lattice`'s for the lane recursion
+that gives the joins and meets of `lattice`, `modularity` and `mobius`.
+A walk on threshold masks runs only where a certificate declines, to
+decide and name the witness: no passing check computes a mask, and
+`modularity` and `young` read their few up-sets off the lanes
+(`poset._lane_up_sets`).
 
-`semidistributive`, `triangulation` and `interval` build no diagram and
-no per-element object where they pass: they test every node at once on
-its vector columns read as ints, one lane per node.
+`grading`, `semidistributive`, `young`, `triangulation` and `interval`
+build no diagram where they pass: they read the vector columns and the
+ranks alone, every node at once, and `young` decodes only the words of
+its truncation.
 
-`run_all` builds the order-n diagram once, on first use, and every
-check that reads a diagram reads that one and the views cached on it,
-its vector columns (`CheckRun.columns`) and edge offsets
-(`HasseDiagram.starts`) among them; `run_check` builds its own.  Each
-check still proves its claim from the columns, so no check relies on
-another's verdict.
+`run_all` computes the order-n vector columns (`CheckRun.columns`) and
+ranks (`CheckRun.ranks`) once, for every check that reads them, and
+builds the diagram once, on first use, in `lattice`, with those
+columns; every later check reads that diagram and the views cached on
+it, its edge offsets (`HasseDiagram.starts`) among them.  `run_check`
+computes its own.  Each check still proves its claim from the columns,
+so no check relies on another's verdict.
 """
 
 from __future__ import annotations
@@ -59,7 +40,8 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import poset, vectors
-from cyclat.certificates import covers_certified, covers_independent, kappa_matching
+from cyclat.certificates import (covers_certified, covers_independent, kappa_matching,
+                                 nodes_are_words, step_ends)
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -76,9 +58,10 @@ class CheckReport:
     `witness` is set only on a failure, or where the check pins one (the
     modularity quadruple from n = 5 on).  `stats` counts what was
     checked, and `phases` splits `elapsed` into the seconds spent
-    building the diagram, computing its vector columns and their
-    threshold masks, and scanning; a check that read a diagram built by
-    an earlier check of the same `run_all` spends no time building it.
+    building the diagram, computing its threshold masks (only a walk
+    where a certificate declines reads them) and scanning, the vector
+    columns and ranks included; a check that read what an earlier check
+    of the same `run_all` built spends no time building it.
     """
 
     check: str
@@ -110,10 +93,11 @@ class CheckReport:
 class CheckRun:
     """What one check reads, and the counts and times it reports.
 
-    `shared` holds the order-n diagram once `diagram()` has built it
-    through `build`, and is handed on to the next check of a `run_all`.
-    The run that builds the diagram, or first computes its threshold
-    masks, has those seconds in its `phases`.
+    `shared` holds what the checks of one `run_all` read, each part
+    computed once, on first use: the vector columns, the ranks and the
+    diagram of `build`, which takes the run's columns for its own.  The
+    run that builds the diagram, or first computes its threshold masks,
+    has those seconds in its `phases`.
     """
 
     n: int
@@ -122,12 +106,14 @@ class CheckRun:
     phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_PHASES, 0.0))
 
     def diagram(self, masks: bool = False) -> poset.HasseDiagram:
-        """The order-n diagram; with `masks`, its vector columns and
-        `at_least` threshold masks computed as well."""
+        """The order-n diagram; with `masks`, its `at_least` threshold
+        masks computed as well."""
         if "diagram" not in self.shared:
             start = time.perf_counter()
             self.shared["diagram"] = build(self.n)
             self.phases["build"] += time.perf_counter() - start
+            if "columns" in self.shared:  # a view of n alone: no second copy
+                self.shared["diagram"].columns = self.shared["columns"]
         diagram = self.shared["diagram"]
         if masks and "masks" not in self.shared:
             start = time.perf_counter()
@@ -137,17 +123,58 @@ class CheckRun:
         return diagram
 
     def columns(self) -> tuple[bytes, ...]:
-        """The order-n vector columns: the shared diagram's once one is
-        built, else `poset._vector_columns(n)`, building nothing."""
-        if "diagram" in self.shared:
-            return self.shared["diagram"].columns
-        return poset._vector_columns(self.n)
+        """`poset._vector_columns(n)`, building nothing."""
+        if "columns" not in self.shared:
+            self.shared["columns"] = poset._vector_columns(self.n)
+        return self.shared["columns"]
+
+    def ranks(self) -> Sequence[int]:
+        """`poset._prefix_ranks(n)`, the ranks in id order."""
+        if "ranks" not in self.shared:
+            self.shared["ranks"] = poset._prefix_ranks(self.n)
+        return self.shared["ranks"]
 
 
 def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
-    report = poset.grading_report(run.diagram())
+    """The order is graded by the word rank, 0..C(n, 3), with one bottom
+    and one top, proved on the vector columns and the ranks of
+    `poset._prefix_ranks` (`grading_report`), with no diagram:
+    - lane t is the t-th word's vector (`certificates.nodes_are_words`),
+      so the lanes are distinct and admitted, and, every admitted vector
+      being a word's (`poset._word_bits`), all of them;
+    - each lane's coordinate sum is its rank, summed on the columns read
+      as ints, a byte a lane: an admitted v[i,j] is at most j - i - 1,
+      so no lane exceeds C(n, 3), and none carries up to n = 12 (beyond,
+      `bytes` refuses the ranks);
+    - one lane has no admitted step down, and one none up
+      (`certificates.step_ends`).
+    By the exchange lemma (`cyclat.certificates`) every z > x lies above
+    an admitted x + e_k, a node, so every cover is a unit step and
+    raises the rank by exactly 1; on the dual lanes M - v, every z < x
+    below an admitted x - e_k, so the lanes with no step down are the
+    minimal nodes, and those with none up the maximal ones.
+    """
+    poset.refuse_over_cap(run.n)
+    report = grading_report(run.n, run.ranks(), run.columns())
     ok = report.pop("pass")
     return ok, None if ok else report
+
+
+def grading_report(n: int, ranks: Sequence[int], columns: Sequence[bytes]) -> dict:
+    """What `_check_grading` proves, in the keys of the per-edge scan
+    the tests keep as a reference.  Where the lanes are not the words'
+    vectors, no step is read: `bottoms` and `tops` are None."""
+    words = nodes_are_words(n, columns)
+    unit = words and sum(int.from_bytes(column, "little") for column in columns) == \
+        int.from_bytes(bytes(ranks), "little")
+    bottoms, tops = step_ends(n, columns) if words else (None, None)
+    image = sorted(set(ranks))
+    complete = image == list(range(comb(n, 3) + 1))
+    ok = len(ranks) == factorial(n - 1) and complete and unit and bottoms == tops == 1
+    return {"n": n, "pass": ok, "nodes": len(ranks), "expected_nodes": factorial(n - 1),
+            "max_rank": image[-1], "expected_max_rank": comb(n, 3),
+            "rank_image_complete": complete, "unit_increments": unit,
+            "bottoms": bottoms, "tops": tops}
 
 
 def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
@@ -211,30 +238,16 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
 
     All three are proved from certificates, holding no up-set and no
     threshold mask (`certificates.covers_certified` for the first two):
-    - Node t's row is the vector of the t-th canonical word
-      (`certificates.nodes_are_words`).  On lanes, one byte a vector,
-      `poset._word_bits` passes exactly the vectors v of canonical
-      words: every entry below 0x80, the adjacent entries 0, every
-      B(i, j) = v[1,j] - v[1,i] - v[i,j], 2 <= i < j <= n, 0 or 1, and
-      every B(i,j) + B(j,k) - B(i,k) 0 or 1, so that B is a transitive
-      tournament, the inversion set of one word, and v that word's
-      vector.  The columns pass it, and the B read from them are the
-      words' `poset._inversion_columns(n)`, so the rows are the words'
-      vectors in id order: no row repeats and every word's vector is a
-      row.  Then "is a node" below is that lane test, with no lookup.
-      Word vectors are admitted: their triple defects are the B(i, j)
-      and those sums.
-    - Every edge is a unit step: its upper row is its lower row plus 1
-      in one coordinate k, read from the rows, not the labels
-      (`certificates.unit_steps`).  The edges are exactly the admitted
-      unit steps: no edge repeats, and for each k the nodes x with
-      x + e_k admitted, read on the lanes of the triple defects, are as
-      many as the edges of step k (`certificates.steps_are_covers`).
-      The exchange lemma, proved in `cyclat.certificates` from the
-      affine windows of the nodes in the left weak order, gives every
-      two nodes x < z an admitted x + e_k <= z, which is then a node
-      and a cover of x: every z > x lies above a cover of x, and the
-      order is the closure of the covers.
+    - Node t's row is the vector of the t-th canonical word, so the
+      nodes are admitted and "is a node" below is a lane test, with no
+      lookup (`certificates.nodes_are_words`, argued in
+      `cyclat.certificates` and `poset._word_bits`).
+    - Every edge is a unit step on its two rows, not its labels
+      (`certificates.unit_steps`), and the edges are exactly the
+      admitted unit steps x + e_k (`certificates.steps_are_covers`).
+      The exchange lemma (`cyclat.certificates`) gives every two nodes
+      x < z an admitted x + e_k <= z, a cover of x: the order is the
+      closure of the covers.
     - The `poset._column_joins` result X of every cover pair, and of
       every pair of the third claim, y, z is a node and is tight:
       X[i,j] == max(y[i,j], z[i,j], X[i,p] + X[p,j], i < p < j) on every
@@ -386,7 +399,7 @@ def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
 
 def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
     n = run.n
-    report = poset.check_modular(run.diagram(masks=True))
+    report = poset.check_modular(run.diagram())
     expected_modular = n <= 4
     ok = report["modular"] == expected_modular
     if n == 5 and ok:
@@ -407,9 +420,10 @@ def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
 
 
 def _check_young(run: CheckRun) -> tuple[bool, dict | None]:
-    diagram = run.diagram(masks=True)  # the cap first: comb rejects a negative n
-    k = min(run.n // 2, comb(run.n, 3))  # truncation depth cannot exceed the top rank
-    report = poset.check_young_limit(diagram, k)
+    n = run.n
+    poset.refuse_over_cap(n)  # the cap first: comb rejects a negative n
+    k = min(n // 2, comb(n, 3))  # truncation depth cannot exceed the top rank
+    report = poset.check_young_limit(n, k, run.ranks(), run.columns())
     if not report.pop("pass"):
         return False, report
     run.stats.update(k=k, rank_sizes=report["rank_sizes"])
@@ -607,7 +621,7 @@ def _check_interval(run: CheckRun) -> tuple[bool, dict | None]:
             vertex |= v[1, j] - v[1, i] - column - _wide(inversions[i, j])
     for i in range(2, n + 1):
         projection |= a[i - 1] - a[0] - n * v[1, i] - positions[i - 1]
-    grading = sum(v.values()) - _wide(bytes(poset._prefix_ranks(n)))
+    grading = sum(v.values()) - _wide(bytes(run.ranks()))
     lanes = [_lowest_lane(flags, 2) for flags in (window, vertex, projection, grading)]
     k = _first(*lanes)
     if k is not None:

@@ -34,9 +34,9 @@ def diagram_by_search(n: int) -> tuple[tuple[Word, ...],
     arithmetic on the lexicographic order), so the search is an
     independent reference for every column of the diagram.  The search
     also shows that every node is reachable from the bottom; a directly
-    enumerated diagram keeps that guarantee through `grading_report`'s
-    single-bottom test, since a finite poset with one minimal element
-    is connected through covers.
+    enumerated diagram keeps that guarantee through the `grading`
+    check's single-bottom test, since a finite poset with one minimal
+    element is connected through covers.
     """
     bottom = tuple(range(1, n + 1))
     seen = {bottom}

@@ -15,9 +15,11 @@ blocks `cyclat poset` writes out one by one, from `_prefix_ranks` and
 by transfer matrix over (set of letters placed, last letter), with no
 diagram, no kernel and no pass over the cycles (`cover_histogram`);
 the stream of `_cover_rows` is their cross-check in the tests.
-Everything else queries the diagram: rank grading, the Moebius
-function, semidistributivity and modularity scans, rank truncations
-against the partition order, and conjugators of upward paths.
+Rank truncations against the partition order read the ranks and the
+vector columns, with no diagram, and take up-sets by lane comparison
+(`_lane_up_sets`).  Everything else queries the diagram: the Moebius
+function, semidistributivity and modularity scans, and conjugators of
+upward paths.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, combinations, islice, permutations, product
-from math import comb, factorial
+from math import factorial
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -55,11 +57,11 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes 11.5-17.9 s at a
-    263 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
-    3.4-4.9 s of it (`BENCH_kappa_matching.json`), and `build(11)` alone
-    peaks at about 1.2 GB.  `eulerian n` builds no diagram and is
-    refused for n > cap.
+    under 5 minutes and 600 MB: `check all 10` takes 9.3-10.9 s at a
+    257 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
+    4.0 s of it, the build included (`BENCH_lane_upsets.json`), and
+    `build(11)` alone peaks at about 1.2 GB.  `eulerian n` builds no
+    diagram and is refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
     """
@@ -158,7 +160,9 @@ class HasseDiagram:
     coordinate c at least v (`at_least`), as bitmasks over node ids.
     The up-set of a node is the AND of C(n, 2) such masks
     (`above_mask`), and its down-set the complement of the OR of as
-    many (`below_mask`).
+    many (`below_mask`).  Only the walks where a certificate declines
+    read them; a passing check reads up-sets off the lanes
+    (`_lane_up_sets`).
     """
 
     n: int
@@ -343,8 +347,8 @@ def _words(n: int) -> Iterator[Word]:
     return map((1,).__add__, permutations(range(2, n + 1)))
 
 
-def node_name(n: int, t: int) -> str:
-    """The cycle literal of node t of order n: the digits of t in the
+def node_word(n: int, t: int) -> Word:
+    """The canonical word of node t of order n: the digits of t in the
     factorial number system pick each letter of p, in turn, from the
     letters of 2..n not yet placed."""
     letters = list(range(2, n + 1))
@@ -352,7 +356,12 @@ def node_name(n: int, t: int) -> str:
     for k in reversed(range(len(letters))):
         d, t = divmod(t, factorial(k))
         word.append(letters.pop(d))
-    return word_text(word)
+    return tuple(word)
+
+
+def node_name(n: int, t: int) -> str:
+    """The cycle literal of node t of order n, `word_text(node_word(n, t))`."""
+    return word_text(node_word(n, t))
 
 
 def build(n: int) -> HasseDiagram:
@@ -885,6 +894,32 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
 
 
 _ROW_CHUNK = 4096  # pairs per batch of the modularity scan, ids per Moebius block
+_FLAG_DIGITS = bytes.maketrans(b"\0\x80", b"01")
+
+
+def _lane_up_sets(n: int, columns: Sequence[bytes]) -> Callable[[int], int]:
+    """The up-set of a node x of order n, bit z set iff x <= z, on the
+    vector columns: the AND over the columns c with c[x] > 0 of the
+    lanes z with c[z] >= c[x].  Column c is read once, on first use, as
+    one int a byte a lane with H, the 0x80 of every lane, set; c[x]
+    taken from every lane leaves H where c[z] >= c[x], as in
+    `_lane_max`.  The flags are read back as a node bitmask by one
+    translate of their bytes."""
+    size = factorial(n - 1)
+    guard = int.from_bytes(b"\x80" * size, "little")
+    ones = guard >> 7
+
+    @lru_cache(maxsize=None)
+    def lanes(c: int) -> int:
+        return int.from_bytes(columns[c], "little") | guard
+
+    def up_set(x: int) -> int:
+        above = guard
+        for c, column in enumerate(columns):
+            if v := column[x]:
+                above &= lanes(c) - v * ones
+        return int(above.to_bytes(size, "big").translate(_FLAG_DIGITS), 2)
+    return up_set
 
 
 def check_modular(diagram: HasseDiagram) -> dict:
@@ -893,16 +928,17 @@ def check_modular(diagram: HasseDiagram) -> dict:
     Returns the first violating quadruple, if any, as a witness, over
     the pairs x < y of node ids in order.  A pair with x <= y in the
     order has meet x and join y, so it cannot fail and is skipped: each
-    row x reads above_mask(x) once, which skips the bottom's whole row,
-    and joins and meets the rest of the row in `bounds` batches of up
-    to `_ROW_CHUNK` pairs, so a failure early in a long row ends the
-    scan after one batch.
+    row x reads x's up-set once, on the lanes (`_lane_up_sets`), which
+    skips the bottom's whole row, and joins and meets the rest of the
+    row in `bounds` batches of up to `_ROW_CHUNK` pairs, so a failure
+    early in a long row ends the scan after one batch.
     """
     size = len(diagram.ranks)
     ranks = diagram.ranks
+    up_set = _lane_up_sets(diagram.n, diagram.columns)
     for x in range(size):
         later = ((1 << size) - 1) ^ ((1 << (x + 1)) - 1)  # the ids after x
-        row = bits(later & ~diagram.above_mask(x))
+        row = bits(later & ~up_set(x))
         for start in range(0, len(row), _ROW_CHUNK):
             ys = row[start:start + _ROW_CHUNK]
             for y, j, m in zip(ys, *diagram.bounds([x] * len(ys), ys)):
@@ -980,31 +1016,33 @@ def shuffle_partition(sigma: CircularPermutation, rank: int) -> Partition:
     return found[0]
 
 
-def check_young_limit(diagram: HasseDiagram, k: int) -> dict:
-    """Rank-<=k truncation against the partition order (needs n >= 2k).
+def check_young_limit(n: int, k: int, ranks: Sequence[int],
+                      columns: Sequence[bytes]) -> dict:
+    """Rank-<=k truncation against the partition order (needs n >= 2k),
+    read off `_prefix_ranks(n)` and `_vector_columns(n)`, with no
+    diagram.
 
     The shuffle statistic must biject the truncation onto partitions of
     weight <= k and carry the order to containment: each element's
-    up-set mask, cut to the truncation, must be the mask of the elements
-    whose partitions contain its own.
+    up-set (`_lane_up_sets`), cut to the truncation, must be the mask of
+    the elements whose partitions contain its own.  Only the words of
+    the truncation are decoded (`node_word`).
     """
-    n = diagram.n
     if n < 2 * k:
         raise CyclatError(f"need n >= 2k, got n={n}, k={k}")
-    encoding = {t: shuffle_partition(CircularPermutation(word), rank)
-                for t, (word, rank) in enumerate(zip(_words(n), diagram.ranks))
-                if rank <= k}
-    ids = list(encoding)
+    ids = [t for t, rank in enumerate(ranks) if rank <= k]
+    encoding = {t: shuffle_partition(CircularPermutation(node_word(n, t)), ranks[t])
+                for t in ids}
     target = set(partitions_up_to(k))
     bijective = (len(set(encoding.values())) == len(ids)
                  and set(encoding.values()) == target)
     truncation = sum(1 << t for t in ids)
+    up_set = _lane_up_sets(n, columns)
     order_ok = all(
-        diagram.above_mask(a) & truncation
+        up_set(a) & truncation
         == sum(1 << b for b in ids if partition_leq(encoding[a], encoding[b]))
         for a in ids)
-    sizes = {r: sum(1 for t in ids if diagram.ranks[t] == r)
-             for r in range(k + 1)}
+    sizes = {r: sum(1 for t in ids if ranks[t] == r) for r in range(k + 1)}
     return {
         "n": n,
         "k": k,
@@ -1176,30 +1214,3 @@ def to_json(diagram: HasseDiagram) -> str:
     escaping.
     """
     return _diagram_text(diagram, "json")
-
-
-def grading_report(diagram: HasseDiagram) -> dict:
-    """Node count, rank image, and per-edge rank increments of a diagram."""
-    n = diagram.n
-    image = sorted(set(diagram.ranks))
-    increments_ok = all(diagram.ranks[hi] == diagram.ranks[lo] + 1
-                        for lo, hi in zip(diagram.lo, diagram.hi))
-    size = len(diagram.ranks)
-    has_down, has_up = set(diagram.hi), set(diagram.lo)
-    bottoms = [t for t in range(size) if t not in has_down]
-    tops = [t for t in range(size) if t not in has_up]
-    ok = (size == factorial(n - 1)
-          and image == list(range(comb(n, 3) + 1))
-          and increments_ok and len(bottoms) == 1 and len(tops) == 1)
-    return {
-        "n": n,
-        "pass": ok,
-        "nodes": size,
-        "expected_nodes": factorial(n - 1),
-        "max_rank": image[-1],
-        "expected_max_rank": comb(n, 3),
-        "rank_image_complete": image == list(range(comb(n, 3) + 1)),
-        "unit_increments": increments_ok,
-        "bottoms": len(bottoms),
-        "tops": len(tops),
-    }

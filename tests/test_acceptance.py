@@ -172,7 +172,8 @@ def test_07_triangulation_sums():
 def test_08_young_limit():
     with Budget("8 Young truncation isomorphism (2,4),(3,6),(4,8)", 120.0):
         for k, n in ((2, 4), (3, 6), (4, 8)):
-            report = poset.check_young_limit(build(n), k)
+            report = poset.check_young_limit(n, k, poset._prefix_ranks(n),
+                                             poset._vector_columns(n))
             assert report["pass"], report
 
 

@@ -29,6 +29,15 @@ def lane_bit(k, width=1):
     return 1 << 8 * width * k
 
 
+def admitted_steps(diagram):
+    """The lanes of `certificates._block_steps`' steps up, whole columns:
+    for each coordinate k, bit 8t set iff node t's x + e_k is admitted."""
+    lanes = [0] * len(diagram.columns)
+    for first, _, up, _ in certificates._block_steps(diagram.n, diagram.columns):
+        lanes = [whole | block << 8 * first for whole, block in zip(lanes, up)]
+    return lanes
+
+
 def triangulation_by_vectors(n):
     """The vector stage of `triangulation` one node at a time, the
     reference of the lane form: node k's vector admitted as an
@@ -562,7 +571,7 @@ class TestLatticeCertificates:
         # lane t of coordinate k is set iff node t's vector plus e_k is
         # admitted, on every node and coordinate
         diagram = build(n)
-        lanes = certificates.admitted_steps(diagram)
+        lanes = admitted_steps(diagram)
         assert len(lanes) == len(diagram.columns)
         for k, mask in enumerate(lanes):
             for t, row in enumerate(diagram.rows):
@@ -580,7 +589,7 @@ class TestLatticeCertificates:
         mutant = with_edge(without_edge(diagram, dropped), diagram.lo[0], diagram.hi[0])
         mutant_steps = certificates.unit_steps(mutant)
         assert sorted(mutant_steps) == sorted(steps)
-        assert [lanes.bit_count() for lanes in certificates.admitted_steps(mutant)] == \
+        assert [lanes.bit_count() for lanes in admitted_steps(mutant)] == \
             [mutant_steps.count(k) for k in range(len(diagram.columns))]
         assert not certificates.steps_are_covers(mutant, mutant_steps)
         assert not certificates.covers_certified(mutant)
@@ -1415,6 +1424,87 @@ def built_diagrams(monkeypatch):
     return built
 
 
+GRADING_KEYS = ["n", "nodes", "expected_nodes", "max_rank", "expected_max_rank",
+                "rank_image_complete", "unit_increments", "bottoms", "tops"]
+
+
+def without_lane_steps(monkeypatch, lane, side):
+    """`certificates._step_lanes` with node `lane`'s steps up (side 0) or
+    down (side 1) dropped, one block of lanes."""
+    step_lanes = certificates._step_lanes
+
+    def dropped(n, ones, v):
+        lanes = list(step_lanes(n, ones, v))
+        lanes[side] = [column & ~(0xff << 8 * lane) for column in lanes[side]]
+        return tuple(lanes)
+    monkeypatch.setattr(certificates, "_step_lanes", dropped)
+
+
+class TestGradingLanes:
+    """`grading` on the columns and the ranks, against mutants of each
+    of its inputs; every failure reports the keys of the per-edge scan."""
+
+    def test_wrong_rank_in_one_lane(self, monkeypatch):
+        prefix_ranks = poset._prefix_ranks
+        lane = prefix_ranks(5).index(2)
+        monkeypatch.setattr(poset, "_prefix_ranks", lambda n: [
+            rank + (t == lane) for t, rank in enumerate(prefix_ranks(n))])
+        report = checks.run_check("grading", 5)
+        assert not report.passed and list(report.witness) == GRADING_KEYS
+        assert report.witness["unit_increments"] is False
+        assert report.witness["rank_image_complete"] is True
+        assert (report.witness["bottoms"], report.witness["tops"]) == (1, 1)
+
+    def test_triple_defect_of_two(self, monkeypatch):
+        # the bottom's v[1,3] raised to 2: D(1, 2, 3) is 2 in lane 0
+        vector_columns = poset._vector_columns
+
+        def raised(n):
+            columns = list(vector_columns(n))
+            columns[1] = b"\2" + columns[1][1:]
+            return tuple(columns)
+        monkeypatch.setattr(poset, "_vector_columns", raised)
+        report = checks.run_check("grading", 5)
+        assert not report.passed and list(report.witness) == GRADING_KEYS
+        assert report.witness["unit_increments"] is False
+        assert (report.witness["bottoms"], report.witness["tops"]) == (None, None)
+
+    @pytest.mark.parametrize("side, lane, key", [(0, 0, "tops"), (1, 23, "bottoms")])
+    def test_second_end_lane(self, monkeypatch, side, lane, key):
+        # the bottom (node 0) loses its steps up, or the top (node 23)
+        # its steps down
+        without_lane_steps(monkeypatch, lane, side)
+        report = checks.run_check("grading", 5)
+        assert not report.passed and list(report.witness) == GRADING_KEYS
+        assert report.witness["unit_increments"] is True
+        assert report.witness[key] == 2
+
+    @pytest.mark.parametrize("n, block", [(1, 1), (3, 1), (5, 7), (6, 32), (7, 1 << 15)])
+    def test_step_ends_are_the_lanes_without_steps(self, monkeypatch, n, block):
+        # a node has no step down (up) iff no x - e_k (x + e_k) is
+        # admitted, on every node, in blocks of `block` lanes
+        monkeypatch.setattr(certificates, "LANE_BLOCK", block)
+        diagram = build(n)
+        steps = [[kernels.is_admitted_flat(n, tuple(x + sign * (c == k) for c, x in enumerate(row)))
+                  for k in range(len(row)) for sign in (-1, 1)] for row in diagram.rows]
+        ends = (sum(not any(found[::2]) for found in steps),
+                sum(not any(found[1::2]) for found in steps))
+        assert certificates.step_ends(n, diagram.columns) == ends == (1, 1)
+        assert certificates.steps_are_covers(diagram, certificates.unit_steps(diagram))
+
+    def test_young_fails_on_an_up_set_missing_one_element(self, monkeypatch):
+        # every up-set loses the truncation's last node by id, which
+        # lies above the bottom, so the bottom's cut up-set is wrong
+        lane_up_sets = poset._lane_up_sets
+        ranks = poset._prefix_ranks(5)
+        dropped = max(t for t, rank in enumerate(ranks) if rank <= 2)
+        monkeypatch.setattr(poset, "_lane_up_sets", lambda n, columns: (
+            lambda x, up_set=lane_up_sets(n, columns): up_set(x) & ~(1 << dropped)))
+        report = checks.run_check("young", 5)
+        assert not report.passed and report.stats == {}
+        assert list(report.witness) == ["n", "k", "rank_sizes", "partition_counts"]
+
+
 class TestSharedDiagram:
     @pytest.mark.parametrize("n", [5, 7])
     def test_run_all_builds_the_order_once(self, monkeypatch, n):
@@ -1425,13 +1515,32 @@ class TestSharedDiagram:
             return build(order)
 
         monkeypatch.setattr(checks, "build", counting_build)
-        # eulerian counts order n + 1 and builds no diagram; lattice and
-        # semidistributive read no threshold mask, so modularity computes them
+        # eulerian counts order n + 1 and builds no diagram, and grading
+        # reads the columns and ranks alone, so lattice builds it; no
+        # passing check computes a threshold mask
         reports = checks.run_all(n)
         assert built == [n]
         assert all(r.passed for r in reports)
-        assert [r.check for r in reports if r.phases["build"]] == ["grading"]
-        assert [r.check for r in reports if r.phases["masks"]] == ["modularity"]
+        assert [r.check for r in reports if r.phases["build"]] == ["lattice"]
+        assert [r.check for r in reports if r.phases["masks"]] == []
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_passing_run_all_reads_no_mask(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("a passing check read a threshold mask")
+
+        monkeypatch.setattr(poset.HasseDiagram, "at_least", property(refuse))
+        assert all(r.passed for r in checks.run_all(n))
+
+    @pytest.mark.parametrize("name", ["grading", "young"])
+    def test_check_builds_no_diagram(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(f"{name} built a diagram")
+
+        monkeypatch.setattr(checks, "build", refuse)
+        monkeypatch.setattr(poset, "build", refuse)
+        report = checks.run_check(name, 6)
+        assert report.passed and report.phases["build"] == report.phases["masks"] == 0
 
     def test_run_all_shares_the_columns_and_edge_offsets(self, monkeypatch):
         # the vector columns are computed once, for the shared diagram,

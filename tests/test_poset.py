@@ -35,7 +35,6 @@ from cyclat.poset import (
     cover_histogram,
     eulerian,
     eulerian_row,
-    grading_report,
     kappa_failure,
     maximal_chain,
     mobius,
@@ -305,6 +304,21 @@ class TestVectorColumns:
         for y, v in enumerate(vecs):
             assert diagram.below_mask(y) == reduce(
                 and_, (masks[c] for masks, c in zip(at_most, v)), every)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lane_up_sets_are_the_masks(self, n):
+        diagram = build(n)
+        up_set = poset._lane_up_sets(n, diagram.columns)
+        assert [up_set(x) for x in range(len(diagram.ranks))] == \
+            [diagram.above_mask(x) for x in range(len(diagram.ranks))]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_lane_up_sets_of_seeded_nodes(self, n):
+        diagram = build(n)
+        up_set = poset._lane_up_sets(n, diagram.columns)
+        rng = random.Random(n)
+        for x in [diagram.bottom, diagram.top] + rng.sample(range(len(diagram.ranks)), 12):
+            assert up_set(x) == diagram.above_mask(x)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_leq_reads_the_columns(self, monkeypatch, n):
@@ -974,6 +988,24 @@ class TestLatticeLaws:
         ranks = report["witness"]["ranks"]
         assert ranks[0] + ranks[1] != ranks[2] + ranks[3]
 
+    @pytest.mark.parametrize("n, witness", [
+        (5, ["(1,2,3,5,4)", "(1,3,2,4,5)", "(1,2,5,3,4)", "(1,3,5,2,4)", [3, 5, 2, 7]]),
+        (6, ["(1,2,3,4,6,5)", "(1,2,4,3,5,6)", "(1,2,3,6,4,5)", "(1,2,4,6,3,5)",
+             [4, 8, 3, 11]]),
+        (7, ["(1,2,3,4,5,7,6)", "(1,2,3,5,4,6,7)", "(1,2,3,4,7,5,6)", "(1,2,3,5,7,4,6)",
+             [5, 11, 4, 15]]),
+        (8, ["(1,2,3,4,5,6,8,7)", "(1,2,3,4,6,5,7,8)", "(1,2,3,4,5,8,6,7)",
+             "(1,2,3,4,6,8,5,7)", [6, 14, 5, 19]])])
+    def test_pinned_scan_witnesses(self, monkeypatch, n, witness):
+        # the first failing pair of the scan, row by row on lane up-sets
+        def refuse(*args):
+            raise AssertionError("the scan read a threshold mask")
+
+        monkeypatch.setattr(HasseDiagram, "at_least", property(refuse))
+        report = check_modular(build(n))
+        assert not report["modular"]
+        assert report["witness"] == dict(zip(["x", "y", "meet", "join", "ranks"], witness))
+
     def test_canonical_witness_quadruple(self):
         from cyclat.vectors import cycle_to_vector, join, meet, vector_to_cycle
         u = cycle_to_vector(CircularPermutation.from_text("(1,4,2,3,5)"))
@@ -1000,6 +1032,42 @@ class TestCompare:
         assert compare(s, s) == Comparison.EQ
 
 
+def young_by_masks(diagram, k):
+    """The Young truncation check on a built diagram and its threshold
+    masks, as the program ran it before it read the lanes: every word
+    encoded, each up-set `above_mask`, cut to the truncation."""
+    n = diagram.n
+    if n < 2 * k:
+        raise CyclatError(f"need n >= 2k, got n={n}, k={k}")
+    encoding = {t: shuffle_partition(CircularPermutation(word), rank)
+                for t, (word, rank) in enumerate(zip(poset._words(n), diagram.ranks))
+                if rank <= k}
+    ids = list(encoding)
+    target = set(partitions_up_to(k))
+    bijective = (len(set(encoding.values())) == len(ids)
+                 and set(encoding.values()) == target)
+    truncation = sum(1 << t for t in ids)
+    order_ok = all(
+        diagram.above_mask(a) & truncation
+        == sum(1 << b for b in ids if partition_leq(encoding[a], encoding[b]))
+        for a in ids)
+    sizes = {r: sum(1 for t in ids if diagram.ranks[t] == r)
+             for r in range(k + 1)}
+    return {
+        "n": n,
+        "k": k,
+        "pass": bijective and order_ok,
+        "rank_sizes": sizes,
+        "partition_counts": {w: sum(1 for p in target if sum(p) == w)
+                             for w in range(k + 1)},
+    }
+
+
+def young(n, k):
+    """`check_young_limit` on the order-n ranks and columns."""
+    return check_young_limit(n, k, poset._prefix_ranks(n), poset._vector_columns(n))
+
+
 class TestTruncations:
     def test_partition_counts(self):
         assert [len([p for p in partitions_up_to(4) if sum(p) == w])
@@ -1016,24 +1084,31 @@ class TestTruncations:
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)])
     def test_young_limit(self, n, k):
-        assert check_young_limit(build(n), k)["pass"]
+        assert young(n, k)["pass"]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_mask_reference(self, n):
+        k = min(n // 2, comb(n, 3))
+        assert young(n, k) == young_by_masks(build(n), k)
 
     def test_young_limit_compares_masks_not_pairs(self, monkeypatch):
-        def leq(self, x, y):
-            raise AssertionError("compared a pair of elements")
+        def refuse(*args):
+            raise AssertionError("compared a pair of elements or read a threshold mask")
 
-        monkeypatch.setattr(HasseDiagram, "leq", leq)
-        report = check_young_limit(build(6), 3)
+        monkeypatch.setattr(HasseDiagram, "leq", refuse)
+        monkeypatch.setattr(HasseDiagram, "at_least", property(refuse))
+        monkeypatch.setattr(kernels, "leq_flat", refuse)
+        report = young(6, 3)
         assert report["pass"]
         assert report["rank_sizes"] == {0: 1, 1: 1, 2: 2, 3: 3}
 
     def test_young_limit_fails_on_a_wrong_order(self, monkeypatch):
         monkeypatch.setattr(poset, "partition_leq", lambda lam, mu: True)
-        assert not check_young_limit(build(6), 3)["pass"]
+        assert not young(6, 3)["pass"]
 
     def test_young_limit_requires_large_order(self):
         with pytest.raises(CyclatError):
-            check_young_limit(build(6), 4)
+            young(6, 4)
 
 
 class TestPathConjugator:
@@ -1212,7 +1287,41 @@ class TestExportBlocks:
             4 + sum(-(-k // block) for k in rows)
 
 
+def grading_by_edges(diagram):
+    """Node count, rank image, and per-edge rank increments of a built
+    diagram, as the program checked them before it read the lanes."""
+    n = diagram.n
+    image = sorted(set(diagram.ranks))
+    increments_ok = all(diagram.ranks[hi] == diagram.ranks[lo] + 1
+                        for lo, hi in zip(diagram.lo, diagram.hi))
+    size = len(diagram.ranks)
+    has_down, has_up = set(diagram.hi), set(diagram.lo)
+    bottoms = [t for t in range(size) if t not in has_down]
+    tops = [t for t in range(size) if t not in has_up]
+    ok = (size == factorial(n - 1)
+          and image == list(range(comb(n, 3) + 1))
+          and increments_ok and len(bottoms) == 1 and len(tops) == 1)
+    return {
+        "n": n,
+        "pass": ok,
+        "nodes": size,
+        "expected_nodes": factorial(n - 1),
+        "max_rank": image[-1],
+        "expected_max_rank": comb(n, 3),
+        "rank_image_complete": image == list(range(comb(n, 3) + 1)),
+        "unit_increments": increments_ok,
+        "bottoms": len(bottoms),
+        "tops": len(tops),
+    }
+
+
 class TestGradingReport:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_pass(self, n):
-        assert grading_report(build(n))["pass"]
+        assert checks.grading_report(n, poset._prefix_ranks(n), poset._vector_columns(n))["pass"]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_the_edge_reference(self, n):
+        diagram = build(n)
+        assert checks.grading_report(n, diagram.ranks, diagram.columns) == \
+            grading_by_edges(diagram)
