@@ -1,5 +1,5 @@
-"""Certificates of the `lattice`, `grading`, `mobius` and
-`semidistributive` claims.
+"""Certificates of the `lattice`, `grading`, `mobius`,
+`semidistributive` and `alpha` claims.
 
 `checks._check_lattice` claims that the order is the closure of its
 covers and that every two upper covers of a node have a join.
@@ -76,6 +76,48 @@ claims node by node (`checks._cover_failure`), which decides and names
 the witness.  `checks._check_grading` reads the lemma too: every cover
 is a unit step, and on the dual lanes M - v every node above a minimal
 one has an admitted step down, so `step_ends` counts the extremes.
+
+Chain conjugators by a closed-form potential (`cyclic_steps`, for
+`checks._check_alpha`).  A cover of x swaps a large circular descent
+j i of x's word w, j > i + 1, the wrap-around factor j 1 included, and
+is labelled (i j) (`poset._cover_rows`).  Let A(x) be w rotated by
+m(x) = (sum_j x[1,j]) mod n, A(x)(p) = w[(p + m(x)) mod n], positions
+from 0 (`poset.conjugator_potential`).  B(p, q) = [q before p],
+2 <= p < q <= n, are the inversion bits, and S[q] the sum of
+B(k, k+1) over k < q, so that x[p,q] = S[q] - S[p] - B(p, q)
+(`poset._vector_columns`).
+1. `nodes_are_words` holds, so lane t is the t-th word's vector; B is
+   read off the same blocks (`_word_blocks`).
+2. By the exchange lemma the covers of x are exactly the admitted
+   x + e_(i,j), i < j: every z > x lies above one, and each raises the
+   coordinate sum by 1.  An adjacent coordinate is 0 in every node, so
+   j > i + 1.
+3. Wherever x + e_(i,j) is admitted, j is the cyclic predecessor of i
+   in w: for i = 1, j is the last letter; for i >= 2, B(i, j) = 1 and
+   no letter c stands between j and i.  Each is one AND of 0-or-1 lanes
+   per (i, j, c) (`_stray_steps`).  So j i is a large circular descent
+   of w.  Its swap w' has the vector x + e_(i,j): for i >= 2 it flips
+   B(i, j) alone, no B(k, k+1) since j > i + 1, so only x[i,j] moves,
+   up by 1; for i = 1 it moves j from the end to the front, which turns
+   B(a, j) to 1 for a < j and B(j, b) to 0 for b > j, so S[j] alone
+   grows by 1 and only x[1,j] moves, up by 1.  The cover x + e_(i,j) is
+   thus labelled (i j), its step's letters.  The same computation holds
+   for every large circular descent, so these are all the covers `build`
+   lists.
+4. So A(x + e_(i,j)) = (i j) o A(x) on every cover: (i j) o A(x) is w
+   with the letters i and j swapped, rotated by m(x).  For i >= 2 that
+   is w' rotated by m(x), and m does not change.  For i = 1 the swapped
+   word is w' rotated by 1, j having moved to the front, and m grows
+   by 1.
+5. A(bottom) is the identity: node 0 is the word 1 2 ... n, whose
+   vector is 0, so m = 0.  It is read at that node.
+6. The product of a chain's labels telescopes: every chain from x up
+   to y has the conjugator A(y) o A(x)^-1, and every maximal chain
+   A(top), read at the last node and compared with
+   `poset.conjugator_formula(n)`.
+A certificate that declines proves nothing: the check then walks the
+diagram's edges and labels (`checks._alpha_walk`), which decides and
+names the witness.
 
 Cover independence (`covers_independent`, for `checks._check_mobius`).
 Let node x have the upper covers a_1, ..., a_k, and let O_i be the join
@@ -170,7 +212,8 @@ from cyclat import poset
 # 0.20 MB at 256 and 0.53 MB at 1024.
 COVER_CHUNK = 256
 
-# Lanes that `nodes_are_words` and `irreducibles` read in one block.
+# Lanes that `nodes_are_words`, `irreducibles` and `cyclic_steps` read
+# in one block.
 LANE_BLOCK = 1 << 15
 
 
@@ -192,15 +235,28 @@ def nodes_are_words(n: int, columns: Sequence[bytes]) -> bool:
     """Whether lane t of the order-n vector columns, one byte a node, is
     the vector of the t-th canonical word for every t: the columns pass
     `poset._word_bits`, and the inversion bits it reads are
-    `poset._inversion_columns(n)`, `LANE_BLOCK` lanes at a time.  Word
-    vectors are admitted, their triple defects being those bits and
-    their sums."""
-    size = factorial(n - 1)
-    if list(map(len, columns)) != [size] * comb(n, 2):
-        return False
+    `poset._inversion_columns(n)`, `LANE_BLOCK` lanes at a time
+    (`_word_blocks`).  Word vectors are admitted, their triple defects
+    being those bits and their sums."""
+    return _sized(n, columns) and all(bits is not None for *_, bits in _word_blocks(n, columns))
+
+
+def _sized(n: int, columns: Sequence[bytes]) -> bool:
+    """Whether there are C(n, 2) columns of (n-1)! lanes each."""
+    return list(map(len, columns)) == [factorial(n - 1)] * comb(n, 2)
+
+
+def _word_blocks(n: int, columns: Sequence[bytes]
+                 ) -> Iterator[tuple[int, int, list[int], list[int] | None]]:
+    """The order-n columns in blocks (`_spans`): for each, its first
+    node, its width, its columns read as ints (`_block`), and the
+    inversion bits `poset._word_bits` reads from them where they are
+    those of `poset._inversion_columns(n)`, else None."""
     inversions = list(poset._inversion_columns(n).values())
-    return all(poset._word_bits(n, width, _block(columns, first, width))
-               == _block(inversions, first, width) for first, width in _spans(size))
+    for first, width in _spans(factorial(n - 1)):
+        lanes = _block(columns, first, width)
+        bits = poset._word_bits(n, width, lanes)
+        yield first, width, lanes, bits if bits == _block(inversions, first, width) else None
 
 
 def _spans(size: int) -> Iterator[tuple[int, int]]:
@@ -448,6 +504,50 @@ def step_ends(n: int, columns: Sequence[bytes]) -> tuple[int, int]:
         bottoms += width - reduce(or_, down, 0).bit_count()
         tops += width - reduce(or_, up, 0).bit_count()
     return bottoms, tops
+
+
+def cyclic_steps(n: int, columns: Sequence[bytes]) -> int | None:
+    """The admitted unit steps of the order-n vector columns, counted,
+    where every lane is the word of its id and every step x + e_(i,j)
+    has j the cyclic predecessor of i in x's word; None elsewhere.  The
+    inversion bits are those each block's `poset._word_bits` read
+    (`_word_blocks`), and the steps `_step_lanes`' on the same lanes
+    (module docstring, for `checks._check_alpha`)."""
+    if not _sized(n, columns):
+        return None
+    steps = 0
+    for _, width, lanes, bits in _word_blocks(n, columns):
+        if bits is None:
+            return None
+        ones = int.from_bytes(b"\1" * width, "little")
+        up, _ = _step_lanes(n, ones, dict(zip(combinations(range(1, n + 1), 2), lanes)))
+        if _stray_steps(n, ones, bits, up):
+            return None
+        steps += sum(map(int.bit_count, up))
+    return steps
+
+
+def _stray_steps(n: int, ones: int, bits: Sequence[int], up: Sequence[int]) -> int:
+    """The lanes with an admitted step (i, j), up in the pair order of
+    the columns, whose j is not the cyclic predecessor of i in the
+    lane's word: for i = 1, some letter c stands after j; for i >= 2,
+    j stands after i, or some c between j and i.  bits holds
+    B(p, q) = [q before p], 2 <= p < q <= n, one byte a lane, so each
+    test is one AND of 0-or-1 lanes per (i, j, c)."""
+    letters = range(2, n + 1)
+    before = {}  # before[p, q]: the lanes where letter p precedes q
+    for (p, q), bit in zip(combinations(letters, 2), bits):
+        before[p, q], before[q, p] = ones - bit, bit
+    stray = 0
+    for (i, j), lanes in zip(combinations(range(1, n + 1), 2), up):
+        if not lanes:
+            continue
+        if i > 1:
+            stray |= lanes & before[i, j]
+        for c in letters:
+            if c != i and c != j:  # c after j, and for i >= 2 before i
+                stray |= lanes & before[j, c] & (before[c, i] if i > 1 else ones)
+    return stray
 
 
 def _single_steps(lanes: Sequence[int], width: int) -> Iterator[tuple[int, int]]:

@@ -14,18 +14,20 @@ decide and name the witness: no passing check computes a mask, and
 `modularity` and `young` read their few up-sets off the lanes
 (`poset._lane_up_sets`).
 
-`grading`, `semidistributive`, `young`, `triangulation` and `interval`
-build no diagram where they pass: they read the vector columns and the
-ranks alone, every node at once, and `young` decodes only the words of
-its truncation.
+`grading`, `eulerian`, `semidistributive`, `young`, `triangulation`,
+`interval` and `alpha` build no diagram where they pass: they read the
+vector columns and the ranks alone, every node at once (`eulerian`
+counts by transfer matrix and reads neither), `young` decodes only the
+words of its truncation and `alpha` only two nodes' words.
 
 `run_all` computes the order-n vector columns (`CheckRun.columns`) and
 ranks (`CheckRun.ranks`) once, for every check that reads them, and
 builds the diagram once, on first use, in `lattice`, with those
-columns; every later check reads that diagram and the views cached on
-it, its edge offsets (`HasseDiagram.starts`) among them.  `run_check`
-computes its own.  Each check still proves its claim from the columns,
-so no check relies on another's verdict.
+columns; of the later checks only `mobius` and `modularity` read that
+diagram and the views cached on it, its edge offsets
+(`HasseDiagram.starts`) among them.  `run_check` computes its own.
+Each check still proves its claim from the columns, so no check relies
+on another's verdict.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import poset, vectors
-from cyclat.certificates import (covers_certified, covers_independent, kappa_matching,
-                                 nodes_are_words, step_ends)
+from cyclat.certificates import (covers_certified, covers_independent, cyclic_steps,
+                                 kappa_matching, nodes_are_words, step_ends)
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -95,9 +97,11 @@ class CheckRun:
 
     `shared` holds what the checks of one `run_all` read, each part
     computed once, on first use: the vector columns, the ranks and the
-    diagram of `build`, which takes the run's columns for its own.  The
-    run that builds the diagram, or first computes its threshold masks,
-    has those seconds in its `phases`.
+    diagram of `build`, which takes the run's columns for its own.  On
+    a pass, `lattice` builds the diagram, and `mobius` and `modularity`
+    alone read it after; a walk where a certificate declines reads it
+    too.  The run that builds the diagram, or first computes its
+    threshold masks, has those seconds in its `phases`.
     """
 
     n: int
@@ -639,29 +643,70 @@ def _check_alpha(run: CheckRun) -> tuple[bool, dict | None]:
     A(y) o A(x)^-1.  Conversely, if conjugators depend only on
     endpoints, the conjugator from the bottom to each node is such a
     map, since `grading` proves every node lies above the one bottom.
-    So A(bottom) = identity, and walking the nodes in rank order, the
-    first edge into each node fixes A there and every other edge tests
-    it: exact at every n, in O(edges).  Once every edge agrees, A(top) is
-    the conjugator of every maximal chain.
+    Once A(bottom) is the identity, A(top) is the conjugator of every
+    maximal chain, and it must equal `poset.conjugator_formula(n)`.
+
+    A is x's word rotated by m(x) = (sum_j x[1, j]) mod n
+    (`poset.conjugator_potential`), proved on the vector columns with
+    no diagram (`certificates.cyclic_steps`, argued in
+    `cyclat.certificates`): the lanes are the words' vectors, and every
+    admitted step x + e_(i,j), which the exchange lemma makes the
+    covers, has j the cyclic predecessor of i in x's word, so that the
+    cover is the swap of the large circular descent j i, labelled
+    (i j), and A(hi) = (i j) o A(lo).  A is read at two nodes only: it
+    must be the identity at the bottom, node 0, and A(top) the formula
+    at the last node.  `stats` counts the admitted steps read
+    (`steps`), the edges of the order.  Where the certificate declines,
+    `_alpha_walk` decides on the diagram and names the witness.
     """
-    diagram = run.diagram()
-    n = diagram.n
-    bottom = diagram.bottom
-    potential = {bottom: tuple(range(1, n + 1))}
+    n = run.n
+    poset.refuse_over_cap(n)
+    columns = run.columns()
+    steps = cyclic_steps(n, columns)
+    if steps is None or _potential(n, columns, 0) != tuple(range(1, n + 1)):
+        return _alpha_walk(run.diagram())
+    run.stats["steps"] = steps
+    return _maximal_chain(n, _potential(n, columns, factorial(n - 1) - 1))
+
+
+def _potential(n: int, columns: Sequence[bytes], t: int) -> tuple[int, ...]:
+    """`poset.conjugator_potential` of node t, read off the columns."""
+    return poset.conjugator_potential(poset.node_word(n, t),
+                                      (column[t] for column in columns[:n - 1]))
+
+
+def _maximal_chain(n: int, alpha: tuple[int, ...]) -> tuple[bool, dict | None]:
+    """The verdict on the conjugator alpha of every maximal chain."""
+    expected = poset.conjugator_formula(n)
+    if alpha != expected:
+        return False, {"stage": "maximal chain", "alpha": list(alpha), "expected": list(expected)}
+    return True, None
+
+
+def _alpha_walk(diagram: poset.HasseDiagram) -> tuple[bool, dict | None]:
+    """`_check_alpha` on the diagram's edges and labels, in O(edges): a
+    failure names the bottom and the first node whose edges disagree
+    (`_walk_potential`), or else A(top)."""
+    potential, y = _walk_potential(diagram)
+    if y is not None:
+        return False, {"stage": "chain independence",
+                       "pair": [diagram.name(diagram.bottom), diagram.name(y)]}
+    return _maximal_chain(diagram.n, potential[diagram.top])
+
+
+def _walk_potential(diagram: poset.HasseDiagram) -> tuple[dict[int, tuple[int, ...]], int | None]:
+    """A with A(bottom) the identity, walking the nodes in rank order:
+    the first edge into each node fixes A there, and every other edge
+    tests it.  Returns A and the first node y at which an edge into y
+    disagrees, or None."""
+    potential = {diagram.bottom: tuple(range(1, diagram.n + 1))}
     for x in sorted(range(len(diagram.ranks)), key=diagram.ranks.__getitem__):
         for k in diagram.edges_above(x):
             y = diagram.hi[k]
-            alpha = poset.compose_transposition(potential[x], diagram.r[k],
-                                                diagram.s[k])
+            alpha = poset.compose_transposition(potential[x], diagram.r[k], diagram.s[k])
             if potential.setdefault(y, alpha) != alpha:
-                return False, {"stage": "chain independence",
-                               "pair": [diagram.name(bottom), diagram.name(y)]}
-    alpha = potential[diagram.top]
-    if alpha != poset.conjugator_formula(n):
-        return False, {"stage": "maximal chain",
-                       "alpha": list(alpha),
-                       "expected": list(poset.conjugator_formula(n))}
-    return True, None
+                return potential, y
+    return potential, None
 
 
 CHECKS: dict[str, Callable[[CheckRun], tuple[bool, dict | None]]] = {

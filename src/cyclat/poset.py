@@ -17,9 +17,10 @@ diagram, no kernel and no pass over the cycles (`cover_histogram`);
 the stream of `_cover_rows` is their cross-check in the tests.
 Rank truncations against the partition order read the ranks and the
 vector columns, with no diagram, and take up-sets by lane comparison
-(`_lane_up_sets`).  Everything else queries the diagram: the Moebius
-function, semidistributivity and modularity scans, and conjugators of
-upward paths.
+(`_lane_up_sets`), and the conjugator of the chains up to a node is
+its word rotated (`conjugator_potential`), with no diagram either.
+Everything else queries the diagram: the Moebius function,
+semidistributivity and modularity scans, and maximal chains.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes 9.3-10.9 s at a
-    257 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
-    4.0 s of it, the build included (`BENCH_lane_upsets.json`), and
-    `build(11)` alone peaks at about 1.2 GB.  `eulerian n` builds no
+    under 5 minutes and 600 MB: `check all 10` takes 7.9-8.4 s at a
+    223 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
+    4.1-4.3 s of it, the build included (`BENCH_alpha_potential.json`),
+    and `build(11)` alone peaks at about 1.2 GB.  `eulerian n` builds no
     diagram and is refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
@@ -1091,6 +1092,16 @@ def path_conjugator(
 def compose_transposition(alpha: Word, r: int, s: int) -> Word:
     """(r s) o alpha: the word of images with the values r and s swapped."""
     return tuple(s if a == r else r if a == s else a for a in alpha)
+
+
+def conjugator_potential(word: Word, first_row: Iterable[int]) -> Word:
+    """A(x), the conjugator of every chain from the bottom up to x: x's
+    canonical word rotated by m(x) = (sum_j x[1, j]) mod n, so that
+    A(x)(p) = word[(p + m(x)) mod n], positions from 0; first_row holds
+    x[1, 2], ..., x[1, n].  A(hi) = (r s) o A(lo) on every cover
+    (`certificates`, for `checks._check_alpha`)."""
+    m = sum(first_row) % len(word)
+    return word[m:] + word[:m]
 
 
 def maximal_chain(diagram: HasseDiagram) -> list[DescentLabel]:

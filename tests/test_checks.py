@@ -11,6 +11,7 @@ from bisect import bisect_left
 from dataclasses import replace
 from functools import cached_property
 from itertools import combinations, islice
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -218,47 +219,132 @@ def mutants(n):
         yield replace(diagram, r=tuple(r), s=tuple(s))
 
 
+def corrupt_lane(monkeypatch, n, k):
+    """Coordinate (1, n) of node k's vector one too high in the columns
+    `run_check` reads: no canonical word's vector."""
+    columns = list(poset._vector_columns(n))
+    column = bytearray(columns[n - 2])
+    column[k] += 1
+    columns[n - 2] = bytes(column)
+    monkeypatch.setattr(poset, "_vector_columns", lambda n: tuple(columns))
+    return columns
+
+
+def stray_step(monkeypatch, n, pair, k):
+    """An admitted step at pair added in lane k of `_step_lanes`' steps up."""
+    step_lanes = certificates._step_lanes
+    index = list(combinations(range(1, n + 1), 2)).index(pair)
+
+    def added(n, ones, v):
+        up, down = step_lanes(n, ones, v)
+        up[index] |= lane_bit(k)
+        return up, down
+
+    monkeypatch.setattr(certificates, "_step_lanes", added)
+
+
 class TestAlphaPotential:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_built_diagram_agrees_with_enumeration(self, n):
         assert chains_agree(build(n))
         assert checks.run_check("alpha", n).passed
 
-    def test_every_single_edge_mutant(self, monkeypatch):
+    def test_every_single_edge_mutant(self):
+        # the walk decides where the certificate declines; it reads the
+        # labels, which the certificate does not
         cases = [m for n in (4, 5) for m in mutants(n)]
         assert len(cases) == 42
         failed = 0
         for mutant in cases:
-            monkeypatch.setattr(checks, "build", lambda n, m=mutant: m)
-            report = checks.run_check("alpha", mutant.n)
-            dependent = (not report.passed and
-                         report.witness["stage"] == "chain independence")
+            passed, witness = checks._alpha_walk(mutant)
+            dependent = not passed and witness["stage"] == "chain independence"
             assert dependent == (not chains_agree(mutant))
             if dependent:
                 failed += 1
                 x, y = (mutant.words.index(CircularPermutation.from_text(text).canon)
-                        for text in report.witness["pair"])
+                        for text in witness["pair"])
                 assert x == mutant.bottom
                 assert len(conjugators(mutant, x, y)) > 1
         assert failed == 38
 
-    def test_mutant_fails_at_chain_independence(self, monkeypatch):
+    def test_mutant_fails_at_chain_independence(self):
         # edge 0 leaves the bottom, its only cover, so that mutant keeps
         # independence; edge 1 does not
         mutant = list(mutants(5))[1]
-        monkeypatch.setattr(checks, "build", lambda n: mutant)
-        report = checks.run_check("alpha", 5)
-        assert not report.passed
-        assert report.witness["stage"] == "chain independence"
-        assert report.witness["pair"][0] == word_text(mutant.words[mutant.bottom])
+        passed, witness = checks._alpha_walk(mutant)
+        assert not passed
+        assert witness["stage"] == "chain independence"
+        assert witness["pair"][0] == word_text(mutant.words[mutant.bottom])
 
     def test_wrong_formula_fails_at_maximal_chain(self, monkeypatch):
         monkeypatch.setattr(checks.poset, "conjugator_formula",
                             lambda n: tuple(range(1, n + 1)))
+        expected = {"stage": "maximal chain", "alpha": [5, 4, 3, 2, 1],
+                    "expected": [1, 2, 3, 4, 5]}
+        assert checks.run_check("alpha", 5).witness == expected
+        assert checks._alpha_walk(build(5)) == (False, expected)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_is_the_walks_potential(self, n):
+        diagram = build(n)
+        potential, disagrees = checks._walk_potential(diagram)
+        assert disagrees is None and len(potential) == len(diagram.ranks)
+        assert all(potential[t] == checks._potential(n, diagram.columns, t)
+                   for t in range(len(diagram.ranks)))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_steps_are_the_edges(self, n):
+        report = checks.run_check("alpha", n)
+        steps = report.stats["steps"]
+        assert steps == poset.verify_descent_distribution(n - 1)["expected_edges"]
+        if n <= 7:
+            assert steps == len(build(n).lo)
+
+    @pytest.mark.parametrize("n, k", [(4, 0), (4, 5), (6, 0), (6, 119), (6, 77)])
+    def test_non_word_lane_declines(self, monkeypatch, n, k):
+        columns = corrupt_lane(monkeypatch, n, k)
+        assert certificates.cyclic_steps(n, columns) is None
+        report = checks.run_check("alpha", n)
+        assert (report.passed, report.witness) == checks._alpha_walk(build(n)) == (True, None)
+        assert "steps" not in report.stats and report.phases["build"] > 0
+
+    # each case fails one test of `_stray_steps` alone: (1, 3) where n is
+    # last in the bottom's word, (2, 4) where 4 stands after 2 in it, and
+    # (2, 4) where 3 stands between 4 and 2 in the top's
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("pair, node", [((1, 3), "bottom"), ((2, 4), "bottom"),
+                                            ((2, 4), "top")],
+                             ids=["last-letter", "after-i", "between"])
+    def test_dropped_predecessor_lane_declines(self, monkeypatch, n, pair, node):
+        k = 0 if node == "bottom" else factorial(n - 1) - 1
+        stray_step(monkeypatch, n, pair, k)
+        diagram = build(n)
+        assert certificates.cyclic_steps(n, diagram.columns) is None
+        report = checks.run_check("alpha", n)
+        assert (report.passed, report.witness) == checks._alpha_walk(diagram) == (True, None)
+        assert "steps" not in report.stats and report.phases["build"] > 0
+
+    def test_bottom_off_the_identity_declines(self, monkeypatch):
+        potential = checks._potential
+
+        def reversed_at_bottom(n, columns, t):
+            alpha = potential(n, columns, t)
+            return alpha[::-1] if t == 0 else alpha
+
+        monkeypatch.setattr(checks, "_potential", reversed_at_bottom)
         report = checks.run_check("alpha", 5)
-        assert report.witness == {"stage": "maximal chain",
-                                  "alpha": [5, 4, 3, 2, 1],
-                                  "expected": [1, 2, 3, 4, 5]}
+        assert (report.passed, report.witness) == (True, None)
+        assert "steps" not in report.stats and report.phases["build"] > 0
+
+    @pytest.mark.parametrize("case", [1, 5, 20])
+    def test_forced_decline_fails_with_the_walks_witness(self, monkeypatch, case):
+        mutant = list(mutants(5))[case]
+        monkeypatch.setattr(checks, "cyclic_steps", lambda n, columns: None)
+        monkeypatch.setattr(checks, "build", lambda n: mutant)
+        report = checks.run_check("alpha", 5)
+        passed, witness = checks._alpha_walk(mutant)
+        assert not passed
+        assert (report.passed, report.witness) == (passed, witness)
 
 
 class TestIntervalPass:
@@ -1532,15 +1618,18 @@ class TestSharedDiagram:
         monkeypatch.setattr(poset.HasseDiagram, "at_least", property(refuse))
         assert all(r.passed for r in checks.run_all(n))
 
-    @pytest.mark.parametrize("name", ["grading", "young"])
+    @pytest.mark.parametrize("name", ["eulerian", "semidistributive", "young",
+                                      "triangulation", "interval", "alpha", "grading"])
     def test_check_builds_no_diagram(self, monkeypatch, name):
         def refuse(*args):
             raise AssertionError(f"{name} built a diagram")
 
         monkeypatch.setattr(checks, "build", refuse)
         monkeypatch.setattr(poset, "build", refuse)
-        report = checks.run_check(name, 6)
-        assert report.passed and report.phases["build"] == report.phases["masks"] == 0
+        # alpha at every order whose potential the walk's is tested against
+        for n in range(1, 9) if name == "alpha" else (1, 2, 6):
+            report = checks.run_check(name, n)
+            assert report.passed and report.phases["build"] == report.phases["masks"] == 0
 
     def test_run_all_shares_the_columns_and_edge_offsets(self, monkeypatch):
         # the vector columns are computed once, for the shared diagram,

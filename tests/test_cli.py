@@ -306,15 +306,15 @@ class TestPoset:
 # "phases" dropped, dumped with sorted keys: any change to a verdict, a
 # witness or a count breaks these.
 CHECK_DIGESTS = {
-    1: "35ab079a2cd0783f4be8a20b4a0d4d9d8827f77bc310338455a83ac1ef8bc91b",
-    2: "73e66f1b3a1942388f4344ca1c1669ef0efdb03796de41d62e57e66f7926cf70",
-    3: "30cd9129b885dc57a8992500619a1fe68d821fdc5b44d48890cf4c7156d6b9af",
-    4: "1f6697ee944d935f24d64e8ca7a543a248a287349f8d049ba3c1135b19a258cc",
-    5: "44451c5ff65b08c9f633453d208006aa27bef80b26eca093b9750d120f8dae56",
-    6: "b71782327e45fd78bd65cbf07ca41164d3cd7339c7571e89103d8951e91bc7a7",
-    7: "1ddf829afceaab3b501d880012f75ed331128258140a02c82dd4f9cc29ae1fae",
+    1: "aa281f3f4864790e7472f74e545d6ee3a45b2c25e3f41c6e8a74dea830429482",
+    2: "d1cb57e8bffa7a8dc7e345d76fe06540eb504aad0329f9cdb03c1d84c84e76d3",
+    3: "6bbdb4b53580b9faf37950834f5b5ff57c4d6fdb58e1c2b79b9084d9a37adae9",
+    4: "9ebfe344dda1d2b2fe7b13090a6f68e52300b49df302bc77c29c4b3f72e0b8ca",
+    5: "1298d146b4d59bbb51cb2dd7510df3f7e1930b2e6b1f6e56dd4d9e946fbde547",
+    6: "96ce01882712591474e8114486eb7aac63cd735fb907364cfad55ba0633af6c7",
+    7: "21895c79ad56e424e921fb0238bc289e1403f9d16a64eb3fd1f49959bbb1dea7",
     # from n = 7 on, `lattice` tests the bounds on seeded pairs
-    8: "e14f62348ed1847a1382bec6cb2951885a875af79a664324a823feb2bb561735",
+    8: "bbe0ce6ceec87f9b0dee7a190c022a31d2e96ed1343b82febf6fa6c34fa5e667",
 }
 
 
@@ -438,16 +438,18 @@ class TestCheck:
 
     def test_report_schema(self, capsys, monkeypatch):
         # {check, n, pass, witness?, stats, phases, elapsed}, in this
-        # order; the witness only where a check pins one or fails
-        from cyclat import checks
-        monkeypatch.setitem(checks.CHECKS, "alpha",
-                            lambda run: (False, {"forced": True}))
+        # order; the witness only where a check pins one or fails.  A
+        # wrong formula fails alpha on its certificate, which still
+        # counts its steps
+        from cyclat import poset
+        monkeypatch.setattr(poset, "conjugator_formula", lambda n: tuple(range(1, n + 1)))
         code, out, _ = run(capsys, "check", "all", "5", "--json")
         assert code == 1
         reports = json.loads(out)
         witnessed = {r["check"]: r["witness"] for r in reports if "witness" in r}
         assert set(witnessed) == {"modularity", "alpha"}
-        assert witnessed["alpha"] == {"forced": True}
+        assert witnessed["alpha"] == {"stage": "maximal chain", "alpha": [5, 4, 3, 2, 1],
+                                      "expected": [1, 2, 3, 4, 5]}
         for report in reports:
             keys = ["check", "n", "pass", "witness", "stats", "phases", "elapsed"]
             if "witness" not in report:
@@ -466,6 +468,7 @@ class TestCheck:
         assert stats["semidistributive"] == {"irreducibles": 11, "declined": 0}
         assert stats["young"] == {"k": 2, "rank_sizes": {"0": 1, "1": 1, "2": 2}}
         assert stats["triangulation"] == {"triangulations": 5, "vectors": 24}
+        assert stats["alpha"] == {"steps": 36}
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from cyclat import checks

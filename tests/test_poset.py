@@ -20,6 +20,7 @@ from cyclat.perm import (
     CircularPermutation,
     DescentLabel,
     complement,
+    covers_up,
     inversion_bit,
     invert,
     word_text,
@@ -31,7 +32,9 @@ from cyclat.poset import (
     check_modular,
     check_semidistributive,
     compare,
+    compose_transposition,
     conjugator_formula,
+    conjugator_potential,
     cover_histogram,
     eulerian,
     eulerian_row,
@@ -48,7 +51,7 @@ from cyclat.poset import (
     verify_descent_distribution,
     check_young_limit,
 )
-from cyclat.vectors import AdmittedVector, invert_vector
+from cyclat.vectors import AdmittedVector, cycle_to_vector, invert_vector
 
 
 class TestBuild:
@@ -1148,6 +1151,20 @@ class TestPathConjugator:
         for x in range(1, 6):
             assert dst.successor(x) == alpha[src.successor(inverse[x]) - 1]
 
+    @pytest.mark.parametrize("n", [8, 12, 16, 24])
+    def test_closed_form_potential_past_the_cap(self, n):
+        # a seeded random maximal chain, C(n, 3) covers, with no diagram:
+        # the product of the labels so far is the word rotated by m(x)
+        rng = random.Random(n)
+        x, alpha = CircularPermutation.smallest(n), tuple(range(1, n + 1))
+        while covers := covers_up(x):
+            label, x = rng.choice(covers)
+            alpha = compose_transposition(alpha, label.r, label.s)
+            v = cycle_to_vector(x)
+            assert alpha == conjugator_potential(x.canon, [v[1, j] for j in range(2, n + 1)])
+        assert x == CircularPermutation.largest(n)
+        assert alpha == conjugator_formula(n)
+
     def test_bad_label_rejected(self):
         with pytest.raises(NotAChainError):
             path_conjugator(CircularPermutation.smallest(5),
@@ -1232,6 +1249,18 @@ class TestExports:
         digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                         for text in (to_json(diagram), to_dot(diagram)))
         assert digests == EXPORT_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_edge_labels_are_the_step_letters(self, n):
+        # each edge's label {r, s} is the letters {i, j} of the one
+        # coordinate in which its two rows differ; `alpha` reads the
+        # steps off the vector columns, not these labels
+        diagram = build(n)
+        pairs = list(combinations(range(1, n + 1), 2))
+        for lo, hi, r, s in zip(diagram.lo, diagram.hi, diagram.r, diagram.s):
+            (k,) = [c for c, (a, b) in enumerate(zip(diagram.rows[lo], diagram.rows[hi]))
+                    if a != b]
+            assert {r, s} == set(pairs[k])
 
     def test_byte_determinism(self):
         # Fresh interpreters with different string-hash seeds write the
