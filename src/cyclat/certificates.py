@@ -1,6 +1,12 @@
 """Certificates of the `lattice`, `grading`, `mobius`,
 `semidistributive` and `alpha` claims.
 
+Every certificate that proves the lanes the words' vectors
+(`nodes_are_words`) compares them with the inversion bits of
+`poset._inversion_columns(n)`, handed in by the caller, which in a
+check is the run's (`checks.CheckRun.inversions`), the bits its columns
+were joined from.
+
 `checks._check_lattice` claims that the order is the closure of its
 covers and that every two upper covers of a node have a join.
 `covers_certified` proves both from the diagram's columns and rows,
@@ -140,8 +146,15 @@ x whose join is y, the empty set's join being x.
    is tested, a batch at a time, to be a node (`poset._word_bits`) and
    to lie above both of its sides, lane by lane; the lane recursion
    need not give the least bound.  The order is componentwise on the
-   rows, and the edges are its covers, as `covers_certified` proves.
-4. In a meet-semidistributive lattice the test passes at every node:
+   lanes.
+4. The covers are read off the columns, with no diagram: the lanes are
+   first proved the words' vectors (`nodes_are_words`), so every
+   admitted vector is a node's lane, and by the exchange lemma the
+   covers of x are then exactly its admitted unit steps x + e_k, each
+   x's lane plus 1 in column k (`_step_lanes`).  They are taken in the
+   order of k.  Where the lanes are not the words' vectors, the
+   certificate declines every node.
+5. In a meet-semidistributive lattice the test passes at every node:
    a_i ^ a_j = x for j != i, so a_i ^ O_i = x by the law, one cover at
    a time, and a_i is not below O_i.  `semidistributive` checks the
    law; the certificate does not rely on it.
@@ -180,9 +193,10 @@ nodes are exactly the admitted vectors (`nodes_are_words`, whose words'
 vectors are admitted), and the exchange lemma.  That the order is a
 lattice, which the theorem presumes, is the claim of `lattice`; the mask
 walk `poset.kappa_failure` presumes it too.
-On lanes, `_step_lanes` reads the steps up and down off one pass over
-the triple defects: x - e_k is admitted iff the defects with long side
-k are 1 and those with k a short side 0.
+On lanes, `_step_lanes` reads the steps down beside the steps up, off
+one pass over the triple defects: x - e_k is admitted iff the defects
+with long side k are 1 and those with k a short side 0.  A reader of
+one direction asks for that one alone (`UP`, `BOTH`).
 Over k, one accumulator holds the lanes with a step, a second those
 with two, and a third the OR of k + 1 over the steps, so their bytes
 name J and M and each one's step (`_single_steps`).  The lanes are cut
@@ -205,6 +219,9 @@ from operator import itemgetter, lt, or_, sub
 from typing import Iterator, Sequence
 
 from cyclat import poset
+from cyclat._pykernels import _fill_plan
+
+Inversions = dict[tuple[int, int], bytes]  # `poset._inversion_columns(n)`
 
 # Nodes whose cover pairs are joined in one batch.  On a 2-vCPU host the
 # cover pass at n = 9 takes 0.34 s at 256 and 0.32 s at 1024, and one
@@ -217,13 +234,14 @@ COVER_CHUNK = 256
 LANE_BLOCK = 1 << 15
 
 
-def covers_certified(diagram: poset.HasseDiagram) -> bool:
+def covers_certified(diagram: poset.HasseDiagram, inversions: Inversions) -> bool:
     """Whether the certificates prove the two cover claims of
     `checks._check_lattice`: every node the word of its id
-    (`nodes_are_words`), every edge a unit step (`unit_steps`), the
-    edges exactly the admitted unit steps (`steps_are_covers`), and
-    every cover pair's join a tight node.  False proves nothing."""
-    if not nodes_are_words(diagram.n, diagram.columns):
+    (`nodes_are_words`, against the inversion bits `inversions`), every
+    edge a unit step (`unit_steps`), the edges exactly the admitted unit
+    steps (`steps_are_covers`), and every cover pair's join a tight
+    node.  False proves nothing."""
+    if not nodes_are_words(diagram.n, diagram.columns, inversions):
         return False
     steps = unit_steps(diagram)
     if steps is None or not steps_are_covers(diagram, steps):
@@ -231,14 +249,16 @@ def covers_certified(diagram: poset.HasseDiagram) -> bool:
     return cover_joins_tight(diagram)
 
 
-def nodes_are_words(n: int, columns: Sequence[bytes]) -> bool:
+def nodes_are_words(n: int, columns: Sequence[bytes], inversions: Inversions) -> bool:
     """Whether lane t of the order-n vector columns, one byte a node, is
     the vector of the t-th canonical word for every t: the columns pass
     `poset._word_bits`, and the inversion bits it reads are
-    `poset._inversion_columns(n)`, `LANE_BLOCK` lanes at a time
-    (`_word_blocks`).  Word vectors are admitted, their triple defects
-    being those bits and their sums."""
-    return _sized(n, columns) and all(bits is not None for *_, bits in _word_blocks(n, columns))
+    `inversions`, the words' bits as `poset._inversion_columns(n)`
+    enumerates them, `LANE_BLOCK` lanes at a time (`_word_blocks`).
+    Word vectors are admitted, their triple defects being those bits and
+    their sums."""
+    return _sized(n, columns) and all(
+        bits is not None for *_, bits in _word_blocks(n, columns, inversions))
 
 
 def _sized(n: int, columns: Sequence[bytes]) -> bool:
@@ -246,17 +266,17 @@ def _sized(n: int, columns: Sequence[bytes]) -> bool:
     return list(map(len, columns)) == [factorial(n - 1)] * comb(n, 2)
 
 
-def _word_blocks(n: int, columns: Sequence[bytes]
+def _word_blocks(n: int, columns: Sequence[bytes], inversions: Inversions
                  ) -> Iterator[tuple[int, int, list[int], list[int] | None]]:
     """The order-n columns in blocks (`_spans`): for each, its first
     node, its width, its columns read as ints (`_block`), and the
     inversion bits `poset._word_bits` reads from them where they are
-    those of `poset._inversion_columns(n)`, else None."""
-    inversions = list(poset._inversion_columns(n).values())
+    those of `inversions`, else None."""
+    expected = list(inversions.values())
     for first, width in _spans(factorial(n - 1)):
         lanes = _block(columns, first, width)
         bits = poset._word_bits(n, width, lanes)
-        yield first, width, lanes, bits if bits == _block(inversions, first, width) else None
+        yield first, width, lanes, bits if bits == _block(expected, first, width) else None
 
 
 def _spans(size: int) -> Iterator[tuple[int, int]]:
@@ -287,33 +307,42 @@ def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
         return None
 
 
-def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int]) -> tuple[list[int], list[int]]:
-    """For each coordinate k, in the pair order of the columns, the lanes
-    of the x with x + e_k admitted, and of those with x - e_k admitted,
-    on the lanes v of `poset._lane_ints`, ones the 1 of each lane.  Read
-    where `nodes_are_words` holds, so every lane of every
-    `poset._triple_defects` D is 0 or 1 and borrows nothing.  Raising
-    x[i,j] raises D by 1 where (i, j) is the long side of the triple and
-    lowers it where it is a short side: x + e_k is admitted iff the
-    first D are 0 and the others 1, x - e_k iff the reverse.  An
-    adjacent k, a long side of no triple and 0 in every node, has none."""
-    up = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
-    down = dict(up)
+# The directions `_step_lanes` reads, each True for the steps down.
+UP, BOTH = (False,), (False, True)
+
+
+def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int],
+                directions: tuple[bool, ...]) -> list[list[int]]:
+    """For each direction, up (False) or down (True), and each coordinate
+    k in the pair order of the columns, the lanes of the x with x + e_k
+    admitted, or x - e_k, on the lanes v of `poset._lane_ints`, ones the
+    1 of each lane; one pass over the triple defects reads every
+    direction asked for.  Read where `nodes_are_words` holds, so every
+    lane of every `poset._triple_defects` D is 0 or 1 and borrows
+    nothing.  Raising x[i,j] raises D by 1 where (i, j) is the long side
+    of the triple and lowers it where it is a short side: x + e_k is
+    admitted iff the first D are 0 and the others 1, x - e_k iff the
+    reverse.  An adjacent k, a long side of no triple and 0 in every
+    node, has none."""
+    start = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
+    steps = [(dict(start), down) for down in directions]
     for (i, p, j), d in poset._triple_defects(n, v):
-        e = ones - d
-        for lanes, long, short in ((up, e, d), (down, d, e)):
+        e = ones - d  # the lanes where D is 0, as d holds those where it is 1
+        for lanes, down in steps:
+            long, short = (d, e) if down else (e, d)
             lanes[i, j] &= long
             lanes[i, p] &= short
             lanes[p, j] &= short
-    return list(up.values()), list(down.values())
+    return [list(lanes.values()) for lanes, _ in steps]
 
 
-def _block_steps(n: int, columns: Sequence[bytes]) -> Iterator[tuple[int, int, list[int], list[int]]]:
+def _block_steps(n: int, columns: Sequence[bytes], directions: tuple[bool, ...]
+                 ) -> Iterator[tuple[int, int, list[list[int]]]]:
     """The order-n columns in blocks (`_spans`): for each, its first
-    node, its width, and `_step_lanes`' steps up and down on it."""
+    node, its width, and `_step_lanes`' steps in the directions on it."""
     for first, width in _spans(factorial(n - 1)):
         v = poset._lane_ints(n, [column[first:first + width] for column in columns])
-        yield first, width, *_step_lanes(n, int.from_bytes(b"\1" * width, "little"), v)
+        yield first, width, _step_lanes(n, int.from_bytes(b"\1" * width, "little"), v, directions)
 
 
 def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
@@ -331,7 +360,7 @@ def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
     if not all(map(lt, edges, islice(zip(diagram.lo, diagram.hi), 1, None))):
         return False
     counts = [0] * len(diagram.columns)
-    for _, _, up, _ in _block_steps(diagram.n, diagram.columns):
+    for _, _, (up,) in _block_steps(diagram.n, diagram.columns, UP):
         counts = [count + lanes.bit_count() for count, lanes in zip(counts, up)]
     return counts == list(map(steps.count, range(len(diagram.columns))))
 
@@ -351,18 +380,23 @@ def cover_joins_tight(diagram: poset.HasseDiagram) -> bool:
     return True
 
 
-def covers_independent(diagram: poset.HasseDiagram) -> tuple[list[int], int]:
+def covers_independent(n: int, columns: Sequence[bytes], inversions: Inversions
+                       ) -> tuple[list[int], int]:
     """The nodes at which the cover-independence certificate declines,
-    in id order, and the lane joins it took.  It proves, at every other
-    node x, that no upper cover of x lies below the join of x's other
-    covers, so that mu(x, y) is 0, 1 or -1 for every y (module
-    docstring); x's covers are a slice of hi (`HasseDiagram.starts`).
+    in id order, and the lane joins it took, on the order-n vector
+    columns.  It proves, at every other node x, that no upper cover of x
+    lies below the join of x's other covers, so that mu(x, y) is 0, 1 or
+    -1 for every y (module docstring).  Where the columns are not the
+    words' vectors (`nodes_are_words`), it declines every node.
 
-    A node of k <= 2 covers needs no join.  The nodes of k >= 3 are
-    taken `COVER_CHUNK` ids at a time and sorted by k, so that the
-    nodes of at least j covers are the lowest lanes of every batch: the
-    last node in lane 0.  A_j holds cover j of those nodes, and on the
-    lanes of the nodes that need it, the prefix joins
+    Otherwise the covers of x are its admitted unit steps x + e_k, by
+    the exchange lemma, in the order of k: `_step_labels` numbers them
+    on the lanes of each block, and `_cover_lanes` adds them to the
+    block's lanes, held as rows.  A node of k <= 2 covers needs no
+    join.  The nodes of k >= 3 are taken `COVER_CHUNK` ids at a time
+    and sorted by k, so that the nodes of at least j covers are the
+    lowest lanes of every batch: the last node in lane 0.  A_j holds cover j of those nodes,
+    and on the lanes of the nodes that need it, the prefix joins
     P_i = A_1 v ... v A_i and the suffix joins S_i = A_i v ... v A_k
     take k - 2 joins each, and so do the interior
     O_i = P_(i-1) v S_(i+1), with O_1 = S_2 and O_k = P_(k-1): O_i is
@@ -370,36 +404,84 @@ def covers_independent(diagram: poset.HasseDiagram) -> tuple[list[int], int]:
     declines its node.  So does every node of a block where some join
     lane is no node (`poset._word_bits`) or not above both of its sides,
     and no lane of that block is read further."""
-    n, hi, starts, rows = diagram.n, diagram.hi, diagram.starts, diagram.rows
-    size = len(diagram.ranks)
-    degrees = list(map(sub, islice(starts, 1, None), starts))
+    size = factorial(n - 1)
+    if not nodes_are_words(n, columns, inversions):
+        return list(range(size)), 0
     declined: list[int] = []
     joins = 0
-    for first in range(0, size, COVER_CHUNK):
-        nodes = sorted([x for x in range(first, min(first + COVER_CHUNK, size)) if degrees[x] >= 3],
-                       key=degrees.__getitem__)
-        if not nodes:
-            continue
-        flags, taken = _dependent_lanes(n, rows, [hi[starts[x]:starts[x + 1]] for x in nodes])
-        joins += taken
-        if flags:
-            declined += (nodes[len(nodes) - 1 - lane] for lane in range(len(nodes))
-                         if flags >> 8 * lane & 0xff)
+    for first, width, (up,) in _block_steps(n, columns, UP):
+        counts, labels = _step_labels(up, width)
+        rows = list(poset._split_rows(width, [column[first:first + width] for column in columns]))
+        label_rows = list(poset._split_rows(width, labels))
+        for start in range(0, width, COVER_CHUNK):
+            nodes = sorted([t for t in range(start, min(start + COVER_CHUNK, width))
+                            if counts[t] >= 3], key=counts.__getitem__)
+            if not nodes:
+                continue
+            flags, taken = _dependent_lanes(n, *_cover_lanes(n, rows, label_rows, nodes,
+                                                             [counts[t] for t in nodes]))
+            joins += taken
+            if flags:
+                declined += (first + nodes[len(nodes) - 1 - lane] for lane in range(len(nodes))
+                             if flags >> 8 * lane & 0xff)
     return sorted(declined), joins
 
 
-def _dependent_lanes(n: int, rows: Sequence[bytes], covers: list[tuple[int, ...]]
-                     ) -> tuple[int, int]:
-    """`covers_independent` on one block of nodes, given as their covers
-    sorted by count, the last in lane 0: a nonzero byte in each lane
-    that declines, and the lane joins taken.  Round i joins P_i and
+def _step_labels(up: Sequence[int], width: int) -> tuple[bytes, list[bytes]]:
+    """The count of the steps up of each of the width lanes of a block,
+    and for each coordinate k, the lanes of x where x + e_k is x's j-th
+    step, in the order of k, holding j, and 0 elsewhere; each as bytes,
+    a byte a lane.  No lane has 256 steps, so the running count of the
+    0-or-1 lanes of `up` carries nothing, and 0xff in the lanes of a
+    step cuts it to them."""
+    count, labels = 0, []
+    for lanes in up:
+        count += lanes
+        labels.append((count & lanes * 0xff).to_bytes(width, "little"))
+    return count.to_bytes(width, "little"), labels
+
+
+def _cover_lanes(n: int, rows: Sequence[bytes], label_rows: Sequence[bytes],
+                 nodes: list[int], counts: list[int]) -> tuple[list[list[int] | None], list[int]]:
+    """A_1, ..., A_k of `covers_independent` for one batch of a block,
+    its nodes given by their place in the block and sorted by their
+    counts of covers, k the most; and at_least[j], the lanes of the
+    nodes with at least j covers.  A_j is x plus 1 in column c on the
+    lowest at_least[j] lanes, c the coordinate of x's j-th step
+    (`_step_labels`).  The block's lanes and labels are held as rows, a
+    byte a coordinate, and the batch's rows joined end to end, so that
+    one translation of the labels gives the 1s of A_j and one sum adds
+    them to x: no entry reaches 256, so nothing carries.  Each column
+    the recursion reads is then cut from that sum at stride C, as
+    `poset._gather` cuts it; the adjacent columns, which no step raises,
+    stay 0."""
+    most, size, width = counts[-1], len(nodes), len(rows[0])
+    at_least = [size - bisect_left(counts, j) for j in range(most + 2)]
+    base = int.from_bytes(b"".join(map(rows.__getitem__, nodes)), "big")
+    steps = b"".join(map(label_rows.__getitem__, nodes))
+    a: list[list[int] | None] = [None]
+    for j in range(1, most + 1):
+        ones = int.from_bytes(steps.translate(_ONE_AT[j]), "big")
+        cover = (base + ones).to_bytes(len(steps), "big")
+        lanes = cover[(size - at_least[j]) * width:]
+        a.append([0] * width)
+        for ij, _ in _fill_plan(n):
+            a[j][ij] = int.from_bytes(lanes[ij::width], "big")
+    return a, at_least
+
+
+# _ONE_AT[j]: the translation of byte j to 1 and of every other byte to 0
+_ONE_AT = [bytes(j) + b"\1" + bytes(255 - j) for j in range(256)]
+
+
+def _dependent_lanes(n: int, a: list[list[int] | None], at_least: list[int]) -> tuple[int, int]:
+    """`covers_independent` on one batch of nodes, given as the covers
+    A_j of `_cover_lanes` and the counts at_least[j] of their lanes, the
+    node of the most covers in lane 0: a nonzero byte in each lane that
+    declines, and the lane joins taken.  Round i joins P_i and
     S_(k+1-i) in one batch, and one last batch every interior O_i; each
     batch holds its parts one above the other (`_stack`)."""
-    most, counts = len(covers[-1]), [len(up) for up in covers]
-    # at_least[j]: the lanes of the nodes with at least j covers
-    at_least = [len(covers) - bisect_left(counts, j) for j in range(most + 2)]
-    a = [None] + [poset._gather(n, rows, [up[j - 1] for up in covers[len(covers) - at_least[j]:]])
-                  for j in range(1, most + 1)]
+    most = len(a) - 1
     taken, sound = 0, True  # sound: every join lane a node above both its sides
 
     def join(*pairs: tuple[list[int], list[int], int]) -> list[list[int]]:
@@ -423,7 +505,7 @@ def _dependent_lanes(n: int, rows: Sequence[bytes], covers: list[tuple[int, ...]
         suffix[j] = _splice(a[j], joined, at_least[j + 1])
     interior = join(*((prefix[i - 1], suffix[i + 1], at_least[i + 1]) for i in range(2, most)))
     if not sound:
-        return (1 << 8 * len(covers)) - 1, taken
+        return (1 << 8 * at_least[1]) - 1, taken
     others = [None, suffix[2], *(_splice(prefix[i - 1], joined, at_least[i + 1])
                                  for i, joined in zip(range(2, most), interior)), prefix[most - 1]]
     flags = 0  # the lanes are aligned at lane 0, so the ORs line up
@@ -467,13 +549,14 @@ def _splice(high: list[int], low: list[int], lanes: int) -> list[int]:
     return [h >> 8 * lanes << 8 * lanes | c for h, c in zip(high, low)]
 
 
-def kappa_matching(n: int, columns: Sequence[bytes]) -> tuple[int, int] | None:
+def kappa_matching(n: int, columns: Sequence[bytes], inversions: Inversions
+                   ) -> tuple[int, int] | None:
     """|J|, and the nodes of J and M with other than one R-partner, on
     the order-n vector columns (module docstring); None unless the
     columns are the words' vectors (`nodes_are_words`).  The order is
     semidistributive iff the second count is 0: R is then a perfect
     matching of J and M."""
-    if not nodes_are_words(n, columns):
+    if not nodes_are_words(n, columns, inversions):
         return None
     joins, meets = irreducibles(n, columns)
     partners = kappa_partners(columns, joins, meets)
@@ -489,7 +572,7 @@ def irreducibles(n: int, columns: Sequence[bytes]) -> tuple[dict[int, int], dict
     `_single_steps`)."""
     joins: dict[int, int] = {}
     meets: dict[int, int] = {}
-    for first, width, up, down in _block_steps(n, columns):
+    for first, width, (up, down) in _block_steps(n, columns, BOTH):
         for found, lanes in ((joins, down), (meets, up)):
             found.update((first + t, k) for t, k in _single_steps(lanes, width))
     return joins, meets
@@ -500,13 +583,13 @@ def step_ends(n: int, columns: Sequence[bytes]) -> tuple[int, int]:
     with none up.  Read where `nodes_are_words` holds, so the OR of the
     step lanes (`_block_steps`) holds 1 in each lane that has a step."""
     bottoms = tops = 0
-    for _, width, up, down in _block_steps(n, columns):
+    for _, width, (up, down) in _block_steps(n, columns, BOTH):
         bottoms += width - reduce(or_, down, 0).bit_count()
         tops += width - reduce(or_, up, 0).bit_count()
     return bottoms, tops
 
 
-def cyclic_steps(n: int, columns: Sequence[bytes]) -> int | None:
+def cyclic_steps(n: int, columns: Sequence[bytes], inversions: Inversions) -> int | None:
     """The admitted unit steps of the order-n vector columns, counted,
     where every lane is the word of its id and every step x + e_(i,j)
     has j the cyclic predecessor of i in x's word; None elsewhere.  The
@@ -516,11 +599,11 @@ def cyclic_steps(n: int, columns: Sequence[bytes]) -> int | None:
     if not _sized(n, columns):
         return None
     steps = 0
-    for _, width, lanes, bits in _word_blocks(n, columns):
+    for _, width, lanes, bits in _word_blocks(n, columns, inversions):
         if bits is None:
             return None
         ones = int.from_bytes(b"\1" * width, "little")
-        up, _ = _step_lanes(n, ones, dict(zip(combinations(range(1, n + 1), 2), lanes)))
+        (up,) = _step_lanes(n, ones, dict(zip(combinations(range(1, n + 1), 2), lanes)), UP)
         if _stray_steps(n, ones, bits, up):
             return None
         steps += sum(map(int.bit_count, up))

@@ -14,20 +14,21 @@ decide and name the witness: no passing check computes a mask, and
 `modularity` and `young` read their few up-sets off the lanes
 (`poset._lane_up_sets`).
 
-`grading`, `eulerian`, `semidistributive`, `young`, `triangulation`,
-`interval` and `alpha` build no diagram where they pass: they read the
-vector columns and the ranks alone, every node at once (`eulerian`
-counts by transfer matrix and reads neither), `young` decodes only the
-words of its truncation and `alpha` only two nodes' words.
+Every check but `lattice` builds no diagram where it passes: each
+reads the vector columns, their inversion bits and the ranks alone,
+every node at once (`eulerian` counts by transfer matrix and reads
+none of them).  `mobius` reads each node's covers as its admitted unit
+steps, `modularity` joins and meets its pairs on lanes cut from the
+columns, `young` decodes only the words of its truncation, `alpha`
+only two nodes' words and `modularity` only its witness's.
 
-`run_all` computes the order-n vector columns (`CheckRun.columns`) and
-ranks (`CheckRun.ranks`) once, for every check that reads them, and
-builds the diagram once, on first use, in `lattice`, with those
-columns; of the later checks only `mobius` and `modularity` read that
-diagram and the views cached on it, its edge offsets
-(`HasseDiagram.starts`) among them.  `run_check` computes its own.
-Each check still proves its claim from the columns, so no check relies
-on another's verdict.
+`run_all` computes the order-n inversion bits (`CheckRun.inversions`),
+the vector columns joined from them (`CheckRun.columns`) and the ranks
+(`CheckRun.ranks`) once, for every check that reads them, and builds
+the diagram once, on first use, in `lattice`, with those columns; a
+later check reads it only in a walk where its certificate declines.
+`run_check` computes its own.  Each check still proves its claim from
+the columns, so no check relies on another's verdict.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import poset, vectors
-from cyclat.certificates import (covers_certified, covers_independent, cyclic_steps,
-                                 kappa_matching, nodes_are_words, step_ends)
+from cyclat.certificates import (Inversions, covers_certified, covers_independent,
+                                 cyclic_steps, kappa_matching, nodes_are_words, step_ends)
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -96,10 +97,10 @@ class CheckRun:
     """What one check reads, and the counts and times it reports.
 
     `shared` holds what the checks of one `run_all` read, each part
-    computed once, on first use: the vector columns, the ranks and the
-    diagram of `build`, which takes the run's columns for its own.  On
-    a pass, `lattice` builds the diagram, and `mobius` and `modularity`
-    alone read it after; a walk where a certificate declines reads it
+    computed once, on first use: the inversion bits, the vector columns
+    joined from them, the ranks and the diagram of `build`, which takes
+    the run's columns for its own.  On a pass, only `lattice` builds and
+    reads the diagram; a walk where a certificate declines reads it
     too.  The run that builds the diagram, or first computes its
     threshold masks, has those seconds in its `phases`.
     """
@@ -110,15 +111,16 @@ class CheckRun:
     phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_PHASES, 0.0))
 
     def diagram(self, masks: bool = False) -> poset.HasseDiagram:
-        """The order-n diagram; with `masks`, its `at_least` threshold
-        masks computed as well."""
+        """The order-n diagram, its columns the run's unless it holds its
+        own; with `masks`, its `at_least` threshold masks computed as
+        well."""
         if "diagram" not in self.shared:
             start = time.perf_counter()
             self.shared["diagram"] = build(self.n)
             self.phases["build"] += time.perf_counter() - start
-            if "columns" in self.shared:  # a view of n alone: no second copy
-                self.shared["diagram"].columns = self.shared["columns"]
         diagram = self.shared["diagram"]
+        if "columns" not in vars(diagram):  # a view of n alone: no second copy
+            diagram.columns = self.columns()
         if masks and "masks" not in self.shared:
             start = time.perf_counter()
             # cached on the diagram, read off its columns
@@ -126,10 +128,18 @@ class CheckRun:
             self.phases["masks"] += time.perf_counter() - start
         return diagram
 
+    def inversions(self) -> Inversions:
+        """`poset._inversion_columns(n)`, the inversion bits the columns
+        are joined from and the certificates compare the lanes with."""
+        if "inversions" not in self.shared:
+            self.shared["inversions"] = poset._inversion_columns(self.n)
+        return self.shared["inversions"]
+
     def columns(self) -> tuple[bytes, ...]:
-        """`poset._vector_columns(n)`, building nothing."""
+        """`poset._vector_columns(n)`, joined from the run's
+        `inversions`, building nothing."""
         if "columns" not in self.shared:
-            self.shared["columns"] = poset._vector_columns(self.n)
+            self.shared["columns"] = poset._vector_columns(self.n, self.inversions())
         return self.shared["columns"]
 
     def ranks(self) -> Sequence[int]:
@@ -159,16 +169,18 @@ def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
     minimal nodes, and those with none up the maximal ones.
     """
     poset.refuse_over_cap(run.n)
-    report = grading_report(run.n, run.ranks(), run.columns())
+    report = grading_report(run.n, run.ranks(), run.columns(), run.inversions())
     ok = report.pop("pass")
     return ok, None if ok else report
 
 
-def grading_report(n: int, ranks: Sequence[int], columns: Sequence[bytes]) -> dict:
+def grading_report(n: int, ranks: Sequence[int], columns: Sequence[bytes],
+                   inversions: Inversions) -> dict:
     """What `_check_grading` proves, in the keys of the per-edge scan
     the tests keep as a reference.  Where the lanes are not the words'
-    vectors, no step is read: `bottoms` and `tops` are None."""
-    words = nodes_are_words(n, columns)
+    vectors (`nodes_are_words`, against `inversions`), no step is read:
+    `bottoms` and `tops` are None."""
+    words = nodes_are_words(n, columns, inversions)
     unit = words and sum(int.from_bytes(column, "little") for column in columns) == \
         int.from_bytes(bytes(ranks), "little")
     bottoms, tops = step_ends(n, columns) if words else (None, None)
@@ -191,24 +203,28 @@ def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
 def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     """mu(x, y) is 0, 1 or -1 for every two nodes x <= y.
 
-    `certificates.covers_independent` proves it at every node x none of
-    whose upper covers lies below the join of the others: by Rota's
-    crosscut theorem the joins of the sets of x's covers are then
-    distinct, so each y >= x has at most one term.  That takes 3(k - 2)
-    lane joins at a node of k >= 3 covers, and none below.  Where the
-    certificate declines, in id order, the crosscut itself decides
+    `certificates.covers_independent` proves it on the vector columns,
+    with no diagram, at every node x none of whose upper covers lies
+    below the join of the others: by Rota's crosscut theorem the joins
+    of the sets of x's covers are then distinct, so each y >= x has at
+    most one term.  It proves the lanes the words' vectors
+    (`certificates.nodes_are_words`), reads x's covers as its admitted
+    unit steps, and takes 3(k - 2) lane joins at a node of k >= 3
+    covers, and none below.  Where the certificate declines, in id
+    order, the crosscut itself decides on the diagram
     (`poset.mobius_from`): x's table of joins, one per set of covers.
     The first x whose table holds a join that is no node fails with
     y None; the first with a value out of range, with the lowest such y
     by rank, then id, and its mu.  A certificate that declines nowhere,
-    as on every order up to 10, builds no table and no `vec_index`.
-    `stats` counts the lane joins (`joins`) and the nodes walked
-    (`crosscut`)."""
-    diagram = run.diagram()
-    declined, joins = covers_independent(diagram)
+    as on every order up to 10, builds no diagram.  `stats` counts the
+    lane joins (`joins`) and the nodes walked (`crosscut`)."""
+    poset.refuse_over_cap(run.n)
+    declined, joins = covers_independent(run.n, run.columns(), run.inversions())
     run.stats.update(joins=joins, crosscut=len(declined))
-    crosscut = poset.mobius_from(diagram, declined) if declined else ()
-    for x, mu in zip(declined, crosscut):
+    if not declined:
+        return True, None
+    diagram = run.diagram()
+    for x, mu in zip(declined, poset.mobius_from(diagram, declined)):
         if None in mu:
             return False, {"x": diagram.name(x), "y": None}
         bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
@@ -293,7 +309,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     check reads up to n = 8.
     """
     diagram = run.diagram()
-    certified = covers_certified(diagram)
+    certified = covers_certified(diagram, run.inversions())
     if not certified:
         failure = _cover_failure(diagram)
         if failure:
@@ -392,7 +408,7 @@ def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
     irreducibles on the threshold masks, which decides and names the
     witness."""
     poset.refuse_over_cap(run.n)
-    matched = kappa_matching(run.n, run.columns())
+    matched = kappa_matching(run.n, run.columns(), run.inversions())
     if matched is not None:
         run.stats.update(irreducibles=matched[0], declined=matched[1])
         if not matched[1]:
@@ -402,8 +418,26 @@ def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
 
 
 def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
+    """The order is modular up to n = 4 and not from n = 5 on, by the
+    rank-additivity scan on the ranks and the vector columns, with no
+    diagram (`poset.check_modular`): a scan that cannot decide fails.
+    The scan reads a join or meet lane that passes `poset._word_bits`
+    as a node, and its coordinate sum as that node's rank, so the lanes
+    are first proved the words' vectors (`certificates.nodes_are_words`)
+    and each lane's sum its rank, on the columns read as ints as
+    `grading_report` does; the lowest node whose sum is not its rank
+    fails.  At n = 5 the canonical witness quadruple is pinned instead
+    of the scan's."""
     n = run.n
-    report = poset.check_modular(run.diagram())
+    poset.refuse_over_cap(n)
+    columns, ranks = run.columns(), run.ranks()
+    if not nodes_are_words(n, columns, run.inversions()):
+        return False, {"n": n, "nodes_are_words": False}
+    if off := sum(int.from_bytes(column, "little") for column in columns) ^ \
+            int.from_bytes(bytes(ranks), "little"):
+        t = ((off & -off).bit_length() - 1) // 8  # the lowest lane that differs
+        return False, {"node": poset.node_name(n, t), "rank": ranks[t]}
+    report = poset.check_modular(n, ranks, columns)
     expected_modular = n <= 4
     ok = report["modular"] == expected_modular
     if n == 5 and ok:
@@ -613,7 +647,7 @@ def _check_interval(run: CheckRun) -> tuple[bool, dict | None]:
     v = {pair: _wide(column) for pair, column in
          zip(combinations(range(1, n + 1), 2), run.columns())}
     a = _window_columns(n, v, ones)
-    inversions = poset._inversion_columns(n)
+    inversions = run.inversions()
     positions = _letter_positions(n, inversions, ones)
     sign = int.from_bytes(b"\0\x80" * size, "little")
     shift = (0x8000 - n) * ones  # (e | e + shift) & sign flags e < 0 or e >= n
@@ -662,7 +696,7 @@ def _check_alpha(run: CheckRun) -> tuple[bool, dict | None]:
     n = run.n
     poset.refuse_over_cap(n)
     columns = run.columns()
-    steps = cyclic_steps(n, columns)
+    steps = cyclic_steps(n, columns, run.inversions())
     if steps is None or _potential(n, columns, 0) != tuple(range(1, n + 1)):
         return _alpha_walk(run.diagram())
     run.stats["steps"] = steps

@@ -15,12 +15,12 @@ blocks `cyclat poset` writes out one by one, from `_prefix_ranks` and
 by transfer matrix over (set of letters placed, last letter), with no
 diagram, no kernel and no pass over the cycles (`cover_histogram`);
 the stream of `_cover_rows` is their cross-check in the tests.
-Rank truncations against the partition order read the ranks and the
-vector columns, with no diagram, and take up-sets by lane comparison
-(`_lane_up_sets`), and the conjugator of the chains up to a node is
-its word rotated (`conjugator_potential`), with no diagram either.
-Everything else queries the diagram: the Moebius function,
-semidistributivity and modularity scans, and maximal chains.
+Rank truncations against the partition order and the modularity scan
+read the ranks and the vector columns, with no diagram, and take
+up-sets by lane comparison (`_lane_up_sets`); the conjugator of the
+chains up to a node is its word rotated (`conjugator_potential`), with
+no diagram either.  Everything else queries the diagram: the Moebius
+function, the semidistributivity walk and maximal chains.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes 7.9-8.4 s at a
-    223 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
-    4.1-4.3 s of it, the build included (`BENCH_alpha_potential.json`),
-    and `build(11)` alone peaks at about 1.2 GB.  `eulerian n` builds no
+    under 5 minutes and 600 MB: `check all 10` takes 8.5-9.4 s at a
+    200 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
+    4.3-4.5 s of it, the build included
+    (`BENCH_columns_mobius_modularity.json`), and `build(11)` alone
+    peaks at about 1.2 GB.  `eulerian n` builds no
     diagram and is refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
@@ -485,17 +486,19 @@ def _inversion_columns(n: int) -> dict[tuple[int, int], bytes]:
     return {(a + 2, b + 2): column for (a, b), column in blocks.items()}
 
 
-def _vector_columns(n: int) -> tuple[bytes, ...]:
+def _vector_columns(n: int, inversions: dict[tuple[int, int], bytes] | None = None
+                    ) -> tuple[bytes, ...]:
     """The coordinate columns of the vectors of the canonical words of
     order n, in lexicographic order: for each pair (i, j), 1 <= i < j <= n,
     in row-major order, one byte per node, v[i,j] of node t at [t].
 
-    v[i,j] = S[j] - S[i] - B(i, j), with B the `_inversion_columns` and
-    S[j] the sum of B(k, k+1) over k < j.  The sums run on whole columns
-    read as integers, one byte a digit: 0 <= v[i,j] <= n - 2, so no
-    digit carries or borrows.
+    v[i,j] = S[j] - S[i] - B(i, j), with B the `_inversion_columns`,
+    given as `inversions` where the caller holds them, and S[j] the sum
+    of B(k, k+1) over k < j.  The sums run on whole columns read as
+    integers, one byte a digit: 0 <= v[i,j] <= n - 2, so no digit
+    carries or borrows.
     """
-    blocks = _inversion_columns(n)
+    blocks = _inversion_columns(n) if inversions is None else inversions
 
     def bit(i: int, j: int) -> int:
         return 0 if i == 1 else int.from_bytes(blocks[i, j], "big")
@@ -597,6 +600,20 @@ def _gather(n: int, rows: Sequence[bytes], ids: Sequence[int]) -> list[int]:
     for ij, _ in _fill_plan(n):
         columns[ij] = int.from_bytes(lanes[ij::width], "big")
     return columns
+
+
+def _cut_lanes(n: int, columns: Sequence[bytes], ids: Sequence[int]) -> list[int]:
+    """`_gather` of the nodes at ids in turn, cut from the columns
+    instead of the rows: each column the recursion reads, its bytes at
+    ids, taken by one `itemgetter`, read as one int, the first id in the
+    highest lane.  For one id `itemgetter` returns that byte, which is
+    the one-lane int."""
+    pick = itemgetter(*ids)
+    lanes = [0] * len(columns)
+    for ij, _ in _fill_plan(n):
+        picked = pick(columns[ij])
+        lanes[ij] = picked if len(ids) == 1 else int.from_bytes(bytes(picked), "big")
+    return lanes
 
 
 def _triangle_lanes(n: int, columns: Sequence[bytes], xs: Sequence[int]) -> tuple[list[int], ...]:
@@ -923,36 +940,84 @@ def _lane_up_sets(n: int, columns: Sequence[bytes]) -> Callable[[int], int]:
     return up_set
 
 
-def check_modular(diagram: HasseDiagram) -> dict:
-    """Rank-additivity scan: rank x + rank y = rank meet + rank join.
+def check_modular(n: int, ranks: Sequence[int], columns: Sequence[bytes]) -> dict:
+    """Rank-additivity scan: rank x + rank y = rank meet + rank join, on
+    the ranks and the vector columns of order n, with no diagram.
 
     Returns the first violating quadruple, if any, as a witness, over
-    the pairs x < y of node ids in order.  A pair with x <= y in the
-    order has meet x and join y, so it cannot fail and is skipped: each
-    row x reads x's up-set once, on the lanes (`_lane_up_sets`), which
-    skips the bottom's whole row, and joins and meets the rest of the
-    row in `bounds` batches of up to `_ROW_CHUNK` pairs, so a failure
-    early in a long row ends the scan after one batch.
+    the pairs x < y of node ids in order, with their joins and meets
+    from `_row_bounds`.  The columns are read where
+    `certificates.nodes_are_words` holds and each lane's coordinate sum
+    is its rank, as `checks._check_modularity` proves first: a result
+    that passes `_word_bits` is then a node's row, and its sum that
+    node's rank.  `modular` is None where the scan cannot decide, at the
+    first pair whose join or meet is no node, which is then the witness.
+    The meet and join of a failing quadruple are named from their rows.
     """
-    size = len(diagram.ranks)
-    ranks = diagram.ranks
-    up_set = _lane_up_sets(diagram.n, diagram.columns)
+    for x, y, join, meet in _row_bounds(n, len(ranks), columns):
+        if None in (join, meet):
+            pair = {"x": node_name(n, x), "y": node_name(n, y)}
+            return {"n": n, "modular": None, "witness": pair}
+        if ranks[x] + ranks[y] != sum(meet) + sum(join):
+            witness = {"x": node_name(n, x), "y": node_name(n, y),
+                       "meet": _row_name(n, meet), "join": _row_name(n, join),
+                       "ranks": [ranks[x], ranks[y], sum(meet), sum(join)]}
+            return {"n": n, "modular": False, "witness": witness}
+    return {"n": n, "modular": True, "witness": None}
+
+
+def _row_bounds(n: int, size: int, columns: Sequence[bytes]
+                ) -> Iterator[tuple[int, int, bytes | None, bytes | None]]:
+    """(x, y, the row of their join, that of their meet) for the pairs
+    x < y of the `size` nodes of the order-n columns in order, but for
+    the pairs with x <= y in the order, whose meet is x and join is y:
+    each row x reads x's up-set once, on the lanes (`_lane_up_sets`),
+    which skips the bottom's whole row.  A join or meet that is no node
+    (`_word_bits`) is None.
+
+    The rest of row x is joined and met in batches of up to
+    `_ROW_CHUNK` pairs, so a scan that stops early in a long row reads
+    one batch: x's byte repeated is one side of the lanes, and the
+    bytes of the batch's nodes, cut from the columns, the other.  The
+    joins and the meets are stacked, the joins in the higher lanes, and
+    tested whole by `_word_bits`; only where that fails is each result
+    tested alone.
+    """
+    up_set = _lane_up_sets(n, columns)
     for x in range(size):
         later = ((1 << size) - 1) ^ ((1 << (x + 1)) - 1)  # the ids after x
         row = bits(later & ~up_set(x))
         for start in range(0, len(row), _ROW_CHUNK):
             ys = row[start:start + _ROW_CHUNK]
-            for y, j, m in zip(ys, *diagram.bounds([x] * len(ys), ys)):
-                if ranks[x] + ranks[y] != ranks[m] + ranks[j]:
-                    witness = {
-                        "x": diagram.name(x),
-                        "y": diagram.name(y),
-                        "meet": diagram.name(m),
-                        "join": diagram.name(j),
-                        "ranks": [ranks[x], ranks[y], ranks[m], ranks[j]],
-                    }
-                    return {"n": diagram.n, "modular": False, "witness": witness}
-    return {"n": diagram.n, "modular": True, "witness": None}
+            width = len(ys)
+            ones = int.from_bytes(b"\1" * width, "big")
+            us, vs = [column[x] * ones for column in columns], _cut_lanes(n, columns, ys)
+            stacked = [j << 8 * width | m for j, m in zip(_column_joins(n, width, us, vs),
+                                                          _column_meets(n, width, us, vs))]
+            if _word_bits(n, 2 * width, stacked) is None:
+                # each lane alone, its bytes those of the columns in two's complement
+                mask = (1 << 16 * width) - 1
+                bounds = [lane if _word_bits(n, 1, list(lane)) is not None else None
+                          for lane in _split_rows(2 * width, [c & mask for c in stacked])]
+            else:
+                bounds = list(_split_rows(2 * width, stacked))
+            yield from zip([x] * width, ys, bounds, bounds[width:])
+
+
+def _row_name(n: int, row: bytes) -> str:
+    """The cycle literal of the canonical word whose vector is row, a
+    lane that passes `_word_bits`, from the position of each letter i in
+    it: 1 stands first, and before i stand the letters 2 <= b < i that
+    i does not precede and the letters b > i that precede it,
+    (i - 1) - sum over 2 <= b < i of B(b, i) + sum over b > i of B(i, b),
+    with B(b, i) = v[1,i] - v[1,b] - v[b,i]."""
+    v = dict(zip(combinations(range(1, n + 1), 2), row))
+    place = list(range(n))  # place[i - 1]: the position of letter i
+    for b, i in combinations(range(2, n + 1), 2):
+        bit = v[1, i] - v[1, b] - v[b, i]
+        place[b - 1] += bit
+        place[i - 1] -= bit
+    return word_text(tuple(sorted(range(1, n + 1), key=lambda a: place[a - 1])))
 
 
 # --- rank truncations and the partition order ---------------------------

@@ -124,7 +124,7 @@ def test_06_semidistributive_not_modular():
     with Budget("6 semidistributivity and the modularity witness n=5", 30.0):
         diagram = build(5)
         assert poset.check_semidistributive(diagram)["pass"]
-        report = poset.check_modular(diagram)
+        report = poset.check_modular(5, diagram.ranks, diagram.columns)
         assert not report["modular"]
         u = vectors.cycle_to_vector(CircularPermutation.from_text("(1,4,2,3,5)"))
         v = vectors.cycle_to_vector(CircularPermutation.from_text("(1,3,4,2,5)"))

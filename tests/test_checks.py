@@ -34,7 +34,7 @@ def admitted_steps(diagram):
     """The lanes of `certificates._block_steps`' steps up, whole columns:
     for each coordinate k, bit 8t set iff node t's x + e_k is admitted."""
     lanes = [0] * len(diagram.columns)
-    for first, _, up, _ in certificates._block_steps(diagram.n, diagram.columns):
+    for first, _, (up,) in certificates._block_steps(diagram.n, diagram.columns, certificates.UP):
         lanes = [whole | block << 8 * first for whole, block in zip(lanes, up)]
     return lanes
 
@@ -107,7 +107,7 @@ def wrong_inversion_bit(monkeypatch, n, k):
         column[k] ^= 1
         return out | {(2, 3): bytes(column)}
 
-    monkeypatch.setattr(poset, "_vector_columns", lambda n: columns)
+    monkeypatch.setattr(poset, "_vector_columns", lambda n, inversions=None: columns)
     monkeypatch.setattr(poset, "_inversion_columns", flipped)
 
 
@@ -226,7 +226,7 @@ def corrupt_lane(monkeypatch, n, k):
     column = bytearray(columns[n - 2])
     column[k] += 1
     columns[n - 2] = bytes(column)
-    monkeypatch.setattr(poset, "_vector_columns", lambda n: tuple(columns))
+    monkeypatch.setattr(poset, "_vector_columns", lambda n, inversions=None: tuple(columns))
     return columns
 
 
@@ -235,10 +235,10 @@ def stray_step(monkeypatch, n, pair, k):
     step_lanes = certificates._step_lanes
     index = list(combinations(range(1, n + 1), 2)).index(pair)
 
-    def added(n, ones, v):
-        up, down = step_lanes(n, ones, v)
-        up[index] |= lane_bit(k)
-        return up, down
+    def added(n, ones, v, directions):
+        steps = step_lanes(n, ones, v, directions)
+        steps[directions.index(False)][index] |= lane_bit(k)
+        return steps
 
     monkeypatch.setattr(certificates, "_step_lanes", added)
 
@@ -303,7 +303,7 @@ class TestAlphaPotential:
     @pytest.mark.parametrize("n, k", [(4, 0), (4, 5), (6, 0), (6, 119), (6, 77)])
     def test_non_word_lane_declines(self, monkeypatch, n, k):
         columns = corrupt_lane(monkeypatch, n, k)
-        assert certificates.cyclic_steps(n, columns) is None
+        assert certificates.cyclic_steps(n, columns, poset._inversion_columns(n)) is None
         report = checks.run_check("alpha", n)
         assert (report.passed, report.witness) == checks._alpha_walk(build(n)) == (True, None)
         assert "steps" not in report.stats and report.phases["build"] > 0
@@ -319,7 +319,7 @@ class TestAlphaPotential:
         k = 0 if node == "bottom" else factorial(n - 1) - 1
         stray_step(monkeypatch, n, pair, k)
         diagram = build(n)
-        assert certificates.cyclic_steps(n, diagram.columns) is None
+        assert certificates.cyclic_steps(n, diagram.columns, poset._inversion_columns(n)) is None
         report = checks.run_check("alpha", n)
         assert (report.passed, report.witness) == checks._alpha_walk(diagram) == (True, None)
         assert "steps" not in report.stats and report.phases["build"] > 0
@@ -339,7 +339,7 @@ class TestAlphaPotential:
     @pytest.mark.parametrize("case", [1, 5, 20])
     def test_forced_decline_fails_with_the_walks_witness(self, monkeypatch, case):
         mutant = list(mutants(5))[case]
-        monkeypatch.setattr(checks, "cyclic_steps", lambda n, columns: None)
+        monkeypatch.setattr(checks, "cyclic_steps", lambda n, columns, inversions: None)
         monkeypatch.setattr(checks, "build", lambda n: mutant)
         report = checks.run_check("alpha", 5)
         passed, witness = checks._alpha_walk(mutant)
@@ -638,7 +638,7 @@ class TestLatticeCertificates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_certificates_agree_with_the_walk(self, n):
         diagram = build(n)
-        assert certificates.covers_certified(diagram)
+        assert certificates.covers_certified(diagram, poset._inversion_columns(n))
         assert checks._cover_failure(diagram) is None
 
     def test_edge_to_a_comparable_non_cover(self, monkeypatch):
@@ -648,7 +648,7 @@ class TestLatticeCertificates:
         w = diagram.ranks.index(2)
         mutant = with_edge(diagram, diagram.bottom, w)
         assert certificates.unit_steps(mutant) is None
-        assert not certificates.covers_certified(mutant)
+        assert not certificates.covers_certified(mutant, poset._inversion_columns(5))
         expected = lattice_by_pairs(with_edge(diagram, diagram.bottom, w))
         assert lattice_outcome(monkeypatch, mutant) == expected == (True, None)
 
@@ -678,7 +678,7 @@ class TestLatticeCertificates:
         assert [lanes.bit_count() for lanes in admitted_steps(mutant)] == \
             [mutant_steps.count(k) for k in range(len(diagram.columns))]
         assert not certificates.steps_are_covers(mutant, mutant_steps)
-        assert not certificates.covers_certified(mutant)
+        assert not certificates.covers_certified(mutant, poset._inversion_columns(5))
         expected = lattice_by_pairs(mutant)
         assert expected[1]["op"] == "order"
         assert expected[1]["pair"][0] == diagram.name(diagram.lo[dropped])
@@ -694,7 +694,7 @@ class TestLatticeCertificates:
         monkeypatch.setattr(poset, "_column_joins",
                             wrong_lanes_at(diagram, y, z, diagram.up[j][0]))
         steps = certificates.unit_steps(diagram)
-        assert certificates.nodes_are_words(diagram.n, diagram.columns)
+        assert certificates.nodes_are_words(diagram.n, diagram.columns, poset._inversion_columns(5))
         assert steps is not None and certificates.steps_are_covers(diagram, steps)
         assert not certificates.cover_joins_tight(diagram)
         expected = lattice_by_pairs(diagram)
@@ -720,7 +720,7 @@ class TestLatticeCertificates:
             (m,) = diagram.bounds([x], [y])[1]
         monkeypatch.setattr(poset, "_column_meets",
                             wrong_lanes_at(diagram, x, y, diagram.down[m][0], meet=True))
-        assert certificates.covers_certified(diagram)
+        assert certificates.covers_certified(diagram, poset._inversion_columns(n))
         assert not (diagram.square_tight_bounds() if n == 5 else diagram.tight_bounds(xs, ys))
         expected = lattice_by_pairs(diagram)
         assert expected[1]["op"] == "meet" and set(expected[1]["pair"]) == {
@@ -741,8 +741,9 @@ class TestLatticeCertificates:
         diagram = mutant()
         assert [diagram.columns[kernels.pair_index(5, *ij)][diagram.top]
                 for ij in ((1, 3), (3, 5), (1, 5))] == [1, 1, 1]
-        assert not certificates.nodes_are_words(diagram.n, diagram.columns)
-        assert not certificates.covers_certified(diagram)
+        assert not certificates.nodes_are_words(diagram.n, diagram.columns,
+                                                poset._inversion_columns(5))
+        assert not certificates.covers_certified(diagram, poset._inversion_columns(5))
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -766,8 +767,9 @@ class TestLatticeCertificates:
         diagram = mutant()
         columns = [int.from_bytes(column, "big") for column in diagram.columns]
         assert poset._word_bits(5, len(diagram.ranks), columns) is not None
-        assert not certificates.nodes_are_words(diagram.n, diagram.columns)
-        assert not certificates.covers_certified(diagram)
+        assert not certificates.nodes_are_words(diagram.n, diagram.columns,
+                                                poset._inversion_columns(5))
+        assert not certificates.covers_certified(diagram, poset._inversion_columns(5))
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -779,7 +781,7 @@ class TestLatticeCertificates:
         # finds no failure, every tested pair is walked on its masks
         walked = []
         pair_failure = checks._pair_failure
-        monkeypatch.setattr(checks, "covers_certified", lambda diagram: False)
+        monkeypatch.setattr(checks, "covers_certified", lambda diagram, inversions: False)
         monkeypatch.setattr(checks, "_pair_failure",
                             lambda diagram, xs, ys: walked.append(len(xs)) or
                             pair_failure(diagram, xs, ys))
@@ -832,9 +834,10 @@ class TestLatticeCertificates:
         # is built
         diagram = build(8)
         diagram.rows
+        inversions = poset._inversion_columns(8)
         tracemalloc.start()
         try:
-            assert certificates.covers_certified(diagram)
+            assert certificates.covers_certified(diagram, inversions)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -936,7 +939,34 @@ def cover_join_mutant(monkeypatch, n, x, pair, subset):
 
 def declined(diagram):
     """The nodes at which the certificate of `mobius` declines."""
-    return certificates.covers_independent(diagram)[0]
+    return certificates.covers_independent(diagram.n, diagram.columns,
+                                           poset._inversion_columns(diagram.n))[0]
+
+
+def covers_independent_by_diagram(diagram):
+    """`certificates.covers_independent` on the diagram, the reference
+    of the lane form: x's covers a slice of hi, in id order
+    (`HasseDiagram.starts`), their lanes gathered from the rows, and the
+    same batches of `COVER_CHUNK` ids joined by `_dependent_lanes`."""
+    n, hi, starts, rows = diagram.n, diagram.hi, diagram.starts, diagram.rows
+    size = len(diagram.ranks)
+    degrees = [starts[x + 1] - starts[x] for x in range(size)]
+    found, joins = [], 0
+    for first in range(0, size, certificates.COVER_CHUNK):
+        nodes = sorted([x for x in range(first, min(first + certificates.COVER_CHUNK, size))
+                        if degrees[x] >= 3], key=degrees.__getitem__)
+        if not nodes:
+            continue
+        covers = [hi[starts[x]:starts[x + 1]] for x in nodes]
+        counts = [len(up) for up in covers]
+        at_least = [len(covers) - bisect_left(counts, j) for j in range(counts[-1] + 2)]
+        a = [None] + [poset._gather(n, rows, [up[j - 1] for up in covers[len(covers) - at_least[j]:]])
+                      for j in range(1, counts[-1] + 1)]
+        flags, taken = certificates._dependent_lanes(n, a, at_least)
+        joins += taken
+        found += (nodes[len(nodes) - 1 - lane] for lane in range(len(nodes))
+                  if flags >> 8 * lane & 0xff)
+    return sorted(found), joins
 
 
 class TestMobiusCheck:
@@ -959,9 +989,45 @@ class TestCoverIndependence:
         # on every node: none declines, and none has two sets of covers
         # with one join; the joins taken are 3(k - 2) at k >= 3 covers
         diagram = build(n)
-        found, joins = certificates.covers_independent(diagram)
+        found, joins = certificates.covers_independent(n, diagram.columns,
+                                                       poset._inversion_columns(n))
         assert found == repeated_subset_joins(diagram) == []
         assert joins == sum(3 * (len(up) - 2) for up in diagram.up if len(up) >= 3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lanes_agree_with_the_diagram(self, n):
+        # the certificate on the columns and on the diagram's edges and
+        # rows: the same nodes declined (none) and the same joins taken
+        diagram = build(n)
+        assert certificates.covers_independent(n, diagram.columns, poset._inversion_columns(n)) \
+            == covers_independent_by_diagram(diagram)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_cover_lanes_are_the_covers(self, n):
+        # every node's step count is its up-degree, and the lanes A_j of
+        # the nodes with covers, all in one batch, are their covers' rows
+        diagram = build(n)
+        ((_, width, (up,)),) = certificates._block_steps(n, diagram.columns, certificates.UP)
+        counts, labels = certificates._step_labels(up, width)
+        assert list(counts) == [len(near) for near in diagram.up]
+        nodes = sorted([t for t in range(width) if counts[t]], key=counts.__getitem__)
+        a, at_least = certificates._cover_lanes(n, diagram.rows, list(poset._split_rows(width, labels)),
+                                                nodes, [counts[t] for t in nodes])
+        covers = {}
+        for j in range(1, len(a)):
+            for t, row in zip(nodes[len(nodes) - at_least[j]:], poset._split_rows(at_least[j], a[j])):
+                covers.setdefault(t, []).append(diagram.vec_index[row])
+        assert covers == {t: sorted(near, key=lambda y: step_of(diagram, t, y))
+                          for t, near in enumerate(diagram.up) if near}
+
+    def test_non_word_lane_declines_every_node(self, monkeypatch):
+        # a lane that is no word's vector: the certificate proves nothing
+        # and declines every node, whose crosscut passes the real order
+        corrupt_lane(monkeypatch, 5, 7)
+        assert declined(build(5)) == list(range(24))
+        report = checks.run_check("mobius", 5)
+        assert (report.passed, report.witness) == mobius_by_scan(build(5))
+        assert report.stats == {"joins": 0, "crosscut": 24}
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_edge_starts_are_the_first_edges(self, n):
@@ -999,12 +1065,13 @@ class TestCoverIndependence:
         assert report.stats == {"joins": 3, "crosscut": 1}
 
     def test_dependent_cover_the_crosscut_fails(self, monkeypatch):
-        # at n = 6, node (1,6,4,2,5,3) of four covers: the join of its last
-        # two is that of all four, so covers 1 and 2 lie below the others'.
-        # The certificate declines there alone, and the crosscut counts
-        # that join once for each of the two sets, +2
+        # at n = 6, node (1,6,4,2,5,3) of four covers: the join of its
+        # last two by step, its second and last by id, is that of all
+        # four, so its first two by step lie below the others'.  The
+        # certificate declines there alone, and the crosscut counts that
+        # join once for each of the two sets, +2
         x = [build(6).name(t) for t in range(120)].index("(1,6,4,2,5,3)")
-        diagram = cover_join_mutant(monkeypatch, 6, x, (2, 3), (0, 1, 2, 3))
+        diagram = cover_join_mutant(monkeypatch, 6, x, (1, 3), (0, 1, 2, 3))
         assert declined(diagram) == [x]
         expected = mobius_by_scan(diagram)
         assert expected[1]["x"] == diagram.name(x) and expected[1]["mu"] == 2
@@ -1100,6 +1167,20 @@ class TestKappaMatching:
                          for t, near in enumerate(diagram.up) if len(near) == 1}
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_direction_is_that_half_of_both(self, n):
+        # the steps up asked for alone are the up half of one pass over
+        # both directions, and each node's steps are its covers, up and down
+        diagram = build(n)
+        v = poset._lane_ints(n, diagram.columns)
+        ones = int.from_bytes(b"\1" * len(diagram.ranks), "little")
+        (up,) = certificates._step_lanes(n, ones, v, certificates.UP)
+        both = certificates._step_lanes(n, ones, v, certificates.BOTH)
+        assert both[0] == up
+        for lanes, near in zip(both, (diagram.up, diagram.down)):
+            assert [sum(column >> 8 * t & 1 for column in lanes) for t in range(len(near))] == \
+                list(map(len, near))
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_partners_are_the_kappas(self, n):
         # each j's one R-partner is kappa(j) by the masks, and each m's one
         # R-partner the dual kappa(m)
@@ -1109,7 +1190,8 @@ class TestKappaMatching:
         kappa, dual = kappa_by_masks(diagram), kappa_by_masks(diagram, dual=True)
         assert partners == {j: [g] for j, g in kappa.items()}
         assert {m: j for j, (m,) in partners.items()} == dual
-        assert certificates.kappa_matching(n, diagram.columns) == (len(joins), 0)
+        assert certificates.kappa_matching(n, diagram.columns, poset._inversion_columns(n)) == \
+            (len(joins), 0)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_irreducibles_count(self, n):
@@ -1139,7 +1221,8 @@ class TestKappaMatching:
         x, y = [t for t, rank in enumerate(diagram.ranks) if rank == 2][:2]
         rows = list(diagram.rows)
         rows[x], rows[y] = rows[y], rows[x]
-        assert certificates.kappa_matching(5, tuple(map(bytes, zip(*rows)))) is None
+        assert certificates.kappa_matching(5, tuple(map(bytes, zip(*rows))),
+                                           poset._inversion_columns(5)) is None
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_unmatched_m_declines(self, monkeypatch, n):
@@ -1174,8 +1257,8 @@ class TestKappaMatching:
         walked = []
         check = poset.check_semidistributive
 
-        def without_up_13(n, ones, v):
-            up, down = step_lanes(n, ones, v)
+        def without_up_13(n, ones, v, directions):
+            up, down = step_lanes(n, ones, v, directions)
             return [lanes * (k != 1) for k, lanes in enumerate(up)], down
 
         monkeypatch.setattr(certificates, "_step_lanes", without_up_13)
@@ -1351,7 +1434,7 @@ class TestLaneChecks:
         k = next(k for k in lanes if TRIANGULATION_MUTANTS[kind](n, flats[k]))
         i, j, x = TRIANGULATION_MUTANTS[kind](n, flats[k])
         columns = corrupted_columns(n, [(i, j, k, x)])
-        monkeypatch.setattr(poset, "_vector_columns", lambda n: columns)
+        monkeypatch.setattr(poset, "_vector_columns", lambda n, inversions=None: columns)
         expected = outcome(triangulation_by_vectors, n)
         assert check_outcome("triangulation", n) == expected
         message, error_kind, where = expected
@@ -1367,7 +1450,7 @@ class TestLaneChecks:
         flats = list(zip(*poset._vector_columns(6)))
         k = next(k for k in range(90, 120) if defect(6, flats[k], 1, 2, 3) == 1)
         columns = corrupted_columns(6, [(1, 3, k, 2), (4, 5, k + 1, 1)])
-        monkeypatch.setattr(poset, "_vector_columns", lambda n: columns)
+        monkeypatch.setattr(poset, "_vector_columns", lambda n, inversions=None: columns)
         expected = outcome(triangulation_by_vectors, 6)
         assert expected[1:] == ("delta_out_of_range", (1, 2, 3))
         assert check_outcome("triangulation", 6) == expected
@@ -1381,7 +1464,7 @@ class TestLaneChecks:
         # failing lane still shows its own failure
         columns = corrupted_columns(5, [(i, j, k, x) for (i, j), k, x in corruptions])
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(poset, "_vector_columns", lambda n: columns)
+            monkeypatch.setattr(poset, "_vector_columns", lambda n, inversions=None: columns)
             assert check_outcome("triangulation", 5) == outcome(triangulation_by_vectors, 5)
 
     @pytest.mark.parametrize("n", [5, 7])
@@ -1424,8 +1507,8 @@ class TestWitnessBranches:
         mobius_from = poset.mobius_from
         covers_independent = checks.covers_independent
 
-        def declining_at_x(diagram):  # so that the crosscut runs at x
-            found, joins = covers_independent(diagram)
+        def declining_at_x(n, columns, inversions):  # so that the crosscut runs at x
+            found, joins = covers_independent(n, columns, inversions)
             return sorted({x, *found}), joins
 
         monkeypatch.setattr(checks, "covers_independent", declining_at_x)
@@ -1498,6 +1581,55 @@ class TestWitnessBranches:
         assert report.witness == expected
 
 
+class TestModularityLanes:
+    """`modularity` on the columns and the ranks: the scan's failures
+    that leave it undecided, each failing the check."""
+
+    @staticmethod
+    def first_pair(n):
+        """The first pair the scan reads: the first row x with a node
+        after x and not above it, and that node."""
+        columns, size = poset._vector_columns(n), factorial(n - 1)
+        up_set = poset._lane_up_sets(n, columns)
+        for x in range(size):
+            row = bits(((1 << size) - (1 << (x + 1))) & ~up_set(x))
+            if row:
+                return x, row[0]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_join_that_is_no_node_fails(self, monkeypatch, n):
+        # 0x7f in the last column of the highest lane of every batch, its
+        # first pair: that join, and the meet of the dual lanes, is no
+        # node.  The scan names the pair; before, it looked the join up
+        # as a node and indexed the ranks with None
+        column_joins = poset._column_joins
+
+        def corrupt(n, size, us, vs):
+            out = column_joins(n, size, us, vs)
+            first = 8 * (size - 1)
+            return [*out[:-1], out[-1] & ~(0xff << first) | 0x7f << first]
+
+        monkeypatch.setattr(poset, "_column_joins", corrupt)
+        x, y = self.first_pair(n)
+        report = checks.run_check("modularity", n)
+        assert not report.passed
+        assert report.witness == {"x": poset.node_name(n, x), "y": poset.node_name(n, y)}
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_rank_not_the_coordinate_sum_fails(self, monkeypatch, n):
+        wrong_rank(monkeypatch, n, 3)
+        report = checks.run_check("modularity", n)
+        assert not report.passed
+        assert report.witness == {"node": poset.node_name(n, 3),
+                                  "rank": poset._prefix_ranks(n)[3]}
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_columns_not_the_words_fail(self, monkeypatch, n):
+        corrupt_lane(monkeypatch, n, 5)
+        report = checks.run_check("modularity", n)
+        assert (report.passed, report.witness) == (False, {"n": n, "nodes_are_words": False})
+
+
 def built_diagrams(monkeypatch):
     """The diagrams that `checks.build` returns from now on, in order."""
     built = []
@@ -1519,10 +1651,10 @@ def without_lane_steps(monkeypatch, lane, side):
     down (side 1) dropped, one block of lanes."""
     step_lanes = certificates._step_lanes
 
-    def dropped(n, ones, v):
-        lanes = list(step_lanes(n, ones, v))
+    def dropped(n, ones, v, directions):
+        lanes = step_lanes(n, ones, v, directions)
         lanes[side] = [column & ~(0xff << 8 * lane) for column in lanes[side]]
-        return tuple(lanes)
+        return lanes
     monkeypatch.setattr(certificates, "_step_lanes", dropped)
 
 
@@ -1545,8 +1677,8 @@ class TestGradingLanes:
         # the bottom's v[1,3] raised to 2: D(1, 2, 3) is 2 in lane 0
         vector_columns = poset._vector_columns
 
-        def raised(n):
-            columns = list(vector_columns(n))
+        def raised(n, inversions=None):
+            columns = list(vector_columns(n, inversions))
             columns[1] = b"\2" + columns[1][1:]
             return tuple(columns)
         monkeypatch.setattr(poset, "_vector_columns", raised)
@@ -1619,31 +1751,51 @@ class TestSharedDiagram:
         assert all(r.passed for r in checks.run_all(n))
 
     @pytest.mark.parametrize("name", ["eulerian", "semidistributive", "young",
-                                      "triangulation", "interval", "alpha", "grading"])
+                                      "triangulation", "interval", "alpha", "grading",
+                                      "mobius", "modularity"])
     def test_check_builds_no_diagram(self, monkeypatch, name):
         def refuse(*args):
             raise AssertionError(f"{name} built a diagram")
 
         monkeypatch.setattr(checks, "build", refuse)
         monkeypatch.setattr(poset, "build", refuse)
-        # alpha at every order whose potential the walk's is tested against
-        for n in range(1, 9) if name == "alpha" else (1, 2, 6):
+        # alpha at every order whose potential the walk's is tested
+        # against, mobius and modularity at every order their references
+        # are
+        wide = ("alpha", "mobius", "modularity")
+        for n in range(1, 9) if name in wide else (1, 2, 6):
             report = checks.run_check(name, n)
             assert report.passed and report.phases["build"] == report.phases["masks"] == 0
 
     def test_run_all_shares_the_columns_and_edge_offsets(self, monkeypatch):
         # the vector columns are computed once, for the shared diagram,
         # and read by every check that reads them; the edge offsets are
-        # counted once, cached on that diagram for lattice and mobius
+        # counted once, cached on that diagram for lattice
         computed, counted = [], []
         vector_columns, starts = poset._vector_columns, poset.HasseDiagram.starts.func
         monkeypatch.setattr(poset, "_vector_columns",
-                            lambda n: computed.append(n) or vector_columns(n))
+                            lambda n, inversions=None: computed.append(n) or
+                            vector_columns(n, inversions))
         counting = cached_property(lambda diagram: counted.append(diagram.n) or starts(diagram))
         counting.__set_name__(poset.HasseDiagram, "starts")
         monkeypatch.setattr(poset.HasseDiagram, "starts", counting)
         assert all(r.passed for r in checks.run_all(6))
         assert computed == counted == [6]
+
+    def test_inversion_columns_computed_once_a_run(self, monkeypatch):
+        # the inversion bits the columns are joined from are the ones the
+        # certificates and interval read: once in run_all, at most once
+        # in each run_check, lattice's included
+        computed = []
+        inversion_columns = poset._inversion_columns
+        monkeypatch.setattr(poset, "_inversion_columns",
+                            lambda n: computed.append(n) or inversion_columns(n))
+        assert all(r.passed for r in checks.run_all(6))
+        assert computed == [6]
+        for name in checks.CHECKS:
+            computed.clear()
+            assert checks.run_check(name, 6).passed
+            assert computed == ([] if name == "eulerian" else [6])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_run_all_matches_run_check(self, n):

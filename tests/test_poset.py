@@ -499,6 +499,15 @@ class TestSquareLanes:
             (poset._gather(n, diagram.rows, xs), poset._gather(n, diagram.rows, ys))
 
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_cut_lanes_are_the_gathered_lanes(self, n):
+        # the lanes `check_modular` cuts from the columns, one id or many,
+        # in any order and with repeats
+        diagram = build(n)
+        size = len(diagram.ranks)
+        for ids in ([size - 1], [0, size - 1], list(range(size))[::-1], [size // 2] * 3):
+            assert poset._cut_lanes(n, diagram.columns, ids) == poset._gather(n, diagram.rows, ids)
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_lane_bounds_are_symmetric_in_the_pair(self, n):
         # what lets the triangle stand for the square: on every ordered
         # pair, swapping the sides gives the same join and meet columns,
@@ -884,6 +893,25 @@ def union_closed(ground, sets):
     return covers
 
 
+def modular_by_diagram(diagram):
+    """`check_modular` on the diagram, the reference of the lane form:
+    the same rows on the lane up-sets, each pair's join and meet by
+    `HasseDiagram.bounds`, read back through `vec_index`, and the ranks
+    of those nodes looked up."""
+    size, ranks = len(diagram.ranks), diagram.ranks
+    up_set = poset._lane_up_sets(diagram.n, diagram.columns)
+    for x in range(size):
+        later = ((1 << size) - 1) ^ ((1 << (x + 1)) - 1)
+        ys = poset.bits(later & ~up_set(x))
+        for y, j, m in zip(ys, *diagram.bounds([x] * len(ys), ys)):
+            if ranks[x] + ranks[y] != ranks[m] + ranks[j]:
+                witness = {"x": diagram.name(x), "y": diagram.name(y), "meet": diagram.name(m),
+                           "join": diagram.name(j),
+                           "ranks": [ranks[x], ranks[y], ranks[m], ranks[j]]}
+                return {"n": diagram.n, "modular": False, "witness": witness}
+    return {"n": diagram.n, "modular": True, "witness": None}
+
+
 class TestLatticeLaws:
     @pytest.mark.parametrize("n", [4, 5])
     def test_semidistributive(self, n):
@@ -982,11 +1010,11 @@ class TestLatticeLaws:
         assert report["witness"] == witness
 
     def test_modular_at_four(self):
-        report = check_modular(build(4))
+        report = check_modular(4, poset._prefix_ranks(4), poset._vector_columns(4))
         assert report["modular"] and report["witness"] is None
 
     def test_not_modular_at_five(self):
-        report = check_modular(build(5))
+        report = check_modular(5, poset._prefix_ranks(5), poset._vector_columns(5))
         assert not report["modular"]
         ranks = report["witness"]["ranks"]
         assert ranks[0] + ranks[1] != ranks[2] + ranks[3]
@@ -1005,9 +1033,16 @@ class TestLatticeLaws:
             raise AssertionError("the scan read a threshold mask")
 
         monkeypatch.setattr(HasseDiagram, "at_least", property(refuse))
-        report = check_modular(build(n))
+        report = check_modular(n, poset._prefix_ranks(n), poset._vector_columns(n))
         assert not report["modular"]
         assert report["witness"] == dict(zip(["x", "y", "meet", "join", "ranks"], witness))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lanes_agree_with_the_diagram(self, n):
+        # verdict and witness, the names and ranks of the join and meet
+        # read off the lanes, are those of the bounds looked up as nodes
+        assert check_modular(n, poset._prefix_ranks(n), poset._vector_columns(n)) == \
+            modular_by_diagram(build(n))
 
     def test_canonical_witness_quadruple(self):
         from cyclat.vectors import cycle_to_vector, join, meet, vector_to_cycle
@@ -1017,7 +1052,7 @@ class TestLatticeLaws:
         assert vector_to_cycle(join(u, v)).as_text() == "(1,3,5,4,2)"
         assert [u.rank, v.rank, meet(u, v).rank, join(u, v).rank] == [4, 4, 3, 6]
         # distributivity fails with the same elements (modularity implies it)
-        assert not check_modular(build(5))["modular"]
+        assert not check_modular(5, poset._prefix_ranks(5), poset._vector_columns(5))["modular"]
 
 
 class TestCompare:
@@ -1347,10 +1382,12 @@ def grading_by_edges(diagram):
 class TestGradingReport:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_pass(self, n):
-        assert checks.grading_report(n, poset._prefix_ranks(n), poset._vector_columns(n))["pass"]
+        assert checks.grading_report(n, poset._prefix_ranks(n), poset._vector_columns(n),
+                                     poset._inversion_columns(n))["pass"]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_the_edge_reference(self, n):
         diagram = build(n)
-        assert checks.grading_report(n, diagram.ranks, diagram.columns) == \
+        assert checks.grading_report(n, diagram.ranks, diagram.columns,
+                                     poset._inversion_columns(n)) == \
             grading_by_edges(diagram)
