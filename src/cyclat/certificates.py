@@ -8,17 +8,18 @@ check is the run's (`checks.CheckRun.inversions`), the bits its columns
 were joined from.
 
 `checks._check_lattice` claims that the order is the closure of its
-covers and that every two upper covers of a node have a join.
-`covers_certified` proves both from the diagram's columns and rows,
-holding no up-set and no threshold mask: `nodes_are_words` proves node
-t's row the vector of the t-th canonical word, `unit_steps` every edge
-a unit step on its two rows read as ints, `steps_are_covers` the edges
-exactly the admitted unit steps x + e_k, which the exchange lemma below
-makes the closure, and `cover_joins_tight` the cover pairs' joins a
-batch at a time (`HasseDiagram.tight_joins`).  The lane readers stay
-in `cyclat.poset`; this module holds the argument.
-The check's third claim, on the bounds of its tested pairs, rests on
-the same tightness, with the meets on the dual lanes
+covers and that it is a lattice.  `covers_certified` proves both from
+the diagram's columns and rows, holding no up-set and no threshold
+mask: `nodes_are_words` proves node t's row the vector of the t-th
+canonical word, `unit_steps` every edge a unit step on its two rows
+read as ints, `steps_are_covers` the edges exactly the admitted unit
+steps x + e_k, which the exchange lemma below makes the closure, and
+`step_ends` one node with no admitted step up, which makes the nodes
+an interval of the affine weak order, a lattice (point 7 below).  The
+lane readers stay in `cyclat.poset`; this module holds the argument.
+The check's third claim, on the bounds of its tested pairs, is about
+the code and not the order: the lane recursion's joins are tight
+nodes, and so are its meets on the dual lanes
 (`HasseDiagram.tight_bounds`).
 
 "Is a node" is a lane test, not a lookup.  `poset._word_bits` passes
@@ -77,11 +78,32 @@ A. Bjorner and F. Brenti, *Combinatorics of Coxeter Groups*, Springer,
    of x.  By induction on the sum of z - x, Up(x) is bit x OR the
    up-sets of x's covers, and every edge is a unit step up: the order
    is the closure of the edges.
+7. The nodes form an interval of the left weak order, so they form a
+   lattice.  By 2-4 and 6, x -> the window of x maps the nodes one to
+   one onto the lower set L of 3, the increasing windows whose
+   consecutive gaps are below n, and by 3 it maps the componentwise
+   order onto the left weak order.  L is finite.  Where `step_ends`
+   counts one node with no admitted step up, every other node x has an
+   admitted x + e_k, a node above it, so climbing by such steps from
+   any node ends at that one node.  Its window w lies above every
+   window of L, and L, a lower set, is the interval [e, w].  The weak
+   order of a Coxeter group is a meet-semilattice (A. Bjorner,
+   *Orderings of Coxeter groups*, Contemp. Math. 34, 1984; Bjorner and
+   Brenti, §3.2).  So two elements u, v of [e, w] have a meet, which
+   lies in [e, w], and their upper bounds in [e, w], w among them, have
+   a meet, which lies in [e, w] above u and v: their join there.  This
+   is the paper's statement that the order "is isomorphic to an
+   interval in the affine symmetric group with the weak order".  So no
+   join of two covers need be tested, as a bounded poset of finite
+   length would need (A. Bjorner, P. Edelman and G. Ziegler,
+   *Hyperplane arrangements with a lattice of regions*, Discrete
+   Comput. Geom. 5, 1990, Lemma 2.1).
 A certificate that declines proves nothing: the check then walks the
-claims node by node (`checks._cover_failure`), which decides and names
-the witness.  `checks._check_grading` reads the lemma too: every cover
-is a unit step, and on the dual lanes M - v every node above a minimal
-one has an admitted step down, so `step_ends` counts the extremes.
+claims node by node (`checks._cover_failure`), and the tested pairs one
+by one (`checks._pair_failure`), which decides and names the witness.
+`checks._check_grading` reads the lemma too: every cover is a unit
+step, and on the dual lanes M - v every node above a minimal one has
+an admitted step down, so `step_ends` counts the extremes.
 
 Chain conjugators by a closed-form potential (`cyclic_steps`, for
 `checks._check_alpha`).  A cover of x swaps a large circular descent
@@ -125,39 +147,31 @@ A certificate that declines proves nothing: the check then walks the
 diagram's edges and labels (`checks._alpha_walk`), which decides and
 names the witness.
 
-Cover independence (`covers_independent`, for `checks._check_mobius`).
-Let node x have the upper covers a_1, ..., a_k, and let O_i be the join
-of those other than a_i.  By Rota's crosscut theorem (G.-C. Rota, *On
-the foundations of combinatorial theory I*, Z. Wahrscheinlichkeitstheorie
-2, 1964), mu(x, y) is the sum of (-1)^|S| over the sets S of covers of
-x whose join is y, the empty set's join being x.
+Cover independence (for `checks._check_mobius`).  Let node x have the
+upper covers a_1, ..., a_k, and let O_i be the join of those other
+than a_i.  By Rota's crosscut theorem (G.-C. Rota, *On the foundations
+of combinatorial theory I*, Z. Wahrscheinlichkeitstheorie 2, 1964),
+mu(x, y) is the sum of (-1)^|S| over the sets S of covers of x whose
+join is y, the empty set's join being x.
 1. If no a_i lies below O_i, the 2^k joins are distinct.  Two sets
    S != T differ in some a_i, say a_i in S only.  T's covers are among
    the others and x lies below each, so T's join lies below O_i, and
    a_i, which lies below S's join, does not: the joins differ.  Then
    each y is the join of at most one S, and mu(x, y) is 0, 1 or -1.
-   Conversely, if a_i <= O_i, the covers other than a_i and all k covers
-   have one join, so the test fails exactly where two joins agree.
-2. With k <= 2 there is nothing to test: distinct covers of x are
-   incomparable, so x, a_1, a_2 and a_1 v a_2 are distinct.
-3. The test reads lanes, and a lane O needs only be a node above every
-   cover other than a_i: the join O_i then lies below it, and a_i not
-   below O puts a_i not below O_i.  So every join the certificate takes
-   is tested, a batch at a time, to be a node (`poset._word_bits`) and
-   to lie above both of its sides, lane by lane; the lane recursion
-   need not give the least bound.  The order is componentwise on the
-   lanes.
-4. The covers are read off the columns, with no diagram: the lanes are
-   first proved the words' vectors (`nodes_are_words`), so every
-   admitted vector is a node's lane, and by the exchange lemma the
-   covers of x are then exactly its admitted unit steps x + e_k, each
-   x's lane plus 1 in column k (`_step_lanes`).  They are taken in the
-   order of k.  Where the lanes are not the words' vectors, the
-   certificate declines every node.
-5. In a meet-semidistributive lattice the test passes at every node:
-   a_i ^ a_j = x for j != i, so a_i ^ O_i = x by the law, one cover at
-   a time, and a_i is not below O_i.  `semidistributive` checks the
-   law; the certificate does not rely on it.
+2. In a meet-semidistributive lattice no a_i lies below O_i.  Two
+   distinct covers of x meet at x, so a_i ^ a_j = x for j != i, and the
+   law (a ^ b = a ^ c = x implies a ^ (b v c) = x) gives a_i ^ O_i = x,
+   one cover at a time.  a_i is not x, so it is not below O_i.
+3. `kappa_matching` proves the law where it declines no node: by its
+   step 4 every j in J then has exactly one R-partner, so every K(j)
+   has a greatest element, which is meet-semidistributivity (Theorem
+   2.56, below).  So `mobius` rests on that certificate, run on its own
+   columns, and not on the verdict of `semidistributive`; the crosscut
+   theorem and the law's theorem presume a lattice, the claim of
+   `lattice`.  Where `kappa_matching` declines, or the lanes are not
+   the words' vectors, nothing is proved: the check then runs the
+   crosscut at every node (`poset.mobius_from`), which decides and
+   names the witness.
 
 Semidistributivity as a matching of irreducibles (`kappa_matching`, for
 `checks._check_semidistributive`).  Let J be the nodes with exactly one
@@ -210,7 +224,6 @@ decides and names the witness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from functools import partial, reduce
 from itertools import combinations, islice
@@ -219,15 +232,8 @@ from operator import itemgetter, lt, or_, sub
 from typing import Iterator, Sequence
 
 from cyclat import poset
-from cyclat._pykernels import _fill_plan
 
 Inversions = dict[tuple[int, int], bytes]  # `poset._inversion_columns(n)`
-
-# Nodes whose cover pairs are joined in one batch.  On a 2-vCPU host the
-# cover pass at n = 9 takes 0.34 s at 256 and 0.32 s at 1024, and one
-# unbatched run 0.34 s at a 29 MB traced peak; at n = 8 the peak is
-# 0.20 MB at 256 and 0.53 MB at 1024.
-COVER_CHUNK = 256
 
 # Lanes that `nodes_are_words`, `irreducibles` and `cyclic_steps` read
 # in one block.
@@ -239,14 +245,16 @@ def covers_certified(diagram: poset.HasseDiagram, inversions: Inversions) -> boo
     `checks._check_lattice`: every node the word of its id
     (`nodes_are_words`, against the inversion bits `inversions`), every
     edge a unit step (`unit_steps`), the edges exactly the admitted unit
-    steps (`steps_are_covers`), and every cover pair's join a tight
-    node.  False proves nothing."""
+    steps (`steps_are_covers`), and one node with no admitted step down
+    and one with none up (`step_ends`), which makes the order an
+    interval of the affine weak order, a lattice (module docstring,
+    point 7).  False proves nothing."""
     if not nodes_are_words(diagram.n, diagram.columns, inversions):
         return False
     steps = unit_steps(diagram)
     if steps is None or not steps_are_covers(diagram, steps):
         return False
-    return cover_joins_tight(diagram)
+    return step_ends(diagram.n, diagram.columns) == (1, 1)
 
 
 def nodes_are_words(n: int, columns: Sequence[bytes], inversions: Inversions) -> bool:
@@ -365,190 +373,6 @@ def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
     return counts == list(map(steps.count, range(len(diagram.columns))))
 
 
-def cover_joins_tight(diagram: poset.HasseDiagram) -> bool:
-    """Whether the `poset._column_joins` result of every two upper
-    covers of every node is a node and tight
-    (`HasseDiagram.tight_joins`), in batches of the cover pairs of
-    `COVER_CHUNK` nodes."""
-    hi, starts, size = diagram.hi, diagram.starts, len(diagram.ranks)
-    for first in range(0, size, COVER_CHUNK):
-        covers = [hi[starts[x]:starts[x + 1]] for x in range(first, min(first + COVER_CHUNK, size))]
-        ys = [y for up in covers for y, _ in combinations(up, 2)]
-        zs = [z for up in covers for _, z in combinations(up, 2)]
-        if not diagram.tight_joins(ys, zs):
-            return False
-    return True
-
-
-def covers_independent(n: int, columns: Sequence[bytes], inversions: Inversions
-                       ) -> tuple[list[int], int]:
-    """The nodes at which the cover-independence certificate declines,
-    in id order, and the lane joins it took, on the order-n vector
-    columns.  It proves, at every other node x, that no upper cover of x
-    lies below the join of x's other covers, so that mu(x, y) is 0, 1 or
-    -1 for every y (module docstring).  Where the columns are not the
-    words' vectors (`nodes_are_words`), it declines every node.
-
-    Otherwise the covers of x are its admitted unit steps x + e_k, by
-    the exchange lemma, in the order of k: `_step_labels` numbers them
-    on the lanes of each block, and `_cover_lanes` adds them to the
-    block's lanes, held as rows.  A node of k <= 2 covers needs no
-    join.  The nodes of k >= 3 are taken `COVER_CHUNK` ids at a time
-    and sorted by k, so that the nodes of at least j covers are the
-    lowest lanes of every batch: the last node in lane 0.  A_j holds cover j of those nodes,
-    and on the lanes of the nodes that need it, the prefix joins
-    P_i = A_1 v ... v A_i and the suffix joins S_i = A_i v ... v A_k
-    take k - 2 joins each, and so do the interior
-    O_i = P_(i-1) v S_(i+1), with O_1 = S_2 and O_k = P_(k-1): O_i is
-    the join of the covers other than cover i.  A lane where A_i <= O_i
-    declines its node.  So does every node of a block where some join
-    lane is no node (`poset._word_bits`) or not above both of its sides,
-    and no lane of that block is read further."""
-    size = factorial(n - 1)
-    if not nodes_are_words(n, columns, inversions):
-        return list(range(size)), 0
-    declined: list[int] = []
-    joins = 0
-    for first, width, (up,) in _block_steps(n, columns, UP):
-        counts, labels = _step_labels(up, width)
-        rows = list(poset._split_rows(width, [column[first:first + width] for column in columns]))
-        label_rows = list(poset._split_rows(width, labels))
-        for start in range(0, width, COVER_CHUNK):
-            nodes = sorted([t for t in range(start, min(start + COVER_CHUNK, width))
-                            if counts[t] >= 3], key=counts.__getitem__)
-            if not nodes:
-                continue
-            flags, taken = _dependent_lanes(n, *_cover_lanes(n, rows, label_rows, nodes,
-                                                             [counts[t] for t in nodes]))
-            joins += taken
-            if flags:
-                declined += (first + nodes[len(nodes) - 1 - lane] for lane in range(len(nodes))
-                             if flags >> 8 * lane & 0xff)
-    return sorted(declined), joins
-
-
-def _step_labels(up: Sequence[int], width: int) -> tuple[bytes, list[bytes]]:
-    """The count of the steps up of each of the width lanes of a block,
-    and for each coordinate k, the lanes of x where x + e_k is x's j-th
-    step, in the order of k, holding j, and 0 elsewhere; each as bytes,
-    a byte a lane.  No lane has 256 steps, so the running count of the
-    0-or-1 lanes of `up` carries nothing, and 0xff in the lanes of a
-    step cuts it to them."""
-    count, labels = 0, []
-    for lanes in up:
-        count += lanes
-        labels.append((count & lanes * 0xff).to_bytes(width, "little"))
-    return count.to_bytes(width, "little"), labels
-
-
-def _cover_lanes(n: int, rows: Sequence[bytes], label_rows: Sequence[bytes],
-                 nodes: list[int], counts: list[int]) -> tuple[list[list[int] | None], list[int]]:
-    """A_1, ..., A_k of `covers_independent` for one batch of a block,
-    its nodes given by their place in the block and sorted by their
-    counts of covers, k the most; and at_least[j], the lanes of the
-    nodes with at least j covers.  A_j is x plus 1 in column c on the
-    lowest at_least[j] lanes, c the coordinate of x's j-th step
-    (`_step_labels`).  The block's lanes and labels are held as rows, a
-    byte a coordinate, and the batch's rows joined end to end, so that
-    one translation of the labels gives the 1s of A_j and one sum adds
-    them to x: no entry reaches 256, so nothing carries.  Each column
-    the recursion reads is then cut from that sum at stride C, as
-    `poset._gather` cuts it; the adjacent columns, which no step raises,
-    stay 0."""
-    most, size, width = counts[-1], len(nodes), len(rows[0])
-    at_least = [size - bisect_left(counts, j) for j in range(most + 2)]
-    base = int.from_bytes(b"".join(map(rows.__getitem__, nodes)), "big")
-    steps = b"".join(map(label_rows.__getitem__, nodes))
-    a: list[list[int] | None] = [None]
-    for j in range(1, most + 1):
-        ones = int.from_bytes(steps.translate(_ONE_AT[j]), "big")
-        cover = (base + ones).to_bytes(len(steps), "big")
-        lanes = cover[(size - at_least[j]) * width:]
-        a.append([0] * width)
-        for ij, _ in _fill_plan(n):
-            a[j][ij] = int.from_bytes(lanes[ij::width], "big")
-    return a, at_least
-
-
-# _ONE_AT[j]: the translation of byte j to 1 and of every other byte to 0
-_ONE_AT = [bytes(j) + b"\1" + bytes(255 - j) for j in range(256)]
-
-
-def _dependent_lanes(n: int, a: list[list[int] | None], at_least: list[int]) -> tuple[int, int]:
-    """`covers_independent` on one batch of nodes, given as the covers
-    A_j of `_cover_lanes` and the counts at_least[j] of their lanes, the
-    node of the most covers in lane 0: a nonzero byte in each lane that
-    declines, and the lane joins taken.  Round i joins P_i and
-    S_(k+1-i) in one batch, and one last batch every interior O_i; each
-    batch holds its parts one above the other (`_stack`)."""
-    most = len(a) - 1
-    taken, sound = 0, True  # sound: every join lane a node above both its sides
-
-    def join(*pairs: tuple[list[int], list[int], int]) -> list[list[int]]:
-        nonlocal taken, sound
-        lanes = [count for _, _, count in pairs]
-        us, vs = (_stack([(pair[side], count) for pair, count in zip(pairs, lanes)])
-                  for side in (0, 1))
-        size = sum(lanes)
-        out = poset._column_joins(n, size, us, vs)
-        taken += size
-        guard = int.from_bytes(b"\x80" * size, "big")
-        sound = sound and poset._word_bits(n, size, out) is not None and \
-            _lanes_above(out, us, size) == _lanes_above(out, vs, size) == guard
-        return _unstack(out, lanes)
-
-    prefix, suffix = {1: a[1]}, {most: a[most]}  # P_i, S_i on the lanes of >= i + 1, >= i covers
-    for i in range(2, most):
-        j = most + 1 - i
-        prefix[i], joined = join((prefix[i - 1], a[i], at_least[i + 1]),
-                                 (a[j], suffix[j + 1], at_least[j + 1]))
-        suffix[j] = _splice(a[j], joined, at_least[j + 1])
-    interior = join(*((prefix[i - 1], suffix[i + 1], at_least[i + 1]) for i in range(2, most)))
-    if not sound:
-        return (1 << 8 * at_least[1]) - 1, taken
-    others = [None, suffix[2], *(_splice(prefix[i - 1], joined, at_least[i + 1])
-                                 for i, joined in zip(range(2, most), interior)), prefix[most - 1]]
-    flags = 0  # the lanes are aligned at lane 0, so the ORs line up
-    for i in range(1, most + 1):
-        flags |= _lanes_above(others[i], a[i], at_least[i])
-    return flags, taken
-
-
-def _lanes_above(highs: Sequence[int], lows: Sequence[int], lanes: int) -> int:
-    """0x80 in each of the lanes where highs lies above lows in every
-    column, on lanes below 0x80 as `poset._column_joins`."""
-    guard = int.from_bytes(b"\x80" * lanes, "big")
-    above = guard
-    for high, low in zip(highs, lows):
-        above &= (high | guard) - low
-    return above
-
-
-def _stack(parts: list[tuple[list[int], int]]) -> list[int]:
-    """One batch of the parts, each given as its columns and the count
-    of their lowest lanes it takes: the first part in the highest lanes."""
-    out = [0] * len(parts[0][0])
-    for columns, lanes in parts:
-        low = (1 << 8 * lanes) - 1
-        out = [o << 8 * lanes | c & low for o, c in zip(out, columns)]
-    return out
-
-
-def _unstack(columns: list[int], lanes: list[int]) -> list[list[int]]:
-    """The parts of a `_stack` batch, of these counts of lanes."""
-    parts = []
-    for count in reversed(lanes):
-        low = (1 << 8 * count) - 1
-        parts.append([c & low for c in columns])
-        columns = [c >> 8 * count for c in columns]
-    return parts[::-1]
-
-
-def _splice(high: list[int], low: list[int], lanes: int) -> list[int]:
-    """high's columns with their lowest lanes those of low."""
-    return [h >> 8 * lanes << 8 * lanes | c for h, c in zip(high, low)]
-
-
 def kappa_matching(n: int, columns: Sequence[bytes], inversions: Inversions
                    ) -> tuple[int, int] | None:
     """|J|, and the nodes of J and M with other than one R-partner, on
@@ -658,7 +482,7 @@ def kappa_partners(columns: Sequence[bytes], joins: dict[int, int],
     step k whose coordinate k is one below j's, and m >= j - e_k.  The m
     are grouped by (k, m_k); each row is read as an int, a byte a
     coordinate, so m >= j - e_k is one guard-bit test on entries below
-    0x80, as `_lanes_above`."""
+    0x80, as `poset._lane_max` compares lanes."""
     width = len(columns)
     guard = int.from_bytes(b"\x80" * width, "big")
     rows = {t: int.from_bytes(bytes(map(itemgetter(t), columns)), "big") for t in [*joins, *meets]}

@@ -6,9 +6,13 @@ but one: from n = 7 on, `lattice` tests the joins and meets against the
 bounds on 10,000 seeded pairs instead of on every ordered pair.
 
 The checks prove their claims by certificates on the vector columns,
-one byte a lane (node); the arguments are in `cyclat.certificates` and
-in each check's docstring, `_check_lattice`'s for the lane recursion
-that gives the joins and meets of `lattice`, `modularity` and `mobius`.
+one byte a lane (node), and `lattice` and `mobius` also by theorems
+whose hypotheses the certificates prove: an interval of the affine
+weak order is a lattice, and in a meet-semidistributive lattice every
+node's upper covers are independent.  The arguments are in
+`cyclat.certificates` and in each check's docstring, `_check_lattice`'s
+for the lane recursion that gives the joins and meets of `lattice`,
+`modularity` and the `mobius` walk.
 A walk on threshold masks runs only where a certificate declines, to
 decide and name the witness: no passing check computes a mask, and
 `modularity` and `young` read their few up-sets off the lanes
@@ -17,10 +21,11 @@ decide and name the witness: no passing check computes a mask, and
 Every check but `lattice` builds no diagram where it passes: each
 reads the vector columns, their inversion bits and the ranks alone,
 every node at once (`eulerian` counts by transfer matrix and reads
-none of them).  `mobius` reads each node's covers as its admitted unit
-steps, `modularity` joins and meets its pairs on lanes cut from the
-columns, `young` decodes only the words of its truncation, `alpha`
-only two nodes' words and `modularity` only its witness's.
+none of them).  `mobius` runs the kappa matching of
+`semidistributive`, `modularity` joins and meets its pairs on lanes
+cut from the columns, `young` decodes only the words of its
+truncation, `alpha` only two nodes' words and `modularity` only its
+witness's.
 
 `run_all` computes the order-n inversion bits (`CheckRun.inversions`),
 the vector columns joined from them (`CheckRun.columns`) and the ranks
@@ -43,8 +48,8 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import poset, vectors
-from cyclat.certificates import (Inversions, covers_certified, covers_independent,
-                                 cyclic_steps, kappa_matching, nodes_are_words, step_ends)
+from cyclat.certificates import (Inversions, covers_certified, cyclic_steps, kappa_matching,
+                                 nodes_are_words, step_ends)
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -203,28 +208,32 @@ def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
 def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     """mu(x, y) is 0, 1 or -1 for every two nodes x <= y.
 
-    `certificates.covers_independent` proves it on the vector columns,
-    with no diagram, at every node x none of whose upper covers lies
-    below the join of the others: by Rota's crosscut theorem the joins
-    of the sets of x's covers are then distinct, so each y >= x has at
-    most one term.  It proves the lanes the words' vectors
-    (`certificates.nodes_are_words`), reads x's covers as its admitted
-    unit steps, and takes 3(k - 2) lane joins at a node of k >= 3
-    covers, and none below.  Where the certificate declines, in id
-    order, the crosscut itself decides on the diagram
-    (`poset.mobius_from`): x's table of joins, one per set of covers.
-    The first x whose table holds a join that is no node fails with
-    y None; the first with a value out of range, with the lowest such y
-    by rank, then id, and its mu.  A certificate that declines nowhere,
-    as on every order up to 10, builds no diagram.  `stats` counts the
-    lane joins (`joins`) and the nodes walked (`crosscut`)."""
+    By Rota's crosscut theorem mu(x, y) is the sum of (-1)^|S| over the
+    sets S of x's upper covers whose join is y, so it is in range where
+    no cover of x lies below the join of the others: the joins of the
+    sets are then distinct.  In a meet-semidistributive lattice that
+    holds at every node, since two distinct covers of x meet at x.
+    `certificates.kappa_matching` proves the law on the vector columns,
+    with no diagram, where it declines no node (argument in
+    `cyclat.certificates`, cover independence).  Otherwise the crosscut
+    itself decides on the diagram (`poset.mobius_from`), at every node
+    in id order: x's table of joins, one per set of covers.  The first
+    x whose table holds a join that is no node fails with y None; the
+    first with a value out of range, with the lowest such y by rank,
+    then id, and its mu.  `stats` counts the certificate's
+    `irreducibles` and `declined`, as `semidistributive`'s, where the
+    lanes are the words' vectors, and the nodes walked (`crosscut`)."""
     poset.refuse_over_cap(run.n)
-    declined, joins = covers_independent(run.n, run.columns(), run.inversions())
-    run.stats.update(joins=joins, crosscut=len(declined))
-    if not declined:
-        return True, None
+    matched = kappa_matching(run.n, run.columns(), run.inversions())
+    if matched is not None:
+        run.stats.update(irreducibles=matched[0], declined=matched[1])
+        if not matched[1]:
+            run.stats["crosscut"] = 0
+            return True, None
     diagram = run.diagram()
-    for x, mu in zip(declined, poset.mobius_from(diagram, declined)):
+    ids = range(len(diagram.ranks))
+    run.stats["crosscut"] = len(ids)
+    for x, mu in zip(ids, poset.mobius_from(diagram, ids)):
         if None in mu:
             return False, {"x": diagram.name(x), "y": None}
         bad = [y for y, value in mu.items() if value not in (-1, 0, 1)]
@@ -246,12 +255,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
 
     - The order is the closure of the covers: for every node x, Up(x)
       is bit x OR the up-sets of its upper covers.
-    - The order is a lattice.  A bounded poset of finite length in which
-      every two upper covers of an element have a join is a lattice
-      (Bjorner, Edelman and Ziegler, *Hyperplane arrangements with a
-      lattice of regions*, Discrete Comput. Geom. 5, 1990, Lemma 2.1),
-      and `grading` proves the bounds.  So the join of every two upper
-      covers of every node is tested, exhaustively at every n.
+    - The order is a lattice, exhaustively at every n.
     - The joins and meets are the least and greatest bounds on every
       ordered pair up to 120 nodes, x-major, and on 10,000 seeded pairs
       above.
@@ -268,11 +272,17 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       The exchange lemma (`cyclat.certificates`) gives every two nodes
       x < z an admitted x + e_k <= z, a cover of x: the order is the
       closure of the covers.
-    - The `poset._column_joins` result X of every cover pair, and of
-      every pair of the third claim, y, z is a node and is tight:
+    - One node has no admitted step up (`certificates.step_ends`, which
+      `grading` reads too).  With the exchange lemma that makes the
+      nodes an interval [e, w] of the left weak order of the affine
+      symmetric group, and the weak order is a meet-semilattice
+      (A. Bjorner, *Orderings of Coxeter groups*, 1984), so the interval
+      is a lattice (argued in `cyclat.certificates`, point 7).
+    - The `poset._column_joins` result X of every pair of the third
+      claim, y, z, is a node and is tight:
       X[i,j] == max(y[i,j], z[i,j], X[i,p] + X[p,j], i < p < j) on every
-      lane (`HasseDiagram.tight_joins`, `tight_bounds`).  By induction
-      on j - i, a tight X lies below every admitted w >= y, z, since
+      lane (`HasseDiagram.tight_bounds`).  By induction on j - i, a
+      tight X lies below every admitted w >= y, z, since
       w[i,j] >= w[i,p] + w[p,j], and X[i,i+1] = 0; it lies above y and
       z, so it is their least upper bound among the nodes.  Tightness
       reads X's own entries, not the recursion that produced X, so a
@@ -293,11 +303,11 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       ordered pairs.
     The bound certificate rests on the first of these, that the rows
     are the words' vectors, so it is read only where the cover
-    certificates hold.  If a certificate declines,
-    a walk decides and names the witness: `_cover_failure` node by node
-    from the top rank, then `_pair_failure` pair by pair on the up-sets
-    and down-sets, over every ordered pair x-major, so the witness is
-    the one a walk over the whole square meets.
+    certificates hold.  If any certificate declines, the walks decide
+    and name the witness: `_cover_failure` node by node from the top
+    rank, closure and cover-pair joins, then `_pair_failure` pair by
+    pair on the up-sets and down-sets of the tested pairs, x-major, so
+    the verdict and the witness are those of the walks alone.
 
     The joins and meets come from the recursion of `join_flat`, run on
     lanes, one byte a pair (`poset._column_joins`, after L. Lamport,
@@ -309,16 +319,12 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     check reads up to n = 8.
     """
     diagram = run.diagram()
-    certified = covers_certified(diagram, run.inversions())
-    if not certified:
-        failure = _cover_failure(diagram)
-        if failure:
-            return False, failure
     size = len(diagram.ranks)
     square = size <= 120
-    if not (certified and (diagram.square_tight_bounds() if square
-                           else diagram.tight_bounds(*_tested_pairs(size)))):
-        failure = _pair_failure(diagram, *_tested_pairs(size))
+    if not (covers_certified(diagram, run.inversions())
+            and (diagram.square_tight_bounds() if square
+                 else diagram.tight_bounds(*_tested_pairs(size)))):
+        failure = _cover_failure(diagram) or _pair_failure(diagram, *_tested_pairs(size))
         if failure:
             return False, failure
     run.stats["pairs"] = size * size if square else _SAMPLE_PAIRS

@@ -58,11 +58,11 @@ def enumeration_cap() -> int:
 
     It bounds diagram construction: (n-1)! nodes, 362880 at the default
     of 10.  The default is the largest order whose `check all` runs in
-    under 5 minutes and 600 MB: `check all 10` takes 8.5-9.4 s at a
-    200 MB peak in a fresh process on a shared 2-vCPU host, `lattice`
-    4.3-4.5 s of it, the build included
-    (`BENCH_columns_mobius_modularity.json`), and `build(11)` alone
-    peaks at about 1.2 GB.  `eulerian n` builds no
+    under 5 minutes and 600 MB: `check all 10` takes 3.2 s at a 189 MB
+    peak in a fresh process on a shared 2-vCPU host, `lattice` 1.7 s of
+    it, the build included, and `check all 11` 37.5 s but at 1,968 MB,
+    1,745 MB of it `lattice`'s diagram (`BENCH_theorem_covers.json`);
+    `build(11)` alone peaks at about 1.2 GB.  `eulerian n` builds no
     diagram and is refused for n > cap.
     An empty CYCLAT_MAX_N means the default; anything but ASCII digits
     is refused.
@@ -149,12 +149,12 @@ class HasseDiagram:
     recursion of `join_flat` (`_column_joins`) on lanes gathered from
     the rows, one byte a pair, and `bounds` also takes the meets, as
     the joins of the dual lanes (`_column_meets`); each result row is
-    read back through `vec_index`.  `tight_joins` and `tight_bounds` run
-    the same recursions as certificates, on the result lanes with no
-    row and no `vec_index`: each result lane is a word's vector
-    (`_word_bits`), so a node's row once `certificates.nodes_are_words`
-    has tied the rows to the words, and each result is tight for its
-    pair (`_column_tight`).
+    read back through `vec_index`.  `tight_bounds` runs the same
+    recursions as a certificate, on the result lanes with no row and no
+    `vec_index`: each result lane is a word's vector (`_word_bits`), so
+    a node's row once `certificates.nodes_are_words` has tied the rows
+    to the words, and each result is tight for its pair
+    (`_column_tight`).
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
@@ -285,11 +285,6 @@ class HasseDiagram:
         return tuple(list(map(self.vec_index.get, _split_rows(size, op(self.n, size, us, vs))))
                      for op in ops)
 
-    def tight_joins(self, ys: Sequence[int], zs: Sequence[int]) -> bool:
-        """Whether the `_column_joins` result of every pair y, z of ys, zs
-        is a node and is tight (`_column_tight`)."""
-        return self._tight(len(ys), self._lanes(ys), self._lanes(zs))
-
     def tight_bounds(self, xs: Sequence[int], ys: Sequence[int]) -> bool:
         """Whether the `_column_joins` and the `_column_meets` result of
         every pair x, y of xs, ys are nodes and tight (`_tight_bounds`)."""
@@ -312,17 +307,14 @@ class HasseDiagram:
     def _lanes(self, ids: Sequence[int]) -> list[int]:
         return _gather(self.n, self.rows, ids)
 
-    def _tight(self, size: int, us: Sequence[int], vs: Sequence[int]) -> bool:
-        """The lane test: whether the `_column_joins` result on these
-        lanes is a node's row in every lane and is tight for them."""
-        joins = _column_joins(self.n, size, us, vs)
-        return self._nodes(size, joins) and _column_tight(self.n, size, us, vs, joins)
-
     def _tight_bounds(self, size: int, us: Sequence[int], vs: Sequence[int]) -> bool:
-        """`_tight`, and the same of the `_column_meets` result as the
-        join of the dual lanes: a node's row in every lane, and M - meet
-        tight for M - us and M - vs (`_dual_lanes`)."""
-        if not self._tight(size, us, vs):
+        """The lane test: whether the `_column_joins` result on these
+        lanes is a node's row in every lane and is tight for them, and
+        the same of the `_column_meets` result as the join of the dual
+        lanes: a node's row in every lane, and M - meet tight for M - us
+        and M - vs (`_dual_lanes`)."""
+        joins = _column_joins(self.n, size, us, vs)
+        if not (self._nodes(size, joins) and _column_tight(self.n, size, us, vs, joins)):
             return False
         meets = _column_meets(self.n, size, us, vs)
         return self._nodes(size, meets) and _column_tight(

@@ -1,7 +1,7 @@
 """The `alpha` check's edge potential against chain enumeration, the
 `interval` check's single pass, the `lattice` check's claims against
-the bound search, the `mobius` check's certificate against the subset
-joins of the bound search and its walk against the scan of every node,
+the bound search, the `mobius` check against the subset joins of the
+bound search and the crosscut of every node,
 the `triangulation` check against the direct loops, and the diagram
 `run_all` shares among the checks."""
 
@@ -693,10 +693,10 @@ class TestLatticeCertificates:
         (j,) = diagram.joins([y], [z])
         monkeypatch.setattr(poset, "_column_joins",
                             wrong_lanes_at(diagram, y, z, diagram.up[j][0]))
-        steps = certificates.unit_steps(diagram)
-        assert certificates.nodes_are_words(diagram.n, diagram.columns, poset._inversion_columns(5))
-        assert steps is not None and certificates.steps_are_covers(diagram, steps)
-        assert not certificates.cover_joins_tight(diagram)
+        # the cover certificates hold, and the square's bound certificate
+        # declines on the lane of the pair
+        assert certificates.covers_certified(diagram, poset._inversion_columns(5))
+        assert not diagram.square_tight_bounds()
         expected = lattice_by_pairs(diagram)
         assert expected == (False, {"op": "join", "pair": [diagram.name(y), diagram.name(z)]})
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -773,6 +773,22 @@ class TestLatticeCertificates:
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_second_top_declines_to_the_walks(self, monkeypatch, n):
+        # the lattice claim rests on one node with no admitted step up:
+        # with two counted, the cover certificates decline, and the walks
+        # pass the real order over the same pairs
+        pairs = checks.run_check("lattice", n).stats["pairs"]
+        walked = []
+        cover_failure = checks._cover_failure
+        monkeypatch.setattr(certificates, "step_ends", lambda n, columns: (1, 2))
+        monkeypatch.setattr(checks, "_cover_failure",
+                            lambda diagram: walked.append(diagram.n) or cover_failure(diagram))
+        assert not certificates.covers_certified(build(n), poset._inversion_columns(n))
+        report = checks.run_check("lattice", n)
+        assert report.passed and report.stats["pairs"] == pairs
+        assert walked == [n]
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_declined_covers_walk_the_pairs(self, monkeypatch, n):
@@ -937,36 +953,12 @@ def cover_join_mutant(monkeypatch, n, x, pair, subset):
     return diagram
 
 
-def declined(diagram):
-    """The nodes at which the certificate of `mobius` declines."""
-    return certificates.covers_independent(diagram.n, diagram.columns,
-                                           poset._inversion_columns(diagram.n))[0]
-
-
-def covers_independent_by_diagram(diagram):
-    """`certificates.covers_independent` on the diagram, the reference
-    of the lane form: x's covers a slice of hi, in id order
-    (`HasseDiagram.starts`), their lanes gathered from the rows, and the
-    same batches of `COVER_CHUNK` ids joined by `_dependent_lanes`."""
-    n, hi, starts, rows = diagram.n, diagram.hi, diagram.starts, diagram.rows
-    size = len(diagram.ranks)
-    degrees = [starts[x + 1] - starts[x] for x in range(size)]
-    found, joins = [], 0
-    for first in range(0, size, certificates.COVER_CHUNK):
-        nodes = sorted([x for x in range(first, min(first + certificates.COVER_CHUNK, size))
-                        if degrees[x] >= 3], key=degrees.__getitem__)
-        if not nodes:
-            continue
-        covers = [hi[starts[x]:starts[x + 1]] for x in nodes]
-        counts = [len(up) for up in covers]
-        at_least = [len(covers) - bisect_left(counts, j) for j in range(counts[-1] + 2)]
-        a = [None] + [poset._gather(n, rows, [up[j - 1] for up in covers[len(covers) - at_least[j]:]])
-                      for j in range(1, counts[-1] + 1)]
-        flags, taken = certificates._dependent_lanes(n, a, at_least)
-        joins += taken
-        found += (nodes[len(nodes) - 1 - lane] for lane in range(len(nodes))
-                  if flags >> 8 * lane & 0xff)
-    return sorted(found), joins
+def forced_decline(monkeypatch):
+    """`checks.kappa_matching` with one declined node: `mobius` proves
+    nothing by it and walks the crosscut of every node."""
+    kappa_matching = checks.kappa_matching
+    monkeypatch.setattr(checks, "kappa_matching", lambda n, columns, inversions:
+                        (kappa_matching(n, columns, inversions)[0], 1))
 
 
 class TestMobiusCheck:
@@ -981,53 +973,34 @@ class TestMobiusCheck:
 
 
 class TestCoverIndependence:
-    """The certificate of `mobius` against the subset joins of the bound
-    search, the mutants it declines, and the fast path."""
+    """The claim of `mobius` against the subset joins of the bound
+    search and the crosscut of every node, the mutants its walk meets
+    where the certificate declines, and the fast path."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_declines_where_subset_joins_repeat(self, n):
-        # on every node: none declines, and none has two sets of covers
-        # with one join; the joins taken are 3(k - 2) at k >= 3 covers
+        # no node has two sets of covers with one join, as the law
+        # predicts, and the certificate of the law declines no node
         diagram = build(n)
-        found, joins = certificates.covers_independent(n, diagram.columns,
-                                                       poset._inversion_columns(n))
-        assert found == repeated_subset_joins(diagram) == []
-        assert joins == sum(3 * (len(up) - 2) for up in diagram.up if len(up) >= 3)
+        assert repeated_subset_joins(diagram) == []
+        assert checks.kappa_matching(n, diagram.columns, poset._inversion_columns(n))[1] == 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lanes_agree_with_the_diagram(self, n):
-        # the certificate on the columns and on the diagram's edges and
-        # rows: the same nodes declined (none) and the same joins taken
-        diagram = build(n)
-        assert certificates.covers_independent(n, diagram.columns, poset._inversion_columns(n)) \
-            == covers_independent_by_diagram(diagram)
-
-    @pytest.mark.parametrize("n", range(3, 8))
-    def test_cover_lanes_are_the_covers(self, n):
-        # every node's step count is its up-degree, and the lanes A_j of
-        # the nodes with covers, all in one batch, are their covers' rows
-        diagram = build(n)
-        ((_, width, (up,)),) = certificates._block_steps(n, diagram.columns, certificates.UP)
-        counts, labels = certificates._step_labels(up, width)
-        assert list(counts) == [len(near) for near in diagram.up]
-        nodes = sorted([t for t in range(width) if counts[t]], key=counts.__getitem__)
-        a, at_least = certificates._cover_lanes(n, diagram.rows, list(poset._split_rows(width, labels)),
-                                                nodes, [counts[t] for t in nodes])
-        covers = {}
-        for j in range(1, len(a)):
-            for t, row in zip(nodes[len(nodes) - at_least[j]:], poset._split_rows(at_least[j], a[j])):
-                covers.setdefault(t, []).append(diagram.vec_index[row])
-        assert covers == {t: sorted(near, key=lambda y: step_of(diagram, t, y))
-                          for t, near in enumerate(diagram.up) if near}
+        # the check on the columns and the crosscut of every node on the
+        # diagram: the same verdict, with no node walked
+        report = checks.run_check("mobius", n)
+        assert (report.passed, report.witness) == mobius_by_scan(build(n)) == (True, None)
+        assert report.stats["crosscut"] == 0
 
     def test_non_word_lane_declines_every_node(self, monkeypatch):
-        # a lane that is no word's vector: the certificate proves nothing
-        # and declines every node, whose crosscut passes the real order
-        corrupt_lane(monkeypatch, 5, 7)
-        assert declined(build(5)) == list(range(24))
+        # a lane that is no word's vector: the certificate proves nothing,
+        # and the crosscut of every node passes the real order
+        columns = corrupt_lane(monkeypatch, 5, 7)
+        assert checks.kappa_matching(5, columns, poset._inversion_columns(5)) is None
         report = checks.run_check("mobius", 5)
         assert (report.passed, report.witness) == mobius_by_scan(build(5))
-        assert report.stats == {"joins": 0, "crosscut": 24}
+        assert report.stats == {"crosscut": 24}
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_edge_starts_are_the_first_edges(self, n):
@@ -1054,50 +1027,50 @@ class TestCoverIndependence:
     def test_dependent_cover_the_crosscut_passes(self, monkeypatch):
         # at n = 5 the one node of three covers: the join of its first two
         # is that of all three, a node above both, so cover 3 lies below
-        # it.  The certificate declines there alone, and the crosscut
-        # finds the values in range: the table holds that join twice,
+        # it.  Where the certificate declines, the crosscut of every node
+        # finds the values in range: x's table holds that join twice,
         # with opposite signs
         x = next(t for t, up in enumerate(build(5).up) if len(up) == 3)
         diagram = cover_join_mutant(monkeypatch, 5, x, (0, 1), (0, 1, 2))
-        assert declined(diagram) == [x]
+        forced_decline(monkeypatch)
         report = checks.run_check("mobius", 5)
         assert (report.passed, report.witness) == mobius_by_scan(diagram) == (True, None)
-        assert report.stats == {"joins": 3, "crosscut": 1}
+        assert report.stats == {"irreducibles": 11, "declined": 1, "crosscut": 24}
 
     def test_dependent_cover_the_crosscut_fails(self, monkeypatch):
         # at n = 6, node (1,6,4,2,5,3) of four covers: the join of its
         # last two by step, its second and last by id, is that of all
-        # four, so its first two by step lie below the others'.  The
-        # certificate declines there alone, and the crosscut counts that
-        # join once for each of the two sets, +2
+        # four, so its first two by step lie below the others'.  Where
+        # the certificate declines, the crosscut counts that join once
+        # for each of the two sets, +2
         x = [build(6).name(t) for t in range(120)].index("(1,6,4,2,5,3)")
         diagram = cover_join_mutant(monkeypatch, 6, x, (1, 3), (0, 1, 2, 3))
-        assert declined(diagram) == [x]
+        forced_decline(monkeypatch)
         expected = mobius_by_scan(diagram)
         assert expected[1]["x"] == diagram.name(x) and expected[1]["mu"] == 2
         report = checks.run_check("mobius", 6)
         assert (report.passed, report.witness) == expected
-        assert report.stats["crosscut"] == 1
+        assert report.stats["crosscut"] == 120
 
     def test_join_below_its_sides_declines_the_block(self, monkeypatch):
         # the join of covers 1 and 2 of the n = 5 node is the node itself,
-        # below both: no cover lies below the others' lane join, but the
-        # lane test of the sides declines the block, here that node alone,
-        # and the crosscut counts the node twice, +2
+        # below both: where the certificate declines, the crosscut counts
+        # the node twice, +2
         x = next(t for t, up in enumerate(build(5).up) if len(up) == 3)
         diagram = cover_join_mutant(monkeypatch, 5, x, (0, 1), ())
-        assert declined(diagram) == [x]
+        forced_decline(monkeypatch)
         expected = mobius_by_scan(diagram)
         assert expected[1] == {"x": diagram.name(x), "y": diagram.name(x), "mu": 2}
         report = checks.run_check("mobius", 5)
         assert (report.passed, report.witness) == expected
+        assert report.stats["crosscut"] == 24
 
     def test_join_that_is_no_node_fails(self, monkeypatch):
         # 0x7f in the last column of the first pair of every batch, its
-        # highest lane: that join is no node.  The certificate declines the
-        # node whose lane it is, and the crosscut there meets the join
-        # and fails, naming it; before, the crosscut counted the lookup's
-        # None as one more join, and the check passed
+        # highest lane: that join is no node.  Where the certificate
+        # declines, the crosscut meets the join and fails, naming its
+        # node; before, the crosscut counted the lookup's None as one
+        # more join, and the check passed
         column_joins = poset._column_joins
 
         def corrupt(n, size, us, vs):
@@ -1106,17 +1079,17 @@ class TestCoverIndependence:
             return [*out[:-1], out[-1] & ~(0xff << first) | 0x7f << first] if size else out
 
         monkeypatch.setattr(poset, "_column_joins", corrupt)
-        diagram = build(5)
-        (x,) = declined(diagram)
+        forced_decline(monkeypatch)
+        expected = mobius_by_scan(build(5))
+        assert not expected[0] and expected[1]["y"] is None
         report = checks.run_check("mobius", 5)
-        assert not report.passed
-        assert report.witness == {"x": diagram.name(x), "y": None}
-        assert report.stats["crosscut"] == 1
+        assert (report.passed, report.witness) == expected
+        assert report.stats["crosscut"] == 24
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_passing_run_takes_the_fast_path(self, monkeypatch, n):
-        # no crosscut table, no row looked up, and the covers read from
-        # the edge columns: vec_index, mobius_from and up are refused
+        # no crosscut table, no row looked up, and no cover read off a
+        # diagram: vec_index, mobius_from and up are refused
         def refuse(*args):
             raise AssertionError("a passing run left the fast path")
 
@@ -1505,13 +1478,7 @@ class TestWitnessBranches:
     def test_mobius_value_out_of_range_fails(self, monkeypatch):
         x, top = 3, build(5).top
         mobius_from = poset.mobius_from
-        covers_independent = checks.covers_independent
-
-        def declining_at_x(n, columns, inversions):  # so that the crosscut runs at x
-            found, joins = covers_independent(n, columns, inversions)
-            return sorted({x, *found}), joins
-
-        monkeypatch.setattr(checks, "covers_independent", declining_at_x)
+        forced_decline(monkeypatch)  # so that the crosscut runs at x
 
         def wrong_at_x(diagram, ts):
             ts = list(ts)
@@ -1524,6 +1491,8 @@ class TestWitnessBranches:
         report = checks.run_check("mobius", 5)
         assert not report.passed
         assert report.witness == {"x": self.text(x), "y": self.text(top), "mu": 2}
+        assert (report.passed, report.witness) == mobius_by_scan(build(5))
+        assert report.stats["crosscut"] == 24
 
     def test_wrong_meet_of_one_pair_fails(self, monkeypatch):
         # every join is right, so the pair (bottom, top) fails at its meet
@@ -1769,8 +1738,8 @@ class TestSharedDiagram:
 
     def test_run_all_shares_the_columns_and_edge_offsets(self, monkeypatch):
         # the vector columns are computed once, for the shared diagram,
-        # and read by every check that reads them; the edge offsets are
-        # counted once, cached on that diagram for lattice
+        # and read by every check that reads them; no passing check reads
+        # the edge offsets, which only the walks do
         computed, counted = [], []
         vector_columns, starts = poset._vector_columns, poset.HasseDiagram.starts.func
         monkeypatch.setattr(poset, "_vector_columns",
@@ -1780,7 +1749,7 @@ class TestSharedDiagram:
         counting.__set_name__(poset.HasseDiagram, "starts")
         monkeypatch.setattr(poset.HasseDiagram, "starts", counting)
         assert all(r.passed for r in checks.run_all(6))
-        assert computed == counted == [6]
+        assert computed == [6] and counted == []
 
     def test_inversion_columns_computed_once_a_run(self, monkeypatch):
         # the inversion bits the columns are joined from are the ones the
