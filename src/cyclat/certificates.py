@@ -1,35 +1,31 @@
 """Certificates of the `lattice`, `grading`, `mobius`,
 `semidistributive` and `alpha` claims.
 
-Every certificate that proves the lanes the words' vectors
-(`nodes_are_words`) compares them with the inversion bits of
-`poset._inversion_columns(n)`, handed in by the caller, which in a
-check is the run's (`checks.CheckRun.inversions`), the bits its columns
-were joined from.
+The certificates read the vector columns in blocks of `LANE_BLOCK`
+nodes, and read no step lane off a block before they prove it the
+words' vectors (`_proved_blocks`).  `lanes._word_bits` passes a batch
+of lanes exactly when each is the vector of some canonical word, and
+returns the inversion bits B(i, j) it reads from them.  Where it passes
+on every block and the B equal `poset._inversion_columns(n)`, handed
+in by the caller (in a check the run's, `checks.CheckRun.inversions`,
+the bits its columns were joined from), node t's row is the t-th
+word's vector: no two rows are equal, and every word's vector is a
+row.  So "is a node" is a lane test, not a lookup: a result lane that
+passes `lanes._word_bits` is some node's row, and the certificates
+never build `vec_index`.  The lane format and its readers are in
+`cyclat.lanes`; this module holds the argument.
 
 `checks._check_lattice` claims that the order is the closure of its
-covers and that it is a lattice.  `covers_certified` proves both from
-the diagram's columns and rows, holding no up-set and no threshold
-mask: `nodes_are_words` proves node t's row the vector of the t-th
-canonical word, `unit_steps` every edge a unit step on its two rows
-read as ints, `steps_are_covers` the edges exactly the admitted unit
-steps x + e_k, which the exchange lemma below makes the closure, and
-`step_ends` one node with no admitted step up, which makes the nodes
-an interval of the affine weak order, a lattice (point 7 below).  The
-lane readers stay in `cyclat.poset`; this module holds the argument.
-The check's third claim, on the bounds of its tested pairs, is about
-the code and not the order: the lane recursion's joins are tight
-nodes, and so are its meets on the dual lanes
-(`HasseDiagram.tight_bounds`).
-
-"Is a node" is a lane test, not a lookup.  `poset._word_bits` passes
-a batch of lanes exactly when each is the vector of some canonical
-word, and returns the inversion bits B(i, j) it reads from them.  It
-passes on the diagram's columns, and the B it reads there equal
-`poset._inversion_columns(n)` column for column, so node t's row is the
-t-th word's vector: no two rows are equal, and every word's vector is
-a row.  A result lane that passes `_word_bits` is therefore some node's
-row, and the certificates never build `vec_index`.
+covers and that it is a lattice.  `covers_certified` proves both,
+holding no up-set and no threshold mask: one pass over the proved
+blocks (`_step_totals`) finds one node with no admitted step up, which
+makes the nodes an interval of the affine weak order, a lattice
+(point 7 below), and counts the admitted unit steps x + e_k of each k;
+`unit_steps` and `steps_are_covers` prove the edges exactly those
+steps, which the exchange lemma below makes the closure.  The check's
+third claim, on the bounds of its tested pairs, is about the code and
+not the order: the lane recursion's joins are tight nodes, and so are
+its meets on the dual lanes (`HasseDiagram.tight_bounds`).
 
 The exchange lemma: for admitted vectors x < z (componentwise) some
 x + e_k is admitted and lies below z.  Write D(i, p, j) =
@@ -72,8 +68,8 @@ A. Bjorner and F. Brenti, *Combinatorics of Coxeter Groups*, Springer,
    within w's.  So by 3 its counts are x + e_k for one k, below z, and
    by 4 they are admitted.
 6. An admitted vector's entries are at most n - 2, so x + e_k is a
-   canonical word's vector by `poset._word_bits`' argument, hence a
-   node's row (`nodes_are_words`), and by `steps_are_covers` an upper
+   canonical word's vector by `lanes._word_bits`' argument, hence a
+   node's row (`_proved_blocks`), and by `steps_are_covers` an upper
    cover of x through an edge.  So every node z > x lies above a cover
    of x.  By induction on the sum of z - x, Up(x) is bit x OR the
    up-sets of x's covers, and every edge is a unit step up: the order
@@ -114,8 +110,8 @@ from 0 (`poset.conjugator_potential`).  B(p, q) = [q before p],
 2 <= p < q <= n, are the inversion bits, and S[q] the sum of
 B(k, k+1) over k < q, so that x[p,q] = S[q] - S[p] - B(p, q)
 (`poset._vector_columns`).
-1. `nodes_are_words` holds, so lane t is the t-th word's vector; B is
-   read off the same blocks (`_word_blocks`).
+1. Each block is proved the words' vectors, so lane t is the t-th
+   word's vector, and B is read off the same block (`_proved_blocks`).
 2. By the exchange lemma the covers of x are exactly the admitted
    x + e_(i,j), i < j: every z > x lies above one, and each raises the
    coordinate sum by 1.  An adjacent coordinate is 0 in every node, so
@@ -165,8 +161,9 @@ join is y, the empty set's join being x.
 3. `kappa_matching` proves the law where it declines no node: by its
    step 4 every j in J then has exactly one R-partner, so every K(j)
    has a greatest element, which is meet-semidistributivity (Theorem
-   2.56, below).  So `mobius` rests on that certificate, run on its own
-   columns, and not on the verdict of `semidistributive`; the crosscut
+   2.56, below).  So `mobius` rests on that certificate, run on the
+   run's columns (`checks.CheckRun.matching`), and not on the verdict
+   of `semidistributive`; the crosscut
    theorem and the law's theorem presume a lattice, the claim of
    `lattice`.  Where `kappa_matching` declines, or the lanes are not
    the words' vectors, nothing is proved: the check then runs the
@@ -203,23 +200,17 @@ J. Jezek and J. B. Nation, *Free Lattices*, AMS, 1995, Theorem 2.56).
    M has exactly one R-partner: R is a perfect matching of J and M,
    the kappa bijection, and |J| = |M|.
 The argument rests on two proofs, not on another check's verdict: the
-nodes are exactly the admitted vectors (`nodes_are_words`, whose words'
+nodes are exactly the admitted vectors (`_proved_blocks`, whose words'
 vectors are admitted), and the exchange lemma.  That the order is a
 lattice, which the theorem presumes, is the claim of `lattice`; the mask
 walk `poset.kappa_failure` presumes it too.
-On lanes, `_step_lanes` reads the steps down beside the steps up, off
-one pass over the triple defects: x - e_k is admitted iff the defects
-with long side k are 1 and those with k a short side 0.  A reader of
-one direction asks for that one alone (`UP`, `BOTH`).
-Over k, one accumulator holds the lanes with a step, a second those
-with two, and a third the OR of k + 1 over the steps, so their bytes
-name J and M and each one's step (`_single_steps`).  The lanes are cut
-in blocks of `LANE_BLOCK` nodes, and the irreducibles found by scanning
-each block's bytes.  The m are
-grouped by (k, m_k), and each j is tested against its group, m >= j_
-by guard bits on the two rows read as ints.  A certificate that
-declines proves nothing: the check then runs the mask walk, which
-decides and names the witness.
+On lanes, `_step_lanes` reads the steps down beside the steps up of a
+proved block, off one pass over its triple defects: x - e_k is
+admitted iff the defects with long side k are 1 and those with k a
+short side 0.  `_single_steps` names J and M and each one's step, and
+`kappa_partners` tests each j against the m of its (k, m_k).  A
+certificate that declines proves nothing: the check then runs the mask
+walk, which decides and names the witness.
 """
 
 from __future__ import annotations
@@ -231,42 +222,38 @@ from math import comb, factorial
 from operator import itemgetter, lt, or_, sub
 from typing import Iterator, Sequence
 
-from cyclat import poset
+from cyclat import lanes, poset
 
 Inversions = dict[tuple[int, int], bytes]  # `poset._inversion_columns(n)`
 
-# Lanes that `nodes_are_words`, `irreducibles` and `cyclic_steps` read
-# in one block.
+# Lanes that the certificates read in one block.
 LANE_BLOCK = 1 << 15
 
 
 def covers_certified(diagram: poset.HasseDiagram, inversions: Inversions) -> bool:
     """Whether the certificates prove the two cover claims of
-    `checks._check_lattice`: every node the word of its id
-    (`nodes_are_words`, against the inversion bits `inversions`), every
-    edge a unit step (`unit_steps`), the edges exactly the admitted unit
-    steps (`steps_are_covers`), and one node with no admitted step down
-    and one with none up (`step_ends`), which makes the order an
-    interval of the affine weak order, a lattice (module docstring,
-    point 7).  False proves nothing."""
-    if not nodes_are_words(diagram.n, diagram.columns, inversions):
+    `checks._check_lattice`: one pass over the proved blocks
+    (`_step_totals`, against the inversion bits `inversions`) finds one
+    node with no admitted step down and one with none up, which makes
+    the order an interval of the affine weak order, a lattice (module
+    docstring, point 7) and counts the admitted unit steps; every edge
+    is a unit step (`unit_steps`); and the edges are exactly those steps
+    (`steps_are_covers`).  False proves nothing."""
+    totals = _step_totals(diagram.n, diagram.columns, inversions)
+    if totals is None or totals[:2] != (1, 1):
         return False
     steps = unit_steps(diagram)
-    if steps is None or not steps_are_covers(diagram, steps):
-        return False
-    return step_ends(diagram.n, diagram.columns) == (1, 1)
+    return steps is not None and steps_are_covers(diagram, steps, totals[2])
 
 
 def nodes_are_words(n: int, columns: Sequence[bytes], inversions: Inversions) -> bool:
     """Whether lane t of the order-n vector columns, one byte a node, is
-    the vector of the t-th canonical word for every t: the columns pass
-    `poset._word_bits`, and the inversion bits it reads are
-    `inversions`, the words' bits as `poset._inversion_columns(n)`
-    enumerates them, `LANE_BLOCK` lanes at a time (`_word_blocks`).
-    Word vectors are admitted, their triple defects being those bits and
-    their sums."""
-    return _sized(n, columns) and all(
-        bits is not None for *_, bits in _word_blocks(n, columns, inversions))
+    the vector of the t-th canonical word for every t: every block of
+    `_word_blocks` is proved, and no step lane is read.  Word vectors
+    are admitted, their triple defects being those bits and their
+    sums."""
+    return sum(width for _, width, _, _ in _word_blocks(n, columns, inversions)) == \
+        factorial(n - 1)
 
 
 def _sized(n: int, columns: Sequence[bytes]) -> bool:
@@ -275,28 +262,35 @@ def _sized(n: int, columns: Sequence[bytes]) -> bool:
 
 
 def _word_blocks(n: int, columns: Sequence[bytes], inversions: Inversions
-                 ) -> Iterator[tuple[int, int, list[int], list[int] | None]]:
-    """The order-n columns in blocks (`_spans`): for each, its first
-    node, its width, its columns read as ints (`_block`), and the
-    inversion bits `poset._word_bits` reads from them where they are
-    those of `inversions`, else None."""
-    expected = list(inversions.values())
-    for first, width in _spans(factorial(n - 1)):
-        lanes = _block(columns, first, width)
-        bits = poset._word_bits(n, width, lanes)
-        yield first, width, lanes, bits if bits == _block(expected, first, width) else None
+                 ) -> Iterator[tuple[int, int, dict[tuple[int, int], int], list[int]]]:
+    """The order-n columns in blocks of `LANE_BLOCK` lanes, up to the
+    first block whose lanes are not the words' vectors, and none unless
+    the columns are sized (`_sized`): for each, its first node, its
+    width, its columns read as ints (`lanes._lane_ints`), and the
+    inversion bits `lanes._word_bits` reads from them, which are those
+    of `inversions`, `poset._inversion_columns(n)`, on the same lanes."""
+    if not _sized(n, columns):
+        return
+    size = factorial(n - 1)
+    for first in range(0, size, LANE_BLOCK):
+        width = min(LANE_BLOCK, size - first)
+        v = lanes._lane_ints(n, (column[first:first + width] for column in columns))
+        bits = lanes._word_bits(n, width, list(v.values()))
+        if bits != [int.from_bytes(column[first:first + width], "little")
+                    for column in inversions.values()]:
+            return
+        yield first, width, v, bits
 
 
-def _spans(size: int) -> Iterator[tuple[int, int]]:
-    """The first lane and the width of each block of `LANE_BLOCK` of the
-    size lanes."""
-    return ((first, min(LANE_BLOCK, size - first)) for first in range(0, size, LANE_BLOCK))
-
-
-def _block(columns: Sequence[bytes], first: int, width: int) -> list[int]:
-    """Lanes first to first + width - 1 of each column, read as one int
-    as `poset._lane_ints` reads a column: lane first + t at byte t."""
-    return [int.from_bytes(column[first:first + width], "little") for column in columns]
+def _proved_blocks(n: int, columns: Sequence[bytes], inversions: Inversions
+                   ) -> Iterator[tuple[int, int, list[int], tuple[list[int], list[int]]]]:
+    """The blocks of `_word_blocks`, each proved the words' vectors
+    before any step is read off it: its first node, its width, its
+    inversion bits and its steps up and down (`_step_lanes`).  The pass
+    stops at the first block that fails, so a reader has proved every
+    lane iff its blocks cover the (n-1)! nodes."""
+    for first, width, v, bits in _word_blocks(n, columns, inversions):
+        yield first, width, bits, _step_lanes(n, int.from_bytes(b"\1" * width, "little"), v)
 
 
 def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
@@ -315,61 +309,44 @@ def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
         return None
 
 
-# The directions `_step_lanes` reads, each True for the steps down.
-UP, BOTH = (False,), (False, True)
-
-
-def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int],
-                directions: tuple[bool, ...]) -> list[list[int]]:
-    """For each direction, up (False) or down (True), and each coordinate
-    k in the pair order of the columns, the lanes of the x with x + e_k
-    admitted, or x - e_k, on the lanes v of `poset._lane_ints`, ones the
-    1 of each lane; one pass over the triple defects reads every
-    direction asked for.  Read where `nodes_are_words` holds, so every
-    lane of every `poset._triple_defects` D is 0 or 1 and borrows
-    nothing.  Raising x[i,j] raises D by 1 where (i, j) is the long side
-    of the triple and lowers it where it is a short side: x + e_k is
-    admitted iff the first D are 0 and the others 1, x - e_k iff the
-    reverse.  An adjacent k, a long side of no triple and 0 in every
-    node, has none."""
-    start = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
-    steps = [(dict(start), down) for down in directions]
-    for (i, p, j), d in poset._triple_defects(n, v):
+def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int]
+                ) -> tuple[list[int], list[int]]:
+    """The lanes of the x with x + e_k admitted, and those of the x with
+    x - e_k admitted, for each coordinate k in the pair order of the
+    columns, on the lanes v of a proved block (`_proved_blocks`), ones
+    the 1 of each lane.  Every lane of every `lanes._triple_defects` D
+    is then 0 or 1 and borrows nothing.  Raising x[i,j] raises D by 1
+    where (i, j) is the long side of the triple and lowers it where it
+    is a short side: x + e_k is admitted iff the first D are 0 and the
+    others 1, x - e_k iff the reverse.  An adjacent k, a long side of no
+    triple and 0 in every node, has none."""
+    up = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
+    down = dict(up)
+    for (i, p, j), d in lanes._triple_defects(n, v):
         e = ones - d  # the lanes where D is 0, as d holds those where it is 1
-        for lanes, down in steps:
-            long, short = (d, e) if down else (e, d)
-            lanes[i, j] &= long
-            lanes[i, p] &= short
-            lanes[p, j] &= short
-    return [list(lanes.values()) for lanes, _ in steps]
+        up[i, j] &= e
+        up[i, p] &= d
+        up[p, j] &= d
+        down[i, j] &= d
+        down[i, p] &= e
+        down[p, j] &= e
+    return list(up.values()), list(down.values())
 
 
-def _block_steps(n: int, columns: Sequence[bytes], directions: tuple[bool, ...]
-                 ) -> Iterator[tuple[int, int, list[list[int]]]]:
-    """The order-n columns in blocks (`_spans`): for each, its first
-    node, its width, and `_step_lanes`' steps in the directions on it."""
-    for first, width in _spans(factorial(n - 1)):
-        v = poset._lane_ints(n, [column[first:first + width] for column in columns])
-        yield first, width, _step_lanes(n, int.from_bytes(b"\1" * width, "little"), v, directions)
-
-
-def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes) -> bool:
+def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes, counts: list[int]) -> bool:
     """Whether the edges, the coordinate k of each edge's step being
-    `steps`, are exactly the admitted unit steps x + e_k of the nodes:
-    the edges strictly increase in (lo, hi), so none repeats, and for
-    each k the lanes of the steps up (`_block_steps`) are as many as the
-    edges whose step is k.  An edge of step k from x has x + e_k as its
-    upper row, so x is one of those lanes; two such edges from one x
-    would end at one row, which is one node (`nodes_are_words`), and so
-    repeat.  The edges of step k then take each lane once, and equal
-    counts leave no admitted step without its edge.  The module
-    docstring's exchange lemma makes that the closure."""
+    `steps`, are exactly the admitted unit steps x + e_k of the nodes,
+    counts[k] of them at each k (`_step_totals`): the edges strictly
+    increase in (lo, hi), so none repeats, and the edges of step k are
+    counts[k].  An edge of step k from x has x + e_k as its upper row,
+    so x is one of the lanes counted; two such edges from one x would
+    end at one row, which is one node (`_proved_blocks`), and so repeat.
+    The edges of step k then take each lane once, and equal counts
+    leave no admitted step without its edge.  The module docstring's
+    exchange lemma makes that the closure."""
     edges = zip(diagram.lo, diagram.hi)
     if not all(map(lt, edges, islice(zip(diagram.lo, diagram.hi), 1, None))):
         return False
-    counts = [0] * len(diagram.columns)
-    for _, _, (up,) in _block_steps(diagram.n, diagram.columns, UP):
-        counts = [count + lanes.bit_count() for count, lanes in zip(counts, up)]
     return counts == list(map(steps.count, range(len(diagram.columns))))
 
 
@@ -377,61 +354,73 @@ def kappa_matching(n: int, columns: Sequence[bytes], inversions: Inversions
                    ) -> tuple[int, int] | None:
     """|J|, and the nodes of J and M with other than one R-partner, on
     the order-n vector columns (module docstring); None unless the
-    columns are the words' vectors (`nodes_are_words`).  The order is
+    columns are the words' vectors (`irreducibles`).  The order is
     semidistributive iff the second count is 0: R is then a perfect
     matching of J and M."""
-    if not nodes_are_words(n, columns, inversions):
+    if (irreducible := irreducibles(n, columns, inversions)) is None:
         return None
-    joins, meets = irreducibles(n, columns)
+    joins, meets = irreducible
     partners = kappa_partners(columns, joins, meets)
     matched = Counter(m for found in partners.values() for m in found)
     declined = sum(len(found) != 1 for found in partners.values())
     return len(joins), declined + sum(matched[m] != 1 for m in meets)
 
 
-def irreducibles(n: int, columns: Sequence[bytes]) -> tuple[dict[int, int], dict[int, int]]:
+def irreducibles(n: int, columns: Sequence[bytes], inversions: Inversions
+                 ) -> tuple[dict[int, int], dict[int, int]] | None:
     """J and M: the nodes with exactly one admitted step down, and those
     with exactly one up, each as {node: the coordinate k of that step},
-    in id order.  Read where `nodes_are_words` holds (`_block_steps`,
-    `_single_steps`)."""
+    in id order (`_single_steps`); None where the lanes are not the
+    words' vectors (`_proved_blocks`)."""
     joins: dict[int, int] = {}
     meets: dict[int, int] = {}
-    for first, width, (up, down) in _block_steps(n, columns, BOTH):
-        for found, lanes in ((joins, down), (meets, up)):
-            found.update((first + t, k) for t, k in _single_steps(lanes, width))
-    return joins, meets
+    covered = 0
+    for first, width, _, (up, down) in _proved_blocks(n, columns, inversions):
+        covered += width
+        for found, steps in ((joins, down), (meets, up)):
+            found.update((first + t, k) for t, k in _single_steps(steps, width))
+    return (joins, meets) if covered == factorial(n - 1) else None
 
 
-def step_ends(n: int, columns: Sequence[bytes]) -> tuple[int, int]:
+def step_ends(n: int, columns: Sequence[bytes], inversions: Inversions
+              ) -> tuple[int, int] | None:
     """The counts of the nodes with no admitted step down and of those
-    with none up.  Read where `nodes_are_words` holds, so the OR of the
-    step lanes (`_block_steps`) holds 1 in each lane that has a step."""
-    bottoms = tops = 0
-    for _, width, (up, down) in _block_steps(n, columns, BOTH):
+    with none up (`_step_totals`); None where the lanes are not the
+    words' vectors."""
+    totals = _step_totals(n, columns, inversions)
+    return None if totals is None else totals[:2]
+
+
+def _step_totals(n: int, columns: Sequence[bytes], inversions: Inversions
+                 ) -> tuple[int, int, list[int]] | None:
+    """`step_ends`' two counts and, for each coordinate k, the count of
+    the x + e_k admitted, in one pass over the proved blocks
+    (`_proved_blocks`); None where the lanes are not the words' vectors.
+    The OR of a block's step lanes holds 1 in each lane that has a
+    step."""
+    bottoms = tops = covered = 0
+    counts = [0] * len(columns)
+    for _, width, _, (up, down) in _proved_blocks(n, columns, inversions):
+        covered += width
         bottoms += width - reduce(or_, down, 0).bit_count()
         tops += width - reduce(or_, up, 0).bit_count()
-    return bottoms, tops
+        counts = [count + steps.bit_count() for count, steps in zip(counts, up)]
+    return (bottoms, tops, counts) if covered == factorial(n - 1) else None
 
 
 def cyclic_steps(n: int, columns: Sequence[bytes], inversions: Inversions) -> int | None:
     """The admitted unit steps of the order-n vector columns, counted,
     where every lane is the word of its id and every step x + e_(i,j)
     has j the cyclic predecessor of i in x's word; None elsewhere.  The
-    inversion bits are those each block's `poset._word_bits` read
-    (`_word_blocks`), and the steps `_step_lanes`' on the same lanes
-    (module docstring, for `checks._check_alpha`)."""
-    if not _sized(n, columns):
-        return None
-    steps = 0
-    for _, width, lanes, bits in _word_blocks(n, columns, inversions):
-        if bits is None:
+    inversion bits and the steps are those of each proved block
+    (`_proved_blocks`; module docstring, for `checks._check_alpha`)."""
+    steps = covered = 0
+    for _, width, bits, (up, _) in _proved_blocks(n, columns, inversions):
+        if _stray_steps(n, int.from_bytes(b"\1" * width, "little"), bits, up):
             return None
-        ones = int.from_bytes(b"\1" * width, "little")
-        (up,) = _step_lanes(n, ones, dict(zip(combinations(range(1, n + 1), 2), lanes)), UP)
-        if _stray_steps(n, ones, bits, up):
-            return None
+        covered += width
         steps += sum(map(int.bit_count, up))
-    return steps
+    return steps if covered == factorial(n - 1) else None
 
 
 def _stray_steps(n: int, ones: int, bits: Sequence[int], up: Sequence[int]) -> int:
@@ -446,26 +435,26 @@ def _stray_steps(n: int, ones: int, bits: Sequence[int], up: Sequence[int]) -> i
     for (p, q), bit in zip(combinations(letters, 2), bits):
         before[p, q], before[q, p] = ones - bit, bit
     stray = 0
-    for (i, j), lanes in zip(combinations(range(1, n + 1), 2), up):
-        if not lanes:
+    for (i, j), admitted in zip(combinations(range(1, n + 1), 2), up):
+        if not admitted:
             continue
         if i > 1:
-            stray |= lanes & before[i, j]
+            stray |= admitted & before[i, j]
         for c in letters:
             if c != i and c != j:  # c after j, and for i >= 2 before i
-                stray |= lanes & before[j, c] & (before[c, i] if i > 1 else ones)
+                stray |= admitted & before[j, c] & (before[c, i] if i > 1 else ones)
     return stray
 
 
-def _single_steps(lanes: Sequence[int], width: int) -> Iterator[tuple[int, int]]:
-    """Each lane set in exactly one of `lanes`, width lanes of a byte
-    each holding 0 or 1, with the index k of that one.  `once` holds the
-    lanes set so far, `twice` those set twice, and `steps` the OR of
-    k + 1 over the lanes[k] set, k + 1 itself where only lanes[k] is;
-    the bytes of once ^ twice are scanned for the lanes, with no int
-    shifted."""
+def _single_steps(columns: Sequence[int], width: int) -> Iterator[tuple[int, int]]:
+    """Each lane set in exactly one of the columns, width lanes of a
+    byte each holding 0 or 1, with the index k of that one.  `once`
+    holds the lanes set so far, `twice` those set twice, and `steps` the
+    OR of k + 1 over the columns[k] set, k + 1 itself where only
+    columns[k] is; the bytes of once ^ twice are scanned for the lanes,
+    with no int shifted."""
     once = twice = steps = 0
-    for k, lane in enumerate(lanes, 1):
+    for k, lane in enumerate(columns, 1):
         steps |= lane * k
         twice |= once & lane
         once |= lane
@@ -482,7 +471,7 @@ def kappa_partners(columns: Sequence[bytes], joins: dict[int, int],
     step k whose coordinate k is one below j's, and m >= j - e_k.  The m
     are grouped by (k, m_k); each row is read as an int, a byte a
     coordinate, so m >= j - e_k is one guard-bit test on entries below
-    0x80, as `poset._lane_max` compares lanes."""
+    0x80, as `lanes._lane_max` compares lanes."""
     width = len(columns)
     guard = int.from_bytes(b"\x80" * width, "big")
     rows = {t: int.from_bytes(bytes(map(itemgetter(t), columns)), "big") for t in [*joins, *meets]}

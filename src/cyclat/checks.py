@@ -16,24 +16,25 @@ for the lane recursion that gives the joins and meets of `lattice`,
 A walk on threshold masks runs only where a certificate declines, to
 decide and name the witness: no passing check computes a mask, and
 `modularity` and `young` read their few up-sets off the lanes
-(`poset._lane_up_sets`).
+(`lanes._lane_up_sets`).
 
 Every check but `lattice` builds no diagram where it passes: each
 reads the vector columns, their inversion bits and the ranks alone,
 every node at once (`eulerian` counts by transfer matrix and reads
-none of them).  `mobius` runs the kappa matching of
+none of them).  `mobius` reads the kappa matching of
 `semidistributive`, `modularity` joins and meets its pairs on lanes
 cut from the columns, `young` decodes only the words of its
 truncation, `alpha` only two nodes' words and `modularity` only its
 witness's.
 
 `run_all` computes the order-n inversion bits (`CheckRun.inversions`),
-the vector columns joined from them (`CheckRun.columns`) and the ranks
-(`CheckRun.ranks`) once, for every check that reads them, and builds
-the diagram once, on first use, in `lattice`, with those columns; a
-later check reads it only in a walk where its certificate declines.
-`run_check` computes its own.  Each check still proves its claim from
-the columns, so no check relies on another's verdict.
+the vector columns joined from them (`CheckRun.columns`), the ranks
+(`CheckRun.ranks`) and the kappa matching on those columns
+(`CheckRun.matching`) once, for every check that reads them, and
+builds the diagram once, on first use, in `lattice`, with those
+columns; a later check reads it only in a walk where its certificate
+declines.  `run_check` computes its own.  Each check still proves its
+claim from the columns, so no check relies on another's verdict.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from math import comb, factorial
 from operator import or_
 from typing import Callable, Sequence
 
-from cyclat import poset, vectors
+from cyclat import lanes, poset, vectors
 from cyclat.certificates import (Inversions, covers_certified, cyclic_steps, kappa_matching,
                                  nodes_are_words, step_ends)
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
@@ -103,11 +104,11 @@ class CheckRun:
 
     `shared` holds what the checks of one `run_all` read, each part
     computed once, on first use: the inversion bits, the vector columns
-    joined from them, the ranks and the diagram of `build`, which takes
-    the run's columns for its own.  On a pass, only `lattice` builds and
-    reads the diagram; a walk where a certificate declines reads it
-    too.  The run that builds the diagram, or first computes its
-    threshold masks, has those seconds in its `phases`.
+    joined from them, the ranks, the kappa matching and the diagram of
+    `build`, which takes the run's columns for its own.  On a pass, only
+    `lattice` builds and reads the diagram; a walk where a certificate
+    declines reads it too.  The run that builds the diagram, or first
+    computes its threshold masks, has those seconds in its `phases`.
     """
 
     n: int
@@ -153,20 +154,25 @@ class CheckRun:
             self.shared["ranks"] = poset._prefix_ranks(self.n)
         return self.shared["ranks"]
 
+    def matching(self) -> tuple[int, int] | None:
+        """`certificates.kappa_matching` on the run's columns."""
+        if "matching" not in self.shared:
+            self.shared["matching"] = kappa_matching(self.n, self.columns(), self.inversions())
+        return self.shared["matching"]
+
 
 def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
     """The order is graded by the word rank, 0..C(n, 3), with one bottom
     and one top, proved on the vector columns and the ranks of
     `poset._prefix_ranks` (`grading_report`), with no diagram:
-    - lane t is the t-th word's vector (`certificates.nodes_are_words`),
-      so the lanes are distinct and admitted, and, every admitted vector
-      being a word's (`poset._word_bits`), all of them;
-    - each lane's coordinate sum is its rank, summed on the columns read
-      as ints, a byte a lane: an admitted v[i,j] is at most j - i - 1,
-      so no lane exceeds C(n, 3), and none carries up to n = 12 (beyond,
-      `bytes` refuses the ranks);
-    - one lane has no admitted step down, and one none up
-      (`certificates.step_ends`).
+    - lane t is the t-th word's vector, so the lanes are distinct and
+      admitted, and, every admitted vector being a word's
+      (`lanes._word_bits`), all of them; and one lane has no admitted
+      step down, and one none up (`certificates.step_ends`, which proves
+      each block before it reads a step off it);
+    - each lane's coordinate sum is its rank (`_rank_off`): an admitted
+      v[i,j] is at most j - i - 1, so no lane exceeds C(n, 3), and none
+      carries up to n = 12 (beyond, `bytes` refuses the ranks).
     By the exchange lemma (`cyclat.certificates`) every z > x lies above
     an admitted x + e_k, a node, so every cover is a unit step and
     raises the rank by exactly 1; on the dual lanes M - v, every z < x
@@ -183,12 +189,11 @@ def grading_report(n: int, ranks: Sequence[int], columns: Sequence[bytes],
                    inversions: Inversions) -> dict:
     """What `_check_grading` proves, in the keys of the per-edge scan
     the tests keep as a reference.  Where the lanes are not the words'
-    vectors (`nodes_are_words`, against `inversions`), no step is read:
-    `bottoms` and `tops` are None."""
-    words = nodes_are_words(n, columns, inversions)
-    unit = words and sum(int.from_bytes(column, "little") for column in columns) == \
-        int.from_bytes(bytes(ranks), "little")
-    bottoms, tops = step_ends(n, columns) if words else (None, None)
+    vectors (`step_ends`, against `inversions`), `bottoms` and `tops`
+    are None."""
+    ends = step_ends(n, columns, inversions)
+    unit = ends is not None and not _rank_off(ranks, columns)
+    bottoms, tops = ends or (None, None)
     image = sorted(set(ranks))
     complete = image == list(range(comb(n, 3) + 1))
     ok = len(ranks) == factorial(n - 1) and complete and unit and bottoms == tops == 1
@@ -196,6 +201,14 @@ def grading_report(n: int, ranks: Sequence[int], columns: Sequence[bytes],
             "max_rank": image[-1], "expected_max_rank": comb(n, 3),
             "rank_image_complete": complete, "unit_increments": unit,
             "bottoms": bottoms, "tops": tops}
+
+
+def _rank_off(ranks: Sequence[int], columns: Sequence[bytes]) -> int:
+    """Nonzero in the byte of each lane whose coordinate sum is not its
+    rank, zero elsewhere: the sum of the columns and the ranks, read as
+    ints, a byte a lane, XORed; no lane carries (`_check_grading`)."""
+    return sum(int.from_bytes(column, "little") for column in columns) ^ \
+        int.from_bytes(bytes(ranks), "little")
 
 
 def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
@@ -208,14 +221,11 @@ def _check_eulerian(run: CheckRun) -> tuple[bool, dict | None]:
 def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     """mu(x, y) is 0, 1 or -1 for every two nodes x <= y.
 
-    By Rota's crosscut theorem mu(x, y) is the sum of (-1)^|S| over the
-    sets S of x's upper covers whose join is y, so it is in range where
-    no cover of x lies below the join of the others: the joins of the
-    sets are then distinct.  In a meet-semidistributive lattice that
-    holds at every node, since two distinct covers of x meet at x.
+    By Rota's crosscut theorem it is in range at every node whose upper
+    covers are independent, as in a meet-semidistributive lattice
+    (argued in `cyclat.certificates`, cover independence), and
     `certificates.kappa_matching` proves the law on the vector columns,
-    with no diagram, where it declines no node (argument in
-    `cyclat.certificates`, cover independence).  Otherwise the crosscut
+    with no diagram, where it declines no node.  Otherwise the crosscut
     itself decides on the diagram (`poset.mobius_from`), at every node
     in id order: x's table of joins, one per set of covers.  The first
     x whose table holds a join that is no node fails with y None; the
@@ -224,7 +234,7 @@ def _check_mobius(run: CheckRun) -> tuple[bool, dict | None]:
     `irreducibles` and `declined`, as `semidistributive`'s, where the
     lanes are the words' vectors, and the nodes walked (`crosscut`)."""
     poset.refuse_over_cap(run.n)
-    matched = kappa_matching(run.n, run.columns(), run.inversions())
+    matched = run.matching()
     if matched is not None:
         run.stats.update(irreducibles=matched[0], declined=matched[1])
         if not matched[1]:
@@ -261,24 +271,22 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       above.
 
     All three are proved from certificates, holding no up-set and no
-    threshold mask (`certificates.covers_certified` for the first two):
+    threshold mask (`certificates.covers_certified` for the first two,
+    argued in `cyclat.certificates`):
     - Node t's row is the vector of the t-th canonical word, so the
       nodes are admitted and "is a node" below is a lane test, with no
-      lookup (`certificates.nodes_are_words`, argued in
-      `cyclat.certificates` and `poset._word_bits`).
-    - Every edge is a unit step on its two rows, not its labels
-      (`certificates.unit_steps`), and the edges are exactly the
-      admitted unit steps x + e_k (`certificates.steps_are_covers`).
-      The exchange lemma (`cyclat.certificates`) gives every two nodes
-      x < z an admitted x + e_k <= z, a cover of x: the order is the
-      closure of the covers.
-    - One node has no admitted step up (`certificates.step_ends`, which
-      `grading` reads too).  With the exchange lemma that makes the
-      nodes an interval [e, w] of the left weak order of the affine
-      symmetric group, and the weak order is a meet-semilattice
-      (A. Bjorner, *Orderings of Coxeter groups*, 1984), so the interval
-      is a lattice (argued in `cyclat.certificates`, point 7).
-    - The `poset._column_joins` result X of every pair of the third
+      lookup (`lanes._word_bits`).
+    - Every edge is a unit step on its two rows, not its labels, and the
+      edges are exactly the admitted unit steps x + e_k.  The exchange
+      lemma gives every two nodes x < z an admitted x + e_k <= z, a
+      cover of x: the order is the closure of the covers.
+    - One node has no admitted step up (the counts of
+      `certificates.step_ends`, which `grading` reads too).  With the
+      exchange lemma that makes the nodes an interval [e, w] of the left
+      weak order of the affine symmetric group, and the weak order is a
+      meet-semilattice (A. Bjorner, *Orderings of Coxeter groups*,
+      1984), so the interval is a lattice.
+    - The `lanes._column_joins` result X of every pair of the third
       claim, y, z, is a node and is tight:
       X[i,j] == max(y[i,j], z[i,j], X[i,p] + X[p,j], i < p < j) on every
       lane (`HasseDiagram.tight_bounds`).  By induction on j - i, a
@@ -287,20 +295,15 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       z, so it is their least upper bound among the nodes.  Tightness
       reads X's own entries, not the recursion that produced X, so a
       wrong X that is a node above y and z still fails it.
-    - Dually, the `poset._column_meets` result m of every pair of the
+    - Dually, the `lanes._column_meets` result m of every pair of the
       third claim is a node, and M - m is tight for M - y and M - z,
       M[i,j] = j - i - 1: v -> M - v maps admitted vectors to admitted
       vectors and reverses the order, so m is the greatest lower bound
       among the nodes.  The sample's lanes are gathered from the node
       rows.  The square's are cut from the columns, one lane for each
-      unordered pair, (x, y) with x <= y by id: N(N + 1)/2 lanes
-      (`HasseDiagram.square_tight_bounds`).  `poset._lane_max`'s `pick`
-      is the lane-wise max, which is symmetric, so `_column_joins(us,
-      vs)` equals `_column_joins(vs, us)` lane for lane,
-      `_column_meets` likewise, and `_column_tight` reads the same
-      sides.  A certified lane (x, y) therefore proves the bounds of
-      both (x, y) and (y, x), and `stats.pairs` counts the N * N
-      ordered pairs.
+      unordered pair, which proves both of its ordered pairs
+      (`HasseDiagram.square_tight_bounds`), and `stats.pairs` counts
+      the N * N ordered pairs.
     The bound certificate rests on the first of these, that the rows
     are the words' vectors, so it is read only where the cover
     certificates hold.  If any certificate declines, the walks decide
@@ -309,12 +312,9 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     pair on the up-sets and down-sets of the tested pairs, x-major, so
     the verdict and the witness are those of the walks alone.
 
-    The joins and meets come from the recursion of `join_flat`, run on
-    lanes, one byte a pair (`poset._column_joins`, after L. Lamport,
-    *Multiple byte processing with full-word instructions*, CACM 18(8),
-    1975), and for the meets on the dual lanes M - u and M - v.  So the
-    check proves that this lane recursion gives the bounds; no per-pair
-    kernel runs.  The tests tie `join_flat` and `meet_flat`, which
+    So the check proves that the lane recursion of `join_flat`, and of
+    the meets on the dual lanes, gives the bounds; no per-pair kernel
+    runs.  The tests tie `join_flat` and `meet_flat`, which
     `vectors.join`/`meet` call, to the lane recursion on every pair the
     check reads up to n = 8.
     """
@@ -403,18 +403,16 @@ def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
     """The order is semidistributive: both laws, by the kappa test.
 
     `certificates.kappa_matching` proves it on the vector columns, with
-    no diagram and no threshold mask: the join-irreducibles J and the
-    meet-irreducibles M are the nodes of one admitted step down and of
-    one up, and the order is semidistributive iff R, the relation of
-    each j to the maximal elements of its kappa set, is a perfect
-    matching of J and M (argument in `cyclat.certificates`).  `stats`
-    counts J (`irreducibles`, |J| = |M| on a pass) and the nodes of J
+    no diagram and no threshold mask: R, the relation of each j of the
+    join-irreducibles J to the maximal elements of its kappa set, is a
+    perfect matching of J and the meet-irreducibles M (argued in
+    `cyclat.certificates`).  `stats` counts J (`irreducibles`, |J| = |M| on a pass) and the nodes of J
     and M with other than one R-partner (`declined`).  Where the
     certificate declines, `poset.check_semidistributive` walks the
     irreducibles on the threshold masks, which decides and names the
     witness."""
     poset.refuse_over_cap(run.n)
-    matched = kappa_matching(run.n, run.columns(), run.inversions())
+    matched = run.matching()
     if matched is not None:
         run.stats.update(irreducibles=matched[0], declined=matched[1])
         if not matched[1]:
@@ -427,11 +425,11 @@ def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
     """The order is modular up to n = 4 and not from n = 5 on, by the
     rank-additivity scan on the ranks and the vector columns, with no
     diagram (`poset.check_modular`): a scan that cannot decide fails.
-    The scan reads a join or meet lane that passes `poset._word_bits`
+    The scan reads a join or meet lane that passes `lanes._word_bits`
     as a node, and its coordinate sum as that node's rank, so the lanes
-    are first proved the words' vectors (`certificates.nodes_are_words`)
-    and each lane's sum its rank, on the columns read as ints as
-    `grading_report` does; the lowest node whose sum is not its rank
+    are first proved the words' vectors (`certificates.nodes_are_words`,
+    which reads no step) and each lane's sum its rank (`_rank_off`, as
+    `grading_report`); the lowest node whose sum is not its rank
     fails.  At n = 5 the canonical witness quadruple is pinned instead
     of the scan's."""
     n = run.n
@@ -439,9 +437,7 @@ def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
     columns, ranks = run.columns(), run.ranks()
     if not nodes_are_words(n, columns, run.inversions()):
         return False, {"n": n, "nodes_are_words": False}
-    if off := sum(int.from_bytes(column, "little") for column in columns) ^ \
-            int.from_bytes(bytes(ranks), "little"):
-        t = ((off & -off).bit_length() - 1) // 8  # the lowest lane that differs
+    if (t := _lowest_lane(_rank_off(ranks, columns))) is not None:
         return False, {"node": poset.node_name(n, t), "rank": ranks[t]}
     report = poset.check_modular(n, ranks, columns)
     expected_modular = n <= 4
@@ -533,7 +529,7 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
     The vectors are the columns of `poset._vector_columns(n)`
     (`CheckRun.columns`) read as ints, one byte a lane (node).  A node
     is admitted iff its adjacent entries are 0 and D & 0xfe is 0 in its
-    lane of every triple defect D (`poset._triple_defects`); its sum
+    lane of every triple defect D (`lanes._triple_defects`); its sum
     adds the D of the triples its triangulation holds.  The lowest
     failing node is reported as a loop over the nodes meets it:
     `AdmittedVector`'s NotAdmittedError if it is not admitted, else the
@@ -559,12 +555,12 @@ def _check_triangulation(run: CheckRun) -> tuple[bool, dict | None]:
                 return False, {"flip": q}
     columns = run.columns()
     size = len(columns[0])
-    v = poset._lane_ints(n, columns)
+    v = lanes._lane_ints(n, columns)
     not_bits = int.from_bytes(b"\xfe" * size, "little")
     rejected = reduce(or_, (v[i, i + 1] for i in range(1, n)))
     repeats = -(-size // len(tris))
     sums = 0
-    for triple, d in poset._triple_defects(n, v):
+    for triple, d in lanes._triple_defects(n, v):
         rejected |= d & not_bits
         held = bytes(0xff * (triple in t.triangles) for t in tris)
         sums += d & int.from_bytes((held * repeats)[:size], "little")
@@ -687,15 +683,11 @@ def _check_alpha(run: CheckRun) -> tuple[bool, dict | None]:
     maximal chain, and it must equal `poset.conjugator_formula(n)`.
 
     A is x's word rotated by m(x) = (sum_j x[1, j]) mod n
-    (`poset.conjugator_potential`), proved on the vector columns with
-    no diagram (`certificates.cyclic_steps`, argued in
-    `cyclat.certificates`): the lanes are the words' vectors, and every
-    admitted step x + e_(i,j), which the exchange lemma makes the
-    covers, has j the cyclic predecessor of i in x's word, so that the
-    cover is the swap of the large circular descent j i, labelled
-    (i j), and A(hi) = (i j) o A(lo).  A is read at two nodes only: it
-    must be the identity at the bottom, node 0, and A(top) the formula
-    at the last node.  `stats` counts the admitted steps read
+    (`poset.conjugator_potential`): `certificates.cyclic_steps` proves
+    A(hi) = (i j) o A(lo) on every cover on the vector columns, with no
+    diagram (argued in `cyclat.certificates`).  A is read at two nodes
+    only: it must be the identity at the bottom, node 0, and A(top) the
+    formula at the last node.  `stats` counts the admitted steps read
     (`steps`), the edges of the order.  Where the certificate declines,
     `_alpha_walk` decides on the diagram and names the witness.
     """

@@ -5,42 +5,39 @@ canonical word (1, p) with p running over the permutations of 2..n in
 lexicographic order, and the covers are held as flat edge columns
 sorted by (lower, upper) index, so exports are byte-for-byte
 reproducible.  The covers come from one rule, `_cover_rows`, which
-yields each node's edge rows (lo, hi, r, s) in order.  One serializer
-renders the DOT and JSON exports as pieces, each section formatted in
-blocks of `EXPORT_BLOCK` rows by one % call, from n (which gives the
-node labels), the ranks and the edge rows: `to_dot` and `to_json`
-read them from a built diagram's columns, and `export_pieces`, whose
+yields each node's edge rows (lo, hi, r, s) in order; the ranks, the
+inversion bits and the vector columns come from the same enumeration
+(`_prefix_ranks`, `_inversion_columns`, `_vector_columns`), and the
+byte lanes of those columns are read in `cyclat.lanes`.  One
+serializer renders the DOT and JSON exports as pieces, each section
+formatted in blocks of `EXPORT_BLOCK` rows by one % call: `to_dot` and
+`to_json` from a built diagram's columns, and `export_pieces`, whose
 blocks `cyclat poset` writes out one by one, from `_prefix_ranks` and
 `_cover_rows`, with no diagram.  Eulerian cover statistics are counted
 by transfer matrix over (set of letters placed, last letter), with no
-diagram, no kernel and no pass over the cycles (`cover_histogram`);
-the stream of `_cover_rows` is their cross-check in the tests.
-Rank truncations against the partition order and the modularity scan
-read the ranks and the vector columns, with no diagram, and take
-up-sets by lane comparison (`_lane_up_sets`); the conjugator of the
-chains up to a node is its word rotated (`conjugator_potential`), with
-no diagram either.  Everything else queries the diagram: the Moebius
-function, the semidistributivity walk and maximal chains.
+diagram (`cover_histogram`).  Rank truncations against the partition
+order and the modularity scan read the ranks and the vector columns,
+with no diagram, and so does the conjugator of the chains up to a node,
+its word rotated (`conjugator_potential`).  Everything else queries
+the diagram: the Moebius function, the semidistributivity walk and
+maximal chains.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import re
-import struct
 from array import array
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, islice, permutations, product
 from math import factorial
-from operator import itemgetter, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
-from cyclat import kernels
-from cyclat._pykernels import _fill_plan
+from cyclat import kernels, lanes
 from cyclat.errors import (
     CapExceededError,
     CyclatError,
@@ -146,15 +143,15 @@ class HasseDiagram:
     The vectors depend on n alone too: `columns` holds coordinate c of
     every node as one byte per node, from `_vector_columns(n)`, and
     `rows[t]` node t's vector as one byte string.  `joins` runs the
-    recursion of `join_flat` (`_column_joins`) on lanes gathered from
-    the rows, one byte a pair, and `bounds` also takes the meets, as
-    the joins of the dual lanes (`_column_meets`); each result row is
-    read back through `vec_index`.  `tight_bounds` runs the same
+    recursion of `join_flat` (`lanes._column_joins`) on lanes gathered
+    from the rows, one byte a pair, and `bounds` also takes the meets,
+    as the joins of the dual lanes (`lanes._column_meets`); each result
+    row is read back through `vec_index`.  `tight_bounds` runs the same
     recursions as a certificate, on the result lanes with no row and no
-    `vec_index`: each result lane is a word's vector (`_word_bits`), so
-    a node's row once `certificates.nodes_are_words` has tied the rows
-    to the words, and each result is tight for its pair
-    (`_column_tight`).
+    `vec_index`: each result lane is a word's vector
+    (`lanes._word_bits`), so a node's row once the certificates have
+    tied the rows to the words, and each result is tight for its pair
+    (`lanes._column_tight`).
 
     The order is componentwise on the vectors, an intersection of one
     chain per coordinate, so it is held as threshold masks read off the
@@ -164,7 +161,7 @@ class HasseDiagram:
     (`above_mask`), and its down-set the complement of the OR of as
     many (`below_mask`).  Only the walks where a certificate declines
     read them; a passing check reads up-sets off the lanes
-    (`_lane_up_sets`).
+    (`lanes._lane_up_sets`).
     """
 
     n: int
@@ -208,7 +205,7 @@ class HasseDiagram:
     @cached_property
     def rows(self) -> tuple[bytes, ...]:
         """rows[t][c] = columns[c][t]: node t's vector as one byte string."""
-        return tuple(_split_rows(len(self.ranks), self.columns))
+        return tuple(lanes._split_rows(len(self.ranks), self.columns))
 
     @cached_property
     def starts(self) -> array:
@@ -273,58 +270,60 @@ class HasseDiagram:
     def joins(self, xs: Sequence[int], ys: Sequence[int]) -> list[int | None]:
         """The node id of `join_flat` of the vectors of x and y, for each
         x, y of xs, ys in turn; None where the result is not a node."""
-        return self._bounds(xs, ys, _column_joins)[0]
+        return self._bounds(xs, ys, lanes._column_joins)[0]
 
     def bounds(self, xs: Sequence[int], ys: Sequence[int]) -> tuple[list[int | None], ...]:
         """`joins` of the pairs and, likewise, the node ids of their
         `meet_flat`, from lanes gathered once a side."""
-        return self._bounds(xs, ys, _column_joins, _column_meets)
+        return self._bounds(xs, ys, lanes._column_joins, lanes._column_meets)
 
     def _bounds(self, xs: Sequence[int], ys: Sequence[int], *ops):
         size, us, vs = len(xs), self._lanes(xs), self._lanes(ys)
-        return tuple(list(map(self.vec_index.get, _split_rows(size, op(self.n, size, us, vs))))
+        return tuple(list(map(self.vec_index.get,
+                              lanes._split_rows(size, op(self.n, size, us, vs))))
                      for op in ops)
 
     def tight_bounds(self, xs: Sequence[int], ys: Sequence[int]) -> bool:
-        """Whether the `_column_joins` and the `_column_meets` result of
-        every pair x, y of xs, ys are nodes and tight (`_tight_bounds`)."""
+        """Whether the `lanes._column_joins` and the `lanes._column_meets`
+        result of every pair x, y of xs, ys are nodes and tight
+        (`_tight_bounds`)."""
         return self._tight_bounds(len(xs), self._lanes(xs), self._lanes(ys))
 
     def square_tight_bounds(self) -> bool:
         """`tight_bounds` of every ordered pair (x, y) of the square,
-        proved on its triangle x <= y (`_triangle_lanes`).
+        proved on its triangle x <= y (`lanes._triangle_lanes`).
 
-        `_lane_max`'s `pick` is the lane-wise max, which is symmetric.
-        So `_column_joins(us, vs)` equals `_column_joins(vs, us)` lane
-        for lane, `_column_meets` likewise (it joins the dual lanes),
-        and `_column_tight` reads the two sides only through `pick`.  A
-        certified lane (x, y) therefore proves the bounds of both (x, y)
-        and (y, x): N(N + 1)/2 lanes prove the N * N ordered pairs."""
+        The lane-wise max `pick` of `lanes._lane_max` is symmetric, so the
+        joins of (us, vs) equal those of (vs, us) lane for lane, the meets
+        likewise (they join the dual lanes), and `lanes._column_tight`
+        reads the two sides only through `pick`.  A certified lane (x, y)
+        therefore proves the bounds of both (x, y) and (y, x): N(N + 1)/2
+        lanes prove the N * N ordered pairs."""
         nodes = range(len(self.ranks))
         return self._tight_bounds(len(nodes) * (len(nodes) + 1) // 2,
-                                  *_triangle_lanes(self.n, self.columns, nodes))
+                                  *lanes._triangle_lanes(self.n, self.columns, nodes))
 
     def _lanes(self, ids: Sequence[int]) -> list[int]:
-        return _gather(self.n, self.rows, ids)
+        return lanes._gather(self.n, self.rows, ids)
 
     def _tight_bounds(self, size: int, us: Sequence[int], vs: Sequence[int]) -> bool:
-        """The lane test: whether the `_column_joins` result on these
-        lanes is a node's row in every lane and is tight for them, and
-        the same of the `_column_meets` result as the join of the dual
-        lanes: a node's row in every lane, and M - meet tight for M - us
-        and M - vs (`_dual_lanes`)."""
-        joins = _column_joins(self.n, size, us, vs)
-        if not (self._nodes(size, joins) and _column_tight(self.n, size, us, vs, joins)):
+        """The lane test: whether the `lanes._column_joins` result on
+        these lanes is a node's row in every lane and is tight for them,
+        and the same of the `lanes._column_meets` result as the join of
+        the dual lanes: a node's row in every lane, and M - meet tight for
+        M - us and M - vs (`lanes._dual_lanes`)."""
+        joins = lanes._column_joins(self.n, size, us, vs)
+        if not (self._nodes(size, joins) and lanes._column_tight(self.n, size, us, vs, joins)):
             return False
-        meets = _column_meets(self.n, size, us, vs)
-        return self._nodes(size, meets) and _column_tight(
-            self.n, size, *(_dual_lanes(self.n, size, c) for c in (us, vs, meets)))
+        meets = lanes._column_meets(self.n, size, us, vs)
+        return self._nodes(size, meets) and lanes._column_tight(
+            self.n, size, *(lanes._dual_lanes(self.n, size, c) for c in (us, vs, meets)))
 
     def _nodes(self, size: int, columns: Sequence[int]) -> bool:
         """Whether every lane of the columns is a node's row: the vector
-        of a canonical word (`_word_bits`), which is a node's row where
-        `certificates.nodes_are_words` holds."""
-        return _word_bits(self.n, size, columns) is not None
+        of a canonical word (`lanes._word_bits`), which is a node's row
+        where the certificates have tied the rows to the words."""
+        return lanes._word_bits(self.n, size, columns) is not None
 
     @property
     def bottom(self) -> int:
@@ -501,206 +500,6 @@ def _vector_columns(n: int, inversions: dict[tuple[int, int], bytes] | None = No
     size = factorial(n - 1)
     return tuple((sums[j] - sums[i] - bit(i, j)).to_bytes(size, "big")
                  for i in range(1, n) for j in range(i + 1, n + 1))
-
-
-def _lane_ints(n: int, columns: Sequence[bytes]) -> dict[tuple[int, int], int]:
-    """The columns keyed by their pairs (i, j), each read as one int, one
-    byte a lane, little-endian: lane t is node t, and borrows run from
-    the lower lanes up."""
-    return {pair: int.from_bytes(column, "little")
-            for pair, column in zip(combinations(range(1, n + 1), 2), columns)}
-
-
-def _triple_defects(n: int, v: dict[tuple[int, int], int]
-                    ) -> Iterator[tuple[tuple[int, int, int], int]]:
-    """Each triple i < j < k with D = v[i,k] - v[i,j] - v[j,k], on the
-    columns v of `_lane_ints`.
-
-    Lane t of D is node t's defect whenever every lane below it holds 0
-    or 1, since those lanes borrow nothing (L. Lamport, *Multiple byte
-    processing with full-word instructions*, CACM 18(8), 1975)."""
-    for i, j, k in combinations(range(1, n + 1), 3):
-        yield (i, j, k), v[i, k] - v[i, j] - v[j, k]
-
-
-def _word_bits(n: int, size: int, columns: Sequence[int]) -> list[int] | None:
-    """The inversion bits B(i, j) = v[1,j] - v[1,i] - v[i,j],
-    2 <= i < j <= n in lexicographic order, of the lanes of the columns
-    v, each column one int, a byte a lane, in the pair order of
-    `_vector_columns`; None unless every lane is the vector of a
-    canonical word of order n.
-
-    A lane is one exactly when its entries are below 0x80, its adjacent
-    entries v[i,i+1] are 0, every B(i, j) is 0 or 1, and every
-    B(i,j) + B(j,k) - B(i,k), i < j < k, is 0 or 1.  For B is then a
-    tournament on 2..n with no 3-cycle (the sum is -1 or 2 on those),
-    so it is transitive, and B(i, j) = [j before i] for exactly one
-    canonical word w.  The adjacent entries being 0, v[1,j] is the sum
-    of B(k, k+1) over k < j (B(1, 2) = 0), and so v[i,j], which is
-    v[1,j] - v[1,i] - B(i, j), is w's by `_vector_columns`' formula.
-    Conversely a word's vector has entries at most n - 2 and passes.
-    These sums are v's triple defects (B(i, j) those at (1, i, j)), so
-    a lane passes iff it is admitted.  Each difference runs on whole
-    columns: below the lowest failing lane every lane holds 0 or 1 and
-    borrows nothing, so that lane shows a bit of 0xfe (L. Lamport,
-    *Multiple byte processing with full-word instructions*, CACM 18(8),
-    1975), and one AND a difference tests every lane.
-    """
-    v = dict(zip(combinations(range(1, n + 1), 2), columns))
-    ones = int.from_bytes(b"\1" * size, "big")
-    every = reduce(or_, columns, 0)
-    if every < 0 or every >> 8 * size or every & 0x80 * ones or any(
-            v[i, i + 1] for i in range(1, n)):
-        return None
-    letters = range(2, n + 1)
-    b = {(i, j): v[1, j] - v[1, i] - v[i, j] for i, j in combinations(letters, 2)}
-    not_bits = 0xfe * ones
-    if any(d & not_bits for d in chain(b.values(), (
-            b[i, j] + b[j, k] - b[i, k] for i, j, k in combinations(letters, 3)))):
-        return None
-    return list(b.values())
-
-
-def _split_rows(size: int, columns: Sequence[bytes | int]) -> Iterator[bytes]:
-    """Each of the `size` lanes of the C columns as a row: written at
-    stride C, cut every C.  A column is its bytes or, as the lane
-    recursion holds it, those bytes read as one int; the buffer starts
-    zeroed, so a zero int column is not written.  At n = 1 there is no
-    column, and every row is the empty vector."""
-    width = len(columns)
-    if not width:
-        return iter([b""] * size)
-    lanes = bytearray(width * size)
-    for c, column in enumerate(columns):
-        if column:
-            lanes[c::width] = (column if isinstance(column, bytes)
-                               else column.to_bytes(size, "big"))
-    return map(itemgetter(0), struct.iter_unpack(f"{width}s", lanes))
-
-
-def _gather(n: int, rows: Sequence[bytes], ids: Sequence[int]) -> list[int]:
-    """The C columns of the node rows at ids in turn, each read as one
-    int, a byte a lane: the rows are written into one buffer, and each
-    column the recursion reads (`_fill_plan(n)`) is cut from it at
-    stride C.  (`bytes.join` would hold 80 bytes a part.)  The adjacent
-    columns (i, i+1) are read by none, and are 0 in every node, so they
-    stay the int 0."""
-    buffer = io.BytesIO()
-    buffer.writelines(map(rows.__getitem__, ids))
-    lanes, width = buffer.getvalue(), len(rows[0])
-    columns = [0] * width
-    for ij, _ in _fill_plan(n):
-        columns[ij] = int.from_bytes(lanes[ij::width], "big")
-    return columns
-
-
-def _cut_lanes(n: int, columns: Sequence[bytes], ids: Sequence[int]) -> list[int]:
-    """`_gather` of the nodes at ids in turn, cut from the columns
-    instead of the rows: each column the recursion reads, its bytes at
-    ids, taken by one `itemgetter`, read as one int, the first id in the
-    highest lane.  For one id `itemgetter` returns that byte, which is
-    the one-lane int."""
-    pick = itemgetter(*ids)
-    lanes = [0] * len(columns)
-    for ij, _ in _fill_plan(n):
-        picked = pick(columns[ij])
-        lanes[ij] = picked if len(ids) == 1 else int.from_bytes(bytes(picked), "big")
-    return lanes
-
-
-def _triangle_lanes(n: int, columns: Sequence[bytes], xs: Sequence[int]) -> tuple[list[int], ...]:
-    """`_gather` of the pairs (x, y) for each x of xs in turn and each
-    node y >= x in id order, cut from the columns instead of the rows:
-    a column's x side is x's byte repeated once per such y, and its y
-    side the column from x on."""
-    us, vs = [0] * len(columns), [0] * len(columns)
-    for ij, _ in _fill_plan(n):
-        column = columns[ij]
-        us[ij] = int.from_bytes(b"".join(column[x:x + 1] * (len(column) - x) for x in xs), "big")
-        vs[ij] = int.from_bytes(b"".join(column[x:] for x in xs), "big")
-    return us, vs
-
-
-_LANE_MAX_N = 65  # the largest order whose lane sums stay below the guard bit
-
-
-def _column_joins(n: int, size: int, us: Sequence[int],
-                  vs: Sequence[int]) -> list[int]:
-    """The coordinate columns of `join_flat(n, u, v)` for `size` pairs at
-    once, each column one int, one byte a lane: lane k holds the pair
-    whose u and v have coordinate c in lane k of us[c] and vs[c], and
-    the result's coordinate c is in lane k of column c.
-
-    The kernel's recursion runs on whole columns, as in
-    `_vector_columns`: X[i,j] is the max of u[i,j], v[i,j] and
-    X[i,p] + X[p,j], i < p < j, filled by increasing j - i, and
-    X[i,i+1] is 0.  With H the 0x80 of every lane, ((a | H) - b) & H
-    flags the lanes where a >= b, provided no lane of a or b reaches
-    0x80: each lane then subtracts at most 0x7f from at least 0x80, so
-    nothing borrows across lanes (L. Lamport, *Multiple byte processing
-    with full-word instructions*, CACM 18(8), 1975).  For admitted u and
-    v every entry is at most n - 2, so each sum is at most 2(n - 2):
-    below 0x80 while n <= 65, and a larger order is refused.
-    """
-    if n > _LANE_MAX_N:
-        raise CyclatError(f"order {n} exceeds {_LANE_MAX_N}: its lane sums "
-                          "could reach the guard bit")
-    pick = _lane_max(size)
-    out = [0] * len(us)
-    for ij, splits in _fill_plan(n):
-        best = pick(us[ij], vs[ij])
-        for ip, pj in splits:
-            best = pick(best, out[ip] + out[pj])
-        out[ij] = best
-    return out
-
-
-def _lane_max(size: int) -> Callable[[int, int], int]:
-    """The lane-wise max of two columns of `size` lanes whose lanes are
-    all below 0x80, as `_column_joins` describes."""
-    guard = int.from_bytes(b"\x80" * size, "big")
-
-    def pick(a: int, b: int) -> int:
-        ge = ((a | guard) - b) & guard
-        ge |= ge - (ge >> 7)  # 0xff in the lanes where a >= b
-        return (a ^ b) & ge ^ b
-    return pick
-
-
-def _column_tight(n: int, size: int, us: Sequence[int], vs: Sequence[int],
-                  xs: Sequence[int]) -> bool:
-    """Whether the columns xs are tight for the pairs of us, vs on every
-    lane: X[i,j] is the max of u[i,j], v[i,j] and X[i,p] + X[p,j],
-    i < p < j, for every j - i >= 2, on lanes as `_column_joins`.  Each
-    side is read from X itself, so the recursion is not rerun."""
-    pick = _lane_max(size)
-    for ij, splits in _fill_plan(n):
-        best = pick(us[ij], vs[ij])
-        for ip, pj in splits:
-            best = pick(best, xs[ip] + xs[pj])
-        if best != xs[ij]:
-            return False
-    return True
-
-
-def _dual_lanes(n: int, size: int, columns: Sequence[int]) -> list[int]:
-    """M - v in every lane of the columns, on lanes as `_column_joins`,
-    with M[i,j] = j - i - 1, the top's vector: v -> M - v is
-    `vectors.invert_vector`, which reverses the order.  No entry of an
-    admitted vector, or of the join of two, exceeds M's, so no lane
-    borrows."""
-    ones = int.from_bytes(b"\1" * size, "big")
-    return [(j - i - 1) * ones - column
-            for (i, j), column in zip(combinations(range(1, n + 1), 2), columns)]
-
-
-def _column_meets(n: int, size: int, us: Sequence[int],
-                  vs: Sequence[int]) -> list[int]:
-    """The columns of `meet_flat(n, u, v)`, on lanes as `_column_joins`:
-    M - join(M - u, M - v) (`_dual_lanes`), where
-    M[i,j] - M[i,p] - M[p,j] = 1 is the meet recursion's + 1."""
-    return _dual_lanes(n, size, _column_joins(n, size, _dual_lanes(n, size, us),
-                                              _dual_lanes(n, size, vs)))
 
 
 @lru_cache(maxsize=None)
@@ -884,13 +683,9 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
     `certificates.kappa_matching` proves nothing, so that the verdict
     is decided and the witness named.
 
-    A finite lattice is meet-semidistributive iff, for every
-    join-irreducible j with lower cover j_, the set
-    {x : x ^ j = j_} = {x : x >= j_, x not >= j} has a greatest element
-    kappa(j); it is join-semidistributive iff the dual holds for every
-    meet-irreducible (Freese, Jezek and Nation, *Free Lattices*, 1995,
-    Theorem 2.56).  Each irreducible costs a few up-set masks, with no
-    join or meet.  SD-join is tested first; the witness of a failure is
+    It tests each irreducible's kappa set (Theorem 2.56 of *Free
+    Lattices*, as in `cyclat.certificates`) on a few up-set masks, with
+    no join or meet.  SD-join is tested first; the witness of a failure is
     the first failing irreducible of the first law to fail, "m" for
     SD-join and "j" for SD-meet, with two minimal (maximal) elements of
     its set.
@@ -904,32 +699,6 @@ def check_semidistributive(diagram: HasseDiagram) -> dict:
 
 
 _ROW_CHUNK = 4096  # pairs per batch of the modularity scan, ids per Moebius block
-_FLAG_DIGITS = bytes.maketrans(b"\0\x80", b"01")
-
-
-def _lane_up_sets(n: int, columns: Sequence[bytes]) -> Callable[[int], int]:
-    """The up-set of a node x of order n, bit z set iff x <= z, on the
-    vector columns: the AND over the columns c with c[x] > 0 of the
-    lanes z with c[z] >= c[x].  Column c is read once, on first use, as
-    one int a byte a lane with H, the 0x80 of every lane, set; c[x]
-    taken from every lane leaves H where c[z] >= c[x], as in
-    `_lane_max`.  The flags are read back as a node bitmask by one
-    translate of their bytes."""
-    size = factorial(n - 1)
-    guard = int.from_bytes(b"\x80" * size, "little")
-    ones = guard >> 7
-
-    @lru_cache(maxsize=None)
-    def lanes(c: int) -> int:
-        return int.from_bytes(columns[c], "little") | guard
-
-    def up_set(x: int) -> int:
-        above = guard
-        for c, column in enumerate(columns):
-            if v := column[x]:
-                above &= lanes(c) - v * ones
-        return int(above.to_bytes(size, "big").translate(_FLAG_DIGITS), 2)
-    return up_set
 
 
 def check_modular(n: int, ranks: Sequence[int], columns: Sequence[bytes]) -> dict:
@@ -941,9 +710,10 @@ def check_modular(n: int, ranks: Sequence[int], columns: Sequence[bytes]) -> dic
     from `_row_bounds`.  The columns are read where
     `certificates.nodes_are_words` holds and each lane's coordinate sum
     is its rank, as `checks._check_modularity` proves first: a result
-    that passes `_word_bits` is then a node's row, and its sum that
-    node's rank.  `modular` is None where the scan cannot decide, at the
-    first pair whose join or meet is no node, which is then the witness.
+    that passes `lanes._word_bits` is then a node's row, and its sum
+    that node's rank.  `modular` is None where the scan cannot decide,
+    at the first pair whose join or meet is no node, which is then the
+    witness.
     The meet and join of a failing quadruple are named from their rows.
     """
     for x, y, join, meet in _row_bounds(n, len(ranks), columns):
@@ -963,19 +733,19 @@ def _row_bounds(n: int, size: int, columns: Sequence[bytes]
     """(x, y, the row of their join, that of their meet) for the pairs
     x < y of the `size` nodes of the order-n columns in order, but for
     the pairs with x <= y in the order, whose meet is x and join is y:
-    each row x reads x's up-set once, on the lanes (`_lane_up_sets`),
-    which skips the bottom's whole row.  A join or meet that is no node
-    (`_word_bits`) is None.
+    each row x reads x's up-set once, on the lanes
+    (`lanes._lane_up_sets`), which skips the bottom's whole row.  A join
+    or meet that is no node (`lanes._word_bits`) is None.
 
     The rest of row x is joined and met in batches of up to
     `_ROW_CHUNK` pairs, so a scan that stops early in a long row reads
     one batch: x's byte repeated is one side of the lanes, and the
     bytes of the batch's nodes, cut from the columns, the other.  The
     joins and the meets are stacked, the joins in the higher lanes, and
-    tested whole by `_word_bits`; only where that fails is each result
-    tested alone.
+    tested whole by `lanes._word_bits`; only where that fails is each
+    result tested alone.
     """
-    up_set = _lane_up_sets(n, columns)
+    up_set = lanes._lane_up_sets(n, columns)
     for x in range(size):
         later = ((1 << size) - 1) ^ ((1 << (x + 1)) - 1)  # the ids after x
         row = bits(later & ~up_set(x))
@@ -983,24 +753,25 @@ def _row_bounds(n: int, size: int, columns: Sequence[bytes]
             ys = row[start:start + _ROW_CHUNK]
             width = len(ys)
             ones = int.from_bytes(b"\1" * width, "big")
-            us, vs = [column[x] * ones for column in columns], _cut_lanes(n, columns, ys)
-            stacked = [j << 8 * width | m for j, m in zip(_column_joins(n, width, us, vs),
-                                                          _column_meets(n, width, us, vs))]
-            if _word_bits(n, 2 * width, stacked) is None:
+            us, vs = [column[x] * ones for column in columns], lanes._cut_lanes(n, columns, ys)
+            stacked = [j << 8 * width | m for j, m in zip(lanes._column_joins(n, width, us, vs),
+                                                          lanes._column_meets(n, width, us, vs))]
+            if lanes._word_bits(n, 2 * width, stacked) is None:
                 # each lane alone, its bytes those of the columns in two's complement
                 mask = (1 << 16 * width) - 1
-                bounds = [lane if _word_bits(n, 1, list(lane)) is not None else None
-                          for lane in _split_rows(2 * width, [c & mask for c in stacked])]
+                bounds = [lane if lanes._word_bits(n, 1, list(lane)) is not None else None
+                          for lane in lanes._split_rows(2 * width, [c & mask for c in stacked])]
             else:
-                bounds = list(_split_rows(2 * width, stacked))
+                bounds = list(lanes._split_rows(2 * width, stacked))
             yield from zip([x] * width, ys, bounds, bounds[width:])
 
 
 def _row_name(n: int, row: bytes) -> str:
     """The cycle literal of the canonical word whose vector is row, a
-    lane that passes `_word_bits`, from the position of each letter i in
-    it: 1 stands first, and before i stand the letters 2 <= b < i that
-    i does not precede and the letters b > i that precede it,
+    lane that passes `lanes._word_bits`, from the position of each
+    letter i in it: 1 stands first, and before i stand the letters
+    2 <= b < i that i does not precede and the letters b > i that
+    precede it,
     (i - 1) - sum over 2 <= b < i of B(b, i) + sum over b > i of B(i, b),
     with B(b, i) = v[1,i] - v[1,b] - v[b,i]."""
     v = dict(zip(combinations(range(1, n + 1), 2), row))
@@ -1082,9 +853,9 @@ def check_young_limit(n: int, k: int, ranks: Sequence[int],
 
     The shuffle statistic must biject the truncation onto partitions of
     weight <= k and carry the order to containment: each element's
-    up-set (`_lane_up_sets`), cut to the truncation, must be the mask of
-    the elements whose partitions contain its own.  Only the words of
-    the truncation are decoded (`node_word`).
+    up-set (`lanes._lane_up_sets`), cut to the truncation, must be the
+    mask of the elements whose partitions contain its own.  Only the
+    words of the truncation are decoded (`node_word`).
     """
     if n < 2 * k:
         raise CyclatError(f"need n >= 2k, got n={n}, k={k}")
@@ -1095,7 +866,7 @@ def check_young_limit(n: int, k: int, ranks: Sequence[int],
     bijective = (len(set(encoding.values())) == len(ids)
                  and set(encoding.values()) == target)
     truncation = sum(1 << t for t in ids)
-    up_set = _lane_up_sets(n, columns)
+    up_set = lanes._lane_up_sets(n, columns)
     order_ok = all(
         up_set(a) & truncation
         == sum(1 << b for b in ids if partition_leq(encoding[a], encoding[b]))

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclat import affine, certificates, checks, kernels, oracle, perm, poset, vectors
+from cyclat import affine, certificates, checks, kernels, lanes, oracle, perm, poset, vectors
 from cyclat.errors import NotAdmittedError, QuadNotFlippableError
 from cyclat.oracle import join_by_search, order_by_closure
 from cyclat.perm import CircularPermutation, word_text
@@ -31,12 +31,13 @@ def lane_bit(k, width=1):
 
 
 def admitted_steps(diagram):
-    """The lanes of `certificates._block_steps`' steps up, whole columns:
-    for each coordinate k, bit 8t set iff node t's x + e_k is admitted."""
-    lanes = [0] * len(diagram.columns)
-    for first, _, (up,) in certificates._block_steps(diagram.n, diagram.columns, certificates.UP):
-        lanes = [whole | block << 8 * first for whole, block in zip(lanes, up)]
-    return lanes
+    """The steps up of `certificates._proved_blocks`, whole columns: for
+    each coordinate k, bit 8t set iff node t's x + e_k is admitted."""
+    steps = [0] * len(diagram.columns)
+    for first, _, _, (up, _) in certificates._proved_blocks(
+            diagram.n, diagram.columns, poset._inversion_columns(diagram.n)):
+        steps = [whole | block << 8 * first for whole, block in zip(steps, up)]
+    return steps
 
 
 def triangulation_by_vectors(n):
@@ -235,10 +236,10 @@ def stray_step(monkeypatch, n, pair, k):
     step_lanes = certificates._step_lanes
     index = list(combinations(range(1, n + 1), 2)).index(pair)
 
-    def added(n, ones, v, directions):
-        steps = step_lanes(n, ones, v, directions)
-        steps[directions.index(False)][index] |= lane_bit(k)
-        return steps
+    def added(n, ones, v):
+        up, down = step_lanes(n, ones, v)
+        up[index] |= lane_bit(k)
+        return up, down
 
     monkeypatch.setattr(certificates, "_step_lanes", added)
 
@@ -453,7 +454,7 @@ def vector(diagram, t):
 
 def lane_vectors(size, columns):
     """The vector in each of the `size` lanes of these int columns."""
-    return [tuple(row) for row in poset._split_rows(size, columns)]
+    return [tuple(row) for row in lanes._split_rows(size, columns)]
 
 
 def lane_columns(vectors):
@@ -462,10 +463,10 @@ def lane_columns(vectors):
 
 
 def wrong_lanes_at(diagram, x, y, z, meet=False):
-    """poset._column_joins (with `meet`, poset._column_meets), but the
+    """lanes._column_joins (with `meet`, lanes._column_meets), but the
     result for nodes x and y is node z, or the vector z, in every lane
     that holds the pair."""
-    column_op = poset._column_meets if meet else poset._column_joins
+    column_op = lanes._column_meets if meet else lanes._column_joins
     pair = {vector(diagram, x), vector(diagram, y)}
     wrong = z if isinstance(z, tuple) else vector(diagram, z)
 
@@ -478,7 +479,7 @@ def wrong_lanes_at(diagram, x, y, z, meet=False):
 
 
 def corrupt_square_lanes(diagram, op, corrupted):
-    """poset._column_joins (for op "meet", poset._column_meets), but
+    """lanes._column_joins (for op "meet", lanes._column_meets), but
     wrong on the pairs of `corrupted`: for each (op, k) in it, the pair
     of lane k of the square, divmod(k, nodes), holds a wrong node, the
     bottom for a join and the top for a meet.  In the square's
@@ -488,7 +489,7 @@ def corrupt_square_lanes(diagram, op, corrupted):
     failure as before the triangle.  The joins also see the meets' dual
     lanes, so a corrupted join lane also makes that lane's meet the
     top."""
-    column_op = poset._column_meets if op == "meet" else poset._column_joins
+    column_op = lanes._column_meets if op == "meet" else lanes._column_joins
     nodes = len(diagram.ranks)
     wrong = vector(diagram, diagram.top if op == "meet" else diagram.bottom)
     pairs = {(bound, tuple(sorted(divmod(k, nodes)))) for bound, k in corrupted}
@@ -562,7 +563,7 @@ class TestLatticeCheck:
         diagram = build(5)
         x = next(t for t, up in enumerate(diagram.up) if len(up) > 1)
         y, z = diagram.up[x][:2]
-        monkeypatch.setattr(poset, "_column_joins",
+        monkeypatch.setattr(lanes, "_column_joins",
                             wrong_lanes_at(diagram, y, z, diagram.top))
         report = checks.run_check("lattice", 5)
         assert not report.passed
@@ -575,7 +576,7 @@ class TestLatticeCheck:
         # the pair claim sees this join
         diagram = build(5)
         bottom, top = diagram.bottom, diagram.top
-        monkeypatch.setattr(poset, "_column_joins",
+        monkeypatch.setattr(lanes, "_column_joins",
                             wrong_lanes_at(diagram, bottom, top, bottom))
         assert checks._cover_failure(diagram) is None
         report = checks.run_check("lattice", 5)
@@ -602,7 +603,7 @@ class TestLatticeCheck:
         # more meets wrong, and no earlier one.
         diagram = build(n)
         for name, bound in (("_column_meets", "meet"), ("_column_joins", "join")):
-            monkeypatch.setattr(poset, name, corrupt_square_lanes(diagram, bound, corrupted))
+            monkeypatch.setattr(lanes, name, corrupt_square_lanes(diagram, bound, corrupted))
         assert checks._cover_failure(diagram) is None
         assert not diagram.square_tight_bounds()
         report = checks.run_check("lattice", n)
@@ -657,9 +658,9 @@ class TestLatticeCertificates:
         # lane t of coordinate k is set iff node t's vector plus e_k is
         # admitted, on every node and coordinate
         diagram = build(n)
-        lanes = admitted_steps(diagram)
-        assert len(lanes) == len(diagram.columns)
-        for k, mask in enumerate(lanes):
+        steps = admitted_steps(diagram)
+        assert len(steps) == len(diagram.columns)
+        for k, mask in enumerate(steps):
             for t, row in enumerate(diagram.rows):
                 raised = tuple(x + (c == k) for c, x in enumerate(row))
                 assert (mask >> 8 * t) & 0xff == kernels.is_admitted_flat(n, raised)
@@ -675,9 +676,9 @@ class TestLatticeCertificates:
         mutant = with_edge(without_edge(diagram, dropped), diagram.lo[0], diagram.hi[0])
         mutant_steps = certificates.unit_steps(mutant)
         assert sorted(mutant_steps) == sorted(steps)
-        assert [lanes.bit_count() for lanes in admitted_steps(mutant)] == \
-            [mutant_steps.count(k) for k in range(len(diagram.columns))]
-        assert not certificates.steps_are_covers(mutant, mutant_steps)
+        counts = [steps.bit_count() for steps in admitted_steps(mutant)]
+        assert counts == [mutant_steps.count(k) for k in range(len(diagram.columns))]
+        assert not certificates.steps_are_covers(mutant, mutant_steps, counts)
         assert not certificates.covers_certified(mutant, poset._inversion_columns(5))
         expected = lattice_by_pairs(mutant)
         assert expected[1]["op"] == "order"
@@ -691,7 +692,7 @@ class TestLatticeCertificates:
         x = next(t for t, up in enumerate(diagram.up) if len(up) > 1)
         y, z = diagram.up[x][:2]
         (j,) = diagram.joins([y], [z])
-        monkeypatch.setattr(poset, "_column_joins",
+        monkeypatch.setattr(lanes, "_column_joins",
                             wrong_lanes_at(diagram, y, z, diagram.up[j][0]))
         # the cover certificates hold, and the square's bound certificate
         # declines on the lane of the pair
@@ -718,7 +719,7 @@ class TestLatticeCertificates:
             xs, ys = draws[::2], draws[1::2]
             x, y = xs[-1], ys[-1]
             (m,) = diagram.bounds([x], [y])[1]
-        monkeypatch.setattr(poset, "_column_meets",
+        monkeypatch.setattr(lanes, "_column_meets",
                             wrong_lanes_at(diagram, x, y, diagram.down[m][0], meet=True))
         assert certificates.covers_certified(diagram, poset._inversion_columns(n))
         assert not (diagram.square_tight_bounds() if n == 5 else diagram.tight_bounds(xs, ys))
@@ -766,7 +767,7 @@ class TestLatticeCertificates:
 
         diagram = mutant()
         columns = [int.from_bytes(column, "big") for column in diagram.columns]
-        assert poset._word_bits(5, len(diagram.ranks), columns) is not None
+        assert lanes._word_bits(5, len(diagram.ranks), columns) is not None
         assert not certificates.nodes_are_words(diagram.n, diagram.columns,
                                                 poset._inversion_columns(5))
         assert not certificates.covers_certified(diagram, poset._inversion_columns(5))
@@ -782,7 +783,9 @@ class TestLatticeCertificates:
         pairs = checks.run_check("lattice", n).stats["pairs"]
         walked = []
         cover_failure = checks._cover_failure
-        monkeypatch.setattr(certificates, "step_ends", lambda n, columns: (1, 2))
+        step_totals = certificates._step_totals
+        monkeypatch.setattr(certificates, "_step_totals", lambda n, columns, inversions: (
+            1, 2, step_totals(n, columns, inversions)[2]))
         monkeypatch.setattr(checks, "_cover_failure",
                             lambda diagram: walked.append(diagram.n) or cover_failure(diagram))
         assert not certificates.covers_certified(build(n), poset._inversion_columns(n))
@@ -811,15 +814,15 @@ class TestLatticeCertificates:
         size = len(diagram.ranks)
         xs = [x for x in range(size) for _ in range(size)]
         ys = list(range(size)) * size
-        us, vs = (poset._gather(5, diagram.rows, ids) for ids in (xs, ys))
-        joins = poset._column_joins(5, len(xs), us, vs)
-        assert poset._column_tight(5, len(xs), us, vs, joins)
-        (js,) = diagram._bounds(xs, ys, poset._column_joins)
+        us, vs = (lanes._gather(5, diagram.rows, ids) for ids in (xs, ys))
+        joins = lanes._column_joins(5, len(xs), us, vs)
+        assert lanes._column_tight(5, len(xs), us, vs, joins)
+        (js,) = diagram._bounds(xs, ys, lanes._column_joins)
         for x, y, j in zip(xs[::7], ys[::7], js[::7]):
             above = bits(diagram.above_mask(x) & diagram.above_mask(y))
-            tight = [w for w in above if poset._column_tight(
-                5, 1, poset._gather(5, diagram.rows, [x]), poset._gather(5, diagram.rows, [y]),
-                poset._gather(5, diagram.rows, [w]))]
+            tight = [w for w in above if lanes._column_tight(
+                5, 1, lanes._gather(5, diagram.rows, [x]), lanes._gather(5, diagram.rows, [y]),
+                lanes._gather(5, diagram.rows, [w]))]
             assert tight == [j]
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -876,7 +879,7 @@ class TestLatticeBlocks:
         x, y = draws[-2:]
         (j,) = diagram.joins([x], [y])
         wrong = diagram.top if j != diagram.top else diagram.bottom
-        monkeypatch.setattr(poset, "_column_joins", wrong_lanes_at(diagram, x, y, wrong))
+        monkeypatch.setattr(lanes, "_column_joins", wrong_lanes_at(diagram, x, y, wrong))
         expected = lattice_by_pairs(diagram)
         assert not expected[0]
         report = checks.run_check("lattice", n)
@@ -899,7 +902,7 @@ class TestLatticeBlocks:
         assert not any(zero)
         no_node = zero[:1] + (1,) + zero[2:]
         name = "_column_meets" if meet else "_column_joins"
-        monkeypatch.setattr(poset, name, wrong_lanes_at(diagram, x, y, no_node, meet=meet))
+        monkeypatch.setattr(lanes, name, wrong_lanes_at(diagram, x, y, no_node, meet=meet))
         expected = lattice_by_pairs(diagram)
         assert expected[1]["op"] == ("meet" if meet else "join")
         report = checks.run_check("lattice", n)
@@ -948,7 +951,7 @@ def cover_join_mutant(monkeypatch, n, x, pair, subset):
     wrong = x
     for k in subset:
         (wrong,) = diagram.joins([wrong], [up[k]])
-    monkeypatch.setattr(poset, "_column_joins",
+    monkeypatch.setattr(lanes, "_column_joins",
                         wrong_lanes_at(diagram, up[pair[0]], up[pair[1]], wrong))
     return diagram
 
@@ -1071,14 +1074,14 @@ class TestCoverIndependence:
         # declines, the crosscut meets the join and fails, naming its
         # node; before, the crosscut counted the lookup's None as one
         # more join, and the check passed
-        column_joins = poset._column_joins
+        column_joins = lanes._column_joins
 
         def corrupt(n, size, us, vs):
             out = column_joins(n, size, us, vs)
             first = 8 * (size - 1)
             return [*out[:-1], out[-1] & ~(0xff << first) | 0x7f << first] if size else out
 
-        monkeypatch.setattr(poset, "_column_joins", corrupt)
+        monkeypatch.setattr(lanes, "_column_joins", corrupt)
         forced_decline(monkeypatch)
         expected = mobius_by_scan(build(5))
         assert not expected[0] and expected[1]["y"] is None
@@ -1133,7 +1136,7 @@ class TestKappaMatching:
         # J and M are the nodes of one lower and of one upper cover, each
         # with the coordinate of that cover's step
         diagram = build(n)
-        joins, meets = certificates.irreducibles(n, diagram.columns)
+        joins, meets = certificates.irreducibles(n, diagram.columns, poset._inversion_columns(n))
         assert joins == {t: step_of(diagram, near[0], t)
                          for t, near in enumerate(diagram.down) if len(near) == 1}
         assert meets == {t: step_of(diagram, t, near[0])
@@ -1141,16 +1144,14 @@ class TestKappaMatching:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_one_direction_is_that_half_of_both(self, n):
-        # the steps up asked for alone are the up half of one pass over
-        # both directions, and each node's steps are its covers, up and down
+        # each half of one pass over both directions, up then down, holds
+        # each node's steps, its covers in that direction
         diagram = build(n)
-        v = poset._lane_ints(n, diagram.columns)
+        v = lanes._lane_ints(n, diagram.columns)
         ones = int.from_bytes(b"\1" * len(diagram.ranks), "little")
-        (up,) = certificates._step_lanes(n, ones, v, certificates.UP)
-        both = certificates._step_lanes(n, ones, v, certificates.BOTH)
-        assert both[0] == up
-        for lanes, near in zip(both, (diagram.up, diagram.down)):
-            assert [sum(column >> 8 * t & 1 for column in lanes) for t in range(len(near))] == \
+        both = certificates._step_lanes(n, ones, v)
+        for steps, near in zip(both, (diagram.up, diagram.down)):
+            assert [sum(column >> 8 * t & 1 for column in steps) for t in range(len(near))] == \
                 list(map(len, near))
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -1158,7 +1159,7 @@ class TestKappaMatching:
         # each j's one R-partner is kappa(j) by the masks, and each m's one
         # R-partner the dual kappa(m)
         diagram = build(n)
-        joins, meets = certificates.irreducibles(n, diagram.columns)
+        joins, meets = certificates.irreducibles(n, diagram.columns, poset._inversion_columns(n))
         partners = certificates.kappa_partners(diagram.columns, joins, meets)
         kappa, dual = kappa_by_masks(diagram), kappa_by_masks(diagram, dual=True)
         assert partners == {j: [g] for j, g in kappa.items()}
@@ -1176,10 +1177,10 @@ class TestKappaMatching:
     def test_blocks_find_the_same_lanes(self, monkeypatch, block):
         # the n = 7 lanes cut in blocks, one lane, a few lanes and an
         # uneven hundred: the irreducibles are those of one block
-        columns = poset._vector_columns(7)
-        whole = certificates.irreducibles(7, columns)
+        columns, inversions = poset._vector_columns(7), poset._inversion_columns(7)
+        whole = certificates.irreducibles(7, columns, inversions)
         monkeypatch.setattr(certificates, "LANE_BLOCK", block)
-        assert certificates.irreducibles(7, columns) == whole
+        assert certificates.irreducibles(7, columns, inversions) == whole
 
     def test_many_steps_leave_the_next_lane_alone(self):
         # lane 0 has a step in each of 40 coordinates, lane 1 only in the
@@ -1203,8 +1204,9 @@ class TestKappaMatching:
         # but that j's partner now has none, so the certificate declines
         # on that m alone, and the walk passes the real order
         found = certificates.irreducibles
-        monkeypatch.setattr(certificates, "irreducibles", lambda n, columns: (
-            dict(list(found(n, columns)[0].items())[1:]), found(n, columns)[1]))
+        monkeypatch.setattr(certificates, "irreducibles", lambda n, columns, inversions: (
+            dict(list(found(n, columns, inversions)[0].items())[1:]),
+            found(n, columns, inversions)[1]))
         report = checks.run_check("semidistributive", n)
         assert report.passed
         assert report.stats == {"irreducibles": 2 ** (n - 1) - n - 1, "declined": 1}
@@ -1230,9 +1232,9 @@ class TestKappaMatching:
         walked = []
         check = poset.check_semidistributive
 
-        def without_up_13(n, ones, v, directions):
-            up, down = step_lanes(n, ones, v, directions)
-            return [lanes * (k != 1) for k, lanes in enumerate(up)], down
+        def without_up_13(n, ones, v):
+            up, down = step_lanes(n, ones, v)
+            return [steps * (k != 1) for k, steps in enumerate(up)], down
 
         monkeypatch.setattr(certificates, "_step_lanes", without_up_13)
         monkeypatch.setattr(poset, "check_semidistributive",
@@ -1241,6 +1243,36 @@ class TestKappaMatching:
         assert report.passed and report.witness is None
         assert report.stats["declined"] > 0 and walked == [n]
         assert report.phases["masks"] > 0
+
+
+class TestProvedBlocks:
+    """No step lane is read off lanes not yet proved the words' vectors."""
+
+    def test_readers_stop_at_the_first_unproved_block(self, monkeypatch):
+        # n = 5 in blocks of 7 lanes, lane 9 of block 1 no word's vector:
+        # every step reader declines, and `_step_lanes` is handed the
+        # lanes of block 0 alone; the words-only proof hands it none
+        monkeypatch.setattr(certificates, "LANE_BLOCK", 7)
+        columns = corrupt_lane(monkeypatch, 5, 9)
+        inversions = poset._inversion_columns(5)
+        diagram = build(5)
+        diagram.columns = tuple(columns)  # the cached view, set before any use
+        handed = []
+        step_lanes = certificates._step_lanes
+        monkeypatch.setattr(certificates, "_step_lanes",
+                            lambda n, ones, v: handed.append(v) or step_lanes(n, ones, v))
+        block_0 = lanes._lane_ints(5, [column[:7] for column in columns])
+        for reader in (certificates.step_ends, certificates.irreducibles,
+                       certificates.kappa_matching, certificates.cyclic_steps):
+            handed.clear()
+            assert reader(5, columns, inversions) is None
+            assert handed == [block_0]
+        handed.clear()
+        assert not certificates.covers_certified(diagram, inversions)
+        assert handed == [block_0]
+        handed.clear()
+        assert not certificates.nodes_are_words(5, columns, inversions)
+        assert handed == []
 
 
 def flips(t):
@@ -1277,13 +1309,13 @@ class TestTriangulationCheck:
         # admitted and only its sum is wrong
         tris = vectors.all_triangulations(5)
         columns = poset._vector_columns(5)
-        defects = dict(poset._triple_defects(5, {
+        defects = dict(lanes._triple_defects(5, {
             pair: int.from_bytes(column, "little")
             for pair, column in zip(combinations(range(1, 6), 2), columns)}))
         k = next(k for k in range(24) if triple in tris[k % 5].triangles
                  and not defects[triple] >> 8 * k & 0xff)
         flat = tuple(column[k] for column in columns)
-        triple_defects = poset._triple_defects
+        triple_defects = lanes._triple_defects
 
         def off_by_one(n, v):
             for t, d in triple_defects(n, v):
@@ -1294,7 +1326,7 @@ class TestTriangulationCheck:
         def off_by_one_at_k(v, i, j, k):
             return delta(v, i, j, k) + (v.flat == flat and (i, j, k) == triple)
 
-        monkeypatch.setattr(poset, "_triple_defects", off_by_one)
+        monkeypatch.setattr(lanes, "_triple_defects", off_by_one)
         monkeypatch.setattr(vectors, "delta", off_by_one_at_k)
         report = checks.run_check("triangulation", 5)
         assert not report.passed
@@ -1498,7 +1530,7 @@ class TestWitnessBranches:
         # every join is right, so the pair (bottom, top) fails at its meet
         diagram = build(5)
         bottom, top = diagram.bottom, diagram.top
-        monkeypatch.setattr(poset, "_column_meets",
+        monkeypatch.setattr(lanes, "_column_meets",
                             wrong_lanes_at(diagram, bottom, top, top, meet=True))
         report = checks.run_check("lattice", 5)
         assert not report.passed
@@ -1559,7 +1591,7 @@ class TestModularityLanes:
         """The first pair the scan reads: the first row x with a node
         after x and not above it, and that node."""
         columns, size = poset._vector_columns(n), factorial(n - 1)
-        up_set = poset._lane_up_sets(n, columns)
+        up_set = lanes._lane_up_sets(n, columns)
         for x in range(size):
             row = bits(((1 << size) - (1 << (x + 1))) & ~up_set(x))
             if row:
@@ -1571,14 +1603,14 @@ class TestModularityLanes:
         # first pair: that join, and the meet of the dual lanes, is no
         # node.  The scan names the pair; before, it looked the join up
         # as a node and indexed the ranks with None
-        column_joins = poset._column_joins
+        column_joins = lanes._column_joins
 
         def corrupt(n, size, us, vs):
             out = column_joins(n, size, us, vs)
             first = 8 * (size - 1)
             return [*out[:-1], out[-1] & ~(0xff << first) | 0x7f << first]
 
-        monkeypatch.setattr(poset, "_column_joins", corrupt)
+        monkeypatch.setattr(lanes, "_column_joins", corrupt)
         x, y = self.first_pair(n)
         report = checks.run_check("modularity", n)
         assert not report.passed
@@ -1620,10 +1652,10 @@ def without_lane_steps(monkeypatch, lane, side):
     down (side 1) dropped, one block of lanes."""
     step_lanes = certificates._step_lanes
 
-    def dropped(n, ones, v, directions):
-        lanes = step_lanes(n, ones, v, directions)
-        lanes[side] = [column & ~(0xff << 8 * lane) for column in lanes[side]]
-        return lanes
+    def dropped(n, ones, v):
+        steps = list(step_lanes(n, ones, v))
+        steps[side] = [column & ~(0xff << 8 * lane) for column in steps[side]]
+        return tuple(steps)
     monkeypatch.setattr(certificates, "_step_lanes", dropped)
 
 
@@ -1676,16 +1708,18 @@ class TestGradingLanes:
                   for k in range(len(row)) for sign in (-1, 1)] for row in diagram.rows]
         ends = (sum(not any(found[::2]) for found in steps),
                 sum(not any(found[1::2]) for found in steps))
-        assert certificates.step_ends(n, diagram.columns) == ends == (1, 1)
-        assert certificates.steps_are_covers(diagram, certificates.unit_steps(diagram))
+        inversions = poset._inversion_columns(n)
+        assert certificates.step_ends(n, diagram.columns, inversions) == ends == (1, 1)
+        counts = certificates._step_totals(n, diagram.columns, inversions)[2]
+        assert certificates.steps_are_covers(diagram, certificates.unit_steps(diagram), counts)
 
     def test_young_fails_on_an_up_set_missing_one_element(self, monkeypatch):
         # every up-set loses the truncation's last node by id, which
         # lies above the bottom, so the bottom's cut up-set is wrong
-        lane_up_sets = poset._lane_up_sets
+        lane_up_sets = lanes._lane_up_sets
         ranks = poset._prefix_ranks(5)
         dropped = max(t for t, rank in enumerate(ranks) if rank <= 2)
-        monkeypatch.setattr(poset, "_lane_up_sets", lambda n, columns: (
+        monkeypatch.setattr(lanes, "_lane_up_sets", lambda n, columns: (
             lambda x, up_set=lane_up_sets(n, columns): up_set(x) & ~(1 << dropped)))
         report = checks.run_check("young", 5)
         assert not report.passed and report.stats == {}
@@ -1765,6 +1799,20 @@ class TestSharedDiagram:
             computed.clear()
             assert checks.run_check(name, 6).passed
             assert computed == ([] if name == "eulerian" else [6])
+
+    def test_kappa_matching_computed_once_a_run(self, monkeypatch):
+        # mobius and semidistributive read one matching of the run's
+        # columns: once in run_all, once in each run_check that reads it
+        computed = []
+        kappa_matching = checks.kappa_matching
+        monkeypatch.setattr(checks, "kappa_matching", lambda n, columns, inversions:
+                            computed.append(n) or kappa_matching(n, columns, inversions))
+        assert all(r.passed for r in checks.run_all(6))
+        assert computed == [6]
+        for name in checks.CHECKS:
+            computed.clear()
+            assert checks.run_check(name, 6).passed
+            assert computed == ([6] if name in ("mobius", "semidistributive") else [])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_run_all_matches_run_check(self, n):

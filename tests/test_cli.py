@@ -414,14 +414,14 @@ class TestCheck:
         assert "order 6 exceeds the cap 4" in err
 
     def test_lattice_reports_a_join_off_the_nodes(self, capsys, monkeypatch):
-        from cyclat import poset
-        column_joins = poset._column_joins
+        from cyclat import lanes
+        column_joins = lanes._column_joins
 
         def last_plus_one(n, size, us, vs):
             out = column_joins(n, size, us, vs)
             return out[:-1] + [out[-1] + int.from_bytes(b"\1" * size, "big")]
 
-        monkeypatch.setattr(poset, "_column_joins", last_plus_one)
+        monkeypatch.setattr(lanes, "_column_joins", last_plus_one)
         code, out, err = run(capsys, "check", "lattice", "4", "--json")
         assert code == 1 and err == ""
         (report,) = json.loads(out)
@@ -430,8 +430,8 @@ class TestCheck:
         assert len(report["witness"]["pair"]) == 2
 
     def test_lattice_reports_a_join_not_least(self, capsys, monkeypatch):
-        from cyclat import poset
-        monkeypatch.setattr(poset, "_column_joins", lambda n, size, us, vs: list(us))
+        from cyclat import lanes
+        monkeypatch.setattr(lanes, "_column_joins", lambda n, size, us, vs: list(us))
         code, out, err = run(capsys, "check", "lattice", "4")
         assert code == 1 and err == ""
         assert "[FAIL] lattice n=4" in out and "'op': 'join'" in out

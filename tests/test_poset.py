@@ -14,7 +14,7 @@ from operator import and_, or_
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclat import _pykernels, checks, kernels, oracle, poset
+from cyclat import _pykernels, checks, kernels, lanes, oracle, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
 from cyclat.perm import (
     CircularPermutation,
@@ -311,14 +311,14 @@ class TestVectorColumns:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lane_up_sets_are_the_masks(self, n):
         diagram = build(n)
-        up_set = poset._lane_up_sets(n, diagram.columns)
+        up_set = lanes._lane_up_sets(n, diagram.columns)
         assert [up_set(x) for x in range(len(diagram.ranks))] == \
             [diagram.above_mask(x) for x in range(len(diagram.ranks))]
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_lane_up_sets_of_seeded_nodes(self, n):
         diagram = build(n)
-        up_set = poset._lane_up_sets(n, diagram.columns)
+        up_set = lanes._lane_up_sets(n, diagram.columns)
         rng = random.Random(n)
         for x in [diagram.bottom, diagram.top] + rng.sample(range(len(diagram.ranks)), 12):
             assert up_set(x) == diagram.above_mask(x)
@@ -414,13 +414,13 @@ class TestColumnBounds:
 
     def test_bounds_gathers_each_side_once(self, monkeypatch):
         gathered = []
-        gather = poset._gather
+        gather = lanes._gather
 
         def counting_gather(n, rows, ids):
             gathered.append(list(ids))
             return gather(n, rows, ids)
 
-        monkeypatch.setattr(poset, "_gather", counting_gather)
+        monkeypatch.setattr(lanes, "_gather", counting_gather)
         diagram = build(5)
         xs, ys = [0, 3, 23, 7], [5, 3, 0, 11]
         assert diagram.bounds(xs, ys) == _kernel_bounds(diagram, xs, ys)
@@ -432,7 +432,7 @@ class TestColumnBounds:
         # row with one of them 1 is no node's; the other lanes still are.
         # The meets run the join too, so a wrong join is read by `joins`.
         name = "_column_meets" if meet else "_column_joins"
-        column_op = getattr(poset, name)
+        column_op = getattr(lanes, name)
         adjacent = kernels.pair_index(5, 2, 3)
 
         def set_adjacent(n, size, us, vs):
@@ -440,7 +440,7 @@ class TestColumnBounds:
             out[adjacent] |= 1 << 8 * (size - 1)  # lane 0 only
             return out
 
-        monkeypatch.setattr(poset, name, set_adjacent)
+        monkeypatch.setattr(lanes, name, set_adjacent)
         diagram = build(5)
         xs, ys = [0, 3, 23], [5, 7, 11]
         expected = _kernel_bounds(diagram, xs, ys)
@@ -459,13 +459,13 @@ class TestColumnBounds:
         # (b, a), so lanes where a >= b and a < b alternate
         words = data.draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
         vecs = [_top_vector(n)] + [kernels.word_vector(tuple(w)) for w in words]
-        lanes = [lane for a, b in combinations(vecs, 2) for lane in ((a, b), (b, a))]
-        size = len(lanes)
-        us, vs = _columns(a for a, _ in lanes), _columns(b for _, b in lanes)
-        assert _lanes(size, poset._column_joins(n, size, us, vs)) == \
-            [kernels.join_flat(n, a, b) for a, b in lanes]
-        assert _lanes(size, poset._column_meets(n, size, us, vs)) == \
-            [kernels.meet_flat(n, a, b) for a, b in lanes]
+        pairs = [lane for a, b in combinations(vecs, 2) for lane in ((a, b), (b, a))]
+        size = len(pairs)
+        us, vs = _columns(a for a, _ in pairs), _columns(b for _, b in pairs)
+        assert _lanes(size, lanes._column_joins(n, size, us, vs)) == \
+            [kernels.join_flat(n, a, b) for a, b in pairs]
+        assert _lanes(size, lanes._column_meets(n, size, us, vs)) == \
+            [kernels.meet_flat(n, a, b) for a, b in pairs]
 
     def test_refuses_an_order_past_the_guard_bit(self, monkeypatch):
         def refuse(n):
@@ -475,11 +475,11 @@ class TestColumnBounds:
         top, zero = _top_vector(65), (0,) * comb(65, 2)
         us, vs = _columns([top, zero]), _columns([top, top])
         # the compiled kernels refuse n > 64, so the reference is pure
-        assert _lanes(2, poset._column_joins(65, 2, us, vs)) == \
+        assert _lanes(2, lanes._column_joins(65, 2, us, vs)) == \
             [_pykernels.join_flat(65, top, top), _pykernels.join_flat(65, zero, top)]
-        assert _lanes(2, poset._column_meets(65, 2, us, vs)) == \
+        assert _lanes(2, lanes._column_meets(65, 2, us, vs)) == \
             [_pykernels.meet_flat(65, top, top), _pykernels.meet_flat(65, zero, top)]
-        for column_op in (poset._column_joins, poset._column_meets):
+        for column_op in (lanes._column_joins, lanes._column_meets):
             with pytest.raises(CyclatError, match="order 66 exceeds 65"):
                 column_op(66, 2, us, vs)
 
@@ -495,8 +495,8 @@ class TestSquareLanes:
         rows = range(size // 3, size // 3 + min(size, 24) // 2 + 1)
         xs = [x for x in rows for _ in range(x, size)]
         ys = [y for x in rows for y in range(x, size)]
-        assert poset._triangle_lanes(n, diagram.columns, rows) == \
-            (poset._gather(n, diagram.rows, xs), poset._gather(n, diagram.rows, ys))
+        assert lanes._triangle_lanes(n, diagram.columns, rows) == \
+            (lanes._gather(n, diagram.rows, xs), lanes._gather(n, diagram.rows, ys))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cut_lanes_are_the_gathered_lanes(self, n):
@@ -505,7 +505,7 @@ class TestSquareLanes:
         diagram = build(n)
         size = len(diagram.ranks)
         for ids in ([size - 1], [0, size - 1], list(range(size))[::-1], [size // 2] * 3):
-            assert poset._cut_lanes(n, diagram.columns, ids) == poset._gather(n, diagram.rows, ids)
+            assert lanes._cut_lanes(n, diagram.columns, ids) == lanes._gather(n, diagram.rows, ids)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_lane_bounds_are_symmetric_in_the_pair(self, n):
@@ -516,17 +516,17 @@ class TestSquareLanes:
         size = len(diagram.ranks)
         xs = [x for x in range(size) for _ in range(size)]
         ys = list(range(size)) * size
-        us, vs = (poset._gather(n, diagram.rows, ids) for ids in (xs, ys))
-        lanes = len(xs)
-        joins = poset._column_joins(n, lanes, us, vs)
-        meets = poset._column_meets(n, lanes, us, vs)
-        assert poset._column_joins(n, lanes, vs, us) == joins
-        assert poset._column_meets(n, lanes, vs, us) == meets
-        duals = [poset._dual_lanes(n, lanes, c) for c in (us, vs, meets)]
+        us, vs = (lanes._gather(n, diagram.rows, ids) for ids in (xs, ys))
+        width = len(xs)
+        joins = lanes._column_joins(n, width, us, vs)
+        meets = lanes._column_meets(n, width, us, vs)
+        assert lanes._column_joins(n, width, vs, us) == joins
+        assert lanes._column_meets(n, width, vs, us) == meets
+        duals = [lanes._dual_lanes(n, width, c) for c in (us, vs, meets)]
         for side, other, result, tight in ((us, vs, joins, True), (*duals, True),
                                            (us, vs, meets, n < 3)):
-            assert poset._column_tight(n, lanes, side, other, result) == tight
-            assert poset._column_tight(n, lanes, other, side, result) == tight
+            assert lanes._column_tight(n, width, side, other, result) == tight
+            assert lanes._column_tight(n, width, other, side, result) == tight
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_square_bounds_are_the_gathered_bounds(self, monkeypatch, n):
@@ -540,7 +540,7 @@ class TestSquareLanes:
         ys = list(range(size)) * size
         assert list(diagram.bounds(xs, ys)) == list(_kernel_bounds(diagram, xs, ys))
         assert diagram.square_tight_bounds() and diagram.tight_bounds(xs, ys)
-        monkeypatch.setattr(poset, "_column_meets", poset._column_joins)
+        monkeypatch.setattr(lanes, "_column_meets", lanes._column_joins)
         assert diagram.square_tight_bounds() == diagram.tight_bounds(xs, ys) == (n < 3)
 
 
@@ -553,14 +553,14 @@ class TestAdjacentLanes:
         diagram = build(n)
         ids = list(range(len(diagram.ranks))) * 3
         size = len(ids)
-        us = poset._gather(n, diagram.rows, ids)
+        us = lanes._gather(n, diagram.rows, ids)
         adjacent = [kernels.pair_index(n, i, i + 1) for i in range(1, n)]
         read = [ij for ij, _ in _pykernels._fill_plan(n)]
         assert sorted(adjacent + read) == list(range(comb(n, 2)))
         assert [us[c] for c in adjacent] == [0] * (n - 1)
         assert [us[c].to_bytes(size, "big") for c in read] == \
             [bytes(diagram.columns[c][t] for t in ids) for c in read]
-        for column_op in (poset._column_joins, poset._column_meets):
+        for column_op in (lanes._column_joins, lanes._column_meets):
             out = column_op(n, size, us, us)
             assert [out[c] for c in adjacent] == [0] * (n - 1)
             assert _lanes(size, out) == _lanes(size, us)
@@ -574,7 +574,7 @@ def _box(n):
 
 class TestNodeLanes:
     """The certificates' "is a node", `HasseDiagram._nodes`, is a lane
-    test on int columns (`poset._word_bits`), with no row and no
+    test on int columns (`lanes._word_bits`), with no row and no
     `vec_index`."""
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -617,11 +617,11 @@ class TestNodeLanes:
         bad = tuple(v.values())
         below, above = ([kernels.word_vector(word()) for _ in range(data.draw(st.integers(1, 3)))]
                         for _ in range(2))
-        lanes = [*below, bad, *above]
-        alone = [poset._word_bits(n, 1, list(lane)) is not None for lane in lanes]
-        assert alone == [lane is not bad for lane in lanes]
-        for order in (lanes, lanes[::-1]):
-            assert (poset._word_bits(n, len(order), _columns(order)) is not None) == all(alone)
+        rows = [*below, bad, *above]
+        alone = [lanes._word_bits(n, 1, list(lane)) is not None for lane in rows]
+        assert alone == [lane is not bad for lane in rows]
+        for order in (rows, rows[::-1]):
+            assert (lanes._word_bits(n, len(order), _columns(order)) is not None) == all(alone)
 
 
 class TestDualDiagram:
@@ -899,7 +899,7 @@ def modular_by_diagram(diagram):
     `HasseDiagram.bounds`, read back through `vec_index`, and the ranks
     of those nodes looked up."""
     size, ranks = len(diagram.ranks), diagram.ranks
-    up_set = poset._lane_up_sets(diagram.n, diagram.columns)
+    up_set = lanes._lane_up_sets(diagram.n, diagram.columns)
     for x in range(size):
         later = ((1 << size) - 1) ^ ((1 << (x + 1)) - 1)
         ys = poset.bits(later & ~up_set(x))
