@@ -1,28 +1,33 @@
 """Certificates of the `lattice`, `grading`, `mobius`,
 `semidistributive` and `alpha` claims.
 
-The certificates read the vector columns in blocks of `LANE_BLOCK`
-nodes, and read no step lane off a block before they prove it the
-words' vectors (`_proved_blocks`).  `lanes._word_bits` passes a batch
-of lanes exactly when each is the vector of some canonical word, and
-returns the inversion bits B(i, j) it reads from them.  Where it passes
-on every block and the B equal `poset._inversion_columns(n)`, handed
-in by the caller (in a check the run's, `checks.CheckRun.inversions`,
-the bits its columns were joined from), node t's row is the t-th
-word's vector: no two rows are equal, and every word's vector is a
-row.  So "is a node" is a lane test, not a lookup: a result lane that
-passes `lanes._word_bits` is some node's row, and the certificates
-never build `vec_index`.  The lane format and its readers are in
-`cyclat.lanes`; this module holds the argument.
+Every certificate reads one pass, `prove`, made once a check run
+(`checks.CheckRun.proof`).  It reads the vector columns in blocks of
+`LANE_BLOCK` nodes, and reads no step lane off a block before it
+proves it the words' vectors.  `lanes._word_bits` passes a batch of
+lanes exactly when each is the vector of some canonical word, and
+returns their triple defects, the inversion bits B(i, j) first.  Where
+it passes on every block and the B equal `poset._inversion_columns(n)`,
+handed in by the caller (in a check the run's,
+`checks.CheckRun.inversions`, the bits its columns were joined from),
+node t's row is the t-th word's vector: no two rows are equal, and
+every word's vector is a row.  So "is a node" is a lane test, not a
+lookup: a result lane that passes `lanes._word_bits` is some node's
+row, and the certificates never build `vec_index`.  The steps of each
+proved block are read off the same defects (`_step_lanes`), and folded
+into a `Proof`: the nodes with no step down or up, the count of the
+steps up of each coordinate, the irreducibles J and M, and whether
+every step is a cyclic predecessor's.  The lane format and its readers
+are in `cyclat.lanes`; this module holds the argument.
 
 `checks._check_lattice` claims that the order is the closure of its
 covers and that it is a lattice.  `covers_certified` proves both,
-holding no up-set and no threshold mask: one pass over the proved
-blocks (`_step_totals`) finds one node with no admitted step up, which
-makes the nodes an interval of the affine weak order, a lattice
-(point 7 below), and counts the admitted unit steps x + e_k of each k;
-`unit_steps` and `steps_are_covers` prove the edges exactly those
-steps, which the exchange lemma below makes the closure.  The check's
+holding no up-set and no threshold mask: the `Proof` has one node
+with no admitted step up, which makes the nodes an interval of the
+affine weak order, a lattice (point 7 below), and counts the admitted
+unit steps x + e_k of each k; `unit_steps` and `steps_are_covers`
+prove the edges exactly those steps, which the exchange lemma below
+makes the closure.  The check's
 third claim, on the bounds of its tested pairs, is about the code and
 not the order: the lane recursion's joins are tight nodes, and so are
 its meets on the dual lanes (`HasseDiagram.tight_bounds`).
@@ -69,7 +74,7 @@ A. Bjorner and F. Brenti, *Combinatorics of Coxeter Groups*, Springer,
    by 4 they are admitted.
 6. An admitted vector's entries are at most n - 2, so x + e_k is a
    canonical word's vector by `lanes._word_bits`' argument, hence a
-   node's row (`_proved_blocks`), and by `steps_are_covers` an upper
+   node's row (`prove`), and by `steps_are_covers` an upper
    cover of x through an edge.  So every node z > x lies above a cover
    of x.  By induction on the sum of z - x, Up(x) is bit x OR the
    up-sets of x's covers, and every edge is a unit step up: the order
@@ -78,7 +83,7 @@ A. Bjorner and F. Brenti, *Combinatorics of Coxeter Groups*, Springer,
    lattice.  By 2-4 and 6, x -> the window of x maps the nodes one to
    one onto the lower set L of 3, the increasing windows whose
    consecutive gaps are below n, and by 3 it maps the componentwise
-   order onto the left weak order.  L is finite.  Where `step_ends`
+   order onto the left weak order.  L is finite.  Where `Proof.tops`
    counts one node with no admitted step up, every other node x has an
    admitted x + e_k, a node above it, so climbing by such steps from
    any node ends at that one node.  Its window w lies above every
@@ -99,9 +104,10 @@ claims node by node (`checks._cover_failure`), and the tested pairs one
 by one (`checks._pair_failure`), which decides and names the witness.
 `checks._check_grading` reads the lemma too: every cover is a unit
 step, and on the dual lanes M - v every node above a minimal one has
-an admitted step down, so `step_ends` counts the extremes.
+an admitted step down, so `Proof.bottoms` and `Proof.tops` count the
+extremes.
 
-Chain conjugators by a closed-form potential (`cyclic_steps`, for
+Chain conjugators by a closed-form potential (`Proof.cyclic`, for
 `checks._check_alpha`).  A cover of x swaps a large circular descent
 j i of x's word w, j > i + 1, the wrap-around factor j 1 included, and
 is labelled (i j) (`poset._cover_rows`).  Let A(x) be w rotated by
@@ -111,7 +117,7 @@ from 0 (`poset.conjugator_potential`).  B(p, q) = [q before p],
 B(k, k+1) over k < q, so that x[p,q] = S[q] - S[p] - B(p, q)
 (`poset._vector_columns`).
 1. Each block is proved the words' vectors, so lane t is the t-th
-   word's vector, and B is read off the same block (`_proved_blocks`).
+   word's vector, and B is read off the same block (`prove`).
 2. By the exchange lemma the covers of x are exactly the admitted
    x + e_(i,j), i < j: every z > x lies above one, and each raises the
    coordinate sum by 1.  An adjacent coordinate is 0 in every node, so
@@ -163,12 +169,11 @@ join is y, the empty set's join being x.
    has a greatest element, which is meet-semidistributivity (Theorem
    2.56, below).  So `mobius` rests on that certificate, run on the
    run's columns (`checks.CheckRun.matching`), and not on the verdict
-   of `semidistributive`; the crosscut
-   theorem and the law's theorem presume a lattice, the claim of
-   `lattice`.  Where `kappa_matching` declines, or the lanes are not
-   the words' vectors, nothing is proved: the check then runs the
-   crosscut at every node (`poset.mobius_from`), which decides and
-   names the witness.
+   of `semidistributive`; the crosscut theorem and the law's theorem
+   presume a lattice, the claim of `lattice`.  Where `kappa_matching`
+   declines, or the lanes are not the words' vectors, nothing is
+   proved: the check then runs the crosscut at every node
+   (`poset.mobius_from`), which decides and names the witness.
 
 Semidistributivity as a matching of irreducibles (`kappa_matching`, for
 `checks._check_semidistributive`).  Let J be the nodes with exactly one
@@ -200,29 +205,30 @@ J. Jezek and J. B. Nation, *Free Lattices*, AMS, 1995, Theorem 2.56).
    M has exactly one R-partner: R is a perfect matching of J and M,
    the kappa bijection, and |J| = |M|.
 The argument rests on two proofs, not on another check's verdict: the
-nodes are exactly the admitted vectors (`_proved_blocks`, whose words'
-vectors are admitted), and the exchange lemma.  That the order is a
-lattice, which the theorem presumes, is the claim of `lattice`; the mask
-walk `poset.kappa_failure` presumes it too.
-On lanes, `_step_lanes` reads the steps down beside the steps up of a
-proved block, off one pass over its triple defects: x - e_k is
-admitted iff the defects with long side k are 1 and those with k a
-short side 0.  `_single_steps` names J and M and each one's step, and
-`kappa_partners` tests each j against the m of its (k, m_k).  A
-certificate that declines proves nothing: the check then runs the mask
-walk, which decides and names the witness.
+nodes are exactly the admitted vectors (`prove`, whose words' vectors
+are admitted), and the exchange lemma.  That the order is a lattice,
+which the theorem presumes, is the claim of `lattice`; the mask walk
+`poset.kappa_failure` presumes it too.
+On lanes, `_step_lanes` reads the steps up of a proved block off its
+triple defects, and its steps down as the steps up of the dual lanes
+M - v, whose defects are 1 - D: x - e_k is admitted iff the defects
+with long side k are 1 and those with k a short side 0.
+`_single_steps` names J and M and each one's step (`Proof.joins` and
+`Proof.meets`), and `kappa_partners` tests each j against the m of its
+(k, m_k).  A certificate that declines proves nothing: the check then
+runs the mask walk, which decides and names the witness.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, islice
 from math import comb, factorial
 from operator import itemgetter, lt, or_, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from cyclat import lanes, poset
+from cyclat import kernels, lanes, poset
 
 Inversions = dict[tuple[int, int], bytes]  # `poset._inversion_columns(n)`
 
@@ -230,67 +236,77 @@ Inversions = dict[tuple[int, int], bytes]  # `poset._inversion_columns(n)`
 LANE_BLOCK = 1 << 15
 
 
-def covers_certified(diagram: poset.HasseDiagram, inversions: Inversions) -> bool:
-    """Whether the certificates prove the two cover claims of
-    `checks._check_lattice`: one pass over the proved blocks
-    (`_step_totals`, against the inversion bits `inversions`) finds one
-    node with no admitted step down and one with none up, which makes
-    the order an interval of the affine weak order, a lattice (module
-    docstring, point 7) and counts the admitted unit steps; every edge
-    is a unit step (`unit_steps`); and the edges are exactly those steps
-    (`steps_are_covers`).  False proves nothing."""
-    totals = _step_totals(diagram.n, diagram.columns, inversions)
-    if totals is None or totals[:2] != (1, 1):
-        return False
-    steps = unit_steps(diagram)
-    return steps is not None and steps_are_covers(diagram, steps, totals[2])
+class Proof(NamedTuple):
+    """What `prove` folds over the proved blocks of the order-n vector
+    columns: `bottoms` and `tops`, the nodes with no admitted step down
+    and with none up; `counts[k]`, the nodes whose x + e_k is admitted,
+    k in the pair order of the columns; `joins` (J) and `meets` (M),
+    the nodes with exactly one admitted step down and with exactly one
+    up, each as {node: the coordinate k of that step}, in id order; and
+    `cyclic`, whether every admitted step x + e_(i,j) has j the cyclic
+    predecessor of i in x's word (`_stray_steps`)."""
+
+    bottoms: int
+    tops: int
+    counts: list[int]
+    joins: dict[int, int]
+    meets: dict[int, int]
+    cyclic: bool
 
 
-def nodes_are_words(n: int, columns: Sequence[bytes], inversions: Inversions) -> bool:
-    """Whether lane t of the order-n vector columns, one byte a node, is
-    the vector of the t-th canonical word for every t: every block of
-    `_word_blocks` is proved, and no step lane is read.  Word vectors
-    are admitted, their triple defects being those bits and their
-    sums."""
-    return sum(width for _, width, _, _ in _word_blocks(n, columns, inversions)) == \
-        factorial(n - 1)
-
-
-def _sized(n: int, columns: Sequence[bytes]) -> bool:
-    """Whether there are C(n, 2) columns of (n-1)! lanes each."""
-    return list(map(len, columns)) == [factorial(n - 1)] * comb(n, 2)
-
-
-def _word_blocks(n: int, columns: Sequence[bytes], inversions: Inversions
-                 ) -> Iterator[tuple[int, int, dict[tuple[int, int], int], list[int]]]:
-    """The order-n columns in blocks of `LANE_BLOCK` lanes, up to the
-    first block whose lanes are not the words' vectors, and none unless
-    the columns are sized (`_sized`): for each, its first node, its
-    width, its columns read as ints (`lanes._lane_ints`), and the
-    inversion bits `lanes._word_bits` reads from them, which are those
-    of `inversions`, `poset._inversion_columns(n)`, on the same lanes."""
-    if not _sized(n, columns):
-        return
+def prove(n: int, columns: Sequence[bytes], inversions: Inversions) -> Proof | None:
+    """The `Proof` of the order-n vector columns, one pass over them in
+    blocks of `LANE_BLOCK` lanes; None unless there are C(n, 2) columns
+    of (n-1)! lanes and every block's lanes are the words' vectors
+    (`lanes._word_bits`), with the inversion bits of `inversions`,
+    `poset._inversion_columns(n)`, on the same lanes.  No step is read
+    off a block before it is proved.  The lanes are read as ints for the
+    word test alone, which frees them once it has read the inversion
+    bits, and its triple defects are the steps' source (`_step_lanes`):
+    each direction's lanes are folded and freed before the next are
+    read."""
     size = factorial(n - 1)
+    if list(map(len, columns)) != [size] * comb(n, 2):
+        return None
+    bottoms = tops = 0
+    counts = [0] * len(columns)
+    joins: dict[int, int] = {}
+    meets: dict[int, int] = {}
+    cyclic = True
     for first in range(0, size, LANE_BLOCK):
         width = min(LANE_BLOCK, size - first)
-        v = lanes._lane_ints(n, (column[first:first + width] for column in columns))
-        bits = lanes._word_bits(n, width, list(v.values()))
-        if bits != [int.from_bytes(column[first:first + width], "little")
-                    for column in inversions.values()]:
-            return
-        yield first, width, v, bits
+        cut = slice(first, first + width)
+        defects = lanes._word_bits(n, width, (int.from_bytes(column[cut], "little")
+                                              for column in columns))
+        if defects is None or any(bit != int.from_bytes(column[cut], "little")
+                                  for bit, column in zip(defects, inversions.values())):
+            return None
+        ones = int.from_bytes(b"\1" * width, "little")
+        down = _step_lanes(n, ones, defects, (ones - d for d in defects))
+        bottoms += width - reduce(or_, down, 0).bit_count()
+        joins.update((first + t, k) for t, k in _single_steps(down, width))
+        del down
+        up = _step_lanes(n, ones, (ones - d for d in defects), defects)
+        tops += width - reduce(or_, up, 0).bit_count()
+        meets.update((first + t, k) for t, k in _single_steps(up, width))
+        counts = [count + steps.bit_count() for count, steps in zip(counts, up)]
+        del defects[comb(n - 1, 2):]  # the inversion bits stay
+        cyclic = cyclic and not _stray_steps(n, defects, up)
+    return Proof(bottoms, tops, counts, joins, meets, cyclic)
 
 
-def _proved_blocks(n: int, columns: Sequence[bytes], inversions: Inversions
-                   ) -> Iterator[tuple[int, int, list[int], tuple[list[int], list[int]]]]:
-    """The blocks of `_word_blocks`, each proved the words' vectors
-    before any step is read off it: its first node, its width, its
-    inversion bits and its steps up and down (`_step_lanes`).  The pass
-    stops at the first block that fails, so a reader has proved every
-    lane iff its blocks cover the (n-1)! nodes."""
-    for first, width, v, bits in _word_blocks(n, columns, inversions):
-        yield first, width, bits, _step_lanes(n, int.from_bytes(b"\1" * width, "little"), v)
+def covers_certified(diagram: poset.HasseDiagram, proof: Proof | None) -> bool:
+    """Whether the certificates prove the two cover claims of
+    `checks._check_lattice`, proof being `prove` of the diagram's
+    columns: one node has no admitted step down and one none up, which
+    makes the order an interval of the affine weak order, a lattice
+    (module docstring, point 7); every edge is a unit step
+    (`unit_steps`); and the edges are exactly the admitted unit steps
+    (`steps_are_covers`).  False proves nothing."""
+    if proof is None or (proof.bottoms, proof.tops) != (1, 1):
+        return False
+    steps = unit_steps(diagram)
+    return steps is not None and steps_are_covers(diagram, steps, proof.counts)
 
 
 def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
@@ -309,131 +325,81 @@ def unit_steps(diagram: poset.HasseDiagram) -> bytes | None:
         return None
 
 
-def _step_lanes(n: int, ones: int, v: dict[tuple[int, int], int]
-                ) -> tuple[list[int], list[int]]:
-    """The lanes of the x with x + e_k admitted, and those of the x with
-    x - e_k admitted, for each coordinate k in the pair order of the
-    columns, on the lanes v of a proved block (`_proved_blocks`), ones
-    the 1 of each lane.  Every lane of every `lanes._triple_defects` D
-    is then 0 or 1 and borrows nothing.  Raising x[i,j] raises D by 1
-    where (i, j) is the long side of the triple and lowers it where it
-    is a short side: x + e_k is admitted iff the first D are 0 and the
-    others 1, x - e_k iff the reverse.  An adjacent k, a long side of no
-    triple and 0 in every node, has none."""
-    up = {(i, j): ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)}
-    down = dict(up)
-    for (i, p, j), d in lanes._triple_defects(n, v):
-        e = ones - d  # the lanes where D is 0, as d holds those where it is 1
-        up[i, j] &= e
-        up[i, p] &= d
-        up[p, j] &= d
-        down[i, j] &= d
-        down[i, p] &= e
-        down[p, j] &= e
-    return list(up.values()), list(down.values())
+def _step_lanes(n: int, ones: int, zero: Iterable[int], one: Iterable[int]) -> list[int]:
+    """The lanes of the x with x + e_k admitted, for each coordinate k
+    in the pair order of the columns, on a proved block whose triple
+    defects D, in the order of `lanes._word_bits`, are 0 in the lanes
+    of `zero` and 1 in those of `one`; ones is the 1 of each lane.
+    Every lane of every D is 0 or 1, so D read as an int holds 1 in the
+    lanes where D is 1, ones - D in those where it is 0, and neither
+    borrows.  Raising x[i,j] raises D by 1 where (i, j) is the long side
+    of the triple and lowers it where it is a short side: x + e_k is
+    admitted iff the first D are 0 and the others 1.  An adjacent k, a
+    long side of no triple and 0 in every node, has none.  On the dual
+    lanes M - x, whose defects are 1 - D, zero and one trade places,
+    and x + e_k admitted there is x - e_k admitted here."""
+    steps = [ones if j > i + 1 else 0 for i, j in combinations(range(1, n + 1), 2)]
+    for (ij, ip, pj), z, o in zip(_triple_sides(n), zero, one):
+        steps[ij] &= z
+        steps[ip] &= o
+        steps[pj] &= o
+    return steps
+
+
+@lru_cache(maxsize=None)
+def _triple_sides(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The columns of the long side (i, j) and of the short sides (i, p)
+    and (p, j) of each triple i < p < j, in the order of
+    `combinations(range(1, n + 1), 3)`, which is that of
+    `lanes._word_bits`' defects."""
+    column = partial(kernels.pair_index, n)
+    return tuple((column(i, j), column(i, p), column(p, j))
+                 for i, p, j in combinations(range(1, n + 1), 3))
 
 
 def steps_are_covers(diagram: poset.HasseDiagram, steps: bytes, counts: list[int]) -> bool:
     """Whether the edges, the coordinate k of each edge's step being
     `steps`, are exactly the admitted unit steps x + e_k of the nodes,
-    counts[k] of them at each k (`_step_totals`): the edges strictly
+    counts[k] of them at each k (`Proof.counts`): the edges strictly
     increase in (lo, hi), so none repeats, and the edges of step k are
     counts[k].  An edge of step k from x has x + e_k as its upper row,
     so x is one of the lanes counted; two such edges from one x would
-    end at one row, which is one node (`_proved_blocks`), and so repeat.
-    The edges of step k then take each lane once, and equal counts
-    leave no admitted step without its edge.  The module docstring's
-    exchange lemma makes that the closure."""
+    end at one row, which is one node (`prove`), and so repeat.  The
+    edges of step k then take each lane once, and equal counts leave no
+    admitted step without its edge.  The module docstring's exchange
+    lemma makes that the closure."""
     edges = zip(diagram.lo, diagram.hi)
     if not all(map(lt, edges, islice(zip(diagram.lo, diagram.hi), 1, None))):
         return False
     return counts == list(map(steps.count, range(len(diagram.columns))))
 
 
-def kappa_matching(n: int, columns: Sequence[bytes], inversions: Inversions
-                   ) -> tuple[int, int] | None:
+def kappa_matching(columns: Sequence[bytes], proof: Proof | None) -> tuple[int, int] | None:
     """|J|, and the nodes of J and M with other than one R-partner, on
-    the order-n vector columns (module docstring); None unless the
-    columns are the words' vectors (`irreducibles`).  The order is
-    semidistributive iff the second count is 0: R is then a perfect
-    matching of J and M."""
-    if (irreducible := irreducibles(n, columns, inversions)) is None:
+    the vector columns and their `prove` (module docstring); None where
+    that declines.  The order is semidistributive iff the second count
+    is 0: R is then a perfect matching of J and M."""
+    if proof is None:
         return None
-    joins, meets = irreducible
-    partners = kappa_partners(columns, joins, meets)
+    partners = kappa_partners(columns, proof.joins, proof.meets)
     matched = Counter(m for found in partners.values() for m in found)
     declined = sum(len(found) != 1 for found in partners.values())
-    return len(joins), declined + sum(matched[m] != 1 for m in meets)
+    return len(proof.joins), declined + sum(matched[m] != 1 for m in proof.meets)
 
 
-def irreducibles(n: int, columns: Sequence[bytes], inversions: Inversions
-                 ) -> tuple[dict[int, int], dict[int, int]] | None:
-    """J and M: the nodes with exactly one admitted step down, and those
-    with exactly one up, each as {node: the coordinate k of that step},
-    in id order (`_single_steps`); None where the lanes are not the
-    words' vectors (`_proved_blocks`)."""
-    joins: dict[int, int] = {}
-    meets: dict[int, int] = {}
-    covered = 0
-    for first, width, _, (up, down) in _proved_blocks(n, columns, inversions):
-        covered += width
-        for found, steps in ((joins, down), (meets, up)):
-            found.update((first + t, k) for t, k in _single_steps(steps, width))
-    return (joins, meets) if covered == factorial(n - 1) else None
-
-
-def step_ends(n: int, columns: Sequence[bytes], inversions: Inversions
-              ) -> tuple[int, int] | None:
-    """The counts of the nodes with no admitted step down and of those
-    with none up (`_step_totals`); None where the lanes are not the
-    words' vectors."""
-    totals = _step_totals(n, columns, inversions)
-    return None if totals is None else totals[:2]
-
-
-def _step_totals(n: int, columns: Sequence[bytes], inversions: Inversions
-                 ) -> tuple[int, int, list[int]] | None:
-    """`step_ends`' two counts and, for each coordinate k, the count of
-    the x + e_k admitted, in one pass over the proved blocks
-    (`_proved_blocks`); None where the lanes are not the words' vectors.
-    The OR of a block's step lanes holds 1 in each lane that has a
-    step."""
-    bottoms = tops = covered = 0
-    counts = [0] * len(columns)
-    for _, width, _, (up, down) in _proved_blocks(n, columns, inversions):
-        covered += width
-        bottoms += width - reduce(or_, down, 0).bit_count()
-        tops += width - reduce(or_, up, 0).bit_count()
-        counts = [count + steps.bit_count() for count, steps in zip(counts, up)]
-    return (bottoms, tops, counts) if covered == factorial(n - 1) else None
-
-
-def cyclic_steps(n: int, columns: Sequence[bytes], inversions: Inversions) -> int | None:
-    """The admitted unit steps of the order-n vector columns, counted,
-    where every lane is the word of its id and every step x + e_(i,j)
-    has j the cyclic predecessor of i in x's word; None elsewhere.  The
-    inversion bits and the steps are those of each proved block
-    (`_proved_blocks`; module docstring, for `checks._check_alpha`)."""
-    steps = covered = 0
-    for _, width, bits, (up, _) in _proved_blocks(n, columns, inversions):
-        if _stray_steps(n, int.from_bytes(b"\1" * width, "little"), bits, up):
-            return None
-        covered += width
-        steps += sum(map(int.bit_count, up))
-    return steps if covered == factorial(n - 1) else None
-
-
-def _stray_steps(n: int, ones: int, bits: Sequence[int], up: Sequence[int]) -> int:
+def _stray_steps(n: int, bits: Sequence[int], up: Sequence[int]) -> int:
     """The lanes with an admitted step (i, j), up in the pair order of
     the columns, whose j is not the cyclic predecessor of i in the
     lane's word: for i = 1, some letter c stands after j; for i >= 2,
     j stands after i, or some c between j and i.  bits holds
     B(p, q) = [q before p], 2 <= p < q <= n, one byte a lane, so each
-    test is one AND of 0-or-1 lanes per (i, j, c)."""
+    test is one AND of 0-or-1 lanes per (i, j, c); before[p, q], the
+    lanes where p precedes q, is B(q, p) or the complement of B(p, q),
+    which the admitted lanes mask."""
     letters = range(2, n + 1)
-    before = {}  # before[p, q]: the lanes where letter p precedes q
+    before = {}
     for (p, q), bit in zip(combinations(letters, 2), bits):
-        before[p, q], before[q, p] = ones - bit, bit
+        before[p, q], before[q, p] = ~bit, bit
     stray = 0
     for (i, j), admitted in zip(combinations(range(1, n + 1), 2), up):
         if not admitted:
@@ -442,7 +408,8 @@ def _stray_steps(n: int, ones: int, bits: Sequence[int], up: Sequence[int]) -> i
             stray |= admitted & before[i, j]
         for c in letters:
             if c != i and c != j:  # c after j, and for i >= 2 before i
-                stray |= admitted & before[j, c] & (before[c, i] if i > 1 else ones)
+                after = admitted & before[j, c]
+                stray |= after & before[c, i] if i > 1 else after
     return stray
 
 

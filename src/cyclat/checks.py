@@ -21,20 +21,25 @@ decide and name the witness: no passing check computes a mask, and
 Every check but `lattice` builds no diagram where it passes: each
 reads the vector columns, their inversion bits and the ranks alone,
 every node at once (`eulerian` counts by transfer matrix and reads
-none of them).  `mobius` reads the kappa matching of
-`semidistributive`, `modularity` joins and meets its pairs on lanes
-cut from the columns, `young` decodes only the words of its
-truncation, `alpha` only two nodes' words and `modularity` only its
-witness's.
+none of them).  `grading`, `lattice`, `mobius`, `semidistributive`,
+`modularity` and `alpha` read one block pass over the columns that
+proves them the words' vectors (`certificates.prove`); `mobius` and
+`semidistributive` read the kappa matching of its irreducibles.
+`modularity` joins and meets its pairs on lanes cut from the columns,
+`young` decodes only the words of its truncation, `alpha` only two
+nodes' words and `modularity` only its witness's.
 
-`run_all` computes the order-n inversion bits (`CheckRun.inversions`),
-the vector columns joined from them (`CheckRun.columns`), the ranks
-(`CheckRun.ranks`) and the kappa matching on those columns
-(`CheckRun.matching`) once, for every check that reads them, and
-builds the diagram once, on first use, in `lattice`, with those
-columns; a later check reads it only in a walk where its certificate
-declines.  `run_check` computes its own.  Each check still proves its
-claim from the columns, so no check relies on another's verdict.
+`run_all` computes once, on first use, for every check that reads it:
+- the order-n inversion bits (`CheckRun.inversions`);
+- the vector columns joined from them (`CheckRun.columns`);
+- the ranks (`CheckRun.ranks`);
+- the block pass over those columns (`CheckRun.proof`);
+- the kappa matching on the pass (`CheckRun.matching`);
+- the diagram, in `lattice`, with those columns; a later check reads
+  it only in a walk where its certificate declines.
+`run_check` computes its own.  Each claim is proved from the columns
+by a certificate, not from another check's verdict, so sharing these
+changes no report.
 """
 
 from __future__ import annotations
@@ -49,8 +54,7 @@ from operator import or_
 from typing import Callable, Sequence
 
 from cyclat import lanes, poset, vectors
-from cyclat.certificates import (Inversions, covers_certified, cyclic_steps, kappa_matching,
-                                 nodes_are_words, step_ends)
+from cyclat.certificates import Inversions, Proof, covers_certified, kappa_matching, prove
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
 from cyclat.poset import build
@@ -104,11 +108,12 @@ class CheckRun:
 
     `shared` holds what the checks of one `run_all` read, each part
     computed once, on first use: the inversion bits, the vector columns
-    joined from them, the ranks, the kappa matching and the diagram of
-    `build`, which takes the run's columns for its own.  On a pass, only
-    `lattice` builds and reads the diagram; a walk where a certificate
-    declines reads it too.  The run that builds the diagram, or first
-    computes its threshold masks, has those seconds in its `phases`.
+    joined from them, the ranks, the block pass over the columns, the
+    kappa matching and the diagram of `build`, which takes the run's
+    columns for its own.  On a pass, only `lattice` builds and reads the
+    diagram; a walk where a certificate declines reads it too.  The run
+    that builds the diagram, or first computes its threshold masks, has
+    those seconds in its `phases`.
     """
 
     n: int
@@ -154,10 +159,16 @@ class CheckRun:
             self.shared["ranks"] = poset._prefix_ranks(self.n)
         return self.shared["ranks"]
 
+    def proof(self) -> Proof | None:
+        """`certificates.prove` of the run's columns."""
+        if "proof" not in self.shared:
+            self.shared["proof"] = prove(self.n, self.columns(), self.inversions())
+        return self.shared["proof"]
+
     def matching(self) -> tuple[int, int] | None:
-        """`certificates.kappa_matching` on the run's columns."""
+        """`certificates.kappa_matching` on the run's columns and proof."""
         if "matching" not in self.shared:
-            self.shared["matching"] = kappa_matching(self.n, self.columns(), self.inversions())
+            self.shared["matching"] = kappa_matching(self.columns(), self.proof())
         return self.shared["matching"]
 
 
@@ -168,8 +179,9 @@ def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
     - lane t is the t-th word's vector, so the lanes are distinct and
       admitted, and, every admitted vector being a word's
       (`lanes._word_bits`), all of them; and one lane has no admitted
-      step down, and one none up (`certificates.step_ends`, which proves
-      each block before it reads a step off it);
+      step down, and one none up (`Proof.bottoms` and `Proof.tops` of
+      `certificates.prove`, which proves each block before it reads a
+      step off it);
     - each lane's coordinate sum is its rank (`_rank_off`): an admitted
       v[i,j] is at most j - i - 1, so no lane exceeds C(n, 3), and none
       carries up to n = 12 (beyond, `bytes` refuses the ranks).
@@ -180,20 +192,19 @@ def _check_grading(run: CheckRun) -> tuple[bool, dict | None]:
     minimal nodes, and those with none up the maximal ones.
     """
     poset.refuse_over_cap(run.n)
-    report = grading_report(run.n, run.ranks(), run.columns(), run.inversions())
+    report = grading_report(run.n, run.ranks(), run.columns(), run.proof())
     ok = report.pop("pass")
     return ok, None if ok else report
 
 
 def grading_report(n: int, ranks: Sequence[int], columns: Sequence[bytes],
-                   inversions: Inversions) -> dict:
+                   proof: Proof | None) -> dict:
     """What `_check_grading` proves, in the keys of the per-edge scan
-    the tests keep as a reference.  Where the lanes are not the words'
-    vectors (`step_ends`, against `inversions`), `bottoms` and `tops`
-    are None."""
-    ends = step_ends(n, columns, inversions)
-    unit = ends is not None and not _rank_off(ranks, columns)
-    bottoms, tops = ends or (None, None)
+    the tests keep as a reference, proof being `certificates.prove` of
+    the columns.  Where it declines, the lanes not being the words'
+    vectors, `bottoms` and `tops` are None."""
+    unit = proof is not None and not _rank_off(ranks, columns)
+    bottoms, tops = (None, None) if proof is None else (proof.bottoms, proof.tops)
     image = sorted(set(ranks))
     complete = image == list(range(comb(n, 3) + 1))
     ok = len(ranks) == factorial(n - 1) and complete and unit and bottoms == tops == 1
@@ -280,8 +291,8 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
       edges are exactly the admitted unit steps x + e_k.  The exchange
       lemma gives every two nodes x < z an admitted x + e_k <= z, a
       cover of x: the order is the closure of the covers.
-    - One node has no admitted step up (the counts of
-      `certificates.step_ends`, which `grading` reads too).  With the
+    - One node has no admitted step up (`Proof.tops` of the run's
+      `certificates.prove`, which `grading` reads too).  With the
       exchange lemma that makes the nodes an interval [e, w] of the left
       weak order of the affine symmetric group, and the weak order is a
       meet-semilattice (A. Bjorner, *Orderings of Coxeter groups*,
@@ -321,7 +332,9 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     diagram = run.diagram()
     size = len(diagram.ranks)
     square = size <= 120
-    if not (covers_certified(diagram, run.inversions())
+    # the run's proof is of the diagram's columns unless it holds others
+    proof = run.proof() if diagram.columns == run.columns() else None
+    if not (covers_certified(diagram, proof)
             and (diagram.square_tight_bounds() if square
                  else diagram.tight_bounds(*_tested_pairs(size)))):
         failure = _cover_failure(diagram) or _pair_failure(diagram, *_tested_pairs(size))
@@ -406,11 +419,11 @@ def _check_semidistributive(run: CheckRun) -> tuple[bool, dict | None]:
     no diagram and no threshold mask: R, the relation of each j of the
     join-irreducibles J to the maximal elements of its kappa set, is a
     perfect matching of J and the meet-irreducibles M (argued in
-    `cyclat.certificates`).  `stats` counts J (`irreducibles`, |J| = |M| on a pass) and the nodes of J
-    and M with other than one R-partner (`declined`).  Where the
-    certificate declines, `poset.check_semidistributive` walks the
-    irreducibles on the threshold masks, which decides and names the
-    witness."""
+    `cyclat.certificates`).  `stats` counts J (`irreducibles`,
+    |J| = |M| on a pass) and the nodes of J and M with other than one
+    R-partner (`declined`).  Where the certificate declines,
+    `poset.check_semidistributive` walks the irreducibles on the
+    threshold masks, which decides and names the witness."""
     poset.refuse_over_cap(run.n)
     matched = run.matching()
     if matched is not None:
@@ -427,15 +440,15 @@ def _check_modularity(run: CheckRun) -> tuple[bool, dict | None]:
     diagram (`poset.check_modular`): a scan that cannot decide fails.
     The scan reads a join or meet lane that passes `lanes._word_bits`
     as a node, and its coordinate sum as that node's rank, so the lanes
-    are first proved the words' vectors (`certificates.nodes_are_words`,
-    which reads no step) and each lane's sum its rank (`_rank_off`, as
-    `grading_report`); the lowest node whose sum is not its rank
-    fails.  At n = 5 the canonical witness quadruple is pinned instead
-    of the scan's."""
+    are first proved the words' vectors (the run's `certificates.prove`,
+    whose steps the scan does not read) and each lane's sum its rank
+    (`_rank_off`, as `grading_report`); the lowest node whose sum is
+    not its rank fails.  At n = 5 the canonical witness quadruple is
+    pinned instead of the scan's."""
     n = run.n
     poset.refuse_over_cap(n)
     columns, ranks = run.columns(), run.ranks()
-    if not nodes_are_words(n, columns, run.inversions()):
+    if run.proof() is None:
         return False, {"n": n, "nodes_are_words": False}
     if (t := _lowest_lane(_rank_off(ranks, columns))) is not None:
         return False, {"node": poset.node_name(n, t), "rank": ranks[t]}
@@ -683,21 +696,22 @@ def _check_alpha(run: CheckRun) -> tuple[bool, dict | None]:
     maximal chain, and it must equal `poset.conjugator_formula(n)`.
 
     A is x's word rotated by m(x) = (sum_j x[1, j]) mod n
-    (`poset.conjugator_potential`): `certificates.cyclic_steps` proves
-    A(hi) = (i j) o A(lo) on every cover on the vector columns, with no
-    diagram (argued in `cyclat.certificates`).  A is read at two nodes
-    only: it must be the identity at the bottom, node 0, and A(top) the
-    formula at the last node.  `stats` counts the admitted steps read
-    (`steps`), the edges of the order.  Where the certificate declines,
-    `_alpha_walk` decides on the diagram and names the witness.
+    (`poset.conjugator_potential`): `Proof.cyclic` of the run's
+    `certificates.prove` proves A(hi) = (i j) o A(lo) on every cover on
+    the vector columns, with no diagram (argued in
+    `cyclat.certificates`).  A is read at two nodes only: it must be the
+    identity at the bottom, node 0, and A(top) the formula at the last
+    node.  `stats` counts the admitted steps read (`steps`, the sum of
+    `Proof.counts`), the edges of the order.  Where the certificate
+    declines, `_alpha_walk` decides on the diagram and names the
+    witness.
     """
     n = run.n
     poset.refuse_over_cap(n)
-    columns = run.columns()
-    steps = cyclic_steps(n, columns, run.inversions())
-    if steps is None or _potential(n, columns, 0) != tuple(range(1, n + 1)):
+    columns, proof = run.columns(), run.proof()
+    if proof is None or not proof.cyclic or _potential(n, columns, 0) != tuple(range(1, n + 1)):
         return _alpha_walk(run.diagram())
-    run.stats["steps"] = steps
+    run.stats["steps"] = sum(proof.counts)
     return _maximal_chain(n, _potential(n, columns, factorial(n - 1) - 1))
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import io
 import struct
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial
 from operator import itemgetter, or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from cyclat._pykernels import _fill_plan
 from cyclat.errors import CyclatError
@@ -41,12 +41,15 @@ def _triple_defects(n: int, v: dict[tuple[int, int], int]
         yield (i, j, k), v[i, k] - v[i, j] - v[j, k]
 
 
-def _word_bits(n: int, size: int, columns: Sequence[int]) -> list[int] | None:
-    """The inversion bits B(i, j) = v[1,j] - v[1,i] - v[i,j],
-    2 <= i < j <= n in lexicographic order, of the lanes of the columns
-    v, each column one int, a byte a lane, in the pair order of
-    `poset._vector_columns`; None unless every lane is the vector of a
-    canonical word of order n.
+def _word_bits(n: int, size: int, columns: Iterable[int]) -> list[int] | None:
+    """The triple defects of the lanes of the columns v, each column one
+    int, a byte a lane, in the pair order of `poset._vector_columns`,
+    one for each triple of `combinations(range(1, n + 1), 3)`; None
+    unless every lane is the vector of a canonical word of order n.  The
+    first C(n-1, 2) are the inversion bits
+    B(i, j) = v[1,j] - v[1,i] - v[i,j], 2 <= i < j <= n in lexicographic
+    order, and each later one, at i < j < k from 2 on, is
+    B(i,j) + B(j,k) - B(i,k) = v[i,k] - v[i,j] - v[j,k].
 
     A lane is one exactly when its entries are below 0x80, its adjacent
     entries v[i,i+1] are 0, every B(i, j) is 0 or 1, and every
@@ -61,20 +64,23 @@ def _word_bits(n: int, size: int, columns: Sequence[int]) -> list[int] | None:
     (1, i, j)), so a lane passes iff it is admitted.  Below the lowest
     failing lane every lane holds 0 or 1 and borrows nothing, so that
     lane shows a bit of 0xfe, and one AND a difference tests every lane.
+    The later defects are sums of B, so the columns are dropped once B
+    is read: handed in as an iterator, they are freed before the rest of
+    the defects are held.
     """
     v = dict(zip(combinations(range(1, n + 1), 2), columns))
     ones = int.from_bytes(b"\1" * size, "big")
-    every = reduce(or_, columns, 0)
+    every = reduce(or_, v.values(), 0)
     if every < 0 or every >> 8 * size or every & 0x80 * ones or any(
             v[i, i + 1] for i in range(1, n)):
         return None
     letters = range(2, n + 1)
     b = {(i, j): v[1, j] - v[1, i] - v[i, j] for i, j in combinations(letters, 2)}
+    del v
+    defects = [*b.values(), *(b[i, j] + b[j, k] - b[i, k]
+                              for i, j, k in combinations(letters, 3))]
     not_bits = 0xfe * ones
-    if any(d & not_bits for d in chain(b.values(), (
-            b[i, j] + b[j, k] - b[i, k] for i, j, k in combinations(letters, 3)))):
-        return None
-    return list(b.values())
+    return None if any(d & not_bits for d in defects) else defects
 
 
 def _split_rows(size: int, columns: Sequence[bytes | int]) -> Iterator[bytes]:

@@ -708,12 +708,12 @@ def check_modular(n: int, ranks: Sequence[int], columns: Sequence[bytes]) -> dic
     Returns the first violating quadruple, if any, as a witness, over
     the pairs x < y of node ids in order, with their joins and meets
     from `_row_bounds`.  The columns are read where
-    `certificates.nodes_are_words` holds and each lane's coordinate sum
-    is its rank, as `checks._check_modularity` proves first: a result
-    that passes `lanes._word_bits` is then a node's row, and its sum
-    that node's rank.  `modular` is None where the scan cannot decide,
-    at the first pair whose join or meet is no node, which is then the
-    witness.
+    `certificates.prove` has proved them the words' vectors and each
+    lane's coordinate sum is its rank, as `checks._check_modularity`
+    proves first: a result that passes `lanes._word_bits` is then a
+    node's row, and its sum that node's rank.  `modular` is None where
+    the scan cannot decide, at the first pair whose join or meet is no
+    node, which is then the witness.
     The meet and join of a failing quadruple are named from their rows.
     """
     for x, y, join, meet in _row_bounds(n, len(ranks), columns):

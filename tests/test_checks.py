@@ -9,7 +9,7 @@ import random
 import tracemalloc
 from bisect import bisect_left
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from math import factorial
 from types import SimpleNamespace
@@ -30,14 +30,21 @@ def lane_bit(k, width=1):
     return 1 << 8 * width * k
 
 
-def admitted_steps(diagram):
-    """The steps up of `certificates._proved_blocks`, whole columns: for
-    each coordinate k, bit 8t set iff node t's x + e_k is admitted."""
-    steps = [0] * len(diagram.columns)
-    for first, _, _, (up, _) in certificates._proved_blocks(
-            diagram.n, diagram.columns, poset._inversion_columns(diagram.n)):
-        steps = [whole | block << 8 * first for whole, block in zip(steps, up)]
-    return steps
+def block_steps(n, columns):
+    """The steps up and down that `certificates.prove` reads, of the
+    order-n columns taken as one block: for each coordinate k, bit 8t
+    set iff node t's x + e_k, or x - e_k, is admitted."""
+    size = len(columns[0]) if columns else 1
+    ones = int.from_bytes(b"\1" * size, "little")
+    defects = lanes._word_bits(n, size, [int.from_bytes(column, "little") for column in columns])
+    holes = [ones - d for d in defects]
+    return (certificates._step_lanes(n, ones, holes, defects),
+            certificates._step_lanes(n, ones, defects, holes))
+
+
+def proved(diagram):
+    """`certificates.prove` of the diagram's columns."""
+    return certificates.prove(diagram.n, diagram.columns, poset._inversion_columns(diagram.n))
 
 
 def triangulation_by_vectors(n):
@@ -231,17 +238,25 @@ def corrupt_lane(monkeypatch, n, k):
     return columns
 
 
-def stray_step(monkeypatch, n, pair, k):
-    """An admitted step at pair added in lane k of `_step_lanes`' steps up."""
+def changed_steps(monkeypatch, n, side, change):
+    """`certificates._step_lanes` with `change` made to the order-n steps
+    up (side 0) or down (side 1) of `block_steps`, which it tells by
+    their lanes; the lanes are one block."""
+    target = block_steps(n, poset._vector_columns(n))[side]
     step_lanes = certificates._step_lanes
+
+    def changed(n, ones, zero, one):
+        steps = step_lanes(n, ones, zero, one)
+        return change(steps) if steps == target else steps
+
+    monkeypatch.setattr(certificates, "_step_lanes", changed)
+
+
+def stray_step(monkeypatch, n, pair, k):
+    """An admitted step at pair added in lane k of the steps up."""
     index = list(combinations(range(1, n + 1), 2)).index(pair)
-
-    def added(n, ones, v):
-        up, down = step_lanes(n, ones, v)
-        up[index] |= lane_bit(k)
-        return up, down
-
-    monkeypatch.setattr(certificates, "_step_lanes", added)
+    changed_steps(monkeypatch, n, 0, lambda up: [
+        steps | lane_bit(k) * (c == index) for c, steps in enumerate(up)])
 
 
 class TestAlphaPotential:
@@ -304,12 +319,13 @@ class TestAlphaPotential:
     @pytest.mark.parametrize("n, k", [(4, 0), (4, 5), (6, 0), (6, 119), (6, 77)])
     def test_non_word_lane_declines(self, monkeypatch, n, k):
         columns = corrupt_lane(monkeypatch, n, k)
-        assert certificates.cyclic_steps(n, columns, poset._inversion_columns(n)) is None
+        assert certificates.prove(n, columns, poset._inversion_columns(n)) is None
         report = checks.run_check("alpha", n)
         assert (report.passed, report.witness) == checks._alpha_walk(build(n)) == (True, None)
         assert "steps" not in report.stats and report.phases["build"] > 0
 
-    # each case fails one test of `_stray_steps` alone: (1, 3) where n is
+    # each case fails one test of `_stray_steps` alone, so the proof is
+    # not `cyclic`: (1, 3) where n is
     # last in the bottom's word, (2, 4) where 4 stands after 2 in it, and
     # (2, 4) where 3 stands between 4 and 2 in the top's
     @pytest.mark.parametrize("n", [4, 6])
@@ -320,7 +336,7 @@ class TestAlphaPotential:
         k = 0 if node == "bottom" else factorial(n - 1) - 1
         stray_step(monkeypatch, n, pair, k)
         diagram = build(n)
-        assert certificates.cyclic_steps(n, diagram.columns, poset._inversion_columns(n)) is None
+        assert proved(diagram).cyclic is False
         report = checks.run_check("alpha", n)
         assert (report.passed, report.witness) == checks._alpha_walk(diagram) == (True, None)
         assert "steps" not in report.stats and report.phases["build"] > 0
@@ -340,7 +356,9 @@ class TestAlphaPotential:
     @pytest.mark.parametrize("case", [1, 5, 20])
     def test_forced_decline_fails_with_the_walks_witness(self, monkeypatch, case):
         mutant = list(mutants(5))[case]
-        monkeypatch.setattr(checks, "cyclic_steps", lambda n, columns, inversions: None)
+        prove = certificates.prove
+        monkeypatch.setattr(checks, "prove", lambda n, columns, inversions:
+                            prove(n, columns, inversions)._replace(cyclic=False))
         monkeypatch.setattr(checks, "build", lambda n: mutant)
         report = checks.run_check("alpha", 5)
         passed, witness = checks._alpha_walk(mutant)
@@ -639,7 +657,7 @@ class TestLatticeCertificates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_certificates_agree_with_the_walk(self, n):
         diagram = build(n)
-        assert certificates.covers_certified(diagram, poset._inversion_columns(n))
+        assert certificates.covers_certified(diagram, proved(diagram))
         assert checks._cover_failure(diagram) is None
 
     def test_edge_to_a_comparable_non_cover(self, monkeypatch):
@@ -649,7 +667,7 @@ class TestLatticeCertificates:
         w = diagram.ranks.index(2)
         mutant = with_edge(diagram, diagram.bottom, w)
         assert certificates.unit_steps(mutant) is None
-        assert not certificates.covers_certified(mutant, poset._inversion_columns(5))
+        assert not certificates.covers_certified(mutant, proved(mutant))
         expected = lattice_by_pairs(with_edge(diagram, diagram.bottom, w))
         assert lattice_outcome(monkeypatch, mutant) == expected == (True, None)
 
@@ -658,7 +676,7 @@ class TestLatticeCertificates:
         # lane t of coordinate k is set iff node t's vector plus e_k is
         # admitted, on every node and coordinate
         diagram = build(n)
-        steps = admitted_steps(diagram)
+        steps = block_steps(n, diagram.columns)[0]
         assert len(steps) == len(diagram.columns)
         for k, mask in enumerate(steps):
             for t, row in enumerate(diagram.rows):
@@ -676,10 +694,10 @@ class TestLatticeCertificates:
         mutant = with_edge(without_edge(diagram, dropped), diagram.lo[0], diagram.hi[0])
         mutant_steps = certificates.unit_steps(mutant)
         assert sorted(mutant_steps) == sorted(steps)
-        counts = [steps.bit_count() for steps in admitted_steps(mutant)]
+        counts = [steps.bit_count() for steps in block_steps(5, mutant.columns)[0]]
         assert counts == [mutant_steps.count(k) for k in range(len(diagram.columns))]
         assert not certificates.steps_are_covers(mutant, mutant_steps, counts)
-        assert not certificates.covers_certified(mutant, poset._inversion_columns(5))
+        assert not certificates.covers_certified(mutant, proved(mutant))
         expected = lattice_by_pairs(mutant)
         assert expected[1]["op"] == "order"
         assert expected[1]["pair"][0] == diagram.name(diagram.lo[dropped])
@@ -696,7 +714,7 @@ class TestLatticeCertificates:
                             wrong_lanes_at(diagram, y, z, diagram.up[j][0]))
         # the cover certificates hold, and the square's bound certificate
         # declines on the lane of the pair
-        assert certificates.covers_certified(diagram, poset._inversion_columns(5))
+        assert certificates.covers_certified(diagram, proved(diagram))
         assert not diagram.square_tight_bounds()
         expected = lattice_by_pairs(diagram)
         assert expected == (False, {"op": "join", "pair": [diagram.name(y), diagram.name(z)]})
@@ -721,7 +739,7 @@ class TestLatticeCertificates:
             (m,) = diagram.bounds([x], [y])[1]
         monkeypatch.setattr(lanes, "_column_meets",
                             wrong_lanes_at(diagram, x, y, diagram.down[m][0], meet=True))
-        assert certificates.covers_certified(diagram, poset._inversion_columns(n))
+        assert certificates.covers_certified(diagram, proved(diagram))
         assert not (diagram.square_tight_bounds() if n == 5 else diagram.tight_bounds(xs, ys))
         expected = lattice_by_pairs(diagram)
         assert expected[1]["op"] == "meet" and set(expected[1]["pair"]) == {
@@ -742,9 +760,8 @@ class TestLatticeCertificates:
         diagram = mutant()
         assert [diagram.columns[kernels.pair_index(5, *ij)][diagram.top]
                 for ij in ((1, 3), (3, 5), (1, 5))] == [1, 1, 1]
-        assert not certificates.nodes_are_words(diagram.n, diagram.columns,
-                                                poset._inversion_columns(5))
-        assert not certificates.covers_certified(diagram, poset._inversion_columns(5))
+        assert proved(diagram) is None
+        assert not certificates.covers_certified(diagram, proved(diagram))
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -768,9 +785,8 @@ class TestLatticeCertificates:
         diagram = mutant()
         columns = [int.from_bytes(column, "big") for column in diagram.columns]
         assert lanes._word_bits(5, len(diagram.ranks), columns) is not None
-        assert not certificates.nodes_are_words(diagram.n, diagram.columns,
-                                                poset._inversion_columns(5))
-        assert not certificates.covers_certified(diagram, poset._inversion_columns(5))
+        assert proved(diagram) is None
+        assert not certificates.covers_certified(diagram, proved(diagram))
         expected = lattice_by_pairs(mutant())
         assert not expected[0]
         assert lattice_outcome(monkeypatch, diagram) == expected
@@ -783,12 +799,14 @@ class TestLatticeCertificates:
         pairs = checks.run_check("lattice", n).stats["pairs"]
         walked = []
         cover_failure = checks._cover_failure
-        step_totals = certificates._step_totals
-        monkeypatch.setattr(certificates, "_step_totals", lambda n, columns, inversions: (
-            1, 2, step_totals(n, columns, inversions)[2]))
+        prove = certificates.prove
+        monkeypatch.setattr(checks, "prove", lambda n, columns, inversions:
+                            prove(n, columns, inversions)._replace(tops=2))
         monkeypatch.setattr(checks, "_cover_failure",
                             lambda diagram: walked.append(diagram.n) or cover_failure(diagram))
-        assert not certificates.covers_certified(build(n), poset._inversion_columns(n))
+        diagram = build(n)
+        assert not certificates.covers_certified(
+            diagram, checks.prove(n, diagram.columns, poset._inversion_columns(n)))
         report = checks.run_check("lattice", n)
         assert report.passed and report.stats["pairs"] == pairs
         assert walked == [n]
@@ -800,7 +818,7 @@ class TestLatticeCertificates:
         # finds no failure, every tested pair is walked on its masks
         walked = []
         pair_failure = checks._pair_failure
-        monkeypatch.setattr(checks, "covers_certified", lambda diagram, inversions: False)
+        monkeypatch.setattr(checks, "covers_certified", lambda diagram, proof: False)
         monkeypatch.setattr(checks, "_pair_failure",
                             lambda diagram, xs, ys: walked.append(len(xs)) or
                             pair_failure(diagram, xs, ys))
@@ -846,17 +864,18 @@ class TestLatticeCertificates:
         assert below == []
 
     def test_cover_pass_holds_no_up_sets(self):
-        # beyond the diagram and the views it reads, the n = 8 cover pass
-        # allocates less than 512 KB at its peak; a walk that holds the
-        # up-sets of three ranks, rank by rank from the top, takes 0.89 MB.
-        # The pass reads no vec_index and no threshold mask, so neither
-        # is built
+        # beyond the diagram and the views it reads, the n = 8 block pass
+        # and cover pass allocate less than 512 KB at their peak; a walk
+        # that holds the up-sets of three ranks, rank by rank from the
+        # top, takes 0.89 MB.  The passes read no vec_index and no
+        # threshold mask, so neither is built
         diagram = build(8)
         diagram.rows
         inversions = poset._inversion_columns(8)
         tracemalloc.start()
         try:
-            assert certificates.covers_certified(diagram, inversions)
+            proof = certificates.prove(8, diagram.columns, inversions)
+            assert certificates.covers_certified(diagram, proof)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -960,8 +979,8 @@ def forced_decline(monkeypatch):
     """`checks.kappa_matching` with one declined node: `mobius` proves
     nothing by it and walks the crosscut of every node."""
     kappa_matching = checks.kappa_matching
-    monkeypatch.setattr(checks, "kappa_matching", lambda n, columns, inversions:
-                        (kappa_matching(n, columns, inversions)[0], 1))
+    monkeypatch.setattr(checks, "kappa_matching", lambda columns, proof:
+                        (kappa_matching(columns, proof)[0], 1))
 
 
 class TestMobiusCheck:
@@ -986,7 +1005,7 @@ class TestCoverIndependence:
         # predicts, and the certificate of the law declines no node
         diagram = build(n)
         assert repeated_subset_joins(diagram) == []
-        assert checks.kappa_matching(n, diagram.columns, poset._inversion_columns(n))[1] == 0
+        assert checks.kappa_matching(diagram.columns, proved(diagram))[1] == 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lanes_agree_with_the_diagram(self, n):
@@ -1000,7 +1019,8 @@ class TestCoverIndependence:
         # a lane that is no word's vector: the certificate proves nothing,
         # and the crosscut of every node passes the real order
         columns = corrupt_lane(monkeypatch, 5, 7)
-        assert checks.kappa_matching(5, columns, poset._inversion_columns(5)) is None
+        proof = certificates.prove(5, columns, poset._inversion_columns(5))
+        assert proof is None and checks.kappa_matching(columns, proof) is None
         report = checks.run_check("mobius", 5)
         assert (report.passed, report.witness) == mobius_by_scan(build(5))
         assert report.stats == {"crosscut": 24}
@@ -1136,7 +1156,8 @@ class TestKappaMatching:
         # J and M are the nodes of one lower and of one upper cover, each
         # with the coordinate of that cover's step
         diagram = build(n)
-        joins, meets = certificates.irreducibles(n, diagram.columns, poset._inversion_columns(n))
+        proof = proved(diagram)
+        joins, meets = proof.joins, proof.meets
         assert joins == {t: step_of(diagram, near[0], t)
                          for t, near in enumerate(diagram.down) if len(near) == 1}
         assert meets == {t: step_of(diagram, t, near[0])
@@ -1144,13 +1165,10 @@ class TestKappaMatching:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_one_direction_is_that_half_of_both(self, n):
-        # each half of one pass over both directions, up then down, holds
-        # each node's steps, its covers in that direction
+        # the steps up of the lanes and those of the dual lanes, the steps
+        # down, hold each node's covers in that direction
         diagram = build(n)
-        v = lanes._lane_ints(n, diagram.columns)
-        ones = int.from_bytes(b"\1" * len(diagram.ranks), "little")
-        both = certificates._step_lanes(n, ones, v)
-        for steps, near in zip(both, (diagram.up, diagram.down)):
+        for steps, near in zip(block_steps(n, diagram.columns), (diagram.up, diagram.down)):
             assert [sum(column >> 8 * t & 1 for column in steps) for t in range(len(near))] == \
                 list(map(len, near))
 
@@ -1159,13 +1177,13 @@ class TestKappaMatching:
         # each j's one R-partner is kappa(j) by the masks, and each m's one
         # R-partner the dual kappa(m)
         diagram = build(n)
-        joins, meets = certificates.irreducibles(n, diagram.columns, poset._inversion_columns(n))
+        proof = proved(diagram)
+        joins, meets = proof.joins, proof.meets
         partners = certificates.kappa_partners(diagram.columns, joins, meets)
         kappa, dual = kappa_by_masks(diagram), kappa_by_masks(diagram, dual=True)
         assert partners == {j: [g] for j, g in kappa.items()}
         assert {m: j for j, (m,) in partners.items()} == dual
-        assert certificates.kappa_matching(n, diagram.columns, poset._inversion_columns(n)) == \
-            (len(joins), 0)
+        assert certificates.kappa_matching(diagram.columns, proof) == (len(joins), 0)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_irreducibles_count(self, n):
@@ -1176,11 +1194,12 @@ class TestKappaMatching:
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_blocks_find_the_same_lanes(self, monkeypatch, block):
         # the n = 7 lanes cut in blocks, one lane, a few lanes and an
-        # uneven hundred: the irreducibles are those of one block
+        # uneven hundred: the proof, its irreducibles among it, is that
+        # of one block
         columns, inversions = poset._vector_columns(7), poset._inversion_columns(7)
-        whole = certificates.irreducibles(7, columns, inversions)
+        whole = certificates.prove(7, columns, inversions)
         monkeypatch.setattr(certificates, "LANE_BLOCK", block)
-        assert certificates.irreducibles(7, columns, inversions) == whole
+        assert certificates.prove(7, columns, inversions) == whole
 
     def test_many_steps_leave_the_next_lane_alone(self):
         # lane 0 has a step in each of 40 coordinates, lane 1 only in the
@@ -1195,18 +1214,22 @@ class TestKappaMatching:
         x, y = [t for t, rank in enumerate(diagram.ranks) if rank == 2][:2]
         rows = list(diagram.rows)
         rows[x], rows[y] = rows[y], rows[x]
-        assert certificates.kappa_matching(5, tuple(map(bytes, zip(*rows))),
-                                           poset._inversion_columns(5)) is None
+        columns = tuple(map(bytes, zip(*rows)))
+        proof = certificates.prove(5, columns, poset._inversion_columns(5))
+        assert proof is None and certificates.kappa_matching(columns, proof) is None
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_unmatched_m_declines(self, monkeypatch, n):
         # the first j dropped from J: every j left has its one partner,
         # but that j's partner now has none, so the certificate declines
         # on that m alone, and the walk passes the real order
-        found = certificates.irreducibles
-        monkeypatch.setattr(certificates, "irreducibles", lambda n, columns, inversions: (
-            dict(list(found(n, columns, inversions)[0].items())[1:]),
-            found(n, columns, inversions)[1]))
+        prove = certificates.prove
+
+        def without_first_j(n, columns, inversions):
+            proof = prove(n, columns, inversions)
+            return proof._replace(joins=dict(list(proof.joins.items())[1:]))
+
+        monkeypatch.setattr(checks, "prove", without_first_j)
         report = checks.run_check("semidistributive", n)
         assert report.passed
         assert report.stats == {"irreducibles": 2 ** (n - 1) - n - 1, "declined": 1}
@@ -1228,15 +1251,10 @@ class TestKappaMatching:
         # others enter it, so some lanes lose their partner and the
         # certificate declines.  The walk on the masks then decides, and
         # the real order passes
-        step_lanes = certificates._step_lanes
         walked = []
         check = poset.check_semidistributive
-
-        def without_up_13(n, ones, v):
-            up, down = step_lanes(n, ones, v)
-            return [steps * (k != 1) for k, steps in enumerate(up)], down
-
-        monkeypatch.setattr(certificates, "_step_lanes", without_up_13)
+        changed_steps(monkeypatch, n, 0, lambda up: [
+            steps * (k != 1) for k, steps in enumerate(up)])
         monkeypatch.setattr(poset, "check_semidistributive",
                             lambda diagram: walked.append(diagram.n) or check(diagram))
         report = checks.run_check("semidistributive", n)
@@ -1250,29 +1268,27 @@ class TestProvedBlocks:
 
     def test_readers_stop_at_the_first_unproved_block(self, monkeypatch):
         # n = 5 in blocks of 7 lanes, lane 9 of block 1 no word's vector:
-        # every step reader declines, and `_step_lanes` is handed the
-        # lanes of block 0 alone; the words-only proof hands it none
+        # the pass declines, and its folds are handed the defects of
+        # block 0 alone, as the lanes where they are 0 and 1 for each
+        # direction and as the inversion bits, and no lane of block 1,
+        # the first that fails
         monkeypatch.setattr(certificates, "LANE_BLOCK", 7)
         columns = corrupt_lane(monkeypatch, 5, 9)
-        inversions = poset._inversion_columns(5)
-        diagram = build(5)
-        diagram.columns = tuple(columns)  # the cached view, set before any use
+        ones = int.from_bytes(b"\1" * 7, "little")
+        defects = lanes._word_bits(5, 7, [int.from_bytes(column[:7], "little")
+                                          for column in columns])
         handed = []
-        step_lanes = certificates._step_lanes
-        monkeypatch.setattr(certificates, "_step_lanes",
-                            lambda n, ones, v: handed.append(v) or step_lanes(n, ones, v))
-        block_0 = lanes._lane_ints(5, [column[:7] for column in columns])
-        for reader in (certificates.step_ends, certificates.irreducibles,
-                       certificates.kappa_matching, certificates.cyclic_steps):
-            handed.clear()
-            assert reader(5, columns, inversions) is None
-            assert handed == [block_0]
-        handed.clear()
-        assert not certificates.covers_certified(diagram, inversions)
-        assert handed == [block_0]
-        handed.clear()
-        assert not certificates.nodes_are_words(5, columns, inversions)
-        assert handed == []
+        step_lanes, stray_steps = certificates._step_lanes, certificates._stray_steps
+        monkeypatch.setattr(certificates, "_step_lanes", lambda n, ones, zero, one: step_lanes(
+            n, ones, *(handed.append(list(given)) or handed[-1] for given in (zero, one))))
+        monkeypatch.setattr(certificates, "_stray_steps", lambda n, bits, up:
+                            handed.append(list(bits)) or stray_steps(n, bits, up))
+        proof = certificates.prove(5, columns, poset._inversion_columns(5))
+        assert proof is None
+        holes = [ones - d for d in defects]
+        assert sorted(handed) == sorted([defects, holes, holes, defects, defects[:6]])
+        assert not certificates.covers_certified(build(5), proof)
+        assert certificates.kappa_matching(columns, proof) is None
 
 
 def flips(t):
@@ -1643,20 +1659,25 @@ def built_diagrams(monkeypatch):
     return built
 
 
+@lru_cache(maxsize=None)
+def per_node_steps(n):
+    """The reference of `certificates.prove`'s steps, one node at a time:
+    for each node of order n in id order, the coordinates k whose
+    x - e_k is admitted, then for each those whose x + e_k is."""
+    return tuple([tuple(k for k in range(len(row)) if kernels.is_admitted_flat(
+        n, tuple(x + sign * (c == k) for c, x in enumerate(row)))) for row in build(n).rows]
+        for sign in (-1, 1))
+
+
 GRADING_KEYS = ["n", "nodes", "expected_nodes", "max_rank", "expected_max_rank",
                 "rank_image_complete", "unit_increments", "bottoms", "tops"]
 
 
-def without_lane_steps(monkeypatch, lane, side):
-    """`certificates._step_lanes` with node `lane`'s steps up (side 0) or
-    down (side 1) dropped, one block of lanes."""
-    step_lanes = certificates._step_lanes
-
-    def dropped(n, ones, v):
-        steps = list(step_lanes(n, ones, v))
-        steps[side] = [column & ~(0xff << 8 * lane) for column in steps[side]]
-        return tuple(steps)
-    monkeypatch.setattr(certificates, "_step_lanes", dropped)
+def without_lane_steps(monkeypatch, n, lane, side):
+    """The order-n steps with node `lane`'s steps up (side 0) or down
+    (side 1) dropped (`changed_steps`)."""
+    changed_steps(monkeypatch, n, side, lambda steps: [
+        column & ~(0xff << 8 * lane) for column in steps])
 
 
 class TestGradingLanes:
@@ -1692,26 +1713,36 @@ class TestGradingLanes:
     def test_second_end_lane(self, monkeypatch, side, lane, key):
         # the bottom (node 0) loses its steps up, or the top (node 23)
         # its steps down
-        without_lane_steps(monkeypatch, lane, side)
+        without_lane_steps(monkeypatch, 5, lane, side)
         report = checks.run_check("grading", 5)
         assert not report.passed and list(report.witness) == GRADING_KEYS
         assert report.witness["unit_increments"] is True
         assert report.witness[key] == 2
 
-    @pytest.mark.parametrize("n, block", [(1, 1), (3, 1), (5, 7), (6, 32), (7, 1 << 15)])
+    @pytest.mark.parametrize("block", [1, 7, 32, 1 << 15])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_step_ends_are_the_lanes_without_steps(self, monkeypatch, n, block):
-        # a node has no step down (up) iff no x - e_k (x + e_k) is
-        # admitted, on every node, in blocks of `block` lanes
+        # every field of the proof against the nodes one at a time, in
+        # blocks of `block` lanes: a node has no step down (up) iff no
+        # x - e_k (x + e_k) is admitted, counts[k] nodes have x + e_k,
+        # J and M are the nodes of one lower and of one upper cover, and
+        # every step is a cyclic predecessor's
         monkeypatch.setattr(certificates, "LANE_BLOCK", block)
         diagram = build(n)
-        steps = [[kernels.is_admitted_flat(n, tuple(x + sign * (c == k) for c, x in enumerate(row)))
-                  for k in range(len(row)) for sign in (-1, 1)] for row in diagram.rows]
-        ends = (sum(not any(found[::2]) for found in steps),
-                sum(not any(found[1::2]) for found in steps))
-        inversions = poset._inversion_columns(n)
-        assert certificates.step_ends(n, diagram.columns, inversions) == ends == (1, 1)
-        counts = certificates._step_totals(n, diagram.columns, inversions)[2]
-        assert certificates.steps_are_covers(diagram, certificates.unit_steps(diagram), counts)
+        down, up = per_node_steps(n)
+        proof = proved(diagram)
+        assert (proof.bottoms, proof.tops) == (down.count(()), up.count(())) == (1, 1)
+        assert proof.counts == [sum(k in found for found in up)
+                                for k in range(len(diagram.columns))]
+        assert certificates.steps_are_covers(diagram, certificates.unit_steps(diagram),
+                                             proof.counts)
+        assert proof.joins == {t: found[0] for t, found in enumerate(down) if len(found) == 1} \
+            == {t: step_of(diagram, near[0], t)
+                for t, near in enumerate(diagram.down) if len(near) == 1}
+        assert proof.meets == {t: found[0] for t, found in enumerate(up) if len(found) == 1} \
+            == {t: step_of(diagram, t, near[0])
+                for t, near in enumerate(diagram.up) if len(near) == 1}
+        assert proof.cyclic
 
     def test_young_fails_on_an_up_set_missing_one_element(self, monkeypatch):
         # every up-set loses the truncation's last node by id, which
@@ -1805,14 +1836,30 @@ class TestSharedDiagram:
         # columns: once in run_all, once in each run_check that reads it
         computed = []
         kappa_matching = checks.kappa_matching
-        monkeypatch.setattr(checks, "kappa_matching", lambda n, columns, inversions:
-                            computed.append(n) or kappa_matching(n, columns, inversions))
+        monkeypatch.setattr(checks, "kappa_matching", lambda columns, proof:
+                            computed.append(len(columns)) or kappa_matching(columns, proof))
         assert all(r.passed for r in checks.run_all(6))
-        assert computed == [6]
+        assert computed == [15]
         for name in checks.CHECKS:
             computed.clear()
             assert checks.run_check(name, 6).passed
-            assert computed == ([6] if name in ("mobius", "semidistributive") else [])
+            assert computed == ([15] if name in ("mobius", "semidistributive") else [])
+
+    def test_block_pass_runs_once_a_run(self, monkeypatch):
+        # grading, lattice, mobius, semidistributive, modularity and alpha
+        # read one proof of the run's columns: once in run_all, once in
+        # each run_check of those, and none in the others
+        computed = []
+        prove = checks.prove
+        monkeypatch.setattr(checks, "prove", lambda n, columns, inversions:
+                            computed.append(n) or prove(n, columns, inversions))
+        assert all(r.passed for r in checks.run_all(6))
+        assert computed == [6]
+        proved = ("grading", "lattice", "mobius", "semidistributive", "modularity", "alpha")
+        for name in checks.CHECKS:
+            computed.clear()
+            assert checks.run_check(name, 6).passed
+            assert computed == ([6] if name in proved else [])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_run_all_matches_run_check(self, n):

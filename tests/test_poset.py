@@ -14,7 +14,7 @@ from operator import and_, or_
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclat import _pykernels, checks, kernels, lanes, oracle, poset
+from cyclat import _pykernels, certificates, checks, kernels, lanes, oracle, poset
 from cyclat.errors import CapExceededError, CyclatError, NotAChainError, NotComparableError
 from cyclat.perm import (
     CircularPermutation,
@@ -1382,12 +1382,13 @@ def grading_by_edges(diagram):
 class TestGradingReport:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_pass(self, n):
-        assert checks.grading_report(n, poset._prefix_ranks(n), poset._vector_columns(n),
-                                     poset._inversion_columns(n))["pass"]
+        columns = poset._vector_columns(n)
+        proof = certificates.prove(n, columns, poset._inversion_columns(n))
+        assert checks.grading_report(n, poset._prefix_ranks(n), columns, proof)["pass"]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_the_edge_reference(self, n):
         diagram = build(n)
-        assert checks.grading_report(n, diagram.ranks, diagram.columns,
-                                     poset._inversion_columns(n)) == \
+        proof = certificates.prove(n, diagram.columns, poset._inversion_columns(n))
+        assert checks.grading_report(n, diagram.ranks, diagram.columns, proof) == \
             grading_by_edges(diagram)
