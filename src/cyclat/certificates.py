@@ -110,7 +110,7 @@ extremes.
 Chain conjugators by a closed-form potential (`Proof.cyclic`, for
 `checks._check_alpha`).  A cover of x swaps a large circular descent
 j i of x's word w, j > i + 1, the wrap-around factor j 1 included, and
-is labelled (i j) (`poset._cover_rows`).  Let A(x) be w rotated by
+is labelled (i j) (`poset._cover_blocks`).  Let A(x) be w rotated by
 m(x) = (sum_j x[1,j]) mod n, A(x)(p) = w[(p + m(x)) mod n], positions
 from 0 (`poset.conjugator_potential`).  B(p, q) = [q before p],
 2 <= p < q <= n, are the inversion bits, and S[q] the sum of

@@ -35,8 +35,8 @@ nodes' words and `modularity` only its witness's.
 - the ranks (`CheckRun.ranks`);
 - the block pass over those columns (`CheckRun.proof`);
 - the kappa matching on the pass (`CheckRun.matching`);
-- the diagram, in `lattice`, with those columns; a later check reads
-  it only in a walk where its certificate declines.
+- the diagram, in `lattice`, with those ranks and columns; a later
+  check reads it only in a walk where its certificate declines.
 `run_check` computes its own.  Each claim is proved from the columns
 by a certificate, not from another check's verdict, so sharing these
 changes no report.
@@ -57,7 +57,7 @@ from cyclat import lanes, poset, vectors
 from cyclat.certificates import Inversions, Proof, covers_certified, kappa_matching, prove
 from cyclat.errors import QuadNotFlippableError, UnknownCheckError
 from cyclat.perm import CircularPermutation
-from cyclat.poset import build
+from cyclat.poset import _diagram
 from cyclat.vectors import AdmittedVector
 
 _SEED = 283465
@@ -109,11 +109,12 @@ class CheckRun:
     `shared` holds what the checks of one `run_all` read, each part
     computed once, on first use: the inversion bits, the vector columns
     joined from them, the ranks, the block pass over the columns, the
-    kappa matching and the diagram of `build`, which takes the run's
-    columns for its own.  On a pass, only `lattice` builds and reads the
-    diagram; a walk where a certificate declines reads it too.  The run
-    that builds the diagram, or first computes its threshold masks, has
-    those seconds in its `phases`.
+    kappa matching and the diagram `build` would return, which takes the
+    run's ranks and columns for its own (`poset._diagram`).  On a pass,
+    only `lattice` builds and reads the diagram; a walk where a
+    certificate declines reads it too.  The run that builds the
+    diagram, or first computes its threshold masks, has those seconds
+    in its `phases`.
     """
 
     n: int
@@ -127,7 +128,7 @@ class CheckRun:
         well."""
         if "diagram" not in self.shared:
             start = time.perf_counter()
-            self.shared["diagram"] = build(self.n)
+            self.shared["diagram"] = _diagram(self.n, self.ranks())
             self.phases["build"] += time.perf_counter() - start
         diagram = self.shared["diagram"]
         if "columns" not in vars(diagram):  # a view of n alone: no second copy
@@ -154,9 +155,10 @@ class CheckRun:
         return self.shared["columns"]
 
     def ranks(self) -> Sequence[int]:
-        """`poset._prefix_ranks(n)`, the ranks in id order."""
+        """`poset._prefix_ranks(n)`, the ranks in id order, as the tuple
+        the run's diagram holds too."""
         if "ranks" not in self.shared:
-            self.shared["ranks"] = poset._prefix_ranks(self.n)
+            self.shared["ranks"] = tuple(poset._prefix_ranks(self.n))
         return self.shared["ranks"]
 
     def proof(self) -> Proof | None:
@@ -329,6 +331,7 @@ def _check_lattice(run: CheckRun) -> tuple[bool, dict | None]:
     `vectors.join`/`meet` call, to the lane recursion on every pair the
     check reads up to n = 8.
     """
+    poset.refuse_over_cap(run.n)
     diagram = run.diagram()
     size = len(diagram.ranks)
     square = size <= 120

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import struct
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import factorial
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -83,21 +83,26 @@ def _word_bits(n: int, size: int, columns: Iterable[int]) -> list[int] | None:
     return None if any(d & not_bits for d in defects) else defects
 
 
+_SPLIT = 256  # rows cut by one struct call
+
+
 def _split_rows(size: int, columns: Sequence[bytes | int]) -> Iterator[bytes]:
     """Each of the `size` lanes of the C columns as a row: written at
-    stride C, cut every C.  A column is its bytes or, as the lane
-    recursion holds it, those bytes read as one int; the buffer starts
-    zeroed, so a zero int column is not written.  At n = 1 there is no
-    column, and every row is the empty vector."""
+    stride C, cut every C, `_SPLIT` rows to one struct call from a
+    buffer zero-padded to whole calls.  A column is its bytes or, as the
+    lane recursion holds it, those bytes read as one int; the buffer
+    starts zeroed, so a zero int column is not written.  At n = 1 there
+    is no column, and every row is the empty vector."""
     width = len(columns)
     if not width:
         return iter([b""] * size)
-    lanes = bytearray(width * size)
+    rows = min(size, _SPLIT) or 1
+    lanes = bytearray(width * -(-size // rows) * rows)
     for c, column in enumerate(columns):
         if column:
-            lanes[c::width] = (column if isinstance(column, bytes)
-                               else column.to_bytes(size, "big"))
-    return map(itemgetter(0), struct.iter_unpack(f"{width}s", lanes))
+            lanes[c:width * size:width] = (column if isinstance(column, bytes)
+                                           else column.to_bytes(size, "big"))
+    return islice(chain.from_iterable(struct.iter_unpack(f"{width}s" * rows, lanes)), size)
 
 
 def _gather(n: int, rows: Sequence[bytes], ids: Sequence[int]) -> list[int]:

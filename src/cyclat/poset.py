@@ -4,23 +4,24 @@
 canonical word (1, p) with p running over the permutations of 2..n in
 lexicographic order, and the covers are held as flat edge columns
 sorted by (lower, upper) index, so exports are byte-for-byte
-reproducible.  The covers come from one rule, `_cover_rows`, which
-yields each node's edge rows (lo, hi, r, s) in order; the ranks, the
-inversion bits and the vector columns come from the same enumeration
-(`_prefix_ranks`, `_inversion_columns`, `_vector_columns`), and the
-byte lanes of those columns are read in `cyclat.lanes`.  One
-serializer renders the DOT and JSON exports as pieces, each section
-formatted in blocks of `EXPORT_BLOCK` rows by one % call: `to_dot` and
-`to_json` from a built diagram's columns, and `export_pieces`, whose
-blocks `cyclat poset` writes out one by one, from `_prefix_ranks` and
-`_cover_rows`, with no diagram.  Eulerian cover statistics are counted
-by transfer matrix over (set of letters placed, last letter), with no
-diagram (`cover_histogram`).  Rank truncations against the partition
-order and the modularity scan read the ranks and the vector columns,
-with no diagram, and so does the conjugator of the chains up to a node,
-its word rotated (`conjugator_potential`).  Everything else queries
-the diagram: the Moebius function, the semidistributivity walk and
-maximal chains.
+reproducible.  The covers come from one rule, `_cover_blocks`, which
+yields the edges (lo, hi, r, s) in that order as flat blocks of
+`EXPORT_BLOCK` edges; the ranks, the inversion bits and the vector
+columns come from the same enumeration (`_prefix_ranks`,
+`_inversion_columns`, `_vector_columns`), and the byte lanes of those
+columns are read in `cyclat.lanes`.  One serializer renders the DOT
+and JSON exports as pieces, each section formatted in blocks of
+`EXPORT_BLOCK` rows by one % call: `to_dot` and `to_json` from a built
+diagram's columns, cut into the same edge blocks, and `export_pieces`,
+whose blocks `cyclat poset` writes out one by one, from `_prefix_ranks`
+and `_cover_blocks`, with no diagram.  Eulerian cover statistics are
+counted by transfer matrix over (set of letters placed, last letter),
+with no diagram (`cover_histogram`).  Rank truncations against the
+partition order and the modularity scan read the ranks and the vector
+columns, with no diagram, and so does the conjugator of the chains up
+to a node, its word rotated (`conjugator_potential`).  Everything else
+queries the diagram: the Moebius function, the semidistributivity walk
+and maximal chains.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import os
 import re
 from array import array
-from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -358,36 +358,41 @@ def node_name(n: int, t: int) -> str:
 
 
 def build(n: int) -> HasseDiagram:
-    """Materialize the diagram of order n from the rows of `_cover_rows`,
-    with the ranks of `_prefix_ranks`; `lo` and `hi` share one int object
-    per node id.  Neither calls a kernel, so `oracle.diagram_by_search`,
-    which does, is an independent reference.
+    """Materialize the diagram of order n: `_diagram` with the ranks of
+    `_prefix_ranks`.  No step calls a kernel, so
+    `oracle.diagram_by_search`, which does, is an independent reference.
     """
     refuse_over_cap(n)
+    return _diagram(n, _prefix_ranks(n))
+
+
+def _diagram(n: int, ranks: Sequence[int]) -> HasseDiagram:
+    """The diagram of order n with these ranks, its edge columns read
+    off the blocks of `_cover_blocks` a slice a column; `lo` and `hi`
+    share one int object per node id."""
     ids = list(range(factorial(n - 1)))
     lo: list[int] = []
     hi: list[int] = []
     rs: list[int] = []
     ss: list[int] = []
-    for t, rows in zip(ids, _cover_rows(n)):
-        for _, u, r, s in rows:
-            lo.append(t)
-            hi.append(ids[u])
-            rs.append(r)
-            ss.append(s)
-    return HasseDiagram(n, tuple(_prefix_ranks(n)), tuple(lo), tuple(hi),
-                        tuple(rs), tuple(ss))
+    for block in _cover_blocks(n):
+        lo += map(ids.__getitem__, block[0::4])
+        hi += map(ids.__getitem__, block[1::4])
+        rs += block[2::4]
+        ss += block[3::4]
+    return HasseDiagram(n, tuple(ranks), tuple(lo), tuple(hi), tuple(rs), tuple(ss))
 
 
-def _cover_rows(n: int) -> Iterator[list[tuple[int, int, int, int]]]:
-    """The covers above node t = 0, 1, ... of order n as edge rows
-    (t, upper id, r, s), by upper id.  Node t is the word (1, p_0, ...,
-    p_{m-1}), m = n - 1, for the t-th permutation p of 2..n in
-    lexicographic order.  The Lehmer digit c_j of p counts the k > j
-    with p_k < p_j, and with G[j] = (m-1-j)! and G[m] = 0, t = sum of
-    c_j G[j].  The codes come from `itertools.product`, in the same
-    order as the permutations, so every cover id is arithmetic on the
-    digits of the lower node:
+def _cover_blocks(n: int) -> Iterator[tuple[int, ...]]:
+    """The covers of order n as flat blocks of edges, lo, hi, r, s in
+    turn, sorted by (lo, hi): `EXPORT_BLOCK` edges a block, the last
+    block holding the rest.  Node t is the word (1, p_0, ..., p_{m-1}),
+    m = n - 1, for the t-th permutation p of 2..n in lexicographic
+    order.  The Lehmer digit c_j of p counts the k > j with p_k < p_j,
+    and with G[j] = (m-1-j)! and G[m] = 0, t = sum of c_j G[j].  The
+    codes come from `itertools.product`, in the same order as the
+    permutations, so every cover id is arithmetic on the digits of the
+    lower node:
 
     - an internal factor p_j = s > p_{j+1} + 1 = r + 1 swaps to r s, at
       id t - d G[j] + (d - 1) G[j+1] with d = c_j - c_{j+1};
@@ -399,28 +404,46 @@ def _cover_rows(n: int) -> Iterator[list[tuple[int, int, int, int]]]:
       number of earlier nodes ending in s; a running count per last
       letter gives it in O(1).
 
-    `build` and the exports read these rows; the tests count them
+    A swap at a later factor keeps more of p, so the internal covers
+    come by ascending id, and the wrap-around cover is placed among them
+    by its letters: its word starts (1, s), the internal cover's at
+    j >= 1 (1, p_0) and at j = 0 (1, p_1), so it goes after them all if
+    s > p_0, else after the one at j = 0 if that cover exists and
+    s > p_1, else first.  (At m = 2, where s = p_1, the two never meet:
+    they need p_1 > 2 and p_0 > p_1 + 1, past n = 3.)
+
+    `build` and the exports read these blocks; the tests count them
     against `cover_histogram`, which counts the same covers with no
     pass over the words.
     """
     m = n - 1
     weight = [factorial(m - 1 - j) for j in range(m)] + [0]  # G above
-    # drop[j][d]: t minus the id of the internal cover at j, d = c_j - c_{j+1}
-    drop = [[d * weight[j] - (d - 1) * weight[j + 1] for d in range(m - j)]
-            for j in range(m - 1)]
+    # (j, j + 1, drop): drop[d] is t minus the id of the internal cover
+    # at j, d = c_j - c_{j+1}
+    factors = [(j, j + 1, [d * weight[j] - (d - 1) * weight[j + 1] for d in range(m - j)])
+               for j in range(m - 1)]
     # wrap[s]: the id of the next wrap-around cover of a node ending in s
     wrap = [(s - 2) * weight[0] for s in range(n + 1)]
-    factors = range(m - 1)
+    size = 4 * EXPORT_BLOCK
+    flat: list[int] = []
     codes = product(*(range(m - j) for j in range(m)))
     for t, (p, c) in enumerate(zip(permutations(range(2, n + 1)), codes)):
-        # a swap at a later factor keeps more of p, so these ids ascend
-        ups = [(t, t - drop[j][c[j] - c[j + 1]], p[j + 1], p[j])
-               for j in factors if p[j] > p[j + 1] + 1]
-        s = p[-1] if p else 0
-        if s > 2:  # the rows share t, so insort places it by upper id
-            insort(ups, (t, wrap[s], 1, s))
+        start = len(flat)
+        for j, k, drop in factors:
+            if p[j] > p[k] + 1:
+                flat += t, t - drop[c[j] - c[k]], p[k], p[j]
+        if p and (s := p[-1]) > 2:
+            at = (len(flat) if s > p[0] else
+                  start + 4 if p[0] > p[1] + 1 and s > p[1] else start)
+            flat[at:at] = t, wrap[s], 1, s
             wrap[s] += 1
-        yield ups
+        while len(flat) >= size:  # the list, cut and frozen, is the block
+            block, flat = flat, flat[size:]
+            del block[size:]
+            block = tuple(block)
+            yield block
+    if flat:
+        yield tuple(flat)
 
 
 def _prefix_ranks(n: int) -> list[int]:
@@ -528,7 +551,7 @@ def cover_histogram(n: int) -> dict[int, int]:
     The cycles are the words (1, p), p a permutation of 2..n+1, and a
     large circular descent is a factor l b with l > b + 1, the
     wrap-around factor s 1 included: the covers above the cycle in
-    `_cover_rows(n + 1)`.  The count is a transfer matrix over the
+    `_cover_blocks(n + 1)`.  The count is a transfer matrix over the
     states (set P of letters placed, last letter l), with no pass over
     the n! words.  The value of a state is the polynomial sum of x^k
     over the prefixes that reach it, k their descents so far; the
@@ -576,7 +599,7 @@ def verify_descent_distribution(n: int) -> dict:
     sum k * a(n, k).  A cover is a large circular descent, the
     predicate of `kernels.descent_count`, so this is the descent
     histogram too.  The tests tie the count to the stream of
-    `_cover_rows(n + 1)` and to `oracle.descents_by_scan`.
+    `_cover_blocks(n + 1)` and to `oracle.descents_by_scan`.
     """
     refuse_over_cap(n or 1)  # the cap holds n itself; n = 0 counts order 1
     row = {k: eulerian(n, k) for k in range(max(n, 1)) if eulerian(n, k)}
@@ -958,13 +981,19 @@ def conjugator_formula(n: int) -> Word:
 EXPORT_BLOCK = 1024  # rows formatted by one % call, a piece of the export
 
 
-def _formatted(item: str, width: int, values: Iterable) -> Iterator[str]:
-    """`item % row` for each row of `width` values drawn in turn from
-    `values`, `EXPORT_BLOCK` rows to a piece: one % call formats a block
-    on `item` repeated once per row."""
+def _blocks(width: int, values: Iterable) -> Iterator[tuple]:
+    """`values` cut into blocks of `EXPORT_BLOCK` rows of `width`."""
     values = iter(values)
     while block := tuple(islice(values, width * EXPORT_BLOCK)):
-        yield item * (len(block) // width) % block
+        yield block
+
+
+def _formatted(item: str, width: int, blocks: Iterable[Sequence]) -> Iterator[str]:
+    """`item % row` for each row of `width` values of each block, a
+    piece a block: one % call formats a block on `item` repeated once
+    per row.  `map` holds no block once it is formatted, so the next is
+    drawn with only the text of this one held."""
+    return map(lambda block: item * (len(block) // width) % tuple(block), blocks)
 
 
 def _listed(pieces: Iterator[str]) -> Iterator[str]:
@@ -982,52 +1011,66 @@ def _label_tails(n: int) -> Iterator[str]:
     return map("".join, permutations(["," + str(a) for a in range(2, n + 1)]))
 
 
-def _export(n: int, ranks: Sequence[int],
-            edges: Iterable[tuple[int, int, int, int]], fmt: str) -> Iterator[str]:
+def _export(n: int, ranks: Sequence[int], edges: Iterable[Sequence[int]],
+            fmt: str) -> Iterator[str]:
     """The text of `to_dot` (fmt "dot") or `to_json` (fmt "json") of the
-    diagram of order n with these ranks in id order and these edge rows
-    (lo, hi, r, s), as pieces: the fixed parts, one piece per rank line
-    of DOT, and blocks of `_formatted` rows.  The node labels follow
-    from n.  Only the DOT rank groups are held; the rest is formatted
-    as it is drawn from the inputs."""
-    flat = chain.from_iterable(edges)
+    diagram of order n with these ranks in id order and these edges, in
+    the flat blocks of `_cover_blocks`, as pieces: the fixed parts, one
+    piece per rank line of DOT, and a `_formatted` piece a block.  The
+    node labels follow from n.  Only the DOT rank groups are held; the
+    rest is formatted as it is drawn from the inputs."""
     if fmt != "dot":
         return chain(
             ('{"edges":[',),
-            _listed(_formatted(",[%d,%d,[%d,%d]]", 4, flat)),
+            _listed(_formatted(",[%d,%d,[%d,%d]]", 4, edges)),
             ('],"n":%d,"nodes":[' % n,),
-            _listed(_formatted(',"(1%s)"', 1, _label_tails(n))),
+            _listed(_formatted(',"(1%s)"', 1, _blocks(1, _label_tails(n)))),
             ('],"ranks":[',),
-            _listed(_formatted(",%d", 1, ranks)),
+            _listed(_formatted(",%d", 1, _blocks(1, ranks))),
             ("]}\n",))
-    by_rank: dict[int, array] = {}  # machine ints: 8 bytes a node, not 36
+    # each rank's ids as unsigned machine ints, 4 bytes a node, not 36
+    # (an id is below 12! < 2^32 up to n = 13); the arrays made once a
+    # rank, not once a node
+    by_rank = {rank: array("I") for rank in set(ranks)}
     for t, rank in enumerate(ranks):
-        by_rank.setdefault(rank, array("q")).append(t)
+        by_rank[rank].append(t)
     return chain(
         ("digraph CP%d {\n  rankdir=BT;\n  node [shape=box];\n" % n,),
         _formatted('  n%d [label="(1%s)"];\n', 2,
-                   chain.from_iterable(enumerate(_label_tails(n)))),
+                   _blocks(2, chain.from_iterable(enumerate(_label_tails(n))))),
         ("  { rank=same; " + "n%d; " * len(ids) % tuple(ids) + "}\n"
          for ids in map(by_rank.pop, sorted(by_rank))),
-        _formatted('  n%d -> n%d [label="(%d,%d)"];\n', 4, flat),
+        _formatted('  n%d -> n%d [label="(%d,%d)"];\n', 4, edges),
         ("}\n",))
 
 
 def export_pieces(n: int, fmt: str) -> Iterator[str]:
     """The text of `to_dot(build(n))` (fmt "dot") or `to_json(build(n))`
     (fmt "json") as pieces, straight from the enumeration with no
-    diagram: the ranks from `_prefix_ranks` and the edge rows of
-    `_cover_rows`, flattened as they are drawn, so only the ranks are
-    held.  The order is refused here, before the first piece is asked
-    for.
+    diagram: the ranks from `_prefix_ranks` and the edge blocks of
+    `_cover_blocks`, each formatted as it is drawn, so only the ranks
+    are held, two bytes a node (a rank is at most C(n, 3)).  The order
+    is refused here, before the first piece is asked for.
     """
     refuse_over_cap(n)
-    return _export(n, _prefix_ranks(n), chain.from_iterable(_cover_rows(n)), fmt)
+    return _export(n, array("H", _prefix_ranks(n)), _cover_blocks(n), fmt)
+
+
+def _edge_blocks(diagram: HasseDiagram) -> Iterator[list[int]]:
+    """The diagram's edges in the blocks of `_cover_blocks`: each block
+    of `EXPORT_BLOCK` edges cut from the four columns into one flat list
+    by slice assignment, a block at a time."""
+    columns = (diagram.lo, diagram.hi, diagram.r, diagram.s)
+    for start in range(0, len(diagram.lo), EXPORT_BLOCK):
+        parts = [column[start:start + EXPORT_BLOCK] for column in columns]
+        block = [0] * (4 * len(parts[0]))
+        for k, part in enumerate(parts):
+            block[k::4] = part
+        yield block
 
 
 def _diagram_text(diagram: HasseDiagram, fmt: str) -> str:
-    return "".join(_export(diagram.n, diagram.ranks, zip(
-        diagram.lo, diagram.hi, diagram.r, diagram.s), fmt))
+    return "".join(_export(diagram.n, diagram.ranks, _edge_blocks(diagram), fmt))
 
 
 def to_dot(diagram: HasseDiagram) -> str:

@@ -359,7 +359,7 @@ class TestAlphaPotential:
         prove = certificates.prove
         monkeypatch.setattr(checks, "prove", lambda n, columns, inversions:
                             prove(n, columns, inversions)._replace(cyclic=False))
-        monkeypatch.setattr(checks, "build", lambda n: mutant)
+        monkeypatch.setattr(checks, "_diagram", lambda n, ranks: mutant)
         report = checks.run_check("alpha", 5)
         passed, witness = checks._alpha_walk(mutant)
         assert not passed
@@ -423,7 +423,7 @@ class TestEulerianStream:
             raise AssertionError("eulerian built a diagram or a cycle")
 
         monkeypatch.setattr(poset, "build", forbidden)
-        monkeypatch.setattr(checks, "build", forbidden)
+        monkeypatch.setattr(checks, "_diagram", forbidden)
         monkeypatch.setattr(perm, "all_cycles", forbidden)
         monkeypatch.setattr(CircularPermutation, "__post_init__", forbidden)
         report = checks.run_check("eulerian", n)
@@ -443,7 +443,7 @@ class TestEulerianStream:
             raise AssertionError("eulerian enumerated the cycles")
 
         # the stream and the scan are the tests' cross-checks of the count
-        monkeypatch.setattr(poset, "_cover_rows", refuse)
+        monkeypatch.setattr(poset, "_cover_blocks", refuse)
         monkeypatch.setattr(oracle, "descents_by_scan", refuse)
         report = checks.run_check("eulerian", n)
         assert report.passed and report.witness is None
@@ -561,7 +561,7 @@ def with_edge(diagram, lo, hi):
 
 def lattice_outcome(monkeypatch, diagram):
     """`run_check("lattice", n)` on this diagram, as (verdict, witness)."""
-    monkeypatch.setattr(checks, "build", lambda n: diagram)
+    monkeypatch.setattr(checks, "_diagram", lambda n, ranks: diagram)
     report = checks.run_check("lattice", diagram.n)
     return report.passed, report.witness
 
@@ -643,7 +643,7 @@ class TestLatticeCheck:
         diagram = build(5)
         k = 10
         mutant = without_edge(diagram, k)
-        monkeypatch.setattr(checks, "build", lambda n: mutant)
+        monkeypatch.setattr(checks, "_diagram", lambda n, ranks: mutant)
         report = checks.run_check("lattice", 5)
         assert not report.passed
         assert report.witness["op"] == "order"
@@ -1239,7 +1239,7 @@ class TestKappaMatching:
         def refuse(*args):
             raise AssertionError("a passing run built the order or its masks")
 
-        monkeypatch.setattr(checks, "build", refuse)
+        monkeypatch.setattr(checks, "_diagram", refuse)
         monkeypatch.setattr(poset.HasseDiagram, "at_least", property(refuse))
         report = checks.run_check("semidistributive", n)
         assert report.passed and report.stats["declined"] == 0
@@ -1431,7 +1431,7 @@ class TestLaneChecks:
             raise AssertionError(f"{name} built a diagram or an element")
 
         monkeypatch.setattr(poset, "build", forbidden)
-        monkeypatch.setattr(checks, "build", forbidden)
+        monkeypatch.setattr(checks, "_diagram", forbidden)
         for cls in (AdmittedVector, affine.AffineWindow, CircularPermutation):
             monkeypatch.setattr(cls, "__post_init__", forbidden)
         report = checks.run_check(name, n)
@@ -1648,14 +1648,14 @@ class TestModularityLanes:
 
 
 def built_diagrams(monkeypatch):
-    """The diagrams that `checks.build` returns from now on, in order."""
+    """The diagrams that `checks._diagram` returns from now on, in order."""
     built = []
 
-    def keeping_build(n):
-        built.append(build(n))
+    def keeping_build(n, ranks):
+        built.append(poset._diagram(n, ranks))
         return built[-1]
 
-    monkeypatch.setattr(checks, "build", keeping_build)
+    monkeypatch.setattr(checks, "_diagram", keeping_build)
     return built
 
 
@@ -1762,11 +1762,11 @@ class TestSharedDiagram:
     def test_run_all_builds_the_order_once(self, monkeypatch, n):
         built = []
 
-        def counting_build(order):
+        def counting_build(order, ranks):
             built.append(order)
-            return build(order)
+            return poset._diagram(order, ranks)
 
-        monkeypatch.setattr(checks, "build", counting_build)
+        monkeypatch.setattr(checks, "_diagram", counting_build)
         # eulerian counts order n + 1 and builds no diagram, and grading
         # reads the columns and ranks alone, so lattice builds it; no
         # passing check computes a threshold mask
@@ -1775,6 +1775,21 @@ class TestSharedDiagram:
         assert all(r.passed for r in reports)
         assert [r.check for r in reports if r.phases["build"]] == ["lattice"]
         assert [r.check for r in reports if r.phases["masks"]] == []
+
+    def test_run_all_computes_the_ranks_once(self, monkeypatch):
+        # grading computes them, and lattice's diagram takes the run's
+        calls = []
+        prefix_ranks = poset._prefix_ranks
+
+        def counting_ranks(n):
+            calls.append(n)
+            return prefix_ranks(n)
+
+        monkeypatch.setattr(poset, "_prefix_ranks", counting_ranks)
+        reports = checks.run_all(6)
+        assert all(r.passed for r in reports)
+        assert calls == [6]
+        assert [r.check for r in reports if r.phases["build"]] == ["lattice"]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_passing_run_all_reads_no_mask(self, monkeypatch, n):
@@ -1791,7 +1806,7 @@ class TestSharedDiagram:
         def refuse(*args):
             raise AssertionError(f"{name} built a diagram")
 
-        monkeypatch.setattr(checks, "build", refuse)
+        monkeypatch.setattr(checks, "_diagram", refuse)
         monkeypatch.setattr(poset, "build", refuse)
         # alpha at every order whose potential the walk's is tested
         # against, mobius and modularity at every order their references

@@ -245,22 +245,49 @@ class TestLehmerBuild:
         assert len(diagram.words) == len(diagram.ranks) == factorial(n - 1)
 
 
+def covers_by_lower(n):
+    """The edges of `_cover_blocks(n)`, each a (lo, hi, r, s) row,
+    regrouped by lower node: covers[t] lists node t's rows in stream
+    order.  The stream must run by lower node."""
+    rows = [tuple(block[k:k + 4]) for block in poset._cover_blocks(n)
+            for k in range(0, len(block), 4)]
+    assert [lo for lo, *_ in rows] == sorted(lo for lo, *_ in rows)
+    covers = [[] for _ in range(factorial(n - 1))]
+    for row in rows:
+        covers[row[0]].append(row)
+    return covers
+
+
 class TestCoverRows:
-    """`_cover_rows` is the one cover rule: `build` and the exports read
-    its rows, and its stream is the tests' reference for the count of
-    `cover_histogram`."""
+    """`_cover_blocks` is the one cover rule: `build` and the exports
+    read its blocks, and its stream is the tests' reference for the
+    count of `cover_histogram`."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_are_the_kernel_covers_by_upper_id(self, n):
         words = list(permutations(range(2, n + 1)))
         index = {(1,) + p: t for t, p in enumerate(words)}
-        rows = list(poset._cover_rows(n))
-        assert len(rows) == len(words)
-        for t, (p, ups) in enumerate(zip(words, rows)):
+        covers = covers_by_lower(n)
+        assert len(covers) == len(words)
+        for t, (p, ups) in enumerate(zip(words, covers)):
             uppers = [u for _, u, _, _ in ups]
             assert uppers == sorted(set(uppers))
             assert ups == sorted((t, index[upper], r, s)
                                  for r, s, upper in kernels.word_covers_up((1,) + p))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, poset.EXPORT_BLOCK])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_block_but_the_last_is_full(self, monkeypatch, n, block):
+        # a block may end inside a node's covers, so one node can fill
+        # several blocks of one or two edges
+        stream = list(chain.from_iterable(poset._cover_blocks(n)))
+        monkeypatch.setattr(poset, "EXPORT_BLOCK", block)
+        sizes = [len(b) for b in poset._cover_blocks(n)]
+        assert all(size == 4 * block for size in sizes[:-1])
+        assert all(0 < size <= 4 * block for size in sizes[-1:])
+        assert list(chain.from_iterable(poset._cover_blocks(n))) == stream
+        edges = sum(k * a for k, a in cover_histogram(n - 1).items())
+        assert sum(sizes) == len(stream) == 4 * edges
 
 
 class TestVectorColumns:
@@ -679,14 +706,14 @@ class TestEulerian:
 
 class TestCoverHistogram:
     """`cover_histogram` counts by transfer matrix what the stream of
-    `_cover_rows` and the scan of `oracle.descents_by_scan` count one
+    `_cover_blocks` and the scan of `oracle.descents_by_scan` count one
     cycle at a time; `TestDescentDistribution` ties it to the diagram's
     up-degrees."""
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_the_stream_of_cover_rows(self, n):
         streamed = {}
-        for ups in poset._cover_rows(n + 1):
+        for ups in covers_by_lower(n + 1):
             streamed[len(ups)] = streamed.get(len(ups), 0) + 1
         assert cover_histogram(n) == streamed
 
@@ -702,7 +729,7 @@ class TestCoverHistogram:
         def refuse(*args):
             raise AssertionError("enumerated the cycles")
 
-        monkeypatch.setattr(poset, "_cover_rows", refuse)
+        monkeypatch.setattr(poset, "_cover_blocks", refuse)
         monkeypatch.setattr(poset, "permutations", refuse)
         monkeypatch.setenv("CYCLAT_MAX_N", "4")
         assert cover_histogram(14) == dict(enumerate(eulerian_row(14)))
